@@ -8,7 +8,7 @@ use cfd_core::{DiffSetMode, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use cfd_fd::{FastFd, Tane};
 use cfd_model::pattern::PVal;
-use cfd_partition::{Partition, RelationIndex};
+use cfd_partition::{RefineScratch, RelationIndex, StrippedPartition};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // partition-layer constant lookups: the CTANE-shaped workload of
-    // repeated by_constant + refine(·, Const) over every frequent value
+    // repeated constant lookups + constant refinements over every value
     // of the small-domain columns — full-relation scans vs the cached
     // counting-sort value regions of a RelationIndex
     // (base column, refining column, code) triples over the
@@ -75,9 +75,11 @@ fn bench(c: &mut Criterion) {
                 })
         })
         .collect();
-    let bases: Vec<Partition> = (0..rel.arity())
-        .map(|a| Partition::by_attribute(&rel, a))
+    let bases: Vec<StrippedPartition> = (0..rel.arity())
+        .map(|a| StrippedPartition::by_attribute(&rel, a))
         .collect();
+    let mut scratch = RefineScratch::for_relation(&rel);
+    let mut out = StrippedPartition::empty();
     group.bench_with_input(
         BenchmarkId::new("const-lookup", "scan"),
         &(&rel, &lookups, &bases),
@@ -87,9 +89,9 @@ fn bench(c: &mut Criterion) {
                 for &(base, a, c) in lookups.iter() {
                     // the pre-index code path: one full scan per lookup,
                     // class-by-class filtering per refinement
-                    let members: Vec<u32> = rel.tuples().filter(|&t| rel.code(t, a) == c).collect();
-                    let p = bases[base].refine(rel, a, PVal::Const(c));
-                    total += members.len() + p.n_rows();
+                    let members = rel.tuples().filter(|&t| rel.code(t, a) == c).count();
+                    bases[base].refine_into(rel, None, a, PVal::Const(c), &mut scratch, &mut out);
+                    total += members + out.n_rows();
                 }
                 total
             })
@@ -103,9 +105,10 @@ fn bench(c: &mut Criterion) {
                 let index = RelationIndex::new(rel);
                 let mut total = 0usize;
                 for &(base, a, c) in lookups.iter() {
-                    let members = Partition::by_constant_in(index.column(rel, a), c);
-                    let p = bases[base].refine_with(rel, &index, a, PVal::Const(c));
-                    total += members.n_rows() + p.n_rows();
+                    let members = index.column(rel, a).region(c).len();
+                    let idx = Some(&index);
+                    bases[base].refine_into(rel, idx, a, PVal::Const(c), &mut scratch, &mut out);
+                    total += members + out.n_rows();
                 }
                 total
             })

@@ -3,7 +3,7 @@
 //!
 //! What this measures: the θ < 1.0 validity test swaps CTANE's O(1)
 //! class/row-count comparison for a per-class max-frequency walk over
-//! the *parent* partition (`Partition::keep_count`) and retains one
+//! the *parent* partition (`StrippedPartition::keep_count`) and retains one
 //! extra level of partitions — and a relaxed test prunes less, so the
 //! lattice itself grows. The θ = 1.0 group must sit on top of the
 //! exact control (the parity guarantee of DESIGN.md §8 means the two

@@ -50,6 +50,7 @@ use cfd_core::FastCfd;
 use cfd_datagen::tax::TaxGenerator;
 use cfd_model::attrset::AttrSet;
 use cfd_model::{Cfd, Json, Relation};
+use cfd_serve::client::{Client, ClientRead};
 use cfd_stream::StreamEngine;
 use cfd_validate::{validate, ValidateOptions};
 use std::process::ExitCode;
@@ -190,14 +191,7 @@ fn run_remine(warm: &Relation, rules: &[Cfd], batch: &[Vec<u32>]) -> u64 {
     use cfd_stream::{remine, RemineOptions};
     let (mut engine, _) = StreamEngine::warm(warm, rules.to_vec(), 1);
     engine.insert_coded(batch.to_vec());
-    let opts = RemineOptions {
-        theta: 0.95,
-        expand: 1,
-        k: 1,
-        max_lhs: None,
-        threads: 1,
-    };
-    let delta = remine(&mut engine, &opts, &Control::default())
+    let delta = remine(&mut engine, &RemineOptions::default(), &Control::default())
         .expect("default Control is never cancelled")
         .expect("the drift batch must trigger re-mining");
     (delta.retired.len() + delta.replacement.len() + delta.post_measures.len()) as u64
@@ -226,8 +220,7 @@ fn run_ingest(csv: &[u8]) -> u64 {
 /// measured round drives 10 sync discover requests through one
 /// connection and reads the streamed replies back.
 struct ServeRig {
-    r: std::io::BufReader<std::net::TcpStream>,
-    w: std::net::TcpStream,
+    client: Client,
     server: Option<std::thread::JoinHandle<std::io::Result<()>>>,
 }
 
@@ -237,11 +230,8 @@ impl ServeRig {
         let server = Server::bind(&ServeOptions::default()).expect("bind loopback");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
-        let w = std::net::TcpStream::connect(addr).expect("connect to own server");
-        let r = std::io::BufReader::new(w.try_clone().expect("clone socket"));
         let mut rig = ServeRig {
-            r,
-            w,
+            client: Client::connect(addr, None).expect("connect to own server"),
             server: Some(handle),
         };
         let mut csv = Vec::new();
@@ -262,17 +252,10 @@ impl ServeRig {
     /// One round trip: send a request line, return the reply line
     /// (skipping any job-event lines streamed before it).
     fn request(&mut self, line: &str) -> String {
-        use std::io::{BufRead, Write};
-        self.w.write_all(line.as_bytes()).expect("send request");
-        self.w.write_all(b"\n").expect("send request");
-        loop {
-            let mut reply = String::new();
-            let n = self.r.read_line(&mut reply).expect("read reply");
-            assert!(n > 0, "server hung up mid-measurement");
-            // replies lead with "ok", events with "event"
-            if reply.starts_with("{\"ok\"") {
-                return reply;
-            }
+        self.client.send(line).expect("send request");
+        match self.client.reply(|_event| {}).expect("read reply") {
+            ClientRead::Line(reply) => reply,
+            other => panic!("server hung up mid-measurement: {other:?}"),
         }
     }
 

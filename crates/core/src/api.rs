@@ -360,13 +360,7 @@ impl DiscoverOptions {
             ("threads", Json::from(self.threads)),
             ("constants_only", Json::from(self.constants_only)),
             ("min_confidence", Json::from(self.min_confidence)),
-            (
-                "top_k",
-                match self.top_k {
-                    None => Json::Null,
-                    Some(k) => Json::from(k),
-                },
-            ),
+            ("top_k", Json::from(self.top_k)),
             (
                 "project",
                 match self.project {
@@ -375,6 +369,45 @@ impl DiscoverOptions {
                 },
             ),
         ])
+    }
+
+    /// Parses the keys [`to_json`](DiscoverOptions::to_json) writes;
+    /// an absent or `null` key keeps its [`Default`] value, so the
+    /// output of `to_json` parses back. `project` is not read: resolving
+    /// attribute names needs a schema. Only the types are checked here;
+    /// ranges are [`validate`](DiscoverOptions::validate)'s job.
+    pub fn from_json(doc: &Json) -> Result<DiscoverOptions, DiscoverError> {
+        let field = |key: &str| doc.get(key).filter(|v| !v.is_null());
+        let fail =
+            |key: &str, want: &str| DiscoverError::Options(format!("{key:?} must be {want}"));
+        let count = |key: &str| {
+            field(key)
+                .map(|v| match v.as_f64() {
+                    Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as usize),
+                    _ => Err(fail(key, "a non-negative integer")),
+                })
+                .transpose()
+        };
+        let d = DiscoverOptions::default();
+        Ok(DiscoverOptions {
+            k: count("k")?.unwrap_or(d.k),
+            max_lhs: count("max_lhs")?.or(d.max_lhs),
+            threads: count("threads")?.unwrap_or(d.threads),
+            constants_only: match field("constants_only") {
+                None => d.constants_only,
+                Some(v) => v
+                    .as_bool()
+                    .ok_or_else(|| fail("constants_only", "a boolean"))?,
+            },
+            project: d.project,
+            min_confidence: match field("min_confidence") {
+                None => d.min_confidence,
+                Some(v) => v
+                    .as_f64()
+                    .ok_or_else(|| fail("min_confidence", "a number"))?,
+            },
+            top_k: count("top_k")?.or(d.top_k),
+        })
     }
 }
 
@@ -1175,6 +1208,40 @@ mod tests {
             .project(AttrSet::EMPTY)
             .validate(&rel)
             .is_err());
+    }
+
+    #[test]
+    fn options_codec_round_trips() {
+        let rel = cust_relation();
+        // every field but project (CLI-only) off its default
+        let mut opts = DiscoverOptions::new(3)
+            .max_lhs(2)
+            .threads(4)
+            .constants_only()
+            .min_confidence(0.85)
+            .top_k(7);
+        assert_eq!(
+            DiscoverOptions::from_json(&opts.to_json(&rel)),
+            Ok(opts.clone())
+        );
+        // null reads as unset, an absent key as the default
+        opts.max_lhs = None;
+        opts.top_k = None;
+        assert_eq!(DiscoverOptions::from_json(&opts.to_json(&rel)), Ok(opts));
+        assert_eq!(
+            DiscoverOptions::from_json(&Json::obj(Vec::<(String, Json)>::new())),
+            Ok(DiscoverOptions::default())
+        );
+        // wrong types are option errors
+        for bad in [
+            ("k", Json::from(-1.0)),
+            ("constants_only", Json::from(1usize)),
+        ] {
+            assert!(matches!(
+                DiscoverOptions::from_json(&Json::obj([bad])),
+                Err(DiscoverError::Options(_))
+            ));
+        }
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! `O(Σ class²)` step that makes NaiveFast degrade as DBSIZE grows
 //! (Fig. 5 of the paper).
 
-use crate::partition::Partition;
 use cfd_model::attrset::AttrSet;
-use cfd_model::fxhash::FxHashSet;
+use cfd_model::fxhash::{FxHashMap, FxHashSet};
 use cfd_model::relation::{Relation, TupleId};
 
 /// Sentinel for "tuple is alone with this value" in signatures.
@@ -26,42 +25,30 @@ pub fn agree_sets_of_rows(rel: &Relation, rows: &[TupleId]) -> Vec<AttrSet> {
     let arity = rel.arity();
     // per-attribute class signature of every row (positionally indexed by
     // the rank of the row in `rows`)
-    let mut row_rank = cfd_model::fxhash::FxHashMap::default();
+    let mut row_rank = FxHashMap::default();
     for (i, &t) in rows.iter().enumerate() {
         row_rank.insert(t, i as u32);
     }
     let mut sig = vec![UNIQUE; rows.len() * arity];
-    let mut stripped: Vec<Partition> = Vec::with_capacity(arity);
+    // per attribute, the stripped classes (size ≥ 2) of the given rows
+    let mut stripped: Vec<Vec<Vec<TupleId>>> = Vec::with_capacity(arity);
     for a in 0..arity {
-        // group the given rows by their code on attribute a
-        let mut groups: cfd_model::fxhash::FxHashMap<u32, Vec<TupleId>> =
-            cfd_model::fxhash::FxHashMap::default();
+        let mut groups: FxHashMap<u32, Vec<TupleId>> = FxHashMap::default();
         for &t in rows {
             groups.entry(rel.code(t, a)).or_default().push(t);
         }
-        let mut tuples = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut keys: Vec<u32> = groups.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            let g = &groups[&k];
-            if g.len() >= 2 {
-                tuples.extend_from_slice(g);
-                offsets.push(tuples.len() as u32);
-            }
-        }
-        let p = Partition::from_parts(tuples, offsets);
-        for (ci, class) in p.classes().enumerate() {
+        let classes: Vec<Vec<TupleId>> = groups.into_values().filter(|g| g.len() >= 2).collect();
+        for (ci, class) in classes.iter().enumerate() {
             for &t in class {
                 sig[row_rank[&t] as usize * arity + a] = ci as u32;
             }
         }
-        stripped.push(p);
+        stripped.push(classes);
     }
 
     let mut out: FxHashSet<AttrSet> = FxHashSet::default();
-    for (a, p) in stripped.iter().enumerate() {
-        for class in p.classes() {
+    for (a, classes) in stripped.iter().enumerate() {
+        for class in classes {
             for (i, &t1) in class.iter().enumerate() {
                 let r1 = row_rank[&t1] as usize;
                 'pairs: for &t2 in &class[i + 1..] {
@@ -109,8 +96,7 @@ pub fn has_fully_disagreeing_pair(rel: &Relation, rows: &[TupleId]) -> bool {
     // count pairs co-occurring in ≥1 stripped class; compare with C(n,2)
     let mut seen: FxHashSet<(TupleId, TupleId)> = FxHashSet::default();
     for a in 0..rel.arity() {
-        let mut groups: cfd_model::fxhash::FxHashMap<u32, Vec<TupleId>> =
-            cfd_model::fxhash::FxHashMap::default();
+        let mut groups: FxHashMap<u32, Vec<TupleId>> = FxHashMap::default();
         for &t in rows {
             groups.entry(rel.code(t, a)).or_default().push(t);
         }

@@ -1,11 +1,10 @@
 //! The zero-allocation refinement engine: stripped partitions refined
 //! into caller-owned buffers.
 //!
-//! The legacy [`Partition::refine`](crate::Partition::refine) allocates
-//! a fresh partition (and, for wildcard refinement, a hash map plus one
-//! `Vec` per sub-class) for **every** candidate a level-wise miner
-//! tests — `O(candidates)` heap churn per lattice level. This module
-//! rebuilds that machinery around three ideas:
+//! A textbook refinement allocates a fresh partition (and, for wildcard
+//! refinement, a hash map plus one `Vec` per sub-class) for **every**
+//! candidate a level-wise miner tests — `O(candidates)` heap churn per
+//! lattice level. This module builds the machinery around three ideas:
 //!
 //! * **Stripped storage** ([`StrippedPartition`]): classes of size ≥ 2
 //!   are stored back to back; members of singleton classes live in a
@@ -88,9 +87,8 @@ const SINGLE: u32 = u32::MAX;
 ///
 /// Logical counts include the singletons:
 /// `n_classes = wide classes + |singles|`,
-/// `n_rows = |tuples| + |singles|` — so the stripped and the legacy
-/// [`Partition`](crate::Partition) representation of the same
-/// equivalence relation agree on every count a level-wise miner tests.
+/// `n_rows = |tuples| + |singles|` — every count a level-wise miner
+/// tests is the count of the unstripped equivalence relation.
 #[derive(Clone, Debug, Default)]
 pub struct StrippedPartition {
     tuples: Vec<TupleId>,
@@ -254,9 +252,8 @@ impl StrippedPartition {
     /// * `v = Const(c)` keeps, per class, the members with `t[B] = c`.
     ///   With an index, each wide class is intersected with the
     ///   (ascending) value region of `c` — per class, whichever of
-    ///   "scan the class" and "probe the window" is cheaper, exactly
-    ///   the adaptive strategy of
-    ///   [`Partition::refine_with`](crate::Partition::refine_with).
+    ///   "scan the class" and "probe the window" is cheaper. Without
+    ///   one, every class is scanned; both paths give the same layout.
     ///
     /// Nothing is allocated beyond what `out`'s and `scratch`'s
     /// capacities already hold; repeated calls against same-sized
@@ -523,7 +520,6 @@ fn const_window<'a>(class: &[TupleId], region: Option<&'a [TupleId]>) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Partition;
     use cfd_model::relation::relation_from_rows;
     use cfd_model::schema::Schema;
 
@@ -541,105 +537,6 @@ mod tests {
             ],
         )
         .unwrap()
-    }
-
-    fn legacy_sorted(p: &Partition) -> Vec<Vec<TupleId>> {
-        let mut cs: Vec<Vec<TupleId>> = p
-            .classes()
-            .map(|c| {
-                let mut v = c.to_vec();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        cs.sort();
-        cs
-    }
-
-    #[test]
-    fn counts_include_stripped_singletons() {
-        let r = rel();
-        let s = StrippedPartition::by_attribute(&r, 0);
-        let legacy = Partition::by_attribute(&r, 0);
-        assert_eq!(s.n_classes(), legacy.n_classes());
-        assert_eq!(s.n_rows(), legacy.n_rows());
-        assert_eq!(s.singles(), &[5]); // z is alone
-        assert_eq!(s.sorted_classes(), legacy_sorted(&legacy));
-    }
-
-    #[test]
-    fn refine_into_matches_legacy_refine() {
-        let r = rel();
-        let idx = RelationIndex::new(&r);
-        let mut scratch = RefineScratch::for_relation(&r);
-        let mut buf = StrippedPartition::default();
-        for a in 0..r.arity() {
-            let s = StrippedPartition::by_attribute(&r, a);
-            let legacy = Partition::by_attribute(&r, a);
-            for b in 0..r.arity() {
-                // wildcard
-                s.refine_into(&r, Some(&idx), b, PVal::Var, &mut scratch, &mut buf);
-                let want = legacy.refine(&r, b, PVal::Var);
-                assert_eq!(buf.sorted_classes(), legacy_sorted(&want), "{a}->{b} var");
-                assert_eq!(
-                    (buf.n_classes(), buf.n_rows()),
-                    s.refine_counts(&r, Some(&idx), b, PVal::Var, &mut scratch),
-                    "{a}->{b} var counts"
-                );
-                // every constant of b
-                for c in 0..r.column(b).domain_size() as u32 {
-                    s.refine_into(&r, Some(&idx), b, PVal::Const(c), &mut scratch, &mut buf);
-                    let want = legacy.refine(&r, b, PVal::Const(c));
-                    assert_eq!(
-                        buf.sorted_classes(),
-                        legacy_sorted(&want),
-                        "{a}->{b}={c} const"
-                    );
-                    assert_eq!(
-                        (buf.n_classes(), buf.n_rows()),
-                        s.refine_counts(&r, Some(&idx), b, PVal::Const(c), &mut scratch),
-                        "{a}->{b}={c} const counts"
-                    );
-                    // and without an index (plain scan path)
-                    s.refine_into(&r, None, b, PVal::Const(c), &mut scratch, &mut buf);
-                    assert_eq!(buf.sorted_classes(), legacy_sorted(&want));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn keep_count_matches_legacy() {
-        let r = rel();
-        let mut scratch = RefineScratch::for_relation(&r);
-        for a in 0..r.arity() {
-            let s = StrippedPartition::by_attribute(&r, a);
-            let legacy = Partition::by_attribute(&r, a);
-            for b in 0..r.arity() {
-                assert_eq!(
-                    s.keep_count(&r, b, &mut scratch),
-                    legacy.keep_count(&r, b),
-                    "{a} keep {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn of_pattern_builds_from_scratch() {
-        use cfd_model::pattern::Pattern;
-        let r = rel();
-        let idx = RelationIndex::new(&r);
-        let mut scratch = RefineScratch::for_relation(&r);
-        let x = r.column(0).dict().code("x").unwrap();
-        let p = Pattern::from_pairs([(0usize, PVal::Const(x)), (1, PVal::Var)]);
-        let built = StrippedPartition::of_pattern(&r, &idx, p.iter(), &mut scratch);
-        let legacy = Partition::by_constant(&r, 0, x).refine(&r, 1, PVal::Var);
-        assert_eq!(built.sorted_classes(), legacy_sorted(&legacy));
-        // the empty pattern is the full partition
-        let full = StrippedPartition::of_pattern(&r, &idx, [], &mut scratch);
-        assert_eq!(full.n_classes(), 1);
-        assert_eq!(full.n_rows(), r.n_rows());
     }
 
     #[test]

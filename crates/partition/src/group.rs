@@ -4,8 +4,9 @@
 //! This is the grouping primitive shared by the validation kernel
 //! (`cfd-validate` groups all rules with the same LHS wildcard set over
 //! one [`GroupIds`]) and the streaming engine's warm start. Unlike
-//! [`Partition`](crate::Partition), which materializes class member
-//! lists, [`GroupIds`] is the *inverse* mapping (`tuple → class id`):
+//! [`StrippedPartition`](crate::StrippedPartition), which materializes
+//! class member lists, [`GroupIds`] is the *inverse* mapping
+//! (`tuple → class id`):
 //! the shape a validator wants, because per-rule state becomes a flat
 //! array indexed by class id instead of a hash map keyed by
 //! heap-allocated `Vec<u32>` value tuples.

@@ -1,20 +1,18 @@
 //! Per-column value indexes: the counting-sort value regions behind
-//! [`Partition::by_attribute`], kept around so constant lookups stop
-//! re-scanning the relation.
+//! [`StrippedPartition::by_attribute`], kept around so constant lookups
+//! stop re-scanning the relation.
 //!
 //! [`ValueIndex`] materializes, for one column, the tuple ids grouped by
 //! dictionary code (codes are dense, so a counting sort lays every
-//! value's *region* out contiguously). [`Partition::by_attribute`],
-//! [`Partition::by_constant`] and constant refinement all reduce to
-//! region lookups on it, and [`RelationIndex`] caches one lazily-built
-//! index per column so a discovery run (CTANE generates thousands of
-//! constant refinements) or a validation pass (constant-LHS filters)
-//! pays the counting sort once per column instead of once per lookup.
+//! value's *region* out contiguously). First-level partitions, constant
+//! lookups and constant refinement all reduce to region lookups on it,
+//! and [`RelationIndex`] caches one lazily-built index per column so a
+//! discovery run (CTANE generates thousands of constant refinements) or
+//! a validation pass (constant-LHS filters) pays the counting sort once
+//! per column instead of once per lookup.
 //!
-//! [`Partition::by_attribute`]: crate::Partition::by_attribute
-//! [`Partition::by_constant`]: crate::Partition::by_constant
+//! [`StrippedPartition::by_attribute`]: crate::StrippedPartition::by_attribute
 
-use crate::partition::Partition;
 use cfd_model::relation::{Relation, TupleId};
 use cfd_model::schema::AttrId;
 use std::sync::OnceLock;
@@ -33,10 +31,7 @@ pub struct ValueIndex {
 }
 
 impl ValueIndex {
-    /// Builds the index for attribute `a` of `rel` — one counting sort,
-    /// the same pass [`Partition::by_attribute`] performs.
-    ///
-    /// [`Partition::by_attribute`]: crate::Partition::by_attribute
+    /// Builds the index for attribute `a` of `rel` — one counting sort.
     pub fn build(rel: &Relation, a: AttrId) -> ValueIndex {
         let col = rel.column(a);
         let codes = col.codes();
@@ -73,33 +68,6 @@ impl ValueIndex {
             return &[];
         }
         &self.tuples[self.starts[c] as usize..self.starts[c + 1] as usize]
-    }
-
-    /// The partition w.r.t. `({A}, (_))` — every non-empty region as one
-    /// class, in code order (the [`Partition::by_attribute`] layout).
-    ///
-    /// [`Partition::by_attribute`]: crate::Partition::by_attribute
-    pub fn to_partition(&self) -> Partition {
-        let mut offsets = Vec::with_capacity(self.n_codes() + 1);
-        offsets.push(0u32);
-        for w in self.starts.windows(2) {
-            if w[1] > w[0] {
-                offsets.push(w[1]);
-            }
-        }
-        Partition::from_parts(self.tuples.clone(), offsets)
-    }
-
-    /// The partition w.r.t. `({A}, (c))` — the single class of tuples
-    /// carrying `code` (no class when the region is empty).
-    pub fn constant_partition(&self, code: u32) -> Partition {
-        let region = self.region(code);
-        let offsets = if region.is_empty() {
-            vec![0]
-        } else {
-            vec![0, region.len() as u32]
-        };
-        Partition::from_parts(region.to_vec(), offsets)
     }
 }
 
@@ -170,18 +138,6 @@ mod tests {
         let idx = ValueIndex::build(&r, 0);
         assert_eq!(idx.n_codes(), 4);
         assert_eq!(idx.region(ghost), &[] as &[TupleId]);
-        assert!(idx.constant_partition(ghost).n_classes() == 0);
-    }
-
-    #[test]
-    fn to_partition_matches_by_attribute() {
-        let r = rel();
-        for a in 0..r.arity() {
-            let via_index = ValueIndex::build(&r, a).to_partition();
-            let direct = Partition::by_attribute(&r, a);
-            assert_eq!(via_index.n_classes(), direct.n_classes());
-            assert_eq!(via_index.rows(), direct.rows());
-        }
     }
 
     #[test]

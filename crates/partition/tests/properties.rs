@@ -1,12 +1,13 @@
 //! Property-based tests for the partition machinery: the invariants every
-//! CTANE/FastFD run silently relies on.
+//! CTANE/FastFD run silently relies on, checked against direct-grouping
+//! oracles.
 
 use cfd_model::attrset::AttrSet;
 use cfd_model::pattern::PVal;
 use cfd_model::relation::{Relation, RelationBuilder, TupleId};
 use cfd_model::schema::Schema;
 use cfd_partition::agree::agree_sets_of_rows;
-use cfd_partition::{GroupIds, Partition, RelationIndex};
+use cfd_partition::{GroupIds, RefineScratch, RelationIndex, StrippedPartition};
 use proptest::prelude::*;
 
 fn arb_relation() -> impl Strategy<Value = Relation> {
@@ -25,22 +26,8 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
         })
 }
 
-/// Canonical form of a partition: sorted classes of sorted tuples.
-fn canon(p: &Partition) -> Vec<Vec<TupleId>> {
-    let mut cs: Vec<Vec<TupleId>> = p
-        .classes()
-        .map(|c| {
-            let mut v = c.to_vec();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    cs.sort();
-    cs
-}
-
-/// Ground truth: group `rows` by their codes on `attrs`, filtered by the
-/// constants in `consts`.
+/// Ground truth: group the tuples matching the constants in `consts`
+/// by their codes on `wildcard_attrs` — sorted classes of sorted tuples.
 fn direct_partition(
     rel: &Relation,
     wildcard_attrs: &[usize],
@@ -61,39 +48,71 @@ fn direct_partition(
     cs
 }
 
+/// Ground truth for the g1 keep count: per class, the frequency of the
+/// most common code of `a`, summed over the classes.
+fn direct_keep_count(rel: &Relation, classes: &[Vec<TupleId>], a: usize) -> usize {
+    classes
+        .iter()
+        .map(|class| {
+            let mut freq: std::collections::BTreeMap<u32, usize> = Default::default();
+            for &t in class {
+                *freq.entry(rel.code(t, a)).or_default() += 1;
+            }
+            freq.into_values().max().unwrap_or(0)
+        })
+        .sum()
+}
+
+/// Every value a refinement by attribute `a` can take: each constant of
+/// its domain, then the wildcard.
+fn values(rel: &Relation, a: usize) -> impl Iterator<Item = PVal> {
+    (0..rel.column(a).domain_size() as u32)
+        .map(PVal::Const)
+        .chain([PVal::Var])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn refinement_order_is_irrelevant(rel in arb_relation()) {
-        let arity = rel.arity();
-        if arity < 3 { return Ok(()); }
+        if rel.arity() < 3 { return Ok(()); }
+        let index = RelationIndex::new(&rel);
+        let mut scratch = RefineScratch::for_relation(&rel);
         // π over the first three attributes, built in two different orders
-        let p1 = Partition::by_attribute(&rel, 0)
-            .refine(&rel, 1, PVal::Var)
-            .refine(&rel, 2, PVal::Var);
-        let p2 = Partition::by_attribute(&rel, 2)
-            .refine(&rel, 1, PVal::Var)
-            .refine(&rel, 0, PVal::Var);
-        prop_assert_eq!(canon(&p1), canon(&p2));
-        prop_assert_eq!(canon(&p1), direct_partition(&rel, &[0, 1, 2], &[]));
+        let wild = |attrs: [usize; 3]| attrs.map(|a| (a, PVal::Var));
+        let p1 = StrippedPartition::of_pattern(&rel, &index, wild([0, 1, 2]), &mut scratch);
+        let p2 = StrippedPartition::of_pattern(&rel, &index, wild([2, 1, 0]), &mut scratch);
+        prop_assert_eq!(p1.sorted_classes(), p2.sorted_classes());
+        prop_assert_eq!(p1.sorted_classes(), direct_partition(&rel, &[0, 1, 2], &[]));
     }
 
+    /// Rebuilding a pattern's partition from scratch (the cache-miss
+    /// fallback) matches direct grouping, constants included.
     #[test]
     fn constant_refinement_matches_direct_grouping(rel in arb_relation()) {
+        let index = RelationIndex::new(&rel);
+        let mut scratch = RefineScratch::for_relation(&rel);
         let code = rel.code(0, 0); // a value that certainly occurs
-        let p = Partition::by_constant(&rel, 0, code).refine(&rel, 1, PVal::Var);
-        prop_assert_eq!(canon(&p), direct_partition(&rel, &[1], &[(0, code)]));
+        let pattern = [(0, PVal::Const(code)), (1, PVal::Var)];
+        let p = StrippedPartition::of_pattern(&rel, &index, pattern, &mut scratch);
+        prop_assert_eq!(p.sorted_classes(), direct_partition(&rel, &[1], &[(0, code)]));
         // row count = support of the constant part
         let supp = rel.tuples().filter(|&t| rel.code(t, 0) == code).count();
         prop_assert_eq!(p.n_rows(), supp);
+        // the empty pattern is the full partition
+        let full = StrippedPartition::of_pattern(&rel, &index, [], &mut scratch);
+        prop_assert_eq!(full.sorted_classes(), direct_partition(&rel, &[], &[]));
     }
 
     #[test]
     fn rows_are_conserved_under_wildcard_refinement(rel in arb_relation()) {
-        let mut p = Partition::full(rel.n_rows());
+        let mut scratch = RefineScratch::for_relation(&rel);
+        let mut p = StrippedPartition::full(rel.n_rows());
+        let mut buf = StrippedPartition::empty();
         for a in 0..rel.arity() {
-            p = p.refine(&rel, a, PVal::Var);
+            p.refine_into(&rel, None, a, PVal::Var, &mut scratch, &mut buf);
+            std::mem::swap(&mut p, &mut buf);
             prop_assert_eq!(p.n_rows(), rel.n_rows(), "wildcards never drop rows");
         }
         // fully refined: class count == number of distinct full rows
@@ -104,61 +123,59 @@ proptest! {
         prop_assert_eq!(p.n_classes(), distinct.len());
     }
 
+    /// Singleton classes leave the class area for `singles` but still
+    /// count as classes and rows.
     #[test]
-    fn stripped_keeps_exactly_multiclasses(rel in arb_relation()) {
-        let p = Partition::by_attribute(&rel, 0);
-        let s = p.stripped();
-        let want: Vec<Vec<TupleId>> = canon(&p)
-            .into_iter()
-            .filter(|c| c.len() >= 2)
-            .collect();
-        prop_assert_eq!(canon(&s), want);
+    fn singletons_are_stripped_but_counted(rel in arb_relation()) {
+        let p = StrippedPartition::by_attribute(&rel, 0);
+        let want = direct_partition(&rel, &[0], &[]);
+        let wide: Vec<Vec<TupleId>> = want.iter().filter(|c| c.len() >= 2).cloned().collect();
+        let mut got: Vec<Vec<TupleId>> = p.wide_classes().map(<[TupleId]>::to_vec).collect();
+        got.sort();
+        prop_assert_eq!(got, wide.clone());
+        prop_assert_eq!(p.singles().len(), want.len() - wide.len());
+        prop_assert_eq!((p.n_classes(), p.n_rows()), (want.len(), rel.n_rows()));
     }
 
     #[test]
     fn indexed_refinement_is_exactly_refinement(rel in arb_relation()) {
-        // refine_with must produce byte-identical partitions to refine,
-        // for every (attr, value) pair, constant and wildcard alike —
-        // classes in the same order with the same member order
+        // refine_into through the value index must lay out exactly what
+        // the plain scan does, for every (attr, value) pair — classes in
+        // the same order with the same member order
         let index = RelationIndex::new(&rel);
+        let mut scratch = RefineScratch::for_relation(&rel);
+        let mut plain = StrippedPartition::empty();
+        let mut indexed = StrippedPartition::empty();
         for base_attr in 0..rel.arity() {
-            let base = Partition::by_attribute(&rel, base_attr);
+            let base = StrippedPartition::by_attribute(&rel, base_attr);
             for a in 0..rel.arity() {
-                for c in 0..rel.column(a).domain_size() as u32 {
-                    let plain = base.refine(&rel, a, PVal::Const(c));
-                    let indexed = base.refine_with(&rel, &index, a, PVal::Const(c));
-                    prop_assert_eq!(plain.rows(), indexed.rows());
-                    prop_assert_eq!(plain.n_classes(), indexed.n_classes());
+                for v in values(&rel, a) {
+                    base.refine_into(&rel, None, a, v, &mut scratch, &mut plain);
+                    base.refine_into(&rel, Some(&index), a, v, &mut scratch, &mut indexed);
+                    prop_assert!(plain.wide_classes().eq(indexed.wide_classes()));
+                    prop_assert_eq!(plain.singles(), indexed.singles());
                 }
-                let plain = base.refine(&rel, a, PVal::Var);
-                let indexed = base.refine_with(&rel, &index, a, PVal::Var);
-                prop_assert_eq!(plain.rows(), indexed.rows());
-                prop_assert_eq!(plain.n_classes(), indexed.n_classes());
             }
         }
     }
 
     #[test]
-    fn by_constant_matches_region_and_scan(rel in arb_relation()) {
+    fn regions_match_a_scan(rel in arb_relation()) {
         let index = RelationIndex::new(&rel);
         for a in 0..rel.arity() {
             // every dictionary code, plus one out-of-dictionary probe
             for c in 0..=rel.column(a).domain_size() as u32 {
                 let scan: Vec<TupleId> =
                     rel.tuples().filter(|&t| rel.code(t, a) == c).collect();
-                let p = Partition::by_constant(&rel, a, c);
-                let q = Partition::by_constant_in(index.column(&rel, a), c);
-                prop_assert_eq!(p.rows(), &scan[..]);
-                prop_assert_eq!(q.rows(), &scan[..]);
-                prop_assert_eq!(p.n_classes(), usize::from(!scan.is_empty()));
+                prop_assert_eq!(index.column(&rel, a).region(c), &scan[..]);
             }
         }
     }
 
     #[test]
     fn group_ids_partition_the_rows(rel in arb_relation()) {
-        // GroupIds must induce exactly the partition by_attribute-and-
-        // refine builds, for every attribute pair
+        // GroupIds must induce exactly the partition direct grouping
+        // builds, for every attribute pair
         for a in 0..rel.arity() {
             for b in 0..rel.arity() {
                 if a == b { continue; }
@@ -208,86 +225,54 @@ proptest! {
 
 mod engine_parity {
     use super::*;
-    use cfd_partition::{RefineScratch, StrippedPartition};
-
-    /// Legacy classes, modulo layout: sorted classes of sorted tuples.
-    fn canon_stripped(s: &StrippedPartition) -> Vec<Vec<TupleId>> {
-        s.sorted_classes()
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// `refine_into` over stripped partitions produces exactly the
-        /// class multiset of the legacy `refine` (singletons included —
-        /// they are merely stored aside, never dropped), and
-        /// `refine_counts` reports the counts of the partition it
-        /// skipped materializing.
+        /// `refine_into` produces exactly the classes of direct grouping
+        /// (singletons included — they are merely stored aside, never
+        /// dropped), and `refine_counts` reports the counts of the
+        /// partition it skipped materializing.
         #[test]
-        fn refine_into_matches_legacy_refine(rel in arb_relation()) {
+        fn refine_into_matches_the_oracle(rel in arb_relation()) {
             let index = RelationIndex::new(&rel);
             let mut scratch = RefineScratch::for_relation(&rel);
-            let mut buf = StrippedPartition::default();
+            let mut buf = StrippedPartition::empty();
             for base_attr in 0..rel.arity() {
-                let legacy = Partition::by_attribute(&rel, base_attr);
-                let stripped = StrippedPartition::by_attribute(&rel, base_attr);
-                prop_assert_eq!(canon_stripped(&stripped), canon(&legacy));
+                let base = StrippedPartition::by_attribute(&rel, base_attr);
+                prop_assert_eq!(base.sorted_classes(), direct_partition(&rel, &[base_attr], &[]));
                 for a in 0..rel.arity() {
-                    let vals = (0..rel.column(a).domain_size() as u32)
-                        .map(PVal::Const)
-                        .chain([PVal::Var]);
-                    for v in vals {
-                        let want = legacy.refine(&rel, a, v);
-                        stripped.refine_into(&rel, Some(&index), a, v, &mut scratch, &mut buf);
-                        prop_assert_eq!(canon_stripped(&buf), canon(&want));
-                        prop_assert_eq!(buf.n_classes(), want.n_classes());
-                        prop_assert_eq!(buf.n_rows(), want.n_rows());
-                        let (classes, rows) =
-                            stripped.refine_counts(&rel, Some(&index), a, v, &mut scratch);
-                        prop_assert_eq!((classes, rows), (want.n_classes(), want.n_rows()));
-                        // the scan path (no index) agrees too
-                        stripped.refine_into(&rel, None, a, v, &mut scratch, &mut buf);
-                        prop_assert_eq!(canon_stripped(&buf), canon(&want));
+                    for v in values(&rel, a) {
+                        let want = match v {
+                            PVal::Var => direct_partition(&rel, &[base_attr, a], &[]),
+                            PVal::Const(c) => direct_partition(&rel, &[base_attr], &[(a, c)]),
+                        };
+                        let counts = (want.len(), want.iter().map(Vec::len).sum::<usize>());
+                        base.refine_into(&rel, Some(&index), a, v, &mut scratch, &mut buf);
+                        prop_assert_eq!(buf.sorted_classes(), want);
+                        prop_assert_eq!((buf.n_classes(), buf.n_rows()), counts);
+                        let skipped = base.refine_counts(&rel, Some(&index), a, v, &mut scratch);
+                        prop_assert_eq!(skipped, counts);
                     }
                 }
             }
         }
 
-        /// `keep_count` through the scratch engine equals the legacy
-        /// hash-map walk, and `error = rows − keep` is computed as if
-        /// nothing were stripped.
+        /// `keep_count` through the scratch engine equals the per-class
+        /// majority count, singletons keeping their one tuple.
         #[test]
-        fn keep_count_matches_legacy(rel in arb_relation()) {
+        fn keep_count_matches_the_oracle(rel in arb_relation()) {
             let mut scratch = RefineScratch::for_relation(&rel);
             for base_attr in 0..rel.arity() {
-                let legacy = Partition::by_attribute(&rel, base_attr);
-                let stripped = StrippedPartition::by_attribute(&rel, base_attr);
+                let base = StrippedPartition::by_attribute(&rel, base_attr);
+                let classes = direct_partition(&rel, &[base_attr], &[]);
                 for a in 0..rel.arity() {
-                    let want = legacy.keep_count(&rel, a);
-                    prop_assert_eq!(stripped.keep_count(&rel, a, &mut scratch), want);
                     prop_assert_eq!(
-                        stripped.n_rows() - stripped.keep_count(&rel, a, &mut scratch),
-                        legacy.n_rows() - want
+                        base.keep_count(&rel, a, &mut scratch),
+                        direct_keep_count(&rel, &classes, a)
                     );
                 }
             }
-        }
-
-        /// Rebuilding a pattern's partition from scratch (the cache-miss
-        /// fallback) matches the refinement chain.
-        #[test]
-        fn of_pattern_matches_chained_refinement(rel in arb_relation()) {
-            let index = RelationIndex::new(&rel);
-            let mut scratch = RefineScratch::for_relation(&rel);
-            let c0 = rel.code(0, 0);
-            let legacy = Partition::by_constant(&rel, 0, c0).refine(&rel, 1, PVal::Var);
-            let built = StrippedPartition::of_pattern(
-                &rel,
-                &index,
-                [(0usize, PVal::Const(c0)), (1, PVal::Var)],
-                &mut scratch,
-            );
-            prop_assert_eq!(canon_stripped(&built), canon(&legacy));
         }
     }
 }

@@ -185,12 +185,19 @@ impl Job {
     }
 
     /// Blocks until the job reaches a terminal state (the sync-mode
-    /// wait), returning the outcome.
+    /// wait), returning the outcome. A sync job's result document moves
+    /// out to the caller, whose reply carries it: the job row keeps its
+    /// state but not a second copy of the document.
     pub fn wait(&self) -> JobOutcome {
         let mut phase = lock_unpoisoned(&self.phase);
         loop {
-            if let Phase::Finished(outcome) = &*phase {
-                return outcome.clone();
+            if let Phase::Finished(outcome) = &mut *phase {
+                return match outcome {
+                    JobOutcome::Done(doc) if self.sync => {
+                        JobOutcome::Done(std::mem::replace(doc, Json::Null))
+                    }
+                    other => other.clone(),
+                };
             }
             phase = self
                 .done_cv
@@ -211,7 +218,8 @@ impl Job {
     }
 
     /// The job's row for `jobs` / `status` replies; `with_result`
-    /// additionally carries a terminal result or error.
+    /// additionally carries a terminal error, or the result of an async
+    /// job (a sync job's result went out in its reply).
     pub fn to_json(&self, with_result: bool) -> Json {
         let mut fields = vec![
             ("job".to_string(), Json::from(self.id)),
@@ -222,9 +230,9 @@ impl Job {
         if with_result {
             if let Phase::Finished(outcome) = &*lock_unpoisoned(&self.phase) {
                 match outcome {
+                    JobOutcome::Done(Json::Null) | JobOutcome::Cancelled => {}
                     JobOutcome::Done(result) => fields.push(("result".to_string(), result.clone())),
                     JobOutcome::Failed(e) => fields.push(("error".to_string(), error_json(e))),
-                    JobOutcome::Cancelled => {}
                 }
             }
         }
@@ -724,5 +732,26 @@ mod tests {
         job.finish(JobOutcome::Cancelled);
         assert!(rx.recv().is_err(), "no terminal event in sync mode");
         assert!(matches!(job.wait(), JobOutcome::Cancelled));
+        let row = job.to_json(true);
+        assert_eq!(row.get("state").and_then(Json::as_str), Some("cancelled"));
+        assert!(row.get("result").is_none(), "{row}");
+    }
+
+    #[test]
+    fn sync_jobs_hand_their_result_to_the_waiter() {
+        let (tx, rx) = channel();
+        let job = Job::new(10, JobKind::Check, "t".into(), true, tx);
+        job.set_running();
+        let _ = rx.recv().unwrap(); // started still streams
+        job.finish(JobOutcome::Done(Json::obj([("x", Json::from(1usize))])));
+        assert!(rx.recv().is_err(), "no terminal event in sync mode");
+        // the waiter takes the result; the row keeps the state only
+        match job.wait() {
+            JobOutcome::Done(doc) => assert_eq!(doc.to_string(), "{\"x\":1}"),
+            other => panic!("wrong outcome: {other:?}"),
+        }
+        let row = job.to_json(true);
+        assert_eq!(row.get("state").and_then(Json::as_str), Some("done"));
+        assert!(row.get("result").is_none(), "{row}");
     }
 }

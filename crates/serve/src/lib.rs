@@ -21,7 +21,10 @@
 //!   events, and final `Discovery`/`ValidationReport` documents to
 //!   many concurrent sockets.
 //!
-//! A fourth module, [`faultpoint`], is the chaos-testing harness: named
+//! [`client`] is the matching client side: one request per write on a
+//! `TCP_NODELAY` socket, and replies told apart from job events.
+//!
+//! [`faultpoint`] is the chaos-testing harness: named
 //! fault-injection points threaded through the stack (free when
 //! disarmed) that the `inject` op and the `CFD_FAULTS` environment
 //! variable can arm to simulate dead sockets, torn frames, stalls, and
@@ -36,10 +39,9 @@
 //! `cfd check` (the integration tests do exactly that).
 //!
 //! ```
+//! use cfd_serve::client::{Client, ClientRead};
 //! use cfd_serve::protocol::{ok_reply, Request};
 //! use cfd_serve::server::{ServeOptions, Server};
-//! use std::io::{BufRead, BufReader, Write};
-//! use std::net::TcpStream;
 //!
 //! // requests are one JSON object per line, tagged with an "op"
 //! let req = Request::parse(r#"{"op": "ping"}"#).unwrap();
@@ -50,13 +52,14 @@
 //! let addr = server.local_addr();
 //! let handle = std::thread::spawn(move || server.run());
 //!
-//! let mut sock = TcpStream::connect(addr).unwrap();
-//! sock.write_all(b"{\"op\": \"ping\"}\n{\"op\": \"shutdown\"}\n")
-//!     .unwrap();
-//! let mut lines = BufReader::new(sock).lines();
-//! let pong = lines.next().unwrap().unwrap();
-//! assert_eq!(pong, ok_reply("ping", Vec::<(String, _)>::new()).to_string());
-//! let bye = lines.next().unwrap().unwrap();
+//! let mut client = Client::connect(addr, None).unwrap();
+//! client.send(r#"{"op": "ping"}"#).unwrap();
+//! let pong = ok_reply("ping", Vec::<(String, _)>::new()).to_string();
+//! assert_eq!(client.reply(|_event| {}).unwrap(), ClientRead::Line(pong));
+//! client.send(r#"{"op": "shutdown"}"#).unwrap();
+//! let ClientRead::Line(bye) = client.reply(|_event| {}).unwrap() else {
+//!     panic!("no shutdown reply")
+//! };
 //! assert!(bye.contains("\"shutdown\""));
 //! handle.join().unwrap().unwrap();
 //! ```
@@ -64,6 +67,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod faultpoint;
 pub mod jobs;
 pub mod protocol;

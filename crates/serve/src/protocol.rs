@@ -19,6 +19,7 @@
 
 use cfd_core::api::{Algo, DiscoverOptions};
 use cfd_model::Json;
+use cfd_stream::RemineOptions;
 use std::io::{BufRead, Read};
 
 /// Default cap on one protocol line (64 KiB): generous for any real
@@ -388,18 +389,13 @@ impl Request {
                         .map_err(|e| ServeError::new("bad_options", e.to_string()))?,
                     None => Algo::FastCfd,
                 };
-                let mut opts = DiscoverOptions::new(opt_usize_field(doc, "k")?.unwrap_or(2));
-                opts.max_lhs = opt_usize_field(doc, "max_lhs")?;
-                opts.threads = opt_usize_field(doc, "threads")?.unwrap_or(1);
-                opts.constants_only = opt_bool_field(doc, "constants_only")?;
-                opts.top_k = opt_usize_field(doc, "top_k")?;
-                if let Some(v) = doc.get("min_confidence") {
-                    opts.min_confidence = v
-                        .as_f64()
-                        .ok_or_else(|| bad("field \"min_confidence\" must be a number"))?;
-                }
-                let cache_budget =
-                    opt_usize_field(doc, "cache_budget_mb")?.map(|mb| mb * 1024 * 1024);
+                let opts = DiscoverOptions::from_json(doc).map_err(|e| bad(e.to_string()))?;
+                let cache_budget = opt_usize_field(doc, "cache_budget_mb")?
+                    .map(|mb| {
+                        mb.checked_mul(1 << 20)
+                            .ok_or_else(|| bad("field \"cache_budget_mb\" is too large"))
+                    })
+                    .transpose()?;
                 Ok(Request::Discover(DiscoverRequest {
                     dataset,
                     algo,
@@ -418,20 +414,22 @@ impl Request {
                 timeout_ms: timeout_field(doc)?,
             }),
             "remine" => {
+                let d = RemineOptions::default();
                 let theta = match doc.get("theta") {
-                    None => 0.95,
-                    Some(v) => match v.as_f64() {
-                        Some(t) if t > 0.0 && t <= 1.0 => t,
-                        _ => return Err(bad("field \"theta\" must be a number in (0, 1]")),
-                    },
+                    None => d.theta,
+                    Some(v) => v
+                        .as_f64()
+                        .ok_or_else(|| bad("field \"theta\" must be a number"))?,
                 };
+                RemineOptions::check_theta(theta)
+                    .map_err(|e| bad(format!("field \"theta\": {e}")))?;
                 Ok(Request::Remine {
                     dataset: str_field(doc, "dataset")?,
                     rules: rules_field(doc)?,
                     theta,
-                    expand: opt_usize_field(doc, "expand")?.unwrap_or(1),
-                    k: opt_usize_field(doc, "k")?.unwrap_or(1),
-                    threads: opt_usize_field(doc, "threads")?.unwrap_or(1),
+                    expand: opt_usize_field(doc, "expand")?.unwrap_or(d.expand),
+                    k: opt_usize_field(doc, "k")?.unwrap_or(d.k),
+                    threads: opt_usize_field(doc, "threads")?.unwrap_or(d.threads),
                     sync: opt_bool_field(doc, "sync")?,
                     timeout_ms: timeout_field(doc)?,
                 })
@@ -611,6 +609,13 @@ mod tests {
         let (_, e) =
             Request::parse("{\"op\": \"discover\", \"dataset\": \"t\", \"k\": -1}").unwrap_err();
         assert_eq!(e.code, "bad_request");
+        // a budget whose byte count overflows is a shape error, not a
+        // panic or a silently wrapped budget
+        let (_, e) = Request::parse(
+            "{\"op\":\"discover\",\"dataset\":\"nope\",\"cache_budget_mb\":17592186044417}",
+        )
+        .unwrap_err();
+        assert_eq!(e.code, "bad_request");
         // bad algorithm name is an options error, not a shape error
         let (_, e) = Request::parse("{\"op\": \"discover\", \"dataset\": \"t\", \"algo\": \"x\"}")
             .unwrap_err();
@@ -653,6 +658,15 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
+        // null reads as unset, as in the options object of a result
+        let r = Request::parse(
+            "{\"op\": \"discover\", \"dataset\": \"tax\", \"max_lhs\": null, \"top_k\": null}",
+        )
+        .unwrap();
+        match r {
+            Request::Discover(d) => assert_eq!(d.opts, DiscoverOptions::default()),
+            other => panic!("wrong request: {other:?}"),
+        }
     }
 
     #[test]
@@ -672,8 +686,12 @@ mod tests {
             } => {
                 assert_eq!(dataset, "tax");
                 assert_eq!(rules, vec!["r".to_string()]);
-                assert_eq!(theta, 0.95);
-                assert_eq!((expand, k, threads, sync), (1, 1, 1, false));
+                let d = RemineOptions::default();
+                assert_eq!(theta, d.theta);
+                assert_eq!(
+                    (expand, k, threads, sync),
+                    (d.expand, d.k, d.threads, false)
+                );
             }
             other => panic!("wrong request: {other:?}"),
         }

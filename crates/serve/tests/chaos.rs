@@ -21,11 +21,11 @@
 //! faultpoint unit test lives in a different process).
 
 use cfd_model::Json;
-use cfd_serve::{faultpoint, FaultAction, ServeOptions, Server};
+use cfd_serve::client::{Client, ClientRead};
+use cfd_serve::{faultpoint, ServeOptions, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
@@ -42,61 +42,29 @@ CC,AC,PN,NM,STR,CT,ZIP
 ";
 
 /// One scripted connection; every receive tolerates disconnects.
-struct Wire {
-    w: TcpStream,
-    r: BufReader<TcpStream>,
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect(addr, Some(Duration::from_secs(20))).expect("connect")
 }
 
-/// What reading one line produced under chaos.
-enum Read {
-    Line(Json),
-    /// Unparseable bytes immediately before EOF: a torn reply frame.
-    Torn,
-    Eof,
-}
-
-impl Wire {
-    fn connect(addr: SocketAddr) -> Wire {
-        let s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(20)))
-            .expect("read timeout");
-        let r = BufReader::new(s.try_clone().expect("clone socket"));
-        Wire { w: s, r }
-    }
-
-    /// Sends one request line; `false` when the connection is dead.
-    fn send(&mut self, doc: &Json) -> bool {
-        let line = format!("{doc}\n");
-        self.w.write_all(line.as_bytes()).is_ok() && self.w.flush().is_ok()
-    }
-
-    fn recv(&mut self) -> Read {
-        let mut line = String::new();
-        match self.r.read_line(&mut line) {
-            Ok(0) | Err(_) => Read::Eof,
-            Ok(_) => {
-                let trimmed = line.trim_end();
-                // an unterminated tail is only legal as the very last
-                // bytes of the stream (a fault tore the reply)
-                if !line.ends_with('\n') {
-                    return Read::Torn;
-                }
-                match Json::parse(trimmed) {
-                    Ok(doc) => Read::Line(doc),
-                    Err(_) => Read::Torn,
-                }
-            }
-        }
-    }
-
-    /// Reads until this request's reply (events pass through); `None`
-    /// on disconnect or torn frame.
-    fn reply(&mut self) -> Option<Json> {
-        loop {
-            match self.recv() {
-                Read::Line(doc) if doc.get("ok").is_some() => return Some(doc),
-                Read::Line(_) => continue, // event
-                Read::Torn | Read::Eof => return None,
+/// Reads until this request's reply (events pass through); `None` on
+/// disconnect or a torn frame.
+fn reply(w: &mut Client) -> Option<Json> {
+    loop {
+        let Ok(ClientRead::Line(line)) = w.read() else {
+            return None;
+        };
+        match Json::parse(&line) {
+            Ok(doc) if doc.get("ok").is_some() => return Some(doc),
+            Ok(_) => continue, // event
+            Err(_) => {
+                // unparseable bytes are a reply a fault tore in half
+                // (a prefix of a JSON object never parses), legal only
+                // as the very last bytes of the stream
+                assert!(
+                    !matches!(w.read(), Ok(ClientRead::Line(_))),
+                    "garbage mid-stream: {line:?}"
+                );
+                return None;
             }
         }
     }
@@ -171,7 +139,7 @@ fn arm_random_round(rng: &mut StdRng) {
 /// violation (reply surplus, garbage mid-stream), never on a clean
 /// disconnect or structured failure.
 fn chaos_client(addr: SocketAddr, round: usize, id: usize) -> (usize, usize) {
-    let mut w = Wire::connect(addr);
+    let mut w = connect(addr);
     let name = format!("chaos_r{round}c{id}");
     let script = [
         req("ping", &[]),
@@ -189,11 +157,11 @@ fn chaos_client(addr: SocketAddr, round: usize, id: usize) -> (usize, usize) {
     let mut sent = 0usize;
     let mut replies = 0usize;
     for r in &script {
-        if !w.send(r) {
+        if w.send(r).is_err() {
             break;
         }
         sent += 1;
-        match w.reply() {
+        match reply(&mut w) {
             Some(_) => replies += 1,
             None => break, // clean disconnect — stop the script
         }
@@ -220,18 +188,20 @@ fn chaos_rounds_preserve_service_invariants() {
     let handle = thread::spawn(move || server.run());
 
     // pristine baseline, no faults armed
-    let mut main = Wire::connect(addr);
-    assert!(main.send(&req(
-        "register",
-        &[
-            ("name", Json::from("cust")),
-            ("csv", Json::from(CUST_CSV)),
-            ("pin", Json::from(true)),
-        ],
-    )));
-    assert_ok(&main.reply().expect("pristine register"));
-    assert!(main.send(&sync_discover()));
-    let pristine = main.reply().expect("pristine discover");
+    let mut main = connect(addr);
+    assert!(main
+        .send(&req(
+            "register",
+            &[
+                ("name", Json::from("cust")),
+                ("csv", Json::from(CUST_CSV)),
+                ("pin", Json::from(true)),
+            ],
+        ))
+        .is_ok());
+    assert_ok(&reply(&mut main).expect("pristine register"));
+    assert!(main.send(&sync_discover()).is_ok());
+    let pristine = reply(&mut main).expect("pristine discover");
     assert_ok(&pristine);
     let baseline = rules_and_counts(&pristine);
 
@@ -246,7 +216,7 @@ fn chaos_rounds_preserve_service_invariants() {
             }
             s.spawn(move || {
                 // send two requests and slam the connection shut
-                let mut w = Wire::connect(addr);
+                let mut w = connect(addr);
                 let _ = w.send(&req("ping", &[]));
                 let _ = w.send(&sync_discover());
                 drop(w);
@@ -256,58 +226,69 @@ fn chaos_rounds_preserve_service_invariants() {
     }
 
     // a deterministic torn inbound frame: the session disconnects
-    // without a phantom request or a reply
-    faultpoint::arm("read_line", None, FaultAction::ShortRead, 0, 1).expect("arm short_read");
+    // without a phantom request or a reply. The fault is armed for this
+    // session only — a session left over from the rounds (a slammed
+    // connection's queued job) must not take the hit instead
     {
-        let mut w = Wire::connect(addr);
-        assert!(w.send(&req("ping", &[])));
-        assert!(w.reply().is_none(), "torn frame must not get a reply");
+        let mut w = connect(addr);
+        let torn = [
+            ("point", Json::from("read_line")),
+            ("action", Json::from("short_read")),
+        ];
+        assert!(w.send(&req("inject", &torn)).is_ok());
+        assert_ok(&reply(&mut w).expect("inject short_read reply"));
+        assert!(w.send(&req("ping", &[])).is_ok());
+        assert!(reply(&mut w).is_none(), "torn frame must not get a reply");
     }
     faultpoint::clear();
 
     // invariant: the server still answers on a fresh connection
-    let mut w = Wire::connect(addr);
-    assert!(w.send(&req("ping", &[])));
-    assert_ok(&w.reply().expect("post-chaos ping"));
+    let mut w = connect(addr);
+    assert!(w.send(&req("ping", &[])).is_ok());
+    assert_ok(&reply(&mut w).expect("post-chaos ping"));
 
     // invariant: a panicking job is a structured internal_panic, armed
     // over the wire via the test-only inject op, and the *next* job on
     // the same connection succeeds
-    assert!(w.send(&req(
-        "inject",
-        &[
-            ("point", Json::from("job_run")),
-            ("action", Json::from("panic")),
-            ("global", Json::from(true)),
-        ],
-    )));
-    assert_ok(&w.reply().expect("inject reply"));
-    assert!(w.send(&sync_discover()));
-    let failed = w.reply().expect("panicked job reply");
+    assert!(w
+        .send(&req(
+            "inject",
+            &[
+                ("point", Json::from("job_run")),
+                ("action", Json::from("panic")),
+                ("global", Json::from(true)),
+            ],
+        ))
+        .is_ok());
+    assert_ok(&reply(&mut w).expect("inject reply"));
+    assert!(w.send(&sync_discover()).is_ok());
+    let failed = reply(&mut w).expect("panicked job reply");
     assert_eq!(failed.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(error_code(&failed), "internal_panic");
-    assert!(w.send(&sync_discover()));
-    let healed = w.reply().expect("post-panic discover");
+    assert!(w.send(&sync_discover()).is_ok());
+    let healed = reply(&mut w).expect("post-panic discover");
     assert_ok(&healed);
     assert_eq!(rules_and_counts(&healed), baseline, "panic corrupted state");
 
     // invariant: a stalled job with a 1 ms budget fails deadline_exceeded
-    assert!(w.send(&req(
-        "inject",
-        &[
-            ("point", Json::from("job_run")),
-            ("action", Json::from("delay")),
-            ("delay_ms", Json::from(100u64)),
-            ("global", Json::from(true)),
-        ],
-    )));
-    assert_ok(&w.reply().expect("inject delay reply"));
+    assert!(w
+        .send(&req(
+            "inject",
+            &[
+                ("point", Json::from("job_run")),
+                ("action", Json::from("delay")),
+                ("delay_ms", Json::from(100u64)),
+                ("global", Json::from(true)),
+            ],
+        ))
+        .is_ok());
+    assert_ok(&reply(&mut w).expect("inject delay reply"));
     let mut slow = sync_discover();
     if let Json::Obj(fields) = &mut slow {
         fields.insert(0, ("timeout_ms".into(), Json::from(1u64)));
     }
-    assert!(w.send(&slow));
-    let timed_out = w.reply().expect("deadline reply");
+    assert!(w.send(&slow).is_ok());
+    let timed_out = reply(&mut w).expect("deadline reply");
     assert_eq!(error_code(&timed_out), "deadline_exceeded");
 
     // invariant: both workers survived — a full complement of
@@ -315,9 +296,9 @@ fn chaos_rounds_preserve_service_invariants() {
     thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                let mut w = Wire::connect(addr);
-                assert!(w.send(&sync_discover()));
-                let rep = w.reply().expect("post-chaos worker check");
+                let mut w = connect(addr);
+                assert!(w.send(&sync_discover()).is_ok());
+                let rep = reply(&mut w).expect("post-chaos worker check");
                 assert_ok(&rep);
                 assert_eq!(rules_and_counts(&rep), baseline);
             });
@@ -326,8 +307,8 @@ fn chaos_rounds_preserve_service_invariants() {
 
     // invariant: the queue drained and the chaos left its fingerprints
     // in the metrics (faults fired, at least one partial disconnect)
-    assert!(w.send(&req("stats", &[])));
-    let stats = w.reply().expect("stats reply");
+    assert!(w.send(&req("stats", &[])).is_ok());
+    let stats = reply(&mut w).expect("stats reply");
     assert_ok(&stats);
     let server_obj = stats.get("server").expect("server gauges");
     assert_eq!(
@@ -361,8 +342,8 @@ fn chaos_rounds_preserve_service_invariants() {
     );
 
     // shutdown still drains cleanly after everything above
-    assert!(w.send(&req("shutdown", &[])));
-    let bye = w.reply().expect("shutdown reply");
+    assert!(w.send(&req("shutdown", &[])).is_ok());
+    let bye = reply(&mut w).expect("shutdown reply");
     assert_ok(&bye);
     assert!(bye.get("jobs_drained").and_then(Json::as_f64).is_some());
     handle.join().expect("server thread").expect("server run");

@@ -10,12 +10,13 @@ use cfd_model::cfd::parse_cfd;
 use cfd_model::csv::relation_from_csv_str;
 use cfd_model::{ingest_csv_path, Cfd, Control, IngestOptions, Json};
 use cfd_partition::RelationIndex;
+use cfd_serve::client::{Client, ClientRead};
 use cfd_serve::session::attach_rule_texts;
 use cfd_serve::{ServeOptions, Server};
 use cfd_validate::{validate_indexed, ValidateOptions};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
@@ -56,47 +57,37 @@ fn tax_csv(rows: usize, arity: usize, seed: u64, tag: &str) -> PathBuf {
     path
 }
 
-/// One protocol connection: line-oriented send, plus receive helpers
-/// that keep replies and asynchronous job events apart.
-struct Wire {
-    w: TcpStream,
-    r: BufReader<TcpStream>,
+/// A protocol connection plus the job events that arrived while a
+/// reply was awaited, kept apart for [`Conn::event`].
+struct Conn {
+    client: Client,
     stash: VecDeque<Json>,
 }
 
-impl Wire {
-    fn connect(addr: SocketAddr) -> Wire {
-        let s = TcpStream::connect(addr).expect("connect");
+impl Conn {
+    fn connect(addr: SocketAddr) -> Conn {
         // generous, but bounded: a hung server fails the test instead
         // of wedging the suite
-        s.set_read_timeout(Some(Duration::from_secs(180)))
-            .expect("read timeout");
-        let r = BufReader::new(s.try_clone().expect("clone socket"));
-        Wire {
-            w: s,
-            r,
+        let client = Client::connect(addr, Some(Duration::from_secs(180))).expect("connect");
+        Conn {
+            client,
             stash: VecDeque::new(),
         }
     }
 
-    fn send(&mut self, doc: &Json) {
-        self.send_raw(&doc.to_string());
-    }
-
-    fn send_raw(&mut self, line: &str) {
-        self.w.write_all(line.as_bytes()).expect("send");
-        self.w.write_all(b"\n").expect("send");
+    fn send<T: std::fmt::Display + ?Sized>(&mut self, request: &T) {
+        self.client.send(request).expect("send");
     }
 
     fn recv(&mut self) -> Json {
-        let mut line = String::new();
-        let n = self.r.read_line(&mut line).expect("read reply");
-        assert!(n > 0, "server closed the connection unexpectedly");
-        Json::parse(line.trim()).expect("server sent invalid JSON")
+        match self.client.read().expect("read reply") {
+            ClientRead::Line(line) => Json::parse(&line).expect("server sent invalid JSON"),
+            other => panic!("server closed the connection unexpectedly: {other:?}"),
+        }
     }
 
     /// Next reply (a line with an `"ok"` field); event lines arriving
-    /// first are stashed for [`Wire::event`].
+    /// first are stashed for [`Conn::event`].
     fn reply(&mut self) -> Json {
         loop {
             let doc = self.recv();
@@ -165,7 +156,7 @@ fn rules_and_counts(doc: &Json) -> (String, String) {
 /// counts the jobs that were *running* at close (drained to
 /// completion), `jobs_flushed` the queued ones deterministically
 /// cancelled. Returns the pair for tests that assert exact counts.
-fn shutdown(wire: &mut Wire, handle: thread::JoinHandle<std::io::Result<()>>) -> (u64, u64) {
+fn shutdown(wire: &mut Conn, handle: thread::JoinHandle<std::io::Result<()>>) -> (u64, u64) {
     wire.send(&Json::obj([("op", Json::from("shutdown"))]));
     let rep = wire.reply();
     assert_ok(&rep);
@@ -195,7 +186,7 @@ fn three_concurrent_clients_match_one_shot_results() {
     });
     let tax_path = tax_csv(800, 7, 42, "shared");
 
-    let mut main = Wire::connect(addr);
+    let mut main = Conn::connect(addr);
     main.send(&Json::obj([
         ("op", Json::from("register")),
         ("name", Json::from("cust")),
@@ -253,7 +244,7 @@ fn three_concurrent_clients_match_one_shot_results() {
 
     thread::scope(|s| {
         s.spawn(|| {
-            let mut w = Wire::connect(addr);
+            let mut w = Conn::connect(addr);
             w.send(&Json::obj([
                 ("op", Json::from("discover")),
                 ("dataset", Json::from("cust")),
@@ -265,7 +256,7 @@ fn three_concurrent_clients_match_one_shot_results() {
             assert_eq!(rules_and_counts(got), rules_and_counts(&exact));
         });
         s.spawn(|| {
-            let mut w = Wire::connect(addr);
+            let mut w = Conn::connect(addr);
             w.send(&Json::obj([
                 ("op", Json::from("discover")),
                 ("dataset", Json::from("tax")),
@@ -283,7 +274,7 @@ fn three_concurrent_clients_match_one_shot_results() {
             w.event("started", id);
         });
         s.spawn(|| {
-            let mut w = Wire::connect(addr);
+            let mut w = Conn::connect(addr);
             w.send(&Json::obj([
                 ("op", Json::from("check")),
                 ("dataset", Json::from("cust")),
@@ -314,6 +305,15 @@ fn three_concurrent_clients_match_one_shot_results() {
     assert!(jobs
         .iter()
         .all(|j| j.get("state").and_then(Json::as_str) == Some("done")));
+    // a sync job's result went out in its reply; its row keeps the state
+    main.send(&Json::obj([
+        ("op", Json::from("status")),
+        ("job", Json::from(job_id(&jobs[0]))),
+    ]));
+    let rep = main.reply();
+    assert_ok(&rep);
+    assert_eq!(rep.get("state").and_then(Json::as_str), Some("done"));
+    assert!(rep.get("result").is_none(), "sync result kept: {rep}");
 
     main.send(&Json::obj([("op", Json::from("stats"))]));
     let rep = main.reply();
@@ -346,7 +346,7 @@ fn cancel_stops_running_and_queued_jobs_and_queue_is_bounded() {
     });
     let tax_path = tax_csv(20_000, 8, 7, "cancel");
 
-    let mut w = Wire::connect(addr);
+    let mut w = Conn::connect(addr);
     w.send(&Json::obj([
         ("op", Json::from("register")),
         ("name", Json::from("big")),
@@ -433,19 +433,19 @@ fn protocol_errors_are_structured_and_nonfatal() {
         max_line: 300,
         ..ServeOptions::default()
     });
-    let mut w = Wire::connect(addr);
+    let mut w = Conn::connect(addr);
 
-    w.send_raw("this is not json");
+    w.send("this is not json");
     assert_eq!(error_code(&w.reply()), "bad_json");
-    w.send_raw("[1,2,3]");
+    w.send("[1,2,3]");
     assert_eq!(error_code(&w.reply()), "bad_request");
-    w.send_raw("{\"op\":\"frobnicate\"}");
+    w.send("{\"op\":\"frobnicate\"}");
     let rep = w.reply();
     assert_eq!(error_code(&rep), "unknown_op");
     assert_eq!(rep.get("op").and_then(Json::as_str), Some("frobnicate"));
 
     // an oversized line is discarded without killing the connection
-    w.send_raw(&"x".repeat(400));
+    w.send(&"x".repeat(400));
     assert_eq!(error_code(&w.reply()), "line_too_long");
 
     w.send(&Json::obj([
@@ -496,7 +496,7 @@ fn protocol_errors_are_structured_and_nonfatal() {
 fn second_ctane_job_warm_starts_from_the_dataset_store() {
     let (addr, handle) = spawn_server(ServeOptions::default());
     let tax_path = tax_csv(600, 7, 11, "store");
-    let mut w = Wire::connect(addr);
+    let mut w = Conn::connect(addr);
     w.send(&Json::obj([
         ("op", Json::from("register")),
         ("name", Json::from("tax")),
@@ -577,7 +577,7 @@ a2,b8,c2
 a2,b8,c2
 ";
     let (addr, handle) = spawn_server(ServeOptions::default());
-    let mut w = Wire::connect(addr);
+    let mut w = Conn::connect(addr);
     w.send(&Json::obj([
         ("op", Json::from("register")),
         ("name", Json::from("drift")),
@@ -676,7 +676,7 @@ fn shutdown_under_load_drains_running_and_flushes_queued() {
         ..ServeOptions::default()
     });
     let tax_path = tax_csv(600, 7, 13, "drain");
-    let mut w = Wire::connect(addr);
+    let mut w = Conn::connect(addr);
     w.send(&Json::obj([
         ("op", Json::from("register")),
         ("name", Json::from("tax")),
@@ -729,7 +729,7 @@ fn registry_budget_bounds_resident_bytes() {
         registry_budget: 64,
         ..ServeOptions::default()
     });
-    let mut w = Wire::connect(addr);
+    let mut w = Conn::connect(addr);
     w.send(&Json::obj([
         ("op", Json::from("register")),
         ("name", Json::from("cust")),

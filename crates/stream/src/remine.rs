@@ -85,6 +85,18 @@ impl Default for RemineOptions {
     }
 }
 
+impl RemineOptions {
+    /// Checks that θ lies in (0, 1] — the one range check behind
+    /// `cfd watch --remine-theta`, the serve `remine` op and [`remine`].
+    pub fn check_theta(theta: f64) -> Result<(), String> {
+        if theta > 0.0 && theta <= 1.0 {
+            Ok(())
+        } else {
+            Err(format!("theta must be within (0, 1], got {theta}"))
+        }
+    }
+}
+
 /// A retired rule, as the cover held it before the swap.
 #[derive(Clone, Debug)]
 pub struct RetiredRule {
@@ -144,10 +156,7 @@ pub fn remine(
     opts: &RemineOptions,
     ctrl: &Control<'_>,
 ) -> Result<Option<CoverDelta>, Cancelled> {
-    assert!(
-        opts.theta > 0.0 && opts.theta <= 1.0,
-        "theta must be within (0, 1]"
-    );
+    RemineOptions::check_theta(opts.theta).unwrap_or_else(|e| panic!("{e}"));
     let stats = {
         let _sp = cfd_obs::span!("remine.trigger");
         engine.stats()

@@ -143,22 +143,19 @@ fn obs_session(a: &Args) -> ObsSession {
 
 struct Args {
     positional: Vec<String>,
-    k: usize,
     algo: Algo,
-    max_lhs: Option<usize>,
-    threads: usize,
-    constants_only: bool,
+    /// The discover flags; `--threads` also sizes ingest, `check` and
+    /// re-mining.
+    opts: DiscoverOptions,
     project: Option<String>,
     tableau: bool,
     limit: usize,
     shards: usize,
     lenient: bool,
     format: Format,
-    min_confidence: f64,
-    top_k: Option<usize>,
     remine: bool,
-    remine_theta: f64,
-    remine_expand: usize,
+    /// `--remine-theta` and `--remine-expand`.
+    remine_opts: RemineOptions,
     trace: bool,
     metrics_out: Option<String>,
     addr: String,
@@ -180,22 +177,16 @@ struct Args {
 fn parse_args(argv: &[String]) -> std::result::Result<Args, String> {
     let mut a = Args {
         positional: Vec::new(),
-        k: 2,
         algo: Algo::FastCfd,
-        max_lhs: None,
-        threads: 1,
-        constants_only: false,
+        opts: DiscoverOptions::default(),
         project: None,
         tableau: false,
         limit: 20,
         shards: 1,
         lenient: false,
         format: Format::Text,
-        min_confidence: 1.0,
-        top_k: None,
         remine: false,
-        remine_theta: 0.95,
-        remine_expand: 1,
+        remine_opts: RemineOptions::default(),
         trace: false,
         metrics_out: None,
         addr: "127.0.0.1:4617".to_string(),
@@ -220,20 +211,20 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, String> {
             })
         };
         match arg.as_str() {
-            "--k" => a.k = number("--k", value("--k")?)?,
+            "--k" => a.opts.k = number("--k", value("--k")?)?,
             "--algo" => {
                 let v = value("--algo")?;
                 a.algo = Algo::parse(v).map_err(|e| e.to_string())?;
             }
-            "--max-lhs" => a.max_lhs = Some(number("--max-lhs", value("--max-lhs")?)?),
-            "--threads" => a.threads = number("--threads", value("--threads")?)?,
+            "--max-lhs" => a.opts.max_lhs = Some(number("--max-lhs", value("--max-lhs")?)?),
+            "--threads" => a.opts.threads = number("--threads", value("--threads")?)?,
             "--min-confidence" => {
                 let v = value("--min-confidence")?;
-                a.min_confidence = v.parse::<f64>().map_err(|_| {
+                a.opts.min_confidence = v.parse::<f64>().map_err(|_| {
                     format!("invalid value {v:?} for --min-confidence: expected a number in (0, 1]")
                 })?;
             }
-            "--top-k" => a.top_k = Some(number("--top-k", value("--top-k")?)?),
+            "--top-k" => a.opts.top_k = Some(number("--top-k", value("--top-k")?)?),
             "--limit" => a.limit = number("--limit", value("--limit")?)?,
             "--shards" => a.shards = number("--shards", value("--shards")?)?,
             "--project" => a.project = Some(value("--project")?.clone()),
@@ -273,19 +264,17 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, String> {
             "--remine" => a.remine = true,
             "--remine-theta" => {
                 let v = value("--remine-theta")?;
-                a.remine_theta = v.parse::<f64>().map_err(|_| {
-                    format!("invalid value {v:?} for --remine-theta: expected a number in (0, 1]")
-                })?;
-                if !(a.remine_theta > 0.0 && a.remine_theta <= 1.0) {
-                    return Err(format!(
-                        "invalid value {v:?} for --remine-theta: expected a number in (0, 1]"
-                    ));
-                }
+                let invalid =
+                    |why: String| format!("invalid value {v:?} for --remine-theta: {why}");
+                a.remine_opts.theta = v
+                    .parse::<f64>()
+                    .map_err(|_| invalid("expected a number".into()))?;
+                RemineOptions::check_theta(a.remine_opts.theta).map_err(invalid)?;
             }
             "--remine-expand" => {
-                a.remine_expand = number("--remine-expand", value("--remine-expand")?)?
+                a.remine_opts.expand = number("--remine-expand", value("--remine-expand")?)?
             }
-            "--constants-only" => a.constants_only = true,
+            "--constants-only" => a.opts.constants_only = true,
             "--tableau" => a.tableau = true,
             "--lenient" => a.lenient = true,
             "--trace" => a.trace = true,
@@ -303,13 +292,8 @@ fn discover(a: &Args) -> Result<ExitCode> {
         return Ok(arg_error("--tableau conflicts with --format json"));
     }
     let obs = obs_session(a);
-    let rel = obs.load_csv(&a.positional[0], a.threads)?;
-    let mut opts = DiscoverOptions::new(a.k);
-    opts.max_lhs = a.max_lhs;
-    opts.threads = a.threads;
-    opts.constants_only = a.constants_only;
-    opts.min_confidence = a.min_confidence;
-    opts.top_k = a.top_k;
+    let rel = obs.load_csv(&a.positional[0], a.opts.threads)?;
+    let mut opts = a.opts.clone();
     if let Some(names) = &a.project {
         let parts: Vec<&str> = names.split(',').map(str::trim).collect();
         match rel.schema().attr_set(&parts) {
@@ -328,7 +312,7 @@ fn discover(a: &Args) -> Result<ExitCode> {
         a.positional[0],
         rel.n_rows(),
         rel.arity(),
-        a.k,
+        opts.k,
         a.algo,
     );
     let discovery = match a.algo.discover_with(&rel, &opts, &obs.control()) {
@@ -368,7 +352,7 @@ fn discover(a: &Args) -> Result<ExitCode> {
         // approximate and top-k runs print each rule with its measured
         // [support=N conf=F] suffix (check/repair/watch parse past it);
         // exact full covers keep the bare wire format
-        Format::Text if a.min_confidence < 1.0 || a.top_k.is_some() => {
+        Format::Text if opts.min_confidence < 1.0 || opts.top_k.is_some() => {
             print!("{}", discovery.to_annotated_text(&rel))
         }
         Format::Text => print!("{}", discovery.cover.to_text(out_rel)),
@@ -385,13 +369,13 @@ fn load_rules(rel: &Relation, path: &str, lenient: bool) -> Result<Vec<(String, 
 
 fn check(a: &Args) -> Result<ExitCode> {
     let obs = obs_session(a);
-    let rel = obs.load_csv(&a.positional[0], a.threads)?;
+    let rel = obs.load_csv(&a.positional[0], a.opts.threads)?;
     let rules = load_rules(&rel, &a.positional[1], a.lenient)?;
     eprintln!(
         "# checking {} rules against {} ({} threads)",
         rules.len(),
         a.positional[0],
-        a.threads.max(1),
+        a.opts.threads.max(1),
     );
     // one kernel pass over the relation for the whole cover: rules
     // sharing an LHS wildcard set share a grouping, and the sample cap
@@ -400,7 +384,7 @@ fn check(a: &Args) -> Result<ExitCode> {
         &rel,
         rules.iter().map(|(_, cfd)| cfd),
         &ValidateOptions {
-            threads: a.threads,
+            threads: a.opts.threads,
             limit: a.limit,
         },
         &obs.control(),
@@ -522,13 +506,9 @@ fn repair(a: &Args) -> Result<ExitCode> {
 /// then the kernel-validated post-state).
 fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args) {
     use cfd_suite::model::progress::Control;
-    use cfd_suite::prelude::{remine, RemineOptions};
     let ropts = RemineOptions {
-        theta: a.remine_theta,
-        expand: a.remine_expand,
-        k: 1,
-        max_lhs: None,
-        threads: a.threads,
+        threads: a.opts.threads,
+        ..a.remine_opts
     };
     let mut ctrl = Control::default();
     let deadline = (a.remine_timeout_ms > 0)
@@ -556,7 +536,7 @@ fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args) {
         "REMINE retired={} added={} theta={} neighborhood=[{}]",
         delta.retired.len(),
         delta.replacement.len(),
-        a.remine_theta,
+        ropts.theta,
         names.join(", "),
     );
     for r in &delta.retired {
@@ -766,12 +746,22 @@ fn watch(a: &Args) -> Result<ExitCode> {
 /// port in one read. Runs until a client sends `{"op": "shutdown"}`.
 fn serve(a: &Args) -> Result<ExitCode> {
     let ms = |v: u64| (v > 0).then(|| std::time::Duration::from_millis(v));
+    let bytes = |flag: &str, n: usize, unit: usize| {
+        n.checked_mul(unit)
+            .ok_or_else(|| format!("invalid value {n} for {flag}: too large"))
+    };
+    let budgets = bytes("--registry-budget-mb", a.registry_budget_mb, 1 << 20)
+        .and_then(|r| Ok((r, bytes("--max-line-kb", a.max_line_kb, 1 << 10)?)));
+    let (registry_budget, max_line) = match budgets {
+        Ok(b) => b,
+        Err(e) => return Ok(arg_error(&e)),
+    };
     let opts = ServeOptions {
         addr: a.addr.clone(),
         workers: a.workers,
         queue_depth: a.queue_depth,
-        registry_budget: a.registry_budget_mb << 20,
-        max_line: a.max_line_kb << 10,
+        registry_budget,
+        max_line,
         job_timeout: ms(a.job_timeout_ms),
         io_timeout: ms(a.io_timeout_ms),
         idle_timeout: ms(a.idle_ms),
@@ -798,34 +788,6 @@ fn serve(a: &Args) -> Result<ExitCode> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// What one blocking read from the server produced, with timeouts and
-/// hangups made explicit so the client can react instead of wedging.
-enum ClientRead {
-    Line(String),
-    Eof,
-    TimedOut,
-}
-
-/// Reads one reply/event line, classifying `WouldBlock`/`TimedOut`
-/// separately: with `--io-timeout-ms` a silent server is a structured
-/// failure, not an eternal hang.
-fn client_read(reader: &mut impl std::io::BufRead) -> std::io::Result<ClientRead> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => Ok(ClientRead::Eof),
-        Ok(_) => Ok(ClientRead::Line(line.trim_end().to_string())),
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            Ok(ClientRead::TimedOut)
-        }
-        Err(e) => Err(e),
-    }
-}
-
 /// A scripted client: sends stdin lines (blank/`#` skipped) to the
 /// server *in lockstep* — each request waits for its reply (event lines
 /// stream through as they arrive) before the next is sent. Exits 0 when
@@ -838,36 +800,33 @@ fn client_read(reader: &mut impl std::io::BufRead) -> std::io::Result<ClientRead
 /// With `--io-timeout-ms`, a server that stops responding mid-session
 /// is a clear error and a nonzero exit, not a hang.
 fn client(a: &Args) -> Result<ExitCode> {
+    use cfd_suite::serve::client::{Client, ClientRead};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
+    use std::io::{BufRead, Write};
     use std::time::Duration;
 
-    let addr = &a.positional[0];
+    let io_timeout = (a.io_timeout_ms > 0).then(|| Duration::from_millis(a.io_timeout_ms));
     // retry briefly: the usual caller just forked `cfd serve`
     let mut attempt = 0;
-    let stream = loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) if attempt < 25 => {
+    let mut conn = loop {
+        match Client::connect(a.positional[0].as_str(), io_timeout) {
+            Ok(c) => break c,
+            Err(_) if attempt < 25 => {
                 attempt += 1;
-                let _ = e;
                 std::thread::sleep(Duration::from_millis(200));
             }
             Err(e) => return Err(Error::from(e)),
         }
     };
-    if a.io_timeout_ms > 0 {
-        stream
-            .set_read_timeout(Some(Duration::from_millis(a.io_timeout_ms)))
-            .map_err(Error::from)?;
-        stream
-            .set_write_timeout(Some(Duration::from_millis(a.io_timeout_ms)))
-            .map_err(Error::from)?;
-    }
-    let mut write_half = stream.try_clone().map_err(Error::from)?;
-    let mut reader = BufReader::new(stream);
+    let stalled = || -> Result<ExitCode> {
+        eprintln!(
+            "error: server stopped responding (no data for {} ms)",
+            a.io_timeout_ms
+        );
+        std::io::stdout().flush().map_err(Error::from)?;
+        Ok(ExitCode::FAILURE)
+    };
     // fixed seed: jitter exists to spread a herd of clients, and these
     // are independent processes — determinism per process keeps
     // scripted sessions reproducible
@@ -884,57 +843,34 @@ fn client(a: &Args) -> Result<ExitCode> {
         let mut attempts_left = a.retries;
         let mut backoff = a.backoff_ms.max(1);
         loop {
-            if write_half.write_all(line.as_bytes()).is_err()
-                || write_half.write_all(b"\n").is_err()
-                || write_half.flush().is_err()
-            {
+            if conn.send(&line).is_err() {
                 server_gone = true;
                 break 'script;
             }
             // stream events through until this request's reply arrives
-            let reply = loop {
-                match client_read(&mut reader).map_err(Error::from)? {
-                    ClientRead::Eof => {
-                        server_gone = true;
-                        break 'script;
-                    }
-                    ClientRead::TimedOut => {
-                        eprintln!(
-                            "error: server stopped responding (no data for {} ms)",
-                            a.io_timeout_ms
-                        );
-                        std::io::stdout().flush().map_err(Error::from)?;
-                        return Ok(ExitCode::FAILURE);
-                    }
-                    ClientRead::Line(l) => {
-                        let doc = Json::parse(&l).ok();
-                        let is_event = doc.as_ref().is_some_and(|d| d.get("event").is_some());
-                        if is_event {
-                            println!("{l}");
-                        } else {
-                            break (l, doc);
-                        }
-                    }
+            let text = match conn
+                .reply(|event| println!("{event}"))
+                .map_err(Error::from)?
+            {
+                ClientRead::Line(l) => l,
+                ClientRead::Eof => {
+                    server_gone = true;
+                    break 'script;
                 }
+                ClientRead::TimedOut => return stalled(),
             };
-            let (text, doc) = reply;
+            let doc = Json::parse(&text).ok();
             let ok = doc
                 .as_ref()
                 .and_then(|d| d.get("ok"))
                 .and_then(Json::as_bool);
-            let code = doc
-                .as_ref()
-                .and_then(|d| d.get("error"))
-                .and_then(|e| e.get("code"))
-                .and_then(Json::as_str)
-                .map(str::to_string);
-            let transient = matches!(code.as_deref(), Some("queue_full" | "registry_budget"));
+            let error = doc.as_ref().and_then(|d| d.get("error"));
+            let code = error.and_then(|e| e.get("code")).and_then(Json::as_str);
+            let transient = matches!(code, Some("queue_full" | "registry_budget"));
             if ok == Some(false) && transient && attempts_left > 0 {
                 // prefer the server's own estimate of when capacity
                 // frees up; fall back to the local backoff schedule
-                let hint = doc
-                    .as_ref()
-                    .and_then(|d| d.get("error"))
+                let hint = error
                     .and_then(|e| e.get("retry_after_ms"))
                     .and_then(Json::as_f64)
                     .map(|ms| ms as u64);
@@ -942,7 +878,7 @@ fn client(a: &Args) -> Result<ExitCode> {
                 let jitter = rng.gen_range(0..=base / 4);
                 eprintln!(
                     "# transient {} — retrying in {} ms ({} attempts left)",
-                    code.as_deref().unwrap_or("error"),
+                    code.unwrap_or("error"),
                     base + jitter,
                     attempts_left,
                 );
@@ -960,18 +896,11 @@ fn client(a: &Args) -> Result<ExitCode> {
     }
     // half-close: the server keeps streaming (async job events) until
     // its side is done
-    let _ = write_half.shutdown(std::net::Shutdown::Write);
+    let _ = conn.finish_sending();
     loop {
-        match client_read(&mut reader).map_err(Error::from)? {
+        match conn.read().map_err(Error::from)? {
             ClientRead::Eof => break,
-            ClientRead::TimedOut => {
-                eprintln!(
-                    "error: server stopped responding (no data for {} ms)",
-                    a.io_timeout_ms
-                );
-                std::io::stdout().flush().map_err(Error::from)?;
-                return Ok(ExitCode::FAILURE);
-            }
+            ClientRead::TimedOut => return stalled(),
             ClientRead::Line(l) => {
                 if let Ok(doc) = Json::parse(&l) {
                     if doc.get("ok").and_then(Json::as_bool) == Some(false) {

@@ -269,6 +269,19 @@ fn argument_errors_name_the_offending_flag() {
             "invalid value \"xml\" for --format",
         ),
         (&["check", "x.csv"], "takes 2 positional argument(s), got 1"),
+        (
+            &["watch", "x.csv", "r.txt", "--remine-theta", "1.5"],
+            "invalid value \"1.5\" for --remine-theta",
+        ),
+        // byte budgets that overflow are usage errors, not wrapped values
+        (
+            &["serve", "--registry-budget-mb", "18446744073709551615"],
+            "invalid value 18446744073709551615 for --registry-budget-mb",
+        ),
+        (
+            &["serve", "--max-line-kb", "18446744073709551615"],
+            "invalid value 18446744073709551615 for --max-line-kb",
+        ),
     ];
     for (args, want) in cases {
         let out = bin().args(*args).output().unwrap();
@@ -463,6 +476,13 @@ fn discover_approximate_top_k_json_round_trip() {
     let opts = doc.get("options").unwrap();
     assert_eq!(opts.get("min_confidence").and_then(Json::as_f64), Some(0.9));
     assert_eq!(opts.get("top_k").and_then(Json::as_f64), Some(5.0));
+    // the printed options parse back into the options the run used
+    assert_eq!(
+        cfd_suite::prelude::DiscoverOptions::from_json(opts),
+        Ok(cfd_suite::prelude::DiscoverOptions::new(2)
+            .min_confidence(0.9)
+            .top_k(5))
+    );
     let rule_docs = doc.get("rules").unwrap().as_array().unwrap();
     assert_eq!(rule_docs.len(), 5, "top-k truncates to 5");
     // every rule carries measured support/confidence and parses back

@@ -4,8 +4,8 @@
 //! client must report protocol failures through its exit code.
 
 use cfd_suite::prelude::Json;
+use cfd_suite::serve::client::{Client, ClientRead};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -47,36 +47,11 @@ fn start_server() -> (Child, String) {
     (child, addr)
 }
 
-struct Wire {
-    w: TcpStream,
-    r: BufReader<TcpStream>,
-}
-
-impl Wire {
-    fn connect(addr: &str) -> Wire {
-        let s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(120)))
-            .expect("read timeout");
-        let r = BufReader::new(s.try_clone().expect("clone socket"));
-        Wire { w: s, r }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.w.write_all(line.as_bytes()).expect("send");
-        self.w.write_all(b"\n").expect("send");
-    }
-
-    /// Next reply, skipping job-event lines.
-    fn reply(&mut self) -> Json {
-        loop {
-            let mut line = String::new();
-            let n = self.r.read_line(&mut line).expect("read reply");
-            assert!(n > 0, "server closed the connection unexpectedly");
-            let doc = Json::parse(line.trim()).expect("server sent invalid JSON");
-            if doc.get("ok").is_some() {
-                return doc;
-            }
-        }
+/// Next reply, skipping job-event lines.
+fn reply(w: &mut Client) -> Json {
+    match w.reply(|_event| {}).expect("read reply") {
+        ClientRead::Line(l) => Json::parse(&l).expect("server sent invalid JSON"),
+        other => panic!("server closed the connection unexpectedly: {other:?}"),
     }
 }
 
@@ -150,15 +125,17 @@ fn resident_server_matches_one_shot_cli_byte_for_byte() {
 
     // the same work through the resident server
     let (mut child, addr) = start_server();
-    let mut w = Wire::connect(&addr);
+    let mut w = Client::connect(addr.as_str(), Some(Duration::from_secs(120))).expect("connect");
     w.send(&format!(
         "{{\"op\":\"register\",\"name\":\"cust\",\"path\":{}}}",
         Json::from(csv.to_str().unwrap())
-    ));
-    assert_ok(&w.reply());
+    ))
+    .expect("send");
+    assert_ok(&reply(&mut w));
 
-    w.send("{\"op\":\"discover\",\"dataset\":\"cust\",\"k\":2,\"sync\":true}");
-    let rep = w.reply();
+    w.send("{\"op\":\"discover\",\"dataset\":\"cust\",\"k\":2,\"sync\":true}")
+        .expect("send");
+    let rep = reply(&mut w);
     assert_ok(&rep);
     let got = rep.get("result").expect("discover result");
     // timings are wall-clock; everything else must match exactly
@@ -178,8 +155,9 @@ fn resident_server_matches_one_shot_cli_byte_for_byte() {
     );
     w.send(&format!(
         "{{\"op\":\"check\",\"dataset\":\"cust\",\"rules\":{rule_lines},\"sync\":true}}"
-    ));
-    let rep = w.reply();
+    ))
+    .expect("send");
+    let rep = reply(&mut w);
     assert_ok(&rep);
     assert_eq!(
         rep.get("result").expect("check result").to_string(),
@@ -187,14 +165,13 @@ fn resident_server_matches_one_shot_cli_byte_for_byte() {
         "server check report differs from one-shot CLI"
     );
 
-    w.send("{\"op\":\"stats\"}");
-    let rep = w.reply();
+    w.send("{\"op\":\"stats\"}").expect("send");
+    let rep = reply(&mut w);
     assert_ok(&rep);
     assert!(rep.get("server").is_some() && rep.get("metrics").is_some());
 
-    w.send("{\"op\":\"shutdown\"}");
-    let rep = w.reply();
-    assert_ok(&rep);
+    w.send("{\"op\":\"shutdown\"}").expect("send");
+    assert_ok(&reply(&mut w));
     let status = child.wait().expect("serve exit");
     assert!(status.success(), "cfd serve exited with {status}");
 
