@@ -335,11 +335,10 @@ impl Ctane {
 
     /// [`Ctane::run_measured_indexed`] against a caller-owned
     /// [`PartitionStore`] — the warm-start entry point. Entries already
-    /// in `store` (seeded from a stream engine's group indexes, or left
-    /// over from a previous run on the same relation) are consulted
-    /// before the level-1 partitions are built and by the approximate
-    /// validity test before any rebuild; the working set the walk pins
-    /// always wins over stale entries because
+    /// in `store` (seeded from a stream engine's group indexes) are
+    /// consulted before the level-1 partitions are built and by the
+    /// approximate validity test before any rebuild; the working set
+    /// the walk pins always wins over stale entries because
     /// [`PartitionStore::insert_pinned`] replaces by key. The cover is
     /// byte-identical to a cold run: cached partitions trade
     /// recomputation only, never search decisions. The caller's store
@@ -387,9 +386,8 @@ impl Ctane {
         let uni = Universe::new(init_candidates, arity);
 
         // level 1 elements: the store is consulted before building —
-        // a warm store (seeded from a stream engine, or retained from
-        // an earlier run on this same relation) already holds these
-        // exact partitions, and re-pinning one skips the rebuild
+        // a warm store (seeded from a stream engine) already holds
+        // these exact partitions, and re-pinning one skips the rebuild
         fn intern_level1(
             store: &mut PartitionStore<Pattern>,
             level: &mut Vec<Element>,

@@ -76,11 +76,6 @@ pub struct PartitionStore<K> {
     /// the pinned working set is never counted against it.
     unpinned_bytes: usize,
     budget: usize,
-    /// Retain mode (see [`retain_across_runs`]): retirement demotes
-    /// levels to evictable cache instead of dropping them.
-    ///
-    /// [`retain_across_runs`]: PartitionStore::retain_across_runs
-    retain: bool,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -100,21 +95,7 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
             hits: 0,
             misses: 0,
             evictions: 0,
-            retain: false,
         }
-    }
-
-    /// Switches the store into **retain mode**, for a store shared
-    /// *across* runs (one per dataset in `cfd serve`, say): a run's
-    /// [`retire_level`](PartitionStore::retire_level) calls demote the
-    /// level to evictable cache — pins dropped, entry kept, byte
-    /// budget enforced — instead of dropping it. The next run on the
-    /// same relation then warm-starts by hitting what this one left
-    /// behind; under budget pressure the cache simply thins out and
-    /// the miner recomputes, exactly as on a miss.
-    pub fn retain_across_runs(mut self) -> PartitionStore<K> {
-        self.retain = true;
-        self
     }
 
     /// Interns `part` under `key` at `level` with one pin held. An
@@ -202,8 +183,8 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
     /// Unpins every entry of `level` (one pin each — the pin
     /// [`insert_pinned`](PartitionStore::insert_pinned) took), turning
     /// the level into evictable cache. Entries already pin-free —
-    /// seeds the run never re-pinned, or levels retained from an
-    /// earlier run — hold no pin to release and are left alone.
+    /// seeds the run never re-pinned — hold no pin to release and are
+    /// left alone.
     pub fn unpin_level(&mut self, level: u32) {
         let keys = self.by_level.get(&level).cloned().unwrap_or_default();
         for key in &keys {
@@ -215,13 +196,12 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
     }
 
     /// Drops *every* pin in the store, turning the whole contents into
-    /// evictable cache — the hand-off a store shared *across* runs
-    /// makes when one run finishes: its working set stays resident for
-    /// the next run to hit, but the byte budget now governs all of it.
-    /// Unlike [`unpin_level`](PartitionStore::unpin_level), entries
-    /// that are already pin-free (levels the run itself released) are
-    /// left alone, so this is safe to call regardless of where the run
-    /// stopped. Deterministic: pins drop in (level, insertion) order.
+    /// evictable cache — the hand-off a seeder makes before a run
+    /// (`cfd_stream::remine` fills a store from a stream engine's group
+    /// indexes): the seeds stay resident for the run to hit, but the
+    /// byte budget governs all of them. Entries that are already
+    /// pin-free are left alone. Deterministic: pins drop in (level,
+    /// insertion) order.
     pub fn unpin_all(&mut self) {
         let mut levels: Vec<u32> = self.by_level.keys().copied().collect();
         levels.sort_unstable();
@@ -242,27 +222,8 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
         self.enforce_budget();
     }
 
-    /// Drops every entry of `level`, pinned or not. In retain mode
-    /// (see [`retain_across_runs`](PartitionStore::retain_across_runs))
-    /// the level is demoted to evictable cache instead: pins go to
-    /// zero, entries stay until the budget pushes them out.
+    /// Drops every entry of `level`, pinned or not.
     pub fn retire_level(&mut self, level: u32) {
-        if self.retain {
-            let keys = self.by_level.get(&level).cloned().unwrap_or_default();
-            for key in keys {
-                let Some(e) = self.entries.get_mut(&key) else {
-                    continue;
-                };
-                if e.pins == 0 {
-                    continue;
-                }
-                e.pins = 0;
-                self.unpinned_bytes += e.bytes;
-                self.unpinned.push_back(key);
-            }
-            self.enforce_budget();
-            return;
-        }
         let Some(keys) = self.by_level.remove(&level) else {
             return;
         };
@@ -402,24 +363,6 @@ mod tests {
         s.retire_level(1);
         assert_eq!(s.stats().entries, 0);
         assert_eq!(s.stats().bytes, 0);
-    }
-
-    #[test]
-    fn retain_mode_demotes_retired_levels_to_cache() {
-        let mut s: PartitionStore<u32> = PartitionStore::new(usize::MAX).retain_across_runs();
-        s.insert_pinned(1, 1, part(10));
-        s.insert_pinned(2, 2, part(10));
-        s.retire_level(1);
-        // the retired level survives as cache and is re-pinnable
-        assert!(s.get(&1).is_some());
-        s.pin(&1);
-        s.unpin(&1); // balanced: demotion left zero pins
-                     // a zero-budget retain store still degrades to recomputation
-        let mut z: PartitionStore<u32> = PartitionStore::new(0).retain_across_runs();
-        z.insert_pinned(1, 1, part(10));
-        z.retire_level(1);
-        assert!(z.get(&1).is_none());
-        assert_eq!(z.stats().evictions, 1);
     }
 
     #[test]

@@ -20,10 +20,9 @@
 use crate::protocol::{error_json, event, ServeError};
 use crate::registry::{lock_unpoisoned, Dataset};
 use crate::session::attach_rule_texts;
-use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer, SearchStats};
+use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer};
 use cfd_core::Ctane;
-use cfd_model::{CanonicalCover, Cfd, Control, Json, Relation, RuleMeasure};
-use cfd_partition::RelationIndex;
+use cfd_model::{Cfd, Control, Json, RuleMeasure};
 use cfd_stream::{CoverDelta, RemineOptions, StreamEngine};
 use cfd_validate::ValidateOptions;
 use std::collections::VecDeque;
@@ -285,79 +284,6 @@ pub enum JobSpec {
     },
 }
 
-/// CTANE against a dataset's shared pinned [`PartitionStore`]: the
-/// default discover path for CTANE jobs without a per-job
-/// `cache_budget`. Same `Discoverer` contract (covers are
-/// byte-identical to a cold run — the store trades recomputation
-/// only), but stripped partitions survive the job inside the dataset,
-/// so the next CTANE job on it starts warm.
-///
-/// [`PartitionStore`]: cfd_partition::PartitionStore
-struct SeededCtane<'a> {
-    ds: &'a Dataset,
-}
-
-impl SeededCtane<'_> {
-    /// Mirrors `Ctane::configured`: shared knobs from the options.
-    fn configured(&self, opts: &DiscoverOptions) -> Ctane {
-        let mut ctane = Ctane::new(opts.k)
-            .min_confidence(opts.min_confidence)
-            .threads(opts.threads.max(1));
-        if let Some(max_lhs) = opts.max_lhs {
-            ctane = ctane.max_lhs(max_lhs);
-        }
-        ctane
-    }
-}
-
-impl Discoverer for SeededCtane<'_> {
-    fn algo(&self) -> Algo {
-        Algo::Ctane
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.run_measured(rel, opts, ctrl, stats)?.0)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let index = RelationIndex::new(rel);
-        self.run_measured_indexed(rel, &index, opts, ctrl, stats)
-    }
-
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        // lock_store recovers from poisoning (a panicked job restarts
-        // the cache cold) — one panic must not wedge the dataset
-        let mut store = self.ds.lock_store();
-        let out = self
-            .configured(opts)
-            .run_measured_seeded(rel, index, &mut store, ctrl, stats);
-        // release the run's pins so entries stay resident for the next
-        // job but become evictable under the dataset's byte budget
-        store.unpin_all();
-        let (cover, measures) = out?;
-        Ok((cover, Some(measures)))
-    }
-}
-
 /// Runs a spec under `ctrl`, returning the result document. This is
 /// the entire worker-side logic: cancellation surfaces as
 /// [`JobOutcome::Cancelled`], any other failure as a structured error.
@@ -369,14 +295,11 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             opts,
             cache_budget,
         } => {
-            // CTANE without an explicit budget warm-starts from the
-            // dataset's shared pinned store; an explicit
-            // `cache_budget_mb` keeps the old per-job private store
-            // (its budget is a per-job resource). Every other
-            // algorithm ignores both.
-            let disc: Box<dyn Discoverer + '_> = match (algo, cache_budget) {
+            // every job builds its own partition store, as the CLI
+            // does; `cache_budget_mb` caps CTANE's (other algorithms
+            // ignore it)
+            let disc: Box<dyn Discoverer> = match (algo, cache_budget) {
                 (Algo::Ctane, Some(bytes)) => Box::new(Ctane::new(opts.k).cache_budget(*bytes)),
-                (Algo::Ctane, None) => Box::new(SeededCtane { ds }),
                 _ => algo.discoverer(),
             };
             match disc.discover_indexed(&ds.rel, Some(&ds.index), opts, ctrl) {

@@ -5,17 +5,11 @@
 //! [`RelationIndex`] — the lazily-built per-column value-region cache
 //! that discovery *and* validation consult — behind one `Arc`, so N
 //! concurrent jobs on the same dataset share both without copying and
-//! without re-deriving per-column partitions per request. Each dataset
-//! also pins a shared [`PartitionStore`] keyed by pattern: CTANE jobs
-//! without an explicit per-job `cache_budget` warm-start from it
-//! through `run_measured_seeded`, so the second discovery job on a
-//! dataset reuses the first job's stripped partitions instead of
-//! recomputing them (its per-run stats report the hits). The store
-//! sits behind a `Mutex` — two concurrent CTANE jobs on the *same*
-//! dataset serialize on it, which is the deliberate trade for
-//! cross-job reuse; a job that passes `cache_budget_mb` keeps the old
-//! private store and never touches the lock. DESIGN.md §12 and §13
-//! spell out the split.
+//! without re-deriving per-column partitions per request. The index is
+//! the only shared per-dataset state, and it is immutable once a
+//! column is built: every CTANE job builds its own partition store, as
+//! the one-shot CLI does, so jobs on one dataset never wait for each
+//! other. DESIGN.md §12 spells out the split.
 //!
 //! Admission control is by resident bytes: the registry carries a
 //! budget and [`DatasetRegistry::insert`] admits against it — but it
@@ -29,20 +23,14 @@
 //! pressure is observable instead of silent.
 
 use crate::protocol::ServeError;
-use cfd_model::{Json, Pattern, Relation};
-use cfd_partition::{PartitionStore, RelationIndex};
+use cfd_model::{Json, Relation};
+use cfd_partition::RelationIndex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Byte budget of each dataset's shared partition store. Entries past
-/// it are evicted coldest-first between jobs (pins are released when a
-/// job finishes), so a dataset's resident cache stays bounded no
-/// matter how many discovery jobs run against it.
-pub const DATASET_STORE_BUDGET: usize = 64 << 20;
-
-/// A registered dataset: the relation, its shared column index, the
-/// shared partition store, and the byte size it is accounted at.
+/// A registered dataset: the relation, its shared column index, and
+/// the byte size it is accounted at.
 pub struct Dataset {
     /// Registry name.
     pub name: String,
@@ -52,10 +40,6 @@ pub struct Dataset {
     /// per column, on first use by any job ([`RelationIndex`] is
     /// internally synchronized), then reused by every later job.
     pub index: RelationIndex,
-    /// Shared pattern-keyed partition store CTANE jobs warm-start
-    /// from (see the module docs for the locking trade-off). Lock it
-    /// through [`Dataset::lock_store`], which recovers from poisoning.
-    pub store: Mutex<PartitionStore<Pattern>>,
     /// `rel.memory_bytes()` at registration — what the budget charges.
     pub bytes: usize,
     /// Pinned datasets are never evicted under budget pressure.
@@ -85,7 +69,6 @@ impl Dataset {
             name: name.into(),
             rel,
             index,
-            store: Mutex::new(PartitionStore::new(DATASET_STORE_BUDGET).retain_across_runs()),
             bytes,
             pinned: false,
             last_used: AtomicU64::new(0),
@@ -96,25 +79,6 @@ impl Dataset {
     pub fn pinned(mut self) -> Dataset {
         self.pinned = true;
         self
-    }
-
-    /// Locks the shared partition store, recovering from poisoning: a
-    /// job that panicked mid-walk may have left the store's internals
-    /// inconsistent, so the poisoned contents are discarded and the
-    /// store restarts cold. The store is a pure cache — dropping it
-    /// costs recomputation, never correctness — which is what makes
-    /// this recovery safe (DESIGN.md §14 has the full poisoning
-    /// audit).
-    pub fn lock_store(&self) -> MutexGuard<'_, PartitionStore<Pattern>> {
-        match self.store.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.store.clear_poison();
-                let mut g = poisoned.into_inner();
-                *g = PartitionStore::new(DATASET_STORE_BUDGET).retain_across_runs();
-                g
-            }
-        }
     }
 
     /// The dataset's registry row (`datasets` reply element).
@@ -146,10 +110,7 @@ pub struct DatasetRegistry {
 /// critical sections — no user or algorithm code ever runs under them
 /// — so on the rare poison (a panic elsewhere on the same thread while
 /// unwinding) the data is still structurally consistent and serving
-/// beats wedging. The one lock that *does* wrap panickable code, the
-/// per-dataset partition store, gets the stronger
-/// [`Dataset::lock_store`] treatment instead (discard and restart
-/// cold). DESIGN.md §14 carries the full audit.
+/// beats wedging.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -357,23 +318,6 @@ mod tests {
         let (_n, evicted) = reg.insert(Dataset::new("newcomer", small())).unwrap();
         assert_eq!(evicted, vec!["busy".to_string()]);
         assert_eq!(reg.evictions(), 1);
-    }
-
-    #[test]
-    fn poisoned_store_recovers_cold() {
-        let ds = Arc::new(Dataset::new("t", small()));
-        let ds2 = ds.clone();
-        // poison the store mutex by panicking while holding it
-        let _ = std::thread::spawn(move || {
-            let _guard = ds2.store.lock().unwrap();
-            panic!("injected: poison the store lock");
-        })
-        .join();
-        assert!(ds.store.lock().is_err(), "mutex is poisoned");
-        let store = ds.lock_store();
-        assert_eq!(store.stats().entries, 0, "recovered store starts cold");
-        drop(store);
-        assert!(ds.store.lock().is_ok(), "poison was cleared");
     }
 
     #[test]

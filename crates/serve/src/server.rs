@@ -237,9 +237,11 @@ impl Server {
 /// One job worker: pop, run under a per-job [`Control`] inside a
 /// panic shield, classify the outcome, finish. The worker thread
 /// itself survives *anything* a job does: panics become structured
-/// `internal_panic` failures (the dataset's poisoned store restarts
-/// cold — see [`Dataset::lock_store`]), and a run stopped by its
-/// deadline rather than its cancel flag becomes `deadline_exceeded`.
+/// `internal_panic` failures, and a run stopped by its deadline rather
+/// than its cancel flag becomes `deadline_exceeded`. A panic leaves
+/// nothing half-updated for later jobs: the dataset's index builds
+/// each column once behind a `OnceLock`, and every job builds its own
+/// partition store.
 fn worker_loop(state: &Arc<State>) {
     while let Some((job, spec)) = state.queue.pop() {
         if job.cancel.load(Ordering::Relaxed) {
@@ -353,6 +355,9 @@ fn connection(state: &Arc<State>, stream: TcpStream) {
     if state.io_timeout.is_some() {
         let _ = stream.set_write_timeout(state.io_timeout);
     }
+    // a sync job's reply follows its `started` event; under Nagle it
+    // would wait for the client's delayed ACK of that event (~40 ms)
+    let _ = stream.set_nodelay(true);
     // register a clone so server teardown can interrupt this thread's
     // blocking read; hang_up removes it on every exit path, closing
     // the socket for the peer even while other clones linger

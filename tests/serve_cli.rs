@@ -1,7 +1,8 @@
 //! End-to-end tests of `cfd serve` / `cfd client` as real child
 //! processes: the resident server's results must match the one-shot
-//! CLI byte for byte (modulo wall-clock timings), and the scripted
-//! client must report protocol failures through its exit code.
+//! CLI byte for byte (modulo wall-clock timings), however many jobs
+//! ran before on the same dataset, and the scripted client must
+//! report protocol failures through its exit code.
 
 use cfd_suite::prelude::Json;
 use cfd_suite::serve::client::{Client, ClientRead};
@@ -63,14 +64,17 @@ fn assert_ok(doc: &Json) {
     );
 }
 
-/// Drops the `command` / `dataset` / `rules_file` keys `cfd check
-/// --format json` injects in front of the report document.
+/// Drops the `command` / `dataset` / `rules_file` keys the CLI's
+/// `--format json` injects in front of a result document, and the
+/// wall-clock `timings`.
 fn strip_cli_keys(doc: Json) -> Json {
     match doc {
         Json::Obj(pairs) => Json::Obj(
             pairs
                 .into_iter()
-                .filter(|(k, _)| !matches!(k.as_str(), "command" | "dataset" | "rules_file"))
+                .filter(|(k, _)| {
+                    !matches!(k.as_str(), "command" | "dataset" | "rules_file" | "timings")
+                })
                 .collect(),
         ),
         other => other,
@@ -94,20 +98,29 @@ fn resident_server_matches_one_shot_cli_byte_for_byte() {
     assert!(out.status.success());
     let rules_text = String::from_utf8(out.stdout).expect("utf8 rules");
     std::fs::write(&rules_path, &rules_text).expect("write rules");
-    let out = bin()
-        .args([
-            "discover",
-            csv.to_str().unwrap(),
-            "--k",
-            "2",
-            "--format",
-            "json",
-        ])
-        .output()
-        .expect("cfd discover --format json");
-    assert!(out.status.success());
-    let cli_discover =
-        Json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("discover json");
+    let algos = ["fastcfd", "ctane"];
+    let cli_discover: Vec<Json> = algos
+        .iter()
+        .map(|algo| {
+            let out = bin()
+                .args([
+                    "discover",
+                    csv.to_str().unwrap(),
+                    "--k",
+                    "2",
+                    "--algo",
+                    algo,
+                    "--format",
+                    "json",
+                ])
+                .output()
+                .expect("cfd discover --format json");
+            assert!(out.status.success());
+            strip_cli_keys(
+                Json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("discover json"),
+            )
+        })
+        .collect();
     let out = bin()
         .args([
             "check",
@@ -133,18 +146,24 @@ fn resident_server_matches_one_shot_cli_byte_for_byte() {
     .expect("send");
     assert_ok(&reply(&mut w));
 
-    w.send("{\"op\":\"discover\",\"dataset\":\"cust\",\"k\":2,\"sync\":true}")
-        .expect("send");
-    let rep = reply(&mut w);
-    assert_ok(&rep);
-    let got = rep.get("result").expect("discover result");
-    // timings are wall-clock; everything else must match exactly
-    for key in ["rules", "counts"] {
-        assert_eq!(
-            got.get(key).expect(key).to_string(),
-            cli_discover.get(key).expect(key).to_string(),
-            "server and one-shot CLI disagree on {key:?}"
-        );
+    // every job on the dataset, not just the first, runs the CLI's
+    // path: same rules, counts, options and search stats (store
+    // counters included); only the wall-clock timings differ
+    for (algo, cli) in algos.iter().zip(&cli_discover) {
+        for run in 1..=2 {
+            w.send(&format!(
+                "{{\"op\":\"discover\",\"dataset\":\"cust\",\"algo\":\"{algo}\",\"k\":2,\"sync\":true}}"
+            ))
+            .expect("send");
+            let rep = reply(&mut w);
+            assert_ok(&rep);
+            let got = strip_cli_keys(rep.get("result").expect("discover result").clone());
+            assert_eq!(
+                got.to_string(),
+                cli.to_string(),
+                "{algo} job {run}: server and one-shot CLI disagree"
+            );
+        }
     }
 
     let rule_lines = Json::arr(
