@@ -131,15 +131,9 @@ impl CfdMiner {
         ))
     }
 
-    /// Discovery over an existing mining result (FastCFD shares the
-    /// k-frequent free sets with CFDMiner, so the mining cost is paid
-    /// once).
-    pub fn discover_from_mined(&self, mined: &Mined) -> CanonicalCover {
-        self.mined_with_stats(mined, &mut SearchStats::default())
-    }
-
-    /// [`CfdMiner::discover_from_mined`] filling `stats` (the entry
-    /// point FastCFD shares when it delegates constant CFDs here).
+    /// Exact discovery over an existing mining result, filling `stats`
+    /// — the entry point FastCFD shares when it delegates constant CFDs
+    /// here, so the mining cost is paid once.
     pub(crate) fn mined_with_stats(
         &self,
         mined: &Mined,

@@ -317,39 +317,16 @@ impl Ctane {
     /// [`Ctane::run_measured`] against a caller-owned
     /// [`RelationIndex`] — the value-index cache a resident server
     /// shares across every job on the same registered dataset, so the
-    /// per-column counting passes that seed level 1 (and drive each
+    /// per-column counting passes that build level 1 (and drive each
     /// constant refinement) are paid once per dataset, not once per
     /// request. The cover is byte-identical to a run with a private
     /// index: the index caches pure per-column regions, never search
-    /// state.
+    /// state. The run's partitions live in a store of its own, budgeted
+    /// by [`Ctane::cache_budget`].
     pub fn run_measured_indexed(
         &self,
         rel: &Relation,
         col_index: &RelationIndex,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        let mut store: PartitionStore<Pattern> = PartitionStore::new(self.cache_budget);
-        self.run_measured_seeded(rel, col_index, &mut store, ctrl, stats)
-    }
-
-    /// [`Ctane::run_measured_indexed`] against a caller-owned
-    /// [`PartitionStore`] — the warm-start entry point. Entries already
-    /// in `store` (seeded from a stream engine's group indexes) are
-    /// consulted before the level-1 partitions are built and by the
-    /// approximate validity test before any rebuild; the working set
-    /// the walk pins always wins over stale entries because
-    /// [`PartitionStore::insert_pinned`] replaces by key. The cover is
-    /// byte-identical to a cold run: cached partitions trade
-    /// recomputation only, never search decisions. The caller's store
-    /// keeps its own byte budget (`self.cache_budget` is ignored here),
-    /// and `stats.store` reports only this run's hits and misses even
-    /// when the store carries counts from earlier runs.
-    pub fn run_measured_seeded(
-        &self,
-        rel: &Relation,
-        col_index: &RelationIndex,
-        store: &mut PartitionStore<Pattern>,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
@@ -364,20 +341,17 @@ impl Ctane {
         if n == 0 || n < self.k {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let stats_at_entry = store.stats();
+        let mut store: PartitionStore<Pattern> = PartitionStore::new(self.cache_budget);
         let mut scratch = RefineScratch::for_relation(rel);
 
-        // C⁺(∅) = L1: every (A, _) plus every k-frequent (A, a)
+        // C⁺(∅) = L1: every (A, _) plus every k-frequent (A, a), read
+        // off the columns' value regions
         let mut init_candidates: Vec<(AttrId, PVal)> = Vec::new();
         for a in 0..arity {
-            let col = rel.column(a);
-            let mut freq = vec![0u32; col.domain_size()];
-            for &c in col.codes() {
-                freq[c as usize] += 1;
-            }
-            for (c, &f) in freq.iter().enumerate() {
-                if f as usize >= self.k {
-                    init_candidates.push((a, PVal::Const(c as u32)));
+            let vidx = col_index.column(rel, a);
+            for c in 0..vidx.n_codes() as u32 {
+                if vidx.region(c).len() >= self.k {
+                    init_candidates.push((a, PVal::Const(c)));
                 }
             }
             init_candidates.push((a, PVal::Var));
@@ -385,65 +359,24 @@ impl Ctane {
         init_candidates.sort_unstable();
         let uni = Universe::new(init_candidates, arity);
 
-        // level 1 elements: the store is consulted before building —
-        // a warm store (seeded from a stream engine) already holds
-        // these exact partitions, and re-pinning one skips the rebuild
-        fn intern_level1(
-            store: &mut PartitionStore<Pattern>,
-            level: &mut Vec<Element>,
-            stats: &mut SearchStats,
-            pattern: Pattern,
-            cplus: Bits,
-            build: impl FnOnce() -> StrippedPartition,
-        ) {
-            let cached = store.get(&pattern).map(|p| (p.n_classes(), p.n_rows()));
-            let (n_classes, n_rows) = match cached {
-                Some(counts) => {
-                    store.pin(&pattern);
-                    counts
-                }
-                None => {
-                    let part = build();
-                    stats.partitions += 1;
-                    let counts = (part.n_classes(), part.n_rows());
-                    store.insert_pinned(pattern.clone(), 1, part);
-                    counts
-                }
-            };
-            level.push(Element {
-                cplus,
-                n_classes,
-                n_rows,
-                pattern,
-            });
-        }
-        let mut level: Vec<Element> = Vec::new();
-        for a in 0..arity {
+        // level 1: one element per item of C⁺(∅), its partition built
+        // from the same regions
+        let mut level: Vec<Element> = Vec::with_capacity(uni.items.len());
+        for &(a, v) in &uni.items {
             let vidx = col_index.column(rel, a);
-            // constant elements: one per k-frequent value
-            for c in 0..vidx.n_codes() as u32 {
-                let region = vidx.region(c);
-                if region.len() >= self.k {
-                    let pattern = Pattern::from_pairs([(a, PVal::Const(c))]);
-                    intern_level1(
-                        store,
-                        &mut level,
-                        stats,
-                        pattern.clone(),
-                        uni.cond1(&pattern),
-                        || StrippedPartition::from_single_class(region),
-                    );
-                }
-            }
-            let pattern = Pattern::from_pairs([(a, PVal::Var)]);
-            intern_level1(
-                store,
-                &mut level,
-                stats,
-                pattern.clone(),
-                uni.cond1(&pattern),
-                || StrippedPartition::from_value_index(vidx),
-            );
+            let part = match v {
+                PVal::Const(c) => StrippedPartition::from_single_class(vidx.region(c)),
+                PVal::Var => StrippedPartition::from_value_index(vidx),
+            };
+            stats.partitions += 1;
+            let pattern = Pattern::from_pairs([(a, v)]);
+            level.push(Element {
+                cplus: uni.cond1(&pattern),
+                n_classes: part.n_classes(),
+                n_rows: part.n_rows(),
+                pattern: pattern.clone(),
+            });
+            store.insert_pinned(pattern, 1, part);
         }
 
         // counts of the level below (the ∅ element at level 0)
@@ -510,7 +443,7 @@ impl Ctane {
                                 (true, 0)
                             } else if approx {
                                 let keep = parent_keep(
-                                    store,
+                                    &mut store,
                                     rel,
                                     col_index,
                                     &parent_pat,
@@ -642,7 +575,7 @@ impl Ctane {
                 level: &level,
                 index: &index,
                 order: &order,
-                store: &*store,
+                store: &store,
                 ell,
                 last_level,
             };
@@ -659,7 +592,7 @@ impl Ctane {
             )?;
             let mut next: Vec<Element> = Vec::new();
             for g in produced {
-                commit(store, &mut next, g, ell);
+                commit(&mut store, &mut next, g, ell);
             }
 
             if next.is_empty() {
@@ -684,16 +617,7 @@ impl Ctane {
             level = next;
             ell += 1;
         }
-        // report this run's traffic only: a shared store keeps
-        // cumulative counters across runs
-        let after = store.stats();
-        stats.store = cfd_partition::StoreStats {
-            hits: after.hits - stats_at_entry.hits,
-            misses: after.misses - stats_at_entry.misses,
-            evictions: after.evictions - stats_at_entry.evictions,
-            ..after
-        }
-        .into();
+        stats.store = store.stats().into();
 
         Ok(CanonicalCover::from_measured(
             out.into_iter().zip(meas).collect(),

@@ -283,14 +283,8 @@ impl FastCfd {
     }
 
     /// Discovery over a pre-mined free-set collection (must have been
-    /// mined with the same `k` and with tidsets retained).
-    pub fn discover_from_mined(&self, rel: &Relation, mined: &Mined) -> CanonicalCover {
-        self.run_mined(rel, mined, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`FastCfd::discover_from_mined`] with run control and
-    /// instrumentation (see [`FastCfd::run`]).
+    /// mined with the same `k` and with tidsets retained), with run
+    /// control and instrumentation (see [`FastCfd::run`]).
     pub fn run_mined(
         &self,
         rel: &Relation,

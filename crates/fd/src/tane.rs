@@ -161,28 +161,6 @@ impl Tane {
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        let col_index = RelationIndex::new(rel);
-        let mut store: PartitionStore<AttrSet> = PartitionStore::new(self.cache_budget);
-        self.run_measured_seeded(rel, &col_index, &mut store, ctrl, stats)
-    }
-
-    /// [`Tane::run_measured`] against a caller-owned [`RelationIndex`]
-    /// and [`PartitionStore`] — the warm-start entry point mirroring
-    /// `Ctane::run_measured_seeded` in `cfd-core`. Pre-seeded (or
-    /// left-over) store entries are consulted by the approximate
-    /// validity test before any rebuild; the cover is byte-identical to
-    /// a cold run because cached partitions trade recomputation only.
-    /// The caller's store keeps its own byte budget
-    /// (`self.cache_budget` is ignored here), and `stats.store` reports
-    /// only this run's hits and misses.
-    pub fn run_measured_seeded(
-        &self,
-        rel: &Relation,
-        col_index: &RelationIndex,
-        store: &mut PartitionStore<AttrSet>,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
         let arity = rel.arity();
         let n = rel.n_rows();
         let theta = self.min_confidence;
@@ -194,7 +172,8 @@ impl Tane {
         if n == 0 {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let stats_at_entry = store.stats();
+        let col_index = RelationIndex::new(rel);
+        let mut store: PartitionStore<AttrSet> = PartitionStore::new(self.cache_budget);
         let mut scratch = RefineScratch::for_relation(rel);
 
         let full = AttrSet::full(arity);
@@ -240,8 +219,15 @@ impl Tane {
                     let (holds, violations) = if pc == level[i].n_classes {
                         (true, 0)
                     } else if approx {
-                        let keep =
-                            parent_keep(store, rel, col_index, parent, a, &mut scratch, stats);
+                        let keep = parent_keep(
+                            &mut store,
+                            rel,
+                            &col_index,
+                            parent,
+                            a,
+                            &mut scratch,
+                            stats,
+                        );
                         (keep_meets(keep, n, theta), n - keep)
                     } else {
                         (false, 0)
@@ -362,7 +348,7 @@ impl Tane {
                 level: &level_now,
                 index: &index,
                 order: &order,
-                store: &*store,
+                store: &store,
                 last_level,
             };
             // worker w owns runs w, w+T, …; batches merge in run
@@ -402,16 +388,7 @@ impl Tane {
             level = next;
             ell += 1;
         }
-        // report this run's traffic only: a shared store keeps
-        // cumulative counters across runs
-        let after = store.stats();
-        stats.store = cfd_partition::StoreStats {
-            hits: after.hits - stats_at_entry.hits,
-            misses: after.misses - stats_at_entry.misses,
-            evictions: after.evictions - stats_at_entry.evictions,
-            ..after
-        }
-        .into();
+        stats.store = store.stats().into();
 
         Ok(CanonicalCover::from_measured(
             out.into_iter().zip(meas).collect(),

@@ -182,44 +182,12 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
 
     /// Unpins every entry of `level` (one pin each — the pin
     /// [`insert_pinned`](PartitionStore::insert_pinned) took), turning
-    /// the level into evictable cache. Entries already pin-free —
-    /// seeds the run never re-pinned — hold no pin to release and are
-    /// left alone.
+    /// the level into evictable cache.
     pub fn unpin_level(&mut self, level: u32) {
         let keys = self.by_level.get(&level).cloned().unwrap_or_default();
         for key in &keys {
-            if matches!(self.entries.get(key), Some(e) if e.pins == 0) {
-                continue;
-            }
             self.unpin(key);
         }
-    }
-
-    /// Drops *every* pin in the store, turning the whole contents into
-    /// evictable cache — the hand-off a seeder makes before a run
-    /// (`cfd_stream::remine` fills a store from a stream engine's group
-    /// indexes): the seeds stay resident for the run to hit, but the
-    /// byte budget governs all of them. Entries that are already
-    /// pin-free are left alone. Deterministic: pins drop in (level,
-    /// insertion) order.
-    pub fn unpin_all(&mut self) {
-        let mut levels: Vec<u32> = self.by_level.keys().copied().collect();
-        levels.sort_unstable();
-        for level in levels {
-            let keys = self.by_level.get(&level).cloned().unwrap_or_default();
-            for key in keys {
-                let Some(e) = self.entries.get_mut(&key) else {
-                    continue;
-                };
-                if e.pins == 0 {
-                    continue;
-                }
-                e.pins = 0;
-                self.unpinned_bytes += e.bytes;
-                self.unpinned.push_back(key);
-            }
-        }
-        self.enforce_budget();
     }
 
     /// Drops every entry of `level`, pinned or not.

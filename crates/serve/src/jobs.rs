@@ -392,18 +392,13 @@ fn remine_result(engine: &StreamEngine, delta: &CoverDelta) -> Json {
             .zip(&delta.replacement_measures)
             .map(|(t, m)| rule_doc(t, m)),
     );
-    let min_confidence = delta
-        .post_measures
-        .iter()
-        .map(RuleMeasure::confidence)
-        .fold(1.0_f64, f64::min);
     Json::obj([
         ("triggered", Json::from(true)),
         ("neighborhood", neighborhood),
         ("retired", retired),
         ("added", added),
         ("rules", Json::from(engine.rules().len())),
-        ("min_confidence", Json::from(min_confidence)),
+        ("min_confidence", Json::from(delta.min_confidence())),
     ])
 }
 

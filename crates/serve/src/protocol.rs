@@ -20,7 +20,7 @@
 use cfd_core::api::{Algo, DiscoverOptions};
 use cfd_model::Json;
 use cfd_stream::RemineOptions;
-use std::io::{BufRead, Read};
+use std::io::BufRead;
 
 /// Default cap on one protocol line (64 KiB): generous for any real
 /// request (a `check` with hundreds of inline rules fits comfortably)
@@ -423,12 +423,16 @@ impl Request {
                 };
                 RemineOptions::check_theta(theta)
                     .map_err(|e| bad(format!("field \"theta\": {e}")))?;
+                let k = opt_usize_field(doc, "k")?.unwrap_or(d.k);
+                if k < 1 {
+                    return Err(bad("field \"k\" must be at least 1"));
+                }
                 Ok(Request::Remine {
                     dataset: str_field(doc, "dataset")?,
                     rules: rules_field(doc)?,
                     theta,
                     expand: opt_usize_field(doc, "expand")?.unwrap_or(d.expand),
-                    k: opt_usize_field(doc, "k")?.unwrap_or(d.k),
+                    k,
                     threads: opt_usize_field(doc, "threads")?.unwrap_or(d.threads),
                     sync: opt_bool_field(doc, "sync")?,
                     timeout_ms: timeout_field(doc)?,
@@ -563,16 +567,6 @@ pub fn read_line_capped<R: BufRead>(r: &mut R, cap: usize) -> std::io::Result<Li
             });
         }
     }
-}
-
-/// Reads everything a [`Read`] yields, capped: `None` when the source
-/// exceeds `cap` bytes (used for inline CSV bodies, which arrive
-/// JSON-escaped inside an already-capped line, so this is belt and
-/// braces for future framing changes).
-pub fn read_capped<R: Read>(r: &mut R, cap: usize) -> std::io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::new();
-    let n = r.take(cap as u64 + 1).read_to_end(&mut buf)?;
-    Ok(if n > cap { None } else { Some(buf) })
 }
 
 #[cfg(test)]
@@ -711,20 +705,18 @@ mod tests {
             } => assert_eq!((theta, expand, k, threads, sync), (0.8, 2, 3, 4, true)),
             other => panic!("wrong request: {other:?}"),
         }
-        // θ outside (0, 1] is a shape error
-        let (_, e) = Request::parse(
-            "{\"op\": \"remine\", \"dataset\": \"t\", \"rules\": [\"r\"], \"theta\": 0.0}",
-        )
-        .unwrap_err();
-        assert_eq!(e.code, "bad_request");
-        let (_, e) = Request::parse(
-            "{\"op\": \"remine\", \"dataset\": \"t\", \"rules\": [\"r\"], \"theta\": 1.5}",
-        )
-        .unwrap_err();
-        assert_eq!(e.code, "bad_request");
-        // rules stay required
-        let (_, e) = Request::parse("{\"op\": \"remine\", \"dataset\": \"t\"}").unwrap_err();
-        assert_eq!(e.code, "bad_request");
+        // θ outside (0, 1] and k below 1 are shape errors, and rules
+        // stay required
+        for fields in [
+            "\"rules\": [\"r\"], \"theta\": 0.0",
+            "\"rules\": [\"r\"], \"theta\": 1.5",
+            "\"rules\": [\"r\"], \"k\": 0",
+            "\"theta\": 0.9",
+        ] {
+            let line = format!("{{\"op\": \"remine\", \"dataset\": \"t\", {fields}}}");
+            let (_, e) = Request::parse(&line).unwrap_err();
+            assert_eq!(e.code, "bad_request", "{line}");
+        }
     }
 
     #[test]

@@ -609,7 +609,8 @@ a2,b8,c2
         Some(false)
     );
 
-    // structured errors: unknown dataset, unparseable rule, bad theta
+    // structured errors: unknown dataset, unparseable rule, bad theta,
+    // and k = 0 on a conditional cover (the CTANE branch)
     w.send(&Json::obj([
         ("op", Json::from("remine")),
         ("dataset", Json::from("nope")),
@@ -627,6 +628,14 @@ a2,b8,c2
         ("dataset", Json::from("drift")),
         ("rules", Json::arr([Json::from("(A -> B, (_ || _))")])),
         ("theta", Json::from(2.0)),
+    ]));
+    assert_eq!(error_code(&w.reply()), "bad_request");
+    w.send(&Json::obj([
+        ("op", Json::from("remine")),
+        ("dataset", Json::from("drift")),
+        ("rules", Json::arr([Json::from("([A] -> B, (a1 || _))")])),
+        ("k", Json::from(0usize)),
+        ("sync", Json::from(true)),
     ]));
     assert_eq!(error_code(&w.reply()), "bad_request");
 

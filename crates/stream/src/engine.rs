@@ -361,12 +361,6 @@ impl StreamEngine {
         out
     }
 
-    /// The compiled per-rule states across all shards, in no
-    /// particular order (callers sort by rule id when it matters).
-    pub(crate) fn rule_states(&self) -> impl Iterator<Item = &RuleState> {
-        self.shards.iter().flatten()
-    }
-
     /// The attached metrics sink, if any — shared with
     /// [`crate::remine`] so re-mining counters land next to the
     /// `stream.*` batch counters.

@@ -17,15 +17,12 @@
 //!    instance onto it. The projection shares the engine's
 //!    dictionaries, so codes carry over; only attribute ids are
 //!    renumbered.
-//! 3. **Mine** (`remine.mine`): run the level-wise approximate miners
-//!    (CTANE, or TANE when the retired rules are all plain FDs) under
-//!    the watch θ, warm-starting the lattice from a
-//!    [`PartitionStore`] seeded with the engine's live group indexes:
-//!    each variable rule's group map *is* the stripped partition of
-//!    its LHS pattern over the projection, so the walk's approximate
-//!    validity tests hit the cache exactly where the old rules lived.
-//!    Seeds trade recomputation only — the cover is byte-identical to
-//!    a cold run at any thread count.
+//! 3. **Mine** (`remine.mine`): run a level-wise approximate miner
+//!    (CTANE, or TANE when the retired rules are all plain FDs) on the
+//!    projection under the watch θ, through the same
+//!    [`Discoverer::discover_with`] door as every other consumer. The
+//!    run builds its own partitions, so the cover is byte-identical at
+//!    any thread count.
 //! 4. **Apply** (`remine.apply`): retire every rule whose attributes
 //!    fall inside the neighborhood (the scoped mine re-derives that
 //!    area's cover wholesale) and install the re-mined rules through
@@ -43,15 +40,12 @@
 
 use crate::delta::{BatchDelta, RuleId};
 use crate::engine::StreamEngine;
-use cfd_core::Ctane;
-use cfd_fd::Tane;
+use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer};
 use cfd_model::attrset::AttrSet;
 use cfd_model::pattern::Pattern;
-use cfd_model::progress::{Cancelled, Control, SearchStats};
-use cfd_model::relation::TupleId;
+use cfd_model::progress::{Cancelled, Control};
 use cfd_model::schema::AttrId;
 use cfd_model::{Cfd, RuleMeasure};
-use cfd_partition::{PartitionStore, RelationIndex, StrippedPartition};
 
 /// Knobs of one re-mining cycle.
 #[derive(Clone, Copy, Debug)]
@@ -64,7 +58,7 @@ pub struct RemineOptions {
     /// LHS∪RHS when forming the projection neighborhood (smallest
     /// co-occurring attribute ids first — deterministic).
     pub expand: usize,
-    /// Support threshold for re-discovered rules (CTANE's `k`).
+    /// Support threshold `k ≥ 1` for re-discovered rules (CTANE's `k`).
     pub k: usize,
     /// Optional LHS size cap for re-discovery.
     pub max_lhs: Option<usize>,
@@ -134,6 +128,18 @@ pub struct CoverDelta {
     pub batch: BatchDelta,
 }
 
+impl CoverDelta {
+    /// The lowest confidence in [`post_measures`](CoverDelta::post_measures)
+    /// (1.0 for an empty cover; a rule with no matching support counts
+    /// as 1.0).
+    pub fn min_confidence(&self) -> f64 {
+        self.post_measures
+            .iter()
+            .map(RuleMeasure::confidence)
+            .fold(1.0, f64::min)
+    }
+}
+
 /// Rules whose live confidence has drifted below `theta`. Vacuous
 /// rules (zero matching live support) are not drifted: their
 /// confidence is 1.0 by convention and there is no data to re-mine.
@@ -151,6 +157,10 @@ pub fn drifted_rules(engine: &StreamEngine, theta: f64) -> Vec<RuleId> {
 /// untouched). Cancellation via `ctrl` aborts during the mining phase
 /// with the engine still untouched — the apply step itself is atomic
 /// and uncancellable.
+///
+/// # Panics
+///
+/// When θ lies outside (0, 1] or `k` is 0: callers validate both.
 pub fn remine(
     engine: &mut StreamEngine,
     opts: &RemineOptions,
@@ -188,50 +198,37 @@ pub fn remine(
 
     // project the live instance onto the neighborhood (shared
     // dictionaries: codes carry over, only attribute ids renumber)
-    let (proj, nb, dense_of) = {
+    let proj = {
         let _sp = cfd_obs::span!("remine.project");
-        let live = engine.materialize();
-        let proj = live
+        engine
+            .materialize()
             .project(nb_set)
-            .expect("neighborhood attrs come from the engine's own schema");
-        let nb: Vec<AttrId> = nb_set.iter().collect();
-        let mut dense_of: Vec<TupleId> = vec![TupleId::MAX; engine.n_total()];
-        for (i, &id) in engine.live_ids().iter().enumerate() {
-            dense_of[id as usize] = i as TupleId;
-        }
-        (proj, nb, dense_of)
+            .expect("neighborhood attrs come from the engine's own schema")
     };
+    let nb: Vec<AttrId> = nb_set.iter().collect();
 
-    // mine the neighborhood under θ, warm-started from the engine's
-    // live group indexes
+    // mine the neighborhood under θ
     let fd_only = retired_ids.iter().all(|&r| engine.rules()[r].is_plain_fd());
-    let (cover, measures) = {
+    let mined = {
         let _sp = cfd_obs::span!("remine.mine");
-        let proj_index = RelationIndex::new(&proj);
-        let mut search = SearchStats::default();
-        if fd_only {
-            let mut store: PartitionStore<AttrSet> = PartitionStore::new(usize::MAX);
-            seed_fd_store(engine, &nb, nb_set, &dense_of, &mut store);
-            Tane::new()
-                .with_shared_knobs(opts.max_lhs, opts.theta, opts.threads)
-                .run_measured_seeded(&proj, &proj_index, &mut store, ctrl, &mut search)?
-        } else {
-            let mut store: PartitionStore<Pattern> = PartitionStore::new(usize::MAX);
-            seed_pattern_store(engine, &nb, nb_set, &dense_of, &mut store);
-            let mut miner = Ctane::new(opts.k)
-                .min_confidence(opts.theta)
-                .threads(opts.threads);
-            if let Some(m) = opts.max_lhs {
-                miner = miner.max_lhs(m);
-            }
-            miner.run_measured_seeded(&proj, &proj_index, &mut store, ctrl, &mut search)?
+        let algo = if fd_only { Algo::Tane } else { Algo::Ctane };
+        let dopts = DiscoverOptions {
+            max_lhs: opts.max_lhs,
+            threads: opts.threads.max(1),
+            min_confidence: opts.theta,
+            ..DiscoverOptions::new(opts.k)
+        };
+        match algo.discover_with(&proj, &dopts, ctrl) {
+            Ok(d) => d,
+            Err(DiscoverError::Cancelled) => return Err(Cancelled),
+            Err(e) => panic!("{e}"),
         }
     };
 
     // map the mined cover back to engine attribute ids (codes are
     // already the engine's — the projection shares its dictionaries)
-    let mut replacement: Vec<Cfd> = Vec::with_capacity(cover.len());
-    for cfd in cover.iter() {
+    let mut replacement: Vec<Cfd> = Vec::with_capacity(mined.cover.len());
+    for cfd in mined.cover.iter() {
         let lhs = Pattern::from_pairs(cfd.lhs().iter().map(|(a, v)| (nb[a], v)));
         replacement.push(Cfd::new(lhs, nb[cfd.rhs_attr()], cfd.rhs_val()));
     }
@@ -267,7 +264,7 @@ pub fn remine(
         retired,
         replacement,
         replacement_texts,
-        replacement_measures: measures,
+        replacement_measures: mined.measures,
         post_measures,
         batch,
     }))
@@ -314,94 +311,6 @@ fn neighborhood(engine: &StreamEngine, drifted: &[RuleId], expand: usize) -> Att
     nb
 }
 
-/// Builds the stripped partition of one variable rule's LHS pattern
-/// over the projection, from the engine's live group index: each group
-/// (rows matching the LHS constants, keyed by wildcard codes) is one
-/// equivalence class. Classes are emitted smallest-dense-id first so
-/// the partition is deterministic regardless of hash-map iteration
-/// order, and group members — ascending engine ids — map to ascending
-/// dense ids because the live-id ranking is monotone.
-fn seed_classes(
-    groups: &cfd_model::FxHashMap<Vec<u32>, std::collections::BTreeMap<crate::RowId, u32>>,
-    dense_of: &[TupleId],
-) -> StrippedPartition {
-    let mut classes: Vec<Vec<TupleId>> = groups
-        .values()
-        .map(|members| members.keys().map(|&t| dense_of[t as usize]).collect())
-        .collect();
-    classes.sort_unstable_by_key(|c| c[0]);
-    let mut part = StrippedPartition::empty();
-    for class in &classes {
-        part.push_class(class);
-    }
-    part
-}
-
-/// Seeds a CTANE pattern store with the live partitions of every
-/// variable rule whose LHS attributes fall inside the neighborhood
-/// (constant-RHS rules keep no row sets and cannot seed). Entries go
-/// in unpinned at level = pattern size, so the walk's level window and
-/// byte budget govern them like any other cached partition.
-fn seed_pattern_store(
-    engine: &StreamEngine,
-    nb: &[AttrId],
-    nb_set: AttrSet,
-    dense_of: &[TupleId],
-    store: &mut PartitionStore<Pattern>,
-) {
-    let pos_of = |a: AttrId| nb.iter().position(|&b| b == a).expect("a ∈ nb") as AttrId;
-    for state in engine.rule_states() {
-        let Some(groups) = state.groups() else {
-            continue;
-        };
-        let cfd = &engine.rules()[state.rule];
-        if !cfd.lhs_attrs().is_subset(nb_set) || cfd.lhs().is_empty() {
-            continue;
-        }
-        let pattern = Pattern::from_pairs(cfd.lhs().iter().map(|(a, v)| (pos_of(a), v)));
-        if store.peek(&pattern).is_some() {
-            continue; // two rules sharing an LHS pattern seed it once
-        }
-        let level = pattern.len() as u32;
-        let part = seed_classes(groups, dense_of);
-        store.insert_pinned(pattern, level, part);
-    }
-    // seeds are cache, not working set: leave them all evictable
-    store.unpin_all();
-}
-
-/// The TANE counterpart of [`seed_pattern_store`]: only all-wildcard
-/// rules (plain FDs) have an attribute-set partition to contribute.
-fn seed_fd_store(
-    engine: &StreamEngine,
-    nb: &[AttrId],
-    nb_set: AttrSet,
-    dense_of: &[TupleId],
-    store: &mut PartitionStore<AttrSet>,
-) {
-    let pos_of = |a: AttrId| nb.iter().position(|&b| b == a).expect("a ∈ nb") as AttrId;
-    for state in engine.rule_states() {
-        let Some(groups) = state.groups() else {
-            continue;
-        };
-        let cfd = &engine.rules()[state.rule];
-        if !cfd.is_plain_fd() || !cfd.lhs_attrs().is_subset(nb_set) || cfd.lhs().is_empty() {
-            continue;
-        }
-        let mut attrs = AttrSet::EMPTY;
-        for a in cfd.lhs_attrs().iter() {
-            attrs.insert(pos_of(a));
-        }
-        if store.peek(&attrs).is_some() {
-            continue;
-        }
-        let level = attrs.len() as u32;
-        let part = seed_classes(groups, dense_of);
-        store.insert_pinned(attrs, level, part);
-    }
-    store.unpin_all();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,9 +336,14 @@ mod tests {
         .unwrap()
     }
 
-    fn drift_engine(shards: usize) -> StreamEngine {
+    /// The plain FD of the drift fixture (re-mined by TANE) and a
+    /// conditional rule it breaks the same way (re-mined by CTANE).
+    const FD: &str = "(A -> B, (_ || _))";
+    const CONDITIONAL: &str = "([A] -> B, (a1 || _))";
+
+    fn drift_engine(rule: &str, shards: usize) -> StreamEngine {
         let rel = warm_rel();
-        let rules = vec![parse_cfd(&rel, "(A -> B, (_ || _))").unwrap()];
+        let rules = vec![parse_cfd(&rel, rule).unwrap()];
         let (mut engine, delta) = StreamEngine::warm(&rel, rules, shards);
         assert!(delta.is_empty());
         // drift: within A = a1, B now splits by C — A → B collapses
@@ -480,7 +394,7 @@ mod tests {
 
     #[test]
     fn drift_retires_and_replaces_the_rule() {
-        let mut engine = drift_engine(1);
+        let mut engine = drift_engine(FD, 1);
         assert_eq!(drifted_rules(&engine, 0.95), vec![0]);
         let opts = RemineOptions {
             theta: 0.95,
@@ -527,12 +441,12 @@ mod tests {
             threads: 4,
             ..RemineOptions::default()
         };
-        let mut base = drift_engine(1);
+        let mut base = drift_engine(FD, 1);
         let d1 = remine(&mut base, &opts1, &Control::default())
             .unwrap()
             .unwrap();
         for (shards, opts) in [(1, opts4), (2, opts1), (4, opts4)] {
-            let mut engine = drift_engine(shards);
+            let mut engine = drift_engine(FD, shards);
             let d = remine(&mut engine, &opts, &Control::default())
                 .unwrap()
                 .unwrap();
@@ -587,7 +501,7 @@ mod tests {
     #[test]
     fn cancellation_leaves_the_engine_untouched() {
         use std::sync::atomic::AtomicBool;
-        let mut engine = drift_engine(1);
+        let mut engine = drift_engine(FD, 1);
         let before = engine.rules().to_vec();
         let cancel = AtomicBool::new(true);
         let ctrl = Control::default().cancel_with(&cancel);
@@ -643,38 +557,42 @@ mod tests {
             fn set_gauge(&self, _name: &'static str, _value: u64) {}
             fn observe(&self, _name: &'static str, _value: u64) {}
         }
-        let counter = CountChecks(AtomicU64::new(0));
-        let mut engine = drift_engine(1);
-        remine(
-            &mut engine,
-            &opts,
-            &Control::default().metrics_with(&counter),
-        )
-        .unwrap()
-        .expect("drift triggers");
-        let total = counter.0.load(Ordering::Relaxed);
-        assert!(total > 1, "remine passed only {total} checkpoints");
+        // both branches: TANE for the plain FD, CTANE for the
+        // conditional rule
+        for rule in [FD, CONDITIONAL] {
+            let counter = CountChecks(AtomicU64::new(0));
+            let mut engine = drift_engine(rule, 1);
+            remine(
+                &mut engine,
+                &opts,
+                &Control::default().metrics_with(&counter),
+            )
+            .unwrap()
+            .expect("drift triggers");
+            let total = counter.0.load(Ordering::Relaxed);
+            assert!(total > 1, "{rule}: remine passed only {total} checkpoints");
 
-        for k in 1..=total {
-            let mut engine = drift_engine(1);
-            let before = engine.rules().to_vec();
-            let flag = AtomicBool::new(false);
-            let trip = TripAfter {
-                after: k,
-                seen: AtomicU64::new(0),
-                flag: &flag,
-            };
-            let ctrl = Control::default().cancel_with(&flag).metrics_with(&trip);
-            assert!(
-                remine(&mut engine, &opts, &ctrl).is_err(),
-                "checkpoint {k}/{total} did not stop the run"
-            );
-            assert_eq!(
-                engine.rules(),
-                &before[..],
-                "partial swap at checkpoint {k}"
-            );
-            reconcile(&engine);
+            for k in 1..=total {
+                let mut engine = drift_engine(rule, 1);
+                let before = engine.rules().to_vec();
+                let flag = AtomicBool::new(false);
+                let trip = TripAfter {
+                    after: k,
+                    seen: AtomicU64::new(0),
+                    flag: &flag,
+                };
+                let ctrl = Control::default().cancel_with(&flag).metrics_with(&trip);
+                assert!(
+                    remine(&mut engine, &opts, &ctrl).is_err(),
+                    "{rule}: checkpoint {k}/{total} did not stop the run"
+                );
+                assert_eq!(
+                    engine.rules(),
+                    &before[..],
+                    "{rule}: partial swap at checkpoint {k}"
+                );
+                reconcile(&engine);
+            }
         }
     }
 
@@ -683,7 +601,7 @@ mod tests {
     #[test]
     fn expired_deadline_aborts_before_the_swap() {
         use std::time::{Duration, Instant};
-        let mut engine = drift_engine(1);
+        let mut engine = drift_engine(FD, 1);
         let before = engine.rules().to_vec();
         let ctrl = Control::default().deadline_with(Instant::now() - Duration::from_millis(1));
         let opts = RemineOptions::default();

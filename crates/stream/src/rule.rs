@@ -280,17 +280,6 @@ impl RuleState {
         }
     }
 
-    /// The live group member maps of a variable-RHS rule, keyed by the
-    /// codes on the LHS wildcard attributes (`None` for constant rules,
-    /// which keep no matching-row sets) — the partition classes
-    /// [`crate::remine`] seeds warm-start lattices from.
-    pub(crate) fn groups(&self) -> Option<&FxHashMap<Vec<u32>, BTreeMap<RowId, u32>>> {
-        match &self.index {
-            Index::VarRhs { groups, .. } => Some(groups),
-            Index::ConstRhs { .. } => None,
-        }
-    }
-
     /// Rewrites every stored row id through `map` (dense materialized
     /// row → engine row id). `map` must be strictly increasing, so
     /// group witnesses — and therefore every violation the rule

@@ -553,16 +553,10 @@ fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args) {
     {
         println!("REMINE+ {text} confidence={:.4}", m.confidence());
     }
-    let min_conf = delta
-        .post_measures
-        .iter()
-        .filter(|m| m.support > 0)
-        .map(|m| m.confidence())
-        .fold(1.0, f64::min);
     println!(
         "REMINE verified rules={} min_confidence={:.4} live_violations={}",
         engine.rules().len(),
-        min_conf,
+        delta.min_confidence(),
         engine.live_violations().len()
     );
 }
