@@ -16,19 +16,22 @@
 //! kernel (54 ms → 2.5 s, see DESIGN.md §10) — moves a ratio by an
 //! order of magnitude, which is exactly where the alarm is set.
 //!
-//! Six workloads pin the serving paths that have regressed or nearly
+//! Seven workloads pin the serving paths that have regressed or nearly
 //! regressed before:
 //!
 //! * `validate_kernel` — the `cfd check` path: a 20k-row tax instance
 //!   validated against a ~60-rule discovered cover, single-threaded.
 //! * `ctane_levelwise` — the discovery path: exact CTANE over a
 //!   1000-row tax instance through the partition-store engine.
+//! * `fastcfd_closed2` — the default `cfd discover` path: FastCFD at
+//!   k 20 over a 20k-row tax instance, single-threaded, where mining
+//!   the Closed₂ index of 2-frequent closed sets is most of the run.
 //! * `stream_batch` — the `cfd watch` path: steady-state insert+delete
 //!   batches through a warm `StreamEngine`.
 //! * `remine_drift` — the `cfd watch --remine` path: a drift batch
 //!   pushes a planted FD under θ and one full self-healing cycle
-//!   (trigger, projection, seeded mine, atomic apply, kernel
-//!   re-measure) repairs the cover.
+//!   (trigger, projection, mine, atomic apply, kernel re-measure)
+//!   repairs the cover.
 //! * `ingest_chunked` — the CSV loading path every command pays first:
 //!   a ~150k-row tax CSV through the chunked zero-copy scanner and
 //!   dictionary encoder (serial; thread scaling is the ingest bench's
@@ -114,11 +117,13 @@ fn run_validate(rel: &Relation, rules: &[Cfd]) -> u64 {
     validate(rel, rules.iter(), &opts).total_violations() as u64
 }
 
-fn run_ctane(rel: &Relation) -> u64 {
-    let opts = DiscoverOptions::new(2).threads(1);
-    let d = Algo::Ctane
+/// One single-threaded `discover_with` run; the cover size keeps the
+/// work observable.
+fn run_discover(algo: Algo, k: usize, rel: &Relation) -> u64 {
+    let opts = DiscoverOptions::new(k).threads(1);
+    let d = algo
         .discover_with(rel, &opts, &Control::default())
-        .expect("ctane discovers");
+        .expect("guard workloads discover");
     d.cover.len() as u64
 }
 
@@ -158,8 +163,8 @@ fn run_stream(engine: &mut StreamEngine, batch: &[Vec<u32>]) -> u64 {
 /// `[AC] -> CT` rule is pushed under θ by a batch of conflicting
 /// inserts (CT codes shifted against matching ACs), then healed by one
 /// full re-mining cycle. Each round pays the whole self-healing path —
-/// engine warm, drift batch, trigger, neighborhood projection,
-/// seeded mine, atomic apply, kernel re-measure.
+/// engine warm, drift batch, trigger, neighborhood projection, mine,
+/// atomic apply, kernel re-measure.
 fn remine_workload() -> (Relation, Vec<Cfd>, Vec<Vec<u32>>) {
     const WARM: usize = 3_000;
     const DRIFT: usize = 600;
@@ -287,8 +292,8 @@ struct Measured {
     ratio: f64,
 }
 
-/// Times the calibration loop and all four workloads; ratios are
-/// relative to this run's own calibration.
+/// Times the calibration loop and every workload; ratios are relative
+/// to this run's own calibration.
 fn measure() -> (f64, Vec<Measured>) {
     let calib_ms = best_of_ms(3, calibration);
     eprintln!("# calibration: {calib_ms:.1} ms");
@@ -303,9 +308,17 @@ fn measure() -> (f64, Vec<Measured>) {
     });
 
     let rel = TaxGenerator::new(1_000).generate();
-    let ms = best_of_ms(3, || run_ctane(&rel));
+    let ms = best_of_ms(3, || run_discover(Algo::Ctane, 2, &rel));
     out.push(Measured {
         name: "ctane_levelwise",
+        ms,
+        ratio: ms / calib_ms,
+    });
+
+    let rel = TaxGenerator::new(20_000).seed(1).generate();
+    let ms = best_of_ms(3, || run_discover(Algo::FastCfd, 20, &rel));
+    out.push(Measured {
+        name: "fastcfd_closed2",
         ms,
         ratio: ms / calib_ms,
     });

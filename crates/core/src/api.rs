@@ -652,8 +652,8 @@ pub trait Discoverer {
 
     /// [`Discoverer::run`] with self-reported rule measures: algorithms
     /// that already hold the groupings behind each emitted rule (the
-    /// level-wise miners' partitions, CFDMiner's free-set supports)
-    /// return `Some(measures)` aligned with the cover's canonical
+    /// level-wise miners' partitions, the free-set supports of CFDMiner
+    /// and FastCFD) return `Some(measures)` aligned with the cover's canonical
     /// order, and [`Discoverer::discover_with`] skips its kernel
     /// measuring pass entirely. The default returns `None` — the
     /// kernel pass measures the cover in one sharded scan.
@@ -792,9 +792,9 @@ pub trait Discoverer {
             }
         }
         // annotate every rule with its measured support and confidence.
-        // The level-wise miners measure at emission from the partitions
-        // they already hold (`run_measured`); everything else gets one
-        // kernel CoverPlan pass (sharded like `cfd check`), aligned
+        // The level-wise and free-set miners measure at emission from the
+        // partitions or supports they already hold (`run_measured`);
+        // FastFD and BruteForce get one kernel CoverPlan pass (sharded like `cfd check`), aligned
         // with the cover's canonical order.
         let t_measure = std::time::Instant::now();
         let mut measures: Vec<RuleMeasure> = match self_measures {
@@ -979,6 +979,19 @@ impl Discoverer for Ctane {
     }
 }
 
+impl FastCfd {
+    /// The instance `discover_with` actually runs: shared knobs from
+    /// the options, ablation knobs (mode, reordering, constant-CFD
+    /// delegation, free-set pruning) from `self`.
+    fn configured(&self, opts: &DiscoverOptions) -> FastCfd {
+        FastCfd {
+            k: opts.k,
+            threads: opts.threads.max(1),
+            ..*self
+        }
+    }
+}
+
 impl Discoverer for FastCfd {
     fn algo(&self) -> Algo {
         if self.mode == DiffSetMode::StrippedPartitions {
@@ -995,14 +1008,18 @@ impl Discoverer for FastCfd {
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<CanonicalCover, DiscoverError> {
-        // shared knobs from opts; ablation knobs (mode, reordering,
-        // constant-CFD delegation, free-set pruning) from self
-        let alg = FastCfd {
-            k: opts.k,
-            threads: opts.threads.max(1),
-            ..*self
-        };
-        Ok(alg.run(rel, ctrl, stats)?)
+        Ok(self.configured(opts).run(rel, ctrl, stats)?)
+    }
+
+    fn run_measured(
+        &self,
+        rel: &Relation,
+        opts: &DiscoverOptions,
+        ctrl: &Control<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+        let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
+        Ok((cover, Some(measures)))
     }
 }
 

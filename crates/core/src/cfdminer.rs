@@ -46,9 +46,9 @@ impl CfdMiner {
     }
 
     /// Shards the item-set mining pass (per-level closures and the
-    /// deep-level prefix joins) across `threads` workers; `1` (the
-    /// default) mines serially. Output is byte-identical for every
-    /// thread count.
+    /// extension step that builds each level) across `threads`
+    /// workers; `1` (the default) mines serially. Output is
+    /// byte-identical for every thread count.
     pub fn threads(mut self, threads: usize) -> CfdMiner {
         self.threads = threads.max(1);
         self
@@ -120,36 +120,29 @@ impl CfdMiner {
         ctrl.check()?;
         ctrl.report("mine", 1, 1);
         let t1 = std::time::Instant::now();
-        let (out, meas) = if approx {
+        let rules = if approx {
             self.approx_rules(rel, &mined, stats)
         } else {
             self.exact_rules(&mined, stats)
         };
         stats.phase("rhs-items", t1.elapsed());
-        Ok(CanonicalCover::from_measured(
-            out.into_iter().zip(meas).collect(),
-        ))
+        Ok(CanonicalCover::from_measured(rules))
     }
 
-    /// Exact discovery over an existing mining result, filling `stats`
-    /// — the entry point FastCFD shares when it delegates constant CFDs
-    /// here, so the mining cost is paid once.
-    pub(crate) fn mined_with_stats(
+    /// The exact free/closed RHS pass over an existing mining result,
+    /// filling `stats`, with each emitted rule's measure —
+    /// `RuleMeasure::exact(support)` by construction: the RHS item lies
+    /// in the closure, so every supporting tuple carries it. FastCFD
+    /// shares this entry point when it delegates constant CFDs here, so
+    /// the mining cost is paid once.
+    pub(crate) fn exact_rules(
         &self,
         mined: &Mined,
         stats: &mut SearchStats,
-    ) -> CanonicalCover {
-        CanonicalCover::from_cfds(self.exact_rules(mined, stats).0)
-    }
-
-    /// The exact free/closed RHS pass, with each emitted rule's measure
-    /// — `RuleMeasure::exact(support)` by construction: the RHS item
-    /// lies in the closure, so every supporting tuple carries it.
-    fn exact_rules(&self, mined: &Mined, stats: &mut SearchStats) -> (Vec<Cfd>, Vec<RuleMeasure>) {
+    ) -> Vec<(Cfd, RuleMeasure)> {
         stats.free_sets += mined.free.len() as u64;
         stats.closed_sets += mined.closed.len() as u64;
-        let mut out: Vec<Cfd> = Vec::new();
-        let mut meas: Vec<RuleMeasure> = Vec::new();
+        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
         for free in &mined.free {
             let clo = &mined.closed[free.closure as usize].pattern;
             // candidate RHS items: closure minus the free pattern itself
@@ -177,14 +170,16 @@ impl CfdMiner {
                 if !forbidden.contains(&(a, v)) {
                     let code = v.as_const().expect("closures are all-constant");
                     stats.emitted += 1;
-                    out.push(Cfd::new(free.pattern.clone(), a, PVal::Const(code)));
-                    meas.push(RuleMeasure::exact(free.support as usize));
+                    out.push((
+                        Cfd::new(free.pattern.clone(), a, PVal::Const(code)),
+                        RuleMeasure::exact(free.support as usize),
+                    ));
                 } else {
                     stats.pruned += 1;
                 }
             }
         }
-        (out, meas)
+        out
     }
 
     /// The θ-tolerant RHS pass: for every k-frequent free pattern
@@ -206,12 +201,11 @@ impl CfdMiner {
         rel: &Relation,
         mined: &Mined,
         stats: &mut SearchStats,
-    ) -> (Vec<Cfd>, Vec<RuleMeasure>) {
+    ) -> Vec<(Cfd, RuleMeasure)> {
         let theta = self.min_confidence;
         stats.free_sets += mined.free.len() as u64;
         stats.closed_sets += mined.closed.len() as u64;
-        let mut out: Vec<Cfd> = Vec::new();
-        let mut meas: Vec<RuleMeasure> = Vec::new();
+        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
         // (free-set index, attr) → per-code frequency over the free
         // set's supporting tuples, memoized: every candidate probes all
         // generalizations (the empty pattern — all n rows — included),
@@ -265,18 +259,20 @@ impl CfdMiner {
                         stats.pruned += 1;
                     } else {
                         stats.emitted += 1;
-                        out.push(Cfd::new(free.pattern.clone(), a, PVal::Const(code)));
                         // supp tuples match the LHS; all but the cnt
                         // carrying the RHS value must be removed
-                        meas.push(RuleMeasure {
-                            support: supp,
-                            violations: supp - cnt,
-                        });
+                        out.push((
+                            Cfd::new(free.pattern.clone(), a, PVal::Const(code)),
+                            RuleMeasure {
+                                support: supp,
+                                violations: supp - cnt,
+                            },
+                        ));
                     }
                 }
             }
         }
-        (out, meas)
+        out
     }
 }
 

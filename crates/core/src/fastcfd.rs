@@ -26,6 +26,7 @@ use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::fxhash::FxHashMap;
+use cfd_model::measure::RuleMeasure;
 use cfd_model::pattern::{PVal, Pattern};
 use cfd_model::progress::{Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
@@ -53,8 +54,13 @@ struct DiffSetEngine<'a> {
     dm_cache: FxHashMap<(Pattern, AttrId), Rc<Vec<AttrSet>>>,
 }
 
-/// Builds the Closed₂(r) index once (shared by every engine/thread).
-fn build_closed2_index(rel: &Relation, mode: DiffSetMode) -> Option<ClosedSetIndex> {
+/// Builds the Closed₂(r) index once (shared by every engine/thread),
+/// mining on `threads` workers.
+fn build_closed2_index(
+    rel: &Relation,
+    mode: DiffSetMode,
+    threads: usize,
+) -> Option<ClosedSetIndex> {
     match mode {
         DiffSetMode::ClosedSets => {
             let mined2 = mine_free_closed(
@@ -62,6 +68,7 @@ fn build_closed2_index(rel: &Relation, mode: DiffSetMode) -> Option<ClosedSetInd
                 2,
                 MineOptions {
                     keep_tids: false,
+                    threads,
                     ..MineOptions::default()
                 },
             );
@@ -236,8 +243,11 @@ impl FastCfd {
 
     /// Runs `FindCover` for different RHS attributes on `threads` OS
     /// threads (FindCover is embarrassingly parallel across RHS
-    /// attributes; the Closed₂ index is shared read-only). `1` (default)
-    /// keeps the paper's single-threaded execution model.
+    /// attributes; the Closed₂ index is shared read-only), and shards
+    /// both item-set mining passes (the k-frequent free sets and the
+    /// Closed₂ index) over the same workers. `1` (default) keeps the
+    /// paper's single-threaded execution model. Output is
+    /// byte-identical for every thread count.
     pub fn threads(mut self, threads: usize) -> FastCfd {
         self.threads = threads.max(1);
         self
@@ -267,11 +277,27 @@ impl FastCfd {
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<CanonicalCover, Cancelled> {
+        Ok(self.run_measured(rel, ctrl, stats)?.0)
+    }
+
+    /// [`FastCfd::run`], additionally returning each rule's
+    /// [`RuleMeasure`] (aligned with the cover's canonical order).
+    /// Every emitted rule holds exactly, so its measure is
+    /// `RuleMeasure::exact` of its free pattern's support — no
+    /// separate measuring scan is needed.
+    pub fn run_measured(
+        &self,
+        rel: &Relation,
+        ctrl: &Control<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
         let t0 = std::time::Instant::now();
         let mined = mine_free_closed(
             rel,
             self.k,
             MineOptions {
+                // only NaiveFast's per-pattern agree sets read tidsets
+                keep_tids: self.mode == DiffSetMode::StrippedPartitions,
                 free_only: self.free_set_pruning,
                 threads: self.threads,
                 ..MineOptions::default()
@@ -282,28 +308,29 @@ impl FastCfd {
         self.run_mined(rel, &mined, ctrl, stats)
     }
 
-    /// Discovery over a pre-mined free-set collection (must have been
-    /// mined with the same `k` and with tidsets retained), with run
-    /// control and instrumentation (see [`FastCfd::run`]).
+    /// Measured discovery over a pre-mined free-set collection (see
+    /// [`FastCfd::run_measured`]). It must have been mined with the
+    /// same `k`, and with tidsets retained when the difference-set
+    /// engine is [`DiffSetMode::StrippedPartitions`].
     pub fn run_mined(
         &self,
         rel: &Relation,
         mined: &Mined,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        let mut out: Vec<Cfd> = Vec::new();
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
+        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
         if mined.free.is_empty() {
-            return Ok(CanonicalCover::from_cfds(out));
+            return Ok((CanonicalCover::default(), Vec::new()));
         }
         let t0 = std::time::Instant::now();
-        let index = build_closed2_index(rel, self.mode);
+        let index = build_closed2_index(rel, self.mode, self.threads);
         if self.mode == DiffSetMode::ClosedSets {
             stats.phase("index", t0.elapsed());
         }
         if self.constants_via_cfdminer {
-            // mined_with_stats counts free/closed sets itself
-            out.extend(CfdMiner::new(self.k).mined_with_stats(mined, stats));
+            // exact_rules counts free/closed sets itself
+            out.extend(CfdMiner::new(self.k).exact_rules(mined, stats));
         } else {
             stats.free_sets += mined.free.len() as u64;
             stats.closed_sets += mined.closed.len() as u64;
@@ -357,7 +384,7 @@ impl FastCfd {
             }
         }
         stats.phase("findcover", t1.elapsed());
-        Ok(CanonicalCover::from_cfds(out))
+        Ok(CanonicalCover::from_measured(out))
     }
 
     /// `FindCover(A, r, k)`: all minimal k-frequent CFDs with RHS `A`.
@@ -368,7 +395,7 @@ impl FastCfd {
         mined: &Mined,
         engine: &mut DiffSetEngine<'_>,
         rhs: AttrId,
-        out: &mut Vec<Cfd>,
+        out: &mut Vec<(Cfd, RuleMeasure)>,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(), Cancelled> {
@@ -379,6 +406,8 @@ impl FastCfd {
             if pattern.attrs().contains(rhs) {
                 continue;
             }
+            // every emitted rule holds exactly on the pattern's tuples
+            let measure = RuleMeasure::exact(mined.free[fi].support as usize);
             let clo = mined.closure_of(fi);
             if clo.pattern.attrs().contains(rhs) {
                 // Dᵐ_A(r_tp) = ∅: A is constant on r_tp — step 3.a
@@ -400,7 +429,7 @@ impl FastCfd {
                             .and_then(PVal::as_const)
                             .expect("closures are all-constant");
                         stats.emitted += 1;
-                        out.push(Cfd::new(pattern.clone(), rhs, PVal::Const(a_code)));
+                        out.push((Cfd::new(pattern.clone(), rhs, PVal::Const(a_code)), measure));
                     } else {
                         stats.pruned += 1;
                     }
@@ -451,7 +480,7 @@ impl FastCfd {
                 stats.emitted += 1;
                 let lhs =
                     Pattern::from_pairs(pattern.iter().chain(y.iter().map(|b| (b, PVal::Var))));
-                out.push(Cfd::variable(lhs, rhs));
+                out.push((Cfd::variable(lhs, rhs), measure));
             };
             self.find_min(&dm, &candidates, AttrSet::EMPTY, &mut emit);
         }
@@ -543,7 +572,7 @@ mod tests {
             .map(|&n| (n, r.schema().attr_id(n).unwrap()))
             .collect();
         for mode in [DiffSetMode::ClosedSets, DiffSetMode::StrippedPartitions] {
-            let index = build_closed2_index(&r, mode);
+            let index = build_closed2_index(&r, mode, 1);
             let mut engine = DiffSetEngine::new(&r, mode, index.as_ref());
             let cc01 = Pattern::from_pairs([(
                 ids["CC"],

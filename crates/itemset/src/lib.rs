@@ -13,10 +13,13 @@
 //! 2-frequent closed sets as its difference-set oracle (Section 5.5).
 //!
 //! The miner here is a level-wise *generator-based* algorithm: free sets
-//! are downward closed under the item-set containment order, so an
-//! Apriori-style traversal with tidset intersection enumerates exactly
-//! the k-frequent free sets; closures are obtained by an early-exit
-//! column scan over each free set's tidset. The output — the
+//! are downward closed under the item-set containment order, so a
+//! level-wise traversal enumerates exactly the k-frequent free sets. Each
+//! level is built by one extension step: every node's tidset is split by
+//! the codes of each attribute after its last, and a part of at least
+//! `k` tuples becomes a child when all its immediate sub-patterns are
+//! free sets of the level with strictly larger support. Closures are
+//! obtained by an early-exit column scan over each free set's tidset. The output — the
 //! (free, closed, C2F) triple — is identical to GCGrowth's, which is all
 //! the discovery algorithms observe (see DESIGN.md §2 for the
 //! substitution note).

@@ -43,8 +43,9 @@ pub struct ClosedSet {
 /// Mining options.
 #[derive(Clone, Copy, Debug)]
 pub struct MineOptions {
-    /// Retain each free set's tidset (needed by FastCFD's difference-set
-    /// computation; CFDMiner alone does not need them).
+    /// Retain each free set's tidset (read by NaiveFast's per-pattern
+    /// agree sets and CFDMiner's approximate pass; exact CFDMiner and
+    /// FastCFD's closed-set engine do not need them).
     pub keep_tids: bool,
     /// Optional cap on the size of mined free sets (`None` = unbounded).
     pub max_len: Option<usize>,
@@ -54,9 +55,9 @@ pub struct MineOptions {
     /// "5–10×" free-set-pruning claim.
     pub free_only: bool,
     /// Worker threads for the per-level closure computation and the
-    /// deep-level prefix joins (`1` = serial). The mined result is
+    /// extension step (`1` = serial). The mined result is
     /// byte-identical for every thread count: workers own disjoint
-    /// chunks/runs and results merge in input order.
+    /// chunks of nodes and results merge in node order.
     pub threads: usize,
 }
 
@@ -114,39 +115,32 @@ fn pattern_of(items: &[(usize, u32)]) -> Pattern {
     Pattern::from_pairs(items.iter().map(|&(a, c)| (a, PVal::Const(c))))
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers, results
-/// concatenated in input order — a thin wrapper over the shared
-/// [`shard_runs`](cfd_model::progress::shard_runs) harness (one item
-/// per run; mining has no cancellation handle, so the default
-/// never-cancelled control is used).
-fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// Maps `f` over `items` on up to `threads` scoped workers, each owning
+/// one `scratch`, results concatenated in input order — a thin wrapper
+/// over the shared [`shard_runs`](cfd_model::progress::shard_runs)
+/// harness. A run is a contiguous chunk of items, about eight per
+/// worker, so the per-run bookkeeping stays small next to the work;
+/// mining has no cancellation handle, so the default never-cancelled
+/// control is used.
+fn par_map<T: Sync, S, R: Send>(
+    items: &[T],
+    threads: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&T, &mut S) -> R + Sync,
+) -> Vec<R> {
     use cfd_model::progress::{shard_runs, Control, SearchStats};
+    let chunks: Vec<&[T]> = items
+        .chunks(items.len().div_ceil(threads.max(1) * 8).max(1))
+        .collect();
     shard_runs(
-        items,
+        &chunks,
         threads,
         &Control::default(),
         &mut SearchStats::default(),
-        || (),
-        |item, _scratch, _stats, out| out.push(f(item)),
+        scratch,
+        |chunk, scratch, _stats, out| out.extend(chunk.iter().map(|item| f(item, scratch))),
     )
     .expect("default Control is never cancelled")
-}
-
-fn intersect(a: &[TupleId], b: &[TupleId]) -> Vec<TupleId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Computes `clo(X, tp)` for a tidset: every `(B, b)` item shared by all
@@ -166,10 +160,102 @@ fn closure_of_tids(rel: &Relation, tids: &[TupleId]) -> Pattern {
     Pattern::new(attrs, vals)
 }
 
+/// One worker's scratch for [`children`]: a tuple count per code of the
+/// widest column (all zero between splits), the codes the current split
+/// touched, the parts it keeps, and a sub-pattern buffer.
+#[derive(Default)]
+struct Split {
+    count: Vec<u32>,
+    touched: Vec<u32>,
+    kept: Vec<(u32, usize)>,
+    sub: Vec<(usize, u32)>,
+}
+
+/// The extension step: the children of `node` one level down. For each
+/// attribute `B` after the node's last, the node's tidset splits by
+/// `B`'s codes, and a part of at least `k` tuples is a candidate. The
+/// candidate is kept when every immediate sub-pattern is in the current
+/// level (`supp`, keyed by item list) and, when only free sets are
+/// mined, has strictly larger support. Children come out ascending by
+/// item list, each tidset ascending.
+fn children(
+    rel: &Relation,
+    node: &Node,
+    supp: &FxHashMap<&[(usize, u32)], usize>,
+    k: usize,
+    free_only: bool,
+    s: &mut Split,
+) -> Vec<Node> {
+    let mut out = Vec::new();
+    let first = node.items.last().map_or(0, |&(a, _)| a + 1);
+    for b in first..rel.arity() {
+        let codes = rel.column(b).codes();
+        for &t in &node.tids {
+            let c = codes[t as usize];
+            if s.count[c as usize] == 0 {
+                s.touched.push(c);
+            }
+            s.count[c as usize] += 1;
+        }
+        for &c in &s.touched {
+            let support = std::mem::take(&mut s.count[c as usize]) as usize;
+            // the node itself is one immediate sub-pattern; each other
+            // one drops a node item and keeps (B, c)
+            if support < k || (free_only && support == node.tids.len()) {
+                continue;
+            }
+            let subs_pass = (0..node.items.len()).all(|drop| {
+                s.sub.clear();
+                s.sub.extend_from_slice(&node.items[..drop]);
+                s.sub.extend_from_slice(&node.items[drop + 1..]);
+                s.sub.push((b, c));
+                supp.get(&s.sub[..])
+                    .is_some_and(|&sub_support| !free_only || sub_support > support)
+            });
+            if subs_pass {
+                s.kept.push((c, support));
+            }
+        }
+        s.touched.clear();
+        if s.kept.is_empty() {
+            continue;
+        }
+        // one more pass routes the tuples to the kept parts; meanwhile a
+        // kept code's count holds its part's slot + 1
+        s.kept.sort_unstable();
+        let base = out.len();
+        for (slot, &(c, support)) in s.kept.iter().enumerate() {
+            s.count[c as usize] = slot as u32 + 1;
+            let mut items = Vec::with_capacity(node.items.len() + 1);
+            items.extend_from_slice(&node.items);
+            items.push((b, c));
+            out.push(Node {
+                items,
+                tids: Vec::with_capacity(support),
+            });
+        }
+        for &t in &node.tids {
+            let slot = s.count[codes[t as usize] as usize];
+            if slot != 0 {
+                out[base + slot as usize - 1].tids.push(t);
+            }
+        }
+        for &(c, _) in &s.kept {
+            s.count[c as usize] = 0;
+        }
+        s.kept.clear();
+    }
+    out
+}
+
 /// Mines the k-frequent free item sets of `rel`, their closures, and the
 /// C2F mapping. `k ≥ 1` is required; the empty pattern is included as a
 /// free set whenever `|r| ≥ k` (its closure collects the constant
 /// columns of `rel`).
+///
+/// A level costs one pass over its nodes' tidsets per later attribute
+/// (the extension step), not one tidset intersection per pair of
+/// siblings as in a prefix join.
 pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
     assert!(k >= 1, "support threshold k must be at least 1");
     let n = rel.n_rows();
@@ -179,206 +265,75 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
     }
 
     let mut closed_by_pattern: FxHashMap<Pattern, u32> = FxHashMap::default();
-    let register = |out: &mut Mined,
-                    closed_by_pattern: &mut FxHashMap<Pattern, u32>,
-                    items: &[(usize, u32)],
-                    tids: Vec<TupleId>,
-                    closure: Pattern| {
-        let support = tids.len() as u32;
-        let cidx = *closed_by_pattern.entry(closure.clone()).or_insert_with(|| {
-            out.closed.push(ClosedSet {
-                pattern: closure,
-                support,
-            });
-            (out.closed.len() - 1) as u32
-        });
-        let pattern = pattern_of(items);
-        let fidx = out.free.len() as u32;
-        out.c2f.resize(out.closed.len(), Vec::new());
-        out.c2f[cidx as usize].push(fidx);
-        out.free_by_pattern.insert(pattern.clone(), fidx);
-        out.free.push(FreeSet {
-            pattern,
-            support,
-            closure: cidx,
-            tids: if opts.keep_tids { Some(tids) } else { None },
-        });
-    };
-
-    // level 0: the empty pattern
-    let all: Vec<TupleId> = (0..n as TupleId).collect();
-    let clo_empty = closure_of_tids(rel, &all);
-    register(&mut out, &mut closed_by_pattern, &[], all, clo_empty);
-    if opts.max_len == Some(0) {
-        return out;
-    }
-
-    // level 1: single items with freq ≥ k; free iff freq < n (an item held
-    // by every tuple belongs to clo(∅))
-    let mut level: Vec<Node> = Vec::new();
-    for a in 0..rel.arity() {
-        let col = rel.column(a);
-        let dom = col.domain_size();
-        let mut tid_lists: Vec<Vec<TupleId>> = vec![Vec::new(); dom];
-        for (t, &c) in col.codes().iter().enumerate() {
-            tid_lists[c as usize].push(t as TupleId);
-        }
-        for (c, tids) in tid_lists.into_iter().enumerate() {
-            // an item held by every tuple is not free (it lies in clo(∅))
-            if tids.len() >= k && (tids.len() < n || !opts.free_only) {
-                level.push(Node {
-                    items: vec![(a, c as u32)],
-                    tids,
-                });
-            }
-        }
-    }
-    // deterministic order: by (attr, code)
-    level.sort_unstable_by(|x, y| x.items.cmp(&y.items));
-
-    let mut level_no = 1usize;
+    // level 0 is the empty pattern, held by every tuple; every later
+    // level is the extension step applied to each node of the one before
+    // (from ∅ it yields the k-frequent single items, free iff held by
+    // fewer than all tuples — an item every tuple holds is in clo(∅))
+    let widest = (0..rel.arity())
+        .map(|a| rel.column(a).domain_size())
+        .max()
+        .unwrap_or(0);
+    let mut level = vec![Node {
+        items: Vec::new(),
+        tids: (0..n as TupleId).collect(),
+    }];
+    let mut level_no = 0usize;
     loop {
-        // register this level's nodes; remember supports for the freeness
-        // checks of the next level's joins. Closures are independent per
-        // node — the one parallel-friendly chunk of the register pass —
-        // and merge back in node order, keeping the result deterministic.
-        let closures: Vec<Pattern> = par_map(&level, opts.threads, |node| {
-            closure_of_tids(rel, &node.tids)
-        });
-        let mut supp_by_pattern: FxHashMap<Pattern, u32> = FxHashMap::default();
-        for (node, clo) in level.iter().zip(closures) {
-            supp_by_pattern.insert(pattern_of(&node.items), node.tids.len() as u32);
-            register(
-                &mut out,
-                &mut closed_by_pattern,
-                &node.items,
-                node.tids.clone(),
-                clo,
-            );
-        }
-        if level.len() < 2 || opts.max_len == Some(level_no) {
-            break;
-        }
-
-        let mut next: Vec<Node> = Vec::new();
-        if level_no == 1 {
-            // Level 2 by row scan: joining all frequent-item pairs is
-            // quadratic in the item count, but each row only realizes
-            // C(arity, 2) pairs, so scanning rows is linear in the data.
-            let mut freq: Vec<FxHashMap<u32, u32>> = vec![FxHashMap::default(); rel.arity()];
-            for node in &level {
-                let (a, c) = node.items[0];
-                freq[a].insert(c, node.tids.len() as u32);
-            }
-            let mut pair_tids: FxHashMap<(u64, u64), Vec<TupleId>> = FxHashMap::default();
-            let mut row_items: Vec<(usize, u32)> = Vec::with_capacity(rel.arity());
-            for t in 0..n as TupleId {
-                row_items.clear();
-                for (a, fa) in freq.iter().enumerate() {
-                    let c = rel.code(t, a);
-                    if fa.contains_key(&c) {
-                        row_items.push((a, c));
-                    }
-                }
-                for i in 0..row_items.len() {
-                    for j in i + 1..row_items.len() {
-                        let k1 = ((row_items[i].0 as u64) << 32) | row_items[i].1 as u64;
-                        let k2 = ((row_items[j].0 as u64) << 32) | row_items[j].1 as u64;
-                        pair_tids.entry((k1, k2)).or_default().push(t);
-                    }
-                }
-            }
-            for ((k1, k2), tids) in pair_tids {
-                if tids.len() < k {
-                    continue;
-                }
-                let i1 = ((k1 >> 32) as usize, k1 as u32);
-                let i2 = ((k2 >> 32) as usize, k2 as u32);
-                let s1 = freq[i1.0][&i1.1] as usize;
-                let s2 = freq[i2.0][&i2.1] as usize;
-                if tids.len() < s1.min(s2) || !opts.free_only {
-                    next.push(Node {
-                        items: vec![i1, i2],
-                        tids,
-                    });
-                }
-            }
+        // closures and children are independent per node: workers own
+        // disjoint nodes and their results merge back in node order, so
+        // the outcome is identical at every thread count
+        let closures: Vec<Pattern> = par_map(
+            &level,
+            opts.threads,
+            || (),
+            |node, _| closure_of_tids(rel, &node.tids),
+        );
+        let next: Vec<Node> = if opts.max_len == Some(level_no) {
+            Vec::new()
         } else {
-            // deeper levels: classic prefix join over the (much smaller)
-            // current level, sharded across the configured workers —
-            // prefix runs are independent, and the per-run results are
-            // merged in run order (then sorted below), so the outcome is
-            // identical at every thread count
-            let mut runs: Vec<(usize, usize)> = Vec::new();
-            let mut run_start = 0;
-            while run_start < level.len() {
-                let prefix = &level[run_start].items[..level_no - 1];
-                let mut run_end = run_start + 1;
-                while run_end < level.len() && &level[run_end].items[..level_no - 1] == prefix {
-                    run_end += 1;
-                }
-                runs.push((run_start, run_end));
-                run_start = run_end;
-            }
-            let join_run = |&(run_start, run_end): &(usize, usize)| {
-                let mut produced: Vec<Node> = Vec::new();
-                for i in run_start..run_end {
-                    for j in i + 1..run_end {
-                        let (s1, s2) = (&level[i], &level[j]);
-                        let (a1, _) = *s1.items.last().unwrap();
-                        let (a2, _) = *s2.items.last().unwrap();
-                        if a1 == a2 {
-                            // two constants on one attribute never co-occur
-                            continue;
-                        }
-                        let tids = intersect(&s1.tids, &s2.tids);
-                        if tids.len() < k {
-                            continue;
-                        }
-                        let mut items = s1.items.clone();
-                        items.push(*s2.items.last().unwrap());
-                        // the two joined parents cover dropping the last two
-                        // items; the remaining immediate sub-patterns must be
-                        // sets of this level with (for free mining) strictly
-                        // larger support
-                        let mut is_free = tids.len() < s1.tids.len().min(s2.tids.len());
-                        let mut all_subs_present = true;
-                        if is_free || !opts.free_only {
-                            for drop in 0..items.len() - 2 {
-                                let mut sub = items.clone();
-                                sub.remove(drop);
-                                match supp_by_pattern.get(&pattern_of(&sub)) {
-                                    None => {
-                                        all_subs_present = false;
-                                        break;
-                                    }
-                                    Some(&s) => {
-                                        if s as usize == tids.len() {
-                                            is_free = false;
-                                            if opts.free_only {
-                                                break;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if (is_free || !opts.free_only) && all_subs_present {
-                            produced.push(Node { items, tids });
-                        }
-                    }
-                }
-                produced
-            };
-            next = par_map(&runs, opts.threads, join_run)
-                .into_iter()
-                .flatten()
+            let supp: FxHashMap<&[(usize, u32)], usize> = level
+                .iter()
+                .map(|node| (&node.items[..], node.tids.len()))
                 .collect();
+            par_map(
+                &level,
+                opts.threads,
+                || Split {
+                    count: vec![0; widest],
+                    ..Split::default()
+                },
+                |node, s| children(rel, node, &supp, k, opts.free_only, s),
+            )
+            .into_iter()
+            .flatten()
+            .collect()
+        };
+        // the children of ascending nodes, in node order, ascend too
+        debug_assert!(next.windows(2).all(|w| w[0].items < w[1].items));
+        for (node, closure) in level.into_iter().zip(closures) {
+            let support = node.tids.len() as u32;
+            let cidx = *closed_by_pattern.entry(closure.clone()).or_insert_with(|| {
+                out.closed.push(ClosedSet {
+                    pattern: closure,
+                    support,
+                });
+                (out.closed.len() - 1) as u32
+            });
+            let pattern = pattern_of(&node.items);
+            let fidx = out.free.len() as u32;
+            out.c2f.resize(out.closed.len(), Vec::new());
+            out.c2f[cidx as usize].push(fidx);
+            out.free_by_pattern.insert(pattern.clone(), fidx);
+            out.free.push(FreeSet {
+                pattern,
+                support,
+                closure: cidx,
+                tids: opts.keep_tids.then_some(node.tids),
+            });
         }
         if next.is_empty() {
             break;
         }
-        next.sort_unstable_by(|x, y| x.items.cmp(&y.items));
         level = next;
         level_no += 1;
     }

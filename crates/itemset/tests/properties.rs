@@ -1,5 +1,6 @@
 //! Property-based tests for the free/closed item-set miner against the
-//! Section 3.1 definitions, on arbitrary small relations.
+//! Section 3.1 definitions, on arbitrary small relations and on wider
+//! ones whose lattices reach level 3 and beyond.
 
 use cfd_itemset::mine::{mine_free_closed, MineOptions};
 use cfd_itemset::ClosedSetIndex;
@@ -8,34 +9,53 @@ use cfd_model::relation::{Relation, RelationBuilder};
 use cfd_model::schema::Schema;
 use cfd_model::support::pattern_support;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, HashMap};
+
+fn coded_relation(rows: Vec<Vec<u32>>) -> Relation {
+    let arity = rows[0].len();
+    let schema = Schema::new((0..arity).map(|i| format!("A{i}"))).unwrap();
+    let mut b = RelationBuilder::new(schema);
+    for row in &rows {
+        b.push_coded_row(row).unwrap();
+    }
+    b.finish()
+}
 
 fn arb_relation() -> impl Strategy<Value = Relation> {
     (2usize..=4, 1usize..=14)
         .prop_flat_map(|(arity, rows)| {
             proptest::collection::vec(proptest::collection::vec(0u32..3, arity), rows)
         })
-        .prop_map(|rows| {
-            let arity = rows[0].len();
-            let schema = Schema::new((0..arity).map(|i| format!("A{i}"))).unwrap();
-            let mut b = RelationBuilder::new(schema);
-            for row in &rows {
-                b.push_coded_row(row).unwrap();
-            }
-            b.finish()
+        .prop_map(coded_relation)
+}
+
+/// Up to six attributes and 60 rows over three values: frequent item
+/// sets of three to six items are common, so every level the
+/// extension step builds gets exercised.
+fn arb_wide_relation() -> impl Strategy<Value = Relation> {
+    (2usize..=6, 1usize..=60)
+        .prop_flat_map(|(arity, rows)| {
+            proptest::collection::vec(proptest::collection::vec(0u32..3, arity), rows)
         })
+        .prop_map(coded_relation)
+}
+
+/// The support of every realized pattern, counted by projecting each
+/// tuple onto every attribute subset.
+fn realized_supports(rel: &Relation) -> HashMap<Pattern, usize> {
+    let mut supp = HashMap::new();
+    for attrs in cfd_model::attrset::AttrSet::full(rel.arity()).subsets() {
+        for t in rel.tuples() {
+            let p = Pattern::from_pairs(attrs.iter().map(|a| (a, PVal::Const(rel.code(t, a)))));
+            *supp.entry(p).or_insert(0) += 1;
+        }
+    }
+    supp
 }
 
 /// All distinct constant patterns realized by some tuple, per attr subset.
 fn realized_patterns(rel: &Relation) -> Vec<Pattern> {
-    let mut out = std::collections::HashSet::new();
-    for attrs in cfd_model::attrset::AttrSet::full(rel.arity()).subsets() {
-        for t in rel.tuples() {
-            out.insert(Pattern::from_pairs(
-                attrs.iter().map(|a| (a, PVal::Const(rel.code(t, a)))),
-            ));
-        }
-    }
-    out.into_iter().collect()
+    realized_supports(rel).into_keys().collect()
 }
 
 proptest! {
@@ -123,6 +143,65 @@ proptest! {
     }
 
     #[test]
+    fn all_frequent_mining_is_exact(rel in arb_wide_relation(), k in 1usize..=4) {
+        // free_only off lists every k-frequent pattern, each once
+        let all = mine_free_closed(
+            &rel,
+            k,
+            MineOptions { free_only: false, ..MineOptions::default() },
+        );
+        let got: BTreeMap<Pattern, usize> = all
+            .free
+            .iter()
+            .map(|f| (f.pattern.clone(), f.support as usize))
+            .collect();
+        prop_assert_eq!(got.len(), all.free.len(), "a pattern was mined twice");
+        let want: BTreeMap<Pattern, usize> = realized_supports(&rel)
+            .into_iter()
+            .filter(|&(_, s)| s >= k)
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn wide_relations_mine_exactly_the_free_sets_and_closures(
+        rel in arb_wide_relation(), k in 1usize..=4
+    ) {
+        let mined = mine_free_closed(&rel, k, MineOptions::default());
+        let supp = realized_supports(&rel);
+        // free: every strictly more general pattern (a projection) has
+        // strictly larger support
+        let want: BTreeMap<Pattern, usize> = supp
+            .iter()
+            .filter(|&(p, &s)| {
+                s >= k
+                    && p.attrs()
+                        .subsets()
+                        .filter(|&x| x != p.attrs())
+                        .all(|x| supp[&p.project(x)] > s)
+            })
+            .map(|(p, &s)| (p.clone(), s))
+            .collect();
+        let got: BTreeMap<Pattern, usize> = mined
+            .free
+            .iter()
+            .map(|f| (f.pattern.clone(), f.support as usize))
+            .collect();
+        prop_assert_eq!(&got, &want);
+        for (i, f) in mined.free.iter().enumerate() {
+            prop_assert_eq!(f.tids(), &f.pattern.matching_rows(&rel)[..]);
+            // the closure adds every item all supporting tuples share
+            let t = f.tids()[0];
+            let clo = Pattern::from_pairs((0..rel.arity()).filter_map(|a| {
+                let item = PVal::Const(rel.code(t, a));
+                let wider = f.pattern.with(a, item);
+                (supp.get(&wider) == Some(&(f.support as usize))).then_some((a, item))
+            }));
+            prop_assert_eq!(&mined.closure_of(i).pattern, &clo);
+        }
+    }
+
+    #[test]
     fn free_only_off_is_a_superset(rel in arb_relation(), k in 1usize..=2) {
         let free = mine_free_closed(&rel, k, MineOptions::default());
         let all = mine_free_closed(
@@ -143,39 +222,51 @@ proptest! {
 #[cfg(test)]
 mod threaded_mining {
     use cfd_datagen::random::RandomRelation;
+    use cfd_datagen::tax::TaxGenerator;
     use cfd_itemset::mine::{mine_free_closed, MineOptions};
 
-    /// The mined result is identical at every thread count (chunked
-    /// closures + sharded deep-level joins merge in input order).
+    /// The mined result is identical at every thread count (per-node
+    /// closures and children merge in node order). The random
+    /// relations are small; the 2,000-row tax sample at k 2 reaches
+    /// level 3, like FastCFD's Closed₂ mining.
     #[test]
     fn thread_count_does_not_change_the_mined_sets() {
+        let mut cases: Vec<(String, cfd_model::relation::Relation, usize)> = Vec::new();
         for seed in 0..6 {
-            let rel = RandomRelation::small(seed).generate();
             for k in [1, 2] {
-                let serial = mine_free_closed(&rel, k, MineOptions::default());
-                for threads in [2, 4] {
-                    let sharded = mine_free_closed(
-                        &rel,
-                        k,
-                        MineOptions {
-                            threads,
-                            ..MineOptions::default()
-                        },
-                    );
-                    assert_eq!(serial.free.len(), sharded.free.len());
-                    for (a, b) in serial.free.iter().zip(&sharded.free) {
-                        assert_eq!(a.pattern, b.pattern, "seed {seed} k {k} t {threads}");
-                        assert_eq!(a.support, b.support);
-                        assert_eq!(a.tids(), b.tids());
-                        assert_eq!(a.closure, b.closure);
-                    }
-                    assert_eq!(serial.closed.len(), sharded.closed.len());
-                    for (a, b) in serial.closed.iter().zip(&sharded.closed) {
-                        assert_eq!(a.pattern, b.pattern);
-                        assert_eq!(a.support, b.support);
-                    }
-                    assert_eq!(serial.c2f, sharded.c2f);
+                let rel = RandomRelation::small(seed).generate();
+                cases.push((format!("random seed {seed}"), rel, k));
+            }
+        }
+        let tax = TaxGenerator::new(2_000).seed(1).generate();
+        cases.push(("tax 2000 seed 1".into(), tax, 2));
+        for (name, rel, k) in &cases {
+            let serial = mine_free_closed(rel, *k, MineOptions::default());
+            if name.starts_with("tax") {
+                assert!(serial.free.iter().any(|f| f.pattern.len() == 3));
+            }
+            for threads in [2, 4] {
+                let sharded = mine_free_closed(
+                    rel,
+                    *k,
+                    MineOptions {
+                        threads,
+                        ..MineOptions::default()
+                    },
+                );
+                assert_eq!(serial.free.len(), sharded.free.len());
+                for (a, b) in serial.free.iter().zip(&sharded.free) {
+                    assert_eq!(a.pattern, b.pattern, "{name} k {k} t {threads}");
+                    assert_eq!(a.support, b.support);
+                    assert_eq!(a.tids(), b.tids());
+                    assert_eq!(a.closure, b.closure);
                 }
+                assert_eq!(serial.closed.len(), sharded.closed.len());
+                for (a, b) in serial.closed.iter().zip(&sharded.closed) {
+                    assert_eq!(a.pattern, b.pattern);
+                    assert_eq!(a.support, b.support);
+                }
+                assert_eq!(serial.c2f, sharded.c2f);
             }
         }
     }

@@ -268,7 +268,13 @@ mod engine_parity {
             // run_measured's at-emission numbers must be exactly what a
             // fresh per-rule scan reports — for exact and θ < 1 runs
             for theta in [0.8, 1.0] {
-                for algo in [Algo::Ctane, Algo::Tane, Algo::CfdMiner] {
+                for algo in [
+                    Algo::Ctane,
+                    Algo::Tane,
+                    Algo::CfdMiner,
+                    Algo::FastCfd,
+                    Algo::Naive,
+                ] {
                     let opts = DiscoverOptions::new(k).min_confidence(theta);
                     let d = algo.discover_with(&rel, &opts, &Control::default()).unwrap();
                     prop_assert_eq!(d.measures.len(), d.cover.len());
