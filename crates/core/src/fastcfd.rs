@@ -305,20 +305,6 @@ impl FastCfd {
         );
         stats.phase("mine", t0.elapsed());
         ctrl.check()?;
-        self.run_mined(rel, &mined, ctrl, stats)
-    }
-
-    /// Measured discovery over a pre-mined free-set collection (see
-    /// [`FastCfd::run_measured`]). It must have been mined with the
-    /// same `k`, and with tidsets retained when the difference-set
-    /// engine is [`DiffSetMode::StrippedPartitions`].
-    pub fn run_mined(
-        &self,
-        rel: &Relation,
-        mined: &Mined,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
         let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
         if mined.free.is_empty() {
             return Ok((CanonicalCover::default(), Vec::new()));
@@ -330,7 +316,7 @@ impl FastCfd {
         }
         if self.constants_via_cfdminer {
             // exact_rules counts free/closed sets itself
-            out.extend(CfdMiner::new(self.k).exact_rules(mined, stats));
+            out.extend(CfdMiner::new(self.k).exact_rules(&mined, stats));
         } else {
             stats.free_sets += mined.free.len() as u64;
             stats.closed_sets += mined.closed.len() as u64;
@@ -339,7 +325,7 @@ impl FastCfd {
         if self.threads <= 1 {
             let mut engine = DiffSetEngine::new(rel, self.mode, index.as_ref());
             for rhs in 0..rel.arity() {
-                self.find_cover(rel, mined, &mut engine, rhs, &mut out, ctrl, stats)?;
+                self.find_cover(rel, &mined, &mut engine, rhs, &mut out, ctrl, stats)?;
                 ctrl.report("rhs", rhs + 1, rel.arity());
             }
         } else {
@@ -350,7 +336,7 @@ impl FastCfd {
             let results = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
-                        let index = index.as_ref();
+                        let (index, mined) = (index.as_ref(), &mined);
                         let ctrl = *ctrl;
                         scope.spawn(move || {
                             let mut engine = DiffSetEngine::new(rel, self.mode, index);

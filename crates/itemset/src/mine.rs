@@ -57,7 +57,7 @@ pub struct MineOptions {
     /// Worker threads for the per-level closure computation and the
     /// extension step (`1` = serial). The mined result is
     /// byte-identical for every thread count: workers own disjoint
-    /// chunks of nodes and results merge in node order.
+    /// nodes and results merge in node order.
     pub threads: usize,
 }
 
@@ -118,10 +118,8 @@ fn pattern_of(items: &[(usize, u32)]) -> Pattern {
 /// Maps `f` over `items` on up to `threads` scoped workers, each owning
 /// one `scratch`, results concatenated in input order — a thin wrapper
 /// over the shared [`shard_runs`](cfd_model::progress::shard_runs)
-/// harness. A run is a contiguous chunk of items, about eight per
-/// worker, so the per-run bookkeeping stays small next to the work;
-/// mining has no cancellation handle, so the default never-cancelled
-/// control is used.
+/// harness (one item per run; mining has no cancellation handle, so the
+/// default never-cancelled control is used).
 fn par_map<T: Sync, S, R: Send>(
     items: &[T],
     threads: usize,
@@ -129,16 +127,13 @@ fn par_map<T: Sync, S, R: Send>(
     f: impl Fn(&T, &mut S) -> R + Sync,
 ) -> Vec<R> {
     use cfd_model::progress::{shard_runs, Control, SearchStats};
-    let chunks: Vec<&[T]> = items
-        .chunks(items.len().div_ceil(threads.max(1) * 8).max(1))
-        .collect();
     shard_runs(
-        &chunks,
+        items,
         threads,
         &Control::default(),
         &mut SearchStats::default(),
         scratch,
-        |chunk, scratch, _stats, out| out.extend(chunk.iter().map(|item| f(item, scratch))),
+        |item, scratch, _stats, out| out.push(f(item, scratch)),
     )
     .expect("default Control is never cancelled")
 }
