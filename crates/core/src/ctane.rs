@@ -18,9 +18,30 @@
 //! compare **row** counts instead — the paper's class-count test misses
 //! single-tuple violations of constant RHS patterns (see DESIGN.md §2).
 //!
+//! ## The level in item order
+//!
+//! The walk handles no [`Pattern`]s. Every item of `C⁺(∅)` — each
+//! `(A, _)` and k-frequent `(A, a)` — has an index in the sorted
+//! candidate universe (the internal `Universe`), so an attribute's items
+//! are contiguous and its `(A, _)` comes last; an element's pattern is
+//! the ascending list of its items' indices. Level 1 is the universe's
+//! order and the prefix join of an ascending level emits its children
+//! ascending, so every level stays sorted by item list without a sort:
+//! the join's prefix runs are contiguous, and inside a run the elements
+//! sharing a last attribute form one block that each partner loop starts
+//! past. Step 2 walks the level in *descending* order, which validates
+//! every generalization of `sp` (some constants replaced by `_`, which
+//! sorts after every constant of its attribute) before `sp` itself, so
+//! step 2.c is a *pull*: each element looks up its at most `2^c − 1`
+//! proper generalizations (`c` its number of constants) and applies the
+//! prunes their valid candidates call for. Every lookup — the join's
+//! subsets, step 2's parent counts and generalizations, the partition
+//! store — keys on a borrowed item list; a `Pattern` is built only for
+//! an emitted rule's LHS.
+//!
 //! ## The partition engine underneath
 //!
-//! Partitions live in a [`PartitionStore`] keyed by pattern (DESIGN.md
+//! Partitions live in a [`PartitionStore`] keyed by item list (DESIGN.md
 //! §9): the current level is pinned (it feeds the next level's
 //! refinements), the previous level is — in approximate mode — kept as
 //! evictable cache for the per-class error counts, and everything
@@ -34,14 +55,12 @@
 //! runs across worker threads and merges in run order, so the output
 //! is byte-identical to the serial run.
 //!
-//! `C⁺` sets are bitsets over the *candidate universe* — the initial
-//! list `C⁺(∅)` of every `(A, _)` and k-frequent `(A, a)` item
-//! (the internal `Universe`). The prefix join's per-pair set intersection
-//! (`C⁺(Z) = ∩_B C⁺(Z\B)`) collapses from a merge of sorted item lists
-//! to a handful of word ANDs, and intersecting *all* `ℓ+1` parents
-//! makes condition 1 hold by construction (each attribute of `Z` is
-//! constrained by every parent that retains it), so no separate
-//! filtering pass is needed.
+//! `C⁺` sets are bitsets over the candidate universe. The prefix join's
+//! per-pair set intersection (`C⁺(Z) = ∩_B C⁺(Z\B)`) collapses from a
+//! merge of sorted item lists to a handful of word ANDs, and
+//! intersecting *all* `ℓ+1` parents makes condition 1 hold by
+//! construction (each attribute of `Z` is constrained by every parent
+//! that retains it), so no separate filtering pass is needed.
 //!
 //! With [`Ctane::min_confidence`] below `1.0` the validity test relaxes
 //! to the g1-style partition error of DESIGN.md §8: a wildcard-RHS
@@ -105,98 +124,78 @@ fn bits_is_empty(bits: &[u64]) -> bool {
     bits.iter().all(|&w| w == 0)
 }
 
+/// Keeps only the bits of `items`. By condition 1 an element's `C⁺`
+/// holds no other item on its own attributes, so on an element's item
+/// list this drops exactly the items outside `X`.
+fn retain_items(bits: &mut [u64], items: &[u32]) {
+    // bit p: items[p] was set (an element has at most 64 items)
+    let mut kept = 0u64;
+    for (p, &i) in items.iter().enumerate() {
+        kept |= u64::from(bit_test(bits, i)) << p;
+    }
+    bits.fill(0);
+    for (p, &i) in items.iter().enumerate() {
+        if kept >> p & 1 == 1 {
+            bit_set(bits, i);
+        }
+    }
+}
+
 /// The candidate universe `C⁺(∅)`: every `(A, _)` plus every
-/// k-frequent `(A, a)`, with the per-item masks the bitset `C⁺`
-/// machinery needs.
+/// k-frequent `(A, a)`, sorted. Item `i` is `items[i]`, and bit `i` of
+/// a `C⁺` bitset stands for it.
 struct Universe {
-    /// The items, sorted — bit `i` of a `C⁺` bitset stands for
-    /// `items[i]`.
     items: Vec<(AttrId, PVal)>,
-    index: FxHashMap<(AttrId, PVal), u32>,
-    /// Per item `(a, v)`: every item allowed by condition 1 when the
-    /// element's pattern carries `(a, v)` — items on other attributes,
-    /// plus `(a, v)` itself.
-    allow: Vec<Bits>,
-    /// Per attribute: the items on that attribute.
-    on_attr: Vec<Bits>,
+    /// Per attribute: the index of its `(A, _)` item.
+    wild: Vec<u32>,
+    /// Per attribute: the items on every other attribute.
+    others: Vec<Bits>,
     words: usize,
 }
 
 impl Universe {
     fn new(items: Vec<(AttrId, PVal)>, arity: usize) -> Universe {
         let words = items.len().div_ceil(64);
-        let index: FxHashMap<(AttrId, PVal), u32> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &it)| (it, i as u32))
-            .collect();
-        let mut on_attr = vec![vec![0u64; words]; arity];
-        for (i, &(a, _)) in items.iter().enumerate() {
-            bit_set(&mut on_attr[a], i as u32);
-        }
-        let allow = items
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, _))| {
-                let mut mask: Bits = on_attr[a].iter().map(|w| !w).collect();
-                if let Some(last) = mask.last_mut() {
-                    // padding bits above the universe stay clear
-                    let used = items.len() % 64;
-                    if used > 0 {
-                        *last &= (1u64 << used) - 1;
-                    }
+        let mut wild = vec![0; arity];
+        let mut others = vec![vec![0; words]; arity];
+        for (i, &(a, v)) in (0u32..).zip(&items) {
+            if v == PVal::Var {
+                wild[a] = i;
+            }
+            for (b, bits) in others.iter_mut().enumerate() {
+                if b != a {
+                    bit_set(bits, i);
                 }
-                bit_set(&mut mask, i as u32);
-                mask
-            })
-            .collect();
+            }
+        }
         Universe {
             items,
-            index,
-            allow,
-            on_attr,
+            wild,
+            others,
             words,
         }
     }
 
     #[inline]
-    fn idx(&self, item: (AttrId, PVal)) -> u32 {
-        self.index[&item]
+    fn attr(&self, i: u32) -> AttrId {
+        self.items[i as usize].0
     }
 
-    /// Condition 1 applied to the full universe: the `C⁺` a level-1
-    /// element starts from.
-    fn cond1(&self, pattern: &Pattern) -> Bits {
-        let mut bits = vec![u64::MAX; self.words];
-        if let Some(last) = bits.last_mut() {
-            let used = self.items.len() % 64;
-            if used > 0 {
-                *last = (1u64 << used) - 1;
-            }
-        }
-        for (a, v) in pattern.iter() {
-            bits_and_assign(&mut bits, &self.allow[self.idx((a, v)) as usize]);
-        }
-        bits
-    }
-
-    /// The items on any attribute of `attrs` — what step 2.c keeps.
-    fn on_attrs(&self, attrs: AttrSet) -> Bits {
-        let mut bits = vec![0u64; self.words];
-        for a in attrs.iter() {
-            for (d, s) in bits.iter_mut().zip(&self.on_attr[a]) {
-                *d |= s;
-            }
-        }
+    /// Condition 1 applied to the full universe: the `C⁺` of the
+    /// level-1 element on item `i`.
+    fn cond1(&self, i: u32) -> Bits {
+        let mut bits = self.others[self.attr(i)].clone();
+        bit_set(&mut bits, i);
         bits
     }
 }
 
 /// One lattice element `(X, sp)`. The partition lives in the run's
-/// [`PartitionStore`] under the pattern key; elements carry only its
+/// [`PartitionStore`] under the item list; elements carry only its
 /// counts.
 struct Element {
-    pattern: Pattern,
+    /// `sp` as the ascending indices of its items in the [`Universe`].
+    items: Vec<u32>,
     n_classes: usize,
     n_rows: usize,
     /// The candidate-RHS set `C⁺(X, sp)` as a [`Universe`] bitset.
@@ -210,7 +209,6 @@ struct Generated {
     element: Element,
     partition: Option<StrippedPartition>,
 }
-
 /// Level-wise CFD discovery (Section 4).
 #[derive(Clone, Copy, Debug)]
 pub struct Ctane {
@@ -341,7 +339,7 @@ impl Ctane {
         if n == 0 || n < self.k {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let mut store: PartitionStore<Pattern> = PartitionStore::new(self.cache_budget);
+        let mut store: PartitionStore<Vec<u32>> = PartitionStore::new(self.cache_budget);
         let mut scratch = RefineScratch::for_relation(rel);
 
         // C⁺(∅) = L1: every (A, _) plus every k-frequent (A, a), read
@@ -359,76 +357,101 @@ impl Ctane {
         init_candidates.sort_unstable();
         let uni = Universe::new(init_candidates, arity);
 
-        // level 1: one element per item of C⁺(∅), its partition built
-        // from the same regions
+        // level 1: one element per item of C⁺(∅), in the universe's
+        // order, its partition built from the same regions
         let mut level: Vec<Element> = Vec::with_capacity(uni.items.len());
-        for &(a, v) in &uni.items {
+        for (i, &(a, v)) in (0u32..).zip(&uni.items) {
             let vidx = col_index.column(rel, a);
             let part = match v {
                 PVal::Const(c) => StrippedPartition::from_single_class(vidx.region(c)),
                 PVal::Var => StrippedPartition::from_value_index(vidx),
             };
             stats.partitions += 1;
-            let pattern = Pattern::from_pairs([(a, v)]);
             level.push(Element {
-                cplus: uni.cond1(&pattern),
+                items: vec![i],
                 n_classes: part.n_classes(),
                 n_rows: part.n_rows(),
-                pattern: pattern.clone(),
+                cplus: uni.cond1(i),
             });
-            store.insert_pinned(pattern, 1, part);
+            store.insert_pinned(vec![i], 1, part);
         }
 
         // counts of the level below (the ∅ element at level 0)
-        let mut prev_counts: FxHashMap<Pattern, (usize, usize)> = FxHashMap::default();
-        prev_counts.insert(Pattern::empty(), (1, n));
+        let mut prev_counts: FxHashMap<Vec<u32>, (usize, usize)> = FxHashMap::default();
+        prev_counts.insert(Vec::new(), (1, n));
         if approx {
-            store.insert_pinned(Pattern::empty(), 0, StrippedPartition::full(n));
+            store.insert_pinned(Vec::new(), 0, StrippedPartition::full(n));
             store.unpin_level(0);
         }
+        // reused lookup keys: a candidate's parent, an element's
+        // generalization
+        let (mut parent, mut general) = (Vec::new(), Vec::new());
 
         let mut ell = 1usize;
         loop {
             ctrl.check()?;
             ctrl.report("level", ell, arity);
             let _sp = cfd_obs::span!("ctane.level");
-            // process most-general patterns first (the paper's level order):
-            // within an attribute set, fewer constants ⇒ earlier
-            level.sort_unstable_by(|a, b| {
-                (
-                    a.pattern.attrs(),
-                    a.pattern.const_attrs().len(),
-                    a.pattern.vals(),
-                )
-                    .cmp(&(
-                        b.pattern.attrs(),
-                        b.pattern.const_attrs().len(),
-                        b.pattern.vals(),
-                    ))
-            });
-            // group elements by attribute set for step 2.c, with the
-            // "entries on X only" mask step 2.c intersects with
-            let mut by_attrs: FxHashMap<AttrSet, (Vec<usize>, Bits)> = FxHashMap::default();
-            for (i, e) in level.iter().enumerate() {
-                by_attrs
-                    .entry(e.pattern.attrs())
-                    .or_insert_with(|| (Vec::new(), uni.on_attrs(e.pattern.attrs())))
-                    .0
-                    .push(i);
-            }
+            debug_assert!(
+                level.windows(2).all(|w| w[0].items < w[1].items),
+                "the level is kept in item order"
+            );
 
-            // Step 2: validate candidate CFDs
-            for i in 0..level.len() {
-                let attrs = level[i].pattern.attrs();
-                for a in attrs.iter() {
-                    let ca = level[i].pattern.get(a).expect("a ∈ attrs");
-                    let ci = uni.idx((a, ca));
-                    if !bit_test(&level[i].cplus, ci) {
+            // Step 2: validate candidate CFDs, walking the level in
+            // descending item order so that every generalization of an
+            // element is validated before it (module docs). `held` maps
+            // an element with a valid candidate to the attributes A
+            // whose candidate held, and those that held exactly.
+            let mut held: FxHashMap<&[u32], (AttrSet, AttrSet)> = FxHashMap::default();
+            for e in level.iter_mut().rev() {
+                let Element {
+                    items,
+                    n_classes,
+                    n_rows,
+                    cplus,
+                } = e;
+                let items: &[u32] = items;
+                // Step 2.c, pulled: a generalization g of sp — the
+                // constants on S replaced by `_` — whose candidate on
+                // A ∉ S held removes (A, sp[A]) from C⁺(X, sp), and
+                // everything outside X if it held exactly
+                let consts: AttrSet = items
+                    .iter()
+                    .filter(|&&i| uni.items[i as usize].1.is_const())
+                    .map(|&i| uni.attr(i))
+                    .collect();
+                let mut outside = false;
+                for s in consts.subsets().filter(|s| !s.is_empty()) {
+                    general.clear();
+                    general.extend(items.iter().map(|&i| {
+                        let a = uni.attr(i);
+                        if s.contains(a) {
+                            uni.wild[a]
+                        } else {
+                            i
+                        }
+                    }));
+                    if let Some(&(ok, exact)) = held.get(general.as_slice()) {
+                        let ok = ok.difference(s);
+                        for &i in items {
+                            if ok.contains(uni.attr(i)) {
+                                bit_clear(cplus, i);
+                            }
+                        }
+                        outside |= !exact.difference(s).is_empty();
+                    }
+                }
+
+                let (mut ok, mut exact) = (AttrSet::EMPTY, AttrSet::EMPTY);
+                for &i in items {
+                    if !bit_test(cplus, i) {
                         continue;
                     }
-                    let parent_pat = level[i].pattern.without(a);
+                    let (a, ca) = uni.items[i as usize];
+                    parent.clear();
+                    parent.extend(items.iter().copied().filter(|&j| j != i));
                     let &(p_classes, p_rows) = prev_counts
-                        .get(&parent_pat)
+                        .get(parent.as_slice())
                         .expect("parent element must exist (generation invariant)");
                     stats.candidates += 1;
                     // the exact count tests, or — below θ = 1.0 — the
@@ -438,82 +461,75 @@ impl Ctane {
                     // i.e. the emitted rule's measure — computed here,
                     // where the partitions are at hand.
                     let (valid, violations) = match ca {
+                        PVal::Var if p_classes == *n_classes => (true, 0),
+                        PVal::Const(_) if p_rows == *n_rows => (true, 0),
+                        _ if !approx => (false, 0),
+                        PVal::Const(_) => (keep_meets(*n_rows, p_rows, theta), p_rows - *n_rows),
                         PVal::Var => {
-                            if p_classes == level[i].n_classes {
-                                (true, 0)
-                            } else if approx {
-                                let keep = parent_keep(
-                                    &mut store,
-                                    rel,
-                                    col_index,
-                                    &parent_pat,
-                                    a,
-                                    &mut scratch,
-                                    stats,
-                                );
-                                (keep_meets(keep, p_rows, theta), p_rows - keep)
-                            } else {
-                                (false, 0)
-                            }
-                        }
-                        PVal::Const(_) => {
-                            if p_rows == level[i].n_rows {
-                                (true, 0)
-                            } else if approx {
-                                (
-                                    keep_meets(level[i].n_rows, p_rows, theta),
-                                    p_rows - level[i].n_rows,
-                                )
-                            } else {
-                                (false, 0)
-                            }
+                            // the parent's keep count: served from the
+                            // cache, or rebuilt from the relation on a
+                            // miss and re-offered to the cache — the
+                            // budget only ever trades recomputation,
+                            // never correctness
+                            let keep = match store.get(&parent) {
+                                Some(part) => part.keep_count(rel, a, &mut scratch),
+                                None => {
+                                    let pairs = parent.iter().map(|&j| uni.items[j as usize]);
+                                    let rebuilt = StrippedPartition::of_pattern(
+                                        rel,
+                                        col_index,
+                                        pairs,
+                                        &mut scratch,
+                                    );
+                                    stats.partitions += 1;
+                                    let keep = rebuilt.keep_count(rel, a, &mut scratch);
+                                    store.insert_pinned(parent.clone(), ell as u32 - 1, rebuilt);
+                                    store.unpin(&parent);
+                                    keep
+                                }
+                            };
+                            (keep_meets(keep, p_rows, theta), p_rows - keep)
                         }
                     };
                     if !valid {
                         continue;
                     }
+                    ok.insert(a);
+                    if violations == 0 {
+                        exact.insert(a);
+                    }
                     // canonical-cover convention: skip all-constant-LHS
                     // variable CFDs (implied by their constant counterpart)
-                    let emit = !(ca == PVal::Var && parent_pat.is_all_const());
-                    if emit {
+                    let lhs_all_const = parent.iter().all(|&j| uni.items[j as usize].1.is_const());
+                    if !(ca == PVal::Var && lhs_all_const) {
                         stats.emitted += 1;
-                        out.push(Cfd::new(parent_pat.clone(), a, ca));
+                        let lhs =
+                            Pattern::from_pairs(parent.iter().map(|&j| uni.items[j as usize]));
+                        out.push(Cfd::new(lhs, a, ca));
                         meas.push(RuleMeasure {
                             support: p_rows,
                             violations,
                         });
                     }
-                    // Step 2.c: prune C⁺ of same-attribute-set elements with
-                    // specializing patterns (including this one)
-                    let (members, keep_mask) = &by_attrs[&attrs];
-                    for &j in members {
-                        let ej = &level[j].pattern;
-                        if ej.get(a) != Some(ca) {
-                            continue;
-                        }
-                        // ej.without(a) ⪯ parent_pat, checked pointwise
-                        // without materializing the sub-pattern
-                        let specializes = ej
-                            .iter()
-                            .filter(|&(b, _)| b != a)
-                            .zip(parent_pat.iter())
-                            .all(|((_, vj), (_, vp))| vj.leq(vp));
-                        if !specializes {
-                            continue;
-                        }
-                        let cplus = &mut level[j].cplus;
-                        bit_clear(cplus, ci);
-                        // dropping every item outside X (the second
-                        // half of step 2.c) relies on the parent and
-                        // child partitions coinciding — which only an
-                        // *exact* validity gives. A θ-hold with
-                        // violations left removes just its own RHS
-                        // item; anything more over-prunes and loses
-                        // minimal approximate rules
-                        if violations == 0 {
-                            bits_and_assign(cplus, keep_mask);
-                        }
+                }
+                // step 2.c on the element itself, whose own valid
+                // candidates prune it as they prune its specializations
+                for &i in items {
+                    if ok.contains(uni.attr(i)) {
+                        bit_clear(cplus, i);
                     }
+                }
+                // dropping every item outside X (the second half of
+                // step 2.c) relies on the parent and child partitions
+                // coinciding — which only an *exact* validity gives. A
+                // θ-hold with violations left removes just its own RHS
+                // item; anything more over-prunes and loses minimal
+                // approximate rules
+                if outside || !exact.is_empty() {
+                    retain_items(cplus, items);
+                }
+                if !ok.is_empty() {
+                    held.insert(items, (ok, exact));
                 }
             }
 
@@ -528,39 +544,17 @@ impl Ctane {
 
             // Step 4: generate level ℓ+1 by prefix join, sharded across
             // the configured workers (run order keeps it deterministic)
-            let index: FxHashMap<&Pattern, usize> = level
+            let index: FxHashMap<&[u32], usize> = level
                 .iter()
                 .enumerate()
-                .map(|(i, e)| (&e.pattern, i))
+                .map(|(i, e)| (e.items.as_slice(), i))
                 .collect();
-            // join order: lexicographic on (attr, val) item lists
-            let mut order: Vec<usize> = (0..level.len()).collect();
-            order.sort_unstable_by(|&x, &y| {
-                let ex = &level[x].pattern;
-                let ey = &level[y].pattern;
-                ex.iter().cmp(ey.iter())
-            });
-            // prefix runs: maximal stretches sharing the first ℓ−1 items
+            // prefix runs: maximal stretches sharing the first ℓ−1
+            // items, contiguous in the level's item order
             let mut runs: Vec<(usize, usize)> = Vec::new();
-            let mut run_start = 0;
-            while run_start < order.len() {
-                let prefix: Vec<(AttrId, PVal)> = level[order[run_start]]
-                    .pattern
-                    .iter()
-                    .take(ell - 1)
-                    .collect();
-                let mut run_end = run_start + 1;
-                while run_end < order.len()
-                    && level[order[run_end]]
-                        .pattern
-                        .iter()
-                        .take(ell - 1)
-                        .eq(prefix.iter().copied())
-                {
-                    run_end += 1;
-                }
-                runs.push((run_start, run_end));
-                run_start = run_end;
+            for run in level.chunk_by(|x, y| x.items[..ell - 1] == y.items[..ell - 1]) {
+                let start = runs.last().map_or(0, |&(_, end)| end);
+                runs.push((start, start + run.len()));
             }
             // elements of the *final* level are validated by their
             // counts alone and never refined again — skip materializing
@@ -574,7 +568,6 @@ impl Ctane {
                 uni: &uni,
                 level: &level,
                 index: &index,
-                order: &order,
                 store: &store,
                 ell,
                 last_level,
@@ -612,7 +605,7 @@ impl Ctane {
             }
             prev_counts = level
                 .into_iter()
-                .map(|e| (e.pattern, (e.n_classes, e.n_rows)))
+                .map(|e| (e.items, (e.n_classes, e.n_rows)))
                 .collect();
             level = next;
             ell += 1;
@@ -627,9 +620,9 @@ impl Ctane {
 
 /// Commits a generated element: partition into the store (pinned at
 /// its level), element into the next level.
-fn commit(store: &mut PartitionStore<Pattern>, next: &mut Vec<Element>, g: Generated, ell: usize) {
+fn commit(store: &mut PartitionStore<Vec<u32>>, next: &mut Vec<Element>, g: Generated, ell: usize) {
     if let Some(part) = g.partition {
-        store.insert_pinned(g.element.pattern.clone(), ell as u32 + 1, part);
+        store.insert_pinned(g.element.items.clone(), ell as u32 + 1, part);
     }
     next.push(g.element);
 }
@@ -641,16 +634,18 @@ struct ExpandCtx<'a> {
     col_index: &'a RelationIndex,
     uni: &'a Universe,
     level: &'a [Element],
-    index: &'a FxHashMap<&'a Pattern, usize>,
-    order: &'a [usize],
-    store: &'a PartitionStore<Pattern>,
+    index: &'a FxHashMap<&'a [u32], usize>,
+    store: &'a PartitionStore<Vec<u32>>,
     ell: usize,
     last_level: bool,
 }
 
 impl ExpandCtx<'_> {
     /// Expands one prefix run: every join pair `(x, y)` inside it, in
-    /// order, handing survivors to `emit`.
+    /// order, handing survivors to `emit`. The run's last items ascend,
+    /// so the elements sharing a last attribute — which would give the
+    /// child two items on one attribute — form one block, and each `x`
+    /// pairs only with the elements past its own block.
     fn run_pairs(
         &self,
         (run_start, run_end): (usize, usize),
@@ -658,45 +653,48 @@ impl ExpandCtx<'_> {
         stats: &mut SearchStats,
         mut emit: impl FnMut(Generated),
     ) {
+        let last = |x: usize| *self.level[x].items.last().expect("level ≥ 1");
         let mut buf = StrippedPartition::default();
         let mut cplus: Bits = vec![0; self.uni.words];
+        // the child's items, and the reused key of its other ℓ-subsets
+        let mut z: Vec<u32> = Vec::with_capacity(self.ell + 1);
+        let mut sub: Vec<u32> = Vec::with_capacity(self.ell);
+        let mut block_end = run_start;
         for x in run_start..run_end {
-            for y in x + 1..run_end {
-                let (e1, e2) = (&self.level[self.order[x]], &self.level[self.order[y]]);
-                let (a1, v1) = e1.pattern.iter().last().expect("level ≥ 1");
-                let (a2, v2) = e2.pattern.iter().last().expect("level ≥ 1");
-                if a1 == a2 {
-                    continue;
-                }
+            let e1 = &self.level[x];
+            let (a1, v1) = self.uni.items[last(x) as usize];
+            if x == block_end {
+                block_end = (x + 1..run_end)
+                    .find(|&y| self.uni.attr(last(y)) != a1)
+                    .unwrap_or(run_end);
+            }
+            for y in block_end..run_end {
+                let (e2, i2) = (&self.level[y], last(y));
+                let (a2, v2) = self.uni.items[i2 as usize];
+                z.clear();
+                z.extend_from_slice(&e1.items);
+                z.push(i2);
                 // C⁺(Z) = ∩_B C⁺(Z\B) (step 1); intersecting all ℓ+1
-                // parents implies condition 1 (module docs). Level 1
-                // joins skip the generic subset walk: the only parents
-                // of {i1, i2} are e1 and e2 themselves.
+                // parents implies condition 1 (module docs). e1 is Z
+                // without its last item and e2 without the one before;
+                // (iii) the other ℓ−1 subsets, each without one prefix
+                // item, must be alive elements too
                 cplus.copy_from_slice(&e1.cplus);
                 bits_and_assign(&mut cplus, &e2.cplus);
-                let mut up = None;
-                if self.ell > 1 {
-                    let z = e1.pattern.with(a2, v2);
-                    // (iii) every ℓ-subset must be an alive element
-                    let mut all_present = true;
-                    for b in z.attrs().iter() {
-                        if b == a1 || b == a2 {
-                            continue; // e2 and e1, already intersected
-                        }
-                        match self.index.get(&z.without(b)) {
-                            Some(&pi) => bits_and_assign(&mut cplus, &self.level[pi].cplus),
-                            None => {
-                                all_present = false;
-                                break;
-                            }
+                let mut all_present = true;
+                for p in 0..self.ell - 1 {
+                    sub.clear();
+                    sub.extend_from_slice(&z[..p]);
+                    sub.extend_from_slice(&z[p + 1..]);
+                    match self.index.get(sub.as_slice()) {
+                        Some(&pi) => bits_and_assign(&mut cplus, &self.level[pi].cplus),
+                        None => {
+                            all_present = false;
+                            break;
                         }
                     }
-                    if !all_present {
-                        continue;
-                    }
-                    up = Some(z);
                 }
-                if bits_is_empty(&cplus) {
+                if !all_present || bits_is_empty(&cplus) {
                     continue;
                 }
                 // (ii) refine the cheaper parent's partition and check
@@ -708,7 +706,7 @@ impl ExpandCtx<'_> {
                 };
                 let base_part = self
                     .store
-                    .peek(&base.pattern)
+                    .peek(&base.items)
                     .expect("current level is pinned in the store");
                 if self.last_level {
                     // counts suffice: this element's partition would
@@ -726,7 +724,7 @@ impl ExpandCtx<'_> {
                     }
                     emit(Generated {
                         element: Element {
-                            pattern: up.unwrap_or_else(|| e1.pattern.with(a2, v2)),
+                            items: z.clone(),
                             n_classes,
                             n_rows,
                             cplus: cplus.clone(),
@@ -749,7 +747,7 @@ impl ExpandCtx<'_> {
                     }
                     emit(Generated {
                         element: Element {
-                            pattern: up.unwrap_or_else(|| e1.pattern.with(a2, v2)),
+                            items: z.clone(),
                             n_classes: buf.n_classes(),
                             n_rows: buf.n_rows(),
                             cplus: cplus.clone(),
@@ -760,31 +758,6 @@ impl ExpandCtx<'_> {
             }
         }
     }
-}
-
-/// The keep count of `parent_pat`'s partition w.r.t. RHS attribute `a`:
-/// served from the store when the cache holds it, rebuilt from the
-/// relation (and re-offered to the cache) on a miss — the budget only
-/// ever trades recomputation, never correctness.
-fn parent_keep(
-    store: &mut PartitionStore<Pattern>,
-    rel: &Relation,
-    idx: &RelationIndex,
-    parent_pat: &Pattern,
-    a: AttrId,
-    scratch: &mut RefineScratch,
-    stats: &mut SearchStats,
-) -> usize {
-    if let Some(part) = store.get(parent_pat) {
-        return part.keep_count(rel, a, scratch);
-    }
-    let rebuilt = StrippedPartition::of_pattern(rel, idx, parent_pat.iter(), scratch);
-    stats.partitions += 1;
-    let keep = rebuilt.keep_count(rel, a, scratch);
-    let level = parent_pat.len() as u32;
-    store.insert_pinned(parent_pat.clone(), level, rebuilt);
-    store.unpin(parent_pat);
-    keep
 }
 #[cfg(test)]
 mod tests {
@@ -1027,6 +1000,37 @@ mod completeness_probe {
         assert!(
             cover.contains(&fd),
             "A->B missing from θ=0.9 cover:\n{}",
+            cover.display(&r)
+        );
+    }
+
+    #[test]
+    fn approx_hold_of_a_generalization_does_not_over_prune() {
+        // (A1, A2 → A0, (v1, _ ‖ _)) holds exactly on its 3 rows. At
+        // level 2, the generalization ({A1, A2}, (_, _)) of its parent
+        // ({A1, A2}, (v1, _)) θ-holds (A1 → A2, (_ ‖ _)) with one
+        // violation (keep 5/6 ≥ 0.7). That may remove only (A2, _) from
+        // the parent's C⁺: dropping every item outside {A1, A2} too, as
+        // an exact hold does, takes (A0, _) along, and level 3 never
+        // tests the rule
+        let schema = Schema::new(["A0", "A1", "A2"]).unwrap();
+        let rows = [
+            ["v1", "v0", "v0"],
+            ["v2", "v0", "v0"],
+            ["v1", "v1", "v0"],
+            ["v2", "v1", "v1"],
+            ["v0", "v0", "v0"],
+            ["v2", "v1", "v1"],
+        ];
+        let rows: Vec<Vec<&str>> = rows.iter().map(|r| r.to_vec()).collect();
+        let r = relation_from_rows(schema, &rows).unwrap();
+        let rule = parse_cfd(&r, "([A1, A2] -> A0, (v1, _ || _))").unwrap();
+        let m = cfd_model::measure::measure(&r, &rule);
+        assert_eq!((m.support, m.violations), (3, 0), "premise");
+        let cover = Ctane::new(1).min_confidence(0.7).discover(&r);
+        assert!(
+            cover.contains(&rule),
+            "rule missing from θ=0.7 cover:\n{}",
             cover.display(&r)
         );
     }

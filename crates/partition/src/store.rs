@@ -8,8 +8,8 @@
 //! [`PartitionStore`] makes that lifecycle explicit:
 //!
 //! * entries are **interned** under a caller-chosen key (CTANE keys by
-//!   `Pattern`, TANE by `AttrSet`) and tagged with the lattice level
-//!   that produced them;
+//!   item list, the ascending indices of an element's items; TANE by
+//!   `AttrSet`) and tagged with the lattice level that produced them;
 //! * entries carry a **pin count**: pinned entries (the working set —
 //!   the level currently being expanded) are never evicted;
 //! * unpinned entries are a *cache*: they stay as long as the **byte

@@ -13,15 +13,29 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
         .prop_flat_map(|(arity, rows)| {
             proptest::collection::vec(proptest::collection::vec(0u32..3, arity), rows)
         })
-        .prop_map(|rows| {
-            let arity = rows[0].len();
-            let schema = Schema::new((0..arity).map(|i| format!("A{i}"))).unwrap();
-            let mut b = RelationBuilder::new(schema);
-            for row in &rows {
-                b.push_coded_row(row).unwrap();
-            }
-            b.finish()
+        .prop_map(coded_relation)
+}
+
+/// Up to six attributes and 30 rows over three values: CTANE reaches
+/// levels 5–6, where a prefix run holds several same-attribute blocks
+/// and an element carries up to five constants (too wide for the
+/// brute-force oracle).
+fn arb_wide_relation() -> impl Strategy<Value = Relation> {
+    (2usize..=6, 1usize..=30)
+        .prop_flat_map(|(arity, rows)| {
+            proptest::collection::vec(proptest::collection::vec(0u32..3, arity), rows)
         })
+        .prop_map(coded_relation)
+}
+
+fn coded_relation(rows: Vec<Vec<u32>>) -> Relation {
+    let arity = rows[0].len();
+    let schema = Schema::new((0..arity).map(|i| format!("A{i}"))).unwrap();
+    let mut b = RelationBuilder::new(schema);
+    for row in &rows {
+        b.push_coded_row(row).unwrap();
+    }
+    b.finish()
 }
 
 proptest! {
@@ -35,10 +49,16 @@ proptest! {
     }
 
     #[test]
-    fn ctane_equals_fastcfd(rel in arb_relation(), k in 1usize..=3) {
-        let ctane = Ctane::new(k).discover(&rel);
-        let fast = FastCfd::new(k).discover(&rel);
-        prop_assert_eq!(ctane.cfds(), fast.cfds());
+    fn ctane_equals_fastcfd(
+        narrow in arb_relation(),
+        wide in arb_wide_relation(),
+        k in 1usize..=3,
+    ) {
+        for rel in [&narrow, &wide] {
+            let ctane = Ctane::new(k).discover(rel);
+            let fast = FastCfd::new(k).discover(rel);
+            prop_assert_eq!(ctane.cfds(), fast.cfds(), "arity {}", rel.arity());
+        }
     }
 
     #[test]
@@ -223,19 +243,22 @@ mod engine_parity {
 
         #[test]
         fn one_thread_equals_four_threads(
-            rel in arb_relation(),
+            narrow in arb_relation(),
+            wide in arb_wide_relation(),
             k in 1usize..=2,
             exact in 0usize..=1,
         ) {
             let theta = if exact == 1 { 1.0 } else { 0.8 };
-            for algo in [Algo::Ctane, Algo::Tane, Algo::CfdMiner] {
-                let serial = DiscoverOptions::new(k).min_confidence(theta);
-                let sharded = DiscoverOptions::new(k).min_confidence(theta).threads(4);
-                prop_assert_eq!(
-                    discover_text(algo, &rel, &serial),
-                    discover_text(algo, &rel, &sharded),
-                    "{} k={} θ={}", algo, k, theta
-                );
+            for rel in [&narrow, &wide] {
+                for algo in [Algo::Ctane, Algo::Tane, Algo::CfdMiner] {
+                    let serial = DiscoverOptions::new(k).min_confidence(theta);
+                    let sharded = DiscoverOptions::new(k).min_confidence(theta).threads(4);
+                    prop_assert_eq!(
+                        discover_text(algo, rel, &serial),
+                        discover_text(algo, rel, &sharded),
+                        "{} k={} θ={} arity {}", algo, k, theta, rel.arity()
+                    );
+                }
             }
         }
 
