@@ -8,7 +8,7 @@ use cfd_core::{DiffSetMode, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use cfd_fd::{FastFd, Tane};
 use cfd_model::pattern::PVal;
-use cfd_partition::{RefineScratch, RelationIndex, StrippedPartition};
+use cfd_partition::{RefineScratch, StrippedPartition};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -55,8 +55,8 @@ fn bench(c: &mut Criterion) {
 
     // partition-layer constant lookups: the CTANE-shaped workload of
     // repeated constant lookups + constant refinements over every value
-    // of the small-domain columns — full-relation scans vs the cached
-    // counting-sort value regions of a RelationIndex
+    // of the small-domain columns, through the columns' value regions
+    // (built by the first iteration, kept by the columns after that).
     // (base column, refining column, code) triples over the
     // small-domain columns — large equivalence classes refined by
     // selective constants, the shape CTANE's lattice walk produces
@@ -81,33 +81,14 @@ fn bench(c: &mut Criterion) {
     let mut scratch = RefineScratch::for_relation(&rel);
     let mut out = StrippedPartition::empty();
     group.bench_with_input(
-        BenchmarkId::new("const-lookup", "scan"),
+        BenchmarkId::new("const-lookup", "regions"),
         &(&rel, &lookups, &bases),
         |b, (rel, lookups, bases)| {
             b.iter(|| {
                 let mut total = 0usize;
                 for &(base, a, c) in lookups.iter() {
-                    // the pre-index code path: one full scan per lookup,
-                    // class-by-class filtering per refinement
-                    let members = rel.tuples().filter(|&t| rel.code(t, a) == c).count();
-                    bases[base].refine_into(rel, None, a, PVal::Const(c), &mut scratch, &mut out);
-                    total += members + out.n_rows();
-                }
-                total
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("const-lookup", "indexed"),
-        &(&rel, &lookups, &bases),
-        |b, (rel, lookups, bases)| {
-            b.iter(|| {
-                let index = RelationIndex::new(rel);
-                let mut total = 0usize;
-                for &(base, a, c) in lookups.iter() {
-                    let members = index.column(rel, a).region(c).len();
-                    let idx = Some(&index);
-                    bases[base].refine_into(rel, idx, a, PVal::Const(c), &mut scratch, &mut out);
+                    let members = rel.column(a).regions().region(c).len();
+                    bases[base].refine_into(rel, a, PVal::Const(c), &mut scratch, &mut out);
                     total += members + out.n_rows();
                 }
                 total

@@ -41,7 +41,7 @@
 //! * `serve_roundtrip` — the `cfd serve` path: a resident in-process
 //!   server with one registered dataset answering a burst of sync
 //!   discover requests over one connection, so protocol parsing, the
-//!   job queue, shared-index dispatch, and result serialization are
+//!   job queue, shared-dataset dispatch, and result serialization are
 //!   all on the clock.
 //!
 //! `--record` writes `BENCH_GUARD.json` (ratios + the raw numbers that

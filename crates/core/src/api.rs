@@ -45,7 +45,6 @@ use cfd_model::json::Json;
 pub use cfd_model::measure::RuleMeasure;
 pub use cfd_model::progress::{Cancelled, Control, PhaseTiming, Progress, SearchStats};
 use cfd_model::relation::Relation;
-use cfd_partition::RelationIndex;
 
 /// The algorithm registry: every discovery algorithm the suite ships,
 /// under its stable CLI/wire name.
@@ -239,7 +238,9 @@ pub struct DiscoverOptions {
     /// Worker threads (`1` = serial). FastCFD/NaiveFast shard
     /// `FindCover` across RHS attributes; CTANE/TANE shard level
     /// expansion across prefix-join runs; CFDMiner shards its item-set
-    /// mining pass. Output never depends on the thread count.
+    /// mining pass. Level expansion and item-set mining run at most one
+    /// worker per core, `FindCover` at most one per RHS attribute.
+    /// Output never depends on the thread count.
     pub threads: usize,
     /// Restrict the result to constant CFDs (applied natively by
     /// CFDMiner, as a post-filter elsewhere).
@@ -640,78 +641,27 @@ pub trait Discoverer {
 
     /// The instrumented core: discover on `rel` as configured by
     /// `opts`, polling `ctrl` at coarse checkpoints and filling
-    /// `stats`. Prefer [`Discoverer::discover_with`], which adds
-    /// validation, projection, filtering and note synthesis.
+    /// `stats`. Algorithms that already hold the groupings behind each
+    /// emitted rule (the level-wise miners' partitions, the free-set
+    /// supports of CFDMiner and FastCFD) also return `Some(measures)`,
+    /// aligned with the cover's canonical order, and
+    /// [`Discoverer::discover_with`] skips its kernel measuring pass;
+    /// `None` has the kernel measure the cover in one sharded scan.
+    /// Prefer [`Discoverer::discover_with`], which adds validation,
+    /// projection, filtering and note synthesis.
     fn run(
         &self,
         rel: &Relation,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError>;
-
-    /// [`Discoverer::run`] with self-reported rule measures: algorithms
-    /// that already hold the groupings behind each emitted rule (the
-    /// level-wise miners' partitions, the free-set supports of CFDMiner
-    /// and FastCFD) return `Some(measures)` aligned with the cover's canonical
-    /// order, and [`Discoverer::discover_with`] skips its kernel
-    /// measuring pass entirely. The default returns `None` — the
-    /// kernel pass measures the cover in one sharded scan.
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        Ok((self.run(rel, opts, ctrl, stats)?, None))
-    }
-
-    /// [`Discoverer::run_measured`] against a caller-owned
-    /// [`RelationIndex`] — the per-dataset column cache a resident
-    /// server shares across jobs. Algorithms that consult per-column
-    /// value regions (CTANE's level-1 seeding and constant
-    /// refinements) override this to reuse the shared cache; the
-    /// default ignores the index and runs normally, so every
-    /// implementor stays correct. Output is byte-identical either way.
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let _ = index;
-        self.run_measured(rel, opts, ctrl, stats)
-    }
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError>;
 
     /// Full-service discovery: validates `opts`, projects, runs,
     /// filters, and returns the structured [`Discovery`].
     fn discover_with(
         &self,
         rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-    ) -> Result<Discovery, DiscoverError> {
-        self.discover_indexed(rel, None, opts, ctrl)
-    }
-
-    /// [`Discoverer::discover_with`] with an optional shared
-    /// [`RelationIndex`] over `rel` — the job-facing entry point of a
-    /// resident server (`cfd serve`): the registry builds one index per
-    /// registered dataset and every discover/measure job on that
-    /// dataset reuses it, so per-column value regions are computed once
-    /// per dataset rather than once per request. The index is consulted
-    /// by the search (where the algorithm supports it) *and* by the
-    /// kernel measuring pass. When [`DiscoverOptions::project`] is set
-    /// the index describes the wrong relation and is ignored for that
-    /// run. The [`Discovery`] is byte-identical with or without the
-    /// index.
-    fn discover_indexed(
-        &self,
-        rel: &Relation,
-        index: Option<&RelationIndex>,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
     ) -> Result<Discovery, DiscoverError> {
@@ -760,16 +710,10 @@ pub trait Discoverer {
             None => None,
         };
         let work = projected.as_ref().unwrap_or(rel);
-        // a projection changes the relation the index was built for —
-        // fall back to a private index for that run
-        let index = if projected.is_some() { None } else { index };
         let mut stats = SearchStats::default();
         let (mut cover, mut self_measures) = {
             let _sp = cfd_obs::span!("discover.run");
-            match index {
-                Some(ix) => self.run_measured_indexed(work, ix, opts, ctrl, &mut stats)?,
-                None => self.run_measured(work, opts, ctrl, &mut stats)?,
-            }
+            self.run(work, opts, ctrl, &mut stats)?
         };
         if opts.constants_only && !algo.constants_native() {
             // post-filter to the constant fragment, keeping any
@@ -793,7 +737,7 @@ pub trait Discoverer {
         }
         // annotate every rule with its measured support and confidence.
         // The level-wise and free-set miners measure at emission from the
-        // partitions or supports they already hold (`run_measured`);
+        // partitions or supports they already hold (`run`);
         // FastFD and BruteForce get one kernel CoverPlan pass (sharded like `cfd check`), aligned
         // with the cover's canonical order.
         let t_measure = std::time::Instant::now();
@@ -806,12 +750,7 @@ pub trait Discoverer {
                     threads: opts.threads,
                     limit: 0,
                 };
-                let report = match index {
-                    Some(ix) => {
-                        cfd_validate::validate_indexed(work, cover.iter(), ix, &vopts, ctrl)
-                    }
-                    None => cfd_validate::validate_with(work, cover.iter(), &vopts, ctrl),
-                };
+                let report = cfd_validate::validate_with(work, cover.iter(), &vopts, ctrl);
                 report.rules.into_iter().map(|r| r.measure).collect()
             }
         };
@@ -908,16 +847,6 @@ impl Discoverer for CfdMiner {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.configured(opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
         Ok((cover, Some(measures)))
@@ -949,32 +878,8 @@ impl Discoverer for Ctane {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.configured(opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self
-            .configured(opts)
-            .run_measured_indexed(rel, index, ctrl, stats)?;
         Ok((cover, Some(measures)))
     }
 }
@@ -1007,16 +912,6 @@ impl Discoverer for FastCfd {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.configured(opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
         Ok((cover, Some(measures)))
@@ -1040,16 +935,6 @@ impl Discoverer for Tane {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(configured_tane(self, opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let (cover, measures) = configured_tane(self, opts).run_measured(rel, ctrl, stats)?;
         Ok((cover, Some(measures)))
@@ -1067,8 +952,8 @@ impl Discoverer for FastFd {
         _opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(FastFd::run(self, rel, ctrl, stats)?)
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+        Ok((FastFd::run(self, rel, ctrl, stats)?, None))
     }
 }
 
@@ -1083,14 +968,14 @@ impl Discoverer for BruteForce {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         if rel.arity() > 10 {
             return Err(DiscoverError::Unsupported(format!(
                 "bruteforce is a test oracle; refusing arity {} > 10",
                 rel.arity()
             )));
         }
-        Ok(BruteForce::new(opts.k).run(rel, ctrl, stats)?)
+        Ok((BruteForce::new(opts.k).run(rel, ctrl, stats)?, None))
     }
 }
 
@@ -1105,30 +990,8 @@ impl Discoverer for Algo {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         self.discoverer().run(rel, opts, ctrl, stats)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        self.discoverer().run_measured(rel, opts, ctrl, stats)
-    }
-
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        self.discoverer()
-            .run_measured_indexed(rel, index, opts, ctrl, stats)
     }
 }
 

@@ -92,7 +92,7 @@ use cfd_model::pattern::{PVal, Pattern};
 use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
-use cfd_partition::{PartitionStore, RefineScratch, RelationIndex, StrippedPartition};
+use cfd_partition::{PartitionStore, RefineScratch, StrippedPartition};
 
 /// A `C⁺` set: one bit per item of the candidate [`Universe`].
 type Bits = Vec<u64>;
@@ -306,28 +306,6 @@ impl Ctane {
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        // per-column value regions, built lazily and shared by every
-        // constant refinement of the run
-        let col_index = RelationIndex::new(rel);
-        self.run_measured_indexed(rel, &col_index, ctrl, stats)
-    }
-
-    /// [`Ctane::run_measured`] against a caller-owned
-    /// [`RelationIndex`] — the value-index cache a resident server
-    /// shares across every job on the same registered dataset, so the
-    /// per-column counting passes that build level 1 (and drive each
-    /// constant refinement) are paid once per dataset, not once per
-    /// request. The cover is byte-identical to a run with a private
-    /// index: the index caches pure per-column regions, never search
-    /// state. The run's partitions live in a store of its own, budgeted
-    /// by [`Ctane::cache_budget`].
-    pub fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        col_index: &RelationIndex,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
         let n = rel.n_rows();
         let arity = rel.arity();
         let theta = self.min_confidence;
@@ -346,7 +324,7 @@ impl Ctane {
         // off the columns' value regions
         let mut init_candidates: Vec<(AttrId, PVal)> = Vec::new();
         for a in 0..arity {
-            let vidx = col_index.column(rel, a);
+            let vidx = rel.column(a).regions();
             for c in 0..vidx.n_codes() as u32 {
                 if vidx.region(c).len() >= self.k {
                     init_candidates.push((a, PVal::Const(c)));
@@ -361,10 +339,11 @@ impl Ctane {
         // order, its partition built from the same regions
         let mut level: Vec<Element> = Vec::with_capacity(uni.items.len());
         for (i, &(a, v)) in (0u32..).zip(&uni.items) {
-            let vidx = col_index.column(rel, a);
             let part = match v {
-                PVal::Const(c) => StrippedPartition::from_single_class(vidx.region(c)),
-                PVal::Var => StrippedPartition::from_value_index(vidx),
+                PVal::Const(c) => {
+                    StrippedPartition::from_single_class(rel.column(a).regions().region(c))
+                }
+                PVal::Var => StrippedPartition::by_attribute(rel, a),
             };
             stats.partitions += 1;
             level.push(Element {
@@ -475,12 +454,8 @@ impl Ctane {
                                 Some(part) => part.keep_count(rel, a, &mut scratch),
                                 None => {
                                     let pairs = parent.iter().map(|&j| uni.items[j as usize]);
-                                    let rebuilt = StrippedPartition::of_pattern(
-                                        rel,
-                                        col_index,
-                                        pairs,
-                                        &mut scratch,
-                                    );
+                                    let rebuilt =
+                                        StrippedPartition::of_pattern(rel, pairs, &mut scratch);
                                     stats.partitions += 1;
                                     let keep = rebuilt.keep_count(rel, a, &mut scratch);
                                     store.insert_pinned(parent.clone(), ell as u32 - 1, rebuilt);
@@ -564,7 +539,6 @@ impl Ctane {
             let expand = ExpandCtx {
                 alg: self,
                 rel,
-                col_index,
                 uni: &uni,
                 level: &level,
                 index: &index,
@@ -631,7 +605,6 @@ fn commit(store: &mut PartitionStore<Vec<u32>>, next: &mut Vec<Element>, g: Gene
 struct ExpandCtx<'a> {
     alg: &'a Ctane,
     rel: &'a Relation,
-    col_index: &'a RelationIndex,
     uni: &'a Universe,
     level: &'a [Element],
     index: &'a FxHashMap<&'a [u32], usize>,
@@ -711,13 +684,8 @@ impl ExpandCtx<'_> {
                 if self.last_level {
                     // counts suffice: this element's partition would
                     // never be refined or error-counted again
-                    let (n_classes, n_rows) = base_part.refine_counts(
-                        self.rel,
-                        Some(self.col_index),
-                        extra_attr,
-                        extra_val,
-                        scratch,
-                    );
+                    let (n_classes, n_rows) =
+                        base_part.refine_counts(self.rel, extra_attr, extra_val, scratch);
                     if n_rows < self.alg.k {
                         stats.pruned += 1;
                         continue;
@@ -732,14 +700,7 @@ impl ExpandCtx<'_> {
                         partition: None,
                     });
                 } else {
-                    base_part.refine_into(
-                        self.rel,
-                        Some(self.col_index),
-                        extra_attr,
-                        extra_val,
-                        scratch,
-                        &mut buf,
-                    );
+                    base_part.refine_into(self.rel, extra_attr, extra_val, scratch, &mut buf);
                     stats.partitions += 1;
                     if buf.n_rows() < self.alg.k {
                         stats.pruned += 1;

@@ -41,7 +41,7 @@ use cfd_model::measure::{keep_meets, RuleMeasure};
 use cfd_model::pattern::PVal;
 use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
-use cfd_partition::{PartitionStore, RefineScratch, RelationIndex, StrippedPartition};
+use cfd_partition::{PartitionStore, RefineScratch, StrippedPartition};
 
 /// One lattice node; its partition lives in the run's
 /// [`PartitionStore`] under the attribute-set key.
@@ -172,7 +172,6 @@ impl Tane {
         if n == 0 {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let col_index = RelationIndex::new(rel);
         let mut store: PartitionStore<AttrSet> = PartitionStore::new(self.cache_budget);
         let mut scratch = RefineScratch::for_relation(rel);
 
@@ -180,7 +179,7 @@ impl Tane {
         // level 1
         let mut level: Vec<Node> = (0..arity)
             .map(|a| {
-                let p = StrippedPartition::from_value_index(col_index.column(rel, a));
+                let p = StrippedPartition::by_attribute(rel, a);
                 stats.partitions += 1;
                 let attrs = AttrSet::singleton(a);
                 let node = Node {
@@ -219,15 +218,7 @@ impl Tane {
                     let (holds, violations) = if pc == level[i].n_classes {
                         (true, 0)
                     } else if approx {
-                        let keep = parent_keep(
-                            &mut store,
-                            rel,
-                            &col_index,
-                            parent,
-                            a,
-                            &mut scratch,
-                            stats,
-                        );
+                        let keep = parent_keep(&mut store, rel, parent, a, &mut scratch, stats);
                         (keep_meets(keep, n, theta), n - keep)
                     } else {
                         (false, 0)
@@ -274,19 +265,16 @@ impl Tane {
                 // minimal ones. TANE's C⁺-intersection test is incomplete
                 // here because referenced same-level sets may themselves
                 // have been key-pruned away (their C⁺ no longer exists), so
-                // minimality is checked directly against the relation.
+                // minimality is checked directly: no immediate subset may
+                // reach the threshold, by the keep count of its partition
+                // (exact at θ = 1.0; the error is monotone, so immediate
+                // subsets suffice — module docs).
                 for a in node.cplus.difference(node.attrs).iter() {
                     stats.candidates += 1;
-                    // under θ < 1.0 minimality means no immediate subset
-                    // reaches the threshold (the error is monotone, so
-                    // immediate subsets suffice — module docs)
                     let minimal = node.attrs.iter().all(|b| {
-                        let sub = Cfd::fd(node.attrs.without(b), a);
-                        if approx {
-                            !cfd_model::measure::measure(rel, &sub).meets(theta)
-                        } else {
-                            !cfd_model::satisfy::satisfies(rel, &sub)
-                        }
+                        let sub = node.attrs.without(b);
+                        let keep = parent_keep(&mut store, rel, sub, a, &mut scratch, stats);
+                        !keep_meets(keep, n, theta)
                     });
                     if minimal {
                         stats.emitted += 1;
@@ -449,7 +437,7 @@ impl ExpandCtx<'_> {
                     .expect("current level is pinned in the store");
                 if self.last_level {
                     let (n_classes, _) =
-                        base_part.refine_counts(self.rel, None, extra_attr, PVal::Var, scratch);
+                        base_part.refine_counts(self.rel, extra_attr, PVal::Var, scratch);
                     emit(Generated {
                         node: Node {
                             attrs: z,
@@ -459,7 +447,7 @@ impl ExpandCtx<'_> {
                         partition: None,
                     });
                 } else {
-                    base_part.refine_into(self.rel, None, extra_attr, PVal::Var, scratch, &mut buf);
+                    base_part.refine_into(self.rel, extra_attr, PVal::Var, scratch, &mut buf);
                     stats.partitions += 1;
                     emit(Generated {
                         node: Node {
@@ -480,7 +468,6 @@ impl ExpandCtx<'_> {
 fn parent_keep(
     store: &mut PartitionStore<AttrSet>,
     rel: &Relation,
-    idx: &RelationIndex,
     parent: AttrSet,
     a: usize,
     scratch: &mut RefineScratch,
@@ -490,7 +477,7 @@ fn parent_keep(
         return part.keep_count(rel, a, scratch);
     }
     let rebuilt =
-        StrippedPartition::of_pattern(rel, idx, parent.iter().map(|b| (b, PVal::Var)), scratch);
+        StrippedPartition::of_pattern(rel, parent.iter().map(|b| (b, PVal::Var)), scratch);
     stats.partitions += 1;
     let keep = rebuilt.keep_count(rel, a, scratch);
     store.insert_pinned(parent, parent.len() as u32, rebuilt);

@@ -3,6 +3,7 @@
 use cfd_model::attrset::AttrSet;
 use cfd_model::fxhash::FxHashMap;
 use cfd_model::pattern::{PVal, Pattern};
+use cfd_model::progress::par_map;
 use cfd_model::relation::{Relation, TupleId};
 
 /// A k-frequent *free* item set `(X, tp)` (no strictly smaller pattern has
@@ -113,29 +114,6 @@ struct Node {
 
 fn pattern_of(items: &[(usize, u32)]) -> Pattern {
     Pattern::from_pairs(items.iter().map(|&(a, c)| (a, PVal::Const(c))))
-}
-
-/// Maps `f` over `items` on up to `threads` scoped workers, each owning
-/// one `scratch`, results concatenated in input order — a thin wrapper
-/// over the shared [`shard_runs`](cfd_model::progress::shard_runs)
-/// harness (one item per run; mining has no cancellation handle, so the
-/// default never-cancelled control is used).
-fn par_map<T: Sync, S, R: Send>(
-    items: &[T],
-    threads: usize,
-    scratch: impl Fn() -> S + Sync,
-    f: impl Fn(&T, &mut S) -> R + Sync,
-) -> Vec<R> {
-    use cfd_model::progress::{shard_runs, Control, SearchStats};
-    shard_runs(
-        items,
-        threads,
-        &Control::default(),
-        &mut SearchStats::default(),
-        scratch,
-        |item, scratch, _stats, out| out.push(f(item, scratch)),
-    )
-    .expect("default Control is never cancelled")
 }
 
 /// Computes `clo(X, tp)` for a tidset: every `(B, b)` item shared by all

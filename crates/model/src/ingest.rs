@@ -45,7 +45,7 @@ use crate::csv::{
     block_str, parse_record_spans, BlockReader, BlockRecords, RecordFields, DEFAULT_CHUNK_BYTES,
 };
 use crate::error::{Error, Result};
-use crate::progress::Control;
+use crate::progress::{workers, Control};
 use crate::relation::{Column, Dict, Relation};
 use crate::schema::Schema;
 use std::collections::BTreeMap;
@@ -59,8 +59,9 @@ use std::sync::Mutex;
 pub struct IngestOptions {
     /// Bytes per read chunk (min 1). Default [`DEFAULT_CHUNK_BYTES`].
     pub chunk_bytes: usize,
-    /// Worker threads dictionary-encoding blocks; `<= 1` runs the
-    /// serial path. The resulting relation is identical either way.
+    /// Worker threads dictionary-encoding blocks (at most one per
+    /// core); `<= 1` runs the serial path. The resulting relation is
+    /// identical either way.
     pub threads: usize,
 }
 
@@ -289,6 +290,7 @@ fn ingest_parallel<R: Read + Send>(
     threads: usize,
     ctrl: &Control<'_>,
 ) -> Result<usize> {
+    let threads = workers(threads);
     let source = Mutex::new(Source {
         blocks,
         pending: first,
@@ -448,7 +450,7 @@ mod tests {
     fn chunked_matches_string_parse_at_all_chunk_sizes() {
         let expected = relation_from_csv_str(TRICKY).unwrap();
         for chunk in [1, 2, 3, 5, 7, 16, 64, 4096] {
-            for threads in [1, 4] {
+            for threads in [1, 4, usize::MAX] {
                 let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
                 let got = ingest_csv_reader(TRICKY.as_bytes(), &opts, &Control::default()).unwrap();
                 assert_rel_identical(&expected, &got);

@@ -340,10 +340,24 @@ impl SearchStats {
     }
 }
 
-/// Runs `work` over `runs` on up to `threads` scoped workers with a
-/// deterministic merge — the one sharding harness every level-wise
-/// miner (CTANE/TANE expansion, the item-set miner's closure and join
-/// passes) uses.
+/// The number of workers a parallel phase runs for a requested
+/// `threads`: at least one, and no more than the cores this process
+/// may use. `threads` arrives unchecked from the command line and the
+/// wire, so a huge value must not become one thread per work item.
+pub fn workers(threads: usize) -> usize {
+    // serial runs, the default, skip the core query: on Linux it reads
+    // the process's affinity mask and cgroup quota
+    if threads <= 1 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    threads.min(cores)
+}
+
+/// Runs `work` over `runs` on up to [`workers`]`(threads)` scoped
+/// workers with a deterministic merge — the one sharding harness every
+/// level-wise miner (CTANE/TANE expansion, the item-set miner's
+/// extension passes) and the validation kernel use.
 ///
 /// Worker `w` owns runs `w, w + workers, …`; each run's outputs are
 /// collected into a private batch and the batches are concatenated in
@@ -366,7 +380,7 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&R, &mut S, &mut SearchStats, &mut Vec<T>) + Sync,
 {
-    let workers = threads.max(1).min(runs.len().max(1));
+    let workers = workers(threads).min(runs.len().max(1));
     if workers <= 1 {
         let mut out = Vec::new();
         let mut local = SearchStats::default();
@@ -410,6 +424,26 @@ where
     }
     merged.sort_unstable_by_key(|&(ri, _)| ri);
     Ok(merged.into_iter().flat_map(|(_, batch)| batch).collect())
+}
+
+/// Maps `f` over `items` on up to [`workers`]`(threads)` scoped
+/// workers, each owning one `scratch`, results in input order —
+/// [`shard_runs`] with one item per run and no cancellation.
+pub fn par_map<T: Sync, S, R: Send>(
+    items: &[T],
+    threads: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&T, &mut S) -> R + Sync,
+) -> Vec<R> {
+    shard_runs(
+        items,
+        threads,
+        &Control::default(),
+        &mut SearchStats::default(),
+        scratch,
+        |item, scratch, _stats, out| out.push(f(item, scratch)),
+    )
+    .expect("default Control is never cancelled")
 }
 
 #[cfg(test)]
@@ -491,6 +525,24 @@ mod tests {
         let none: Vec<usize> = Vec::new();
         let got = shard_runs(&none, 4, &Control::default(), &mut stats, || 0usize, work).unwrap();
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn par_map_runs_no_more_workers_than_cores() {
+        let items: Vec<u64> = (0..10_000).collect();
+        let ids = std::sync::Mutex::new(std::collections::HashSet::new());
+        let out = par_map(
+            &items,
+            usize::MAX,
+            || (),
+            |&x, _| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                x * x
+            },
+        );
+        assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(ids.into_inner().unwrap().len() <= cores);
     }
 
     #[test]

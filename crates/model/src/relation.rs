@@ -12,13 +12,17 @@
 //! string exactly once, every [`Column`] carries its first-level
 //! partition histogram ([`Column::value_counts`]) built during
 //! ingestion, and [`Relation::memory_bytes`] makes the footprint
-//! observable (DESIGN.md §11).
+//! observable (DESIGN.md §11). From the histogram each column builds,
+//! on first use, its value regions ([`Column::regions`]): the tuple ids
+//! grouped by code, behind first-level partitions, constant lookups and
+//! constant refinement.
 
 use crate::error::{Error, Result};
 use crate::fxhash::FxHasher;
 use crate::schema::{AttrId, Schema};
 use std::fmt;
 use std::hash::Hasher;
+use std::sync::OnceLock;
 
 /// Dense tuple identifier (row index).
 pub type TupleId = u32;
@@ -146,8 +150,8 @@ impl Dict {
     }
 }
 
-/// One column: codes aligned with row ids, the dictionary, and the
-/// per-code multiplicity histogram.
+/// One column: codes aligned with row ids, the dictionary, the
+/// per-code multiplicity histogram, and the value regions built from it.
 #[derive(Clone)]
 pub struct Column {
     codes: Vec<u32>,
@@ -156,9 +160,12 @@ pub struct Column {
     /// `dict.len()` long (dictionary-only values count 0). This is the
     /// column's first-level partition histogram: built shard-wise
     /// during ingestion and kept correct by every constructor in this
-    /// module, so downstream grouping (`ValueIndex`, `GroupIds`) skips
-    /// its first counting pass (DESIGN.md §11).
+    /// module, so downstream grouping ([`ValueIndex`], `GroupIds`)
+    /// skips its first counting pass (DESIGN.md §11).
     counts: Vec<u32>,
+    /// The value regions, built on first use. Every edit of `codes` or
+    /// `dict` starts the column without them.
+    regions: OnceLock<ValueIndex>,
 }
 
 /// Per-code row multiplicities of `codes` over a domain of `dom` codes.
@@ -171,9 +178,10 @@ fn recount(codes: &[u32], dom: usize) -> Vec<u32> {
 }
 
 impl Column {
-    /// Assembles a column from pre-built parts — the ingestion
-    /// pipeline's merge step. The histogram invariant is the caller's
-    /// to uphold (checked in debug builds).
+    /// Assembles a column from pre-built parts, without value regions
+    /// — the ingestion pipeline's merge step and every constructor in
+    /// this module. The histogram invariant is the caller's to uphold
+    /// (checked in debug builds).
     pub(crate) fn from_parts(codes: Vec<u32>, dict: Dict, counts: Vec<u32>) -> Column {
         debug_assert_eq!(counts.len(), dict.len());
         debug_assert_eq!(
@@ -184,7 +192,15 @@ impl Column {
             codes,
             dict,
             counts,
+            regions: OnceLock::new(),
         }
+    }
+
+    /// A copy of the codes, dictionary and histogram without the value
+    /// regions — for a copy whose codes or dictionary are about to
+    /// change.
+    fn without_regions(&self) -> Column {
+        Column::from_parts(self.codes.clone(), self.dict.clone(), self.counts.clone())
     }
 
     /// The dictionary of this column.
@@ -220,12 +236,68 @@ impl Column {
         &self.counts
     }
 
+    /// The column's value regions, built on first use (one prefix sum
+    /// over [`Column::value_counts`] and one placement pass) and shared
+    /// by every later caller, on any thread.
+    pub fn regions(&self) -> &ValueIndex {
+        self.regions.get_or_init(|| ValueIndex::build(self))
+    }
+
     /// Approximate heap bytes held by this column: codes, histogram,
     /// and dictionary.
     pub fn memory_bytes(&self) -> usize {
         self.codes.capacity() * std::mem::size_of::<u32>()
             + self.counts.capacity() * std::mem::size_of::<u32>()
             + self.dict.memory_bytes()
+    }
+}
+
+/// The counting-sort layout of one column: tuple ids grouped by code
+/// ([`Column::regions`]).
+///
+/// Region `c` spans `tuples[starts[c] .. starts[c + 1]]` and holds, in
+/// ascending order, exactly the tuples with code `c` — including empty
+/// regions for dictionary codes that occur in no tuple (a rule constant
+/// interned ahead of the data), so every code of the dictionary has an
+/// O(1) region.
+#[derive(Clone, Debug)]
+pub struct ValueIndex {
+    tuples: Vec<TupleId>,
+    starts: Vec<u32>,
+}
+
+impl ValueIndex {
+    /// One counting sort of `col`. The column's maintained histogram
+    /// replaces the counting pass: only the prefix sum and the
+    /// placement scan remain.
+    fn build(col: &Column) -> ValueIndex {
+        let mut starts = vec![0u32; col.domain_size() + 1];
+        for (c, &k) in col.counts.iter().enumerate() {
+            starts[c + 1] = starts[c] + k;
+        }
+        let mut fill = starts.clone();
+        let mut tuples = vec![0 as TupleId; col.codes.len()];
+        for (t, &c) in col.codes.iter().enumerate() {
+            let slot = &mut fill[c as usize];
+            tuples[*slot as usize] = t as TupleId;
+            *slot += 1;
+        }
+        ValueIndex { tuples, starts }
+    }
+
+    /// Number of codes indexed (the column's active-domain size).
+    pub fn n_codes(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The tuples carrying `code`, in ascending order. Codes outside the
+    /// dictionary return the empty region.
+    pub fn region(&self, code: u32) -> &[TupleId] {
+        let c = code as usize;
+        if c >= self.n_codes() {
+            return &[];
+        }
+        &self.tuples[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 }
 
@@ -314,11 +386,7 @@ impl Relation {
             .map(|c| {
                 let codes: Vec<u32> = rows.iter().map(|&t| c.codes[t as usize]).collect();
                 let counts = recount(&codes, c.dict.len());
-                Column {
-                    codes,
-                    dict: c.dict.clone(),
-                    counts,
-                }
+                Column::from_parts(codes, c.dict.clone(), counts)
             })
             .collect();
         Relation {
@@ -333,7 +401,7 @@ impl Relation {
     /// either relation remain directly evaluable on the other). Panics if
     /// a code is outside the column's dictionary.
     pub fn with_replaced_codes(&self, edits: &[(TupleId, AttrId, u32)]) -> Relation {
-        let mut cols = self.cols.clone();
+        let mut cols: Vec<Column> = self.cols.iter().map(Column::without_regions).collect();
         for &(t, a, code) in edits {
             assert!(
                 (code as usize) < cols[a].dict.len(),
@@ -356,7 +424,7 @@ impl Relation {
     /// are extended, never reshuffled — so rules discovered on the
     /// original stay directly evaluable on the edited copy.
     pub fn with_replaced_values(&self, edits: &[(TupleId, AttrId, &str)]) -> Relation {
-        let mut cols = self.cols.clone();
+        let mut cols: Vec<Column> = self.cols.iter().map(Column::without_regions).collect();
         for &(t, a, value) in edits {
             let code = cols[a].dict.intern(value);
             if code as usize == cols[a].counts.len() {
@@ -377,7 +445,8 @@ impl Relation {
     /// Projects the relation onto a subset of attributes (in ascending
     /// attribute order), e.g. to drop a column the way Example 9 of the
     /// paper sets NM aside. Duplicate rows are kept (bag semantics);
-    /// dictionaries are shared with the original columns.
+    /// dictionaries are shared with the original columns, and so are
+    /// any value regions they have built.
     pub fn project(&self, attrs: crate::attrset::AttrSet) -> crate::error::Result<Relation> {
         let names: Vec<&str> = attrs.iter().map(|a| self.schema.name(a)).collect();
         let schema = Schema::new(names)?;
@@ -403,9 +472,11 @@ impl Relation {
     /// representable (e.g. as a rule constant) without occurring in any
     /// tuple yet.
     pub fn intern_value(&mut self, a: AttrId, v: &str) -> u32 {
-        let code = self.cols[a].dict.intern(v);
-        if code as usize == self.cols[a].counts.len() {
-            self.cols[a].counts.push(0);
+        let col = &mut self.cols[a];
+        let code = col.dict.intern(v);
+        if code as usize == col.counts.len() {
+            col.counts.push(0);
+            col.regions.take();
         }
         code
     }
@@ -458,11 +529,7 @@ impl RelationBuilder {
     /// Starts building a relation over `schema`.
     pub fn new(schema: Schema) -> Self {
         let cols = (0..schema.arity())
-            .map(|_| Column {
-                codes: Vec::new(),
-                dict: Dict::default(),
-                counts: Vec::new(),
-            })
+            .map(|_| Column::from_parts(Vec::new(), Dict::default(), Vec::new()))
             .collect();
         RelationBuilder {
             schema,
@@ -487,10 +554,9 @@ impl RelationBuilder {
         }
         let cols = dicts
             .into_iter()
-            .map(|dict| Column {
-                codes: Vec::new(),
-                counts: vec![0; dict.len()],
-                dict,
+            .map(|dict| {
+                let counts = vec![0; dict.len()];
+                Column::from_parts(Vec::new(), dict, counts)
             })
             .collect();
         Ok(RelationBuilder {
@@ -503,10 +569,12 @@ impl RelationBuilder {
     /// Resumes building from an existing relation: the builder starts
     /// with all of `rel`'s rows and dictionaries, so appended rows extend
     /// the instance in place while every existing code stays stable.
+    /// The columns start without value regions, since appended rows
+    /// change them.
     pub fn from_relation(rel: &Relation) -> Self {
         RelationBuilder {
             schema: rel.schema.clone(),
-            cols: rel.cols.clone(),
+            cols: rel.cols.iter().map(Column::without_regions).collect(),
             n_rows: rel.n_rows,
         }
     }
@@ -798,6 +866,80 @@ mod tests {
         // relation-level accounting includes codes and histogram
         let rel_bytes = r.memory_bytes();
         assert!(rel_bytes >= now + N * 2 * std::mem::size_of::<u32>());
+    }
+
+    /// Every column's regions must equal a scan of its codes, one
+    /// region per dictionary code.
+    fn assert_regions_match_scan(r: &Relation) {
+        for a in 0..r.arity() {
+            let col = r.column(a);
+            let idx = col.regions();
+            assert_eq!(idx.n_codes(), col.domain_size(), "attribute {a}");
+            for c in 0..col.domain_size() as u32 {
+                let scan: Vec<TupleId> = r.tuples().filter(|&t| col.code(t) == c).collect();
+                assert_eq!(idx.region(c), &scan[..], "attribute {a}, code {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn regions_group_tuples_by_code() {
+        let r = sample();
+        let idx = r.column(1).regions();
+        let b1 = r.column(1).dict().code("b1").unwrap();
+        assert_eq!(idx.n_codes(), 2);
+        assert_eq!(idx.region(b1), &[0, 2]);
+        assert_eq!(idx.region(99), &[] as &[TupleId]);
+        assert_regions_match_scan(&r);
+    }
+
+    #[test]
+    fn regions_are_built_once_for_all_threads() {
+        let r = sample();
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        r.column(1).regions() as *const ValueIndex as usize
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let again = r.column(1).regions() as *const ValueIndex as usize;
+        assert!(built.iter().all(|&p| p == again), "one build, shared");
+    }
+
+    #[test]
+    fn regions_never_go_stale() {
+        let built = || {
+            let r = sample();
+            assert_regions_match_scan(&r);
+            r
+        };
+        // a rule constant interned ahead of the data
+        let mut interned = built();
+        let ghost = interned.intern_value(0, "ghost");
+        assert_regions_match_scan(&interned);
+        assert_eq!(
+            interned.column(0).regions().region(ghost),
+            &[] as &[TupleId]
+        );
+
+        let r = built();
+        assert_regions_match_scan(&r.with_replaced_codes(&[(0, 1, r.code(1, 1))]));
+        assert_regions_match_scan(&r.with_replaced_values(&[(2, 0, "a1"), (1, 2, "c9")]));
+        let mut b = RelationBuilder::from_relation(&r);
+        b.push_row(&["a2", "b1", "c1"]).unwrap();
+        assert_regions_match_scan(&b.finish());
+        assert_regions_match_scan(&r.restrict(&[2, 0]));
+        let p = r
+            .project(crate::attrset::AttrSet::from_iter([1, 2]))
+            .unwrap();
+        assert_regions_match_scan(&p);
+        assert_regions_match_scan(&r);
     }
 
     #[test]

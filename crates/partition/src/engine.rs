@@ -34,7 +34,6 @@
 //! error `e = rows − keep` behind approximate discovery — is computed
 //! as if nothing were stripped.
 
-use crate::index::{RelationIndex, ValueIndex};
 use cfd_model::pattern::PVal;
 use cfd_model::relation::{Relation, TupleId};
 use cfd_model::schema::AttrId;
@@ -119,19 +118,15 @@ impl StrippedPartition {
         }
     }
 
-    /// The partition w.r.t. `({A}, (_))`, from the column's value
-    /// regions (regions of size 1 are stripped to `singles`).
-    pub fn from_value_index(idx: &ValueIndex) -> StrippedPartition {
+    /// The partition w.r.t. `({A}, (_))` of `rel`, from the column's
+    /// value regions (regions of size 1 are stripped to `singles`).
+    pub fn by_attribute(rel: &Relation, a: AttrId) -> StrippedPartition {
+        let idx = rel.column(a).regions();
         let mut out = StrippedPartition::default();
         for c in 0..idx.n_codes() as u32 {
             out.push_class(idx.region(c));
         }
         out
-    }
-
-    /// The partition w.r.t. `({A}, (_))` of `rel`.
-    pub fn by_attribute(rel: &Relation, a: AttrId) -> StrippedPartition {
-        StrippedPartition::from_value_index(&ValueIndex::build(rel, a))
     }
 
     /// A partition holding `class` as its only class (empty input gives
@@ -148,14 +143,13 @@ impl StrippedPartition {
     /// [`PartitionStore`](crate::PartitionStore) miss).
     pub fn of_pattern<I: IntoIterator<Item = (AttrId, PVal)>>(
         rel: &Relation,
-        idx: &RelationIndex,
         pattern: I,
         scratch: &mut RefineScratch,
     ) -> StrippedPartition {
         let mut cur = StrippedPartition::full(rel.n_rows());
         let mut buf = StrippedPartition::default();
         for (a, v) in pattern {
-            cur.refine_into(rel, Some(idx), a, v, scratch, &mut buf);
+            cur.refine_into(rel, a, v, scratch, &mut buf);
             std::mem::swap(&mut cur, &mut buf);
         }
         cur
@@ -249,19 +243,20 @@ impl StrippedPartition {
     /// * `v = Var` splits every wide class by the code of `B` (two-pass
     ///   counting sort through `scratch`); singletons are copied over
     ///   wholesale — a singleton stays a singleton under refinement.
-    /// * `v = Const(c)` keeps, per class, the members with `t[B] = c`.
-    ///   With an index, each wide class is intersected with the
-    ///   (ascending) value region of `c` — per class, whichever of
-    ///   "scan the class" and "probe the window" is cheaper. Without
-    ///   one, every class is scanned; both paths give the same layout.
+    /// * `v = Const(c)` keeps, per class, the members with `t[B] = c`:
+    ///   each wide class is intersected with the (ascending) value
+    ///   region of `c` ([`Column::regions`]) — per class, whichever of
+    ///   "scan the class" and "probe the window" is cheaper. Both give
+    ///   the same layout.
     ///
     /// Nothing is allocated beyond what `out`'s and `scratch`'s
     /// capacities already hold; repeated calls against same-sized
     /// inputs allocate nothing at all.
+    ///
+    /// [`Column::regions`]: cfd_model::relation::Column::regions
     pub fn refine_into(
         &self,
         rel: &Relation,
-        idx: Option<&RelationIndex>,
         b: AttrId,
         v: PVal,
         scratch: &mut RefineScratch,
@@ -280,7 +275,7 @@ impl StrippedPartition {
                 }
             }
             PVal::Const(c) => {
-                let region = idx.map(|i| i.column(rel, b).region(c));
+                let region = col.regions().region(c);
                 for class in self.wide_classes() {
                     scratch.row_buf.clear();
                     collect_const_matches(class, col, c, region, &mut scratch.row_buf);
@@ -304,7 +299,6 @@ impl StrippedPartition {
     pub fn refine_counts(
         &self,
         rel: &Relation,
-        idx: Option<&RelationIndex>,
         b: AttrId,
         v: PVal,
         scratch: &mut RefineScratch,
@@ -332,7 +326,7 @@ impl StrippedPartition {
                 (classes, self.n_rows())
             }
             PVal::Const(c) => {
-                let region = idx.map(|i| i.column(rel, b).region(c));
+                let region = col.regions().region(c);
                 let mut classes = 0usize;
                 let mut rows = 0usize;
                 for class in self.wide_classes() {
@@ -462,7 +456,7 @@ fn collect_const_matches(
     class: &[TupleId],
     col: &cfd_model::relation::Column,
     c: u32,
-    region: Option<&[TupleId]>,
+    region: &[TupleId],
     buf: &mut Vec<TupleId>,
 ) {
     match const_window(class, region) {
@@ -483,7 +477,7 @@ fn count_const_matches(
     class: &[TupleId],
     col: &cfd_model::relation::Column,
     c: u32,
-    region: Option<&[TupleId]>,
+    region: &[TupleId],
 ) -> usize {
     match const_window(class, region) {
         Some(window) => window
@@ -497,8 +491,7 @@ fn count_const_matches(
 /// The region window overlapping `class`, when probing it beats
 /// scanning the class (both slices are ascending). `None` means "scan
 /// the class directly".
-fn const_window<'a>(class: &[TupleId], region: Option<&'a [TupleId]>) -> Option<&'a [TupleId]> {
-    let region = region?;
+fn const_window<'a>(class: &[TupleId], region: &'a [TupleId]) -> Option<&'a [TupleId]> {
     debug_assert!(class.windows(2).all(|w| w[0] < w[1]));
     let log_region = (usize::BITS - region.len().leading_zeros()) as usize;
     // a class smaller than the cost of locating its window is cheapest
@@ -545,14 +538,14 @@ mod tests {
         let mut scratch = RefineScratch::for_relation(&r);
         let mut buf = StrippedPartition::default();
         let s = StrippedPartition::full(r.n_rows());
-        s.refine_into(&r, None, 0, PVal::Var, &mut scratch, &mut buf);
+        s.refine_into(&r, 0, PVal::Var, &mut scratch, &mut buf);
         let cap = buf.tuples.capacity();
         let taken = buf.take_compact();
         assert_eq!(taken.n_rows(), r.n_rows());
         assert_eq!(buf.n_rows(), 0);
         assert!(buf.tuples.capacity() >= cap.min(1));
         // reuse the buffer for a different refinement
-        s.refine_into(&r, None, 2, PVal::Var, &mut scratch, &mut buf);
+        s.refine_into(&r, 2, PVal::Var, &mut scratch, &mut buf);
         assert_eq!(buf.n_rows(), r.n_rows());
     }
 

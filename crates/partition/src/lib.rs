@@ -17,11 +17,12 @@
 //!
 //! The module also provides tuple-pair *agree sets* ([`agree`]), the
 //! ingredients of FastFD-style difference-set computation used by the
-//! paper's NaiveFast variant (Section 5.4) — plus the shared grouping
-//! primitives the validation kernel and the streaming engine are built
-//! on: per-column counting-sort value regions ([`ValueIndex`], cached
-//! per relation by [`RelationIndex`]) and dense multi-column group ids
-//! ([`GroupIds`]).
+//! paper's NaiveFast variant (Section 5.4) — plus dense multi-column
+//! group ids ([`GroupIds`]), the grouping primitive the validation
+//! kernel and the streaming engine are built on. Level-1 partitions and
+//! constant refinement read each column's value regions, which the
+//! column builds once and keeps
+//! ([`Column::regions`](cfd_model::relation::Column::regions)).
 //!
 //! ```
 //! use cfd_model::csv::relation_from_csv_str;
@@ -35,7 +36,7 @@
 //! // refining by CT splits the dirty 131 class: AC ↛ CT exactly …
 //! let mut scratch = RefineScratch::for_relation(&rel);
 //! let mut by_ac_ct = StrippedPartition::empty();
-//! by_ac.refine_into(&rel, None, 1, PVal::Var, &mut scratch, &mut by_ac_ct);
+//! by_ac.refine_into(&rel, 1, PVal::Var, &mut scratch, &mut by_ac_ct);
 //! assert_eq!(by_ac_ct.n_classes(), 3);
 //! // … and the g1-style keep count says 3 of 4 tuples survive a repair
 //! assert_eq!(by_ac.keep_count(&rel, 1, &mut scratch), 3);
@@ -47,11 +48,9 @@
 pub mod agree;
 pub mod engine;
 pub mod group;
-pub mod index;
 pub mod store;
 
 pub use agree::{agree_sets, agree_sets_of_rows};
 pub use engine::{RefineScratch, StrippedPartition};
 pub use group::GroupIds;
-pub use index::{RelationIndex, ValueIndex};
 pub use store::{PartitionStore, StoreStats};

@@ -7,7 +7,7 @@ use cfd_model::pattern::PVal;
 use cfd_model::relation::{Relation, RelationBuilder, TupleId};
 use cfd_model::schema::Schema;
 use cfd_partition::agree::agree_sets_of_rows;
-use cfd_partition::{GroupIds, RefineScratch, RelationIndex, StrippedPartition};
+use cfd_partition::{GroupIds, RefineScratch, StrippedPartition};
 use proptest::prelude::*;
 
 fn arb_relation() -> impl Strategy<Value = Relation> {
@@ -77,12 +77,11 @@ proptest! {
     #[test]
     fn refinement_order_is_irrelevant(rel in arb_relation()) {
         if rel.arity() < 3 { return Ok(()); }
-        let index = RelationIndex::new(&rel);
         let mut scratch = RefineScratch::for_relation(&rel);
         // π over the first three attributes, built in two different orders
         let wild = |attrs: [usize; 3]| attrs.map(|a| (a, PVal::Var));
-        let p1 = StrippedPartition::of_pattern(&rel, &index, wild([0, 1, 2]), &mut scratch);
-        let p2 = StrippedPartition::of_pattern(&rel, &index, wild([2, 1, 0]), &mut scratch);
+        let p1 = StrippedPartition::of_pattern(&rel, wild([0, 1, 2]), &mut scratch);
+        let p2 = StrippedPartition::of_pattern(&rel, wild([2, 1, 0]), &mut scratch);
         prop_assert_eq!(p1.sorted_classes(), p2.sorted_classes());
         prop_assert_eq!(p1.sorted_classes(), direct_partition(&rel, &[0, 1, 2], &[]));
     }
@@ -91,17 +90,16 @@ proptest! {
     /// fallback) matches direct grouping, constants included.
     #[test]
     fn constant_refinement_matches_direct_grouping(rel in arb_relation()) {
-        let index = RelationIndex::new(&rel);
         let mut scratch = RefineScratch::for_relation(&rel);
         let code = rel.code(0, 0); // a value that certainly occurs
         let pattern = [(0, PVal::Const(code)), (1, PVal::Var)];
-        let p = StrippedPartition::of_pattern(&rel, &index, pattern, &mut scratch);
+        let p = StrippedPartition::of_pattern(&rel, pattern, &mut scratch);
         prop_assert_eq!(p.sorted_classes(), direct_partition(&rel, &[1], &[(0, code)]));
         // row count = support of the constant part
         let supp = rel.tuples().filter(|&t| rel.code(t, 0) == code).count();
         prop_assert_eq!(p.n_rows(), supp);
         // the empty pattern is the full partition
-        let full = StrippedPartition::of_pattern(&rel, &index, [], &mut scratch);
+        let full = StrippedPartition::of_pattern(&rel, [], &mut scratch);
         prop_assert_eq!(full.sorted_classes(), direct_partition(&rel, &[], &[]));
     }
 
@@ -111,7 +109,7 @@ proptest! {
         let mut p = StrippedPartition::full(rel.n_rows());
         let mut buf = StrippedPartition::empty();
         for a in 0..rel.arity() {
-            p.refine_into(&rel, None, a, PVal::Var, &mut scratch, &mut buf);
+            p.refine_into(&rel, a, PVal::Var, &mut scratch, &mut buf);
             std::mem::swap(&mut p, &mut buf);
             prop_assert_eq!(p.n_rows(), rel.n_rows(), "wildcards never drop rows");
         }
@@ -138,22 +136,28 @@ proptest! {
     }
 
     #[test]
-    fn indexed_refinement_is_exactly_refinement(rel in arb_relation()) {
-        // refine_into through the value index must lay out exactly what
-        // the plain scan does, for every (attr, value) pair — classes in
-        // the same order with the same member order
-        let index = RelationIndex::new(&rel);
+    fn constant_refinement_is_the_class_filter(rel in arb_relation()) {
+        // constant refine_into, whichever of scan and region probe it
+        // picks per class, lays out exactly the class-by-class filter —
+        // classes in the same order with the same member order
         let mut scratch = RefineScratch::for_relation(&rel);
-        let mut plain = StrippedPartition::empty();
-        let mut indexed = StrippedPartition::empty();
+        let mut got = StrippedPartition::empty();
         for base_attr in 0..rel.arity() {
             let base = StrippedPartition::by_attribute(&rel, base_attr);
             for a in 0..rel.arity() {
-                for v in values(&rel, a) {
-                    base.refine_into(&rel, None, a, v, &mut scratch, &mut plain);
-                    base.refine_into(&rel, Some(&index), a, v, &mut scratch, &mut indexed);
-                    prop_assert!(plain.wide_classes().eq(indexed.wide_classes()));
-                    prop_assert_eq!(plain.singles(), indexed.singles());
+                for c in 0..rel.column(a).domain_size() as u32 {
+                    let mut want = StrippedPartition::empty();
+                    let matches = |t: &TupleId| rel.code(*t, a) == c;
+                    for class in base.wide_classes() {
+                        let kept: Vec<TupleId> = class.iter().copied().filter(matches).collect();
+                        want.push_class(&kept);
+                    }
+                    for t in base.singles().iter().filter(|t| matches(t)) {
+                        want.push_class(&[*t]);
+                    }
+                    base.refine_into(&rel, a, PVal::Const(c), &mut scratch, &mut got);
+                    prop_assert!(want.wide_classes().eq(got.wide_classes()));
+                    prop_assert_eq!(want.singles(), got.singles());
                 }
             }
         }
@@ -161,15 +165,22 @@ proptest! {
 
     #[test]
     fn regions_match_a_scan(rel in arb_relation()) {
-        let index = RelationIndex::new(&rel);
-        for a in 0..rel.arity() {
-            // every dictionary code, plus one out-of-dictionary probe
-            for c in 0..=rel.column(a).domain_size() as u32 {
-                let scan: Vec<TupleId> =
-                    rel.tuples().filter(|&t| rel.code(t, a) == c).collect();
-                prop_assert_eq!(index.column(&rel, a).region(c), &scan[..]);
+        let check = |r: &Relation| -> Result<(), TestCaseError> {
+            for a in 0..r.arity() {
+                // every dictionary code, plus one out-of-dictionary probe
+                for c in 0..=r.column(a).domain_size() as u32 {
+                    let scan: Vec<TupleId> = r.tuples().filter(|&t| r.code(t, a) == c).collect();
+                    prop_assert_eq!(r.column(a).regions().region(c), &scan[..]);
+                }
             }
-        }
+            Ok(())
+        };
+        check(&rel)?;
+        // derived relations, built after the original's regions: an
+        // edited copy gets fresh regions, a projection keeps them
+        let last = rel.arity() - 1;
+        check(&rel.with_replaced_values(&[(0, last, "fresh"), (0, 0, rel.value(0, last))]))?;
+        check(&rel.project(AttrSet::from_iter(1..rel.arity())).unwrap())?;
     }
 
     #[test]
@@ -235,7 +246,6 @@ mod engine_parity {
         /// partition it skipped materializing.
         #[test]
         fn refine_into_matches_the_oracle(rel in arb_relation()) {
-            let index = RelationIndex::new(&rel);
             let mut scratch = RefineScratch::for_relation(&rel);
             let mut buf = StrippedPartition::empty();
             for base_attr in 0..rel.arity() {
@@ -248,10 +258,10 @@ mod engine_parity {
                             PVal::Const(c) => direct_partition(&rel, &[base_attr], &[(a, c)]),
                         };
                         let counts = (want.len(), want.iter().map(Vec::len).sum::<usize>());
-                        base.refine_into(&rel, Some(&index), a, v, &mut scratch, &mut buf);
+                        base.refine_into(&rel, a, v, &mut scratch, &mut buf);
                         prop_assert_eq!(buf.sorted_classes(), want);
                         prop_assert_eq!((buf.n_classes(), buf.n_rows()), counts);
-                        let skipped = base.refine_counts(&rel, Some(&index), a, v, &mut scratch);
+                        let skipped = base.refine_counts(&rel, a, v, &mut scratch);
                         prop_assert_eq!(skipped, counts);
                     }
                 }

@@ -244,8 +244,8 @@ impl Job {
 /// under a running job) and everything else was validated at
 /// submission, so workers never reject.
 pub enum JobSpec {
-    /// Discovery via [`Discoverer::discover_indexed`] against the
-    /// dataset's shared index.
+    /// Discovery via [`Discoverer::discover_with`], as `cfd discover`
+    /// runs it.
     Discover {
         /// Target dataset.
         ds: Arc<Dataset>,
@@ -256,7 +256,8 @@ pub enum JobSpec {
         /// CTANE partition-store budget for this job, in bytes.
         cache_budget: Option<usize>,
     },
-    /// Validation via [`cfd_validate::validate_indexed`].
+    /// Validation via [`cfd_validate::validate_with`], as `cfd check`
+    /// runs it.
     Check {
         /// Target dataset.
         ds: Arc<Dataset>,
@@ -302,7 +303,7 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
                 (Algo::Ctane, Some(bytes)) => Box::new(Ctane::new(opts.k).cache_budget(*bytes)),
                 _ => algo.discoverer(),
             };
-            match disc.discover_indexed(&ds.rel, Some(&ds.index), opts, ctrl) {
+            match disc.discover_with(&ds.rel, opts, ctrl) {
                 Ok(d) => JobOutcome::Done(d.to_json(&ds.rel)),
                 Err(DiscoverError::Cancelled) => JobOutcome::Cancelled,
                 Err(e) => JobOutcome::Failed(ServeError::new("bad_options", e.to_string())),
@@ -312,13 +313,8 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             if ctrl.check().is_err() {
                 return JobOutcome::Cancelled;
             }
-            let report = cfd_validate::validate_indexed(
-                &ds.rel,
-                rules.iter().map(|(_, c)| c),
-                &ds.index,
-                opts,
-                ctrl,
-            );
+            let report =
+                cfd_validate::validate_with(&ds.rel, rules.iter().map(|(_, c)| c), opts, ctrl);
             let mut doc = report.to_json();
             attach_rule_texts(&mut doc, rules);
             JobOutcome::Done(doc)

@@ -9,9 +9,9 @@
 //! §12):
 //!
 //! * [`registry`] — named relations ingested once through the chunked
-//!   pipeline, each bundled with its shared
-//!   [`cfd_partition::RelationIndex`] behind an `Arc` and admitted
-//!   against a server-wide byte budget;
+//!   pipeline, each shared behind an `Arc` — with the value regions
+//!   its columns build on first use — and admitted against a
+//!   server-wide byte budget;
 //! * [`jobs`] — discover/check/repair jobs with per-job cancellation
 //!   flags, run by a fixed worker pool behind a *bounded* queue
 //!   (overload is a structured `queue_full` error, not unbounded
@@ -31,9 +31,9 @@
 //! panics. The failure-mode contract — which error code a client sees
 //! for each trigger, and which are retryable — is DESIGN.md §14.
 //!
-//! Results are *identical to the one-shot CLI*: jobs run through the
-//! same `discover_indexed`/`validate_indexed` entry points the CLI's
-//! code paths reduce to, and discovery output is independent of thread
+//! Results are *identical to the one-shot CLI*: jobs make the calls
+//! `cfd discover` and `cfd check` make (`discover_with`,
+//! `validate_with`), and discovery output is independent of thread
 //! count and cache budget by the determinism contract, so a server
 //! answer can be diffed byte-for-byte against `cfd discover` /
 //! `cfd check` (the integration tests do exactly that).

@@ -1,15 +1,16 @@
 //! The dataset registry: named relations, ingested once, shared by
 //! every job.
 //!
-//! A registered dataset bundles the [`Relation`] with its
-//! [`RelationIndex`] — the lazily-built per-column value-region cache
-//! that discovery *and* validation consult — behind one `Arc`, so N
-//! concurrent jobs on the same dataset share both without copying and
-//! without re-deriving per-column partitions per request. The index is
-//! the only shared per-dataset state, and it is immutable once a
-//! column is built: every CTANE job builds its own partition store, as
-//! the one-shot CLI does, so jobs on one dataset never wait for each
-//! other. DESIGN.md §12 spells out the split.
+//! A registered dataset holds its [`Relation`] behind one `Arc`, so N
+//! concurrent jobs on the same dataset share it without copying — and
+//! with it each column's value regions
+//! ([`Column::regions`](cfd_model::relation::Column::regions)), which
+//! discovery *and* validation consult and which the first job to need
+//! a column builds once for all. The regions are the only shared
+//! derived state, and they are immutable once built: every CTANE job
+//! builds its own partition store, as the one-shot CLI does, so jobs on
+//! one dataset never wait for each other. DESIGN.md §12 spells out the
+//! split.
 //!
 //! Admission control is by resident bytes: the registry carries a
 //! budget and [`DatasetRegistry::insert`] admits against it — but it
@@ -24,22 +25,17 @@
 
 use crate::protocol::ServeError;
 use cfd_model::{Json, Relation};
-use cfd_partition::RelationIndex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// A registered dataset: the relation, its shared column index, and
-/// the byte size it is accounted at.
+/// A registered dataset: the relation and the byte size it is
+/// accounted at.
 pub struct Dataset {
     /// Registry name.
     pub name: String,
     /// The ingested relation.
     pub rel: Relation,
-    /// Shared per-column value-region cache over `rel`. Built lazily,
-    /// per column, on first use by any job ([`RelationIndex`] is
-    /// internally synchronized), then reused by every later job.
-    pub index: RelationIndex,
     /// `rel.memory_bytes()` at registration — what the budget charges.
     pub bytes: usize,
     /// Pinned datasets are never evicted under budget pressure.
@@ -64,11 +60,9 @@ impl Dataset {
     /// Wraps an ingested relation for registration.
     pub fn new(name: impl Into<String>, rel: Relation) -> Dataset {
         let bytes = rel.memory_bytes();
-        let index = RelationIndex::new(&rel);
         Dataset {
             name: name.into(),
             rel,
-            index,
             bytes,
             pinned: false,
             last_used: AtomicU64::new(0),
@@ -318,20 +312,5 @@ mod tests {
         let (_n, evicted) = reg.insert(Dataset::new("newcomer", small())).unwrap();
         assert_eq!(evicted, vec!["busy".to_string()]);
         assert_eq!(reg.evictions(), 1);
-    }
-
-    #[test]
-    fn shared_index_answers_like_a_fresh_one() {
-        let reg = DatasetRegistry::new(usize::MAX);
-        let (ds, _) = reg.insert(Dataset::new("t", small())).unwrap();
-        let fresh = RelationIndex::new(&ds.rel);
-        for a in 0..ds.rel.arity() {
-            let shared = ds.index.column(&ds.rel, a);
-            let local = fresh.column(&ds.rel, a);
-            assert_eq!(shared.n_codes(), local.n_codes());
-            for c in 0..shared.n_codes() as u32 {
-                assert_eq!(shared.region(c), local.region(c));
-            }
-        }
     }
 }

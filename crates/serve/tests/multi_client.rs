@@ -9,11 +9,10 @@ use cfd_datagen::TaxGenerator;
 use cfd_model::cfd::parse_cfd;
 use cfd_model::csv::relation_from_csv_str;
 use cfd_model::{ingest_csv_path, Cfd, Control, IngestOptions, Json};
-use cfd_partition::RelationIndex;
 use cfd_serve::client::{Client, ClientRead};
 use cfd_serve::session::attach_rule_texts;
 use cfd_serve::{ServeOptions, Server};
-use cfd_validate::{validate_indexed, ValidateOptions};
+use cfd_validate::{validate_with, ValidateOptions};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::SocketAddr;
@@ -227,15 +226,13 @@ fn three_concurrent_clients_match_one_shot_results() {
         .map(|l| (l.to_string(), parse_cfd(&cust, l).expect("round-trip rule")))
         .collect();
     assert!(rules.len() >= 5, "cust cover unexpectedly small");
-    let index = RelationIndex::new(&cust);
     let opts = ValidateOptions {
         threads: 1,
         limit: 20,
     };
-    let mut expected_report = validate_indexed(
+    let mut expected_report = validate_with(
         &cust,
         rules.iter().map(|(_, c)| c),
-        &index,
         &opts,
         &Control::default(),
     )

@@ -14,7 +14,8 @@
 //!    set and runs **one** dense grouping pass per distinct set
 //!    ([`cfd_partition::GroupIds`], flat `u64` keys);
 //! 2. drives each rule's scan by the smallest value region of its LHS
-//!    constants (the cached [`cfd_partition::RelationIndex`]), so
+//!    constants (the regions each column builds once and keeps,
+//!    [`Column::regions`](cfd_model::relation::Column::regions)), so
 //!    selective rules never touch the rest of the relation;
 //! 3. shards rules across worker threads and merges reports in rule
 //!    order, so the result is independent of the thread count.
@@ -49,9 +50,7 @@ pub mod plan;
 pub mod repair;
 pub mod report;
 
-pub use plan::{
-    measure_cover, validate, validate_indexed, validate_with, CoverPlan, ValidateOptions,
-};
+pub use plan::{measure_cover, validate, validate_with, CoverPlan, ValidateOptions};
 pub use repair::suggest_repairs_for_cover;
 pub use report::{RuleReport, ValidationReport};
 

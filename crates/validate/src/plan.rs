@@ -12,29 +12,31 @@
 //!
 //! [`CoverPlan::validate`] then evaluates every rule against the
 //! relation. Per rule, the scan is **driven by the smallest value
-//! region** of its LHS constants (via the shared
-//! [`cfd_partition::RelationIndex`] cache) instead of the full
-//! relation, and a variable rule's group state is a flat array indexed
-//! by group id (or a small `u32`-keyed map when the driving region is
-//! much smaller than the group universe). Rules are sharded across
-//! worker threads — the architecture `cfd-stream` uses for batches —
-//! and results are merged in rule order, so the report is byte-for-byte
-//! identical at any thread count.
+//! region** of its LHS constants (the regions each column builds once
+//! and keeps, [`Column::regions`]) instead of the full relation, and a
+//! variable rule's group state is a flat array indexed by group id (or
+//! a small `u32`-keyed map when the driving region is much smaller than
+//! the group universe). Rules are sharded across worker threads — the
+//! architecture `cfd-stream` uses for batches — and results are merged
+//! in rule order, so the report is byte-for-byte identical at any
+//! thread count.
+//!
+//! [`Column::regions`]: cfd_model::relation::Column::regions
 
 use crate::report::{RuleReport, ValidationReport};
 use cfd_model::fxhash::FxHashMap;
 use cfd_model::pattern::PVal;
-use cfd_model::progress::Control;
+use cfd_model::progress::{par_map, Control};
 use cfd_model::relation::{Relation, TupleId};
 use cfd_model::schema::AttrId;
 use cfd_model::{Cfd, RuleMeasure, Violation};
-use cfd_partition::{GroupIds, RelationIndex};
+use cfd_partition::GroupIds;
 
 /// Options of one validation run.
 #[derive(Clone, Copy, Debug)]
 pub struct ValidateOptions {
     /// Worker threads to shard rules across (min 1; capped by the rule
-    /// count). The report does not depend on this.
+    /// count and the cores). The report does not depend on this.
     pub threads: usize,
     /// Per-rule cap on the collected violation sample. Counters are
     /// exact regardless — the cap only bounds
@@ -145,12 +147,17 @@ impl CoverPlan {
                 rhs,
             });
         }
-        let families = run_sharded(threads, &wilds, |wild| {
-            let _sp = cfd_obs::span!("validate.group_build");
-            Family {
-                gids: GroupIds::build(rel, wild),
-            }
-        });
+        let families = par_map(
+            &wilds,
+            threads,
+            || (),
+            |wild, _| {
+                let _sp = cfd_obs::span!("validate.group_build");
+                Family {
+                    gids: GroupIds::build(rel, wild),
+                }
+            },
+        );
         CoverPlan {
             rules,
             families,
@@ -186,31 +193,19 @@ impl CoverPlan {
     ///
     /// `rel` must be the relation the plan was compiled for.
     pub fn validate(&self, rel: &Relation, opts: &ValidateOptions) -> ValidationReport {
-        let index = RelationIndex::new(rel);
-        self.validate_indexed(rel, &index, opts)
-    }
-
-    /// [`CoverPlan::validate`] against a caller-owned
-    /// [`RelationIndex`] — a resident server shares one index per
-    /// registered dataset across every `check`/`repair`/measure job,
-    /// so the per-column value regions that drive constant-filtered
-    /// rules are built once per dataset instead of once per request.
-    /// The report is identical to [`CoverPlan::validate`]'s: the index
-    /// caches pure per-column regions, never scan state.
-    pub fn validate_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &ValidateOptions,
-    ) -> ValidationReport {
         let units: Vec<Unit> = (0..self.families.len())
             .map(Unit::Family)
             .chain(self.const_rules.iter().map(|&r| Unit::ConstRule(r)))
             .collect();
-        let chunks = run_sharded(opts.threads, &units, |unit| match unit {
-            Unit::ConstRule(r) => vec![eval_const_rule(rel, index, &self.rules[*r], opts.limit)],
-            Unit::Family(f) => self.eval_family(rel, index, *f, opts.limit),
-        });
+        let chunks = par_map(
+            &units,
+            opts.threads,
+            || (),
+            |unit, _| match unit {
+                Unit::ConstRule(r) => vec![eval_const_rule(rel, &self.rules[*r], opts.limit)],
+                Unit::Family(f) => self.eval_family(rel, *f, opts.limit),
+            },
+        );
         let mut rules: Vec<RuleReport> = chunks.into_iter().flatten().collect();
         rules.sort_unstable_by_key(|r| r.rule);
         ValidationReport {
@@ -227,10 +222,9 @@ impl CoverPlan {
     /// family). Runs the same scanners as `validate`, with a sink that
     /// aborts on the first violation.
     pub fn holds(&self, rel: &Relation) -> bool {
-        let index = RelationIndex::new(rel);
         for &r in &self.const_rules {
             let mut dirty = false;
-            scan_const_rule(rel, &index, &self.rules[r], &mut |_, _| {
+            scan_const_rule(rel, &self.rules[r], &mut |_, _| {
                 dirty = true;
                 false
             });
@@ -251,7 +245,7 @@ impl CoverPlan {
                     let wit = witness.get_or_insert_with(|| self.families[f].gids.witnesses());
                     scan_plain_var_rule(rel, rule, &self.families[f].gids, wit, &mut abort);
                 } else {
-                    scan_var_rule(rel, &index, rule, &self.families[f].gids, &mut abort, None);
+                    scan_var_rule(rel, rule, &self.families[f].gids, &mut abort, None);
                 }
                 if dirty {
                     return false;
@@ -273,13 +267,7 @@ impl CoverPlan {
     /// with a dense per-code counter; constant-filtered rules collect
     /// their matching `(group, code)` pairs into a reused buffer and
     /// sort it — pure array work either way, no per-row hashing.
-    fn eval_family(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        f: usize,
-        limit: usize,
-    ) -> Vec<RuleReport> {
+    fn eval_family(&self, rel: &Relation, f: usize, limit: usize) -> Vec<RuleReport> {
         let _sp = cfd_obs::span!("validate.family_scan");
         let gids = &self.families[f].gids;
         let mut witness: Option<Vec<u32>> = None;
@@ -310,14 +298,8 @@ impl CoverPlan {
                         removals = scratch.removals_ordered(ord, gids.gids(), rhs_codes);
                     } else {
                         scratch.pairs.clear();
-                        support = scan_var_rule(
-                            rel,
-                            index,
-                            rule,
-                            gids,
-                            &mut count,
-                            Some(&mut scratch.pairs),
-                        );
+                        support =
+                            scan_var_rule(rel, rule, gids, &mut count, Some(&mut scratch.pairs));
                         let _m = cfd_obs::span!("validate.measure");
                         removals = removals_from_pairs(&mut scratch.pairs);
                     }
@@ -373,43 +355,9 @@ pub fn validate_with<'a, I>(
 where
     I: IntoIterator<Item = &'a Cfd>,
 {
-    validate_maybe_indexed(rel, cfds, None, opts, ctrl)
-}
-
-/// [`validate_with`] against a caller-owned [`RelationIndex`] — the
-/// per-dataset column cache a resident server (`cfd serve`) shares
-/// across concurrent jobs. Reports are byte-identical to
-/// [`validate_with`]'s; only the per-column region builds are
-/// amortized.
-pub fn validate_indexed<'a, I>(
-    rel: &Relation,
-    cfds: I,
-    index: &RelationIndex,
-    opts: &ValidateOptions,
-    ctrl: &Control<'_>,
-) -> ValidationReport
-where
-    I: IntoIterator<Item = &'a Cfd>,
-{
-    validate_maybe_indexed(rel, cfds, Some(index), opts, ctrl)
-}
-
-fn validate_maybe_indexed<'a, I>(
-    rel: &Relation,
-    cfds: I,
-    index: Option<&RelationIndex>,
-    opts: &ValidateOptions,
-    ctrl: &Control<'_>,
-) -> ValidationReport
-where
-    I: IntoIterator<Item = &'a Cfd>,
-{
     let _sp = cfd_obs::span!("validate.run");
     let plan = CoverPlan::compile_with(rel, cfds, opts.threads);
-    let report = match index {
-        Some(ix) => plan.validate_indexed(rel, ix, opts),
-        None => plan.validate(rel, opts),
-    };
+    let report = plan.validate(rel, opts);
     ctrl.metric_add("validate.rules", plan.n_rules() as u64);
     ctrl.metric_add("validate.families", plan.families.len() as u64);
     ctrl.metric_add(
@@ -426,42 +374,6 @@ where
         report.rules.iter().map(|r| r.violations as u64).sum(),
     );
     report
-}
-
-/// Maps `f` over `items` on up to `threads` scoped worker threads
-/// (round-robin shards, results re-assembled in item order — the output
-/// cannot depend on the thread count).
-fn run_sharded<T: Sync, R: Send>(
-    threads: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunks: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(threads)
-                        .map(|(i, item)| (i, f(item)))
-                        .collect()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    for (i, r) in chunks.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots.into_iter().map(|s| s.unwrap()).collect()
 }
 
 /// Sentinel for an empty group slot (no tuple id reaches `u32::MAX`).
@@ -532,13 +444,8 @@ impl Driver<'_> {
 /// Runs `f` over the tuples matching `consts`, in ascending row order,
 /// driven by the smallest constant value region — the shared scan shape
 /// of validation and repair.
-pub(crate) fn scan_matching(
-    rel: &Relation,
-    index: &RelationIndex,
-    consts: &[(AttrId, u32)],
-    mut f: impl FnMut(TupleId),
-) {
-    let (driver, residual) = pick_driver(rel, index, consts);
+pub(crate) fn scan_matching(rel: &Relation, consts: &[(AttrId, u32)], mut f: impl FnMut(TupleId)) {
+    let (driver, residual) = pick_driver(rel, consts);
     let filters: Vec<(&[u32], u32)> = residual
         .iter()
         .map(|&(a, c)| (rel.column(a).codes(), c))
@@ -555,14 +462,13 @@ pub(crate) fn scan_matching(
 /// relation when the rule has none. Returns the driver and the
 /// *residual* constant filters the scan still has to test.
 fn pick_driver<'a>(
-    rel: &Relation,
-    index: &'a RelationIndex,
+    rel: &'a Relation,
     consts: &[(AttrId, u32)],
 ) -> (Driver<'a>, Vec<(AttrId, u32)>) {
     let best = consts
         .iter()
         .enumerate()
-        .map(|(i, &(a, c))| (index.column(rel, a).region(c).len(), i))
+        .map(|(i, &(a, c))| (rel.column(a).regions().region(c).len(), i))
         .min();
     match best {
         None => (Driver::Full(rel.n_rows() as u32), consts.to_vec()),
@@ -574,7 +480,7 @@ fn pick_driver<'a>(
                 .filter(|&(j, _)| j != i)
                 .map(|(_, &p)| p)
                 .collect();
-            (Driver::Region(index.column(rel, a).region(c)), residual)
+            (Driver::Region(rel.column(a).regions().region(c)), residual)
         }
     }
 }
@@ -675,16 +581,11 @@ fn removals_from_pairs(pairs: &mut [u64]) -> usize {
 /// Evaluates one constant-RHS rule in a single driven scan. Here the
 /// violation-record count *is* the minimal-removal count (each
 /// dissenting tuple must go), so the measure needs no extra state.
-fn eval_const_rule(
-    rel: &Relation,
-    index: &RelationIndex,
-    rule: &CompiledRule,
-    limit: usize,
-) -> RuleReport {
+fn eval_const_rule(rel: &Relation, rule: &CompiledRule, limit: usize) -> RuleReport {
     let _sp = cfd_obs::span!("validate.const_scan");
     let mut violations = 0usize;
     let mut sample = Vec::new();
-    let support = scan_const_rule(rel, index, rule, &mut |_, t| {
+    let support = scan_const_rule(rel, rule, &mut |_, t| {
         violations += 1;
         if sample.len() < limit {
             sample.push(Violation::Single(t));
@@ -711,16 +612,11 @@ type Sink<'s> = &'s mut dyn FnMut(TupleId, TupleId) -> bool;
 
 /// Scans one constant-RHS rule, feeding dissenting tuples to `sink`.
 /// Returns the support counted up to the stop point.
-fn scan_const_rule(
-    rel: &Relation,
-    index: &RelationIndex,
-    rule: &CompiledRule,
-    sink: Sink,
-) -> usize {
+fn scan_const_rule(rel: &Relation, rule: &CompiledRule, sink: Sink) -> usize {
     let RuleRhs::Const(expect) = rule.rhs else {
         unreachable!("scan_const_rule takes a const-RHS rule");
     };
-    let (driver, residual) = pick_driver(rel, index, &rule.consts);
+    let (driver, residual) = pick_driver(rel, &rule.consts);
     let filters: Vec<(&[u32], u32)> = residual
         .iter()
         .map(|&(a, c)| (rel.column(a).codes(), c))
@@ -748,13 +644,12 @@ fn scan_const_rule(
 /// passes `None`).
 fn scan_var_rule(
     rel: &Relation,
-    index: &RelationIndex,
     rule: &CompiledRule,
     gids: &GroupIds,
     sink: Sink,
     pairs: Option<&mut Vec<u64>>,
 ) -> usize {
-    let (driver, residual) = pick_driver(rel, index, &rule.consts);
+    let (driver, residual) = pick_driver(rel, &rule.consts);
     let filters: Vec<(&[u32], u32)> = residual
         .iter()
         .map(|&(a, c)| (rel.column(a).codes(), c))

@@ -13,7 +13,6 @@ use cfd_model::fxhash::{FxHashMap, FxHashSet};
 use cfd_model::relation::{Relation, TupleId};
 use cfd_model::repair::Repair;
 use cfd_model::Cfd;
-use cfd_partition::RelationIndex;
 
 /// Suggests repairs for a whole rule set, deduplicated per cell: when
 /// several rules implicate the same `(tuple, attribute)` cell, the
@@ -28,11 +27,10 @@ where
 {
     let cfds: Vec<&Cfd> = cfds.into_iter().collect();
     let plan = CoverPlan::compile(rel, cfds.iter().copied());
-    let index = RelationIndex::new(rel);
     let mut seen: FxHashSet<(TupleId, usize)> = FxHashSet::default();
     let mut out = Vec::new();
     for (i, cfd) in cfds.iter().enumerate() {
-        for r in rule_repairs(rel, &index, &plan, i, cfd) {
+        for r in rule_repairs(rel, &plan, i, cfd) {
             if seen.insert((r.tuple, r.attr)) {
                 out.push(r);
             }
@@ -42,13 +40,7 @@ where
 }
 
 /// Repairs for one rule of the plan, in the reference order.
-fn rule_repairs(
-    rel: &Relation,
-    index: &RelationIndex,
-    plan: &CoverPlan,
-    rule: usize,
-    cfd: &Cfd,
-) -> Vec<Repair> {
+fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize, cfd: &Cfd) -> Vec<Repair> {
     let rhs_attr = cfd.rhs_attr();
     let rhs_codes = rel.column(rhs_attr).codes();
     let consts: Vec<(usize, u32)> = cfd
@@ -62,7 +54,7 @@ fn rule_repairs(
         // constant RHS: every mismatching matching tuple gets the
         // rule's constant
         let expect = cfd.rhs_val().as_const().expect("const-RHS rule");
-        scan_matching(rel, index, &consts, |t| {
+        scan_matching(rel, &consts, |t| {
             let cur = rhs_codes[t as usize];
             if cur != expect {
                 out.push(Repair {
@@ -80,7 +72,7 @@ fn rule_repairs(
     let gids = plan.group_ids(family).gids();
     let mut first_rhs: FxHashMap<u32, u32> = FxHashMap::default();
     let mut mixed: FxHashSet<u32> = FxHashSet::default();
-    scan_matching(rel, index, &consts, |t| {
+    scan_matching(rel, &consts, |t| {
         let gid = gids[t as usize];
         let rhs = rhs_codes[t as usize];
         match first_rhs.entry(gid) {
@@ -98,7 +90,7 @@ fn rule_repairs(
         return out;
     }
     let mut members: FxHashMap<u32, Vec<TupleId>> = FxHashMap::default();
-    scan_matching(rel, index, &consts, |t| {
+    scan_matching(rel, &consts, |t| {
         let gid = gids[t as usize];
         if mixed.contains(&gid) {
             members.entry(gid).or_default().push(t);

@@ -102,7 +102,8 @@ fn usage() -> ExitCode {
          algorithms (cfd algos): {}\n\
          (--threads parallelizes discovery with every algorithm — fastcfd/naive shard\n\
          \x20 FindCover, ctane/tane shard level expansion, cfdminer its mining pass —\n\
-         \x20 and check; output is identical at any thread count;\n\
+         \x20 and check, on at most as many workers as there are cores; output is\n\
+         \x20 identical at any thread count;\n\
          \x20 --min-confidence mines approximate covers with ctane/tane/cfdminer;\n\
          \x20 rule files are strict — --lenient skips unparseable lines instead;\n\
          \x20 watch --remine re-mines drifted rules in place: when a rule's live\n\
