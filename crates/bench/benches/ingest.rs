@@ -1,14 +1,13 @@
-//! The million-row ingestion bench: slurp baseline vs the chunked
-//! zero-copy pipeline, serial and parallel.
+//! The million-row ingestion bench: the chunked zero-copy pipeline,
+//! serial and parallel.
 //!
-//! What this measures: `relation_from_csv_str` over a whole-file string
-//! (the pre-PR-7 loading path — two full copies of the input resident
-//! at once) against `ingest_csv_reader` streaming the same file through
-//! 1 MiB chunks at 1/2/4/8 encode workers. Throughput is reported in
-//! input bytes; an `# ingest:` line on stderr records the relation-side
-//! memory (`Relation::memory_bytes`) and the peak scanner buffer
-//! (chunk + longest-record bound), the numbers `BENCH_INGEST.json` at
-//! the repository root pins.
+//! What this measures: `ingest_csv_reader` streaming a tax CSV file
+//! through 1 MiB chunks at 1/2/4/8 encode workers (one encodes in
+//! place; more encode blocks in parallel and merge them). Throughput
+//! is reported in input bytes; an `# ingest:` line on stderr records
+//! the relation-side memory (`Relation::memory_bytes`) and the peak
+//! scanner buffer (chunk + longest-record bound), the numbers
+//! `BENCH_INGEST.json` at the repository root pins.
 //!
 //! The row count defaults to 1_000_000; override with `INGEST_ROWS`
 //! (CI smoke runs use a smaller instance). The tax CSV is written once
@@ -20,12 +19,11 @@
 //! meaningless without the core count) when the numbers move.
 
 use cfd_datagen::tax::TaxGenerator;
-use cfd_model::csv::relation_from_csv_str;
 use cfd_model::progress::Control;
 use cfd_model::{ingest_csv_reader, IngestOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::fs::File;
-use std::io::{BufWriter, Read};
+use std::io::BufWriter;
 use std::time::Duration;
 
 fn rows() -> usize {
@@ -53,18 +51,6 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .throughput(Throughput::Bytes(bytes));
 
-    // the pre-PR-7 baseline: read_to_string + whole-input parse (input
-    // string and relation resident simultaneously)
-    group.bench_function(BenchmarkId::new("slurp", format!("{n_rows}rows")), |b| {
-        b.iter(|| {
-            let mut text = String::new();
-            File::open(&path)
-                .and_then(|mut f| f.read_to_string(&mut text))
-                .expect("read temp CSV");
-            relation_from_csv_str(&text).expect("parse tax CSV")
-        })
-    });
-
     for threads in [1usize, 2, 4, 8] {
         let opts = IngestOptions::default().threads(threads);
         let id = BenchmarkId::new("chunked", format!("{n_rows}rows/t{threads}"));
@@ -78,14 +64,12 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // the memory story, once, outside the timed loops: relation-side
-    // bytes and the chunk-bounded reader peak vs the slurp baseline's
-    // whole-input string
+    // bytes and the chunk-bounded reader peak
     let f = File::open(&path).expect("open temp CSV");
     let rel = ingest_csv_reader(f, &IngestOptions::default(), &ctrl).expect("ingest tax CSV");
     eprintln!(
         "# ingest: rows={} input_bytes={bytes} relation_bytes={} bytes_per_row={:.1} \
-         (slurp additionally holds the {bytes}-byte input string; the chunked reader \
-         peaks at chunk + longest record = ~{} bytes of input buffer)",
+         (the chunked reader peaks at chunk + longest record = ~{} bytes of input buffer)",
         rel.n_rows(),
         rel.memory_bytes(),
         rel.memory_bytes() as f64 / rel.n_rows() as f64,

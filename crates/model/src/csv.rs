@@ -3,15 +3,14 @@
 //! embedded commas, quotes (`""`) and newlines; both `\n` and `\r\n` row
 //! terminators.
 //!
-//! Two reading modes share one grammar:
-//!
-//! * the string API ([`parse_csv`], [`relation_from_csv_str`]) parses a
-//!   fully materialized text, and
-//! * the chunked scanner ([`BlockReader`]) reads fixed-size buffers
-//!   from any [`Read`], carries partial records across chunk
-//!   boundaries **quote-aware** (a quoted newline spanning two chunks
-//!   parses identically to the string API), and hands out blocks of
-//!   whole records for the streaming pipeline in [`crate::ingest`].
+//! Every relation is read by the chunked scanner ([`BlockReader`]):
+//! it reads fixed-size buffers from any [`Read`], carries partial
+//! records across chunk boundaries **quote-aware** (a quoted newline
+//! spanning two chunks parses the same as in one piece), and hands out
+//! blocks of whole records for the pipeline in [`crate::ingest`] —
+//! [`relation_from_csv_str`] included. [`parse_csv`] parses a whole
+//! text into string records on the same grammar; it is the reference
+//! the pipeline is tested against.
 //!
 //! Record parsing itself is zero-copy: `parse_record_spans` (crate
 //! private) emits byte ranges into the block, unescaping into a shared
@@ -19,13 +18,19 @@
 //! the boundary scan are spelled out in DESIGN.md §11.
 
 use crate::error::{Error, Result};
-use crate::relation::{Relation, RelationBuilder};
-use crate::schema::Schema;
+use crate::ingest::{ingest_csv_reader_serial, IngestOptions};
+use crate::progress::Control;
+use crate::relation::Relation;
 use std::io::{Read, Write};
 use std::path::Path;
 
 /// Default chunk size of the streaming reader path (1 MiB).
 pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
+
+/// The byte-order mark (U+FEFF) that may open a UTF-8 file, as Excel's
+/// "CSV UTF-8" writes it. It is skipped at the start of the input and
+/// is data anywhere else.
+pub(crate) const BOM: char = '\u{feff}';
 
 /// One parsed field: a byte range into either the block being parsed
 /// (`scratch == false`) or the unescape scratch buffer.
@@ -422,10 +427,10 @@ fn parse_record(input: &str) -> Result<(Vec<String>, usize)> {
     Ok((fields, used))
 }
 
-/// Parses CSV text into records.
+/// Parses CSV text into records, skipping a leading byte-order mark.
 pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>> {
     let mut records = Vec::new();
-    let mut rest = text;
+    let mut rest = text.strip_prefix(BOM).unwrap_or(text);
     while !rest.is_empty() {
         let (fields, used) = parse_record(rest)?;
         // skip blank lines
@@ -438,19 +443,11 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>> {
 }
 
 /// Reads a relation from CSV text. The first record is the header and
-/// becomes the schema.
+/// becomes the schema. Runs the serial pipeline over the text's bytes,
+/// in chunks no larger than the text.
 pub fn relation_from_csv_str(text: &str) -> Result<Relation> {
-    let records = parse_csv(text)?;
-    let mut it = records.into_iter();
-    let header = it
-        .next()
-        .ok_or_else(|| Error::Parse("empty CSV input".into()))?;
-    let schema = Schema::new(header)?;
-    let mut b = RelationBuilder::new(schema);
-    for rec in it {
-        b.push_row(&rec)?;
-    }
-    Ok(b.finish())
+    let opts = IngestOptions::default().chunk_bytes(text.len().min(DEFAULT_CHUNK_BYTES));
+    ingest_csv_reader_serial(text.as_bytes(), &opts, &Control::default())
 }
 
 /// Reads a relation from any reader producing CSV with a header row.
@@ -460,11 +457,7 @@ pub fn relation_from_csv_str(text: &str) -> Result<Relation> {
 /// resulting relation and every error are identical to feeding the
 /// same bytes to [`relation_from_csv_str`].
 pub fn relation_from_csv_reader<R: Read>(reader: R) -> Result<Relation> {
-    crate::ingest::ingest_csv_reader_serial(
-        reader,
-        &crate::ingest::IngestOptions::default(),
-        &crate::progress::Control::default(),
-    )
+    ingest_csv_reader_serial(reader, &IngestOptions::default(), &Control::default())
 }
 
 /// Reads a relation from a CSV file with a header row.

@@ -1,34 +1,35 @@
 //! Streaming, chunked, parallel CSV → [`Relation`] ingestion.
 //!
-//! The string API ([`crate::csv::relation_from_csv_str`]) needs the
-//! whole input materialized; at the million-row scale the ROADMAP
-//! targets, loading dominated both wall time and peak RSS. This module
-//! is the engine behind every reader-based load in the workspace:
+//! This module is the engine behind every CSV load in the workspace,
+//! string, reader and path alike:
 //!
 //! 1. **Read** — a [`BlockReader`] pulls fixed-size chunks from any
 //!    [`Read`] and emits blocks of *whole records* (quote-aware carry,
-//!    so a quoted newline spanning chunks parses identically to the
-//!    string API). Peak buffered input is O(chunk + longest record).
+//!    so a quoted newline spanning chunks parses the same as in one
+//!    piece). Peak buffered input is O(chunk + longest record).
 //! 2. **Parse + encode** — each block is parsed zero-copy (field spans
-//!    into the block) and dictionary-encoded with *block-local*
-//!    dictionaries; with `threads > 1`, workers pull blocks from a
-//!    shared reader and encode in parallel.
-//! 3. **Merge** — blocks merge into the global columns strictly in
-//!    input order: each block's local values are interned into the
-//!    global dictionary in local-code order, which reproduces exactly
-//!    the first-seen code assignment of a serial row scan. Final codes
-//!    are therefore **independent of thread count and chunk size**
-//!    (property-tested in `tests/ingest_equiv.rs`). The per-code
-//!    histograms merged here become each column's first-level
-//!    partition ([`crate::relation::Column::value_counts`]), warm for
-//!    downstream grouping.
+//!    into the block) and dictionary-encoded. The serial path
+//!    (`threads <= 1`) encodes straight into the relation's columns,
+//!    so each value is interned once. With `threads > 1`, workers pull
+//!    blocks from a shared reader and encode each against *block-local*
+//!    dictionaries in parallel.
+//! 3. **Merge** (parallel path only) — blocks merge into the global
+//!    columns strictly in input order: each block's local values are
+//!    interned into the global dictionary in local-code order, which
+//!    reproduces exactly the first-seen code assignment of the serial
+//!    row scan. Final codes are therefore **independent of thread
+//!    count and chunk size** (property-tested in
+//!    `tests/ingest_equiv.rs`). The per-code histograms counted here
+//!    become each column's first-level partition
+//!    ([`crate::relation::Column::value_counts`]), warm for downstream
+//!    grouping.
 //!
 //! Observability flows through the [`Control`] handle: `ingest.read` /
-//! `ingest.parse` / `ingest.encode` / `ingest.merge` spans (forwarded
-//! to `cfd-obs` when tracing is on), `ingest.rows` and
-//! `ingest.chunk_bytes` counters, and the `ingest.relation_bytes` /
-//! `ingest.max_block_bytes` gauges (the RSS proxies). See DESIGN.md
-//! §11.
+//! `ingest.parse` / `ingest.encode` spans, plus `ingest.merge` on the
+//! parallel path (forwarded to `cfd-obs` when tracing is on),
+//! `ingest.rows` and `ingest.chunk_bytes` counters, and the
+//! `ingest.relation_bytes` / `ingest.max_block_bytes` gauges (the RSS
+//! proxies). See DESIGN.md §11.
 //!
 //! ```
 //! use cfd_model::ingest::{ingest_csv_reader, IngestOptions};
@@ -42,7 +43,8 @@
 //! ```
 
 use crate::csv::{
-    block_str, parse_record_spans, BlockReader, BlockRecords, RecordFields, DEFAULT_CHUNK_BYTES,
+    block_str, parse_record_spans, BlockReader, BlockRecords, RecordFields, BOM,
+    DEFAULT_CHUNK_BYTES,
 };
 use crate::error::{Error, Result};
 use crate::progress::{workers, Control};
@@ -88,28 +90,30 @@ impl IngestOptions {
     }
 }
 
-/// One column's block-local encoding output: codes over a local
-/// dictionary, plus the local per-code histogram.
+/// One column under construction: codes over a dictionary, plus the
+/// per-code histogram. The serial path encodes straight into the
+/// global columns; each parallel block gets fresh block-local ones.
 struct LocalCol {
     codes: Vec<u32>,
     dict: Dict,
     counts: Vec<u32>,
 }
 
-impl LocalCol {
-    fn new() -> LocalCol {
-        LocalCol {
+fn new_cols(arity: usize) -> Vec<LocalCol> {
+    (0..arity)
+        .map(|_| LocalCol {
             codes: Vec::new(),
             dict: Dict::default(),
             counts: Vec::new(),
-        }
-    }
+        })
+        .collect()
 }
 
-/// Dictionary-encodes every record of a parsed block with block-local
-/// dictionaries (codes in first-seen order within the block).
-fn encode_block(block: &str, recs: &BlockRecords, arity: usize) -> Result<Vec<LocalCol>> {
-    let mut cols: Vec<LocalCol> = (0..arity).map(|_| LocalCol::new()).collect();
+/// Dictionary-encodes every record of a parsed block into `cols`
+/// (new values take the next codes of `cols`' dictionaries, in
+/// first-seen order).
+fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [LocalCol]) -> Result<()> {
+    let arity = cols.len();
     for r in 0..recs.n_records() {
         let w = recs.record_len(r);
         if w != arity {
@@ -126,7 +130,7 @@ fn encode_block(block: &str, recs: &BlockRecords, arity: usize) -> Result<Vec<Lo
             col.codes.push(c);
         }
     }
-    Ok(cols)
+    Ok(())
 }
 
 /// Merges one block's local columns into the global ones, remapping
@@ -153,15 +157,25 @@ fn merge_block(global: &mut [LocalCol], block: Vec<LocalCol>, remap: &mut Vec<u3
 }
 
 /// Reads blocks until the first non-blank record appears; returns the
-/// schema it defines plus the unconsumed remainder of its block.
+/// schema it defines plus the unconsumed remainder of its block. A
+/// UTF-8 byte-order mark at the very start of the input is skipped:
+/// it marks the encoding, not the first column's name.
 fn read_header<R: Read>(blocks: &mut BlockReader<R>) -> Result<(Schema, Vec<u8>)> {
     let mut rf = RecordFields::default();
+    let mut at_input_start = true;
     loop {
         let Some(block) = blocks.next_block()? else {
             return Err(Error::Parse("empty CSV input".into()));
         };
         let s = block_str(&block)?;
-        let mut at = 0;
+        // the first block starts at byte 0 and holds a whole record, so
+        // a leading mark is never split across blocks
+        let mut at = if at_input_start && s.starts_with(BOM) {
+            BOM.len_utf8()
+        } else {
+            0
+        };
+        at_input_start = false;
         while at < s.len() {
             rf.clear();
             let next = parse_record_spans(s, at, &mut rf)?;
@@ -176,34 +190,33 @@ fn read_header<R: Read>(blocks: &mut BlockReader<R>) -> Result<(Schema, Vec<u8>)
     }
 }
 
-/// Parses and encodes one raw block (the per-block worker step).
+/// Parses one raw block and encodes it into `cols` (the per-block
+/// step of both paths); returns its record count.
 fn encode_one(
     block: &[u8],
     recs: &mut BlockRecords,
-    arity: usize,
+    cols: &mut [LocalCol],
     ctrl: &Control<'_>,
-) -> Result<(usize, Vec<LocalCol>)> {
+) -> Result<usize> {
     let s = block_str(block)?;
     {
         let _sp = ctrl.span("ingest.parse");
         recs.parse_into(s)?;
     }
-    let cols = {
-        let _sp = ctrl.span("ingest.encode");
-        encode_block(s, recs, arity)?
-    };
-    Ok((recs.n_records(), cols))
+    let _sp = ctrl.span("ingest.encode");
+    encode_block(s, recs, cols)?;
+    Ok(recs.n_records())
 }
 
+/// The serial path: every block encodes in place into the global
+/// columns, so each value is interned once and nothing is merged.
 fn ingest_serial<R: Read>(
     blocks: &mut BlockReader<R>,
     first: Option<Vec<u8>>,
     global: &mut [LocalCol],
-    arity: usize,
     ctrl: &Control<'_>,
 ) -> Result<()> {
     let mut recs = BlockRecords::default();
-    let mut remap: Vec<u32> = Vec::new();
     let mut pending = first;
     loop {
         let block = match pending.take() {
@@ -217,10 +230,8 @@ fn ingest_serial<R: Read>(
             }
         };
         ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
-        let (rows, cols) = encode_one(&block, &mut recs, arity, ctrl)?;
+        let rows = encode_one(&block, &mut recs, global, ctrl)?;
         ctrl.metric_add("ingest.rows", rows as u64);
-        let _sp = ctrl.span("ingest.merge");
-        merge_block(global, cols, &mut remap);
     }
 }
 
@@ -237,6 +248,8 @@ struct Source<R> {
 
 type BlockResult = (u64, Result<(usize, Vec<LocalCol>)>);
 
+/// A parallel encode worker: pulls blocks and encodes each into fresh
+/// block-local columns for the in-order merge.
 fn worker<R: Read>(
     source: &Mutex<Source<R>>,
     tx: SyncSender<BlockResult>,
@@ -274,7 +287,8 @@ fn worker<R: Read>(
             }
         };
         ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
-        let res = encode_one(&block, &mut recs, arity, &ctrl);
+        let mut cols = new_cols(arity);
+        let res = encode_one(&block, &mut recs, &mut cols, &ctrl).map(|rows| (rows, cols));
         // send fails only when the merger bailed on an earlier error
         if tx.send((idx, res)).is_err() {
             return;
@@ -344,7 +358,10 @@ fn finish_relation(
     let n_rows = global.first().map_or(0, |c| c.codes.len());
     let cols = global
         .into_iter()
-        .map(|c| Column::from_parts(c.codes, c.dict, c.counts))
+        .map(|mut c| {
+            c.dict.shrink_to_fit();
+            Column::from_parts(c.codes, c.dict, c.counts)
+        })
         .collect();
     let rel = Relation::from_parts(schema, cols, n_rows);
     ctrl.metric_gauge("ingest.max_block_bytes", max_block as u64);
@@ -365,10 +382,9 @@ pub(crate) fn ingest_csv_reader_serial<R: Read>(
         let _sp = ctrl.span("ingest.read");
         read_header(&mut blocks)?
     };
-    let arity = schema.arity();
-    let mut global: Vec<LocalCol> = (0..arity).map(|_| LocalCol::new()).collect();
+    let mut global = new_cols(schema.arity());
     let first = (!first.is_empty()).then_some(first);
-    ingest_serial(&mut blocks, first, &mut global, arity, ctrl)?;
+    ingest_serial(&mut blocks, first, &mut global, ctrl)?;
     Ok(finish_relation(
         schema,
         global,
@@ -379,11 +395,10 @@ pub(crate) fn ingest_csv_reader_serial<R: Read>(
 
 /// Streams CSV with a header row into a [`Relation`] through the
 /// chunked pipeline. The relation — codes, dictionary order and
-/// histograms — is byte-identical to
-/// [`relation_from_csv_str`](crate::csv::relation_from_csv_str) on the
-/// same bytes, for every chunk size and thread count; so are all
-/// errors. Peak input-side memory is O(`chunk_bytes` × threads), not
-/// O(file).
+/// histograms — is the same for every chunk size and thread count, and
+/// the same as [`relation_from_csv_str`](crate::csv::relation_from_csv_str)
+/// builds from the same bytes. Peak input-side memory is
+/// O(`chunk_bytes` × threads), not O(file).
 pub fn ingest_csv_reader<R: Read + Send>(
     reader: R,
     opts: &IngestOptions,
@@ -398,7 +413,7 @@ pub fn ingest_csv_reader<R: Read + Send>(
         read_header(&mut blocks)?
     };
     let arity = schema.arity();
-    let mut global: Vec<LocalCol> = (0..arity).map(|_| LocalCol::new()).collect();
+    let mut global = new_cols(arity);
     let first = (!first.is_empty()).then_some(first);
     let max_block = ingest_parallel(blocks, first, &mut global, arity, opts.threads, ctrl)?;
     Ok(finish_relation(schema, global, max_block, ctrl))
@@ -417,10 +432,23 @@ pub fn ingest_csv_path<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::relation_from_csv_str;
+    use crate::csv::{parse_csv, relation_from_csv_str};
     use crate::progress::MetricsSink;
+    use crate::relation::RelationBuilder;
     use std::collections::HashMap;
     use std::time::{Duration, Instant};
+
+    /// The reference reader the pipeline is held to: whole-text records
+    /// pushed row by row through [`RelationBuilder`].
+    fn oracle(text: &str) -> Relation {
+        let mut records = parse_csv(text).unwrap().into_iter();
+        let schema = Schema::new(records.next().expect("a header")).unwrap();
+        let mut b = RelationBuilder::new(schema);
+        for rec in records {
+            b.push_row(&rec).unwrap();
+        }
+        b.finish()
+    }
 
     /// Full structural equality: schema, codes, dictionary order,
     /// histograms.
@@ -448,13 +476,66 @@ mod tests {
 
     #[test]
     fn chunked_matches_string_parse_at_all_chunk_sizes() {
-        let expected = relation_from_csv_str(TRICKY).unwrap();
+        let expected = oracle(TRICKY);
+        assert_rel_identical(&expected, &relation_from_csv_str(TRICKY).unwrap());
         for chunk in [1, 2, 3, 5, 7, 16, 64, 4096] {
             for threads in [1, 4, usize::MAX] {
                 let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
                 let got = ingest_csv_reader(TRICKY.as_bytes(), &opts, &Control::default()).unwrap();
                 assert_rel_identical(&expected, &got);
             }
+        }
+    }
+
+    #[test]
+    fn a_leading_byte_order_mark_is_skipped_and_any_other_is_data() {
+        // Excel's "CSV UTF-8" opens the file with EF BB BF; a mark at
+        // the start of a data record, after a blank first line, or a
+        // second one, is a value
+        let csv = "\u{feff}CC,AC\n\u{feff}01,908\n44,\u{feff}131\n";
+        let want = oracle(csv);
+        assert_eq!(want.schema().name(0), "CC");
+        assert_eq!(want.tuple_values(0), ["\u{feff}01", "908"]);
+        assert_eq!(want.value(1, 1), "\u{feff}131");
+        let late = "\n\u{feff}CC,AC\n01,908\n";
+        assert_eq!(oracle(late).schema().name(0), "\u{feff}CC");
+        for text in [csv, late] {
+            let want = oracle(text);
+            assert_rel_identical(&want, &relation_from_csv_str(text).unwrap());
+            for chunk in 1..=4 {
+                for threads in [1, 4] {
+                    let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
+                    let got =
+                        ingest_csv_reader(text.as_bytes(), &opts, &Control::default()).unwrap();
+                    assert_rel_identical(&want, &got);
+                }
+            }
+        }
+        let twice = relation_from_csv_str("\u{feff}\u{feff}CC,AC\n01,908\n").unwrap();
+        assert_eq!(twice.schema().name(0), "\u{feff}CC");
+        let blank_first = relation_from_csv_str("\u{feff}\n\nCC,AC\n01,908\n").unwrap();
+        assert_eq!(blank_first.schema().name(0), "CC");
+    }
+
+    /// 30k tax rows grow every high-cardinality dictionary through many
+    /// table doublings, at every thread count, in 4 KiB chunks.
+    #[test]
+    fn tax_rows_match_the_oracle_at_every_thread_count() {
+        let mut csv = Vec::new();
+        cfd_datagen::tax::TaxGenerator::new(30_000)
+            .seed(3)
+            .write_csv(&mut csv)
+            .unwrap();
+        let text = String::from_utf8(csv).unwrap();
+        let want = oracle(&text);
+        let widest = (0..want.arity())
+            .map(|a| want.column(a).domain_size())
+            .max();
+        assert!(widest > Some(10_000), "widest domain {widest:?}");
+        for threads in [1, 2, 4] {
+            let opts = IngestOptions::default().chunk_bytes(4096).threads(threads);
+            let got = ingest_csv_reader(text.as_bytes(), &opts, &Control::default()).unwrap();
+            assert_rel_identical(&want, &got);
         }
     }
 
@@ -501,30 +582,33 @@ mod tests {
 
     #[test]
     fn metrics_and_spans_flow_through_the_control_handle() {
-        let sink = TestSink::default();
-        let ctrl = Control::default().metrics_with(&sink);
-        let csv = "A,B\n1,2\n3,4\n5,6\n";
-        let opts = IngestOptions::default().chunk_bytes(6).threads(2);
-        let rel = ingest_csv_reader(csv.as_bytes(), &opts, &ctrl).unwrap();
-        assert_eq!(rel.n_rows(), 3);
+        for threads in [1, 2] {
+            let sink = TestSink::default();
+            let ctrl = Control::default().metrics_with(&sink);
+            let csv = "A,B\n1,2\n3,4\n5,6\n";
+            let opts = IngestOptions::default().chunk_bytes(6).threads(threads);
+            let rel = ingest_csv_reader(csv.as_bytes(), &opts, &ctrl).unwrap();
+            assert_eq!(rel.n_rows(), 3);
 
-        let counters = sink.counters.lock().unwrap();
-        assert_eq!(counters["ingest.rows"], 3);
-        // every data byte flows through exactly one counted block
-        assert_eq!(counters["ingest.chunk_bytes"], (csv.len() - 4) as u64);
-        let gauges = sink.gauges.lock().unwrap();
-        assert_eq!(gauges["ingest.relation_bytes"], rel.memory_bytes() as u64);
-        // chunk-bounded: no record here is longer than 6 bytes + carry
-        assert!(gauges["ingest.max_block_bytes"] <= 6 + 6);
+            let counters = sink.counters.lock().unwrap();
+            assert_eq!(counters["ingest.rows"], 3);
+            // every data byte flows through exactly one counted block
+            assert_eq!(counters["ingest.chunk_bytes"], (csv.len() - 4) as u64);
+            let gauges = sink.gauges.lock().unwrap();
+            assert_eq!(gauges["ingest.relation_bytes"], rel.memory_bytes() as u64);
+            // chunk-bounded: no record here is longer than 6 bytes + carry
+            assert!(gauges["ingest.max_block_bytes"] <= 6 + 6);
 
-        let spans = sink.spans.lock().unwrap();
-        for name in [
-            "ingest.read",
-            "ingest.parse",
-            "ingest.encode",
-            "ingest.merge",
-        ] {
-            assert!(spans.contains(&name), "missing span {name}: {spans:?}");
+            let spans = sink.spans.lock().unwrap();
+            for name in ["ingest.read", "ingest.parse", "ingest.encode"] {
+                assert!(spans.contains(&name), "missing span {name}: {spans:?}");
+            }
+            // the serial path encodes in place: nothing to merge
+            assert_eq!(
+                spans.contains(&"ingest.merge"),
+                threads > 1,
+                "threads={threads}: {spans:?}"
+            );
         }
     }
 

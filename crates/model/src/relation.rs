@@ -9,13 +9,13 @@
 //!
 //! Memory layout matters at the million-row scale the ingestion
 //! pipeline ([`crate::ingest`]) targets: [`Dict`] stores each distinct
-//! string exactly once, every [`Column`] carries its first-level
-//! partition histogram ([`Column::value_counts`]) built during
-//! ingestion, and [`Relation::memory_bytes`] makes the footprint
-//! observable (DESIGN.md §11). From the histogram each column builds,
-//! on first use, its value regions ([`Column::regions`]): the tuple ids
-//! grouped by code, behind first-level partitions, constant lookups and
-//! constant refinement.
+//! string exactly once, in one arena, every [`Column`] carries its
+//! first-level partition histogram ([`Column::value_counts`]) built
+//! during ingestion, and [`Relation::memory_bytes`] makes the
+//! footprint observable (DESIGN.md §11). From the histogram each
+//! column builds, on first use, its value regions ([`Column::regions`]):
+//! the tuple ids grouped by code, behind first-level partitions,
+//! constant lookups and constant refinement.
 
 use crate::error::{Error, Result};
 use crate::fxhash::FxHasher;
@@ -31,6 +31,19 @@ pub type TupleId = u32;
 /// `u32::MAX`: that would need more than 4 G distinct values in one
 /// column, which the `u32` code space cannot represent anyway.
 const EMPTY_SLOT: u32 = u32::MAX;
+
+/// One slot of [`Dict`]'s table: a code and the low 32 bits of its
+/// value's [`hash_value`], which place the slot and filter probes.
+#[derive(Clone, Copy)]
+struct Slot {
+    code: u32,
+    hash: u32,
+}
+
+const FREE: Slot = Slot {
+    code: EMPTY_SLOT,
+    hash: 0,
+};
 
 fn hash_value(v: &str) -> u64 {
     let mut h = FxHasher::default();
@@ -48,105 +61,123 @@ fn hash_value(v: &str) -> u64 {
 
 /// Per-attribute value dictionary: code → string and string → code.
 ///
-/// Each interned string is stored **once**, as a `Box<str>` whose code
-/// is its index in the value arena; the reverse direction is an
-/// open-addressing table of codes (power-of-two capacity, linear
-/// probing, grown at 7/8 load) hashed with the in-tree [`FxHasher`].
-/// The earlier layout held every string twice — the `values` vector
-/// plus the owned key of a `HashMap<String, u32>` — which dominated
-/// relation-side memory on high-cardinality columns (DESIGN.md §11).
+/// Each interned string is stored **once**, back to back with the
+/// others in one arena `String`; code `c`'s value ends at `ends[c]` and
+/// starts where code `c - 1`'s ends. The reverse direction is an
+/// open-addressing table (power-of-two capacity, linear probing, grown
+/// at 7/8 load) whose slots keep each code beside the low 32 bits of
+/// its value's hash ([`FxHasher`] plus a finalizer). A probe compares
+/// strings only where those bits match, growth re-slots entries from
+/// the stored bits without reading a string, a miss inserts where its
+/// probe stopped, and a clone copies three flat buffers (DESIGN.md §11).
 #[derive(Clone, Default)]
 pub struct Dict {
-    /// Interned strings; the code of a value is its index here.
-    values: Vec<Box<str>>,
-    /// Open-addressing table of codes into `values` (`EMPTY_SLOT` marks
-    /// a free slot; capacity is zero or a power of two).
-    table: Vec<u32>,
+    /// Every interned string, in code order.
+    bytes: String,
+    /// `ends[c]` is the arena offset just past code `c`'s string.
+    ends: Vec<usize>,
+    /// Open-addressing table over the codes (capacity zero or a power
+    /// of two; free slots hold `EMPTY_SLOT`).
+    table: Vec<Slot>,
 }
 
 impl Dict {
-    /// Finds the code of `v` in the table, if present.
-    fn probe(&self, v: &str) -> Option<u32> {
+    /// The slot holding `v`'s code, or else the free slot where the
+    /// probe for `v` stopped (`Err(0)` on the empty table, which the
+    /// caller grows before inserting).
+    fn find(&self, v: &str, hash: u32) -> std::result::Result<u32, usize> {
         if self.table.is_empty() {
-            return None;
+            return Err(0);
         }
         let mask = self.table.len() - 1;
-        let mut i = hash_value(v) as usize & mask;
+        let mut i = hash as usize & mask;
         loop {
-            match self.table[i] {
-                EMPTY_SLOT => return None,
-                c => {
-                    if &*self.values[c as usize] == v {
-                        return Some(c);
-                    }
-                }
+            let s = self.table[i];
+            if s.code == EMPTY_SLOT {
+                return Err(i);
+            }
+            if s.hash == hash && self.value(s.code) == v {
+                return Ok(s.code);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Rebuilds the table at double capacity (min 16 slots).
+    /// The first free slot of `hash`'s probe chain.
+    fn free_slot(table: &[Slot], hash: u32) -> usize {
+        let mask = table.len() - 1;
+        let mut i = hash as usize & mask;
+        while table[i].code != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Rebuilds the table at double capacity (min 16 slots), placing
+    /// every entry by its stored hash bits.
     fn grow(&mut self) {
-        let cap = (self.table.len() * 2).max(16);
-        let mut table = vec![EMPTY_SLOT; cap];
-        let mask = cap - 1;
-        for (c, v) in self.values.iter().enumerate() {
-            let mut i = hash_value(v) as usize & mask;
-            while table[i] != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            table[i] = c as u32;
+        let mut table = vec![FREE; (self.table.len() * 2).max(16)];
+        for &s in self.table.iter().filter(|s| s.code != EMPTY_SLOT) {
+            let i = Dict::free_slot(&table, s.hash);
+            table[i] = s;
         }
         self.table = table;
     }
 
     /// Interns `v`, returning its code.
     pub fn intern(&mut self, v: &str) -> u32 {
-        if let Some(c) = self.probe(v) {
-            return c;
-        }
+        let hash = hash_value(v) as u32;
+        let mut slot = match self.find(v, hash) {
+            Ok(c) => return c,
+            Err(slot) => slot,
+        };
         // keep load ≤ 7/8 so probe chains stay short
-        if (self.values.len() + 1) * 8 > self.table.len() * 7 {
+        if (self.ends.len() + 1) * 8 > self.table.len() * 7 {
             self.grow();
+            slot = Dict::free_slot(&self.table, hash);
         }
-        let c = self.values.len() as u32;
-        self.values.push(v.into());
-        let mask = self.table.len() - 1;
-        let mut i = hash_value(v) as usize & mask;
-        while self.table[i] != EMPTY_SLOT {
-            i = (i + 1) & mask;
-        }
-        self.table[i] = c;
-        c
+        let code = self.ends.len() as u32;
+        self.bytes.push_str(v);
+        self.ends.push(self.bytes.len());
+        self.table[slot] = Slot { code, hash };
+        code
     }
 
     /// Looks up the code of `v`, if it was interned.
     pub fn code(&self, v: &str) -> Option<u32> {
-        self.probe(v)
+        self.find(v, hash_value(v) as u32).ok()
     }
 
     /// The string for a code.
     pub fn value(&self, code: u32) -> &str {
-        &self.values[code as usize]
+        let c = code as usize;
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.bytes[start..self.ends[c]]
     }
 
     /// Number of distinct values (the size of the *active domain*).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.ends.len()
     }
 
     /// True iff no value has been interned.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.ends.is_empty()
     }
 
-    /// Approximate heap bytes held: the string bytes (each counted
-    /// once), the arena's pointer slots, and the code table.
+    /// Releases the arena's and the offsets' spare capacity — for a
+    /// dictionary that is done growing.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Approximate heap bytes held: the arena (each string once), the
+    /// end offsets, and the table, all at their allocated capacity.
     pub fn memory_bytes(&self) -> usize {
-        let strings: usize = self.values.iter().map(|v| v.len()).sum();
-        strings
-            + self.values.capacity() * std::mem::size_of::<Box<str>>()
-            + self.table.capacity() * std::mem::size_of::<u32>()
+        self.bytes.capacity()
+            + self.ends.capacity() * std::mem::size_of::<usize>()
+            + self.table.capacity() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -639,7 +670,10 @@ impl RelationBuilder {
     }
 
     /// Finalizes the relation.
-    pub fn finish(self) -> Relation {
+    pub fn finish(mut self) -> Relation {
+        for c in &mut self.cols {
+            c.dict.shrink_to_fit();
+        }
         Relation {
             schema: self.schema,
             cols: self.cols,
@@ -661,6 +695,8 @@ pub fn relation_from_rows<S: AsRef<str>>(schema: Schema, rows: &[Vec<S>]) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn sample() -> Relation {
         let schema = Schema::new(["A", "B", "C"]).unwrap();
@@ -826,6 +862,99 @@ mod tests {
         }
         assert_eq!(d.code("value-10000"), None);
         assert_eq!(d.code(""), None);
+    }
+
+    /// Values a [`Dict`] property case draws from: the empty string,
+    /// multi-byte UTF-8, and chains of prefixes (`v1`, `v10`, `v100`) —
+    /// 702 in all, so a case interns past several table growths.
+    fn dict_pool() -> Vec<String> {
+        let mut pool = vec![String::new(), "长字段".to_string()];
+        for i in 0..350 {
+            pool.push(format!("v{i}"));
+            pool.push(format!("é{i}"));
+        }
+        pool
+    }
+
+    /// `d` against the oracle: same values in code order, and `code`
+    /// finds exactly the oracle's values among `pool`.
+    fn check_dict(
+        d: &Dict,
+        values: &[String],
+        codes: &HashMap<String, u32>,
+        pool: &[String],
+    ) -> std::result::Result<(), TestCaseError> {
+        prop_assert_eq!(d.len(), values.len());
+        prop_assert_eq!(d.is_empty(), values.is_empty());
+        for (c, v) in values.iter().enumerate() {
+            prop_assert_eq!(d.value(c as u32), v.as_str());
+        }
+        for v in pool {
+            prop_assert_eq!(d.code(v), codes.get(v).copied(), "code of {:?}", v);
+        }
+        Ok(())
+    }
+
+    /// Interns `v` into both `d` and the oracle; the codes must agree.
+    fn intern_both(
+        d: &mut Dict,
+        values: &mut Vec<String>,
+        codes: &mut HashMap<String, u32>,
+        v: &str,
+    ) -> std::result::Result<(), TestCaseError> {
+        let want = *codes.entry(v.to_string()).or_insert_with(|| {
+            values.push(v.to_string());
+            values.len() as u32 - 1
+        });
+        prop_assert_eq!(d.intern(v), want, "intern {:?}", v);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `Dict` agrees with a `Vec<String>` plus `HashMap` oracle:
+        /// codes in first-seen order, `code` and `value` alike. Interning
+        /// into a clone leaves the original unchanged.
+        #[test]
+        fn dict_matches_a_vec_and_map_oracle(
+            picks in prop_collection::vec(0usize..702, 0..2500),
+            split in 0usize..2500,
+        ) {
+            let pool = dict_pool();
+            let (mut values, mut codes) = (Vec::new(), HashMap::new());
+            let mut d = Dict::default();
+            let split = split.min(picks.len());
+            for &p in &picks[..split] {
+                intern_both(&mut d, &mut values, &mut codes, &pool[p])?;
+            }
+            check_dict(&d, &values, &codes, &pool)?;
+            let mut copy = d.clone();
+            let (mut copy_values, mut copy_codes) = (values.clone(), codes.clone());
+            for &p in &picks[split..] {
+                intern_both(&mut copy, &mut copy_values, &mut copy_codes, &pool[p])?;
+            }
+            check_dict(&copy, &copy_values, &copy_codes, &pool)?;
+            check_dict(&d, &values, &codes, &pool)?;
+        }
+    }
+
+    #[test]
+    fn values_with_equal_stored_hash_bits_keep_their_own_codes() {
+        // found once by a birthday search over "v0", "v1", …
+        let (a, b) = ("v11249", "v70307");
+        assert_eq!(hash_value(a) as u32, hash_value(b) as u32);
+        let mut d = Dict::default();
+        let ca = d.intern(a);
+        assert_eq!(d.code(b), None);
+        let cb = d.intern(b);
+        assert_ne!(ca, cb);
+        // and still after the table has grown around them
+        for i in 0..100 {
+            d.intern(&format!("w{i}"));
+        }
+        assert_eq!((d.code(a), d.code(b)), (Some(ca), Some(cb)));
+        assert_eq!((d.value(ca), d.value(cb)), (a, b));
     }
 
     /// The satellite's acceptance test: on a 100k-distinct-value column

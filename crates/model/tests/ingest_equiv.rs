@@ -1,16 +1,30 @@
 //! Property tests for the chunked ingestion pipeline: for every CSV the
 //! whole-input parser accepts, the chunked scanner must produce the
-//! *same relation* (schema, codes, dictionary order, histograms) at
-//! every chunk size — including 1-byte chunks, which force every quoted
-//! comma, escaped quote and quoted CRLF to straddle a block boundary —
-//! and at every thread count, which exercises the local-dictionary
-//! merge's determinism argument (DESIGN.md §11).
+//! *same relation* (schema, codes, dictionary order, histograms) as
+//! the reference reader at every chunk size — including 1-byte chunks,
+//! which force every quoted comma, escaped quote and quoted CRLF to
+//! straddle a block boundary — and at every thread count, which
+//! exercises the local-dictionary merge's determinism argument
+//! (DESIGN.md §11).
 
-use cfd_model::csv::relation_from_csv_str;
+use cfd_model::csv::{parse_csv, relation_from_csv_str};
 use cfd_model::progress::Control;
-use cfd_model::relation::Relation;
-use cfd_model::{ingest_csv_reader, IngestOptions};
+use cfd_model::relation::{Relation, RelationBuilder};
+use cfd_model::{ingest_csv_reader, IngestOptions, Schema};
 use proptest::prelude::*;
+
+/// The reference reader: whole-text records ([`parse_csv`]) pushed row
+/// by row through [`RelationBuilder`] — independent of the pipeline
+/// that every other reader runs.
+fn oracle(text: &str) -> Relation {
+    let mut records = parse_csv(text).expect("writer output parses").into_iter();
+    let schema = Schema::new(records.next().expect("a header")).unwrap();
+    let mut b = RelationBuilder::new(schema);
+    for rec in records {
+        b.push_row(&rec).unwrap();
+    }
+    b.finish()
+}
 
 /// The adversarial field alphabet: quoted commas, escaped quotes,
 /// quoted newlines and CRLFs (record terminators that must *not*
@@ -115,7 +129,8 @@ fn rows_strategy() -> impl Strategy<Value = (usize, Vec<Vec<&'static str>>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Chunked ≡ whole-input at chunk sizes down to a single byte.
+    /// Chunked ≡ whole-input at chunk sizes down to a single byte, and
+    /// so is the string API.
     #[test]
     fn chunked_scanner_matches_whole_input_parse(
         input in rows_strategy(),
@@ -123,11 +138,13 @@ proptest! {
     ) {
         let (arity, rows) = input;
         let csv = to_csv(&rows, arity);
-        let want = relation_from_csv_str(&csv).expect("writer output parses");
+        let want = oracle(&csv);
         let opts = IngestOptions::default().chunk_bytes(chunk);
         let got = ingest_csv_reader(csv.as_bytes(), &opts, &Control::default())
             .expect("chunked ingest parses");
         assert_identical(&want, &got, &format!("chunk={chunk}"));
+        let from_str = relation_from_csv_str(&csv).expect("string API parses");
+        assert_identical(&want, &from_str, "relation_from_csv_str");
     }
 
     /// 1 thread ≡ 4 threads, byte-identical relations: the per-block
