@@ -22,7 +22,8 @@
 //! * `validate_kernel` — the `cfd check` path: a 20k-row tax instance
 //!   validated against a ~60-rule discovered cover, single-threaded.
 //! * `ctane_levelwise` — the discovery path: exact CTANE over a
-//!   1000-row tax instance through the partition-store engine.
+//!   1000-row tax instance at k 2, its lattice levels flat tables with
+//!   partitions freed run by run.
 //! * `fastcfd_closed2` — the default `cfd discover` path's heaviest
 //!   step: mining the Closed₂ index FastCFD builds (the free and closed
 //!   item sets at k 2) over a 20k-row tax instance, single-threaded.

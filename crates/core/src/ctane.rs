@@ -34,19 +34,30 @@
 //! sorts after every constant of its attribute) before `sp` itself, so
 //! step 2.c is a *pull*: each element looks up its at most `2^c − 1`
 //! proper generalizations (`c` its number of constants) and applies the
-//! prunes their valid candidates call for. Every lookup — the join's
-//! subsets, step 2's parent counts and generalizations, the partition
-//! store — keys on a borrowed item list; a `Pattern` is built only for
+//! prunes their valid candidates call for. A `Pattern` is built only for
 //! an emitted rule's LHS.
 //!
-//! ## The partition engine underneath
+//! ## One flat table per level
 //!
-//! Partitions live in a [`PartitionStore`] keyed by item list (DESIGN.md
-//! §9): the current level is pinned (it feeds the next level's
-//! refinements), the previous level is — in approximate mode — kept as
-//! evictable cache for the per-class error counts, and everything
-//! older is retired. Level expansion refines [`StrippedPartition`]s
-//! through a reusable [`RefineScratch`] into a caller-owned buffer, so
+//! A level keeps its elements in flat buffers addressed by position
+//! (DESIGN.md §9): element `e` has its items at `items[e·ℓ..(e+1)·ℓ]`
+//! and its `C⁺` at `cplus[e·w..(e+1)·w]`, and its counts, partition and
+//! liveness sit at `e` in aligned vectors. One position table per level,
+//! built once the level is complete, answers every lookup by item list:
+//! the join's subset checks, step 2.c's generalizations (whose
+//! valid-candidate marks sit in a vector aligned with the level), and,
+//! once the level has become the level below, step 2's parent counts.
+//! Step 3 retires an element in place: it keeps its position and drops
+//! its partition, and the join skips it.
+//!
+//! Partitions are read by position. In exact mode each prefix run of
+//! the join takes its elements' partitions and frees them when the run
+//! ends, on whichever worker owns it. In approximate mode the level's
+//! partitions stay for the next step 2's error counts: they are kept in
+//! position order while they fit [`Ctane::cache_budget`], a miss
+//! rebuilds the parent from the relation (kept if it still fits), and
+//! they are dropped as soon as that step 2 is done. Refinement runs
+//! through a reusable [`RefineScratch`] into a reused buffer, so
 //! candidates that fail k-frequency allocate nothing; elements of the
 //! final lattice level skip materialization entirely
 //! ([`StrippedPartition::refine_counts`] — their partitions would never
@@ -54,6 +65,14 @@
 //! With [`Ctane::threads`] above 1 the expansion shards its prefix-join
 //! runs across worker threads and merges in run order, so the output
 //! is byte-identical to the serial run.
+//!
+//! After step 3 at level 2 the alive pairs are kept as compressed
+//! sparse rows, and every later join skips a pair `(x, y)` whose two
+//! last items are not an alive pair before it copies, ANDs or looks up
+//! anything. The filter is exact: every generated element had all its
+//! immediate subsets alive, so every 2-subset of an alive element is an
+//! alive pair, and `{last(x), last(y)}` is the one 2-subset of the
+//! child `x ∪ {last(y)}` that lies inside neither `x` nor `y`.
 //!
 //! `C⁺` sets are bitsets over the candidate universe. The prefix join's
 //! per-pair set intersection (`C⁺(Z) = ∩_B C⁺(Z\B)`) collapses from a
@@ -86,13 +105,15 @@
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
-use cfd_model::fxhash::FxHashMap;
+use cfd_model::fxhash::{self, FxHasher};
 use cfd_model::measure::{keep_meets, RuleMeasure};
 use cfd_model::pattern::{PVal, Pattern};
-use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
+use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats, StoreCounters};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
-use cfd_partition::{PartitionStore, RefineScratch, StrippedPartition};
+use cfd_partition::{RefineScratch, StrippedPartition};
+use std::hash::Hasher;
+use std::sync::Mutex;
 
 /// A `C⁺` set: one bit per item of the candidate [`Universe`].
 type Bits = Vec<u64>;
@@ -190,25 +211,228 @@ impl Universe {
     }
 }
 
-/// One lattice element `(X, sp)`. The partition lives in the run's
-/// [`PartitionStore`] under the item list; elements carry only its
-/// counts.
-struct Element {
-    /// `sp` as the ascending indices of its items in the [`Universe`].
-    items: Vec<u32>,
-    n_classes: usize,
-    n_rows: usize,
-    /// The candidate-RHS set `C⁺(X, sp)` as a [`Universe`] bitset.
-    cplus: Bits,
+/// One slot of a [`PosTable`]: a position beside the low 32 bits of its
+/// item list's hash ([`hash_items`]), the slot layout of `Dict`.
+#[derive(Clone, Copy)]
+struct Slot {
+    pos: u32,
+    hash: u32,
 }
 
-/// A freshly generated element of the next level, as produced by an
-/// expansion worker: the element plus its partition (absent for the
-/// final level, whose partitions are never refined again).
-struct Generated {
-    element: Element,
-    partition: Option<StrippedPartition>,
+/// Marks a free [`Slot`].
+const FREE: u32 = u32::MAX;
+
+/// An item list's hash: FxHash over the items, folded like `Dict`'s
+/// value hash so the low bits that place a slot depend on every item.
+fn hash_items(items: &[u32]) -> u32 {
+    let mut h = FxHasher::default();
+    for &i in items {
+        h.write_u32(i);
+    }
+    fxhash::fold(h.finish()) as u32
 }
+
+/// A level's item list → position map: open addressing with linear
+/// probing at load ≤ 1/2. It stores no item list — a probe compares the
+/// level's flat buffer wherever the hash bits match — so it holds no
+/// borrow and moves with its level.
+#[derive(Default)]
+struct PosTable {
+    slots: Vec<Slot>,
+}
+
+impl PosTable {
+    /// Indexes the `n` lists of `len` items stored back to back in
+    /// `items`.
+    fn build(items: &[u32], len: usize, n: usize) -> PosTable {
+        let free = Slot { pos: FREE, hash: 0 };
+        let mut slots = vec![free; (2 * n).next_power_of_two().max(2)];
+        let mask = slots.len() - 1;
+        for e in 0..n {
+            let hash = hash_items(&items[e * len..(e + 1) * len]);
+            let mut i = hash as usize & mask;
+            while slots[i].pos != FREE {
+                i = (i + 1) & mask;
+            }
+            slots[i] = Slot {
+                pos: e as u32,
+                hash,
+            };
+        }
+        PosTable { slots }
+    }
+
+    /// The position of `key` among the lists [`PosTable::build`]
+    /// indexed, which `items` and `len` must still describe (a key of
+    /// another length is never found).
+    fn find(&self, items: &[u32], len: usize, key: &[u32]) -> Option<usize> {
+        let hash = hash_items(key);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s.pos == FREE {
+                return None;
+            }
+            let e = s.pos as usize;
+            if s.hash == hash && items[e * len..(e + 1) * len] == *key {
+                return Some(e);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// One lattice level in item order, as one flat table (module docs).
+/// Once it is the level below, only what step 2 reads stays: items,
+/// table, counts and — in approximate mode — partitions.
+#[derive(Default)]
+struct Level {
+    /// `ℓ`, the items per element.
+    ell: usize,
+    /// `w`, the words per `C⁺`.
+    words: usize,
+    items: Vec<u32>,
+    cplus: Bits,
+    /// Each element's `(classes, rows)`.
+    counts: Vec<(usize, usize)>,
+    /// Each element's partition while the level holds it: `None` when
+    /// retired, count-only or dropped to fit the cache budget; empty
+    /// once an exact join has freed the level's partitions.
+    parts: Vec<Option<StrippedPartition>>,
+    /// False once step 3 retired the element.
+    alive: Vec<bool>,
+    table: PosTable,
+}
+
+impl Level {
+    fn new(ell: usize, words: usize) -> Level {
+        Level {
+            ell,
+            words,
+            ..Level::default()
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    fn push(
+        &mut self,
+        items: &[u32],
+        cplus: &[u64],
+        counts: (usize, usize),
+        part: Option<StrippedPartition>,
+    ) {
+        self.items.extend_from_slice(items);
+        self.cplus.extend_from_slice(cplus);
+        self.counts.push(counts);
+        self.parts.push(part);
+        self.alive.push(true);
+    }
+
+    /// Appends `other`'s elements after this level's.
+    fn append(&mut self, mut other: Level) {
+        self.items.append(&mut other.items);
+        self.cplus.append(&mut other.cplus);
+        self.counts.append(&mut other.counts);
+        self.parts.append(&mut other.parts);
+        self.alive.append(&mut other.alive);
+    }
+
+    /// Builds the position table: the level is complete.
+    fn index(&mut self) {
+        self.table = PosTable::build(&self.items, self.ell, self.len());
+    }
+
+    fn items(&self, e: usize) -> &[u32] {
+        &self.items[e * self.ell..(e + 1) * self.ell]
+    }
+
+    fn cplus(&self, e: usize) -> &[u64] {
+        &self.cplus[e * self.words..(e + 1) * self.words]
+    }
+
+    /// The position of the element on `key`, retired or not.
+    fn find(&self, key: &[u32]) -> Option<usize> {
+        self.table.find(&self.items, self.ell, key)
+    }
+
+    /// The partitions the level holds, and their approximate bytes.
+    fn held(&self) -> (u64, u64) {
+        self.parts
+            .iter()
+            .flatten()
+            .fold((0, 0), |(n, b), p| (n + 1, b + p.approx_bytes() as u64))
+    }
+}
+
+/// Folds what `levels` hold into the run's high-water marks.
+fn sample(store: &mut StoreCounters, levels: [&Level; 2]) {
+    let (a, b) = (levels[0].held(), levels[1].held());
+    store.entries = store.entries.max(a.0 + b.0);
+    store.bytes = store.bytes.max(a.1 + b.1);
+}
+
+/// Approximate mode's retention: keeps `parts` in position order while
+/// they fit `budget` and drops the rest, counting them as evictions.
+/// Returns the bytes kept; what is left of the budget goes to the
+/// parents step 2 rebuilds.
+fn retain_within(
+    parts: &mut [Option<StrippedPartition>],
+    budget: usize,
+    evictions: &mut u64,
+) -> usize {
+    let (mut kept, mut fits) = (0, true);
+    for slot in parts {
+        if let Some(bytes) = slot.as_ref().map(StrippedPartition::approx_bytes) {
+            fits &= bytes <= budget - kept;
+            if fits {
+                kept += bytes;
+            } else {
+                *slot = None;
+                *evictions += 1;
+            }
+        }
+    }
+    kept
+}
+
+/// The alive level-2 pairs as compressed sparse rows: item `a`'s
+/// partners, each above `a`, ascend in
+/// `partners[starts[a]..starts[a + 1]]`. Memory is O(universe + pairs).
+struct Pairs {
+    starts: Vec<u32>,
+    partners: Vec<u32>,
+}
+
+impl Pairs {
+    /// The alive elements of level 2, over a universe of `n_items`.
+    fn of_level(level: &Level, n_items: usize) -> Pairs {
+        debug_assert_eq!(level.ell, 2);
+        let mut starts = vec![0u32; n_items + 1];
+        let mut partners = Vec::new();
+        // the level is in item order: partners land grouped and ascending
+        for e in (0..level.len()).filter(|&e| level.alive[e]) {
+            let &[a, b] = level.items(e) else {
+                unreachable!("level 2 holds pairs")
+            };
+            starts[a as usize + 1] += 1;
+            partners.push(b);
+        }
+        for a in 0..n_items {
+            starts[a + 1] += starts[a];
+        }
+        Pairs { starts, partners }
+    }
+
+    fn of(&self, a: u32) -> &[u32] {
+        let a = a as usize;
+        &self.partners[self.starts[a] as usize..self.starts[a + 1] as usize]
+    }
+}
+
 /// Level-wise CFD discovery (Section 4).
 #[derive(Clone, Copy, Debug)]
 pub struct Ctane {
@@ -260,11 +484,11 @@ impl Ctane {
         self
     }
 
-    /// Byte budget for the run's partition cache (retained *previous*
-    /// levels — the working set is always kept). `usize::MAX` (the
-    /// default) keeps everything a level window needs; `0` disables
-    /// caching, forcing the approximate validity test to rebuild parent
-    /// partitions from the relation. Covers are identical either way —
+    /// Byte budget for the partitions an approximate run keeps of the
+    /// level below for its error counts (the level being expanded is
+    /// always held). `usize::MAX` (the default) keeps them all; `0`
+    /// keeps none, so every wildcard error count rebuilds its parent
+    /// partition from the relation. Covers are identical either way —
     /// the budget trades memory for recomputation only.
     pub fn cache_budget(mut self, bytes: usize) -> Ctane {
         self.cache_budget = bytes;
@@ -286,7 +510,8 @@ impl Ctane {
     /// `ctrl` once per lattice level (and per prefix run inside the
     /// expansion workers), reports `level` progress, and counts
     /// validity tests (`candidates`), retired lattice elements
-    /// (`pruned`) and materialized partitions (`partitions`).
+    /// (`pruned`), materialized partitions (`partitions`) and the
+    /// partition traffic of [`StoreCounters`] (`store`).
     pub fn run(
         &self,
         rel: &Relation,
@@ -309,16 +534,16 @@ impl Ctane {
         let n = rel.n_rows();
         let arity = rel.arity();
         let theta = self.min_confidence;
-        // approximate mode keeps the previous level's partitions as
-        // cache, so wildcard-RHS candidates can be error-counted
+        // approximate mode keeps the level below's partitions, so
+        // wildcard-RHS candidates can be error-counted
         let approx = theta < 1.0;
         let mut out: Vec<Cfd> = Vec::new();
         let mut meas: Vec<RuleMeasure> = Vec::new();
         if n == 0 || n < self.k {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let mut store: PartitionStore<Vec<u32>> = PartitionStore::new(self.cache_budget);
         let mut scratch = RefineScratch::for_relation(rel);
+        let mut store = StoreCounters::default();
 
         // C⁺(∅) = L1: every (A, _) plus every k-frequent (A, a), read
         // off the columns' value regions
@@ -334,10 +559,19 @@ impl Ctane {
         }
         init_candidates.sort_unstable();
         let uni = Universe::new(init_candidates, arity);
+        let words = uni.words;
+
+        // level 0: the ∅ element, whose partition (one class of every
+        // row) level 1's approximate error counts read
+        let mut below = Level::new(0, 0);
+        below.push(&[], &[], (1, n), approx.then(|| StrippedPartition::full(n)));
+        below.index();
+        // bytes of the level below's partitions held within the budget
+        let mut cached = retain_within(&mut below.parts, self.cache_budget, &mut store.evictions);
 
         // level 1: one element per item of C⁺(∅), in the universe's
         // order, its partition built from the same regions
-        let mut level: Vec<Element> = Vec::with_capacity(uni.items.len());
+        let mut level = Level::new(1, words);
         for (i, &(a, v)) in (0u32..).zip(&uni.items) {
             let part = match v {
                 PVal::Const(c) => {
@@ -346,22 +580,13 @@ impl Ctane {
                 PVal::Var => StrippedPartition::by_attribute(rel, a),
             };
             stats.partitions += 1;
-            level.push(Element {
-                items: vec![i],
-                n_classes: part.n_classes(),
-                n_rows: part.n_rows(),
-                cplus: uni.cond1(i),
-            });
-            store.insert_pinned(vec![i], 1, part);
+            let counts = (part.n_classes(), part.n_rows());
+            level.push(&[i], &uni.cond1(i), counts, Some(part));
         }
+        level.index();
+        sample(&mut store, [&below, &level]);
 
-        // counts of the level below (the ∅ element at level 0)
-        let mut prev_counts: FxHashMap<Vec<u32>, (usize, usize)> = FxHashMap::default();
-        prev_counts.insert(Vec::new(), (1, n));
-        if approx {
-            store.insert_pinned(Vec::new(), 0, StrippedPartition::full(n));
-            store.unpin_level(0);
-        }
+        let mut pairs: Option<Pairs> = None;
         // reused lookup keys: a candidate's parent, an element's
         // generalization
         let (mut parent, mut general) = (Vec::new(), Vec::new());
@@ -372,24 +597,20 @@ impl Ctane {
             ctrl.report("level", ell, arity);
             let _sp = cfd_obs::span!("ctane.level");
             debug_assert!(
-                level.windows(2).all(|w| w[0].items < w[1].items),
+                (1..level.len()).all(|e| level.items(e - 1) < level.items(e)),
                 "the level is kept in item order"
             );
 
             // Step 2: validate candidate CFDs, walking the level in
             // descending item order so that every generalization of an
-            // element is validated before it (module docs). `held` maps
-            // an element with a valid candidate to the attributes A
-            // whose candidate held, and those that held exactly.
-            let mut held: FxHashMap<&[u32], (AttrSet, AttrSet)> = FxHashMap::default();
-            for e in level.iter_mut().rev() {
-                let Element {
-                    items,
-                    n_classes,
-                    n_rows,
-                    cplus,
-                } = e;
-                let items: &[u32] = items;
+            // element is validated before it (module docs). `marks[e]`
+            // holds the attributes A whose candidate held at e, and
+            // those that held exactly.
+            let mut marks = vec![(AttrSet::EMPTY, AttrSet::EMPTY); level.len()];
+            for e in (0..level.len()).rev() {
+                let items = &level.items[e * ell..(e + 1) * ell];
+                let cplus = &mut level.cplus[e * words..(e + 1) * words];
+                let (n_classes, n_rows) = level.counts[e];
                 // Step 2.c, pulled: a generalization g of sp — the
                 // constants on S replaced by `_` — whose candidate on
                 // A ∉ S held removes (A, sp[A]) from C⁺(X, sp), and
@@ -410,15 +631,17 @@ impl Ctane {
                             i
                         }
                     }));
-                    if let Some(&(ok, exact)) = held.get(general.as_slice()) {
-                        let ok = ok.difference(s);
-                        for &i in items {
-                            if ok.contains(uni.attr(i)) {
-                                bit_clear(cplus, i);
-                            }
+                    let Some(g) = level.table.find(&level.items, ell, &general) else {
+                        continue;
+                    };
+                    let (ok, exact) = marks[g];
+                    let ok = ok.difference(s);
+                    for &i in items {
+                        if ok.contains(uni.attr(i)) {
+                            bit_clear(cplus, i);
                         }
-                        outside |= !exact.difference(s).is_empty();
                     }
+                    outside |= !exact.difference(s).is_empty();
                 }
 
                 let (mut ok, mut exact) = (AttrSet::EMPTY, AttrSet::EMPTY);
@@ -429,9 +652,10 @@ impl Ctane {
                     let (a, ca) = uni.items[i as usize];
                     parent.clear();
                     parent.extend(items.iter().copied().filter(|&j| j != i));
-                    let &(p_classes, p_rows) = prev_counts
-                        .get(parent.as_slice())
+                    let p = below
+                        .find(&parent)
                         .expect("parent element must exist (generation invariant)");
+                    let (p_classes, p_rows) = below.counts[p];
                     stats.candidates += 1;
                     // the exact count tests, or — below θ = 1.0 — the
                     // g1-style relaxation keep ≥ θ·rows (keep_meets
@@ -440,26 +664,35 @@ impl Ctane {
                     // i.e. the emitted rule's measure — computed here,
                     // where the partitions are at hand.
                     let (valid, violations) = match ca {
-                        PVal::Var if p_classes == *n_classes => (true, 0),
-                        PVal::Const(_) if p_rows == *n_rows => (true, 0),
+                        PVal::Var if p_classes == n_classes => (true, 0),
+                        PVal::Const(_) if p_rows == n_rows => (true, 0),
                         _ if !approx => (false, 0),
-                        PVal::Const(_) => (keep_meets(*n_rows, p_rows, theta), p_rows - *n_rows),
+                        PVal::Const(_) => (keep_meets(n_rows, p_rows, theta), p_rows - n_rows),
                         PVal::Var => {
-                            // the parent's keep count: served from the
-                            // cache, or rebuilt from the relation on a
-                            // miss and re-offered to the cache — the
+                            // the parent's keep count: from its held
+                            // partition, or rebuilt from the relation
+                            // on a miss and kept if it still fits — the
                             // budget only ever trades recomputation,
                             // never correctness
-                            let keep = match store.get(&parent) {
-                                Some(part) => part.keep_count(rel, a, &mut scratch),
+                            let keep = match &below.parts[p] {
+                                Some(part) => {
+                                    store.hits += 1;
+                                    part.keep_count(rel, a, &mut scratch)
+                                }
                                 None => {
+                                    store.misses += 1;
                                     let pairs = parent.iter().map(|&j| uni.items[j as usize]);
                                     let rebuilt =
                                         StrippedPartition::of_pattern(rel, pairs, &mut scratch);
                                     stats.partitions += 1;
                                     let keep = rebuilt.keep_count(rel, a, &mut scratch);
-                                    store.insert_pinned(parent.clone(), ell as u32 - 1, rebuilt);
-                                    store.unpin(&parent);
+                                    let bytes = rebuilt.approx_bytes();
+                                    if bytes <= self.cache_budget - cached {
+                                        cached += bytes;
+                                        below.parts[p] = Some(rebuilt);
+                                    } else {
+                                        store.evictions += 1;
+                                    }
                                     keep
                                 }
                             };
@@ -503,33 +736,43 @@ impl Ctane {
                 if outside || !exact.is_empty() {
                     retain_items(cplus, items);
                 }
-                if !ok.is_empty() {
-                    held.insert(items, (ok, exact));
+                marks[e] = (ok, exact);
+            }
+            // the level below is done with: its partitions go
+            drop(below);
+
+            // Step 3: retire empty-C⁺ elements in place
+            for e in 0..level.len() {
+                if bits_is_empty(level.cplus(e)) {
+                    level.alive[e] = false;
+                    level.parts[e] = None;
+                    stats.pruned += 1;
                 }
             }
-
-            // Step 3: prune empty-C⁺ elements
-            let before = level.len();
-            level.retain(|e| !bits_is_empty(&e.cplus));
-            stats.pruned += (before - level.len()) as u64;
 
             if ell >= arity || self.max_lhs.is_some_and(|m| ell > m) {
                 break;
             }
+            if ell == 2 {
+                pairs = Some(Pairs::of_level(&level, uni.items.len()));
+            }
 
-            // Step 4: generate level ℓ+1 by prefix join, sharded across
-            // the configured workers (run order keeps it deterministic)
-            let index: FxHashMap<&[u32], usize> = level
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.items.as_slice(), i))
-                .collect();
-            // prefix runs: maximal stretches sharing the first ℓ−1
-            // items, contiguous in the level's item order
-            let mut runs: Vec<(usize, usize)> = Vec::new();
-            for run in level.chunk_by(|x, y| x.items[..ell - 1] == y.items[..ell - 1]) {
-                let start = runs.last().map_or(0, |&(_, end)| end);
-                runs.push((start, start + run.len()));
+            // Step 4: generate level ℓ+1 by prefix join. Prefix runs —
+            // maximal stretches sharing the first ℓ−1 items, contiguous
+            // in the level's item order — each take their elements'
+            // partitions
+            let mut parts = std::mem::take(&mut level.parts).into_iter();
+            let mut runs: Vec<Run> = Vec::new();
+            let mut start = 0;
+            for e in 1..=level.len() {
+                if e == level.len() || level.items(e)[..ell - 1] != level.items(start)[..ell - 1] {
+                    runs.push(Run {
+                        start,
+                        end: e,
+                        parts: Mutex::new(parts.by_ref().take(e - start).collect()),
+                    });
+                    start = e;
+                }
             }
             // elements of the *final* level are validated by their
             // counts alone and never refined again — skip materializing
@@ -541,50 +784,56 @@ impl Ctane {
                 rel,
                 uni: &uni,
                 level: &level,
-                index: &index,
-                store: &store,
-                ell,
+                pairs: pairs.as_ref(),
                 last_level,
+                free: !approx,
             };
             // worker w owns runs w, w+T, …; batches merge in run
             // order, so the level comes out byte-identical to the
             // serial walk (the shared shard_runs harness)
-            let produced: Vec<Generated> = shard_runs(
+            let produced: Vec<Level> = shard_runs(
                 &runs,
                 self.threads,
                 ctrl,
                 stats,
-                || RefineScratch::for_relation(rel),
-                |run, scratch, local, out| expand.run_pairs(*run, scratch, local, |g| out.push(g)),
+                || JoinScratch::new(rel, words, ell),
+                |run, scratch, local, out| {
+                    let mut chunk = Level::new(ell + 1, words);
+                    expand.run_pairs(run, scratch, local, &mut chunk);
+                    if chunk.len() > 0 {
+                        out.push(chunk);
+                    }
+                },
             )?;
-            let mut next: Vec<Element> = Vec::new();
-            for g in produced {
-                commit(&mut store, &mut next, g, ell);
+            let mut next = Level::new(ell + 1, words);
+            for chunk in produced {
+                next.append(chunk);
             }
+            next.index();
+            // the level becomes the level below: step 2 reads its
+            // counts, and in approximate mode the partitions that fit
+            level.cplus = Bits::new();
+            if approx {
+                level.parts = runs
+                    .into_iter()
+                    .flat_map(|r| {
+                        r.parts
+                            .into_inner()
+                            .expect("no worker panicked holding a run")
+                    })
+                    .collect();
+                cached = retain_within(&mut level.parts, self.cache_budget, &mut store.evictions);
+            }
+            sample(&mut store, [&level, &next]);
 
-            if next.is_empty() {
+            if next.len() == 0 {
                 break;
             }
-            // slide the level window: the generation below ℓ−1 is out
-            // of every test's reach; in exact mode the freshly expanded
-            // level ℓ is too, in approximate mode it becomes evictable
-            // cache for the error counts of level ℓ+1's validity tests
-            if ell >= 1 {
-                store.retire_level(ell as u32 - 1);
-            }
-            if approx {
-                store.unpin_level(ell as u32);
-            } else {
-                store.retire_level(ell as u32);
-            }
-            prev_counts = level
-                .into_iter()
-                .map(|e| (e.items, (e.n_classes, e.n_rows)))
-                .collect();
+            below = level;
             level = next;
             ell += 1;
         }
-        stats.store = store.stats().into();
+        stats.store = store;
 
         Ok(CanonicalCover::from_measured(
             out.into_iter().zip(meas).collect(),
@@ -592,13 +841,36 @@ impl Ctane {
     }
 }
 
-/// Commits a generated element: partition into the store (pinned at
-/// its level), element into the next level.
-fn commit(store: &mut PartitionStore<Vec<u32>>, next: &mut Vec<Element>, g: Generated, ell: usize) {
-    if let Some(part) = g.partition {
-        store.insert_pinned(g.element.items.clone(), ell as u32 + 1, part);
+/// A prefix run of the join: positions `start..end` of the level and
+/// their partitions, which the one worker that owns the run takes.
+struct Run {
+    start: usize,
+    end: usize,
+    parts: Mutex<Vec<Option<StrippedPartition>>>,
+}
+
+/// What a join worker reuses from run to run.
+struct JoinScratch {
+    refine: RefineScratch,
+    /// The refinement target; a survivor leaves with a right-sized copy.
+    buf: StrippedPartition,
+    /// The child's `C⁺`.
+    cplus: Bits,
+    /// The child's items, and the reused key of its other ℓ-subsets.
+    z: Vec<u32>,
+    sub: Vec<u32>,
+}
+
+impl JoinScratch {
+    fn new(rel: &Relation, words: usize, ell: usize) -> JoinScratch {
+        JoinScratch {
+            refine: RefineScratch::for_relation(rel),
+            buf: StrippedPartition::default(),
+            cplus: vec![0; words],
+            z: Vec::with_capacity(ell + 1),
+            sub: Vec::with_capacity(ell),
+        }
     }
-    next.push(g.element);
 }
 
 /// Everything an expansion worker needs, shared read-only.
@@ -606,120 +878,140 @@ struct ExpandCtx<'a> {
     alg: &'a Ctane,
     rel: &'a Relation,
     uni: &'a Universe,
-    level: &'a [Element],
-    index: &'a FxHashMap<&'a [u32], usize>,
-    store: &'a PartitionStore<Vec<u32>>,
-    ell: usize,
+    level: &'a Level,
+    /// The alive level-2 pairs, once level 2 is done.
+    pairs: Option<&'a Pairs>,
     last_level: bool,
+    /// Exact mode: each run frees its partitions when it ends.
+    free: bool,
 }
 
 impl ExpandCtx<'_> {
-    /// Expands one prefix run: every join pair `(x, y)` inside it, in
-    /// order, handing survivors to `emit`. The run's last items ascend,
-    /// so the elements sharing a last attribute — which would give the
-    /// child two items on one attribute — form one block, and each `x`
-    /// pairs only with the elements past its own block.
-    fn run_pairs(
+    /// Sets `z` to the child `x ∪ {i2}` and reports whether its ℓ−1
+    /// subsets that drop a prefix item — the other two are `x` and `y`
+    /// — are all alive, ANDing each one's `C⁺` into `cplus`.
+    fn other_subsets(
         &self,
-        (run_start, run_end): (usize, usize),
-        scratch: &mut RefineScratch,
-        stats: &mut SearchStats,
-        mut emit: impl FnMut(Generated),
-    ) {
-        let last = |x: usize| *self.level[x].items.last().expect("level ≥ 1");
-        let mut buf = StrippedPartition::default();
-        let mut cplus: Bits = vec![0; self.uni.words];
-        // the child's items, and the reused key of its other ℓ-subsets
-        let mut z: Vec<u32> = Vec::with_capacity(self.ell + 1);
-        let mut sub: Vec<u32> = Vec::with_capacity(self.ell);
-        let mut block_end = run_start;
-        for x in run_start..run_end {
-            let e1 = &self.level[x];
+        x: usize,
+        i2: u32,
+        z: &mut Vec<u32>,
+        sub: &mut Vec<u32>,
+        cplus: &mut [u64],
+    ) -> bool {
+        let lv = self.level;
+        z.clear();
+        z.extend_from_slice(lv.items(x));
+        z.push(i2);
+        (0..lv.ell - 1).all(|p| {
+            sub.clear();
+            sub.extend_from_slice(&z[..p]);
+            sub.extend_from_slice(&z[p + 1..]);
+            let found = lv.find(sub).filter(|&q| lv.alive[q]);
+            found
+                .inspect(|&q| bits_and_assign(cplus, lv.cplus(q)))
+                .is_some()
+        })
+    }
+
+    /// Expands one prefix run: every join pair `(x, y)` of alive
+    /// elements inside it, in order, appending survivors to `out`. The
+    /// run's last items ascend, so the elements sharing a last
+    /// attribute — which would give the child two items on one
+    /// attribute — form one block, and each `x` pairs only with the
+    /// elements past its own block.
+    fn run_pairs(&self, run: &Run, s: &mut JoinScratch, stats: &mut SearchStats, out: &mut Level) {
+        let lv = self.level;
+        let mut parts = run.parts.lock().expect("no worker panicked holding a run");
+        let last = |x: usize| lv.items[(x + 1) * lv.ell - 1];
+        let mut block_end = run.start;
+        for x in run.start..run.end {
             let (a1, v1) = self.uni.items[last(x) as usize];
             if x == block_end {
-                block_end = (x + 1..run_end)
+                block_end = (x + 1..run.end)
                     .find(|&y| self.uni.attr(last(y)) != a1)
-                    .unwrap_or(run_end);
+                    .unwrap_or(run.end);
             }
-            for y in block_end..run_end {
-                let (e2, i2) = (&self.level[y], last(y));
-                let (a2, v2) = self.uni.items[i2 as usize];
-                z.clear();
-                z.extend_from_slice(&e1.items);
-                z.push(i2);
-                // C⁺(Z) = ∩_B C⁺(Z\B) (step 1); intersecting all ℓ+1
-                // parents implies condition 1 (module docs). e1 is Z
-                // without its last item and e2 without the one before;
-                // (iii) the other ℓ−1 subsets, each without one prefix
-                // item, must be alive elements too
-                cplus.copy_from_slice(&e1.cplus);
-                bits_and_assign(&mut cplus, &e2.cplus);
-                let mut all_present = true;
-                for p in 0..self.ell - 1 {
-                    sub.clear();
-                    sub.extend_from_slice(&z[..p]);
-                    sub.extend_from_slice(&z[p + 1..]);
-                    match self.index.get(sub.as_slice()) {
-                        Some(&pi) => bits_and_assign(&mut cplus, &self.level[pi].cplus),
-                        None => {
-                            all_present = false;
-                            break;
-                        }
+            if !lv.alive[x] {
+                continue;
+            }
+            let partners = self.pairs.map(|p| p.of(last(x)));
+            let mut next_partner = 0;
+            for y in (block_end..run.end).filter(|&y| lv.alive[y]) {
+                let i2 = last(y);
+                // the level-2 pair filter: x's partners and the ys'
+                // last items both ascend, so one merge step decides
+                if let Some(partners) = partners {
+                    while partners.get(next_partner).is_some_and(|&p| p < i2) {
+                        next_partner += 1;
+                    }
+                    if partners.get(next_partner) != Some(&i2) {
+                        debug_assert!(
+                            !self.other_subsets(x, i2, &mut s.z, &mut s.sub, &mut s.cplus),
+                            "the pair filter skipped a child whose subsets are alive"
+                        );
+                        continue;
                     }
                 }
-                if !all_present || bits_is_empty(&cplus) {
+                // C⁺(Z) = ∩_B C⁺(Z\B) (step 1); intersecting all ℓ+1
+                // parents implies condition 1 (module docs). x is Z
+                // without its last item and y without the one before;
+                // the other ℓ−1 subsets must be alive elements too
+                s.cplus.copy_from_slice(lv.cplus(x));
+                bits_and_assign(&mut s.cplus, lv.cplus(y));
+                if bits_is_empty(&s.cplus) {
                     continue;
                 }
-                // (ii) refine the cheaper parent's partition and check
+                if !self.other_subsets(x, i2, &mut s.z, &mut s.sub, &mut s.cplus)
+                    || bits_is_empty(&s.cplus)
+                {
+                    continue;
+                }
+                // refine the cheaper parent's partition and check
                 // k-frequency of the constant part
-                let (base, extra_attr, extra_val) = if e1.n_rows <= e2.n_rows {
-                    (e1, a2, v2)
+                let (a2, v2) = self.uni.items[i2 as usize];
+                let (base, extra_attr, extra_val) = if lv.counts[x].1 <= lv.counts[y].1 {
+                    (x, a2, v2)
                 } else {
-                    (e2, a1, v1)
+                    (y, a1, v1)
                 };
-                let base_part = self
-                    .store
-                    .peek(&base.items)
-                    .expect("current level is pinned in the store");
+                let base_part = parts[base - run.start]
+                    .as_ref()
+                    .expect("an alive element holds its partition through its run");
                 if self.last_level {
                     // counts suffice: this element's partition would
                     // never be refined or error-counted again
-                    let (n_classes, n_rows) =
-                        base_part.refine_counts(self.rel, extra_attr, extra_val, scratch);
-                    if n_rows < self.alg.k {
+                    let counts =
+                        base_part.refine_counts(self.rel, extra_attr, extra_val, &mut s.refine);
+                    if counts.1 < self.alg.k {
                         stats.pruned += 1;
                         continue;
                     }
-                    emit(Generated {
-                        element: Element {
-                            items: z.clone(),
-                            n_classes,
-                            n_rows,
-                            cplus: cplus.clone(),
-                        },
-                        partition: None,
-                    });
+                    out.push(&s.z, &s.cplus, counts, None);
                 } else {
-                    base_part.refine_into(self.rel, extra_attr, extra_val, scratch, &mut buf);
+                    base_part.refine_into(
+                        self.rel,
+                        extra_attr,
+                        extra_val,
+                        &mut s.refine,
+                        &mut s.buf,
+                    );
                     stats.partitions += 1;
-                    if buf.n_rows() < self.alg.k {
+                    if s.buf.n_rows() < self.alg.k {
                         stats.pruned += 1;
                         continue; // rejected: the buffer is simply reused
                     }
-                    emit(Generated {
-                        element: Element {
-                            items: z.clone(),
-                            n_classes: buf.n_classes(),
-                            n_rows: buf.n_rows(),
-                            cplus: cplus.clone(),
-                        },
-                        partition: Some(buf.take_compact()),
-                    });
+                    let counts = (s.buf.n_classes(), s.buf.n_rows());
+                    out.push(&s.z, &s.cplus, counts, Some(s.buf.take_compact()));
                 }
             }
         }
+        if self.free {
+            // exact mode: no later step reads these partitions
+            *parts = Vec::new();
+        }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,6 +1209,68 @@ mod engine_tests {
                 .discover(&r);
             assert_eq!(cached.cfds(), uncached.cfds(), "θ={theta}");
         }
+    }
+
+    #[test]
+    fn position_table_finds_each_list_at_its_position_and_nothing_else() {
+        // level 0: the one empty list
+        let t = PosTable::build(&[], 0, 1);
+        assert_eq!(t.find(&[], 0, &[]), Some(0));
+        assert_eq!(t.find(&[], 0, &[0]), None);
+
+        // 16,384 ascending triples over 0..50, in item order: the table
+        // sits at its full load of 1/2
+        let (len, u) = (3, 50u32);
+        let mut items = Vec::new();
+        for a in 0..u {
+            for b in a + 1..u {
+                for c in b + 1..u {
+                    items.extend([a, b, c]);
+                }
+            }
+        }
+        let n = 16_384;
+        items.truncate(n * len);
+        let t = PosTable::build(&items, len, n);
+        assert_eq!(t.slots.len(), 2 * n);
+        // the longest stretch of occupied slots, wrapping around
+        let occupied: Vec<bool> = t.slots.iter().map(|s| s.pos != FREE).collect();
+        let (mut longest, mut cur) = (0, 0);
+        for &o in occupied.iter().chain(&occupied) {
+            cur = if o { cur + 1 } else { 0 };
+            longest = longest.max(cur);
+        }
+        assert!(longest >= 16, "probe chains too short to test: {longest}");
+
+        let mut key = Vec::new();
+        for e in 0..n {
+            let list = &items[e * len..(e + 1) * len];
+            assert_eq!(t.find(&items, len, list), Some(e));
+            // its prefixes, and the list with one item appended
+            for p in 0..len {
+                assert_eq!(t.find(&items, len, &list[..p]), None);
+            }
+            key.clear();
+            key.extend_from_slice(list);
+            key.push(u);
+            assert_eq!(t.find(&items, len, &key), None);
+            // one item changed: to a value outside the lists' range, or
+            // swapped with its neighbour (no stored list descends)
+            for p in 0..len {
+                key.clear();
+                key.extend_from_slice(list);
+                key[p] += u;
+                assert_eq!(t.find(&items, len, &key), None);
+                if p + 1 < len {
+                    key.clear();
+                    key.extend_from_slice(list);
+                    key.swap(p, p + 1);
+                    assert_eq!(t.find(&items, len, &key), None);
+                }
+            }
+        }
+        // a list the truncation left out
+        assert_eq!(t.find(&items, len, &[u - 3, u - 2, u - 1]), None);
     }
 
     #[test]

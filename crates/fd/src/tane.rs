@@ -7,12 +7,13 @@
 //! after emitting their remaining dependencies.
 //!
 //! Like CTANE, the walk runs on the stripped-partition engine of
-//! `cfd-partition` (DESIGN.md §9): node partitions live in a
-//! [`PartitionStore`] keyed by attribute set — current level pinned,
-//! previous level kept as evictable cache in approximate mode —
-//! and level expansion refines through a reusable [`RefineScratch`]
-//! into a caller-owned buffer ([`StrippedPartition::refine_into`]),
-//! skipping materialization entirely for the final level
+//! `cfd-partition` (DESIGN.md §9); unlike CTANE's flat levels, node
+//! partitions live in a [`PartitionStore`] keyed by attribute set —
+//! current level pinned, previous level kept as evictable cache in
+//! approximate mode — and level expansion refines through a reusable
+//! [`RefineScratch`] into a caller-owned buffer
+//! ([`StrippedPartition::refine_into`]), skipping materialization
+//! entirely for the final level
 //! ([`StrippedPartition::refine_counts`]). For plain FDs stripping is
 //! exactly TANE's classic representation: wildcard refinement copies
 //! the singleton side list with one `memcpy` instead of walking the
@@ -110,9 +111,11 @@ impl Tane {
         self
     }
 
-    /// Byte budget for the run's partition cache (see
-    /// `Ctane::cache_budget` in `cfd-core`; `0` disables caching and
-    /// the approximate test rebuilds parent partitions on demand).
+    /// Byte budget for the partitions the run's [`PartitionStore`]
+    /// keeps beyond the level being expanded (`usize::MAX`, the
+    /// default, keeps them all; `0` disables caching, and parent
+    /// partitions are rebuilt on demand). Covers are identical either
+    /// way.
     pub fn cache_budget(mut self, bytes: usize) -> Tane {
         self.cache_budget = bytes;
         self

@@ -262,21 +262,25 @@ pub struct PhaseTiming {
     pub duration: Duration,
 }
 
-/// Partition-store traffic counters, mirrored into [`SearchStats`] by
-/// the miners that run one (`cfd_partition::StoreStats` is the source;
-/// the copy lives here so `SearchStats` stays below `cfd-partition` in
-/// the crate graph). All-zero for algorithms without a store.
+/// Partition traffic of the level-wise miners: CTANE counts its own,
+/// TANE mirrors its `cfd_partition::StoreStats` (the type lives here so
+/// `SearchStats` stays below `cfd-partition` in the crate graph).
+/// All-zero for the other algorithms.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Lookups that found a live partition.
+    /// Parent-partition lookups served from a held partition (CTANE:
+    /// the approximate error counts).
     pub hits: u64,
-    /// Lookups that found nothing (never inserted, retired or evicted).
+    /// Parent-partition lookups rebuilt from the relation, the partition
+    /// not being held.
     pub misses: u64,
-    /// Partitions evicted to keep the byte budget.
+    /// Partitions dropped to fit the cache budget.
     pub evictions: u64,
-    /// Partitions still held when the run ended.
+    /// The most partitions held at once during the run: its high-water
+    /// mark (CTANE samples what it holds as each level completes).
     pub entries: u64,
-    /// Approximate bytes still held when the run ended.
+    /// The most approximate partition bytes held at once during the
+    /// run, sampled like `entries`.
     pub bytes: u64,
 }
 
@@ -308,16 +312,16 @@ pub struct SearchStats {
     pub diff_set_families: u64,
     /// Rules emitted before canonical-cover normalization.
     pub emitted: u64,
-    /// Partition-store traffic (the level-wise miners' cache), all-zero
-    /// elsewhere.
+    /// Partition traffic of the level-wise miners, all-zero elsewhere.
     pub store: StoreCounters,
     /// Per-phase wall-clock timings recorded by the algorithm.
     pub phases: Vec<PhaseTiming>,
 }
 
 impl SearchStats {
-    /// Accumulates `other` into `self` (counters add, phases append) —
-    /// used to merge worker-thread stats.
+    /// Accumulates `other` into `self` (counters add, high-water marks
+    /// take the larger, phases append) — used to merge worker-thread
+    /// stats.
     pub fn merge(&mut self, other: &SearchStats) {
         self.candidates += other.candidates;
         self.pruned += other.pruned;
@@ -329,8 +333,9 @@ impl SearchStats {
         self.store.hits += other.store.hits;
         self.store.misses += other.store.misses;
         self.store.evictions += other.store.evictions;
-        self.store.entries += other.store.entries;
-        self.store.bytes += other.store.bytes;
+        // high-water marks: the larger one stands
+        self.store.entries = self.store.entries.max(other.store.entries);
+        self.store.bytes = self.store.bytes.max(other.store.bytes);
         self.phases.extend(other.phases.iter().cloned());
     }
 

@@ -12,8 +12,9 @@
 //!
 //! The level-wise miners run on this allocation-free refinement engine
 //! ([`engine`]): partitions refined into caller-owned buffers through a
-//! reusable [`RefineScratch`], interned and cached by a
-//! [`PartitionStore`] (see DESIGN.md §9).
+//! reusable [`RefineScratch`]. TANE interns and caches them in a
+//! [`PartitionStore`]; CTANE holds them in its own flat lattice levels,
+//! reads them by position and frees them run by run (see DESIGN.md §9).
 //!
 //! The module also provides tuple-pair *agree sets* ([`agree`]), the
 //! ingredients of FastFD-style difference-set computation used by the

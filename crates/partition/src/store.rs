@@ -1,14 +1,14 @@
-//! A keyed, refcounted partition cache with a byte budget and
+//! TANE's keyed, refcounted partition cache with a byte budget and
 //! level-scoped retirement.
 //!
-//! Level-wise miners produce one partition per lattice element and need
-//! each for a bounded window: the current level's partitions feed the
-//! next level's refinements, and — in approximate mode — the previous
-//! level's feed the per-class error counts of the validity test.
-//! [`PartitionStore`] makes that lifecycle explicit:
+//! TANE produces one partition per attribute set and needs each for a
+//! bounded window: the current level's partitions feed the next
+//! level's refinements, and the previous level's feed the superkey
+//! minimality checks and — in approximate mode — the per-class error
+//! counts of the validity test. [`PartitionStore`] makes that lifecycle
+//! explicit:
 //!
-//! * entries are **interned** under a caller-chosen key (CTANE keys by
-//!   item list, the ascending indices of an element's items; TANE by
+//! * entries are **interned** under a caller-chosen key (TANE keys by
 //!   `AttrSet`) and tagged with the lattice level that produced them;
 //! * entries carry a **pin count**: pinned entries (the working set —
 //!   the level currently being expanded) are never evicted;
@@ -20,8 +20,10 @@
 //! * [`PartitionStore::retire_level`] drops a whole level once the
 //!   miner has moved past its window.
 //!
-//! Hit/miss/eviction counters are kept for instrumentation; they feed
-//! `SearchStats` in the miners.
+//! Hit/miss/eviction counters and the high-water marks of the entries
+//! and bytes held are kept for instrumentation; they feed
+//! `SearchStats` in the miner. CTANE keeps its partitions in its own
+//! flat lattice levels instead (DESIGN.md §9).
 
 use crate::engine::StrippedPartition;
 use cfd_model::fxhash::FxHashMap;
@@ -44,9 +46,9 @@ pub struct StoreStats {
     pub misses: u64,
     /// Entries evicted to keep the byte budget.
     pub evictions: u64,
-    /// Partitions currently held.
+    /// The most partitions held at once (the high-water mark).
     pub entries: usize,
-    /// Approximate bytes currently held.
+    /// The most approximate bytes held at once (the high-water mark).
     pub bytes: usize,
 }
 
@@ -79,6 +81,9 @@ pub struct PartitionStore<K> {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// High-water marks of `entries.len()` and `bytes`.
+    peak_entries: usize,
+    peak_bytes: usize,
 }
 
 impl<K: Clone + Eq + Hash> PartitionStore<K> {
@@ -95,6 +100,8 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
             hits: 0,
             misses: 0,
             evictions: 0,
+            peak_entries: 0,
+            peak_bytes: 0,
         }
     }
 
@@ -123,6 +130,8 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
             None => self.by_level.entry(level).or_default().push(key),
         }
         self.bytes += bytes;
+        self.peak_entries = self.peak_entries.max(self.entries.len());
+        self.peak_bytes = self.peak_bytes.max(self.bytes);
     }
 
     /// Removes `key` from its level's filing list.
@@ -150,17 +159,6 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
                 self.misses += 1;
                 None
             }
-        }
-    }
-
-    /// Adds a pin to a live entry (no-op for dead keys). Pinning a
-    /// cached (pin-free) entry takes it out of the budget's books.
-    pub fn pin(&mut self, key: &K) {
-        if let Some(e) = self.entries.get_mut(key) {
-            if e.pins == 0 {
-                self.unpinned_bytes -= e.bytes;
-            }
-            e.pins += 1;
         }
     }
 
@@ -228,14 +226,14 @@ impl<K: Clone + Eq + Hash> PartitionStore<K> {
         }
     }
 
-    /// Current traffic counters and footprint.
+    /// Traffic counters and the footprint's high-water marks.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
-            entries: self.entries.len(),
-            bytes: self.bytes,
+            entries: self.peak_entries,
+            bytes: self.peak_bytes,
         }
     }
 }
@@ -257,10 +255,13 @@ mod tests {
         assert!(s.get(&3).is_none());
         assert_eq!(s.stats().entries, 2);
         assert_eq!((s.stats().hits, s.stats().misses), (1, 1));
+        let peak = s.stats().bytes;
         s.retire_level(1);
         assert!(s.get(&1).is_none());
-        assert_eq!(s.stats().entries, 0);
-        assert_eq!(s.stats().bytes, 0);
+        assert!(s.entries.is_empty());
+        assert_eq!(s.bytes, 0);
+        // the counters keep the high-water marks
+        assert_eq!((s.stats().entries, s.stats().bytes), (2, peak));
     }
 
     #[test]
@@ -292,13 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn repin_protects_from_eviction_and_pins_stay_off_the_books() {
+    fn pins_stay_off_the_books() {
         let bytes_each = part(50).approx_bytes();
         // budget fits exactly one *unpinned* entry
         let mut s: PartitionStore<u32> = PartitionStore::new(bytes_each);
-        s.insert_pinned(1, 1, part(50));
-        s.pin(&1); // second pin
-        s.unpin_level(1); // drops to one pin — still pinned
+        s.insert_pinned(1, 1, part(50)); // pinned until unpinned
         s.insert_pinned(2, 2, part(50));
         s.unpin_level(2); // one unpinned entry: fits the budget
         assert!(s.get(&1).is_some(), "pinned entries never count or evict");
@@ -329,17 +328,18 @@ mod tests {
         s.unpin_level(1);
         assert!(s.get(&1).is_none());
         s.retire_level(1);
-        assert_eq!(s.stats().entries, 0);
-        assert_eq!(s.stats().bytes, 0);
+        assert!(s.entries.is_empty());
+        assert_eq!(s.bytes, 0);
     }
 
     #[test]
     fn replacing_a_key_keeps_byte_accounting() {
         let mut s: PartitionStore<u32> = PartitionStore::new(usize::MAX);
         s.insert_pinned(1, 1, part(100));
-        let b100 = s.stats().bytes;
+        let b100 = s.bytes;
         s.insert_pinned(1, 1, part(10));
-        assert!(s.stats().bytes < b100);
-        assert_eq!(s.stats().entries, 1);
+        assert!(s.bytes < b100);
+        assert_eq!(s.entries.len(), 1);
+        assert_eq!(s.stats().bytes, b100, "the high-water mark stays");
     }
 }

@@ -673,8 +673,8 @@ fn discover_json_exposes_store_stats_and_metrics_out() {
     write_csv(&csv, false);
     let path = csv.to_str().unwrap();
 
-    // ctane drives the partition store, so the JSON stats must surface
-    // its cache counters alongside the search counters
+    // ctane counts its partition traffic, so the JSON stats must
+    // surface those counters alongside the search counters
     let out = bin()
         .args([
             "discover",
@@ -701,9 +701,9 @@ fn discover_json_exposes_store_stats_and_metrics_out() {
     for key in ["hits", "misses", "evictions", "entries", "bytes"] {
         assert!(store.get(key).unwrap().as_f64().is_some(), "store.{key}");
     }
-    // ctane interned real partitions (its expansion workers read via
-    // the counter-free `peek`, so hits/misses may stay 0 — the live
-    // entry and byte gauges prove the store carried the search)
+    // ctane held real partitions (an exact run reads them by position
+    // and counts no hits or misses — the high-water marks of the
+    // partitions and bytes held prove they carried the search)
     assert!(store.get("entries").unwrap().as_f64().unwrap() > 0.0);
     assert!(store.get("bytes").unwrap().as_f64().unwrap() > 0.0);
 

@@ -230,6 +230,20 @@ proptest! {
 /// byte-identical across them for every level-wise algorithm.
 mod engine_parity {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Budgeted CTANE runs of `cache_on_equals_cache_off` that both
+    /// evicted and missed: a budget that held part of a level.
+    static PARTIAL_BUDGET_RUNS: AtomicU64 = AtomicU64::new(0);
+
+    #[test]
+    fn cache_on_equals_cache_off() {
+        cache_on_equals_cache_off_cases();
+        assert!(
+            PARTIAL_BUDGET_RUNS.load(Ordering::Relaxed) > 0,
+            "no budget held part of a level: the retention policy went untested"
+        );
+    }
 
     fn discover_text(algo: Algo, rel: &Relation, opts: &DiscoverOptions) -> String {
         let d = algo
@@ -262,23 +276,42 @@ mod engine_parity {
             }
         }
 
-        #[test]
-        fn cache_on_equals_cache_off(rel in arb_relation(), k in 1usize..=2) {
+        fn cache_on_equals_cache_off_cases(
+            narrow in arb_relation(),
+            wide in arb_wide_relation(),
+            k in 1usize..=2,
+        ) {
             // the cache only matters below θ = 1.0 (parent partitions
             // feed the error counts); budget 0 forces every lookup to
-            // rebuild from the relation
+            // rebuild from the relation, and CTANE's small budgets hold
+            // part of a level, so its retention keeps some partitions,
+            // drops others and rebuilds the dropped ones on demand
             for theta in [0.7, 0.9] {
-                let cached = Ctane::new(k).min_confidence(theta).discover(&rel);
-                let uncached = Ctane::new(k)
-                    .min_confidence(theta)
-                    .cache_budget(0)
-                    .discover(&rel);
-                prop_assert_eq!(cached.cfds(), uncached.cfds(), "ctane θ={}", theta);
-                let cached = Tane::new().min_confidence(theta).discover(&rel);
+                for rel in [&narrow, &wide] {
+                    let ctane = |budget: usize| {
+                        let mut stats = SearchStats::default();
+                        let (cover, measures) = Ctane::new(k)
+                            .min_confidence(theta)
+                            .cache_budget(budget)
+                            .run_measured(rel, &Control::default(), &mut stats)
+                            .expect("default Control is never cancelled");
+                        (cover, measures, stats.store)
+                    };
+                    let (cover, measures, _) = ctane(usize::MAX);
+                    for budget in [0, 256, 4 << 10, 64 << 10] {
+                        let (c, m, store) = ctane(budget);
+                        prop_assert_eq!(c.cfds(), cover.cfds(), "ctane θ={} budget {}", theta, budget);
+                        prop_assert_eq!(&m, &measures, "ctane θ={} budget {}", theta, budget);
+                        if budget > 0 && store.evictions > 0 && store.misses > 0 {
+                            PARTIAL_BUDGET_RUNS.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+                let cached = Tane::new().min_confidence(theta).discover(&narrow);
                 let uncached = Tane::new()
                     .min_confidence(theta)
                     .cache_budget(0)
-                    .discover(&rel);
+                    .discover(&narrow);
                 prop_assert_eq!(cached.cfds(), uncached.cfds(), "tane θ={}", theta);
             }
         }
