@@ -42,9 +42,9 @@
 //! A level keeps its elements in flat buffers addressed by position
 //! (DESIGN.md §9): element `e` has its items at `items[e·ℓ..(e+1)·ℓ]`
 //! and its `C⁺` at `cplus[e·w..(e+1)·w]`, and its counts, partition and
-//! liveness sit at `e` in aligned vectors. One position table per level,
-//! built once the level is complete, answers every lookup by item list:
-//! the join's subset checks, step 2.c's generalizations (whose
+//! liveness sit at `e` in aligned vectors. The level is in item order,
+//! so a binary search over its `items` answers every lookup by item
+//! list: the join's subset checks, step 2.c's generalizations (whose
 //! valid-candidate marks sit in a vector aligned with the level), and,
 //! once the level has become the level below, step 2's parent counts.
 //! Step 3 retires an element in place: it keeps its position and drops
@@ -53,15 +53,16 @@
 //! Partitions are read by position. In exact mode each prefix run of
 //! the join takes its elements' partitions and frees them when the run
 //! ends, on whichever worker owns it. In approximate mode the level's
-//! partitions stay for the next step 2's error counts: they are kept in
-//! position order while they fit [`Ctane::cache_budget`], a miss
-//! rebuilds the parent from the relation (kept if it still fits), and
-//! they are dropped as soon as that step 2 is done. Refinement runs
-//! through a reusable [`RefineScratch`] into a reused buffer, so
-//! candidates that fail k-frequency allocate nothing; elements of the
-//! final lattice level skip materialization entirely
-//! ([`StrippedPartition::refine_counts`] — their partitions would never
-//! be refined again, and validity needs only the class/row counts).
+//! partitions stay for the next step 2's error counts: in position
+//! order, each is kept if it fits what is left of
+//! [`Ctane::cache_budget`], a miss rebuilds the parent from the
+//! relation for that one count, and all are dropped as soon as that
+//! step 2 is done. Refinement runs through a reusable [`RefineScratch`]
+//! into a reused buffer, so candidates that fail k-frequency allocate
+//! nothing; elements of the final lattice level skip materialization
+//! entirely ([`StrippedPartition::refine_counts`] — their partitions
+//! would never be refined again, and validity needs only the class/row
+//! counts).
 //! With [`Ctane::threads`] above 1 the expansion shards its prefix-join
 //! runs across worker threads and merges in run order, so the output
 //! is byte-identical to the serial run.
@@ -105,14 +106,13 @@
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
-use cfd_model::fxhash::{self, FxHasher};
 use cfd_model::measure::{keep_meets, RuleMeasure};
 use cfd_model::pattern::{PVal, Pattern};
 use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats, StoreCounters};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::{RefineScratch, StrippedPartition};
-use std::hash::Hasher;
+use std::cmp::Ordering;
 use std::sync::Mutex;
 
 /// A `C⁺` set: one bit per item of the candidate [`Universe`].
@@ -211,81 +211,25 @@ impl Universe {
     }
 }
 
-/// One slot of a [`PosTable`]: a position beside the low 32 bits of its
-/// item list's hash ([`hash_items`]), the slot layout of `Dict`.
-#[derive(Clone, Copy)]
-struct Slot {
-    pos: u32,
-    hash: u32,
-}
-
-/// Marks a free [`Slot`].
-const FREE: u32 = u32::MAX;
-
-/// An item list's hash: FxHash over the items, folded like `Dict`'s
-/// value hash so the low bits that place a slot depend on every item.
-fn hash_items(items: &[u32]) -> u32 {
-    let mut h = FxHasher::default();
-    for &i in items {
-        h.write_u32(i);
-    }
-    fxhash::fold(h.finish()) as u32
-}
-
-/// A level's item list → position map: open addressing with linear
-/// probing at load ≤ 1/2. It stores no item list — a probe compares the
-/// level's flat buffer wherever the hash bits match — so it holds no
-/// borrow and moves with its level.
-#[derive(Default)]
-struct PosTable {
-    slots: Vec<Slot>,
-}
-
-impl PosTable {
-    /// Indexes the `n` lists of `len` items stored back to back in
-    /// `items`.
-    fn build(items: &[u32], len: usize, n: usize) -> PosTable {
-        let free = Slot { pos: FREE, hash: 0 };
-        let mut slots = vec![free; (2 * n).next_power_of_two().max(2)];
-        let mask = slots.len() - 1;
-        for e in 0..n {
-            let hash = hash_items(&items[e * len..(e + 1) * len]);
-            let mut i = hash as usize & mask;
-            while slots[i].pos != FREE {
-                i = (i + 1) & mask;
-            }
-            slots[i] = Slot {
-                pos: e as u32,
-                hash,
-            };
-        }
-        PosTable { slots }
-    }
-
-    /// The position of `key` among the lists [`PosTable::build`]
-    /// indexed, which `items` and `len` must still describe (a key of
-    /// another length is never found).
-    fn find(&self, items: &[u32], len: usize, key: &[u32]) -> Option<usize> {
-        let hash = hash_items(key);
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s.pos == FREE {
-                return None;
-            }
-            let e = s.pos as usize;
-            if s.hash == hash && items[e * len..(e + 1) * len] == *key {
-                return Some(e);
-            }
-            i = (i + 1) & mask;
+/// The position of `key` among the `n` lists of `len` items stored back
+/// to back in `items`, which ascend: a binary search over the flat
+/// buffer.
+fn position(items: &[u32], len: usize, n: usize, key: &[u32]) -> Option<usize> {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match items[mid * len..(mid + 1) * len].cmp(key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Some(mid),
         }
     }
+    None
 }
 
 /// One lattice level in item order, as one flat table (module docs).
 /// Once it is the level below, only what step 2 reads stays: items,
-/// table, counts and — in approximate mode — partitions.
+/// counts and — in approximate mode — partitions.
 #[derive(Default)]
 struct Level {
     /// `ℓ`, the items per element.
@@ -302,7 +246,6 @@ struct Level {
     parts: Vec<Option<StrippedPartition>>,
     /// False once step 3 retired the element.
     alive: Vec<bool>,
-    table: PosTable,
 }
 
 impl Level {
@@ -341,11 +284,6 @@ impl Level {
         self.alive.append(&mut other.alive);
     }
 
-    /// Builds the position table: the level is complete.
-    fn index(&mut self) {
-        self.table = PosTable::build(&self.items, self.ell, self.len());
-    }
-
     fn items(&self, e: usize) -> &[u32] {
         &self.items[e * self.ell..(e + 1) * self.ell]
     }
@@ -356,7 +294,7 @@ impl Level {
 
     /// The position of the element on `key`, retired or not.
     fn find(&self, key: &[u32]) -> Option<usize> {
-        self.table.find(&self.items, self.ell, key)
+        position(&self.items, self.ell, self.len(), key)
     }
 
     /// The partitions the level holds, and their approximate bytes.
@@ -375,28 +313,21 @@ fn sample(store: &mut StoreCounters, levels: [&Level; 2]) {
     store.bytes = store.bytes.max(a.1 + b.1);
 }
 
-/// Approximate mode's retention: keeps `parts` in position order while
-/// they fit `budget` and drops the rest, counting them as evictions.
-/// Returns the bytes kept; what is left of the budget goes to the
-/// parents step 2 rebuilds.
-fn retain_within(
-    parts: &mut [Option<StrippedPartition>],
-    budget: usize,
-    evictions: &mut u64,
-) -> usize {
-    let (mut kept, mut fits) = (0, true);
+/// Approximate mode's retention: keeps each of `parts`, in position
+/// order, that fits what is left of `budget`, and drops the rest,
+/// counting them as evictions.
+fn retain_within(parts: &mut [Option<StrippedPartition>], budget: usize, evictions: &mut u64) {
+    let mut left = budget;
     for slot in parts {
         if let Some(bytes) = slot.as_ref().map(StrippedPartition::approx_bytes) {
-            fits &= bytes <= budget - kept;
-            if fits {
-                kept += bytes;
+            if bytes <= left {
+                left -= bytes;
             } else {
                 *slot = None;
                 *evictions += 1;
             }
         }
     }
-    kept
 }
 
 /// The alive level-2 pairs as compressed sparse rows: item `a`'s
@@ -565,9 +496,7 @@ impl Ctane {
         // row) level 1's approximate error counts read
         let mut below = Level::new(0, 0);
         below.push(&[], &[], (1, n), approx.then(|| StrippedPartition::full(n)));
-        below.index();
-        // bytes of the level below's partitions held within the budget
-        let mut cached = retain_within(&mut below.parts, self.cache_budget, &mut store.evictions);
+        retain_within(&mut below.parts, self.cache_budget, &mut store.evictions);
 
         // level 1: one element per item of C⁺(∅), in the universe's
         // order, its partition built from the same regions
@@ -583,7 +512,6 @@ impl Ctane {
             let counts = (part.n_classes(), part.n_rows());
             level.push(&[i], &uni.cond1(i), counts, Some(part));
         }
-        level.index();
         sample(&mut store, [&below, &level]);
 
         let mut pairs: Option<Pairs> = None;
@@ -631,7 +559,7 @@ impl Ctane {
                             i
                         }
                     }));
-                    let Some(g) = level.table.find(&level.items, ell, &general) else {
+                    let Some(g) = position(&level.items, ell, level.counts.len(), &general) else {
                         continue;
                     };
                     let (ok, exact) = marks[g];
@@ -671,9 +599,8 @@ impl Ctane {
                         PVal::Var => {
                             // the parent's keep count: from its held
                             // partition, or rebuilt from the relation
-                            // on a miss and kept if it still fits — the
-                            // budget only ever trades recomputation,
-                            // never correctness
+                            // on a miss — the budget only ever trades
+                            // recomputation, never correctness
                             let keep = match &below.parts[p] {
                                 Some(part) => {
                                     store.hits += 1;
@@ -685,15 +612,7 @@ impl Ctane {
                                     let rebuilt =
                                         StrippedPartition::of_pattern(rel, pairs, &mut scratch);
                                     stats.partitions += 1;
-                                    let keep = rebuilt.keep_count(rel, a, &mut scratch);
-                                    let bytes = rebuilt.approx_bytes();
-                                    if bytes <= self.cache_budget - cached {
-                                        cached += bytes;
-                                        below.parts[p] = Some(rebuilt);
-                                    } else {
-                                        store.evictions += 1;
-                                    }
-                                    keep
+                                    rebuilt.keep_count(rel, a, &mut scratch)
                                 }
                             };
                             (keep_meets(keep, p_rows, theta), p_rows - keep)
@@ -809,7 +728,6 @@ impl Ctane {
             for chunk in produced {
                 next.append(chunk);
             }
-            next.index();
             // the level becomes the level below: step 2 reads its
             // counts, and in approximate mode the partitions that fit
             level.cplus = Bits::new();
@@ -822,7 +740,7 @@ impl Ctane {
                             .expect("no worker panicked holding a run")
                     })
                     .collect();
-                cached = retain_within(&mut level.parts, self.cache_budget, &mut store.evictions);
+                retain_within(&mut level.parts, self.cache_budget, &mut store.evictions);
             }
             sample(&mut store, [&level, &next]);
 
@@ -1212,65 +1130,83 @@ mod engine_tests {
     }
 
     #[test]
-    fn position_table_finds_each_list_at_its_position_and_nothing_else() {
-        // level 0: the one empty list
-        let t = PosTable::build(&[], 0, 1);
-        assert_eq!(t.find(&[], 0, &[]), Some(0));
-        assert_eq!(t.find(&[], 0, &[0]), None);
+    fn retention_stays_within_the_budget_and_drops_only_what_cannot_fit() {
+        // large and small partitions alternate: a budget just below the
+        // large one's size drops it and must still keep the small ones
+        let parts: Vec<_> = [64, 2, 64, 2, 16]
+            .into_iter()
+            .map(|rows| Some(StrippedPartition::full(rows)))
+            .collect();
+        let bytes = |p: &Option<StrippedPartition>| p.as_ref().map_or(0, |p| p.approx_bytes());
+        let total: usize = parts.iter().map(bytes).sum();
+        for budget in [0, bytes(&parts[0]) - 1, total / 2, total - 1, total] {
+            let mut held = parts.clone();
+            let mut evictions = 0;
+            retain_within(&mut held, budget, &mut evictions);
+            let kept: usize = held.iter().map(bytes).sum();
+            assert!(kept <= budget, "budget {budget}: {kept} bytes kept");
+            // first fit: a dropped partition does not fit even the room
+            // left once the pass is done
+            let dropped: Vec<_> = (0..parts.len()).filter(|&i| held[i].is_none()).collect();
+            for &i in &dropped {
+                let room = budget - kept;
+                assert!(
+                    bytes(&parts[i]) > room,
+                    "budget {budget}: dropped {i} would fit"
+                );
+            }
+            assert_eq!(evictions, dropped.len() as u64, "budget {budget}");
+        }
+    }
 
-        // 16,384 ascending triples over 0..50, in item order: the table
-        // sits at its full load of 1/2
-        let (len, u) = (3, 50u32);
-        let mut items = Vec::new();
+    #[test]
+    fn level_lookup_finds_each_list_at_its_position_and_nothing_else() {
+        // level 0: the one empty list
+        let mut level = Level::new(0, 0);
+        level.push(&[], &[], (1, 1), None);
+        assert_eq!(level.find(&[]), Some(0));
+        assert_eq!(level.find(&[0]), None);
+
+        // the 1,140 ascending triples over 0..20 but the last, in item
+        // order
+        let (len, u, n) = (3, 20u32, 1_139);
+        let mut level = Level::new(len, 0);
         for a in 0..u {
             for b in a + 1..u {
                 for c in b + 1..u {
-                    items.extend([a, b, c]);
+                    if level.len() < n {
+                        level.push(&[a, b, c], &[], (0, 0), None);
+                    }
                 }
             }
         }
-        let n = 16_384;
-        items.truncate(n * len);
-        let t = PosTable::build(&items, len, n);
-        assert_eq!(t.slots.len(), 2 * n);
-        // the longest stretch of occupied slots, wrapping around
-        let occupied: Vec<bool> = t.slots.iter().map(|s| s.pos != FREE).collect();
-        let (mut longest, mut cur) = (0, 0);
-        for &o in occupied.iter().chain(&occupied) {
-            cur = if o { cur + 1 } else { 0 };
-            longest = longest.max(cur);
-        }
-        assert!(longest >= 16, "probe chains too short to test: {longest}");
 
         let mut key = Vec::new();
         for e in 0..n {
-            let list = &items[e * len..(e + 1) * len];
-            assert_eq!(t.find(&items, len, list), Some(e));
+            let list = level.items(e).to_vec();
+            assert_eq!(level.find(&list), Some(e));
             // its prefixes, and the list with one item appended
             for p in 0..len {
-                assert_eq!(t.find(&items, len, &list[..p]), None);
+                assert_eq!(level.find(&list[..p]), None);
             }
-            key.clear();
-            key.extend_from_slice(list);
+            key.clone_from(&list);
             key.push(u);
-            assert_eq!(t.find(&items, len, &key), None);
+            assert_eq!(level.find(&key), None);
             // one item changed: to a value outside the lists' range, or
             // swapped with its neighbour (no stored list descends)
             for p in 0..len {
-                key.clear();
-                key.extend_from_slice(list);
+                key.clone_from(&list);
                 key[p] += u;
-                assert_eq!(t.find(&items, len, &key), None);
+                assert_eq!(level.find(&key), None);
                 if p + 1 < len {
-                    key.clear();
-                    key.extend_from_slice(list);
+                    key.clone_from(&list);
                     key.swap(p, p + 1);
-                    assert_eq!(t.find(&items, len, &key), None);
+                    assert_eq!(level.find(&key), None);
                 }
             }
         }
-        // a list the truncation left out
-        assert_eq!(t.find(&items, len, &[u - 3, u - 2, u - 1]), None);
+        // the one left out
+        assert_eq!(level.find(&[u - 3, u - 2, u - 1]), None);
     }
 
     #[test]

@@ -64,15 +64,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Folds the high bits of a finished FxHash state into its low bits
-/// (xor-shift-multiply). FxHash ends in a multiply, so the low bits of
-/// its state depend only on the low input bits; an open-addressing
-/// table that places entries by the low bits mixes first.
-pub fn fold(x: u64) -> u64 {
-    let x = (x ^ (x >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
-    x ^ (x >> 32)
-}
-
 /// `HashMap` specialised to FxHash.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` specialised to FxHash.

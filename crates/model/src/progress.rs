@@ -319,9 +319,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Accumulates `other` into `self` (counters add, high-water marks
-    /// take the larger, phases append) — used to merge worker-thread
-    /// stats.
+    /// Accumulates `other` into `self` (counters add, phases append) —
+    /// used to merge worker-thread stats.
     pub fn merge(&mut self, other: &SearchStats) {
         self.candidates += other.candidates;
         self.pruned += other.pruned;
@@ -333,9 +332,8 @@ impl SearchStats {
         self.store.hits += other.store.hits;
         self.store.misses += other.store.misses;
         self.store.evictions += other.store.evictions;
-        // high-water marks: the larger one stands
-        self.store.entries = self.store.entries.max(other.store.entries);
-        self.store.bytes = self.store.bytes.max(other.store.bytes);
+        self.store.entries += other.store.entries;
+        self.store.bytes += other.store.bytes;
         self.phases.extend(other.phases.iter().cloned());
     }
 

@@ -18,7 +18,7 @@
 //! constant lookups and constant refinement.
 
 use crate::error::{Error, Result};
-use crate::fxhash::{self, FxHasher};
+use crate::fxhash::FxHasher;
 use crate::schema::{AttrId, Schema};
 use std::fmt;
 use std::hash::Hasher;
@@ -51,10 +51,12 @@ fn hash_value(v: &str) -> u64 {
     // FxHash ends in a multiply, so the low bits of the state depend
     // only on the low input bytes — for short code-like values
     // ("v0".."v99999", shared first byte) the masked bucket index
-    // collapses to a handful of slots and probing goes quadratic. The
-    // fold brings the strong high bits back down before the table
-    // mask is applied.
-    fxhash::fold(h.finish())
+    // collapses to a handful of slots and probing goes quadratic. An
+    // xor-shift-multiply finalizer folds the strong high bits back
+    // down before the table mask is applied.
+    let x = h.finish();
+    let x = (x ^ (x >> 32)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+    x ^ (x >> 32)
 }
 
 /// Per-attribute value dictionary: code → string and string → code.

@@ -253,7 +253,8 @@ pub enum JobSpec {
         algo: Algo,
         /// Validated options.
         opts: DiscoverOptions,
-        /// CTANE partition-store budget for this job, in bytes.
+        /// Byte budget for the level-below partitions this job's
+        /// approximate CTANE run keeps for its error counts.
         cache_budget: Option<usize>,
     },
     /// Validation via [`cfd_validate::validate_with`], as `cfd check`
@@ -296,9 +297,9 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             opts,
             cache_budget,
         } => {
-            // every job builds its own partition store, as the CLI
-            // does; `cache_budget_mb` caps CTANE's (other algorithms
-            // ignore it)
+            // `cache_budget_mb` is `Ctane::cache_budget`: it caps the
+            // level-below partitions an approximate CTANE run keeps for
+            // its error counts (other algorithms ignore it)
             let disc: Box<dyn Discoverer> = match (algo, cache_budget) {
                 (Algo::Ctane, Some(bytes)) => Box::new(Ctane::new(opts.k).cache_budget(*bytes)),
                 _ => algo.discoverer(),

@@ -128,7 +128,8 @@ pub struct DiscoverRequest {
     /// Discovery options (`k`, `max_lhs`, `threads`, `constants_only`,
     /// `min_confidence`, `top_k`).
     pub opts: DiscoverOptions,
-    /// Partition-store budget for CTANE, in bytes (`cache_budget_mb`).
+    /// Byte budget for the level-below partitions an approximate CTANE
+    /// run keeps for its error counts (`cache_budget_mb`).
     pub cache_budget: Option<usize>,
     /// Block the connection until the job finishes and carry the
     /// result in the reply (progress events still stream).

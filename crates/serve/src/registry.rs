@@ -8,8 +8,8 @@
 //! discovery *and* validation consult and which the first job to need
 //! a column builds once for all. The regions are the only shared
 //! derived state, and they are immutable once built: every CTANE job
-//! builds its own partition store, as the one-shot CLI does, so jobs on
-//! one dataset never wait for each other. DESIGN.md §12 spells out the
+//! builds its own lattice levels and partitions, as the one-shot CLI
+//! does, so jobs on one dataset never wait for each other. DESIGN.md §12 spells out the
 //! split.
 //!
 //! Admission control is by resident bytes: the registry carries a

@@ -241,7 +241,7 @@ impl Server {
 /// than its cancel flag becomes `deadline_exceeded`. A panic leaves
 /// nothing half-updated for later jobs: the dataset's index builds
 /// each column once behind a `OnceLock`, and every job builds its own
-/// partition store.
+/// partitions.
 fn worker_loop(state: &Arc<State>) {
     while let Some((job, spec)) = state.queue.pop() {
         if job.cancel.load(Ordering::Relaxed) {
