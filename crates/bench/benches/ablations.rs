@@ -4,10 +4,11 @@
 //! FD baselines (TANE vs FastFD), and the partition-layer constant
 //! lookups (full-relation scans vs cached counting-sort value regions).
 
-use cfd_core::{DiffSetMode, FastCfd};
+use cfd_core::{DiffSetMode, DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use cfd_fd::{FastFd, Tane};
 use cfd_model::pattern::PVal;
+use cfd_model::progress::{Control, SearchStats};
 use cfd_partition::{RefineScratch, StrippedPartition};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -22,35 +23,46 @@ fn bench(c: &mut Criterion) {
     let k = 2;
 
     group.bench_with_input(BenchmarkId::new("freeset", "on"), &rel, |b, rel| {
-        b.iter(|| FastCfd::new(k).discover(rel))
+        b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
     });
     group.bench_with_input(BenchmarkId::new("freeset", "off"), &rel, |b, rel| {
-        b.iter(|| FastCfd::new(k).free_set_pruning(false).discover(rel))
+        b.iter(|| {
+            FastCfd::default()
+                .free_set_pruning(false)
+                .discover(rel, &DiscoverOptions::new(k))
+        })
     });
 
     group.bench_with_input(BenchmarkId::new("engine", "closed2"), &rel, |b, rel| {
-        b.iter(|| FastCfd::new(k).discover(rel))
+        b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
     });
     group.bench_with_input(BenchmarkId::new("engine", "stripped"), &rel, |b, rel| {
         b.iter(|| {
-            FastCfd::new(k)
+            FastCfd::default()
                 .mode(DiffSetMode::StrippedPartitions)
-                .discover(rel)
+                .discover(rel, &DiscoverOptions::new(k))
         })
     });
 
     group.bench_with_input(BenchmarkId::new("reorder", "on"), &rel, |b, rel| {
-        b.iter(|| FastCfd::new(k).discover(rel))
+        b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
     });
     group.bench_with_input(BenchmarkId::new("reorder", "off"), &rel, |b, rel| {
-        b.iter(|| FastCfd::new(k).dynamic_reorder(false).discover(rel))
+        b.iter(|| {
+            FastCfd::default()
+                .dynamic_reorder(false)
+                .discover(rel, &DiscoverOptions::new(k))
+        })
     });
 
+    // the FD baselines through their own `run`: the trait's shorthand
+    // would add the kernel measuring pass FastFD's cover needs
+    let opts = DiscoverOptions::default();
     group.bench_with_input(BenchmarkId::new("fd", "tane"), &rel, |b, rel| {
-        b.iter(|| Tane::new().discover(rel))
+        b.iter(|| Tane.run(rel, &opts, &Control::default(), &mut SearchStats::default()))
     });
     group.bench_with_input(BenchmarkId::new("fd", "fastfd"), &rel, |b, rel| {
-        b.iter(|| FastFd::new().discover(rel))
+        b.iter(|| FastFd::default().run(rel, &Control::default(), &mut SearchStats::default()))
     });
 
     // partition-layer constant lookups: the CTANE-shaped workload of

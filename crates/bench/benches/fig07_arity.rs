@@ -3,7 +3,7 @@
 //! small-arity prefix — the paper reports it cannot complete beyond
 //! arity 17, and its blow-up is visible well before that.
 
-use cfd_core::{Ctane, FastCfd};
+use cfd_core::{Ctane, DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -20,14 +20,14 @@ fn bench(c: &mut Criterion) {
         let rel = TaxGenerator::new(dbsize).arity(arity).generate();
         if arity <= 9 {
             group.bench_with_input(BenchmarkId::new("CTANE", arity), &rel, |b, rel| {
-                b.iter(|| Ctane::new(k).discover(rel))
+                b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
             });
         }
         group.bench_with_input(BenchmarkId::new("NaiveFast", arity), &rel, |b, rel| {
-            b.iter(|| FastCfd::naive(k).discover(rel))
+            b.iter(|| FastCfd::naive().discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", arity), &rel, |b, rel| {
-            b.iter(|| FastCfd::new(k).discover(rel))
+            b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
         });
     }
     group.finish();

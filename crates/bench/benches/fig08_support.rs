@@ -2,7 +2,7 @@
 //! k on the tax workload. CTANE improves sharply with k; FastCFD and
 //! NaiveFast barely move — the paper's headline sensitivity result.
 
-use cfd_core::{Ctane, FastCfd};
+use cfd_core::{Ctane, DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -16,13 +16,13 @@ fn bench(c: &mut Criterion) {
     let rel = TaxGenerator::new(2_000).generate();
     for k in [2usize, 3, 4, 6] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::new(k).discover(rel))
+            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("NaiveFast", k), &rel, |b, rel| {
-            b.iter(|| FastCfd::naive(k).discover(rel))
+            b.iter(|| FastCfd::naive().discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", k), &rel, |b, rel| {
-            b.iter(|| FastCfd::new(k).discover(rel))
+            b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! CF (ARITY = 9). Lower CF ⇒ more duplicate values ⇒ more frequent item
 //! sets ⇒ CTANE degrades while the depth-first algorithms barely move.
 
-use cfd_core::{Ctane, FastCfd};
+use cfd_core::{Ctane, DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -21,13 +21,13 @@ fn bench(c: &mut Criterion) {
             .cf(cf as f64 / 10.0)
             .generate();
         group.bench_with_input(BenchmarkId::new("CTANE", cf), &rel, |b, rel| {
-            b.iter(|| Ctane::new(k).discover(rel))
+            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("NaiveFast", cf), &rel, |b, rel| {
-            b.iter(|| FastCfd::naive(k).discover(rel))
+            b.iter(|| FastCfd::naive().discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", cf), &rel, |b, rel| {
-            b.iter(|| FastCfd::new(k).discover(rel))
+            b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! bounded LHS so the bench stays criterion-sized; the shape (CTANE
 //! falls quickly with k, FastCFD nearly flat) is the paper's claim.
 
-use cfd_core::{Ctane, FastCfd};
+use cfd_core::{Ctane, DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::wbc::wbc_relation;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -17,10 +17,10 @@ fn bench(c: &mut Criterion) {
     let rel = wbc_relation();
     for k in [60usize, 100, 140] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::new(k).max_lhs(3).discover(rel))
+            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k).max_lhs(3)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", k), &rel, |b, rel| {
-            b.iter(|| FastCfd::new(k).discover(rel))
+            b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
         });
     }
     group.finish();

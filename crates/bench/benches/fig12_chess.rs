@@ -1,7 +1,7 @@
 //! Criterion micro-benchmark for Figs. 12/15: the chess endgame dataset
 //! (simulated KRK), runtime vs k on a criterion-sized sample.
 
-use cfd_core::{Ctane, FastCfd};
+use cfd_core::{Ctane, DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::chess::chess_relation;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -17,10 +17,10 @@ fn bench(c: &mut Criterion) {
     let rel = full.restrict(&rows);
     for k in [32usize, 64, 128] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::new(k).discover(rel))
+            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", k), &rel, |b, rel| {
-            b.iter(|| FastCfd::new(k).discover(rel))
+            b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 //! cover actually discovered on the warm data. Future PRs track this
 //! line to keep the serving path's perf trajectory visible.
 
-use cfd_core::FastCfd;
+use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use cfd_stream::StreamEngine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -23,8 +23,8 @@ fn bench(c: &mut Criterion) {
     let rel = TaxGenerator::new(WARM + BATCH).generate();
     let warm_rows: Vec<u32> = (0..WARM as u32).collect();
     let warm = rel.restrict(&warm_rows);
-    let rules: Vec<_> = FastCfd::new((WARM / 100).max(2))
-        .discover(&warm)
+    let rules: Vec<_> = FastCfd::default()
+        .discover(&warm, &DiscoverOptions::new((WARM / 100).max(2)))
         .into_iter()
         .collect();
     let batch: Vec<Vec<u32>> = (WARM as u32..(WARM + BATCH) as u32)

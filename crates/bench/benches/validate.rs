@@ -15,7 +15,7 @@
 //! it now lives in the CI perf-smoke guard (`src/bin/guard.rs`,
 //! baselines in `BENCH_GUARD.json`), so the next cliff fails CI.
 
-use cfd_core::FastCfd;
+use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
 use cfd_model::violation::violations;
 use cfd_model::{Cfd, Relation};
@@ -33,7 +33,10 @@ fn workload() -> (Relation, Vec<Cfd>) {
     let rel = TaxGenerator::new(ROWS).arity(10).seed(7).generate();
     let sample_ids: Vec<u32> = (0..2_000u32).collect();
     let sample = rel.restrict(&sample_ids);
-    let cover: Vec<Cfd> = FastCfd::new(40).discover(&sample).into_iter().collect();
+    let cover: Vec<Cfd> = FastCfd::default()
+        .discover(&sample, &DiscoverOptions::new(40))
+        .into_iter()
+        .collect();
     let step = (cover.len() / RULES).max(1);
     let rules: Vec<Cfd> = cover.into_iter().step_by(step).take(RULES).collect();
     assert!(rules.len() >= 100, "want a 100+ rule cover");

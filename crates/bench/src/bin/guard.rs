@@ -106,7 +106,10 @@ fn validate_workload() -> (Relation, Vec<Cfd>) {
     let rel = TaxGenerator::new(20_000).arity(10).seed(7).generate();
     let sample_ids: Vec<u32> = (0..2_000u32).collect();
     let sample = rel.restrict(&sample_ids);
-    let cover: Vec<Cfd> = FastCfd::new(40).discover(&sample).into_iter().collect();
+    let cover: Vec<Cfd> = FastCfd::default()
+        .discover(&sample, &DiscoverOptions::new(40))
+        .into_iter()
+        .collect();
     let step = (cover.len() / 60).max(1);
     let rules: Vec<Cfd> = cover.into_iter().step_by(step).take(60).collect();
     assert!(rules.len() >= 40, "want a 40+ rule cover");
@@ -149,8 +152,8 @@ fn stream_workload() -> (StreamEngine, Vec<Vec<u32>>) {
     let rel = TaxGenerator::new(WARM + BATCH).generate();
     let warm_rows: Vec<u32> = (0..WARM as u32).collect();
     let warm = rel.restrict(&warm_rows);
-    let rules: Vec<Cfd> = FastCfd::new((WARM / 100).max(2))
-        .discover(&warm)
+    let rules: Vec<Cfd> = FastCfd::default()
+        .discover(&warm, &DiscoverOptions::new((WARM / 100).max(2)))
         .into_iter()
         .collect();
     let batch: Vec<Vec<u32>> = (WARM as u32..(WARM + BATCH) as u32)

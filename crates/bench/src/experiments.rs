@@ -23,23 +23,11 @@
 //! producing them.
 
 use crate::table::{Cell, Table};
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, DiscoverOptions, Discoverer};
 use cfd_core::FastCfd;
-use cfd_model::cover::CanonicalCover;
 use cfd_model::relation::Relation;
 use std::path::Path;
 use std::time::Instant;
-
-/// The harness's one door into discovery: every non-ablation
-/// measurement goes through the unified `Discoverer` API, so the
-/// harness exercises exactly what the CLI and library users run.
-/// Ablation experiments configure struct-level knobs directly — those
-/// knobs are deliberately not part of `DiscoverOptions`.
-fn discover(algo: Algo, opts: &DiscoverOptions, rel: &Relation) -> CanonicalCover {
-    algo.discover_with(rel, opts, &Control::default())
-        .expect("harness options are valid")
-        .cover
-}
 
 /// All primary experiment identifiers, in suite order.
 pub const EXPERIMENT_IDS: &[&str] = &[
@@ -198,13 +186,13 @@ fn fig5(scale: Scale) -> Vec<(String, Table)> {
         let rel = tax(dbsize, 7, 0.7);
         let k = k_of(dbsize);
         let (_, c_miner) =
-            Guard::new(f64::MAX).run(|| discover(Algo::CfdMiner, &DiscoverOptions::new(k), &rel));
+            Guard::new(f64::MAX).run(|| Algo::CfdMiner.discover(&rel, &DiscoverOptions::new(k)));
         let (_, c_miner2) =
-            Guard::new(f64::MAX).run(|| discover(Algo::CfdMiner, &DiscoverOptions::new(2), &rel));
-        let (_, c_ctane) = g_ctane.run(|| discover(Algo::Ctane, &DiscoverOptions::new(k), &rel));
-        let (_, c_naive) = g_naive.run(|| discover(Algo::Naive, &DiscoverOptions::new(k), &rel));
+            Guard::new(f64::MAX).run(|| Algo::CfdMiner.discover(&rel, &DiscoverOptions::new(2)));
+        let (_, c_ctane) = g_ctane.run(|| Algo::Ctane.discover(&rel, &DiscoverOptions::new(k)));
+        let (_, c_naive) = g_naive.run(|| Algo::Naive.discover(&rel, &DiscoverOptions::new(k)));
         let (cover, c_fast) =
-            Guard::new(f64::MAX).run(|| discover(Algo::FastCfd, &DiscoverOptions::new(k), &rel));
+            Guard::new(f64::MAX).run(|| Algo::FastCfd.discover(&rel, &DiscoverOptions::new(k)));
         t5.push_row(dbsize, vec![c_miner, c_miner2, c_ctane, c_naive, c_fast]);
         let (nc, nv) = cover.expect("fastcfd always runs").counts();
         t6.push_row(dbsize, vec![Cell::Count(nc), Cell::Count(nv)]);
@@ -235,11 +223,11 @@ fn fig7(scale: Scale) -> Vec<(String, Table)> {
             g_ctane.skip()
         } else {
             g_ctane
-                .run(|| discover(Algo::Ctane, &DiscoverOptions::new(k), &rel))
+                .run(|| Algo::Ctane.discover(&rel, &DiscoverOptions::new(k)))
                 .1
         };
-        let (_, c_naive) = g_naive.run(|| discover(Algo::Naive, &DiscoverOptions::new(k), &rel));
-        let (_, c_fast) = g_fast.run(|| discover(Algo::FastCfd, &DiscoverOptions::new(k), &rel));
+        let (_, c_naive) = g_naive.run(|| Algo::Naive.discover(&rel, &DiscoverOptions::new(k)));
+        let (_, c_fast) = g_fast.run(|| Algo::FastCfd.discover(&rel, &DiscoverOptions::new(k)));
         t.push_row(arity, vec![c_ctane, c_naive, c_fast]);
     }
     vec![("fig7".into(), t)]
@@ -273,10 +261,10 @@ fn fig8(scale: Scale) -> Vec<(String, Table)> {
     let mut g_ctane = Guard::new(scale.budget());
     let mut g_naive = Guard::new(scale.budget());
     for &k in ks.iter().rev() {
-        let (_, c_ctane) = g_ctane.run(|| discover(Algo::Ctane, &DiscoverOptions::new(k), &rel));
-        let (_, c_naive) = g_naive.run(|| discover(Algo::Naive, &DiscoverOptions::new(k), &rel));
+        let (_, c_ctane) = g_ctane.run(|| Algo::Ctane.discover(&rel, &DiscoverOptions::new(k)));
+        let (_, c_naive) = g_naive.run(|| Algo::Naive.discover(&rel, &DiscoverOptions::new(k)));
         let (cover, c_fast) =
-            Guard::new(f64::MAX).run(|| discover(Algo::FastCfd, &DiscoverOptions::new(k), &rel));
+            Guard::new(f64::MAX).run(|| Algo::FastCfd.discover(&rel, &DiscoverOptions::new(k)));
         t8.rows
             .insert(0, (k.to_string(), vec![c_ctane, c_naive, c_fast]));
         let (nc, nv) = cover.expect("fastcfd always runs").counts();
@@ -303,9 +291,9 @@ fn fig10(scale: Scale) -> Vec<(String, Table)> {
     let mut g_fast = Guard::new(scale.budget());
     for &cf in cfs.iter().rev() {
         let rel = tax(dbsize, 9, cf);
-        let (_, c_ctane) = g_ctane.run(|| discover(Algo::Ctane, &DiscoverOptions::new(k), &rel));
-        let (_, c_naive) = g_naive.run(|| discover(Algo::Naive, &DiscoverOptions::new(k), &rel));
-        let (_, c_fast) = g_fast.run(|| discover(Algo::FastCfd, &DiscoverOptions::new(k), &rel));
+        let (_, c_ctane) = g_ctane.run(|| Algo::Ctane.discover(&rel, &DiscoverOptions::new(k)));
+        let (_, c_naive) = g_naive.run(|| Algo::Naive.discover(&rel, &DiscoverOptions::new(k)));
+        let (_, c_fast) = g_fast.run(|| Algo::FastCfd.discover(&rel, &DiscoverOptions::new(k)));
         t.rows
             .insert(0, (format!("{cf:.1}"), vec![c_ctane, c_naive, c_fast]));
     }
@@ -345,9 +333,9 @@ fn dataset_k_sweep(
         let c_ctane = {
             let mut opts = DiscoverOptions::new(k);
             opts.max_lhs = ctane_max_lhs;
-            g_ctane.run(|| discover(Algo::Ctane, &opts, rel)).1
+            g_ctane.run(|| Algo::Ctane.discover(rel, &opts)).1
         };
-        let (cover, c_fast) = g_fast.run(|| discover(Algo::FastCfd, &DiscoverOptions::new(k), rel));
+        let (cover, c_fast) = g_fast.run(|| Algo::FastCfd.discover(rel, &DiscoverOptions::new(k)));
         tt.rows.insert(0, (k.to_string(), vec![c_ctane, c_fast]));
         let counts = match cover {
             Some(c) => {
@@ -412,10 +400,12 @@ fn abl_freeset(scale: Scale) -> Vec<(String, Table)> {
         let rel = tax(dbsize, 7, 0.7);
         let k = k_of(dbsize);
         let t0 = Instant::now();
-        let with = FastCfd::new(k).discover(&rel);
+        let with = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         let secs_with = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let without = FastCfd::new(k).free_set_pruning(false).discover(&rel);
+        let without = FastCfd::default()
+            .free_set_pruning(false)
+            .discover(&rel, &DiscoverOptions::new(k));
         let secs_without = t1.elapsed().as_secs_f64();
         assert_eq!(
             with.cfds(),
@@ -446,12 +436,12 @@ fn abl_engine(scale: Scale) -> Vec<(String, Table)> {
     for arity in arities {
         let rel = tax(dbsize, arity, 0.7);
         let t0 = Instant::now();
-        let closed = FastCfd::new(k).discover(&rel);
+        let closed = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         let s_closed = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let stripped = FastCfd::new(k)
+        let stripped = FastCfd::default()
             .mode(cfd_core::DiffSetMode::StrippedPartitions)
-            .discover(&rel);
+            .discover(&rel, &DiscoverOptions::new(k));
         let s_stripped = t1.elapsed().as_secs_f64();
         assert_eq!(closed.cfds(), stripped.cfds());
         t.push_row(arity, vec![Cell::Secs(s_closed), Cell::Secs(s_stripped)]);
@@ -471,10 +461,12 @@ fn abl_reorder(scale: Scale) -> Vec<(String, Table)> {
     for arity in arities {
         let rel = tax(dbsize, arity, 0.7);
         let t0 = Instant::now();
-        let on = FastCfd::new(k).discover(&rel);
+        let on = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         let s_on = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let off = FastCfd::new(k).dynamic_reorder(false).discover(&rel);
+        let off = FastCfd::default()
+            .dynamic_reorder(false)
+            .discover(&rel, &DiscoverOptions::new(k));
         let s_off = t1.elapsed().as_secs_f64();
         assert_eq!(on.cfds(), off.cfds());
         t.push_row(arity, vec![Cell::Secs(s_on), Cell::Secs(s_off)]);
@@ -497,10 +489,10 @@ fn abl_parallel(scale: Scale) -> Vec<(String, Table)> {
         let rel = tax(dbsize, 9, 0.7);
         let k = k_of(dbsize);
         let t0 = Instant::now();
-        let serial = FastCfd::new(k).discover(&rel);
+        let serial = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         let s_serial = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let parallel = FastCfd::new(k).threads(threads).discover(&rel);
+        let parallel = FastCfd::default().discover(&rel, &DiscoverOptions::new(k).threads(threads));
         let s_parallel = t1.elapsed().as_secs_f64();
         assert_eq!(serial.cfds(), parallel.cfds());
         t.push_row(
@@ -519,7 +511,7 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
     let dbsize = if scale.full { 100_000 } else { 10_000 };
     let rel = tax(dbsize, 9, 0.7);
     let k_full = k_of(dbsize);
-    let full_cover = FastCfd::new(k_full).discover(&rel);
+    let full_cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(k_full));
     let cc = 0; // stratify on the country-code-like attribute
     let mut t = Table::new(
         &format!(
@@ -529,13 +521,13 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
         &["time", "#rules", "precision", "full-data time"],
     );
     let t0 = Instant::now();
-    let _ = FastCfd::new(k_full).discover(&rel);
+    let _ = FastCfd::default().discover(&rel, &DiscoverOptions::new(k_full));
     let full_time = t0.elapsed().as_secs_f64();
     for fraction in [0.05f64, 0.1, 0.2, 0.4] {
         let s = cfd_datagen::sample::stratified_sample(&rel, cc, fraction, 0xab);
         let k = ((k_full as f64 * fraction).round() as usize).max(2);
         let t1 = Instant::now();
-        let cover = FastCfd::new(k).discover(&s);
+        let cover = FastCfd::default().discover(&s, &DiscoverOptions::new(k));
         let secs = t1.elapsed().as_secs_f64();
         let good = cover
             .iter()
@@ -571,10 +563,10 @@ fn fd_baseline(scale: Scale) -> Vec<(String, Table)> {
     for dbsize in sizes {
         let rel = tax(dbsize, 7, 0.7);
         let t0 = Instant::now();
-        let tane = discover(Algo::Tane, &DiscoverOptions::new(1), &rel);
+        let tane = Algo::Tane.discover(&rel, &DiscoverOptions::new(1));
         let s_tane = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let fastfd = discover(Algo::FastFd, &DiscoverOptions::new(1), &rel);
+        let fastfd = Algo::FastFd.discover(&rel, &DiscoverOptions::new(1));
         let s_fastfd = t1.elapsed().as_secs_f64();
         assert_eq!(tane.cfds(), fastfd.cfds());
         t.push_row(

@@ -9,10 +9,14 @@
 //! types:
 //!
 //! * [`DiscoverOptions`] — the validated, algorithm-independent knobs
-//!   (support `k`, `max_lhs`, `threads`, `constants_only`, attribute
-//!   projection);
+//!   (support `k`, `max_lhs`, `min_confidence`, `threads`,
+//!   `constants_only`, `top_k`, attribute projection). It is defined in
+//!   `cfd_model::options`, below the miner crates, and is the only home
+//!   of the knobs the miners share: the miner structs keep ablation
+//!   knobs only;
 //! * [`Discoverer`] — the trait all algorithms implement, with a
-//!   cancellation/progress hook ([`Control`]);
+//!   cancellation/progress hook ([`Control`]). Each miner's
+//!   [`Discoverer::run`] is its one entry point;
 //! * [`Discovery`] — the structured outcome: the cover plus per-phase
 //!   timings, search counters, and machine-readable [`Note`]s for
 //!   options the chosen algorithm ignores (replacing ad-hoc stderr
@@ -37,12 +41,12 @@
 use crate::bruteforce::BruteForce;
 use crate::cfdminer::CfdMiner;
 use crate::ctane::Ctane;
-use crate::fastcfd::{DiffSetMode, FastCfd};
+use crate::fastcfd::FastCfd;
 use cfd_fd::{FastFd, Tane};
-use cfd_model::attrset::AttrSet;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::json::Json;
 pub use cfd_model::measure::RuleMeasure;
+pub use cfd_model::options::{DiscoverError, DiscoverOptions};
 pub use cfd_model::progress::{Cancelled, Control, PhaseTiming, Progress, SearchStats};
 use cfd_model::relation::Relation;
 
@@ -166,13 +170,13 @@ impl Algo {
     /// algorithm-specific ablation knobs keep their paper defaults).
     pub fn discoverer(self) -> Box<dyn Discoverer> {
         match self {
-            Algo::CfdMiner => Box::new(CfdMiner::new(1)),
-            Algo::Ctane => Box::new(Ctane::new(1)),
-            Algo::FastCfd => Box::new(FastCfd::new(1)),
-            Algo::Naive => Box::new(FastCfd::naive(1)),
-            Algo::Tane => Box::new(Tane::new()),
-            Algo::FastFd => Box::new(FastFd::new()),
-            Algo::BruteForce => Box::new(BruteForce::new(1)),
+            Algo::CfdMiner => Box::new(CfdMiner),
+            Algo::Ctane => Box::new(Ctane::default()),
+            Algo::FastCfd => Box::new(FastCfd::default()),
+            Algo::Naive => Box::new(FastCfd::naive()),
+            Algo::Tane => Box::new(Tane),
+            Algo::FastFd => Box::new(FastFd::default()),
+            Algo::BruteForce => Box::new(BruteForce),
         }
     }
 }
@@ -210,11 +214,11 @@ impl std::fmt::Display for UnknownAlgo {
 
 impl std::error::Error for UnknownAlgo {}
 
-/// Algorithm-independent discovery options, validated once up front.
-///
-/// One struct configures every algorithm; options an algorithm has no
-/// use for are *reported*, not silently dropped — [`Discovery::notes`]
-/// carries a machine-readable [`Note`] per ignored option.
+/// A machine-readable remark attached to a [`Discovery`] — today always
+/// "this option was ignored", replacing the CLI's former ad-hoc stderr
+/// warnings. `Display` renders the human-facing sentence. One
+/// [`DiscoverOptions`] configures every algorithm, and options an
+/// algorithm has no use for are *reported*, not silently dropped:
 ///
 /// ```
 /// use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
@@ -228,193 +232,6 @@ impl std::error::Error for UnknownAlgo {}
 /// assert_eq!(d.notes.len(), 1);
 /// assert_eq!(d.notes[0].option, "max-lhs");
 /// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiscoverOptions {
-    /// Support threshold `k ≥ 1`: discovered CFDs must hold on at least
-    /// `k` tuples (ignored by the FD baselines).
-    pub k: usize,
-    /// Upper bound on LHS size (honored by the level-wise algorithms).
-    pub max_lhs: Option<usize>,
-    /// Worker threads (`1` = serial). FastCFD/NaiveFast shard
-    /// `FindCover` across RHS attributes; CTANE/TANE shard level
-    /// expansion across prefix-join runs; CFDMiner shards its item-set
-    /// mining pass. Level expansion and item-set mining run at most one
-    /// worker per core, `FindCover` at most one per RHS attribute.
-    /// Output never depends on the thread count.
-    pub threads: usize,
-    /// Restrict the result to constant CFDs (applied natively by
-    /// CFDMiner, as a post-filter elsewhere).
-    pub constants_only: bool,
-    /// Project the relation onto this attribute set before discovery;
-    /// the resulting cover speaks the projected schema (see
-    /// [`Discovery::relation`]).
-    pub project: Option<AttrSet>,
-    /// Confidence threshold `θ ∈ (0, 1]` for approximate discovery
-    /// (g1-style partition error — see `cfd_model::measure`). At the
-    /// default `1.0` every algorithm runs its exact path; below it,
-    /// CTANE/TANE/CFDMiner emit rules whose measured confidence
-    /// reaches `θ` (exact-only algorithms note the ignored option).
-    pub min_confidence: f64,
-    /// Keep only the `k` best rules, ranked by confidence, then
-    /// support, then canonical rule order. Applied after measurement,
-    /// so it works with every algorithm.
-    pub top_k: Option<usize>,
-}
-
-impl Default for DiscoverOptions {
-    /// `k = 2`, everything else off — the paper's demonstration
-    /// configuration.
-    fn default() -> DiscoverOptions {
-        DiscoverOptions::new(2)
-    }
-}
-
-impl DiscoverOptions {
-    /// Options with support threshold `k` and every other knob off.
-    pub fn new(k: usize) -> DiscoverOptions {
-        DiscoverOptions {
-            k,
-            max_lhs: None,
-            threads: 1,
-            constants_only: false,
-            project: None,
-            min_confidence: 1.0,
-            top_k: None,
-        }
-    }
-
-    /// Sets the confidence threshold `θ` for approximate discovery.
-    pub fn min_confidence(mut self, theta: f64) -> DiscoverOptions {
-        self.min_confidence = theta;
-        self
-    }
-
-    /// Keeps only the `k` best rules (by confidence, then support).
-    pub fn top_k(mut self, k: usize) -> DiscoverOptions {
-        self.top_k = Some(k);
-        self
-    }
-
-    /// Sets the LHS size bound.
-    pub fn max_lhs(mut self, m: usize) -> DiscoverOptions {
-        self.max_lhs = Some(m);
-        self
-    }
-
-    /// Sets the worker-thread count.
-    pub fn threads(mut self, t: usize) -> DiscoverOptions {
-        self.threads = t;
-        self
-    }
-
-    /// Restricts the result to constant CFDs.
-    pub fn constants_only(mut self) -> DiscoverOptions {
-        self.constants_only = true;
-        self
-    }
-
-    /// Projects the relation onto `attrs` before discovery.
-    pub fn project(mut self, attrs: AttrSet) -> DiscoverOptions {
-        self.project = Some(attrs);
-        self
-    }
-
-    /// Validates the options against a relation. Every [`Discoverer`]
-    /// checks this before running; call it directly to fail fast.
-    pub fn validate(&self, rel: &Relation) -> Result<(), DiscoverError> {
-        let fail = |m: String| Err(DiscoverError::Options(m));
-        if self.k < 1 {
-            return fail("support threshold k must be at least 1".into());
-        }
-        if self.threads < 1 {
-            return fail("threads must be at least 1".into());
-        }
-        if !(self.min_confidence > 0.0 && self.min_confidence <= 1.0) {
-            return fail(format!(
-                "min_confidence must be within (0, 1], got {}",
-                self.min_confidence
-            ));
-        }
-        if self.top_k == Some(0) {
-            return fail("top_k must be at least 1".into());
-        }
-        if let Some(p) = self.project {
-            if p.is_empty() {
-                return fail("projection must keep at least one attribute".into());
-            }
-            let universe = rel.schema().all_attrs();
-            if !p.is_subset(universe) {
-                return fail(format!(
-                    "projection references attribute ids outside the schema (arity {})",
-                    rel.arity()
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes the options (attribute ids resolved against `rel`).
-    pub fn to_json(&self, rel: &Relation) -> Json {
-        Json::obj([
-            ("k", Json::from(self.k)),
-            ("max_lhs", Json::from(self.max_lhs)),
-            ("threads", Json::from(self.threads)),
-            ("constants_only", Json::from(self.constants_only)),
-            ("min_confidence", Json::from(self.min_confidence)),
-            ("top_k", Json::from(self.top_k)),
-            (
-                "project",
-                match self.project {
-                    None => Json::Null,
-                    Some(set) => Json::arr(set.iter().map(|a| Json::from(rel.schema().name(a)))),
-                },
-            ),
-        ])
-    }
-
-    /// Parses the keys [`to_json`](DiscoverOptions::to_json) writes;
-    /// an absent or `null` key keeps its [`Default`] value, so the
-    /// output of `to_json` parses back. `project` is not read: resolving
-    /// attribute names needs a schema. Only the types are checked here;
-    /// ranges are [`validate`](DiscoverOptions::validate)'s job.
-    pub fn from_json(doc: &Json) -> Result<DiscoverOptions, DiscoverError> {
-        let field = |key: &str| doc.get(key).filter(|v| !v.is_null());
-        let fail =
-            |key: &str, want: &str| DiscoverError::Options(format!("{key:?} must be {want}"));
-        let count = |key: &str| {
-            field(key)
-                .map(|v| match v.as_f64() {
-                    Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as usize),
-                    _ => Err(fail(key, "a non-negative integer")),
-                })
-                .transpose()
-        };
-        let d = DiscoverOptions::default();
-        Ok(DiscoverOptions {
-            k: count("k")?.unwrap_or(d.k),
-            max_lhs: count("max_lhs")?.or(d.max_lhs),
-            threads: count("threads")?.unwrap_or(d.threads),
-            constants_only: match field("constants_only") {
-                None => d.constants_only,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| fail("constants_only", "a boolean"))?,
-            },
-            project: d.project,
-            min_confidence: match field("min_confidence") {
-                None => d.min_confidence,
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| fail("min_confidence", "a number"))?,
-            },
-            top_k: count("top_k")?.or(d.top_k),
-        })
-    }
-}
-
-/// A machine-readable remark attached to a [`Discovery`] — today always
-/// "this option was ignored", replacing the CLI's former ad-hoc stderr
-/// warnings. `Display` renders the human-facing sentence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Note {
     /// The algorithm the note is about.
@@ -447,36 +264,6 @@ impl Note {
             ("value", Json::from(self.value.as_str())),
             ("reason", Json::from(self.reason)),
         ])
-    }
-}
-
-/// A discovery run failed before producing a cover.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DiscoverError {
-    /// The options failed [`DiscoverOptions::validate`].
-    Options(String),
-    /// The run was cancelled through its [`Control`].
-    Cancelled,
-    /// The algorithm cannot run on this input (e.g. the brute-force
-    /// oracle refuses arity > 10).
-    Unsupported(String),
-}
-
-impl std::fmt::Display for DiscoverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiscoverError::Options(m) => write!(f, "invalid options: {m}"),
-            DiscoverError::Cancelled => f.write_str("discovery cancelled"),
-            DiscoverError::Unsupported(m) => write!(f, "unsupported: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for DiscoverError {}
-
-impl From<Cancelled> for DiscoverError {
-    fn from(_: Cancelled) -> DiscoverError {
-        DiscoverError::Cancelled
     }
 }
 
@@ -619,18 +406,17 @@ impl Discovery {
 /// `constants_only`, and assembles the [`Discovery`] outcome with
 /// notes for ignored options.
 ///
-/// Shared knobs (`k`, `max_lhs`, `threads`) are read from
-/// [`DiscoverOptions`] — the single source of truth on this path.
-/// Struct-level builder knobs cover algorithm-specific ablations only
-/// (e.g. [`FastCfd::dynamic_reorder`]) and keep configuring the legacy
-/// `discover(&rel)` shorthand.
+/// Shared knobs (`k`, `max_lhs`, `min_confidence`, `threads`) are
+/// read from [`DiscoverOptions`] and nowhere else: a miner struct holds
+/// only ablation knobs that some caller sets (e.g.
+/// [`FastCfd::dynamic_reorder`], [`Ctane::cache_budget`]).
 ///
 /// ```
 /// use cfd_core::api::{Control, DiscoverOptions, Discoverer};
 /// use cfd_core::FastCfd;
 ///
 /// let rel = cfd_datagen::cust::cust_relation();
-/// let d = FastCfd::new(1)
+/// let d = FastCfd::default()
 ///     .discover_with(&rel, &DiscoverOptions::new(2), &Control::default())
 ///     .unwrap();
 /// assert!(d.cover.iter().all(|c| cfd_model::satisfies(&rel, c)));
@@ -647,8 +433,9 @@ pub trait Discoverer {
     /// aligned with the cover's canonical order, and
     /// [`Discoverer::discover_with`] skips its kernel measuring pass;
     /// `None` has the kernel measure the cover in one sharded scan.
-    /// Prefer [`Discoverer::discover_with`], which adds validation,
-    /// projection, filtering and note synthesis.
+    /// `run` does not validate `opts` ([`DiscoverOptions::validate`] is
+    /// the one check); prefer [`Discoverer::discover_with`], which adds
+    /// validation, projection, filtering and note synthesis.
     fn run(
         &self,
         rel: &Relation,
@@ -806,122 +593,37 @@ pub trait Discoverer {
         })
     }
 
-    /// One-call discovery with the paper's default options (`k = 2`,
-    /// exact, serial) — the shortest path from a relation to a
-    /// structured [`Discovery`]:
+    /// The shortest path from a relation to a cover:
+    /// [`Discoverer::discover_with`] under a default [`Control`],
+    /// returning [`Discovery::cover`] (in the projected schema when
+    /// `opts` projects).
     ///
     /// ```
-    /// use cfd_core::api::{Algo, Discoverer};
+    /// use cfd_core::api::{Algo, DiscoverOptions, Discoverer};
+    /// use cfd_core::{CfdMiner, FastCfd};
     ///
     /// let rel = cfd_datagen::cust::cust_relation();
-    /// let d = Algo::Ctane.discover(&rel).unwrap();
-    /// assert!(!d.cover.is_empty());
-    /// // every rule comes back measured: exact discovery means every
-    /// // measure is violation-free
-    /// assert_eq!(d.measures.len(), d.cover.len());
-    /// assert!(d.measures.iter().all(|m| m.violations == 0));
+    /// let opts = DiscoverOptions::new(2);
+    /// let cover = Algo::Ctane.discover(&rel, &opts);
+    /// let fast = FastCfd::default().discover(&rel, &opts);
+    /// assert_eq!(cover.cfds(), fast.cfds());
+    /// // CFDMiner mines the constant fragment of the same cover
+    /// let constants = CfdMiner.discover(&rel, &opts);
+    /// assert_eq!(constants.cfds(), cover.constant_cover().cfds());
     /// ```
-    fn discover(&self, rel: &Relation) -> Result<Discovery, DiscoverError> {
-        self.discover_with(rel, &DiscoverOptions::default(), &Control::default())
-    }
-}
-
-impl CfdMiner {
-    /// The instance `discover_with` actually runs: shared knobs from
-    /// the options, ablation knobs from `self`.
-    fn configured(&self, opts: &DiscoverOptions) -> CfdMiner {
-        CfdMiner::new(opts.k)
-            .min_confidence(opts.min_confidence)
-            .threads(opts.threads.max(1))
-    }
-}
-
-impl Discoverer for CfdMiner {
-    fn algo(&self) -> Algo {
-        Algo::CfdMiner
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
-impl Ctane {
-    /// The instance `discover_with` actually runs: shared knobs from
-    /// the options, ablation knobs (cache budget) from `self`.
-    fn configured(&self, opts: &DiscoverOptions) -> Ctane {
-        Ctane {
-            k: opts.k,
-            max_lhs: opts.max_lhs,
-            min_confidence: opts.min_confidence,
-            threads: opts.threads.max(1),
-            ..*self
+    ///
+    /// # Panics
+    ///
+    /// Where [`Discoverer::discover_with`] returns an error: when the
+    /// options fail [`DiscoverOptions::validate`], or the algorithm
+    /// refuses the input ([`DiscoverError::Unsupported`]). Use
+    /// `discover_with` to handle those.
+    fn discover(&self, rel: &Relation, opts: &DiscoverOptions) -> CanonicalCover {
+        match self.discover_with(rel, opts, &Control::default()) {
+            Ok(d) => d.cover,
+            Err(e) => panic!("{} discovery failed: {e}", self.algo()),
         }
     }
-}
-
-impl Discoverer for Ctane {
-    fn algo(&self) -> Algo {
-        Algo::Ctane
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
-impl FastCfd {
-    /// The instance `discover_with` actually runs: shared knobs from
-    /// the options, ablation knobs (mode, reordering, constant-CFD
-    /// delegation, free-set pruning) from `self`.
-    fn configured(&self, opts: &DiscoverOptions) -> FastCfd {
-        FastCfd {
-            k: opts.k,
-            threads: opts.threads.max(1),
-            ..*self
-        }
-    }
-}
-
-impl Discoverer for FastCfd {
-    fn algo(&self) -> Algo {
-        if self.mode == DiffSetMode::StrippedPartitions {
-            Algo::Naive
-        } else {
-            Algo::FastCfd
-        }
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
-/// The instance `discover_with` actually runs: shared knobs from the
-/// options, ablation knobs (cache budget) from `base`.
-fn configured_tane(base: &Tane, opts: &DiscoverOptions) -> Tane {
-    base.with_shared_knobs(opts.max_lhs, opts.min_confidence, opts.threads)
 }
 
 impl Discoverer for Tane {
@@ -936,7 +638,7 @@ impl Discoverer for Tane {
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = configured_tane(self, opts).run_measured(rel, ctrl, stats)?;
+        let (cover, measures) = Tane::run(self, rel, opts, ctrl, stats)?;
         Ok((cover, Some(measures)))
     }
 }
@@ -954,28 +656,6 @@ impl Discoverer for FastFd {
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         Ok((FastFd::run(self, rel, ctrl, stats)?, None))
-    }
-}
-
-impl Discoverer for BruteForce {
-    fn algo(&self) -> Algo {
-        Algo::BruteForce
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        if rel.arity() > 10 {
-            return Err(DiscoverError::Unsupported(format!(
-                "bruteforce is a test oracle; refusing arity {} > 10",
-                rel.arity()
-            )));
-        }
-        Ok((BruteForce::new(opts.k).run(rel, ctrl, stats)?, None))
     }
 }
 
@@ -999,6 +679,7 @@ impl Discoverer for Algo {
 mod tests {
     use super::*;
     use cfd_datagen::cust::cust_relation;
+    use cfd_model::attrset::AttrSet;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
@@ -1045,27 +726,6 @@ mod tests {
                 Algo::FastCfd => {}
             }
         }
-    }
-
-    #[test]
-    fn trait_and_legacy_paths_agree() {
-        let rel = cust_relation();
-        for k in [1, 2, 3] {
-            let legacy = FastCfd::new(k).discover(&rel);
-            let unified = FastCfd::new(1)
-                .discover_with(&rel, &DiscoverOptions::new(k), &Control::default())
-                .unwrap();
-            assert_eq!(legacy.cfds(), unified.cover.cfds(), "k={k}");
-        }
-        let legacy = Ctane::new(2).max_lhs(2).discover(&rel);
-        let unified = Algo::Ctane
-            .discover_with(
-                &rel,
-                &DiscoverOptions::new(2).max_lhs(2),
-                &Control::default(),
-            )
-            .unwrap();
-        assert_eq!(legacy.cfds(), unified.cover.cfds());
     }
 
     #[test]
@@ -1214,7 +874,8 @@ mod tests {
             d.cover.cfds()
         );
         // and matches discovery on a hand-projected relation
-        let direct = FastCfd::new(2).discover(&rel.project(keep).unwrap());
+        let direct =
+            FastCfd::default().discover(&rel.project(keep).unwrap(), &DiscoverOptions::new(2));
         assert_eq!(d.cover.cfds(), direct.cfds());
     }
 

@@ -6,50 +6,47 @@
 //! size; usable only on tiny instances, which is exactly its role: the
 //! property tests compare CFDMiner, CTANE and FastCFD against it.
 
+use crate::api::{Algo, Discoverer};
 use crate::minimality::is_minimal;
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
+use cfd_model::measure::RuleMeasure;
+use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::{PVal, Pattern};
-use cfd_model::progress::{Cancelled, Control, SearchStats};
+use cfd_model::progress::{Control, SearchStats};
 use cfd_model::relation::Relation;
 
 /// Exhaustive discovery of the canonical cover (minimal, k-frequent
-/// constant + variable CFDs).
-#[derive(Clone, Copy, Debug)]
-pub struct BruteForce {
-    k: usize,
-}
+/// constant + variable CFDs). It reads `k` from [`DiscoverOptions`] and
+/// has no knob of its own.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BruteForce;
 
-impl BruteForce {
-    /// Creates the oracle with support threshold `k ≥ 1`.
-    pub fn new(k: usize) -> BruteForce {
-        assert!(k >= 1, "support threshold must be at least 1");
-        BruteForce { k }
+impl Discoverer for BruteForce {
+    fn algo(&self) -> Algo {
+        Algo::BruteForce
     }
 
     /// Enumerates the canonical cover of `rel`. Cost is
-    /// `O(arity · 2^arity · Π(dom+1) · |r|)` — keep instances tiny.
-    pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`BruteForce::discover`] with run control and instrumentation:
-    /// polls `ctrl` per LHS attribute set, reports `rhs` progress, and
-    /// counts candidate CFDs tested (`candidates`) against those
-    /// surviving the minimality referee (`emitted`).
-    pub fn run(
+    /// `O(arity · 2^arity · Π(dom+1) · |r|)`, so arity above 10 is
+    /// refused as [`DiscoverError::Unsupported`]. Polls `ctrl` per LHS
+    /// attribute set, reports `rhs` progress, and counts candidate CFDs
+    /// tested (`candidates`) against those surviving the minimality
+    /// referee (`emitted`).
+    fn run(
         &self,
         rel: &Relation,
+        opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let arity = rel.arity();
-        assert!(
-            arity <= 10,
-            "brute force is a test oracle; refusing arity {arity} > 10"
-        );
+        if arity > 10 {
+            return Err(DiscoverError::Unsupported(format!(
+                "bruteforce is a test oracle; refusing arity {arity} > 10"
+            )));
+        }
         let mut out: Vec<Cfd> = Vec::new();
         for rhs in 0..arity {
             let lhs_universe = AttrSet::full(arity).without(rhs);
@@ -57,64 +54,65 @@ impl BruteForce {
                 ctrl.check()?;
                 let attrs: Vec<usize> = lhs_attrs.iter().collect();
                 let mut pattern_vals: Vec<PVal> = Vec::with_capacity(attrs.len());
-                self.enumerate(rel, &attrs, &mut pattern_vals, rhs, &mut out, stats);
+                enumerate(rel, opts.k, &attrs, &mut pattern_vals, rhs, &mut out, stats);
             }
             ctrl.report("rhs", rhs + 1, arity);
         }
-        Ok(CanonicalCover::from_cfds(out))
+        Ok((CanonicalCover::from_cfds(out), None))
     }
+}
 
-    #[allow(clippy::too_many_arguments)] // internal recursion carrying instrumentation
-    fn enumerate(
-        &self,
-        rel: &Relation,
-        attrs: &[usize],
-        vals: &mut Vec<PVal>,
-        rhs: usize,
-        out: &mut Vec<Cfd>,
-        stats: &mut SearchStats,
-    ) {
-        if vals.len() == attrs.len() {
-            let lhs = Pattern::from_pairs(attrs.iter().copied().zip(vals.iter().copied()));
-            // variable CFD — canonical-cover convention: an all-constant
-            // LHS variable CFD holds iff the RHS attribute is constant on
-            // the matching tuples, i.e. iff its constant counterpart holds;
-            // it is implied and excluded (cf. FindMin, which never emits
-            // variable CFDs with an empty wildcard part)
-            if !lhs.is_all_const() {
-                let var = Cfd::variable(lhs.clone(), rhs);
+/// Every pattern over `attrs` extending `vals`, and its candidate CFDs
+/// with RHS `rhs`.
+fn enumerate(
+    rel: &Relation,
+    k: usize,
+    attrs: &[usize],
+    vals: &mut Vec<PVal>,
+    rhs: usize,
+    out: &mut Vec<Cfd>,
+    stats: &mut SearchStats,
+) {
+    if vals.len() == attrs.len() {
+        let lhs = Pattern::from_pairs(attrs.iter().copied().zip(vals.iter().copied()));
+        // variable CFD — canonical-cover convention: an all-constant
+        // LHS variable CFD holds iff the RHS attribute is constant on
+        // the matching tuples, i.e. iff its constant counterpart holds;
+        // it is implied and excluded (cf. FindMin, which never emits
+        // variable CFDs with an empty wildcard part)
+        if !lhs.is_all_const() {
+            let var = Cfd::variable(lhs.clone(), rhs);
+            stats.candidates += 1;
+            if is_minimal(rel, &var, k) {
+                stats.emitted += 1;
+                out.push(var);
+            } else {
+                stats.pruned += 1;
+            }
+        }
+        // constant CFDs need an all-constant LHS
+        if lhs.is_all_const() {
+            for a in 0..rel.column(rhs).domain_size() as u32 {
+                let con = Cfd::new(lhs.clone(), rhs, PVal::Const(a));
                 stats.candidates += 1;
-                if is_minimal(rel, &var, self.k) {
+                if is_minimal(rel, &con, k) {
                     stats.emitted += 1;
-                    out.push(var);
+                    out.push(con);
                 } else {
                     stats.pruned += 1;
                 }
             }
-            // constant CFDs need an all-constant LHS
-            if lhs.is_all_const() {
-                for a in 0..rel.column(rhs).domain_size() as u32 {
-                    let con = Cfd::new(lhs.clone(), rhs, PVal::Const(a));
-                    stats.candidates += 1;
-                    if is_minimal(rel, &con, self.k) {
-                        stats.emitted += 1;
-                        out.push(con);
-                    } else {
-                        stats.pruned += 1;
-                    }
-                }
-            }
-            return;
         }
-        let a = attrs[vals.len()];
-        vals.push(PVal::Var);
-        self.enumerate(rel, attrs, vals, rhs, out, stats);
+        return;
+    }
+    let a = attrs[vals.len()];
+    vals.push(PVal::Var);
+    enumerate(rel, k, attrs, vals, rhs, out, stats);
+    vals.pop();
+    for c in 0..rel.column(a).domain_size() as u32 {
+        vals.push(PVal::Const(c));
+        enumerate(rel, k, attrs, vals, rhs, out, stats);
         vals.pop();
-        for c in 0..rel.column(a).domain_size() as u32 {
-            vals.push(PVal::Const(c));
-            self.enumerate(rel, attrs, vals, rhs, out, stats);
-            vals.pop();
-        }
     }
 }
 
@@ -129,7 +127,7 @@ mod tests {
     #[test]
     fn finds_paper_rules_on_cust() {
         let r = cust_relation();
-        let cover = BruteForce::new(2).discover(&r);
+        let cover = BruteForce.discover(&r, &DiscoverOptions::new(2));
         // minimal rules claimed by the paper at k ≤ 2
         for txt in [
             "([CC, AC] -> CT, (_, _ || _))",      // f1
@@ -154,7 +152,7 @@ mod tests {
     fn every_output_holds_and_is_minimal() {
         let r = cust_relation();
         for k in [1, 2, 3] {
-            let cover = BruteForce::new(k).discover(&r);
+            let cover = BruteForce.discover(&r, &DiscoverOptions::new(k));
             assert!(!cover.is_empty());
             for cfd in cover.iter() {
                 assert!(satisfies(&r, cfd));
@@ -167,8 +165,8 @@ mod tests {
     #[test]
     fn higher_k_shrinks_cover() {
         let r = cust_relation();
-        let k1 = BruteForce::new(1).discover(&r).len();
-        let k3 = BruteForce::new(3).discover(&r).len();
+        let k1 = BruteForce.discover(&r, &DiscoverOptions::new(1)).len();
+        let k3 = BruteForce.discover(&r, &DiscoverOptions::new(3)).len();
         assert!(k3 < k1);
     }
 }

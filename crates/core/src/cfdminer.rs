@@ -17,102 +17,59 @@
 //! intersection, which as printed would keep exactly the redundant
 //! items).
 
+use crate::api::{Algo, Discoverer};
 use cfd_itemset::mine::{mine_free_closed, MineOptions, Mined};
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::fxhash::FxHashMap;
 use cfd_model::measure::{keep_meets, RuleMeasure};
+use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::PVal;
-use cfd_model::progress::{Cancelled, Control, SearchStats};
+use cfd_model::progress::{Control, SearchStats};
 use cfd_model::relation::Relation;
 
-/// Constant CFD discovery (Section 3.2).
-#[derive(Clone, Copy, Debug)]
-pub struct CfdMiner {
-    k: usize,
-    min_confidence: f64,
-    threads: usize,
-}
+/// Constant CFD discovery (Section 3.2). It reads `k`,
+/// `min_confidence` and `threads` from [`DiscoverOptions`] and has no
+/// knob of its own.
+///
+/// Below `θ = 1` a constant CFD `(X → A, (tp ‖ a))` is emitted when at
+/// least a `θ`-fraction of the tuples matching `tp` carry `a` (and at
+/// least `k` of them do — the k-frequency of the full pattern); at the
+/// default `1.0` it runs the exact free/closed-set path of Section 3.
+/// `threads` shards the item-set mining pass (per-level closures and
+/// the extension step that builds each level); the output is
+/// byte-identical for every thread count.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CfdMiner;
 
-impl CfdMiner {
-    /// Creates a miner with support threshold `k ≥ 1`.
-    pub fn new(k: usize) -> CfdMiner {
-        assert!(k >= 1, "support threshold must be at least 1");
-        CfdMiner {
-            k,
-            min_confidence: 1.0,
-            threads: 1,
-        }
-    }
-
-    /// Shards the item-set mining pass (per-level closures and the
-    /// extension step that builds each level) across `threads`
-    /// workers; `1` (the default) mines serially. Output is
-    /// byte-identical for every thread count.
-    pub fn threads(mut self, threads: usize) -> CfdMiner {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Relaxes validity to confidence `θ ∈ (0, 1]`: a constant CFD
-    /// `(X → A, (tp ‖ a))` is emitted when at least a `θ`-fraction of
-    /// the tuples matching `tp` carry `a` (and at least `k` of them
-    /// do — the k-frequency of the full pattern). `1.0` (the default)
-    /// is the exact free/closed-set path of Section 3.
-    pub fn min_confidence(mut self, theta: f64) -> CfdMiner {
-        assert!(
-            theta > 0.0 && theta <= 1.0,
-            "min_confidence must be within (0, 1]"
-        );
-        self.min_confidence = theta;
-        self
-    }
-
-    /// The configured support threshold.
-    pub fn k(&self) -> usize {
-        self.k
+impl Discoverer for CfdMiner {
+    fn algo(&self) -> Algo {
+        Algo::CfdMiner
     }
 
     /// Discovers the canonical cover of minimal k-frequent *constant*
-    /// CFDs of `rel`.
-    pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`CfdMiner::discover`] with run control and instrumentation:
-    /// polls `ctrl` after the mining phase, times `mine`, and counts
-    /// free/closed sets plus candidate RHS items (`candidates`) and
-    /// items rejected as non-minimal (`pruned`).
-    pub fn run(
+    /// CFDs of `rel`: polls `ctrl` after the mining phase, times
+    /// `mine`, and counts free/closed sets plus candidate RHS items
+    /// (`candidates`) and items rejected as non-minimal (`pruned`).
+    /// Each rule's [`RuleMeasure`] comes from the free-set supports and
+    /// per-value frequencies the mining pass already computed.
+    fn run(
         &self,
         rel: &Relation,
+        opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`CfdMiner::run`], additionally returning each rule's
-    /// [`RuleMeasure`] (aligned with the cover's canonical order) —
-    /// free-set supports and per-value frequencies the mining pass
-    /// already computed, so no separate measuring scan is needed.
-    pub fn run_measured(
-        &self,
-        rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let t0 = std::time::Instant::now();
         // the approximate pass needs each free set's supporting tuples
         // to take per-attribute majorities; the exact pass does not
-        let approx = self.min_confidence < 1.0;
+        let approx = opts.min_confidence < 1.0;
         let mined = mine_free_closed(
             rel,
-            self.k,
+            opts.k,
             MineOptions {
                 keep_tids: approx,
-                threads: self.threads,
+                threads: opts.threads,
                 ..MineOptions::default()
             },
         );
@@ -121,159 +78,156 @@ impl CfdMiner {
         ctrl.report("mine", 1, 1);
         let t1 = std::time::Instant::now();
         let rules = if approx {
-            self.approx_rules(rel, &mined, stats)
+            approx_rules(rel, &mined, opts.k, opts.min_confidence, stats)
         } else {
-            self.exact_rules(&mined, stats)
+            exact_rules(&mined, stats)
         };
         stats.phase("rhs-items", t1.elapsed());
-        Ok(CanonicalCover::from_measured(rules))
+        let (cover, measures) = CanonicalCover::from_measured(rules);
+        Ok((cover, Some(measures)))
     }
+}
 
-    /// The exact free/closed RHS pass over an existing mining result,
-    /// filling `stats`, with each emitted rule's measure —
-    /// `RuleMeasure::exact(support)` by construction: the RHS item lies
-    /// in the closure, so every supporting tuple carries it. FastCFD
-    /// shares this entry point when it delegates constant CFDs here, so
-    /// the mining cost is paid once.
-    pub(crate) fn exact_rules(
-        &self,
+/// The exact free/closed RHS pass over an existing mining result,
+/// filling `stats`, with each emitted rule's measure —
+/// `RuleMeasure::exact(support)` by construction: the RHS item lies
+/// in the closure, so every supporting tuple carries it. FastCFD
+/// shares this entry point when it delegates constant CFDs here, so
+/// the mining cost is paid once.
+pub(crate) fn exact_rules(mined: &Mined, stats: &mut SearchStats) -> Vec<(Cfd, RuleMeasure)> {
+    stats.free_sets += mined.free.len() as u64;
+    stats.closed_sets += mined.closed.len() as u64;
+    let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
+    for free in &mined.free {
+        let clo = &mined.closed[free.closure as usize].pattern;
+        // candidate RHS items: closure minus the free pattern itself
+        let fresh = clo.attrs().difference(free.pattern.attrs());
+        if fresh.is_empty() {
+            continue;
+        }
+        // forbidden: items in the closure of any immediate free
+        // sub-pattern (all of which are mined — subsets of free sets
+        // are free, and support only grows downward)
+        let mut forbidden = cfd_model::fxhash::FxHashSet::default();
+        for b in free.pattern.attrs().iter() {
+            let sub = free.pattern.without(b);
+            let si = mined
+                .free_index(&sub)
+                .expect("immediate sub-pattern of a mined free set is mined");
+            let sub_clo = &mined.closed[mined.free[si].closure as usize].pattern;
+            for (a, v) in sub_clo.iter() {
+                forbidden.insert((a, v));
+            }
+        }
+        for a in fresh.iter() {
+            let v = clo.get(a).expect("attr drawn from closure");
+            stats.candidates += 1;
+            if !forbidden.contains(&(a, v)) {
+                let code = v.as_const().expect("closures are all-constant");
+                stats.emitted += 1;
+                out.push((
+                    Cfd::new(free.pattern.clone(), a, PVal::Const(code)),
+                    RuleMeasure::exact(free.support as usize),
+                ));
+            } else {
+                stats.pruned += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The θ-tolerant RHS pass: for every k-frequent free pattern
+/// `(X, tp)` and attribute `A ∉ X`, emit `(X → A, (tp ‖ a))` for
+/// each value `a` carried by a `θ`-fraction (and at least `k`) of
+/// the supporting tuples, unless some strictly more general
+/// sub-pattern already reaches `θ` for the same `(A, a)`.
+///
+/// Free sets still suffice as generators: a non-free pattern shares
+/// its support set — hence every per-attribute frequency — with a
+/// strictly more general free pattern, so any rule it could emit is
+/// suppressed as non-minimal. Unlike the exact case, confidence is
+/// *not* monotone along the generalization order (the denominator
+/// changes with the pattern), so minimality checks **all**
+/// sub-patterns of `tp`, not just immediate ones — the analogue of
+/// CTANE's transitive `C⁺` suppression.
+fn approx_rules(
+    rel: &Relation,
+    mined: &Mined,
+    k: usize,
+    theta: f64,
+    stats: &mut SearchStats,
+) -> Vec<(Cfd, RuleMeasure)> {
+    stats.free_sets += mined.free.len() as u64;
+    stats.closed_sets += mined.closed.len() as u64;
+    let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
+    // (free-set index, attr) → per-code frequency over the free
+    // set's supporting tuples, memoized: every candidate probes all
+    // generalizations (the empty pattern — all n rows — included),
+    // so recounting per candidate would be quadratic-ish in n
+    let mut freq_cache: FxHashMap<(usize, usize), FxHashMap<u32, u32>> = FxHashMap::default();
+    fn freqs<'c>(
+        cache: &'c mut FxHashMap<(usize, usize), FxHashMap<u32, u32>>,
         mined: &Mined,
-        stats: &mut SearchStats,
-    ) -> Vec<(Cfd, RuleMeasure)> {
-        stats.free_sets += mined.free.len() as u64;
-        stats.closed_sets += mined.closed.len() as u64;
-        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
-        for free in &mined.free {
-            let clo = &mined.closed[free.closure as usize].pattern;
-            // candidate RHS items: closure minus the free pattern itself
-            let fresh = clo.attrs().difference(free.pattern.attrs());
-            if fresh.is_empty() {
-                continue;
+        rel: &Relation,
+        fi: usize,
+        a: usize,
+    ) -> &'c FxHashMap<u32, u32> {
+        cache.entry((fi, a)).or_insert_with(|| {
+            let col = rel.column(a);
+            let mut freq = FxHashMap::default();
+            for &t in mined.free[fi].tids() {
+                *freq.entry(col.code(t)).or_insert(0) += 1;
             }
-            // forbidden: items in the closure of any immediate free
-            // sub-pattern (all of which are mined — subsets of free sets
-            // are free, and support only grows downward)
-            let mut forbidden = cfd_model::fxhash::FxHashSet::default();
-            for b in free.pattern.attrs().iter() {
-                let sub = free.pattern.without(b);
-                let si = mined
-                    .free_index(&sub)
-                    .expect("immediate sub-pattern of a mined free set is mined");
-                let sub_clo = &mined.closed[mined.free[si].closure as usize].pattern;
-                for (a, v) in sub_clo.iter() {
-                    forbidden.insert((a, v));
+            freq
+        })
+    }
+    for (fi, free) in mined.free.iter().enumerate() {
+        let supp = free.tids().len();
+        let attrs = free.pattern.attrs();
+        for a in (0..rel.arity()).filter(|&a| !attrs.contains(a)) {
+            let candidates: Vec<(u32, usize)> = freqs(&mut freq_cache, mined, rel, fi, a)
+                .iter()
+                .map(|(&code, &cnt)| (code, cnt as usize))
+                .collect();
+            for (code, cnt) in candidates {
+                if cnt < k || !keep_meets(cnt, supp, theta) {
+                    continue;
                 }
-            }
-            for a in fresh.iter() {
-                let v = clo.get(a).expect("attr drawn from closure");
                 stats.candidates += 1;
-                if !forbidden.contains(&(a, v)) {
-                    let code = v.as_const().expect("closures are all-constant");
+                // redundant iff a strictly more general sub-pattern
+                // reaches θ for the same (A, code); sub-patterns of
+                // a free set are free and mined (downward closure)
+                let redundant = attrs.subsets().filter(|&s| s != attrs).any(|s| {
+                    let sub = free.pattern.project(s);
+                    let si = mined
+                        .free_index(&sub)
+                        .expect("sub-pattern of a mined free set is mined");
+                    let sub_supp = mined.free[si].support as usize;
+                    let sub_cnt = freqs(&mut freq_cache, mined, rel, si, a)
+                        .get(&code)
+                        .copied()
+                        .unwrap_or(0) as usize;
+                    keep_meets(sub_cnt, sub_supp, theta)
+                });
+                if redundant {
+                    stats.pruned += 1;
+                } else {
                     stats.emitted += 1;
+                    // supp tuples match the LHS; all but the cnt
+                    // carrying the RHS value must be removed
                     out.push((
                         Cfd::new(free.pattern.clone(), a, PVal::Const(code)),
-                        RuleMeasure::exact(free.support as usize),
+                        RuleMeasure {
+                            support: supp,
+                            violations: supp - cnt,
+                        },
                     ));
-                } else {
-                    stats.pruned += 1;
                 }
             }
         }
-        out
     }
-
-    /// The θ-tolerant RHS pass: for every k-frequent free pattern
-    /// `(X, tp)` and attribute `A ∉ X`, emit `(X → A, (tp ‖ a))` for
-    /// each value `a` carried by a `θ`-fraction (and at least `k`) of
-    /// the supporting tuples, unless some strictly more general
-    /// sub-pattern already reaches `θ` for the same `(A, a)`.
-    ///
-    /// Free sets still suffice as generators: a non-free pattern shares
-    /// its support set — hence every per-attribute frequency — with a
-    /// strictly more general free pattern, so any rule it could emit is
-    /// suppressed as non-minimal. Unlike the exact case, confidence is
-    /// *not* monotone along the generalization order (the denominator
-    /// changes with the pattern), so minimality checks **all**
-    /// sub-patterns of `tp`, not just immediate ones — the analogue of
-    /// CTANE's transitive `C⁺` suppression.
-    fn approx_rules(
-        &self,
-        rel: &Relation,
-        mined: &Mined,
-        stats: &mut SearchStats,
-    ) -> Vec<(Cfd, RuleMeasure)> {
-        let theta = self.min_confidence;
-        stats.free_sets += mined.free.len() as u64;
-        stats.closed_sets += mined.closed.len() as u64;
-        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
-        // (free-set index, attr) → per-code frequency over the free
-        // set's supporting tuples, memoized: every candidate probes all
-        // generalizations (the empty pattern — all n rows — included),
-        // so recounting per candidate would be quadratic-ish in n
-        let mut freq_cache: FxHashMap<(usize, usize), FxHashMap<u32, u32>> = FxHashMap::default();
-        fn freqs<'c>(
-            cache: &'c mut FxHashMap<(usize, usize), FxHashMap<u32, u32>>,
-            mined: &Mined,
-            rel: &Relation,
-            fi: usize,
-            a: usize,
-        ) -> &'c FxHashMap<u32, u32> {
-            cache.entry((fi, a)).or_insert_with(|| {
-                let col = rel.column(a);
-                let mut freq = FxHashMap::default();
-                for &t in mined.free[fi].tids() {
-                    *freq.entry(col.code(t)).or_insert(0) += 1;
-                }
-                freq
-            })
-        }
-        for (fi, free) in mined.free.iter().enumerate() {
-            let supp = free.tids().len();
-            let attrs = free.pattern.attrs();
-            for a in (0..rel.arity()).filter(|&a| !attrs.contains(a)) {
-                let candidates: Vec<(u32, usize)> = freqs(&mut freq_cache, mined, rel, fi, a)
-                    .iter()
-                    .map(|(&code, &cnt)| (code, cnt as usize))
-                    .collect();
-                for (code, cnt) in candidates {
-                    if cnt < self.k || !keep_meets(cnt, supp, theta) {
-                        continue;
-                    }
-                    stats.candidates += 1;
-                    // redundant iff a strictly more general sub-pattern
-                    // reaches θ for the same (A, code); sub-patterns of
-                    // a free set are free and mined (downward closure)
-                    let redundant = attrs.subsets().filter(|&s| s != attrs).any(|s| {
-                        let sub = free.pattern.project(s);
-                        let si = mined
-                            .free_index(&sub)
-                            .expect("sub-pattern of a mined free set is mined");
-                        let sub_supp = mined.free[si].support as usize;
-                        let sub_cnt = freqs(&mut freq_cache, mined, rel, si, a)
-                            .get(&code)
-                            .copied()
-                            .unwrap_or(0) as usize;
-                        keep_meets(sub_cnt, sub_supp, theta)
-                    });
-                    if redundant {
-                        stats.pruned += 1;
-                    } else {
-                        stats.emitted += 1;
-                        // supp tuples match the LHS; all but the cnt
-                        // carrying the RHS value must be removed
-                        out.push((
-                            Cfd::new(free.pattern.clone(), a, PVal::Const(code)),
-                            RuleMeasure {
-                                support: supp,
-                                violations: supp - cnt,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -288,7 +242,7 @@ mod tests {
     #[test]
     fn example7_left_reduction() {
         let r = cust_relation();
-        let cover = CfdMiner::new(3).discover(&r);
+        let cover = CfdMiner.discover(&r, &DiscoverOptions::new(3));
         // φ1 is not left-reduced (CC droppable); its reduction
         // (AC → CT, (908 ‖ MH)) is 4-frequent and minimal
         let red = parse_cfd(&r, "(AC -> CT, (908 || MH))").unwrap();
@@ -301,8 +255,10 @@ mod tests {
     fn matches_brute_force_on_cust() {
         let r = cust_relation();
         for k in [1, 2, 3, 4] {
-            let mined = CfdMiner::new(k).discover(&r);
-            let oracle = BruteForce::new(k).discover(&r).constant_cover();
+            let mined = CfdMiner.discover(&r, &DiscoverOptions::new(k));
+            let oracle = BruteForce
+                .discover(&r, &DiscoverOptions::new(k))
+                .constant_cover();
             let (only_m, only_o) = mined.diff(&oracle);
             assert!(
                 only_m.is_empty() && only_o.is_empty(),
@@ -318,8 +274,10 @@ mod tests {
         for seed in 0..12 {
             let r = RandomRelation::small(seed).generate();
             for k in [1, 2, 3] {
-                let mined = CfdMiner::new(k).discover(&r);
-                let oracle = BruteForce::new(k).discover(&r).constant_cover();
+                let mined = CfdMiner.discover(&r, &DiscoverOptions::new(k));
+                let oracle = BruteForce
+                    .discover(&r, &DiscoverOptions::new(k))
+                    .constant_cover();
                 assert_eq!(
                     mined.cfds(),
                     oracle.cfds(),
@@ -334,7 +292,7 @@ mod tests {
     #[test]
     fn outputs_are_minimal_constant_cfds() {
         let r = cust_relation();
-        let cover = CfdMiner::new(2).discover(&r);
+        let cover = CfdMiner.discover(&r, &DiscoverOptions::new(2));
         assert!(!cover.is_empty());
         for cfd in cover.iter() {
             assert!(cfd.is_constant());
@@ -349,8 +307,10 @@ mod tests {
         // (AC → CT, (131 ‖ EDI)): 2 of the 3 AC=131 tuples agree (t8 is
         // the dissenter) — invisible exactly, found at θ = 0.6
         let noisy = parse_cfd(&r, "(AC -> CT, (131 || EDI))").unwrap();
-        assert!(!CfdMiner::new(2).discover(&r).contains(&noisy));
-        let approx = CfdMiner::new(2).min_confidence(0.6).discover(&r);
+        assert!(!CfdMiner
+            .discover(&r, &DiscoverOptions::new(2))
+            .contains(&noisy));
+        let approx = CfdMiner.discover(&r, &DiscoverOptions::new(2).min_confidence(0.6));
         assert!(
             approx.contains(&noisy),
             "θ=0.6 cover:\n{}",
@@ -365,8 +325,10 @@ mod tests {
         }
         // θ = 1.0 goes through the exact free/closed path unchanged
         assert_eq!(
-            CfdMiner::new(2).min_confidence(1.0).discover(&r).cfds(),
-            CfdMiner::new(2).discover(&r).cfds()
+            CfdMiner
+                .discover(&r, &DiscoverOptions::new(2).min_confidence(1.0))
+                .cfds(),
+            CfdMiner.discover(&r, &DiscoverOptions::new(2)).cfds()
         );
     }
 
@@ -390,7 +352,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let cover = CfdMiner::new(2).min_confidence(0.7).discover(&r);
+        let cover = CfdMiner.discover(&r, &DiscoverOptions::new(2).min_confidence(0.7));
         let general = parse_cfd(&r, "(B -> C, (1 || p))").unwrap();
         assert!(cover.contains(&general), "cover:\n{}", cover.display(&r));
         let special = parse_cfd(&r, "([A, B] -> C, (x, 1 || p))").unwrap();
@@ -405,7 +367,7 @@ mod tests {
         let schema = Schema::new(["A", "B"]).unwrap();
         let r =
             relation_from_rows(schema, &[vec!["x", "k"], vec!["y", "k"], vec!["z", "k"]]).unwrap();
-        let cover = CfdMiner::new(1).discover(&r);
+        let cover = CfdMiner.discover(&r, &DiscoverOptions::new(1));
         let c = parse_cfd(&r, "([] -> B, ( || k))").unwrap();
         assert!(cover.contains(&c), "cover:\n{}", cover.display(&r));
     }

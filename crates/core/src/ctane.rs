@@ -63,9 +63,9 @@
 //! entirely ([`StrippedPartition::refine_counts`] — their partitions
 //! would never be refined again, and validity needs only the class/row
 //! counts).
-//! With [`Ctane::threads`] above 1 the expansion shards its prefix-join
-//! runs across worker threads and merges in run order, so the output
-//! is byte-identical to the serial run.
+//! With [`DiscoverOptions::threads`] above 1 the expansion shards its
+//! prefix-join runs across worker threads and merges in run order, so
+//! the output is byte-identical to the serial run.
 //!
 //! After step 3 at level 2 the alive pairs are kept as compressed
 //! sparse rows, and every later join skips a pair `(x, y)` whose two
@@ -82,9 +82,9 @@
 //! construction (each attribute of `Z` is constrained by every parent
 //! that retains it), so no separate filtering pass is needed.
 //!
-//! With [`Ctane::min_confidence`] below `1.0` the validity test relaxes
-//! to the g1-style partition error of DESIGN.md §8: a wildcard-RHS
-//! candidate is valid when the parent partition's per-class
+//! With [`DiscoverOptions::min_confidence`] below `1.0` the validity
+//! test relaxes to the g1-style partition error of DESIGN.md §8: a
+//! wildcard-RHS candidate is valid when the parent partition's per-class
 //! max-frequency sum ([`StrippedPartition::keep_count`]) reaches
 //! `θ · rows`, a constant-RHS candidate when the child's row count
 //! does. At `θ = 1.0` the integer short-circuit in
@@ -103,12 +103,14 @@
 //! implied and therefore excluded, matching what FastCFD's `FindMin`
 //! produces by construction.
 
+use crate::api::{Algo, Discoverer};
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::measure::{keep_meets, RuleMeasure};
+use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::{PVal, Pattern};
-use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats, StoreCounters};
+use cfd_model::progress::{shard_runs, Control, SearchStats, StoreCounters};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::{RefineScratch, StrippedPartition};
@@ -364,57 +366,24 @@ impl Pairs {
     }
 }
 
-/// Level-wise CFD discovery (Section 4).
+/// Level-wise CFD discovery (Section 4). It reads `k`, `max_lhs`,
+/// `min_confidence` and `threads` from [`DiscoverOptions`]; its one
+/// knob is [`Ctane::cache_budget`].
 #[derive(Clone, Copy, Debug)]
 pub struct Ctane {
-    pub(crate) k: usize,
-    pub(crate) max_lhs: Option<usize>,
-    pub(crate) min_confidence: f64,
-    pub(crate) threads: usize,
-    pub(crate) cache_budget: usize,
+    cache_budget: usize,
 }
 
-impl Ctane {
-    /// Creates the algorithm with support threshold `k ≥ 1`.
-    pub fn new(k: usize) -> Ctane {
-        assert!(k >= 1, "support threshold must be at least 1");
+impl Default for Ctane {
+    /// An unbounded cache budget.
+    fn default() -> Ctane {
         Ctane {
-            k,
-            max_lhs: None,
-            min_confidence: 1.0,
-            threads: 1,
             cache_budget: usize::MAX,
         }
     }
+}
 
-    /// Caps the LHS size of discovered CFDs (a practical guard: CTANE is
-    /// exponential in the arity — Fig. 7 of the paper).
-    pub fn max_lhs(mut self, max_lhs: usize) -> Ctane {
-        self.max_lhs = Some(max_lhs);
-        self
-    }
-
-    /// Relaxes validity to confidence `θ ∈ (0, 1]` (g1-style partition
-    /// error — see the module docs); `1.0` (the default) is exact
-    /// discovery.
-    pub fn min_confidence(mut self, theta: f64) -> Ctane {
-        assert!(
-            theta > 0.0 && theta <= 1.0,
-            "min_confidence must be within (0, 1]"
-        );
-        self.min_confidence = theta;
-        self
-    }
-
-    /// Shards level expansion across `threads` workers (`1`, the
-    /// default, keeps the serial walk). The output is byte-identical
-    /// for every thread count: workers own disjoint prefix-join runs
-    /// and results merge in run order.
-    pub fn threads(mut self, threads: usize) -> Ctane {
-        self.threads = threads.max(1);
-        self
-    }
-
+impl Ctane {
     /// Byte budget for the partitions an approximate run keeps of the
     /// level below for its error counts (the level being expanded is
     /// always held). `usize::MAX` (the default) keeps them all; `0`
@@ -425,53 +394,38 @@ impl Ctane {
         self.cache_budget = bytes;
         self
     }
+}
 
-    /// The configured support threshold.
-    pub fn k(&self) -> usize {
-        self.k
+impl Discoverer for Ctane {
+    fn algo(&self) -> Algo {
+        Algo::Ctane
     }
 
-    /// Discovers the canonical cover of minimal k-frequent CFDs.
-    pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`Ctane::discover`] with run control and instrumentation: polls
+    /// Discovers the canonical cover of minimal k-frequent CFDs: polls
     /// `ctrl` once per lattice level (and per prefix run inside the
     /// expansion workers), reports `level` progress, and counts
     /// validity tests (`candidates`), retired lattice elements
     /// (`pruned`), materialized partitions (`partitions`) and the
-    /// partition traffic of [`StoreCounters`] (`store`).
-    pub fn run(
+    /// partition traffic of [`StoreCounters`] (`store`). Each rule's
+    /// [`RuleMeasure`] is computed at emission from the partitions the
+    /// walk already holds.
+    fn run(
         &self,
         rel: &Relation,
+        opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`Ctane::run`], additionally returning each rule's
-    /// [`RuleMeasure`] (aligned with the cover's canonical order) —
-    /// computed at emission from the partitions the walk already holds,
-    /// so no separate measuring pass over the relation is needed.
-    pub fn run_measured(
-        &self,
-        rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
         let n = rel.n_rows();
         let arity = rel.arity();
-        let theta = self.min_confidence;
+        let (k, theta) = (opts.k, opts.min_confidence);
         // approximate mode keeps the level below's partitions, so
         // wildcard-RHS candidates can be error-counted
         let approx = theta < 1.0;
         let mut out: Vec<Cfd> = Vec::new();
         let mut meas: Vec<RuleMeasure> = Vec::new();
-        if n == 0 || n < self.k {
-            return Ok((CanonicalCover::from_cfds(out), Vec::new()));
+        if n == 0 || n < k {
+            return Ok((CanonicalCover::from_cfds(out), Some(Vec::new())));
         }
         let mut scratch = RefineScratch::for_relation(rel);
         let mut store = StoreCounters::default();
@@ -482,7 +436,7 @@ impl Ctane {
         for a in 0..arity {
             let vidx = rel.column(a).regions();
             for c in 0..vidx.n_codes() as u32 {
-                if vidx.region(c).len() >= self.k {
+                if vidx.region(c).len() >= k {
                     init_candidates.push((a, PVal::Const(c)));
                 }
             }
@@ -669,7 +623,7 @@ impl Ctane {
                 }
             }
 
-            if ell >= arity || self.max_lhs.is_some_and(|m| ell > m) {
+            if ell >= arity || opts.max_lhs.is_some_and(|m| ell > m) {
                 break;
             }
             if ell == 2 {
@@ -696,10 +650,10 @@ impl Ctane {
             // elements of the *final* level are validated by their
             // counts alone and never refined again — skip materializing
             // their partitions altogether
-            let last_level = ell + 1 >= arity || self.max_lhs.is_some_and(|m| ell + 1 > m);
+            let last_level = ell + 1 >= arity || opts.max_lhs.is_some_and(|m| ell + 1 > m);
 
             let expand = ExpandCtx {
-                alg: self,
+                k,
                 rel,
                 uni: &uni,
                 level: &level,
@@ -712,7 +666,7 @@ impl Ctane {
             // serial walk (the shared shard_runs harness)
             let produced: Vec<Level> = shard_runs(
                 &runs,
-                self.threads,
+                opts.threads,
                 ctrl,
                 stats,
                 || JoinScratch::new(rel, words, ell),
@@ -753,9 +707,8 @@ impl Ctane {
         }
         stats.store = store;
 
-        Ok(CanonicalCover::from_measured(
-            out.into_iter().zip(meas).collect(),
-        ))
+        let (cover, measures) = CanonicalCover::from_measured(out.into_iter().zip(meas).collect());
+        Ok((cover, Some(measures)))
     }
 }
 
@@ -793,7 +746,7 @@ impl JoinScratch {
 
 /// Everything an expansion worker needs, shared read-only.
 struct ExpandCtx<'a> {
-    alg: &'a Ctane,
+    k: usize,
     rel: &'a Relation,
     uni: &'a Universe,
     level: &'a Level,
@@ -900,7 +853,7 @@ impl ExpandCtx<'_> {
                     // never be refined or error-counted again
                     let counts =
                         base_part.refine_counts(self.rel, extra_attr, extra_val, &mut s.refine);
-                    if counts.1 < self.alg.k {
+                    if counts.1 < self.k {
                         stats.pruned += 1;
                         continue;
                     }
@@ -914,7 +867,7 @@ impl ExpandCtx<'_> {
                         &mut s.buf,
                     );
                     stats.partitions += 1;
-                    if s.buf.n_rows() < self.alg.k {
+                    if s.buf.n_rows() < self.k {
                         stats.pruned += 1;
                         continue; // rejected: the buffer is simply reused
                     }
@@ -942,7 +895,7 @@ mod tests {
     #[test]
     fn finds_paper_rules_on_cust() {
         let r = cust_relation();
-        let cover = Ctane::new(2).discover(&r);
+        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(2));
         for txt in [
             "([CC, AC] -> CT, (_, _ || _))",      // f1
             "([CC, ZIP] -> STR, (44, _ || _))",   // φ0
@@ -960,7 +913,7 @@ mod tests {
     fn example8_k3_rules() {
         // the valid CFDs highlighted at point (C) of Example 8, k = 3
         let r = cust_relation();
-        let cover = Ctane::new(3).discover(&r);
+        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(3));
         for txt in [
             "(ZIP -> CC, (07974 || 01))",
             "(ZIP -> AC, (07974 || 908))",
@@ -979,8 +932,8 @@ mod tests {
     fn matches_brute_force_on_cust() {
         let r = cust_relation();
         for k in [1, 2, 3] {
-            let got = Ctane::new(k).discover(&r);
-            let want = BruteForce::new(k).discover(&r);
+            let got = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
             let (only_g, only_w) = got.diff(&want);
             assert!(
                 only_g.is_empty() && only_w.is_empty(),
@@ -996,8 +949,8 @@ mod tests {
         for seed in 0..10 {
             let r = RandomRelation::small(seed).generate();
             for k in [1, 2] {
-                let got = Ctane::new(k).discover(&r);
-                let want = BruteForce::new(k).discover(&r);
+                let got = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+                let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
                 assert_eq!(
                     got.cfds(),
                     want.cfds(),
@@ -1012,7 +965,7 @@ mod tests {
     #[test]
     fn outputs_audit_clean() {
         let r = cust_relation();
-        let cover = Ctane::new(2).discover(&r);
+        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(2));
         let problems = audit_cover(&r, cover.iter(), 2);
         assert!(problems.is_empty(), "{problems:?}");
     }
@@ -1020,9 +973,9 @@ mod tests {
     #[test]
     fn max_lhs_caps_output() {
         let r = cust_relation();
-        let capped = Ctane::new(1).max_lhs(1).discover(&r);
+        let capped = Ctane::default().discover(&r, &DiscoverOptions::new(1).max_lhs(1));
         assert!(capped.iter().all(|c| c.lhs_attrs().len() <= 1));
-        let full = Ctane::new(1).discover(&r);
+        let full = Ctane::default().discover(&r, &DiscoverOptions::new(1));
         assert!(full.iter().any(|c| c.lhs_attrs().len() >= 2));
     }
 
@@ -1033,9 +986,9 @@ mod tests {
         // (AC → CT, (131 ‖ EDI)) is violated by t8 (AC=131, CT=UN):
         // confidence 2/3 — invisible to exact discovery, found at θ=0.6
         let noisy = parse_cfd(&r, "(AC -> CT, (131 || EDI))").unwrap();
-        let exact = Ctane::new(2).discover(&r);
+        let exact = Ctane::default().discover(&r, &DiscoverOptions::new(2));
         assert!(!exact.contains(&noisy));
-        let approx = Ctane::new(2).min_confidence(0.6).discover(&r);
+        let approx = Ctane::default().discover(&r, &DiscoverOptions::new(2).min_confidence(0.6));
         assert!(
             approx.contains(&noisy),
             "θ=0.6 cover:\n{}",
@@ -1055,13 +1008,15 @@ mod tests {
         // 131-class (confidence 7/8 = 0.875)
         let fd = parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap();
         assert!(!exact.contains(&fd));
-        let approx = Ctane::new(1).min_confidence(0.875).discover(&r);
+        let approx = Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.875));
         assert!(
             approx.contains(&fd),
             "θ=0.875 cover:\n{}",
             approx.display(&r)
         );
-        assert!(!Ctane::new(1).min_confidence(0.9).discover(&r).contains(&fd));
+        assert!(!Ctane::default()
+            .discover(&r, &DiscoverOptions::new(1).min_confidence(0.9))
+            .contains(&fd));
     }
 
     #[test]
@@ -1069,8 +1024,9 @@ mod tests {
         for seed in 0..6 {
             let r = RandomRelation::small(seed).generate();
             for k in [1, 2] {
-                let exact = Ctane::new(k).discover(&r);
-                let via_theta = Ctane::new(k).min_confidence(1.0).discover(&r);
+                let exact = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+                let via_theta =
+                    Ctane::default().discover(&r, &DiscoverOptions::new(k).min_confidence(1.0));
                 assert_eq!(exact.cfds(), via_theta.cfds(), "seed {seed} k {k}");
             }
         }
@@ -1082,13 +1038,15 @@ mod tests {
         use cfd_model::schema::Schema;
         let schema = Schema::new(["A", "B"]).unwrap();
         let one = relation_from_rows(schema.clone(), &[vec!["x", "y"]]).unwrap();
-        let cover = Ctane::new(1).discover(&one);
+        let cover = Ctane::default().discover(&one, &DiscoverOptions::new(1));
         // single tuple: constant CFDs (∅ → A, (‖x)) and (∅ → B, (‖y))
         let ca = parse_cfd(&one, "([] -> A, ( || x))").unwrap();
         let cb = parse_cfd(&one, "([] -> B, ( || y))").unwrap();
         assert!(cover.contains(&ca) && cover.contains(&cb));
         // k larger than |r| ⇒ empty cover
-        assert!(Ctane::new(2).discover(&one).is_empty());
+        assert!(Ctane::default()
+            .discover(&one, &DiscoverOptions::new(2))
+            .is_empty());
     }
 }
 
@@ -1102,16 +1060,18 @@ mod engine_tests {
     fn threads_do_not_change_the_cover() {
         let r = cust_relation();
         for k in [1, 2, 3] {
-            let serial = Ctane::new(k).discover(&r);
+            let serial = Ctane::default().discover(&r, &DiscoverOptions::new(k));
             for t in [2, 4, 7] {
-                let sharded = Ctane::new(k).threads(t).discover(&r);
+                let sharded = Ctane::default().discover(&r, &DiscoverOptions::new(k).threads(t));
                 assert_eq!(serial.cfds(), sharded.cfds(), "k={k} t={t}");
             }
         }
         for seed in 0..4 {
             let r = RandomRelation::small(seed).generate();
-            let serial = Ctane::new(1).min_confidence(0.8).discover(&r);
-            let sharded = Ctane::new(1).min_confidence(0.8).threads(4).discover(&r);
+            let serial =
+                Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.8));
+            let sharded = Ctane::default()
+                .discover(&r, &DiscoverOptions::new(1).min_confidence(0.8).threads(4));
             assert_eq!(serial.cfds(), sharded.cfds(), "seed {seed}");
         }
     }
@@ -1120,11 +1080,11 @@ mod engine_tests {
     fn cache_budget_does_not_change_the_cover() {
         let r = cust_relation();
         for theta in [0.6, 0.875, 1.0] {
-            let cached = Ctane::new(1).min_confidence(theta).discover(&r);
-            let uncached = Ctane::new(1)
-                .min_confidence(theta)
+            let cached =
+                Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(theta));
+            let uncached = Ctane::default()
                 .cache_budget(0)
-                .discover(&r);
+                .discover(&r, &DiscoverOptions::new(1).min_confidence(theta));
             assert_eq!(cached.cfds(), uncached.cfds(), "θ={theta}");
         }
     }
@@ -1214,10 +1174,15 @@ mod engine_tests {
         use cfd_model::measure::measure;
         let r = cust_relation();
         for theta in [0.6, 1.0] {
-            let (cover, measures) = Ctane::new(2)
-                .min_confidence(theta)
-                .run_measured(&r, &Control::default(), &mut SearchStats::default())
+            let (cover, measures) = Ctane::default()
+                .run(
+                    &r,
+                    &DiscoverOptions::new(2).min_confidence(theta),
+                    &Control::default(),
+                    &mut SearchStats::default(),
+                )
                 .unwrap();
+            let measures = measures.expect("CTANE measures at emission");
             assert_eq!(cover.len(), measures.len());
             for (cfd, m) in cover.iter().zip(&measures) {
                 assert_eq!(*m, measure(&r, cfd), "θ={theta}: {}", cfd.display(&r));
@@ -1247,7 +1212,7 @@ mod completeness_probe {
         let r = relation_from_rows(schema, &rows).unwrap();
         let fd = parse_cfd(&r, "(A -> B, (_ || _))").unwrap();
         assert!(cfd_model::measure::measure(&r, &fd).meets(0.9), "premise");
-        let cover = Ctane::new(1).min_confidence(0.9).discover(&r);
+        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.9));
         assert!(
             cover.contains(&fd),
             "A->B missing from θ=0.9 cover:\n{}",
@@ -1278,7 +1243,7 @@ mod completeness_probe {
         let rule = parse_cfd(&r, "([A1, A2] -> A0, (v1, _ || _))").unwrap();
         let m = cfd_model::measure::measure(&r, &rule);
         assert_eq!((m.support, m.violations), (3, 0), "premise");
-        let cover = Ctane::new(1).min_confidence(0.7).discover(&r);
+        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.7));
         assert!(
             cover.contains(&rule),
             "rule missing from θ=0.7 cover:\n{}",

@@ -19,7 +19,8 @@
 //! * [`DiffSetMode::StrippedPartitions`] (the paper's NaiveFast): agree
 //!   sets are computed per pattern from stripped partitions of `r_tp`.
 
-use crate::cfdminer::CfdMiner;
+use crate::api::{Algo, Discoverer};
+use crate::cfdminer::exact_rules;
 use cfd_itemset::index::ClosedSetIndex;
 use cfd_itemset::mine::{mine_free_closed, MineOptions, Mined};
 use cfd_model::attrset::AttrSet;
@@ -27,8 +28,9 @@ use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::fxhash::FxHashMap;
 use cfd_model::measure::RuleMeasure;
+use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::{PVal, Pattern};
-use cfd_model::progress::{Cancelled, Control, SearchStats};
+use cfd_model::progress::{workers, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::agree::agree_sets_of_rows;
@@ -168,43 +170,46 @@ fn covers(y: AttrSet, dm: &[AttrSet]) -> bool {
     dm.iter().all(|&d| d.intersects(y))
 }
 
-/// Depth-first CFD discovery (Section 5). `FastCfd::new` is the paper's
-/// default configuration; [`FastCfd::naive`] is NaiveFast.
+/// Depth-first CFD discovery (Section 5). It reads `k` and `threads`
+/// from [`DiscoverOptions`]; its own knobs are the ablations below.
+/// `FastCfd::default()` is the paper's FastCFD: closed-set difference
+/// sets, dynamic attribute reordering, constant CFDs via CFDMiner;
+/// [`FastCfd::naive`] is NaiveFast.
+///
+/// `threads` runs `FindCover` for different RHS attributes on worker
+/// threads (FindCover is embarrassingly parallel across RHS attributes;
+/// the Closed₂ index is shared read-only) and shards both item-set
+/// mining passes (the k-frequent free sets and the Closed₂ index) over
+/// the same workers, at most one per core. `1` keeps the paper's
+/// single-threaded execution model. Output is byte-identical for every
+/// thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct FastCfd {
-    pub(crate) k: usize,
-    pub(crate) mode: DiffSetMode,
-    pub(crate) dynamic_reorder: bool,
-    pub(crate) constants_via_cfdminer: bool,
-    pub(crate) free_set_pruning: bool,
-    pub(crate) threads: usize,
+    mode: DiffSetMode,
+    dynamic_reorder: bool,
+    constants_via_cfdminer: bool,
+    free_set_pruning: bool,
 }
 
-impl FastCfd {
-    /// The paper's default FastCFD: closed-set difference sets, dynamic
-    /// attribute reordering, constant CFDs via CFDMiner.
-    pub fn new(k: usize) -> FastCfd {
-        assert!(k >= 1, "support threshold must be at least 1");
+impl Default for FastCfd {
+    fn default() -> FastCfd {
         FastCfd {
-            k,
             mode: DiffSetMode::ClosedSets,
             dynamic_reorder: true,
             constants_via_cfdminer: true,
             free_set_pruning: true,
-            threads: 1,
         }
     }
+}
 
+impl FastCfd {
     /// The paper's NaiveFast: stripped-partition difference sets, constant
     /// CFDs found inline by FindCover's step 3.a.
-    pub fn naive(k: usize) -> FastCfd {
+    pub fn naive() -> FastCfd {
         FastCfd {
-            k,
             mode: DiffSetMode::StrippedPartitions,
-            dynamic_reorder: true,
             constants_via_cfdminer: false,
-            free_set_pruning: true,
-            threads: 1,
+            ..FastCfd::default()
         }
     }
 
@@ -239,138 +244,6 @@ impl FastCfd {
             self.constants_via_cfdminer = false;
         }
         self
-    }
-
-    /// Runs `FindCover` for different RHS attributes on `threads` OS
-    /// threads (FindCover is embarrassingly parallel across RHS
-    /// attributes; the Closed₂ index is shared read-only), and shards
-    /// both item-set mining passes (the k-frequent free sets and the
-    /// Closed₂ index) over the same workers. `1` (default) keeps the
-    /// paper's single-threaded execution model. Output is
-    /// byte-identical for every thread count.
-    pub fn threads(mut self, threads: usize) -> FastCfd {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured support threshold.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Discovers the canonical cover of minimal k-frequent CFDs.
-    pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`FastCfd::discover`] with run control and instrumentation:
-    /// polls `ctrl` per free pattern inside `FindCover` (also from
-    /// worker threads), reports `rhs` progress, times the `mine` /
-    /// `index` / `findcover` phases, and counts mined free/closed sets,
-    /// difference-set families (`diff_set_families`), cover candidates
-    /// tested (`candidates`) and covers failing the left-reduction
-    /// checks (`pruned`).
-    pub fn run(
-        &self,
-        rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`FastCfd::run`], additionally returning each rule's
-    /// [`RuleMeasure`] (aligned with the cover's canonical order).
-    /// Every emitted rule holds exactly, so its measure is
-    /// `RuleMeasure::exact` of its free pattern's support — no
-    /// separate measuring scan is needed.
-    pub fn run_measured(
-        &self,
-        rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        let t0 = std::time::Instant::now();
-        let mined = mine_free_closed(
-            rel,
-            self.k,
-            MineOptions {
-                // only NaiveFast's per-pattern agree sets read tidsets
-                keep_tids: self.mode == DiffSetMode::StrippedPartitions,
-                free_only: self.free_set_pruning,
-                threads: self.threads,
-                ..MineOptions::default()
-            },
-        );
-        stats.phase("mine", t0.elapsed());
-        ctrl.check()?;
-        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
-        if mined.free.is_empty() {
-            return Ok((CanonicalCover::default(), Vec::new()));
-        }
-        let t0 = std::time::Instant::now();
-        let index = build_closed2_index(rel, self.mode, self.threads);
-        if self.mode == DiffSetMode::ClosedSets {
-            stats.phase("index", t0.elapsed());
-        }
-        if self.constants_via_cfdminer {
-            // exact_rules counts free/closed sets itself
-            out.extend(CfdMiner::new(self.k).exact_rules(&mined, stats));
-        } else {
-            stats.free_sets += mined.free.len() as u64;
-            stats.closed_sets += mined.closed.len() as u64;
-        }
-        let t1 = std::time::Instant::now();
-        if self.threads <= 1 {
-            let mut engine = DiffSetEngine::new(rel, self.mode, index.as_ref());
-            for rhs in 0..rel.arity() {
-                self.find_cover(rel, &mined, &mut engine, rhs, &mut out, ctrl, stats)?;
-                ctrl.report("rhs", rhs + 1, rel.arity());
-            }
-        } else {
-            // round-robin the RHS attributes over the workers; each worker
-            // owns its pattern caches and stats, the index and mining
-            // result are shared read-only
-            let workers = self.threads.min(rel.arity());
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let (index, mined) = (index.as_ref(), &mined);
-                        let ctrl = *ctrl;
-                        scope.spawn(move || {
-                            let mut engine = DiffSetEngine::new(rel, self.mode, index);
-                            let mut local = Vec::new();
-                            let mut local_stats = SearchStats::default();
-                            for rhs in (w..rel.arity()).step_by(workers) {
-                                self.find_cover(
-                                    rel,
-                                    mined,
-                                    &mut engine,
-                                    rhs,
-                                    &mut local,
-                                    &ctrl,
-                                    &mut local_stats,
-                                )?;
-                                ctrl.report("rhs", rhs + 1, rel.arity());
-                            }
-                            Ok((local, local_stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect::<Vec<Result<_, Cancelled>>>()
-            });
-            for r in results {
-                let (local, local_stats) = r?;
-                out.extend(local);
-                stats.merge(&local_stats);
-            }
-        }
-        stats.phase("findcover", t1.elapsed());
-        Ok(CanonicalCover::from_measured(out))
     }
 
     /// `FindCover(A, r, k)`: all minimal k-frequent CFDs with RHS `A`.
@@ -515,6 +388,115 @@ impl FastCfd {
     }
 }
 
+impl Discoverer for FastCfd {
+    fn algo(&self) -> Algo {
+        if self.mode == DiffSetMode::StrippedPartitions {
+            Algo::Naive
+        } else {
+            Algo::FastCfd
+        }
+    }
+
+    /// Discovers the canonical cover of minimal k-frequent CFDs: polls
+    /// `ctrl` per free pattern inside `FindCover` (also from worker
+    /// threads), reports `rhs` progress, times the `mine` / `index` /
+    /// `findcover` phases, and counts mined free/closed sets,
+    /// difference-set families (`diff_set_families`), cover candidates
+    /// tested (`candidates`) and covers failing the left-reduction
+    /// checks (`pruned`). Every emitted rule holds exactly, so its
+    /// [`RuleMeasure`] is `RuleMeasure::exact` of its free pattern's
+    /// support.
+    fn run(
+        &self,
+        rel: &Relation,
+        opts: &DiscoverOptions,
+        ctrl: &Control<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+        let t0 = std::time::Instant::now();
+        let mined = mine_free_closed(
+            rel,
+            opts.k,
+            MineOptions {
+                // only NaiveFast's per-pattern agree sets read tidsets
+                keep_tids: self.mode == DiffSetMode::StrippedPartitions,
+                free_only: self.free_set_pruning,
+                threads: opts.threads,
+                ..MineOptions::default()
+            },
+        );
+        stats.phase("mine", t0.elapsed());
+        ctrl.check()?;
+        let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
+        if mined.free.is_empty() {
+            return Ok((CanonicalCover::default(), Some(Vec::new())));
+        }
+        let t0 = std::time::Instant::now();
+        let index = build_closed2_index(rel, self.mode, opts.threads);
+        if self.mode == DiffSetMode::ClosedSets {
+            stats.phase("index", t0.elapsed());
+        }
+        if self.constants_via_cfdminer {
+            // exact_rules counts free/closed sets itself
+            out.extend(exact_rules(&mined, stats));
+        } else {
+            stats.free_sets += mined.free.len() as u64;
+            stats.closed_sets += mined.closed.len() as u64;
+        }
+        let t1 = std::time::Instant::now();
+        let workers = workers(opts.threads).min(rel.arity());
+        if workers <= 1 {
+            let mut engine = DiffSetEngine::new(rel, self.mode, index.as_ref());
+            for rhs in 0..rel.arity() {
+                self.find_cover(rel, &mined, &mut engine, rhs, &mut out, ctrl, stats)?;
+                ctrl.report("rhs", rhs + 1, rel.arity());
+            }
+        } else {
+            // round-robin the RHS attributes over the workers; each worker
+            // owns its pattern caches and stats, the index and mining
+            // result are shared read-only
+            let results = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let (index, mined) = (index.as_ref(), &mined);
+                        let ctrl = *ctrl;
+                        scope.spawn(move || {
+                            let mut engine = DiffSetEngine::new(rel, self.mode, index);
+                            let mut local = Vec::new();
+                            let mut local_stats = SearchStats::default();
+                            for rhs in (w..rel.arity()).step_by(workers) {
+                                self.find_cover(
+                                    rel,
+                                    mined,
+                                    &mut engine,
+                                    rhs,
+                                    &mut local,
+                                    &ctrl,
+                                    &mut local_stats,
+                                )?;
+                                ctrl.report("rhs", rhs + 1, rel.arity());
+                            }
+                            Ok((local, local_stats))
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked"))
+                    .collect::<Vec<Result<_, Cancelled>>>()
+            });
+            for r in results {
+                let (local, local_stats) = r?;
+                out.extend(local);
+                stats.merge(&local_stats);
+            }
+        }
+        stats.phase("findcover", t1.elapsed());
+        let (cover, measures) = CanonicalCover::from_measured(out);
+        Ok((cover, Some(measures)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,7 +576,7 @@ mod tests {
     fn example9_point_c_emits_phi0_reduction() {
         // ([CC,AC] → STR, (44, _ ‖ _)) is minimal (point C of Example 9)
         let r = cust_relation();
-        let cover = FastCfd::new(2).discover(&r);
+        let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(2));
         let c = parse_cfd(&r, "([CC, AC] -> STR, (44, _ || _))").unwrap();
         assert!(cover.contains(&c), "cover:\n{}", cover.display(&r));
     }
@@ -603,15 +585,15 @@ mod tests {
     fn matches_brute_force_on_cust_all_modes() {
         let r = cust_relation();
         for k in [1, 2, 3] {
-            let want = BruteForce::new(k).discover(&r);
+            let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
             for cfg in [
-                FastCfd::new(k),
-                FastCfd::naive(k),
-                FastCfd::new(k).dynamic_reorder(false),
-                FastCfd::new(k).constants_via_cfdminer(false),
-                FastCfd::naive(k).mode(DiffSetMode::ClosedSets),
+                FastCfd::default(),
+                FastCfd::naive(),
+                FastCfd::default().dynamic_reorder(false),
+                FastCfd::default().constants_via_cfdminer(false),
+                FastCfd::naive().mode(DiffSetMode::ClosedSets),
             ] {
-                let got = cfg.discover(&r);
+                let got = cfg.discover(&r, &DiscoverOptions::new(k));
                 let (only_g, only_w) = got.diff(&want);
                 assert!(
                     only_g.is_empty() && only_w.is_empty(),
@@ -628,9 +610,9 @@ mod tests {
         for seed in 0..10 {
             let r = RandomRelation::small(seed).generate();
             for k in [1, 2] {
-                let want = BruteForce::new(k).discover(&r);
-                let fast = FastCfd::new(k).discover(&r);
-                let naive = FastCfd::naive(k).discover(&r);
+                let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
+                let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+                let naive = FastCfd::naive().discover(&r, &DiscoverOptions::new(k));
                 assert_eq!(
                     fast.cfds(),
                     want.cfds(),
@@ -654,8 +636,8 @@ mod tests {
             }
             .generate();
             for k in [1, 2, 3] {
-                let fast = FastCfd::new(k).discover(&r);
-                let ctane = Ctane::new(k).discover(&r);
+                let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+                let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
                 let (only_f, only_c) = fast.diff(&ctane);
                 assert!(
                     only_f.is_empty() && only_c.is_empty(),
@@ -671,7 +653,7 @@ mod tests {
     fn outputs_audit_clean() {
         let r = cust_relation();
         for k in [1, 2] {
-            let cover = FastCfd::new(k).discover(&r);
+            let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
             let problems = audit_cover(&r, cover.iter(), k);
             assert!(problems.is_empty(), "k={k}: {problems:?}");
         }
@@ -683,9 +665,11 @@ mod tests {
         use cfd_model::schema::Schema;
         let schema = Schema::new(["A", "B"]).unwrap();
         let one = relation_from_rows(schema, &[vec!["x", "y"]]).unwrap();
-        let cover = FastCfd::new(1).discover(&one);
+        let cover = FastCfd::default().discover(&one, &DiscoverOptions::new(1));
         let ca = parse_cfd(&one, "([] -> A, ( || x))").unwrap();
         assert!(cover.contains(&ca));
-        assert!(FastCfd::new(2).discover(&one).is_empty());
+        assert!(FastCfd::default()
+            .discover(&one, &DiscoverOptions::new(2))
+            .is_empty());
     }
 }

@@ -14,17 +14,21 @@
 //! All algorithms return the same [`cfd_model::CanonicalCover`] — the set
 //! of minimal, k-frequent constant and variable CFDs holding on the
 //! input — which the workspace test suites cross-validate pairwise and
-//! against the oracle.
+//! against the oracle. They implement one trait, [`Discoverer`], and
+//! read the knobs they share (support `k`, LHS bound, confidence `θ`,
+//! threads) from one [`DiscoverOptions`]; a miner struct carries only
+//! its ablation knobs.
 //!
 //! ```
-//! use cfd_core::{CfdMiner, Ctane, FastCfd};
+//! use cfd_core::{CfdMiner, Ctane, DiscoverOptions, Discoverer, FastCfd};
 //! use cfd_datagen::cust::cust_relation;
 //!
 //! let rel = cust_relation();
-//! let fast = FastCfd::new(2).discover(&rel);
-//! let ctane = Ctane::new(2).discover(&rel);
+//! let opts = DiscoverOptions::new(2);
+//! let fast = FastCfd::default().discover(&rel, &opts);
+//! let ctane = Ctane::default().discover(&rel, &opts);
 //! assert_eq!(fast.cfds(), ctane.cfds());
-//! let constants = CfdMiner::new(2).discover(&rel);
+//! let constants = CfdMiner.discover(&rel, &opts);
 //! assert_eq!(constants.cfds(), fast.constant_cover().cfds());
 //! ```
 

@@ -97,10 +97,10 @@ mod tests {
 
     #[test]
     fn sampling_preserves_satisfaction() {
-        use cfd_core::FastCfd;
+        use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
         use cfd_model::satisfy::satisfies;
         let r = TaxGenerator::new(600).generate();
-        let cover = FastCfd::new(6).discover(&r);
+        let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(6));
         let s = sample_rows(&r, 0.4, 3);
         for cfd in cover.iter() {
             assert!(satisfies(&s, cfd), "sampling cannot falsify a rule");
@@ -109,12 +109,12 @@ mod tests {
 
     #[test]
     fn sample_discovery_precision_is_reasonable() {
-        use cfd_core::FastCfd;
+        use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
         use cfd_model::satisfy::satisfies;
         let r = TaxGenerator::new(1500).generate();
         let s = stratified_sample(&r, 0, 0.3, 9);
         let k_sample = 3;
-        let sampled_rules = FastCfd::new(k_sample).discover(&s);
+        let sampled_rules = FastCfd::default().discover(&s, &DiscoverOptions::new(k_sample));
         let good = sampled_rules.iter().filter(|c| satisfies(&r, c)).count();
         let precision = good as f64 / sampled_rules.len().max(1) as f64;
         assert!(

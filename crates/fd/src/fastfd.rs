@@ -15,35 +15,27 @@ use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::agree::agree_sets;
 
-/// Depth-first minimal-FD discovery.
+/// Depth-first minimal-FD discovery. It reads no shared knob: FDs
+/// have no support threshold, and the search has no LHS bound,
+/// confidence threshold or workers. `FastFd::default()` reorders
+/// dynamically.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FastFd {
-    pub(crate) no_reorder: bool,
+    no_reorder: bool,
 }
 
 impl FastFd {
-    /// Creates the algorithm (dynamic reordering on).
-    pub fn new() -> FastFd {
-        FastFd { no_reorder: false }
-    }
-
     /// Disables dynamic attribute reordering (ablation knob).
     pub fn dynamic_reorder(mut self, on: bool) -> FastFd {
         self.no_reorder = !on;
         self
     }
 
-    /// Discovers all minimal FDs `X → A` with `X ≠ ∅`, as all-wildcard
-    /// variable CFDs.
-    pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`FastFd::discover`] with run control and instrumentation: polls
-    /// `ctrl` per RHS attribute, times the `agree-sets` phase, and
-    /// counts difference-set families, candidate covers (`candidates`)
-    /// and covers failing minimality (`pruned`).
+    /// Discovers all minimal FDs `X → A` with `X ≠ ∅` of `rel`, as
+    /// all-wildcard variable CFDs. Polls `ctrl` per RHS attribute,
+    /// times the `agree-sets` phase, and counts difference-set
+    /// families, candidate covers (`candidates`) and covers failing
+    /// minimality (`pruned`).
     pub fn run(
         &self,
         rel: &Relation,
@@ -159,12 +151,26 @@ mod tests {
     use cfd_datagen::cust::cust_relation;
     use cfd_datagen::random::RandomRelation;
     use cfd_model::cfd::parse_cfd;
+    use cfd_model::options::DiscoverOptions;
+
+    /// `fd`'s cover of `rel`, and TANE's, which it must equal.
+    fn covers(fd: FastFd, rel: &Relation) -> (CanonicalCover, CanonicalCover) {
+        let ctrl = Control::default();
+        let fast = fd.run(rel, &ctrl, &mut SearchStats::default());
+        let tane = Tane.run(
+            rel,
+            &DiscoverOptions::default(),
+            &ctrl,
+            &mut SearchStats::default(),
+        );
+        let never = "default Control is never cancelled";
+        (fast.expect(never), tane.expect(never).0)
+    }
 
     #[test]
     fn agrees_with_tane_on_cust() {
         let r = cust_relation();
-        let tane = Tane::new().discover(&r);
-        let fast = FastFd::new().discover(&r);
+        let (fast, tane) = covers(FastFd::default(), &r);
         assert_eq!(
             tane.cfds(),
             fast.cfds(),
@@ -186,9 +192,8 @@ mod tests {
                 seed,
             }
             .generate();
-            let tane = Tane::new().discover(&r);
-            let fast = FastFd::new().discover(&r);
-            let noreorder = FastFd::new().dynamic_reorder(false).discover(&r);
+            let (fast, tane) = covers(FastFd::default(), &r);
+            let (noreorder, _) = covers(FastFd::default().dynamic_reorder(false), &r);
             assert_eq!(
                 tane.cfds(),
                 fast.cfds(),
@@ -208,11 +213,10 @@ mod tests {
         use cfd_model::schema::Schema;
         let schema = Schema::new(["A", "B"]).unwrap();
         let r = relation_from_rows(schema, &[vec!["1", "x"], vec!["2", "y"]]).unwrap();
-        let cover = FastFd::new().discover(&r);
+        let (cover, tane) = covers(FastFd::default(), &r);
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(1), 0)));
         assert_eq!(cover.len(), 2);
-        let tane = Tane::new().discover(&r);
         assert_eq!(tane.cfds(), cover.cfds());
     }
 }

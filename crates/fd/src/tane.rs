@@ -9,22 +9,21 @@
 //! Like CTANE, the walk runs on the stripped-partition engine of
 //! `cfd-partition` (DESIGN.md §9); unlike CTANE's flat levels, node
 //! partitions live in a [`PartitionStore`] keyed by attribute set —
-//! current level pinned, previous level kept as evictable cache in
-//! approximate mode — and level expansion refines through a reusable
-//! [`RefineScratch`] into a caller-owned buffer
-//! ([`StrippedPartition::refine_into`]), skipping materialization
-//! entirely for the final level
+//! the current level, plus the previous one in approximate mode — and
+//! level expansion refines through a reusable [`RefineScratch`] into a
+//! caller-owned buffer ([`StrippedPartition::refine_into`]), skipping
+//! materialization entirely for the final level
 //! ([`StrippedPartition::refine_counts`]). For plain FDs stripping is
 //! exactly TANE's classic representation: wildcard refinement copies
 //! the singleton side list with one `memcpy` instead of walking the
-//! collapsed classes. With [`Tane::threads`] above 1 the expansion
-//! shards its prefix-join runs across workers and merges in run order
-//! (byte-identical output for every thread count).
+//! collapsed classes. With [`DiscoverOptions::threads`] above 1 the
+//! expansion shards its prefix-join runs across workers and merges in
+//! run order (byte-identical output for every thread count).
 //!
-//! With [`Tane::min_confidence`] below `1.0` the dependency test
-//! relaxes to TANE's classic approximate variant under the g1-style
-//! partition error (DESIGN.md §8): `X\{A} → A` is emitted when the
-//! per-class max-frequency sum of `A` over `π_{X\{A}}`
+//! With [`DiscoverOptions::min_confidence`] below `1.0` the dependency
+//! test relaxes to TANE's classic approximate variant under the
+//! g1-style partition error (DESIGN.md §8): `X\{A} → A` is emitted
+//! when the per-class max-frequency sum of `A` over `π_{X\{A}}`
 //! ([`StrippedPartition::keep_count`]) reaches `θ · |r|`. For plain FDs
 //! this error is monotone under refinement, so the minimality story is
 //! unchanged; at `θ = 1.0` the integer short-circuit reproduces the
@@ -39,6 +38,7 @@ use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::fxhash::FxHashMap;
 use cfd_model::measure::{keep_meets, RuleMeasure};
+use cfd_model::options::DiscoverOptions;
 use cfd_model::pattern::PVal;
 use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
@@ -59,123 +59,43 @@ struct Generated {
     partition: Option<StrippedPartition>,
 }
 
-/// Level-wise minimal-FD discovery.
-#[derive(Clone, Copy, Debug)]
-pub struct Tane {
-    pub(crate) max_lhs: Option<usize>,
-    pub(crate) min_confidence: f64,
-    pub(crate) threads: usize,
-    pub(crate) cache_budget: usize,
-}
-
-impl Default for Tane {
-    fn default() -> Tane {
-        Tane::new()
-    }
-}
+/// Level-wise minimal-FD discovery. It reads `max_lhs`,
+/// `min_confidence` and `threads` from [`DiscoverOptions`] and has no
+/// knob of its own.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tane;
 
 impl Tane {
-    /// Creates the algorithm.
-    pub fn new() -> Tane {
-        Tane {
-            max_lhs: None,
-            min_confidence: 1.0,
-            threads: 1,
-            cache_budget: usize::MAX,
-        }
-    }
-
-    /// Caps the LHS size of discovered FDs.
-    pub fn max_lhs(mut self, m: usize) -> Tane {
-        self.max_lhs = Some(m);
-        self
-    }
-
-    /// Relaxes the dependency test to confidence `θ ∈ (0, 1]`
-    /// (g1-style partition error — see the module docs); `1.0` (the
-    /// default) is exact discovery.
-    pub fn min_confidence(mut self, theta: f64) -> Tane {
-        assert!(
-            theta > 0.0 && theta <= 1.0,
-            "min_confidence must be within (0, 1]"
-        );
-        self.min_confidence = theta;
-        self
-    }
-
-    /// Shards level expansion across `threads` workers (`1`, the
-    /// default, keeps the serial walk); output is byte-identical for
-    /// every thread count.
-    pub fn threads(mut self, threads: usize) -> Tane {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Byte budget for the partitions the run's [`PartitionStore`]
-    /// keeps beyond the level being expanded (`usize::MAX`, the
-    /// default, keeps them all; `0` disables caching, and parent
-    /// partitions are rebuilt on demand). Covers are identical either
-    /// way.
-    pub fn cache_budget(mut self, bytes: usize) -> Tane {
-        self.cache_budget = bytes;
-        self
-    }
-
-    /// Rebuilds the instance with the shared knobs the unified
-    /// discovery API supplies (`DiscoverOptions` is the source of
-    /// truth there), keeping the ablation knobs — the cache budget —
-    /// from `self`.
-    pub fn with_shared_knobs(&self, max_lhs: Option<usize>, theta: f64, threads: usize) -> Tane {
-        Tane {
-            max_lhs,
-            min_confidence: theta,
-            threads: threads.max(1),
-            cache_budget: self.cache_budget,
-        }
-    }
-
     /// Discovers all minimal FDs `X → A` with `X ≠ ∅` of `rel`, as
-    /// all-wildcard variable CFDs.
-    pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`Tane::discover`] with run control and instrumentation: polls
-    /// `ctrl` once per lattice level (and per prefix run inside the
-    /// expansion workers), reports `level` progress, and counts
-    /// dependency tests (`candidates`), pruned lattice nodes
-    /// (`pruned`) and materialized partitions (`partitions`).
+    /// all-wildcard variable CFDs, under the options' LHS bound,
+    /// confidence threshold and worker count (`k` does not apply to
+    /// FDs). Polls `ctrl` once per lattice level (and per prefix run
+    /// inside the expansion workers), reports `level` progress, and
+    /// counts dependency tests (`candidates`), pruned lattice nodes
+    /// (`pruned`), materialized partitions (`partitions`) and the
+    /// store's traffic (`store`). Each FD comes with its `RuleMeasure`
+    /// (aligned with the cover's canonical order), computed at emission
+    /// from the partitions the walk already holds. The options are not
+    /// validated here: `Discoverer::discover_with` does that.
     pub fn run(
         &self,
         rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`Tane::run`], additionally returning each FD's `RuleMeasure`
-    /// (aligned with the cover's canonical order) — computed at
-    /// emission from the partitions the walk already holds.
-    pub fn run_measured(
-        &self,
-        rel: &Relation,
+        opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
         let arity = rel.arity();
         let n = rel.n_rows();
-        let theta = self.min_confidence;
-        // approximate mode keeps the previous level's partitions as
-        // cache, so candidates can be error-counted per class
+        let theta = opts.min_confidence;
+        // approximate mode keeps the previous level's partitions, so
+        // candidates can be error-counted per class
         let approx = theta < 1.0;
         let mut out: Vec<Cfd> = Vec::new();
         let mut meas: Vec<RuleMeasure> = Vec::new();
         if n == 0 {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let mut store: PartitionStore<AttrSet> = PartitionStore::new(self.cache_budget);
+        let mut store: PartitionStore<AttrSet> = PartitionStore::default();
         let mut scratch = RefineScratch::for_relation(rel);
 
         let full = AttrSet::full(arity);
@@ -190,15 +110,14 @@ impl Tane {
                     n_classes: p.n_classes(),
                     cplus: full,
                 };
-                store.insert_pinned(attrs, 1, p);
+                store.insert(attrs, 1, p);
                 node
             })
             .collect();
         let mut prev_classes: FxHashMap<AttrSet, usize> = FxHashMap::default();
         prev_classes.insert(AttrSet::EMPTY, 1);
         if approx {
-            store.insert_pinned(AttrSet::EMPTY, 0, StrippedPartition::full(n));
-            store.unpin_level(0);
+            store.insert(AttrSet::EMPTY, 0, StrippedPartition::full(n));
         }
 
         let mut ell = 1usize;
@@ -261,7 +180,7 @@ impl Tane {
                 if !keyed[i] || node.cplus.is_empty() {
                     continue;
                 }
-                if self.max_lhs.is_some_and(|m| ell > m) {
+                if opts.max_lhs.is_some_and(|m| ell > m) {
                     break; // key-emits have LHS of size ℓ
                 }
                 // X is a superkey: X → A holds for every A; emit the
@@ -297,7 +216,7 @@ impl Tane {
             let level_now = kept;
             stats.pruned += (level_size - level_now.len()) as u64;
 
-            if level_now.len() < 2 || ell >= arity || self.max_lhs.is_some_and(|m| ell > m) {
+            if level_now.len() < 2 || ell >= arity || opts.max_lhs.is_some_and(|m| ell > m) {
                 break;
             }
 
@@ -331,7 +250,7 @@ impl Tane {
                 runs.push((run_start, run_end));
                 run_start = run_end;
             }
-            let last_level = ell + 1 >= arity || self.max_lhs.is_some_and(|m| ell + 1 > m);
+            let last_level = ell + 1 >= arity || opts.max_lhs.is_some_and(|m| ell + 1 > m);
 
             let expand = ExpandCtx {
                 rel,
@@ -347,7 +266,7 @@ impl Tane {
             // serial walk (the shared shard_runs harness)
             let produced: Vec<Generated> = shard_runs(
                 &runs,
-                self.threads,
+                opts.threads,
                 ctrl,
                 stats,
                 || RefineScratch::for_relation(rel),
@@ -356,7 +275,7 @@ impl Tane {
             let mut next: Vec<Node> = Vec::new();
             for g in produced {
                 if let Some(part) = g.partition {
-                    store.insert_pinned(g.node.attrs, ell as u32 + 1, part);
+                    store.insert(g.node.attrs, ell as u32 + 1, part);
                 }
                 next.push(g.node);
             }
@@ -364,12 +283,8 @@ impl Tane {
                 break;
             }
             // slide the level window (see the module docs)
-            if ell >= 1 {
-                store.retire_level(ell as u32 - 1);
-            }
-            if approx {
-                store.unpin_level(ell as u32);
-            } else {
+            store.retire_level(ell as u32 - 1);
+            if !approx {
                 store.retire_level(ell as u32);
             }
             prev_classes = level_now
@@ -379,7 +294,7 @@ impl Tane {
             level = next;
             ell += 1;
         }
-        stats.store = store.stats().into();
+        stats.store = store.stats();
 
         Ok(CanonicalCover::from_measured(
             out.into_iter().zip(meas).collect(),
@@ -437,7 +352,7 @@ impl ExpandCtx<'_> {
                 let base_part = self
                     .store
                     .peek(&base.attrs)
-                    .expect("current level is pinned in the store");
+                    .expect("the current level is in the store");
                 if self.last_level {
                     let (n_classes, _) =
                         base_part.refine_counts(self.rel, extra_attr, PVal::Var, scratch);
@@ -483,8 +398,7 @@ fn parent_keep(
         StrippedPartition::of_pattern(rel, parent.iter().map(|b| (b, PVal::Var)), scratch);
     stats.partitions += 1;
     let keep = rebuilt.keep_count(rel, a, scratch);
-    store.insert_pinned(parent, parent.len() as u32, rebuilt);
-    store.unpin(&parent);
+    store.insert(parent, parent.len() as u32, rebuilt);
     keep
 }
 #[cfg(test)]
@@ -494,10 +408,18 @@ mod tests {
     use cfd_model::cfd::parse_cfd;
     use cfd_model::satisfy::satisfies;
 
+    /// TANE's cover of `rel` under `opts` (the `Discoverer` shorthand
+    /// lives above this crate).
+    pub(super) fn tane(rel: &Relation, opts: &DiscoverOptions) -> CanonicalCover {
+        Tane.run(rel, opts, &Control::default(), &mut SearchStats::default())
+            .expect("default Control is never cancelled")
+            .0
+    }
+
     #[test]
     fn finds_paper_fds_on_cust() {
         let r = cust_relation();
-        let cover = Tane::new().discover(&r);
+        let cover = tane(&r, &DiscoverOptions::default());
         for txt in [
             "([CC, AC] -> CT, (_, _ || _))",         // f1
             "([CC, AC, PN] -> STR, (_, _, _ || _))", // f2
@@ -531,7 +453,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let cover = Tane::new().discover(&r);
+        let cover = tane(&r, &DiscoverOptions::default());
         // id is a key: id → x and id → y are minimal
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 2)));
@@ -547,7 +469,7 @@ mod tests {
         let schema = Schema::new(["A", "B"]).unwrap();
         let r =
             relation_from_rows(schema, &[vec!["x", "k"], vec!["y", "k"], vec!["z", "k"]]).unwrap();
-        let cover = Tane::new().discover(&r);
+        let cover = tane(&r, &DiscoverOptions::default());
         // B is constant: A → B would not be minimal (∅ → B holds), and
         // ∅ → B is excluded by convention
         assert!(cover.is_empty(), "{}", cover.display(&r));
@@ -556,7 +478,7 @@ mod tests {
     #[test]
     fn max_lhs_caps() {
         let r = cust_relation();
-        let capped = Tane::new().max_lhs(1).discover(&r);
+        let capped = tane(&r, &DiscoverOptions::default().max_lhs(1));
         assert!(capped.iter().all(|c| c.lhs_attrs().len() <= 1));
     }
 
@@ -567,15 +489,15 @@ mod tests {
         // AC → CT is spoiled only by the 131 → {EDI, EDI, UN} class:
         // keep 7 of 8 tuples, confidence 0.875
         let fd = parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap();
-        let exact = Tane::new().discover(&r);
+        let exact = tane(&r, &DiscoverOptions::default());
         assert!(!exact.contains(&fd));
-        let approx = Tane::new().min_confidence(0.875).discover(&r);
+        let approx = tane(&r, &DiscoverOptions::default().min_confidence(0.875));
         assert!(approx.contains(&fd), "cover:\n{}", approx.display(&r));
-        assert!(!Tane::new().min_confidence(0.9).discover(&r).contains(&fd));
+        assert!(!tane(&r, &DiscoverOptions::default().min_confidence(0.9)).contains(&fd));
         // soundness: every emitted FD clears the threshold, and is
         // minimal — no immediate subset clears it too
         for theta in [0.8, 0.875, 0.95] {
-            let cover = Tane::new().min_confidence(theta).discover(&r);
+            let cover = tane(&r, &DiscoverOptions::default().min_confidence(theta));
             for c in cover.iter() {
                 let m = measure(&r, c);
                 assert!(m.meets(theta), "{} at θ={theta}", c.display(&r));
@@ -591,7 +513,7 @@ mod tests {
         }
         // θ = 1.0 is bit-for-bit the exact cover
         assert_eq!(
-            Tane::new().min_confidence(1.0).discover(&r).cfds(),
+            tane(&r, &DiscoverOptions::default().min_confidence(1.0)).cfds(),
             exact.cfds()
         );
     }
@@ -599,6 +521,7 @@ mod tests {
 
 #[cfg(test)]
 mod review_probe {
+    use super::tests::tane;
     use super::*;
     use cfd_model::cfd::parse_cfd;
     use cfd_model::relation::relation_from_rows;
@@ -619,7 +542,7 @@ mod review_probe {
         let fd = parse_cfd(&r, "(A -> B, (_ || _))").unwrap();
         let m = cfd_model::measure::measure(&r, &fd);
         assert!(m.meets(0.9), "premise: A->B meets 0.9 ({m:?})");
-        let cover = Tane::new().min_confidence(0.9).discover(&r);
+        let cover = tane(&r, &DiscoverOptions::default().min_confidence(0.9));
         assert!(
             cover.contains(&fd),
             "A->B missing from θ=0.9 cover:\n{}",
@@ -630,25 +553,20 @@ mod review_probe {
 
 #[cfg(test)]
 mod engine_tests {
+    use super::tests::tane;
     use super::*;
     use cfd_datagen::cust::cust_relation;
 
     #[test]
-    fn threads_and_cache_do_not_change_the_cover() {
+    fn threads_do_not_change_the_cover() {
         let r = cust_relation();
-        let serial = Tane::new().discover(&r);
-        for t in [2, 4] {
-            assert_eq!(serial.cfds(), Tane::new().threads(t).discover(&r).cfds());
-        }
         for theta in [0.8, 0.875, 1.0] {
-            let cached = Tane::new().min_confidence(theta).discover(&r);
-            let uncached = Tane::new()
-                .min_confidence(theta)
-                .cache_budget(0)
-                .discover(&r);
-            assert_eq!(cached.cfds(), uncached.cfds(), "θ={theta}");
-            let sharded = Tane::new().min_confidence(theta).threads(4).discover(&r);
-            assert_eq!(cached.cfds(), sharded.cfds(), "θ={theta} sharded");
+            let opts = DiscoverOptions::default().min_confidence(theta);
+            let serial = tane(&r, &opts);
+            for t in [2, 4] {
+                let sharded = tane(&r, &opts.clone().threads(t));
+                assert_eq!(serial.cfds(), sharded.cfds(), "θ={theta} t={t}");
+            }
         }
     }
 
@@ -657,9 +575,13 @@ mod engine_tests {
         use cfd_model::measure::measure;
         let r = cust_relation();
         for theta in [0.875, 1.0] {
-            let (cover, measures) = Tane::new()
-                .min_confidence(theta)
-                .run_measured(&r, &Control::default(), &mut SearchStats::default())
+            let (cover, measures) = Tane
+                .run(
+                    &r,
+                    &DiscoverOptions::default().min_confidence(theta),
+                    &Control::default(),
+                    &mut SearchStats::default(),
+                )
                 .unwrap();
             assert_eq!(cover.len(), measures.len());
             for (cfd, m) in cover.iter().zip(&measures) {

@@ -28,7 +28,10 @@
 //! * [`ingest`] — the streaming, chunked, optionally parallel CSV →
 //!   [`Relation`] pipeline (O(chunk) input memory, deterministic codes
 //!   for every chunk size and thread count) behind every reader-based
-//!   load.
+//!   load,
+//! * [`options`] — [`DiscoverOptions`](options::DiscoverOptions), the
+//!   one home of the knobs every discovery algorithm shares (support
+//!   `k`, LHS bound, confidence `θ`, threads), validated once.
 //!
 //! Everything downstream (partitions, item sets, the discovery algorithms)
 //! is built on these types.
@@ -45,6 +48,7 @@ pub mod fxhash;
 pub mod ingest;
 pub mod json;
 pub mod measure;
+pub mod options;
 pub mod pattern;
 pub mod progress;
 pub mod relation;

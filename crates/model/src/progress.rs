@@ -8,10 +8,11 @@
 //! poll at coarse checkpoints, and [`SearchStats`], the
 //! machine-readable counters every algorithm fills in best-effort.
 //!
-//! The high-level API that consumes these (the `Discoverer` trait,
-//! `DiscoverOptions`, the `Algo` registry) lives in `cfd-core`; this
-//! crate only hosts the types so that `cfd-fd`'s baselines can be
-//! instrumented without depending on `cfd-core`. Likewise the
+//! The high-level API that consumes these (the `Discoverer` trait, the
+//! `Algo` registry) lives in `cfd-core`; this crate only hosts the
+//! types — and the shared [`DiscoverOptions`](crate::options::DiscoverOptions)
+//! — so that `cfd-fd`'s baselines can be instrumented and configured
+//! without depending on `cfd-core`. Likewise the
 //! [`MetricsSink`] *trait* lives here so every layer (kernel, stream,
 //! miners) can emit named metrics without depending on the `cfd-obs`
 //! registry that implements it.
@@ -263,9 +264,9 @@ pub struct PhaseTiming {
 }
 
 /// Partition traffic of the level-wise miners: CTANE counts its own,
-/// TANE mirrors its `cfd_partition::StoreStats` (the type lives here so
-/// `SearchStats` stays below `cfd-partition` in the crate graph).
-/// All-zero for the other algorithms.
+/// TANE's `cfd_partition::PartitionStore` keeps one (the type lives
+/// here so `SearchStats` stays below `cfd-partition` in the crate
+/// graph). All-zero for the other algorithms.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Parent-partition lookups served from a held partition (CTANE:
@@ -274,7 +275,8 @@ pub struct StoreCounters {
     /// Parent-partition lookups rebuilt from the relation, the partition
     /// not being held.
     pub misses: u64,
-    /// Partitions dropped to fit the cache budget.
+    /// Partitions dropped to fit the cache budget (CTANE's approximate
+    /// retention; TANE's store has no budget and never evicts).
     pub evictions: u64,
     /// The most partitions held at once during the run: its high-water
     /// mark (CTANE samples what it holds as each level completes).
@@ -282,13 +284,6 @@ pub struct StoreCounters {
     /// The most approximate partition bytes held at once during the
     /// run, sampled like `entries`.
     pub bytes: u64,
-}
-
-impl StoreCounters {
-    /// True iff no store activity was recorded.
-    pub fn is_empty(&self) -> bool {
-        *self == StoreCounters::default()
-    }
 }
 
 /// Search counters filled in (best-effort) by every discovery

@@ -140,8 +140,8 @@ impl StrippedPartition {
     /// The partition of the tuples matching every `(attr, val)` item of
     /// `pattern`, grouped by their values on the pattern's attributes —
     /// built from scratch (the rebuild path behind a cache miss: an
-    /// entry TANE's [`PartitionStore`](crate::PartitionStore) no longer
-    /// holds, or a parent CTANE did not keep for its approximate error
+    /// entry TANE's [`PartitionStore`](crate::PartitionStore) has
+    /// retired, or a parent CTANE did not keep for its approximate error
     /// counts).
     pub fn of_pattern<I: IntoIterator<Item = (AttrId, PVal)>>(
         rel: &Relation,
@@ -212,9 +212,9 @@ impl StrippedPartition {
         self.tuples.is_empty()
     }
 
-    /// Approximate heap footprint in bytes — what a cache budget
-    /// accounts ([`PartitionStore`](crate::PartitionStore)'s, and
-    /// CTANE's approximate retention).
+    /// Approximate heap footprint in bytes — what CTANE's approximate
+    /// retention charges against its cache budget, and what
+    /// [`PartitionStore`](crate::PartitionStore) reports as bytes held.
     pub fn approx_bytes(&self) -> usize {
         (self.tuples.len() + self.offsets.len() + self.singles.len()) * std::mem::size_of::<u32>()
     }

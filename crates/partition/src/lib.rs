@@ -54,4 +54,4 @@ pub mod store;
 pub use agree::{agree_sets, agree_sets_of_rows};
 pub use engine::{RefineScratch, StrippedPartition};
 pub use group::GroupIds;
-pub use store::{PartitionStore, StoreStats};
+pub use store::PartitionStore;

@@ -301,7 +301,7 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             // level-below partitions an approximate CTANE run keeps for
             // its error counts (other algorithms ignore it)
             let disc: Box<dyn Discoverer> = match (algo, cache_budget) {
-                (Algo::Ctane, Some(bytes)) => Box::new(Ctane::new(opts.k).cache_budget(*bytes)),
+                (Algo::Ctane, Some(bytes)) => Box::new(Ctane::default().cache_budget(*bytes)),
                 _ => algo.discoverer(),
             };
             match disc.discover_with(&ds.rel, opts, ctrl) {
@@ -561,6 +561,52 @@ mod tests {
             ds: Arc::new(crate::registry::Dataset::new("t", rel)),
             rules: Vec::new(),
         }
+    }
+
+    #[test]
+    fn discover_specs_fail_bad_options_and_pass_the_cache_budget() {
+        use cfd_model::csv::relation_from_csv_str;
+        let rel = relation_from_csv_str(
+            "AC,CT,ZIP\n908,MH,07974\n908,MH,07974\n908,MH,07974\n131,EDI,EH4\n\
+             131,EDI,EH4\n131,UN,EH4\n212,NYC,01202\n212,NYC,01202\n",
+        )
+        .unwrap();
+        let ds = Arc::new(Dataset::new("t", rel));
+        let spec = |opts: DiscoverOptions, cache_budget| JobSpec::Discover {
+            ds: Arc::clone(&ds),
+            algo: Algo::Ctane,
+            opts,
+            cache_budget,
+        };
+        let run = |spec: JobSpec| run_spec(&spec, &Control::default());
+        // invalid options fail as a structured error, with or without a
+        // cache budget: the miner is built before the options are checked
+        for cache_budget in [None, Some(1 << 20)] {
+            match run(spec(DiscoverOptions::new(0), cache_budget)) {
+                JobOutcome::Failed(e) => assert_eq!(e.code, "bad_options", "{cache_budget:?}"),
+                other => panic!("{cache_budget:?}: {other:?}"),
+            }
+        }
+        // a zero budget reaches CTANE: every approximate error count
+        // misses and rebuilds, and the rules stay those of the
+        // unbounded run
+        let opts = DiscoverOptions::new(1).min_confidence(0.8);
+        let doc = |outcome| match outcome {
+            JobOutcome::Done(doc) => doc,
+            other => panic!("{other:?}"),
+        };
+        let unbounded = doc(run(spec(opts.clone(), None)));
+        let starved = doc(run(spec(opts, Some(0))));
+        assert_eq!(unbounded.get("rules"), starved.get("rules"));
+        let misses = |d: &Json| {
+            d.get("stats")
+                .and_then(|s| s.get("store"))
+                .and_then(|s| s.get("misses"))
+                .and_then(Json::as_f64)
+                .unwrap()
+        };
+        assert_eq!(misses(&unbounded), 0.0);
+        assert!(misses(&starved) > 0.0, "{starved}");
     }
 
     #[test]

@@ -218,8 +218,8 @@ fn three_concurrent_clients_match_one_shot_results() {
         .discover_with(&tax, &approx_opts, &Control::default())
         .expect("ctane")
         .to_json(&tax);
-    let rules: Vec<(String, Cfd)> = FastCfd::new(2)
-        .discover(&cust)
+    let rules: Vec<(String, Cfd)> = FastCfd::default()
+        .discover(&cust, &DiscoverOptions::new(2))
         .to_text(&cust)
         .lines()
         .filter(|l| !l.trim().is_empty())

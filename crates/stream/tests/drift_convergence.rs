@@ -6,7 +6,7 @@
 //! entire run is byte-identical at 1 shard × 1 thread and 4 shards × 4
 //! threads.
 
-use cfd_core::FastCfd;
+use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_model::relation::{Relation, RelationBuilder};
 use cfd_model::{Control, RuleMeasure, Schema};
 use cfd_stream::{remine, RemineOptions, StreamEngine};
@@ -48,7 +48,10 @@ fn run_scenario(
     shards: usize,
     threads: usize,
 ) -> (Vec<String>, Vec<RuleMeasure>, bool) {
-    let rules: Vec<_> = FastCfd::new(1).discover(warm).into_iter().collect();
+    let rules: Vec<_> = FastCfd::default()
+        .discover(warm, &DiscoverOptions::new(1))
+        .into_iter()
+        .collect();
     let (mut engine, _) = StreamEngine::warm(warm, rules, shards);
     for (action, row) in ops {
         if *action % 2 == 0 || engine.n_live() == 0 {

@@ -4,7 +4,7 @@
 //! materialized live instance, and the deltas it emitted compose to
 //! exactly that set.
 
-use cfd_core::FastCfd;
+use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_model::relation::{Relation, RelationBuilder};
 use cfd_model::{Schema, Violation};
 use cfd_stream::{RowId, StreamEngine};
@@ -56,7 +56,7 @@ proptest! {
         shards in 1usize..=3,
     ) {
         // a real discovered cover: minimal 1-frequent constant+variable CFDs
-        let rules: Vec<_> = FastCfd::new(1).discover(&warm).into_iter().collect();
+        let rules: Vec<_> = FastCfd::default().discover(&warm, &DiscoverOptions::new(1)).into_iter().collect();
         let (mut engine, warm_delta) = StreamEngine::warm(&warm, rules, shards);
         // rules discovered on the warm data hold on the warm data
         prop_assert!(warm_delta.is_empty(), "{warm_delta:?}");
@@ -126,7 +126,7 @@ proptest! {
     ) {
         // the same script applied at different shard counts produces the
         // same deltas in the same order
-        let rules: Vec<_> = FastCfd::new(1).discover(&warm).into_iter().collect();
+        let rules: Vec<_> = FastCfd::default().discover(&warm, &DiscoverOptions::new(1)).into_iter().collect();
         let (mut e1, _) = StreamEngine::warm(&warm, rules.clone(), 1);
         let (mut e4, _) = StreamEngine::warm(&warm, rules, 4);
         for (action, row) in &ops {

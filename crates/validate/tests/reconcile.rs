@@ -4,7 +4,7 @@
 //! `cfd_model` exactly — same witnesses, same violations in the same
 //! order, same counters — and does so identically at any thread count.
 
-use cfd_core::FastCfd;
+use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_model::relation::{Relation, RelationBuilder};
 use cfd_model::repair::suggest_repairs;
 use cfd_model::satisfy::satisfies;
@@ -85,7 +85,7 @@ proptest! {
         extra in proptest::collection::vec(proptest::collection::vec(0u32..6, 4), 0usize..=10),
         limit in 0usize..=5,
     ) {
-        let rules: Vec<Cfd> = FastCfd::new(1).discover(&clean).into_iter().collect();
+        let rules: Vec<Cfd> = FastCfd::default().discover(&clean, &DiscoverOptions::new(1)).into_iter().collect();
         let dirty = dirty_copy(&clean, &extra);
 
         for rel in [&clean, &dirty] {
@@ -126,7 +126,7 @@ proptest! {
         clean in arb_rel(),
         extra in proptest::collection::vec(proptest::collection::vec(0u32..6, 4), 0usize..=10),
     ) {
-        let rules: Vec<Cfd> = FastCfd::new(1).discover(&clean).into_iter().collect();
+        let rules: Vec<Cfd> = FastCfd::default().discover(&clean, &DiscoverOptions::new(1)).into_iter().collect();
         let dirty = dirty_copy(&clean, &extra);
         for rel in [&clean, &dirty] {
             let kernel = suggest_repairs_for_cover(rel, &rules);

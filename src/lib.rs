@@ -13,8 +13,9 @@
 //!   export through `model::json`;
 //! * [`core`] — the discovery algorithms (CFDMiner, CTANE,
 //!   FastCFD/NaiveFast) and the unified [`core::api`] they all
-//!   implement: the `Discoverer` trait, `DiscoverOptions`, structured
-//!   `Discovery` outcomes, and the `Algo` registry;
+//!   implement: the `Discoverer` trait, `DiscoverOptions` (re-exported
+//!   from `model::options`), structured `Discovery` outcomes, and the
+//!   `Algo` registry;
 //! * [`fd`] — the classical FD baselines TANE and FastFD;
 //! * [`datagen`] — synthetic datasets used by the paper's evaluation;
 //! * [`validate`] — the shared validation kernel: compile a cover once,
@@ -35,16 +36,18 @@
 //!
 //! // the cust relation of Fig. 1
 //! let rel = cfd_suite::datagen::cust::cust_relation();
+//! // one options struct configures every algorithm: support k = 2
+//! let opts = DiscoverOptions::new(2);
 //! // canonical cover of minimal, 2-frequent CFDs
-//! let cover = FastCfd::new(2).discover(&rel);
+//! let cover = FastCfd::default().discover(&rel, &opts);
 //! assert!(cover.iter().all(|c| satisfies(&rel, c)));
 //! // constant CFDs only, orders of magnitude faster
-//! let constants = CfdMiner::new(2).discover(&rel);
+//! let constants = CfdMiner.discover(&rel, &opts);
 //! assert_eq!(constants.cfds(), cover.constant_cover().cfds());
-//! // every algorithm also runs through the unified Discoverer API,
-//! // returning a structured outcome (timings, counters, notes):
+//! // `discover_with` returns a structured outcome (timings, counters,
+//! // notes) and reports bad options as an error instead of panicking:
 //! let d = Algo::Ctane
-//!     .discover_with(&rel, &DiscoverOptions::new(2), &Control::default())
+//!     .discover_with(&rel, &opts, &Control::default())
 //!     .unwrap();
 //! assert_eq!(d.cover.cfds(), cover.cfds());
 //! assert!(d.stats.candidates > 0);

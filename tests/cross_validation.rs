@@ -29,13 +29,13 @@ fn all_algorithms_agree_on_random_relations() {
         }
         .generate();
         for k in [1, 2, 3] {
-            let ctane = Ctane::new(k).discover(&r);
-            let fast = FastCfd::new(k).discover(&r);
-            let naive = FastCfd::naive(k).discover(&r);
+            let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+            let naive = FastCfd::naive().discover(&r, &DiscoverOptions::new(k));
             assert_same_cover(&r, &ctane, &fast, &format!("ctane vs fastcfd s{seed} k{k}"));
             assert_same_cover(&r, &fast, &naive, &format!("fastcfd vs naive s{seed} k{k}"));
             // CFDMiner = the constant fragment
-            let miner = CfdMiner::new(k).discover(&r);
+            let miner = CfdMiner.discover(&r, &DiscoverOptions::new(k));
             assert_eq!(
                 miner.cfds(),
                 fast.constant_cover().cfds(),
@@ -57,9 +57,9 @@ fn fd_baselines_match_wildcard_fragment() {
             seed,
         }
         .generate();
-        let tane = Tane::new().discover(&r);
-        let fastfd = FastFd::new().discover(&r);
-        let cfds = FastCfd::new(1).discover(&r);
+        let tane = Tane.discover(&r, &DiscoverOptions::default());
+        let fastfd = FastFd::default().discover(&r, &DiscoverOptions::default());
+        let cfds = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
         assert_eq!(tane.cfds(), fastfd.cfds(), "seed {seed}");
         assert_eq!(
             tane.cfds(),
@@ -82,9 +82,9 @@ fn oracle_agreement_on_larger_domains() {
         }
         .generate();
         for k in [1, 2] {
-            let want = BruteForce::new(k).discover(&r);
-            let ctane = Ctane::new(k).discover(&r);
-            let fast = FastCfd::new(k).discover(&r);
+            let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
+            let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
             assert_same_cover(&r, &ctane, &want, &format!("ctane vs oracle s{seed} k{k}"));
             assert_same_cover(&r, &fast, &want, &format!("fastcfd vs oracle s{seed} k{k}"));
         }
@@ -97,9 +97,9 @@ fn agreement_on_tax_sample() {
     // agree on synthetic tax data
     let r = TaxGenerator::new(300).generate();
     let k = 3;
-    let ctane = Ctane::new(k).discover(&r);
-    let fast = FastCfd::new(k).discover(&r);
-    let naive = FastCfd::naive(k).discover(&r);
+    let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+    let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+    let naive = FastCfd::naive().discover(&r, &DiscoverOptions::new(k));
     assert!(!fast.is_empty(), "tax data must contain CFDs");
     assert_same_cover(&r, &ctane, &fast, "ctane vs fastcfd on tax");
     assert_same_cover(&r, &fast, &naive, "fastcfd vs naive on tax");
@@ -124,7 +124,11 @@ fn k_monotonicity() {
     let r = TaxGenerator::new(400).generate();
     let sizes: Vec<usize> = [2, 4, 8, 16]
         .iter()
-        .map(|&k| FastCfd::new(k).discover(&r).len())
+        .map(|&k| {
+            FastCfd::default()
+                .discover(&r, &DiscoverOptions::new(k))
+                .len()
+        })
         .collect();
     assert!(
         sizes.windows(2).all(|w| w[0] >= w[1]),

@@ -32,7 +32,7 @@ fn chess_outcome_fd_is_discovered() {
     let chess = chess_relation();
     let rows: Vec<u32> = (0..2000).collect();
     let sample = chess.restrict(&rows);
-    let cover = Tane::new().discover(&sample);
+    let cover = Tane.discover(&sample, &DiscoverOptions::default());
     let outcome = sample.schema().attr_id("outcome").unwrap();
     assert!(
         cover.iter().any(|c| c.rhs_attr() == outcome),
@@ -45,7 +45,7 @@ fn chess_outcome_fd_is_discovered() {
 fn tax_planted_rules_are_discovered() {
     let r = TaxGenerator::new(500).generate();
     let k = 5;
-    let cover = FastCfd::new(k).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
     assert!(!cover.is_empty());
     let (n_const, n_var) = cover.counts();
     assert!(n_const > 0, "tax data must yield constant CFDs");
@@ -66,7 +66,7 @@ fn discover_then_clean_workflow() {
     // corrupted cells of the dirty instance
     let clean = cust_relation();
     let dirty = dirty_cust_relation();
-    let rules = FastCfd::new(2).discover(&clean);
+    let rules = FastCfd::default().discover(&clean, &DiscoverOptions::new(2));
     assert!(rules.iter().all(|c| satisfies(&clean, c)));
     let found = cfd_suite::validate::detect_violations(&dirty, rules.cfds());
     assert!(!found.is_empty(), "dirty data must trigger violations");
@@ -89,7 +89,7 @@ fn noise_injection_cleaning_recall() {
     // larger-scale cleaning loop: discover on clean tax data, corrupt 1%
     // of cells, and check the rules flag dirty tuples
     let clean = TaxGenerator::new(600).generate();
-    let rules = FastCfd::new(6).discover(&clean);
+    let rules = FastCfd::default().discover(&clean, &DiscoverOptions::new(6));
     let (dirty, cells) = inject_noise(&clean, 0.01, 99);
     assert!(!cells.is_empty());
     let found = cfd_suite::validate::detect_violations(&dirty, rules.cfds());
@@ -105,8 +105,8 @@ fn csv_round_trip_preserves_discovery() {
     let r = cust_relation();
     let csv = relation_to_csv_string(&r);
     let r2 = relation_from_csv_str(&csv).unwrap();
-    let a = FastCfd::new(2).discover(&r);
-    let b = FastCfd::new(2).discover(&r2);
+    let a = FastCfd::default().discover(&r, &DiscoverOptions::new(2));
+    let b = FastCfd::default().discover(&r2, &DiscoverOptions::new(2));
     // codes may differ; compare displayed rule sets
     let show = |cover: &CanonicalCover, rel: &Relation| {
         let mut v: Vec<String> = cover.iter().map(|c| c.display(rel)).collect();
@@ -122,8 +122,8 @@ fn wbc_discovery_is_consistent() {
     // scaled down by max_lhs for test speed)
     let r = wbc_relation();
     let k = 60;
-    let fast = FastCfd::new(k).discover(&r);
-    let ctane = Ctane::new(k).max_lhs(3).discover(&r);
+    let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+    let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k).max_lhs(3));
     // every CTANE rule (LHS ≤ 3) is in the FastCFD cover and vice versa
     // for rules with small LHS
     for c in ctane.iter() {
@@ -138,7 +138,7 @@ fn wbc_discovery_is_consistent() {
 fn repair_suggestions_reduce_violations() {
     use cfd_suite::model::repair::apply_repairs;
     let clean = TaxGenerator::new(800).generate();
-    let rules = FastCfd::new(8).discover(&clean);
+    let rules = FastCfd::default().discover(&clean, &DiscoverOptions::new(8));
     let (dirty, cells) = inject_noise(&clean, 0.005, 17);
     assert!(!cells.is_empty());
     let before = cfd_suite::validate::detect_violations(&dirty, rules.cfds()).len();
@@ -182,7 +182,7 @@ fn repair_suggestions_reduce_violations() {
 fn repair_precision_recall_against_noise_ground_truth() {
     use std::collections::BTreeSet;
     let clean = TaxGenerator::new(800).generate();
-    let rules = FastCfd::new(8).discover(&clean);
+    let rules = FastCfd::default().discover(&clean, &DiscoverOptions::new(8));
     let (dirty, cells) = inject_noise(&clean, 0.005, 17);
     let truth: BTreeSet<(u32, usize)> = cells.iter().copied().collect();
     let dirty_tuples: BTreeSet<u32> = cells.iter().map(|&(t, _)| t).collect();

@@ -11,9 +11,9 @@ fn rel_of(rows: &[Vec<&str>], names: &[&str]) -> Relation {
 }
 
 fn assert_all_agree(r: &Relation, k: usize) {
-    let ctane = Ctane::new(k).discover(r);
-    let fast = FastCfd::new(k).discover(r);
-    let naive = FastCfd::naive(k).discover(r);
+    let ctane = Ctane::default().discover(r, &DiscoverOptions::new(k));
+    let fast = FastCfd::default().discover(r, &DiscoverOptions::new(k));
+    let naive = FastCfd::naive().discover(r, &DiscoverOptions::new(k));
     assert_eq!(ctane.cfds(), fast.cfds(), "ctane vs fastcfd");
     assert_eq!(naive.cfds(), fast.cfds(), "naive vs fastcfd");
     assert!(audit_cover(r, fast.iter(), k).is_empty());
@@ -24,18 +24,23 @@ fn empty_relation() {
     let schema = Schema::new(["A", "B"]).unwrap();
     let r = RelationBuilder::new(schema).finish();
     assert_eq!(r.n_rows(), 0);
-    assert!(FastCfd::new(1).discover(&r).is_empty());
-    assert!(Ctane::new(1).discover(&r).is_empty());
-    assert!(CfdMiner::new(1).discover(&r).is_empty());
-    assert!(Tane::new().discover(&r).is_empty());
-    assert!(FastFd::new().discover(&r).is_empty());
+    let opts = DiscoverOptions::new(1);
+    for algo in [
+        Algo::FastCfd,
+        Algo::Ctane,
+        Algo::CfdMiner,
+        Algo::Tane,
+        Algo::FastFd,
+    ] {
+        assert!(algo.discover(&r, &opts).is_empty(), "{algo}");
+    }
 }
 
 #[test]
 fn single_tuple() {
     let r = rel_of(&[vec!["x", "y", "z"]], &["A", "B", "C"]);
     assert_all_agree(&r, 1);
-    let cover = FastCfd::new(1).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
     // exactly the three constant CFDs (∅ → X, (‖ v)); nothing variable
     assert_eq!(cover.counts(), (3, 0), "{}", cover.display(&r));
 }
@@ -44,12 +49,12 @@ fn single_tuple() {
 fn single_attribute() {
     let r = rel_of(&[vec!["x"], vec!["x"], vec!["y"]], &["A"]);
     assert_all_agree(&r, 1);
-    let cover = FastCfd::new(1).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
     // no LHS attributes exist, A is not constant ⇒ empty cover
     assert!(cover.is_empty());
     // but with identical rows it is the constant rule
     let c = rel_of(&[vec!["x"], vec!["x"]], &["A"]);
-    let cover = FastCfd::new(1).discover(&c);
+    let cover = FastCfd::default().discover(&c, &DiscoverOptions::new(1));
     assert_eq!(cover.counts(), (1, 0));
 }
 
@@ -61,7 +66,7 @@ fn all_rows_identical() {
     );
     assert_all_agree(&r, 1);
     assert_all_agree(&r, 3);
-    let cover = FastCfd::new(3).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(3));
     // both columns constant: two empty-LHS constant CFDs, no variable CFDs
     assert_eq!(cover.counts(), (2, 0), "{}", cover.display(&r));
 }
@@ -79,7 +84,7 @@ fn duplicated_column() {
         &["A", "B", "C"],
     );
     assert_all_agree(&r, 1);
-    let fds = Tane::new().discover(&r);
+    let fds = Tane.discover(&r, &DiscoverOptions::default());
     let a = 0;
     let b = 1;
     assert!(fds.contains(&Cfd::fd(AttrSet::singleton(a), b)));
@@ -99,7 +104,7 @@ fn key_column() {
         &["A", "B", "C"],
     );
     assert_all_agree(&r, 1);
-    let cover = FastCfd::new(1).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
     assert!(cover.contains(&Cfd::fd(AttrSet::singleton(2), 0)));
     assert!(cover.contains(&Cfd::fd(AttrSet::singleton(2), 1)));
 }
@@ -111,12 +116,13 @@ fn k_equal_to_relation_size() {
         &["A", "B"],
     );
     assert_all_agree(&r, 3);
-    let cover = FastCfd::new(3).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(3));
     // only the pattern (A=x) reaches support 3; B varies ⇒ only (∅→A,(‖x))
     assert_eq!(cover.counts(), (1, 0), "{}", cover.display(&r));
     // k beyond |r| ⇒ nothing
-    assert!(FastCfd::new(4).discover(&r).is_empty());
-    assert!(Ctane::new(4).discover(&r).is_empty());
+    let beyond = DiscoverOptions::new(4);
+    assert!(FastCfd::default().discover(&r, &beyond).is_empty());
+    assert!(Ctane::default().discover(&r, &beyond).is_empty());
 }
 
 #[test]
@@ -134,7 +140,7 @@ fn binary_matrix_relation() {
         assert_all_agree(&r, k);
     }
     // b4 = b0 and b5 = b1 by construction (bit index mod 4)
-    let fds = FastFd::new().discover(&r);
+    let fds = FastFd::default().discover(&r, &DiscoverOptions::default());
     assert!(fds.contains(&Cfd::fd(AttrSet::singleton(0), 4)));
     assert!(fds.contains(&Cfd::fd(AttrSet::singleton(5), 1)));
 }
@@ -143,15 +149,19 @@ fn binary_matrix_relation() {
 fn free_set_pruning_ablation_is_pure_optimization() {
     let r = cfd_suite::datagen::tax::TaxGenerator::new(400).generate();
     for k in [2, 4] {
-        let with = FastCfd::new(k).discover(&r);
-        let without = FastCfd::new(k).free_set_pruning(false).discover(&r);
+        let with = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+        let without = FastCfd::default()
+            .free_set_pruning(false)
+            .discover(&r, &DiscoverOptions::new(k));
         assert_eq!(with.cfds(), without.cfds(), "k={k}");
     }
     // and on adversarial random data
     for seed in 0..6 {
         let r = cfd_suite::datagen::random::RandomRelation::small(seed).generate();
-        let with = FastCfd::new(1).discover(&r);
-        let without = FastCfd::new(1).free_set_pruning(false).discover(&r);
+        let with = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
+        let without = FastCfd::default()
+            .free_set_pruning(false)
+            .discover(&r, &DiscoverOptions::new(1));
         assert_eq!(with.cfds(), without.cfds(), "seed={seed}");
     }
 }
@@ -159,8 +169,8 @@ fn free_set_pruning_ablation_is_pure_optimization() {
 #[test]
 fn max_lhs_is_a_prefix_of_the_cover() {
     let r = cfd_suite::datagen::cust::cust_relation();
-    let full = Ctane::new(2).discover(&r);
-    let capped = Ctane::new(2).max_lhs(2).discover(&r);
+    let full = Ctane::default().discover(&r, &DiscoverOptions::new(2));
+    let capped = Ctane::default().discover(&r, &DiscoverOptions::new(2).max_lhs(2));
     // capped = exactly the full-cover rules with LHS ≤ 2
     let expect: Vec<_> = full
         .iter()
@@ -181,7 +191,7 @@ fn unicode_values_survive_the_pipeline() {
         &["city", "country", "note"],
     );
     assert_all_agree(&r, 1);
-    let cover = FastCfd::new(2).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(2));
     let rule = parse_cfd(&r, "(city -> country, (東京 || 日本))").unwrap();
     assert!(cover.contains(&rule), "{}", cover.display(&r));
     // display round-trips through the dictionaries
@@ -192,14 +202,14 @@ fn unicode_values_survive_the_pipeline() {
 fn parallel_findcover_equals_serial() {
     let r = cfd_suite::datagen::tax::TaxGenerator::new(500).generate();
     for k in [2, 5] {
-        let serial = FastCfd::new(k).discover(&r);
-        let parallel = FastCfd::new(k).threads(4).discover(&r);
+        let serial = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
+        let parallel = FastCfd::default().discover(&r, &DiscoverOptions::new(k).threads(4));
         assert_eq!(serial.cfds(), parallel.cfds(), "k={k}");
     }
     for seed in 0..4 {
         let r = cfd_suite::datagen::random::RandomRelation::small(seed).generate();
-        let serial = FastCfd::new(1).discover(&r);
-        let parallel = FastCfd::new(1).threads(3).discover(&r);
+        let serial = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
+        let parallel = FastCfd::default().discover(&r, &DiscoverOptions::new(1).threads(3));
         assert_eq!(serial.cfds(), parallel.cfds(), "seed={seed}");
     }
 }
@@ -208,7 +218,7 @@ fn parallel_findcover_equals_serial() {
 fn tableau_grouping_through_the_public_api() {
     use cfd_suite::model::tableau::group_into_tableaux;
     let r = cfd_suite::datagen::cust::cust_relation();
-    let cover = FastCfd::new(2).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(2));
     let tableaux = group_into_tableaux(&cover);
     // fewer tableaux than single-pattern rules (grouping compresses)
     assert!(tableaux.len() < cover.len());

@@ -80,7 +80,7 @@ fn support_claims() {
 #[test]
 fn example5_and_7_minimality_via_discovery() {
     let r = cust_relation();
-    let cover = FastCfd::new(1).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
     // minimal rules present
     for txt in [
         "([CC, AC] -> CT, (_, _ || _))",         // f1
@@ -113,10 +113,10 @@ fn example7_cfdminer() {
     let r = cust_relation();
     let red = cfd(&r, "(AC -> CT, (908 || MH))");
     assert_eq!(support(&r, &red), 4);
-    let cover4 = CfdMiner::new(4).discover(&r);
+    let cover4 = CfdMiner.discover(&r, &DiscoverOptions::new(4));
     assert!(cover4.contains(&red));
     // at k = 5 it is gone
-    let cover5 = CfdMiner::new(5).discover(&r);
+    let cover5 = CfdMiner.discover(&r, &DiscoverOptions::new(5));
     assert!(!cover5.contains(&red));
 }
 
@@ -125,7 +125,7 @@ fn example7_cfdminer() {
 #[test]
 fn example8_ctane_run() {
     let r = cust_relation();
-    let cover = Ctane::new(3).discover(&r);
+    let cover = Ctane::default().discover(&r, &DiscoverOptions::new(3));
     for txt in [
         "(ZIP -> CC, (07974 || 01))",
         "(ZIP -> AC, (07974 || 908))",
@@ -144,7 +144,7 @@ fn example8_ctane_run() {
 #[test]
 fn example9_fastcfd_run() {
     let r = cust_relation();
-    let cover = FastCfd::new(2).discover(&r);
+    let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(2));
     let point_c = cfd(&r, "([CC, AC] -> STR, (44, _ || _))");
     assert!(cover.contains(&point_c), "cover:\n{}", cover.display(&r));
     // φ′ = ([CC,AC,PN] → STR, (01,_,_ ‖ _)) is subsumed by f2
@@ -179,9 +179,9 @@ fn lemma1_normalization() {
 #[test]
 fn quickstart_flow() {
     let rel = cust_relation();
-    let cover = FastCfd::new(2).discover(&rel);
+    let cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(2));
     assert!(cover.iter().all(|c| satisfies(&rel, c)));
-    let constants = CfdMiner::new(2).discover(&rel);
+    let constants = CfdMiner.discover(&rel, &DiscoverOptions::new(2));
     assert_eq!(constants.cfds(), cover.constant_cover().cfds());
     let (n_const, n_var) = cover.counts();
     assert_eq!(n_const + n_var, cover.len());

@@ -43,7 +43,7 @@ proptest! {
 
     #[test]
     fn fastcfd_outputs_hold_and_are_minimal(rel in arb_relation(), k in 1usize..=3) {
-        let cover = FastCfd::new(k).discover(&rel);
+        let cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         let problems = audit_cover(&rel, cover.iter(), k);
         prop_assert!(problems.is_empty(), "{problems:?}");
     }
@@ -55,30 +55,30 @@ proptest! {
         k in 1usize..=3,
     ) {
         for rel in [&narrow, &wide] {
-            let ctane = Ctane::new(k).discover(rel);
-            let fast = FastCfd::new(k).discover(rel);
+            let ctane = Ctane::default().discover(rel, &DiscoverOptions::new(k));
+            let fast = FastCfd::default().discover(rel, &DiscoverOptions::new(k));
             prop_assert_eq!(ctane.cfds(), fast.cfds(), "arity {}", rel.arity());
         }
     }
 
     #[test]
     fn naive_equals_fastcfd(rel in arb_relation(), k in 1usize..=3) {
-        let naive = FastCfd::naive(k).discover(&rel);
-        let fast = FastCfd::new(k).discover(&rel);
+        let naive = FastCfd::naive().discover(&rel, &DiscoverOptions::new(k));
+        let fast = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         prop_assert_eq!(naive.cfds(), fast.cfds());
     }
 
     #[test]
     fn complete_against_oracle(rel in arb_relation(), k in 1usize..=2) {
-        let fast = FastCfd::new(k).discover(&rel);
-        let want = BruteForce::new(k).discover(&rel);
+        let fast = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
+        let want = BruteForce.discover(&rel, &DiscoverOptions::new(k));
         prop_assert_eq!(fast.cfds().to_vec(), want.cfds().to_vec());
     }
 
     #[test]
     fn cfdminer_is_the_constant_fragment(rel in arb_relation(), k in 1usize..=3) {
-        let miner = CfdMiner::new(k).discover(&rel);
-        let fast = FastCfd::new(k).discover(&rel);
+        let miner = CfdMiner.discover(&rel, &DiscoverOptions::new(k));
+        let fast = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         prop_assert_eq!(miner.cfds().to_vec(), fast.constant_cover().cfds().to_vec());
         prop_assert!(miner.iter().all(|c| c.is_constant()));
     }
@@ -89,7 +89,7 @@ proptest! {
     ) {
         // duplicating rows preserves every discovered CFD (satisfaction is
         // closed under tuple duplication) and can only increase support
-        let cover = FastCfd::new(k).discover(&rel);
+        let cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
         let rows: Vec<u32> = rel.tuples().chain(rel.tuples()).collect();
         let doubled = rel.restrict(&rows);
         for cfd in cover.iter() {
@@ -104,7 +104,7 @@ proptest! {
     ) {
         // every CFD in the cover passes is_minimal; conversely the cover
         // is exactly the minimal set (spot-checked via the oracle above)
-        let cover = FastCfd::new(1).discover(&rel);
+        let cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(1));
         for cfd in cover.iter() {
             prop_assert!(is_minimal(&rel, cfd, 1));
         }
@@ -113,7 +113,7 @@ proptest! {
     #[test]
     fn violations_iff_not_satisfied(rel in arb_relation()) {
         // violations() and satisfies() agree for arbitrary single rules
-        let cover = FastCfd::new(1).discover(&rel);
+        let cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(1));
         for cfd in cover.iter().take(10) {
             prop_assert!(violations(&rel, cfd).is_empty());
         }
@@ -143,16 +143,16 @@ proptest! {
         }
         let pairs = [
             (
-                Ctane::new(k).min_confidence(1.0).discover(&rel),
-                Ctane::new(k).discover(&rel),
+                Ctane::default().discover(&rel, &DiscoverOptions::new(k).min_confidence(1.0)),
+                Ctane::default().discover(&rel, &DiscoverOptions::new(k)),
             ),
             (
-                Tane::new().min_confidence(1.0).discover(&rel),
-                Tane::new().discover(&rel),
+                Tane.discover(&rel, &DiscoverOptions::default().min_confidence(1.0)),
+                Tane.discover(&rel, &DiscoverOptions::default()),
             ),
             (
-                CfdMiner::new(k).min_confidence(1.0).discover(&rel),
-                CfdMiner::new(k).discover(&rel),
+                CfdMiner.discover(&rel, &DiscoverOptions::new(k).min_confidence(1.0)),
+                CfdMiner.discover(&rel, &DiscoverOptions::new(k)),
             ),
         ];
         for (via_theta, exact) in &pairs {
@@ -224,10 +224,10 @@ proptest! {
     }
 }
 
-/// Parity guarantees of the partition engine rebuild: thread count and
-/// cache budget are pure performance knobs — discovery output
-/// (rules AND measures, i.e. the full annotated wire document) is
-/// byte-identical across them for every level-wise algorithm.
+/// Parity guarantees of the partition engine rebuild: thread count (for
+/// every level-wise algorithm) and CTANE's cache budget are pure
+/// performance knobs — discovery output (rules AND measures, i.e. the
+/// full annotated wire document) is byte-identical across them.
 mod engine_parity {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,10 +290,14 @@ mod engine_parity {
                 for rel in [&narrow, &wide] {
                     let ctane = |budget: usize| {
                         let mut stats = SearchStats::default();
-                        let (cover, measures) = Ctane::new(k)
-                            .min_confidence(theta)
+                        let (cover, measures) = Ctane::default()
                             .cache_budget(budget)
-                            .run_measured(rel, &Control::default(), &mut stats)
+                            .run(
+                                rel,
+                                &DiscoverOptions::new(k).min_confidence(theta),
+                                &Control::default(),
+                                &mut stats,
+                            )
                             .expect("default Control is never cancelled");
                         (cover, measures, stats.store)
                     };
@@ -307,12 +311,6 @@ mod engine_parity {
                         }
                     }
                 }
-                let cached = Tane::new().min_confidence(theta).discover(&narrow);
-                let uncached = Tane::new()
-                    .min_confidence(theta)
-                    .cache_budget(0)
-                    .discover(&narrow);
-                prop_assert_eq!(cached.cfds(), uncached.cfds(), "tane θ={}", theta);
             }
         }
 
