@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| Tane.run(rel, &opts, &Control::default(), &mut SearchStats::default()))
     });
     group.bench_with_input(BenchmarkId::new("fd", "fastfd"), &rel, |b, rel| {
-        b.iter(|| FastFd::default().run(rel, &Control::default(), &mut SearchStats::default()))
+        b.iter(|| FastFd.run(rel, &Control::default(), &mut SearchStats::default()))
     });
 
     // partition-layer constant lookups: the CTANE-shaped workload of

@@ -175,7 +175,7 @@ impl Algo {
             Algo::FastCfd => Box::new(FastCfd::default()),
             Algo::Naive => Box::new(FastCfd::naive()),
             Algo::Tane => Box::new(Tane),
-            Algo::FastFd => Box::new(FastFd::default()),
+            Algo::FastFd => Box::new(FastFd),
             Algo::BruteForce => Box::new(BruteForce),
         }
     }

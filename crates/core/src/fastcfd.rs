@@ -187,6 +187,9 @@ fn covers(y: AttrSet, dm: &[AttrSet]) -> bool {
 pub struct FastCfd {
     mode: DiffSetMode,
     dynamic_reorder: bool,
+    /// Constant CFDs from CFDMiner (true) or inline from FindCover's
+    /// step 3.a (false); [`FastCfd::naive`] and
+    /// `free_set_pruning(false)` clear it.
     constants_via_cfdminer: bool,
     free_set_pruning: bool,
 }
@@ -223,13 +226,6 @@ impl FastCfd {
     /// `FindMin` (ablation knob).
     pub fn dynamic_reorder(mut self, on: bool) -> FastCfd {
         self.dynamic_reorder = on;
-        self
-    }
-
-    /// Chooses between CFDMiner (true, default) and FindCover step 3.a
-    /// (false) for constant CFDs.
-    pub fn constants_via_cfdminer(mut self, on: bool) -> FastCfd {
-        self.constants_via_cfdminer = on;
         self
     }
 
@@ -590,7 +586,6 @@ mod tests {
                 FastCfd::default(),
                 FastCfd::naive(),
                 FastCfd::default().dynamic_reorder(false),
-                FastCfd::default().constants_via_cfdminer(false),
                 FastCfd::naive().mode(DiffSetMode::ClosedSets),
             ] {
                 let got = cfg.discover(&r, &DiscoverOptions::new(k));

@@ -17,20 +17,11 @@ use cfd_partition::agree::agree_sets;
 
 /// Depth-first minimal-FD discovery. It reads no shared knob: FDs
 /// have no support threshold, and the search has no LHS bound,
-/// confidence threshold or workers. `FastFd::default()` reorders
-/// dynamically.
+/// confidence threshold or workers.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FastFd {
-    no_reorder: bool,
-}
+pub struct FastFd;
 
 impl FastFd {
-    /// Disables dynamic attribute reordering (ablation knob).
-    pub fn dynamic_reorder(mut self, on: bool) -> FastFd {
-        self.no_reorder = !on;
-        self
-    }
-
     /// Discovers all minimal FDs `X → A` with `X ≠ ∅` of `rel`, as
     /// all-wildcard variable CFDs. Polls `ctrl` per RHS attribute,
     /// times the `agree-sets` phase, and counts difference-set
@@ -113,9 +104,9 @@ impl FastFd {
                 (c > 0).then_some((c, b))
             })
             .collect();
-        if !self.no_reorder {
-            scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        }
+        // dynamic reordering: the attributes covering the most remaining
+        // difference sets first
+        scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let order: Vec<AttrId> = scored.into_iter().map(|(_, b)| b).collect();
         for (i, &b) in order.iter().enumerate() {
             let rem2: Vec<AttrSet> = remaining
@@ -153,10 +144,10 @@ mod tests {
     use cfd_model::cfd::parse_cfd;
     use cfd_model::options::DiscoverOptions;
 
-    /// `fd`'s cover of `rel`, and TANE's, which it must equal.
-    fn covers(fd: FastFd, rel: &Relation) -> (CanonicalCover, CanonicalCover) {
+    /// FastFD's cover of `rel`, and TANE's, which it must equal.
+    fn covers(rel: &Relation) -> (CanonicalCover, CanonicalCover) {
         let ctrl = Control::default();
-        let fast = fd.run(rel, &ctrl, &mut SearchStats::default());
+        let fast = FastFd.run(rel, &ctrl, &mut SearchStats::default());
         let tane = Tane.run(
             rel,
             &DiscoverOptions::default(),
@@ -170,7 +161,7 @@ mod tests {
     #[test]
     fn agrees_with_tane_on_cust() {
         let r = cust_relation();
-        let (fast, tane) = covers(FastFd::default(), &r);
+        let (fast, tane) = covers(&r);
         assert_eq!(
             tane.cfds(),
             fast.cfds(),
@@ -192,8 +183,7 @@ mod tests {
                 seed,
             }
             .generate();
-            let (fast, tane) = covers(FastFd::default(), &r);
-            let (noreorder, _) = covers(FastFd::default().dynamic_reorder(false), &r);
+            let (fast, tane) = covers(&r);
             assert_eq!(
                 tane.cfds(),
                 fast.cfds(),
@@ -201,7 +191,6 @@ mod tests {
                 tane.display(&r),
                 fast.display(&r)
             );
-            assert_eq!(fast.cfds(), noreorder.cfds(), "seed {seed} (reorder)");
         }
     }
 
@@ -213,7 +202,7 @@ mod tests {
         use cfd_model::schema::Schema;
         let schema = Schema::new(["A", "B"]).unwrap();
         let r = relation_from_rows(schema, &[vec!["1", "x"], vec!["2", "y"]]).unwrap();
-        let (cover, tane) = covers(FastFd::default(), &r);
+        let (cover, tane) = covers(&r);
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(1), 0)));
         assert_eq!(cover.len(), 2);

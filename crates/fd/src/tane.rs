@@ -95,7 +95,7 @@ impl Tane {
         if n == 0 {
             return Ok((CanonicalCover::from_cfds(out), Vec::new()));
         }
-        let mut store: PartitionStore<AttrSet> = PartitionStore::default();
+        let mut store = PartitionStore::default();
         let mut scratch = RefineScratch::for_relation(rel);
 
         let full = AttrSet::full(arity);
@@ -110,14 +110,14 @@ impl Tane {
                     n_classes: p.n_classes(),
                     cplus: full,
                 };
-                store.insert(attrs, 1, p);
+                store.insert(attrs, p);
                 node
             })
             .collect();
         let mut prev_classes: FxHashMap<AttrSet, usize> = FxHashMap::default();
         prev_classes.insert(AttrSet::EMPTY, 1);
         if approx {
-            store.insert(AttrSet::EMPTY, 0, StrippedPartition::full(n));
+            store.insert(AttrSet::EMPTY, StrippedPartition::full(n));
         }
 
         let mut ell = 1usize;
@@ -275,7 +275,7 @@ impl Tane {
             let mut next: Vec<Node> = Vec::new();
             for g in produced {
                 if let Some(part) = g.partition {
-                    store.insert(g.node.attrs, ell as u32 + 1, part);
+                    store.insert(g.node.attrs, part);
                 }
                 next.push(g.node);
             }
@@ -283,9 +283,9 @@ impl Tane {
                 break;
             }
             // slide the level window (see the module docs)
-            store.retire_level(ell as u32 - 1);
+            store.retire_level(ell - 1);
             if !approx {
-                store.retire_level(ell as u32);
+                store.retire_level(ell);
             }
             prev_classes = level_now
                 .into_iter()
@@ -309,7 +309,7 @@ struct ExpandCtx<'a> {
     level: &'a [Node],
     index: &'a FxHashMap<AttrSet, usize>,
     order: &'a [usize],
-    store: &'a PartitionStore<AttrSet>,
+    store: &'a PartitionStore,
     last_level: bool,
 }
 
@@ -384,7 +384,7 @@ impl ExpandCtx<'_> {
 /// The keep count of the parent attribute set's partition w.r.t. RHS
 /// `a` — served from the store, rebuilt from the relation on a miss.
 fn parent_keep(
-    store: &mut PartitionStore<AttrSet>,
+    store: &mut PartitionStore,
     rel: &Relation,
     parent: AttrSet,
     a: usize,
@@ -398,7 +398,7 @@ fn parent_keep(
         StrippedPartition::of_pattern(rel, parent.iter().map(|b| (b, PVal::Var)), scratch);
     stats.partitions += 1;
     let keep = rebuilt.keep_count(rel, a, scratch);
-    store.insert(parent, parent.len() as u32, rebuilt);
+    store.insert(parent, rebuilt);
     keep
 }
 #[cfg(test)]

@@ -58,7 +58,7 @@ fn fd_baselines_match_wildcard_fragment() {
         }
         .generate();
         let tane = Tane.discover(&r, &DiscoverOptions::default());
-        let fastfd = FastFd::default().discover(&r, &DiscoverOptions::default());
+        let fastfd = FastFd.discover(&r, &DiscoverOptions::default());
         let cfds = FastCfd::default().discover(&r, &DiscoverOptions::new(1));
         assert_eq!(tane.cfds(), fastfd.cfds(), "seed {seed}");
         assert_eq!(

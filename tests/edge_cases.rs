@@ -140,7 +140,7 @@ fn binary_matrix_relation() {
         assert_all_agree(&r, k);
     }
     // b4 = b0 and b5 = b1 by construction (bit index mod 4)
-    let fds = FastFd::default().discover(&r, &DiscoverOptions::default());
+    let fds = FastFd.discover(&r, &DiscoverOptions::default());
     assert!(fds.contains(&Cfd::fd(AttrSet::singleton(0), 4)));
     assert!(fds.contains(&Cfd::fd(AttrSet::singleton(5), 1)));
 }

@@ -319,8 +319,9 @@ mod engine_parity {
             rel in arb_relation(),
             k in 1usize..=2,
         ) {
-            // run_measured's at-emission numbers must be exactly what a
-            // fresh per-rule scan reports — for exact and θ < 1 runs
+            // the measures each miner's `Discoverer::run` takes at
+            // emission must be exactly what a fresh per-rule scan
+            // reports — for exact and θ < 1 runs
             for theta in [0.8, 1.0] {
                 for algo in [
                     Algo::Ctane,
