@@ -25,10 +25,10 @@
 //!   1000-row tax instance at k 2, its lattice levels flat tables with
 //!   partitions freed run by run.
 //! * `fastcfd_closed2` — the default `cfd discover` path's heaviest
-//!   step: mining the Closed₂ index FastCFD builds (the free and closed
+//!   step: mining FastCFD's Closed₂ index (the closures of the free
 //!   item sets at k 2) over a 20k-row tax instance, single-threaded.
-//!   Only the mining is timed, so a return of the quadratic level join
-//!   (DESIGN.md §2.3) is not diluted by FastCFD's other phases.
+//!   Only the index pass is timed, so a return of the quadratic level
+//!   join (DESIGN.md §2.3) is not diluted by FastCFD's other phases.
 //! * `stream_batch` — the `cfd watch` path: steady-state insert+delete
 //!   batches through a warm `StreamEngine`.
 //! * `remine_drift` — the `cfd watch --remine` path: a drift batch
@@ -54,7 +54,7 @@
 use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
 use cfd_core::FastCfd;
 use cfd_datagen::tax::TaxGenerator;
-use cfd_itemset::mine::{mine_free_closed, MineOptions};
+use cfd_itemset::ClosedSetIndex;
 use cfd_model::attrset::AttrSet;
 use cfd_model::{Cfd, Json, Relation};
 use cfd_serve::client::{Client, ClientRead};
@@ -132,15 +132,10 @@ fn run_ctane(rel: &Relation) -> u64 {
     d.cover.len() as u64
 }
 
-/// The `fastcfd_closed2` workload: FastCFD's Closed₂ mining, exactly
-/// as its index builds it (k 2, no tidsets), on one thread.
+/// The `fastcfd_closed2` workload: the pass that mines FastCFD's
+/// Closed₂ index, on one thread.
 fn run_closed2(rel: &Relation) -> u64 {
-    let opts = MineOptions {
-        keep_tids: false,
-        ..MineOptions::default()
-    };
-    let mined = mine_free_closed(rel, 2, opts);
-    (mined.free.len() + mined.closed.len()) as u64
+    ClosedSetIndex::mine(rel, 1).len() as u64
 }
 
 /// The `cfd watch` workload: each round inserts a pre-encoded batch

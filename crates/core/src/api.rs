@@ -236,8 +236,9 @@ impl std::error::Error for UnknownAlgo {}
 pub struct Note {
     /// The algorithm the note is about.
     pub algo: Algo,
-    /// The ignored option, in CLI-flag spelling (`"threads"`,
-    /// `"max-lhs"`, `"k"`, `"constants-only"`).
+    /// The ignored option, in CLI-flag spelling (`"max-lhs"`, `"k"`,
+    /// `"constants-only"`, `"min-confidence"`; a serve job's
+    /// `"cache-budget-mb"`).
     pub option: &'static str,
     /// The value that was supplied.
     pub value: String,

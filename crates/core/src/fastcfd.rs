@@ -64,18 +64,7 @@ fn build_closed2_index(
     threads: usize,
 ) -> Option<ClosedSetIndex> {
     match mode {
-        DiffSetMode::ClosedSets => {
-            let mined2 = mine_free_closed(
-                rel,
-                2,
-                MineOptions {
-                    keep_tids: false,
-                    threads,
-                    ..MineOptions::default()
-                },
-            );
-            Some(ClosedSetIndex::build(&mined2))
-        }
+        DiffSetMode::ClosedSets => Some(ClosedSetIndex::mine(rel, threads)),
         DiffSetMode::StrippedPartitions => None,
     }
 }
@@ -565,6 +554,50 @@ mod tests {
                 &vec![AttrSet::from_iter([ids["AC"], ids["CT"], ids["ZIP"]])],
                 "mode {mode:?}"
             );
+        }
+    }
+
+    #[test]
+    fn closed_sets_that_are_no_pairs_agree_set_change_nothing() {
+        // every pair of these tuples agrees on X and on exactly one of B,
+        // C and D, so the closed set {X = a} (clo(∅): X is constant) is
+        // no pair's agree set. It lies strictly inside the agree set of
+        // any two of its tuples that differ on the RHS, so minimizing
+        // drops its complement and both engines find the same Dᵐ_A.
+        use cfd_model::relation::relation_from_rows;
+        use cfd_model::schema::Schema;
+        let schema = Schema::new(["X", "B", "C", "D"]).unwrap();
+        let r = relation_from_rows(
+            schema,
+            &[
+                vec!["a", "1", "1", "1"],
+                vec!["a", "1", "2", "2"],
+                vec!["a", "2", "1", "2"],
+                vec!["a", "2", "2", "1"],
+            ],
+        )
+        .unwrap();
+        let index = ClosedSetIndex::mine(&r, 1);
+        let xa = Pattern::from_pairs([(0, PVal::Const(r.column(0).dict().code("a").unwrap()))]);
+        assert!(index.agree_attr_sets(&xa).contains(&AttrSet::singleton(0)));
+        let mined = mine_free_closed(&r, 2, MineOptions::default());
+        let mut closed = DiffSetEngine::new(&r, DiffSetMode::ClosedSets, Some(&index));
+        let mut pairs = DiffSetEngine::new(&r, DiffSetMode::StrippedPartitions, None);
+        for fi in 0..mined.free.len() {
+            for rhs in 0..r.arity() {
+                assert_eq!(
+                    closed.min_diff_sets(&mined, fi, rhs),
+                    pairs.min_diff_sets(&mined, fi, rhs),
+                    "pattern {:?} rhs {rhs}",
+                    mined.free[fi].pattern
+                );
+            }
+        }
+        for k in [1, 2] {
+            let opts = DiscoverOptions::new(k);
+            let fast = FastCfd::default().discover(&r, &opts);
+            let naive = FastCfd::naive().discover(&r, &opts);
+            assert_eq!(fast.cfds(), naive.cfds(), "k {k}");
         }
     }
 

@@ -1,48 +1,84 @@
-//! Inverted index over closed item sets.
+//! Inverted index over Closed₂(r), the 2-frequent closed item sets.
 //!
 //! FastCFD (Section 5.5) derives the difference sets of `r_tp` from the
-//! 2-frequent closed item sets that *match* the constant pattern `tp`:
-//! the maximal pairwise agree sets of `r_tp` are exactly the maximal
-//! closed sets containing `(X, tp)` (closedness guarantees each candidate
-//! complement is realized by an actual tuple pair — see DESIGN.md §2).
-//! This index answers "which closed sets contain pattern `p`?" by
+//! closed sets that *match* the constant pattern `tp`. Every pair of
+//! tuples of `r_tp` agrees on a closed set that contains `(X, tp)`, and
+//! every other such closed set lies strictly inside the agree set of two
+//! of its tuples that differ on the RHS, so minimizing the complements
+//! keeps exactly the minimal difference sets (DESIGN.md §2.4). This
+//! index answers "which closed sets contain pattern `p`?" by
 //! intersecting per-item posting lists.
 
-use crate::mine::Mined;
+use crate::mine::closed2;
 use cfd_model::attrset::AttrSet;
-use cfd_model::fxhash::FxHashMap;
 use cfd_model::pattern::Pattern;
+use cfd_model::relation::Relation;
 
 /// Inverted index: item `(attr, code)` → indices of the closed sets whose
 /// pattern contains the item.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ClosedSetIndex {
     /// Attribute sets of the indexed closed sets (what difference-set
-    /// computation consumes).
+    /// computation consumes), in mining order.
     attr_sets: Vec<AttrSet>,
-    patterns: Vec<Pattern>,
-    postings: FxHashMap<(usize, u32), Vec<u32>>,
+    /// Dense item ids: item `(a, c)` is `item_base[a] + c`, and
+    /// `item_base[arity]` is the number of items.
+    item_base: Vec<usize>,
+    /// The closed sets holding item `i` are
+    /// `postings[starts[i]..starts[i + 1]]`, ascending.
+    starts: Vec<usize>,
+    postings: Vec<u32>,
 }
 
 impl ClosedSetIndex {
-    /// Builds the index over the closed sets of a mining result
-    /// (typically mined with `k = 2`).
-    pub fn build(mined: &Mined) -> ClosedSetIndex {
-        let mut postings: FxHashMap<(usize, u32), Vec<u32>> = FxHashMap::default();
-        let mut attr_sets = Vec::with_capacity(mined.closed.len());
-        let mut patterns = Vec::with_capacity(mined.closed.len());
-        for (i, c) in mined.closed.iter().enumerate() {
-            attr_sets.push(c.pattern.attrs());
-            patterns.push(c.pattern.clone());
-            for (a, v) in c.pattern.iter() {
-                let code = v.as_const().expect("closed sets are all-constant");
-                postings.entry((a, code)).or_default().push(i as u32);
+    /// Mines Closed₂(`rel`) on `threads` workers and indexes it: the
+    /// closures of the 2-frequent free sets, each once, in the order
+    /// `mine_free_closed(rel, 2, _)` lists its closed sets — the same at
+    /// every thread count. Only the closures are kept, as attribute sets
+    /// and postings.
+    pub fn mine(rel: &Relation, threads: usize) -> ClosedSetIndex {
+        let closures = closed2(rel, threads);
+        let mut item_base = Vec::with_capacity(rel.arity() + 1);
+        item_base.push(0);
+        for a in 0..rel.arity() {
+            item_base.push(item_base[a] + rel.column(a).domain_size());
+        }
+        // count each item's closed sets, then fill the lists in closure
+        // order, so each comes out ascending
+        let mut starts = vec![0usize; item_base[rel.arity()] + 1];
+        for c in &closures {
+            for (a, code) in c.items(rel) {
+                starts[item_base[a] + code as usize + 1] += 1;
+            }
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut fill = starts.clone();
+        let mut postings = vec![0u32; starts[starts.len() - 1]];
+        for (i, c) in (0u32..).zip(&closures) {
+            for (a, code) in c.items(rel) {
+                let slot = &mut fill[item_base[a] + code as usize];
+                postings[*slot] = i;
+                *slot += 1;
             }
         }
         ClosedSetIndex {
-            attr_sets,
-            patterns,
+            attr_sets: closures.iter().map(|c| c.attrs).collect(),
+            item_base,
+            starts,
             postings,
         }
+    }
+
+    /// The closed sets holding item `(a, code)` (empty for an item the
+    /// relation does not have).
+    fn posting(&self, a: usize, code: u32) -> &[u32] {
+        let item = self.item_base[a] + code as usize;
+        if item >= self.item_base[a + 1] {
+            return &[];
+        }
+        &self.postings[self.starts[item]..self.starts[item + 1]]
     }
 
     /// Number of indexed closed sets.
@@ -55,16 +91,6 @@ impl ClosedSetIndex {
         self.attr_sets.is_empty()
     }
 
-    /// The attribute set of closed set `i`.
-    pub fn attrs(&self, i: usize) -> AttrSet {
-        self.attr_sets[i]
-    }
-
-    /// The pattern of closed set `i`.
-    pub fn pattern(&self, i: usize) -> &Pattern {
-        &self.patterns[i]
-    }
-
     /// Indices of the closed sets whose pattern contains `p` (an
     /// all-constant pattern). The empty pattern matches every closed set.
     pub fn containing(&self, p: &Pattern) -> Vec<u32> {
@@ -72,9 +98,9 @@ impl ClosedSetIndex {
         let mut lists: Vec<&[u32]> = Vec::with_capacity(p.len());
         for (a, v) in p.iter() {
             let code = v.as_const().expect("query patterns are all-constant");
-            match self.postings.get(&(a, code)) {
-                Some(l) => lists.push(l),
-                None => return Vec::new(),
+            match self.posting(a, code) {
+                [] => return Vec::new(),
+                l => lists.push(l),
             }
         }
         if lists.is_empty() {
@@ -153,7 +179,7 @@ mod tests {
     fn containing_matches_linear_scan() {
         let r = cust();
         let mined = mine_free_closed(&r, 2, MineOptions::default());
-        let idx = ClosedSetIndex::build(&mined);
+        let idx = ClosedSetIndex::mine(&r, 1);
         assert_eq!(idx.len(), mined.closed.len());
 
         let queries = [
@@ -179,8 +205,7 @@ mod tests {
     #[test]
     fn unknown_item_yields_nothing() {
         let r = cust();
-        let mined = mine_free_closed(&r, 2, MineOptions::default());
-        let idx = ClosedSetIndex::build(&mined);
+        let idx = ClosedSetIndex::mine(&r, 1);
         // AC=212 has support 1, so no 2-frequent closed set contains it
         let q = pat(&r, &[("AC", "212")]);
         assert!(idx.containing(&q).is_empty());
@@ -189,8 +214,7 @@ mod tests {
     #[test]
     fn agree_attr_sets_are_attr_projections() {
         let r = cust();
-        let mined = mine_free_closed(&r, 2, MineOptions::default());
-        let idx = ClosedSetIndex::build(&mined);
+        let idx = ClosedSetIndex::mine(&r, 1);
         let q = pat(&r, &[("CC", "44")]);
         let agree = idx.agree_attr_sets(&q);
         assert!(!agree.is_empty());

@@ -19,10 +19,16 @@
 //! the codes of each attribute after its last, and a part of at least
 //! `k` tuples becomes a child when all its immediate sub-patterns are
 //! free sets of the level with strictly larger support. Closures are
-//! obtained by an early-exit column scan over each free set's tidset. The output — the
-//! (free, closed, C2F) triple — is identical to GCGrowth's, which is all
-//! the discovery algorithms observe (see DESIGN.md §2 for the
-//! substitution note).
+//! obtained by an early-exit column scan over each free set's tidset.
+//!
+//! Two passes drive that one level walk and differ only in what they
+//! register. [`mine_free_closed`] registers every free set with its
+//! tidset and closure: the (free, closed, C2F) triple, identical to
+//! GCGrowth's, which is all CFDMiner and FastCFD's pattern search
+//! observe (see DESIGN.md §2 for the substitution note).
+//! [`ClosedSetIndex::mine`] registers only each distinct closure of the
+//! 2-frequent free sets — an attribute set and one supporting row — and
+//! indexes Closed₂(r) from them, building no free set or pattern.
 //!
 //! ```
 //! use cfd_itemset::{mine_free_closed, MineOptions};
@@ -35,6 +41,9 @@
 //! let clo = mined.closure_of(i);
 //! assert!(clo.pattern.len() >= mined.free[i].pattern.len());
 //! assert_eq!(clo.support, 2);
+//! // at k 2 the Closed₂ index holds the same closed sets
+//! let index = cfd_itemset::ClosedSetIndex::mine(&rel, 1);
+//! assert_eq!(index.len(), mined.closed.len());
 //! ```
 
 #![forbid(unsafe_code)]

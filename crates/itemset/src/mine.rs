@@ -1,10 +1,14 @@
-//! The level-wise free/closed item-set miner.
+//! The level-wise free/closed item-set miner: one level walk, and the
+//! two passes that drive it — [`mine_free_closed`] and the closed sets
+//! behind [`crate::ClosedSetIndex::mine`].
 
 use cfd_model::attrset::AttrSet;
 use cfd_model::fxhash::FxHashMap;
 use cfd_model::pattern::{PVal, Pattern};
 use cfd_model::progress::par_map;
 use cfd_model::relation::{Relation, TupleId};
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 
 /// A k-frequent *free* item set `(X, tp)` (no strictly smaller pattern has
 /// the same support).
@@ -112,25 +116,84 @@ struct Node {
     tids: Vec<TupleId>,
 }
 
-fn pattern_of(items: &[(usize, u32)]) -> Pattern {
-    Pattern::from_pairs(items.iter().map(|&(a, c)| (a, PVal::Const(c))))
+/// The all-constant pattern over `attrs` with `codes` in attribute order.
+fn pattern_of(attrs: AttrSet, codes: impl Iterator<Item = u32>) -> Pattern {
+    Pattern::new(attrs, codes.map(PVal::Const).collect())
+}
+
+/// A closure `clo(X, tp)` as its attribute set and one supporting row:
+/// every supporting row agrees on those attributes, so the row's codes
+/// there are the closure's items.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Closure {
+    pub(crate) attrs: AttrSet,
+    row: TupleId,
+}
+
+impl Closure {
+    /// The closure's items `(attr, code)`, ascending by attribute.
+    pub(crate) fn items(self, rel: &Relation) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.attrs.iter().map(move |a| (a, rel.code(self.row, a)))
+    }
 }
 
 /// Computes `clo(X, tp)` for a tidset: every `(B, b)` item shared by all
 /// supporting tuples. Early-exits per attribute on the first mismatch.
-fn closure_of_tids(rel: &Relation, tids: &[TupleId]) -> Pattern {
+fn closure_of_tids(rel: &Relation, tids: &[TupleId]) -> Closure {
     debug_assert!(!tids.is_empty());
+    let row = tids[0];
     let mut attrs = AttrSet::EMPTY;
-    let mut vals = Vec::new();
     for a in 0..rel.arity() {
         let col = rel.column(a);
-        let c0 = col.code(tids[0]);
+        let c0 = col.code(row);
         if tids[1..].iter().all(|&t| col.code(t) == c0) {
             attrs.insert(a);
-            vals.push(PVal::Const(c0));
         }
     }
-    Pattern::new(attrs, vals)
+    Closure { attrs, row }
+}
+
+/// A closure as a map key: keys are equal when their items are.
+struct Key<'r>(&'r Relation, Closure);
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (Key(rel, a), Key(_, b)) = (self, other);
+        a.attrs == b.attrs && a.items(rel).eq(b.items(rel))
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for (a, c) in self.1.items(self.0) {
+            state.write_u64((a as u64) << 32 | u64::from(c));
+        }
+    }
+}
+
+/// The distinct closures a walk meets, each stored once and numbered in
+/// order of first registration.
+#[derive(Default)]
+struct Closures<'r> {
+    ids: FxHashMap<Key<'r>, u32>,
+    list: Vec<Closure>,
+}
+
+impl<'r> Closures<'r> {
+    /// The number of `c`'s closure, and whether this call registered it.
+    fn intern(&mut self, rel: &'r Relation, c: Closure) -> (u32, bool) {
+        let id = self.list.len() as u32;
+        match self.ids.entry(Key(rel, c)) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => {
+                e.insert(id);
+                self.list.push(c);
+                (id, true)
+            }
+        }
+    }
 }
 
 /// One worker's scratch for [`children`]: a tuple count per code of the
@@ -151,17 +214,25 @@ struct Split {
 /// level (`supp`, keyed by item list) and, when only free sets are
 /// mined, has strictly larger support. Children come out ascending by
 /// item list, each tidset ascending.
+///
+/// When only free sets are mined, a node of at most `k` tuples has no
+/// child, and no attribute of the node's closure `closed` is split: it
+/// holds one code on the whole tidset, a part as large as the node.
 fn children(
     rel: &Relation,
     node: &Node,
+    closed: AttrSet,
     supp: &FxHashMap<&[(usize, u32)], usize>,
     k: usize,
     free_only: bool,
     s: &mut Split,
 ) -> Vec<Node> {
     let mut out = Vec::new();
+    if free_only && node.tids.len() <= k {
+        return out;
+    }
     let first = node.items.last().map_or(0, |&(a, _)| a + 1);
-    for b in first..rel.arity() {
+    for b in (first..rel.arity()).filter(|&b| !(free_only && closed.contains(b))) {
         let codes = rel.column(b).codes();
         for &t in &node.tids {
             let c = codes[t as usize];
@@ -221,27 +292,24 @@ fn children(
     out
 }
 
-/// Mines the k-frequent free item sets of `rel`, their closures, and the
-/// C2F mapping. `k ≥ 1` is required; the empty pattern is included as a
-/// free set whenever `|r| ≥ k` (its closure collects the constant
-/// columns of `rel`).
-///
-/// A level costs one pass over its nodes' tidsets per later attribute
-/// (the extension step), not one tidset intersection per pair of
+/// The level walk both passes drive. Level 0 is the empty pattern, held
+/// by every tuple; every later level is the extension step applied to
+/// each node of the one before (from ∅ it yields the k-frequent single
+/// items, free iff held by fewer than all tuples — an item every tuple
+/// holds is in clo(∅)). A level costs one pass over its nodes' tidsets
+/// per later attribute, not one tidset intersection per pair of
 /// siblings as in a prefix join.
-pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
+///
+/// Each node's closure scan and extension step run on `opts.threads`
+/// workers, which own disjoint nodes. `register` then sees every node
+/// with its closure, level by level in node order, so whatever it builds
+/// is identical at every thread count.
+fn walk(rel: &Relation, k: usize, opts: MineOptions, mut register: impl FnMut(Node, Closure)) {
     assert!(k >= 1, "support threshold k must be at least 1");
     let n = rel.n_rows();
-    let mut out = Mined::default();
     if n < k || n == 0 {
-        return out;
+        return;
     }
-
-    let mut closed_by_pattern: FxHashMap<Pattern, u32> = FxHashMap::default();
-    // level 0 is the empty pattern, held by every tuple; every later
-    // level is the extension step applied to each node of the one before
-    // (from ∅ it yields the k-frequent single items, free iff held by
-    // fewer than all tuples — an item every tuple holds is in clo(∅))
     let widest = (0..rel.arity())
         .map(|a| rel.column(a).domain_size())
         .max()
@@ -251,23 +319,17 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
         tids: (0..n as TupleId).collect(),
     }];
     let mut level_no = 0usize;
-    loop {
-        // closures and children are independent per node: workers own
-        // disjoint nodes and their results merge back in node order, so
-        // the outcome is identical at every thread count
-        let closures: Vec<Pattern> = par_map(
-            &level,
-            opts.threads,
-            || (),
-            |node, _| closure_of_tids(rel, &node.tids),
-        );
-        let next: Vec<Node> = if opts.max_len == Some(level_no) {
-            Vec::new()
-        } else {
-            let supp: FxHashMap<&[(usize, u32)], usize> = level
-                .iter()
-                .map(|node| (&node.items[..], node.tids.len()))
-                .collect();
+    while !level.is_empty() {
+        let last = opts.max_len == Some(level_no);
+        let expanded: Vec<(Closure, Vec<Node>)> = {
+            let supp: FxHashMap<&[(usize, u32)], usize> = if last {
+                FxHashMap::default()
+            } else {
+                level
+                    .iter()
+                    .map(|node| (&node.items[..], node.tids.len()))
+                    .collect()
+            };
             par_map(
                 &level,
                 opts.threads,
@@ -275,42 +337,78 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
                     count: vec![0; widest],
                     ..Split::default()
                 },
-                |node, s| children(rel, node, &supp, k, opts.free_only, s),
+                |node, s| {
+                    let closure = closure_of_tids(rel, &node.tids);
+                    let kids = if last {
+                        Vec::new()
+                    } else {
+                        children(rel, node, closure.attrs, &supp, k, opts.free_only, s)
+                    };
+                    (closure, kids)
+                },
             )
-            .into_iter()
-            .flatten()
-            .collect()
         };
+        let mut next = Vec::new();
+        for (node, (closure, kids)) in level.into_iter().zip(expanded) {
+            register(node, closure);
+            next.extend(kids);
+        }
         // the children of ascending nodes, in node order, ascend too
         debug_assert!(next.windows(2).all(|w| w[0].items < w[1].items));
-        for (node, closure) in level.into_iter().zip(closures) {
-            let support = node.tids.len() as u32;
-            let cidx = *closed_by_pattern.entry(closure.clone()).or_insert_with(|| {
-                out.closed.push(ClosedSet {
-                    pattern: closure,
-                    support,
-                });
-                (out.closed.len() - 1) as u32
-            });
-            let pattern = pattern_of(&node.items);
-            let fidx = out.free.len() as u32;
-            out.c2f.resize(out.closed.len(), Vec::new());
-            out.c2f[cidx as usize].push(fidx);
-            out.free_by_pattern.insert(pattern.clone(), fidx);
-            out.free.push(FreeSet {
-                pattern,
-                support,
-                closure: cidx,
-                tids: opts.keep_tids.then_some(node.tids),
-            });
-        }
-        if next.is_empty() {
-            break;
-        }
         level = next;
         level_no += 1;
     }
+}
+
+/// Mines the k-frequent free item sets of `rel`, their closures, and the
+/// C2F mapping. `k ≥ 1` is required; the empty pattern is included as a
+/// free set whenever `|r| ≥ k` (its closure collects the constant
+/// columns of `rel`).
+pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
+    let mut out = Mined::default();
+    let mut closures = Closures::default();
+    walk(rel, k, opts, |node, closure| {
+        let support = node.tids.len() as u32;
+        let (cidx, new) = closures.intern(rel, closure);
+        if new {
+            out.closed.push(ClosedSet {
+                pattern: pattern_of(closure.attrs, closure.items(rel).map(|(_, c)| c)),
+                support,
+            });
+            out.c2f.push(Vec::new());
+        }
+        let pattern = pattern_of(
+            node.items.iter().map(|&(a, _)| a).collect(),
+            node.items.iter().map(|&(_, c)| c),
+        );
+        let fidx = out.free.len() as u32;
+        out.c2f[cidx as usize].push(fidx);
+        out.free_by_pattern.insert(pattern.clone(), fidx);
+        out.free.push(FreeSet {
+            pattern,
+            support,
+            closure: cidx,
+            tids: opts.keep_tids.then_some(node.tids),
+        });
+    });
     out
+}
+
+/// The 2-frequent closed sets — those of `mine_free_closed(rel, 2, _)`,
+/// in the same order — and nothing else: the walk registers each free
+/// set's closure once, building no free set, pattern or C2F list. Mines
+/// on `threads` workers; the result is the same at every thread count.
+pub(crate) fn closed2(rel: &Relation, threads: usize) -> Vec<Closure> {
+    let mut closures = Closures::default();
+    let opts = MineOptions {
+        keep_tids: false,
+        threads,
+        ..MineOptions::default()
+    };
+    walk(rel, 2, opts, |_, closure| {
+        closures.intern(rel, closure);
+    });
+    closures.list
 }
 
 #[cfg(test)]

@@ -125,20 +125,36 @@ proptest! {
     }
 
     #[test]
-    fn index_containment_matches_linear_scan(rel in arb_relation()) {
+    fn index_containment_matches_linear_scan(rel in arb_wide_relation()) {
+        // the Closed₂ pass holds mine_free_closed's closed sets at k 2 in
+        // their order: querying closed set i's own pattern returns every
+        // set containing it, i among them, and i's attributes, so the
+        // pass's set i contains closed set i over the same attributes —
+        // it is closed set i
         let mined = mine_free_closed(&rel, 2, MineOptions::default());
-        let idx = ClosedSetIndex::build(&mined);
-        for f in mined.free.iter().take(20) {
-            let got: std::collections::BTreeSet<u32> =
-                idx.containing(&f.pattern).into_iter().collect();
-            let want: std::collections::BTreeSet<u32> = mined
-                .closed
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.pattern.contains_pattern(&f.pattern))
-                .map(|(i, _)| i as u32)
+        let idx = ClosedSetIndex::mine(&rel, 1);
+        prop_assert_eq!(idx.len(), mined.closed.len());
+        let queries = mined
+            .closed
+            .iter()
+            .map(|c| c.pattern.clone())
+            .chain(mined.free.iter().map(|f| f.pattern.clone()))
+            .chain((0..rel.arity()).flat_map(|a| {
+                // single items, one of them beyond the domain
+                (0..=3).map(move |c| Pattern::from_pairs([(a, PVal::Const(c))]))
+            }));
+        for q in queries {
+            let want: Vec<u32> = (0u32..)
+                .zip(&mined.closed)
+                .filter(|(_, c)| c.pattern.contains_pattern(&q))
+                .map(|(i, _)| i)
                 .collect();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&idx.containing(&q), &want, "query {:?}", q);
+            let attrs: Vec<_> = want
+                .iter()
+                .map(|&i| mined.closed[i as usize].pattern.attrs())
+                .collect();
+            prop_assert_eq!(idx.agree_attr_sets(&q), attrs, "query {:?}", q);
         }
     }
 
@@ -224,11 +240,12 @@ mod threaded_mining {
     use cfd_datagen::random::RandomRelation;
     use cfd_datagen::tax::TaxGenerator;
     use cfd_itemset::mine::{mine_free_closed, MineOptions};
+    use cfd_itemset::ClosedSetIndex;
 
-    /// The mined result is identical at every thread count (per-node
-    /// closures and children merge in node order). The random
-    /// relations are small; the 2,000-row tax sample at k 2 reaches
-    /// level 3, like FastCFD's Closed₂ mining.
+    /// The mined result and the Closed₂ index are identical at every
+    /// thread count (per-node closures and children merge in node
+    /// order). The random relations are small; the 2,000-row tax sample
+    /// at k 2 reaches level 3, like FastCFD's Closed₂ mining.
     #[test]
     fn thread_count_does_not_change_the_mined_sets() {
         let mut cases: Vec<(String, cfd_model::relation::Relation, usize)> = Vec::new();
@@ -245,7 +262,12 @@ mod threaded_mining {
             if name.starts_with("tax") {
                 assert!(serial.free.iter().any(|f| f.pattern.len() == 3));
             }
+            let index = (*k == 2).then(|| ClosedSetIndex::mine(rel, 1));
             for threads in [2, 4] {
+                if let Some(index) = &index {
+                    let sharded = ClosedSetIndex::mine(rel, threads);
+                    assert!(&sharded == index, "{name} Closed₂ index t {threads}");
+                }
                 let sharded = mine_free_closed(
                     rel,
                     *k,

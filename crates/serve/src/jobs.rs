@@ -20,7 +20,7 @@
 use crate::protocol::{error_json, event, ServeError};
 use crate::registry::{lock_unpoisoned, Dataset};
 use crate::session::attach_rule_texts;
-use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer, Note};
 use cfd_core::Ctane;
 use cfd_model::{Cfd, Control, Json, RuleMeasure};
 use cfd_stream::{CoverDelta, RemineOptions, StreamEngine};
@@ -299,13 +299,25 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
         } => {
             // `cache_budget_mb` is `Ctane::cache_budget`: it caps the
             // level-below partitions an approximate CTANE run keeps for
-            // its error counts (other algorithms ignore it)
+            // its error counts; every other run notes it as ignored
             let disc: Box<dyn Discoverer> = match (algo, cache_budget) {
                 (Algo::Ctane, Some(bytes)) => Box::new(Ctane::default().cache_budget(*bytes)),
                 _ => algo.discoverer(),
             };
             match disc.discover_with(&ds.rel, opts, ctrl) {
-                Ok(d) => JobOutcome::Done(d.to_json(&ds.rel)),
+                Ok(mut d) => {
+                    let ignored = *algo != Algo::Ctane || opts.min_confidence >= 1.0;
+                    if let Some(bytes) = cache_budget.filter(|_| ignored) {
+                        d.notes.push(Note {
+                            algo: *algo,
+                            option: "cache-budget-mb",
+                            value: (bytes >> 20).to_string(),
+                            reason: "only an approximate ctane run (min-confidence below 1) \
+                                     keeps partitions under a budget",
+                        });
+                    }
+                    JobOutcome::Done(d.to_json(&ds.rel))
+                }
                 Err(DiscoverError::Cancelled) => JobOutcome::Cancelled,
                 Err(e) => JobOutcome::Failed(ServeError::new("bad_options", e.to_string())),
             }
@@ -607,6 +619,45 @@ mod tests {
         };
         assert_eq!(misses(&unbounded), 0.0);
         assert!(misses(&starved) > 0.0, "{starved}");
+        assert!(notes(&starved).is_empty(), "{starved}");
+    }
+
+    /// The option names a discover result notes as ignored.
+    fn notes(doc: &Json) -> Vec<&str> {
+        doc.get("notes")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|n| n.get("option").and_then(Json::as_str))
+            .collect()
+    }
+
+    #[test]
+    fn a_cache_budget_without_effect_is_noted() {
+        use cfd_model::csv::relation_from_csv_str;
+        let rel = relation_from_csv_str("A,B\nx,1\nx,1\ny,2\n").unwrap();
+        let ds = Arc::new(Dataset::new("t", rel));
+        let run = |algo, min_confidence| {
+            let spec = JobSpec::Discover {
+                ds: Arc::clone(&ds),
+                algo,
+                opts: DiscoverOptions::new(1).min_confidence(min_confidence),
+                cache_budget: Some(0),
+            };
+            match run_spec(&spec, &Control::default()) {
+                JobOutcome::Done(doc) => doc,
+                other => panic!("{other:?}"),
+            }
+        };
+        // only approximate CTANE keeps partitions under the budget
+        for (algo, theta) in [(Algo::Tane, 0.9), (Algo::FastCfd, 1.0), (Algo::Ctane, 1.0)] {
+            let doc = run(algo, theta);
+            assert!(
+                notes(&doc).contains(&"cache-budget-mb"),
+                "{algo} θ {theta}: {doc}"
+            );
+        }
+        assert!(!notes(&run(Algo::Ctane, 0.9)).contains(&"cache-budget-mb"));
     }
 
     #[test]
