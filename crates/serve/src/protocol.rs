@@ -129,7 +129,8 @@ pub struct DiscoverRequest {
     /// `min_confidence`, `top_k`).
     pub opts: DiscoverOptions,
     /// Byte budget for the level-below partitions an approximate CTANE
-    /// run keeps for its error counts (`cache_budget_mb`).
+    /// run keeps for its error counts (`cache_budget_mb`); any other
+    /// run notes it as ignored (`cache-budget-mb`).
     pub cache_budget: Option<usize>,
     /// Block the connection until the job finishes and carry the
     /// result in the reply (progress events still stream).
