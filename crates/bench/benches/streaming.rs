@@ -1,6 +1,6 @@
 //! Criterion micro-benchmark for the streaming engine: tuple-update
 //! throughput (inserts + deletes per second) of `StreamEngine` batch
-//! application at 1/2/4 rule shards, on the tax workload.
+//! application at 1/2/4 threads, on the tax workload.
 //!
 //! Each iteration inserts one batch of fresh tuples and deletes it
 //! again, so the engine's live state is identical across samples and
@@ -38,10 +38,10 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(1500))
         // one iteration applies BATCH inserts and BATCH deletes
         .throughput(Throughput::Elements(2 * BATCH as u64));
-    for shards in [1usize, 2, 4] {
-        let (mut engine, _) = StreamEngine::warm(&warm, rules.clone(), shards);
+    for threads in [1usize, 2, 4] {
+        let (mut engine, _) = StreamEngine::warm(&warm, rules.clone(), threads);
         group.bench_with_input(
-            BenchmarkId::new("insert_delete", shards),
+            BenchmarkId::new("insert_delete", threads),
             &batch,
             |b, batch| {
                 b.iter(|| {

@@ -12,8 +12,9 @@
 //! * **full** (`--full`) — the paper's parameters (up to 10⁶ tuples,
 //!   arity 31); expect hours, exactly like the original study.
 //!
-//! Run `cargo run --release -p cfd-bench --bin experiments -- all` and
-//! see `EXPERIMENTS.md` for the recorded paper-vs-measured comparison.
+//! Run `cargo run --release -p cfd-bench --bin experiments -- all`: it
+//! prints each table and writes its CSV to `bench-results/` (DESIGN.md
+//! §6 describes the experiments and ablations).
 //!
 //! ```
 //! use cfd_bench::{Cell, Table, EXPERIMENT_IDS};

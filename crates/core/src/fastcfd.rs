@@ -3,13 +3,15 @@
 //!
 //! For each RHS attribute `A`, `FindCover` walks the k-frequent *free*
 //! constant patterns `(X, tp)` (Lemma 5: the constant part of a minimal
-//! variable CFD is free). For each pattern it derives the minimal
-//! difference sets `Dᵐ_A(r_tp)` and enumerates their minimal covers `Y`
-//! depth-first (`FindMin`), with FastFD's dynamic attribute reordering.
-//! A cover passing the left-reduction checks (b1)/(b2) yields the
-//! variable CFD `([X, Y] → A, (tp, _, …, _ ‖ _))`; an empty `Dᵐ_A` means
-//! `A` is constant on `r_tp` and yields a constant CFD (step 3.a) —
-//! by default these are delegated to CFDMiner over the shared mining
+//! variable CFD is free). For each pattern it runs FastFD's search
+//! ([`cfd_fd::fastfd`]) on the agree sets of `r_tp`: it derives the
+//! minimal difference sets `Dᵐ_A(r_tp)` and enumerates their minimal
+//! covers `Y` depth-first (`FindMin`), with dynamic attribute
+//! reordering and the minimality check (b1). A cover that also passes
+//! the left-reduction check (b2) yields the variable CFD
+//! `([X, Y] → A, (tp, _, …, _ ‖ _))`; an empty `Dᵐ_A` means `A` is
+//! constant on `r_tp` and yields a constant CFD (step 3.a) — by
+//! default these are delegated to CFDMiner over the shared mining
 //! result, as the paper recommends (Section 5.5).
 //!
 //! Two difference-set engines are provided (Section 5.4/5.5):
@@ -21,6 +23,7 @@
 
 use crate::api::{Algo, Discoverer};
 use crate::cfdminer::exact_rules;
+use cfd_fd::fastfd::{min_diff_sets, minimal_covers};
 use cfd_itemset::index::ClosedSetIndex;
 use cfd_itemset::mine::{mine_free_closed, MineOptions, Mined};
 use cfd_model::attrset::AttrSet;
@@ -30,7 +33,7 @@ use cfd_model::fxhash::FxHashMap;
 use cfd_model::measure::RuleMeasure;
 use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::{PVal, Pattern};
-use cfd_model::progress::{workers, Cancelled, Control, SearchStats};
+use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::agree::agree_sets_of_rows;
@@ -113,50 +116,18 @@ impl<'a> DiffSetEngine<'a> {
         if let Some(dm) = self.dm_cache.get(&key) {
             return Rc::clone(dm);
         }
-        let full = AttrSet::full(self.rel.arity());
-        let a_constant = mined.closure_of(free_idx).pattern.attrs().contains(rhs);
-        let dm = if a_constant {
+        let dm = if mined.closure_of(free_idx).pattern.attrs().contains(rhs) {
             Vec::new()
         } else {
-            let family = self.agree_family(mined, free_idx);
-            let mut candidates: Vec<AttrSet> = family
-                .iter()
-                .filter(|ag| !ag.contains(rhs))
-                .map(|ag| full.difference(*ag).without(rhs))
-                .collect();
-            if candidates.is_empty() {
-                // A varies but every pair disagreeing on A agrees nowhere:
-                // the only difference set is attr(R) \ {A} (possible only
-                // for the empty pattern — any constant pattern forces
-                // agreement on its own attributes)
-                vec![full.without(rhs)]
-            } else {
-                minimize(&mut candidates);
-                candidates
-            }
+            // its `attr(R) \ {A}` fallback (pairs agreeing nowhere) can
+            // apply only to the empty pattern: any constant pattern
+            // forces agreement on its own attributes
+            min_diff_sets(&self.agree_family(mined, free_idx), rhs, self.rel.arity())
         };
         let rc = Rc::new(dm);
         self.dm_cache.insert(key, Rc::clone(&rc));
         rc
     }
-}
-
-/// Keeps the ⊆-minimal sets (in place).
-fn minimize(sets: &mut Vec<AttrSet>) {
-    sets.sort_unstable_by_key(|s| (s.len(), s.bits()));
-    sets.dedup();
-    let mut kept: Vec<AttrSet> = Vec::with_capacity(sets.len());
-    for &s in sets.iter() {
-        if !kept.iter().any(|&m| m.is_subset(s)) {
-            kept.push(s);
-        }
-    }
-    *sets = kept;
-}
-
-/// True iff `y` covers every set of `dm` (hits each at least once).
-fn covers(y: AttrSet, dm: &[AttrSet]) -> bool {
-    dm.iter().all(|&d| d.intersects(y))
 }
 
 /// Depth-first CFD discovery (Section 5). It reads `k` and `threads`
@@ -165,13 +136,13 @@ fn covers(y: AttrSet, dm: &[AttrSet]) -> bool {
 /// sets, dynamic attribute reordering, constant CFDs via CFDMiner;
 /// [`FastCfd::naive`] is NaiveFast.
 ///
-/// `threads` runs `FindCover` for different RHS attributes on worker
-/// threads (FindCover is embarrassingly parallel across RHS attributes;
-/// the Closed₂ index is shared read-only) and shards both item-set
-/// mining passes (the k-frequent free sets and the Closed₂ index) over
-/// the same workers, at most one per core. `1` keeps the paper's
-/// single-threaded execution model. Output is byte-identical for every
-/// thread count.
+/// `threads` runs `FindCover` for different RHS attributes on the
+/// [`shard_runs`] workers (FindCover is embarrassingly parallel across
+/// RHS attributes; the Closed₂ index is shared read-only) and shards
+/// both item-set mining passes (the k-frequent free sets and the
+/// Closed₂ index) over the same workers, at most one per core. `1`
+/// keeps the paper's single-threaded execution model. Output is
+/// byte-identical for every thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct FastCfd {
     mode: DiffSetMode,
@@ -232,18 +203,17 @@ impl FastCfd {
     }
 
     /// `FindCover(A, r, k)`: all minimal k-frequent CFDs with RHS `A`.
-    #[allow(clippy::too_many_arguments)] // internal: the run-control plumbing is worth it
     fn find_cover(
         &self,
         rel: &Relation,
         mined: &Mined,
         engine: &mut DiffSetEngine<'_>,
         rhs: AttrId,
-        out: &mut Vec<(Cfd, RuleMeasure)>,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(), Cancelled> {
+    ) -> Result<Vec<(Cfd, RuleMeasure)>, Cancelled> {
         let full = AttrSet::full(rel.arity());
+        let mut out = Vec::new();
         for fi in 0..mined.free.len() {
             ctrl.check()?;
             let pattern = mined.free[fi].pattern.clone();
@@ -305,18 +275,13 @@ impl FastCfd {
                 .without(rhs)
                 .iter()
                 .collect();
-            let stats = &mut *stats;
-            let mut emit = |y: AttrSet| {
-                stats.candidates += 1;
-                // (b1) Y is a minimal cover of Dᵐ_A(r_tp)
-                if y.iter().any(|b| covers(y.without(b), &dm)) {
-                    stats.pruned += 1;
-                    return;
-                }
+            // (b1) Y is a minimal cover of Dᵐ_A(r_tp): checked by the search
+            minimal_covers(&dm, &candidates, self.dynamic_reorder, stats, |y, stats| {
                 // (b2) upgrading any LHS constant B to `_` must not yield a
                 // valid CFD: Y ∪ {B} may not cover Dᵐ_A(r_{tp[X\B]})
                 for (b, sub_dm) in &sub_dms {
-                    if covers(y.with(*b), sub_dm) {
+                    let y_b = y.with(*b);
+                    if sub_dm.iter().all(|d| d.intersects(y_b)) {
                         stats.pruned += 1;
                         return;
                     }
@@ -325,51 +290,9 @@ impl FastCfd {
                 let lhs =
                     Pattern::from_pairs(pattern.iter().chain(y.iter().map(|b| (b, PVal::Var))));
                 out.push((Cfd::variable(lhs, rhs), measure));
-            };
-            self.find_min(&dm, &candidates, AttrSet::EMPTY, &mut emit);
+            });
         }
-        Ok(())
-    }
-
-    /// Depth-first enumeration of the covers of `remaining`, visiting each
-    /// candidate subset at most once (FastFD's left-to-right scheme with
-    /// per-node reordering).
-    fn find_min(
-        &self,
-        remaining: &[AttrSet],
-        candidates: &[AttrId],
-        y: AttrSet,
-        emit: &mut impl FnMut(AttrSet),
-    ) {
-        if remaining.is_empty() {
-            emit(y);
-            return;
-        }
-        if candidates.is_empty() {
-            return;
-        }
-        // score candidates by how many remaining sets they cover; drop
-        // useless attributes (cover count 0 — they can never join a
-        // minimal cover of `remaining`)
-        let mut scored: Vec<(usize, AttrId)> = candidates
-            .iter()
-            .filter_map(|&b| {
-                let c = remaining.iter().filter(|d| d.contains(b)).count();
-                (c > 0).then_some((c, b))
-            })
-            .collect();
-        if self.dynamic_reorder {
-            scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        }
-        let order: Vec<AttrId> = scored.into_iter().map(|(_, b)| b).collect();
-        for (i, &b) in order.iter().enumerate() {
-            let rem2: Vec<AttrSet> = remaining
-                .iter()
-                .copied()
-                .filter(|d| !d.contains(b))
-                .collect();
-            self.find_min(&rem2, &order[i + 1..], y.with(b), emit);
-        }
+        Ok(out)
     }
 }
 
@@ -429,52 +352,25 @@ impl Discoverer for FastCfd {
             stats.closed_sets += mined.closed.len() as u64;
         }
         let t1 = std::time::Instant::now();
-        let workers = workers(opts.threads).min(rel.arity());
-        if workers <= 1 {
-            let mut engine = DiffSetEngine::new(rel, self.mode, index.as_ref());
-            for rhs in 0..rel.arity() {
-                self.find_cover(rel, &mined, &mut engine, rhs, &mut out, ctrl, stats)?;
-                ctrl.report("rhs", rhs + 1, rel.arity());
-            }
-        } else {
-            // round-robin the RHS attributes over the workers; each worker
-            // owns its pattern caches and stats, the index and mining
-            // result are shared read-only
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let (index, mined) = (index.as_ref(), &mined);
-                        let ctrl = *ctrl;
-                        scope.spawn(move || {
-                            let mut engine = DiffSetEngine::new(rel, self.mode, index);
-                            let mut local = Vec::new();
-                            let mut local_stats = SearchStats::default();
-                            for rhs in (w..rel.arity()).step_by(workers) {
-                                self.find_cover(
-                                    rel,
-                                    mined,
-                                    &mut engine,
-                                    rhs,
-                                    &mut local,
-                                    &ctrl,
-                                    &mut local_stats,
-                                )?;
-                                ctrl.report("rhs", rhs + 1, rel.arity());
-                            }
-                            Ok((local, local_stats))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect::<Vec<Result<_, Cancelled>>>()
-            });
-            for r in results {
-                let (local, local_stats) = r?;
-                out.extend(local);
-                stats.merge(&local_stats);
-            }
+        // one run per RHS attribute; each worker owns a difference-set
+        // engine (its pattern caches), the index and mining result are
+        // shared read-only
+        let per_rhs = shard_runs(
+            0..rel.arity(),
+            opts.threads,
+            ctrl,
+            stats,
+            || DiffSetEngine::new(rel, self.mode, index.as_ref()),
+            |rhs, engine, stats, found| {
+                let rules = self.find_cover(rel, &mined, engine, rhs, ctrl, stats);
+                if rules.is_ok() {
+                    ctrl.report("rhs", rhs + 1, rel.arity());
+                }
+                found.push(rules);
+            },
+        )?;
+        for rules in per_rhs {
+            out.extend(rules?);
         }
         stats.phase("findcover", t1.elapsed());
         let (cover, measures) = CanonicalCover::from_measured(out);
@@ -491,22 +387,6 @@ mod tests {
     use cfd_datagen::cust::cust_relation;
     use cfd_datagen::random::RandomRelation;
     use cfd_model::cfd::parse_cfd;
-
-    #[test]
-    fn minimize_keeps_minimal_sets() {
-        let mut sets = vec![
-            AttrSet::from_iter([0, 1, 2]),
-            AttrSet::from_iter([1]),
-            AttrSet::from_iter([0, 2]),
-            AttrSet::from_iter([2, 0]),
-            AttrSet::from_iter([1, 2]),
-        ];
-        minimize(&mut sets);
-        assert_eq!(
-            sets,
-            vec![AttrSet::from_iter([1]), AttrSet::from_iter([0, 2])]
-        );
-    }
 
     #[test]
     fn example9_difference_sets() {
@@ -684,6 +564,65 @@ mod tests {
             let cover = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
             let problems = audit_cover(&r, cover.iter(), k);
             assert!(problems.is_empty(), "k={k}: {problems:?}");
+        }
+    }
+
+    /// A metrics sink that sets `flag` at the `after`-th
+    /// `control.checks`: `check()` counts before it polls the flag, so
+    /// that very checkpoint fails.
+    struct TripAfter<'a> {
+        after: u64,
+        seen: std::sync::atomic::AtomicU64,
+        flag: &'a std::sync::atomic::AtomicBool,
+    }
+
+    impl cfd_model::progress::MetricsSink for TripAfter<'_> {
+        fn add(&self, name: &'static str, delta: u64) {
+            use std::sync::atomic::Ordering;
+            if name == "control.checks"
+                && self.seen.fetch_add(delta, Ordering::Relaxed) + delta >= self.after
+            {
+                self.flag.store(true, Ordering::Relaxed);
+            }
+        }
+        fn set_gauge(&self, _name: &'static str, _value: u64) {}
+        fn observe(&self, _name: &'static str, _value: u64) {}
+    }
+
+    #[test]
+    fn cancellation_at_every_checkpoint_fails_the_run() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        let r = cust_relation();
+        for cfg in [FastCfd::default(), FastCfd::naive()] {
+            for threads in [1, 2] {
+                let opts = DiscoverOptions::new(2).threads(threads);
+                let never = AtomicBool::new(false);
+                let count = TripAfter {
+                    after: u64::MAX,
+                    seen: AtomicU64::new(0),
+                    flag: &never,
+                };
+                let ctrl = Control::default().metrics_with(&count);
+                assert!(cfg.discover_with(&r, &opts, &ctrl).is_ok());
+                let total = count.seen.load(Ordering::Relaxed);
+                // at least one checkpoint per RHS and free pattern
+                assert!(total > r.arity() as u64, "{cfg:?}: {total} checkpoints");
+                for k in 1..=total {
+                    let flag = AtomicBool::new(false);
+                    let trip = TripAfter {
+                        after: k,
+                        seen: AtomicU64::new(0),
+                        flag: &flag,
+                    };
+                    let ctrl = Control::default().cancel_with(&flag).metrics_with(&trip);
+                    let got = cfg.discover_with(&r, &opts, &ctrl);
+                    assert!(
+                        matches!(got, Err(DiscoverError::Cancelled)),
+                        "{cfg:?} threads {threads}: checkpoint {k}/{total} gave {:?}",
+                        got.map(|d| d.cover.len())
+                    );
+                }
+            }
         }
     }
 

@@ -1,11 +1,13 @@
 //! FastFD — depth-first FD discovery (Wyss, Giannella & Robertson,
-//! DaWaK 2001).
+//! DaWaK 2001), and the one copy of its minimal-cover search.
 //!
 //! Difference sets are complements of tuple-pair agree sets (computed
-//! from stripped partitions); for each RHS attribute the minimal covers
-//! of the minimal difference sets are enumerated depth-first with
-//! dynamic attribute reordering — the skeleton FastCFD generalizes to
-//! patterns.
+//! from stripped partitions). For each RHS attribute, [`min_diff_sets`]
+//! derives the minimal difference sets `Dᵐ_A` and [`minimal_covers`]
+//! enumerates their minimal covers depth-first with dynamic attribute
+//! reordering. FastCFD and NaiveFast (`cfd_core::fastcfd`) run the same
+//! two steps once per k-frequent free pattern, over that pattern's
+//! agree sets.
 
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
@@ -44,81 +46,117 @@ impl FastFd {
         stats.phase("agree-sets", t0.elapsed());
         for rhs in 0..arity {
             ctrl.check()?;
-            // Dᵐ_A(r): minimal difference sets of pairs disagreeing on A
-            let mut dm: Vec<AttrSet> = agree
-                .iter()
-                .filter(|ag| !ag.contains(rhs))
-                .map(|ag| full.difference(*ag).without(rhs))
-                .collect();
-            if dm.is_empty() {
-                // either A is constant (∅ → A: excluded by convention) or
-                // every pair disagreeing on A agrees nowhere
-                let col = rel.column(rhs);
-                let c0 = col.code(0);
-                let constant = rel.tuples().all(|t| col.code(t) == c0);
-                if constant {
-                    continue;
-                }
-                dm.push(full.without(rhs));
-            } else {
-                minimize(&mut dm);
+            let col = rel.column(rhs);
+            let c0 = col.code(0);
+            if rel.tuples().all(|t| col.code(t) == c0) {
+                // ∅ → A: excluded by convention
+                continue;
             }
+            let dm = min_diff_sets(&agree, rhs, arity);
             if dm.iter().any(|d| d.is_empty()) {
                 // two tuples differ on A alone: no FD with RHS A
                 continue;
             }
             stats.diff_set_families += 1;
             let candidates: Vec<AttrId> = full.without(rhs).iter().collect();
-            let stats = &mut *stats;
-            let mut emit = |y: AttrSet| {
-                stats.candidates += 1;
-                // minimal cover check
-                if y.iter().any(|b| covers(y.without(b), &dm)) {
-                    stats.pruned += 1;
-                    return;
-                }
+            minimal_covers(&dm, &candidates, true, stats, |y, stats| {
                 stats.emitted += 1;
                 out.push(Cfd::fd(y, rhs));
-            };
-            self.find_min(&dm, &candidates, AttrSet::EMPTY, &mut emit);
+            });
             ctrl.report("rhs", rhs + 1, arity);
         }
         Ok(CanonicalCover::from_cfds(out))
     }
+}
 
-    fn find_min(
-        &self,
-        remaining: &[AttrSet],
-        candidates: &[AttrId],
-        y: AttrSet,
-        emit: &mut impl FnMut(AttrSet),
-    ) {
-        if remaining.is_empty() {
-            emit(y);
-            return;
+/// `Dᵐ_A`: the ⊆-minimal difference sets for RHS `rhs` of the tuple
+/// pairs whose agree sets are `agree`, over `arity` attributes. An
+/// agree set missing `rhs` gives the difference set
+/// `attr(R) \ ag \ {A}`. Agree sets from stripped partitions leave out
+/// the pairs that agree nowhere, so when no agree set misses `rhs` the
+/// one difference set is `attr(R) \ {A}`: callers rule out a constant
+/// `rhs`, which has none, before they ask.
+pub fn min_diff_sets(agree: &[AttrSet], rhs: AttrId, arity: usize) -> Vec<AttrSet> {
+    let full = AttrSet::full(arity);
+    let mut dm: Vec<AttrSet> = agree
+        .iter()
+        .filter(|ag| !ag.contains(rhs))
+        .map(|ag| full.difference(*ag).without(rhs))
+        .collect();
+    if dm.is_empty() {
+        return vec![full.without(rhs)];
+    }
+    minimize(&mut dm);
+    dm
+}
+
+/// `FindMin`: passes each minimal cover of `dm` drawn from `candidates`
+/// (a set hitting every member of `dm` from which no attribute can be
+/// dropped) to `emit`. The search is depth-first and visits each
+/// candidate subset at most once (FastFD's left-to-right scheme); with
+/// `reorder` every node tries the attributes hitting the most remaining
+/// sets first (FastFD's dynamic reordering). Every cover reached counts
+/// into `stats.candidates`; one that stays a cover without some
+/// attribute fails minimality (FastCFD's check (b1)) and counts into
+/// `stats.pruned` instead of reaching `emit`.
+pub fn minimal_covers(
+    dm: &[AttrSet],
+    candidates: &[AttrId],
+    reorder: bool,
+    stats: &mut SearchStats,
+    mut emit: impl FnMut(AttrSet, &mut SearchStats),
+) {
+    find_min(dm, candidates, AttrSet::EMPTY, reorder, &mut |y| {
+        stats.candidates += 1;
+        if y.iter().any(|b| covers(y.without(b), dm)) {
+            stats.pruned += 1;
+        } else {
+            emit(y, stats);
         }
-        let mut scored: Vec<(usize, AttrId)> = candidates
-            .iter()
-            .filter_map(|&b| {
-                let c = remaining.iter().filter(|d| d.contains(b)).count();
-                (c > 0).then_some((c, b))
-            })
-            .collect();
-        // dynamic reordering: the attributes covering the most remaining
-        // difference sets first
+    });
+}
+
+/// Depth-first enumeration of the covers of `remaining` that extend `y`
+/// with attributes of `candidates`.
+fn find_min(
+    remaining: &[AttrSet],
+    candidates: &[AttrId],
+    y: AttrSet,
+    reorder: bool,
+    visit: &mut impl FnMut(AttrSet),
+) {
+    if remaining.is_empty() {
+        visit(y);
+        return;
+    }
+    if candidates.is_empty() {
+        return;
+    }
+    // score candidates by how many remaining sets they cover; drop
+    // useless attributes (cover count 0 — they can never join a
+    // minimal cover of `remaining`)
+    let mut scored: Vec<(usize, AttrId)> = candidates
+        .iter()
+        .filter_map(|&b| {
+            let c = remaining.iter().filter(|d| d.contains(b)).count();
+            (c > 0).then_some((c, b))
+        })
+        .collect();
+    if reorder {
         scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let order: Vec<AttrId> = scored.into_iter().map(|(_, b)| b).collect();
-        for (i, &b) in order.iter().enumerate() {
-            let rem2: Vec<AttrSet> = remaining
-                .iter()
-                .copied()
-                .filter(|d| !d.contains(b))
-                .collect();
-            self.find_min(&rem2, &order[i + 1..], y.with(b), emit);
-        }
+    }
+    let order: Vec<AttrId> = scored.into_iter().map(|(_, b)| b).collect();
+    for (i, &b) in order.iter().enumerate() {
+        let rem2: Vec<AttrSet> = remaining
+            .iter()
+            .copied()
+            .filter(|d| !d.contains(b))
+            .collect();
+        find_min(&rem2, &order[i + 1..], y.with(b), reorder, visit);
     }
 }
 
+/// Keeps the ⊆-minimal sets (in place).
 fn minimize(sets: &mut Vec<AttrSet>) {
     sets.sort_unstable_by_key(|s| (s.len(), s.bits()));
     sets.dedup();
@@ -131,6 +169,7 @@ fn minimize(sets: &mut Vec<AttrSet>) {
     *sets = kept;
 }
 
+/// True iff `y` covers every set of `dm` (hits each at least once).
 fn covers(y: AttrSet, dm: &[AttrSet]) -> bool {
     dm.iter().all(|&d| d.intersects(y))
 }
@@ -145,7 +184,7 @@ mod tests {
     use cfd_model::options::DiscoverOptions;
 
     /// FastFD's cover of `rel`, and TANE's, which it must equal.
-    fn covers(rel: &Relation) -> (CanonicalCover, CanonicalCover) {
+    fn fastfd_and_tane(rel: &Relation) -> (CanonicalCover, CanonicalCover) {
         let ctrl = Control::default();
         let fast = FastFd.run(rel, &ctrl, &mut SearchStats::default());
         let tane = Tane.run(
@@ -159,9 +198,25 @@ mod tests {
     }
 
     #[test]
+    fn minimize_keeps_minimal_sets() {
+        let mut sets = vec![
+            AttrSet::from_iter([0, 1, 2]),
+            AttrSet::from_iter([1]),
+            AttrSet::from_iter([0, 2]),
+            AttrSet::from_iter([2, 0]),
+            AttrSet::from_iter([1, 2]),
+        ];
+        minimize(&mut sets);
+        assert_eq!(
+            sets,
+            vec![AttrSet::from_iter([1]), AttrSet::from_iter([0, 2])]
+        );
+    }
+
+    #[test]
     fn agrees_with_tane_on_cust() {
         let r = cust_relation();
-        let (fast, tane) = covers(&r);
+        let (fast, tane) = fastfd_and_tane(&r);
         assert_eq!(
             tane.cfds(),
             fast.cfds(),
@@ -183,7 +238,7 @@ mod tests {
                 seed,
             }
             .generate();
-            let (fast, tane) = covers(&r);
+            let (fast, tane) = fastfd_and_tane(&r);
             assert_eq!(
                 tane.cfds(),
                 fast.cfds(),
@@ -202,7 +257,7 @@ mod tests {
         use cfd_model::schema::Schema;
         let schema = Schema::new(["A", "B"]).unwrap();
         let r = relation_from_rows(schema, &[vec!["1", "x"], vec!["2", "y"]]).unwrap();
-        let (cover, tane) = covers(&r);
+        let (cover, tane) = fastfd_and_tane(&r);
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
         assert!(cover.contains(&Cfd::fd(AttrSet::singleton(1), 0)));
         assert_eq!(cover.len(), 2);

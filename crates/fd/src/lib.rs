@@ -5,7 +5,9 @@
 //! * [`Tane`] — the level-wise algorithm of Huhtala et al. \[13\], with
 //!   partition refinement, `C⁺` pruning and key pruning;
 //! * [`FastFd`] — the depth-first algorithm of Wyss et al. \[14\], with
-//!   difference sets and minimal-cover enumeration.
+//!   difference sets and minimal-cover enumeration. Its search
+//!   ([`fastfd::min_diff_sets`], [`fastfd::minimal_covers`]) is the one
+//!   FastCFD runs per free pattern.
 //!
 //! Both return plain FDs as all-wildcard variable CFDs, so their output
 //! is directly comparable with the plain-FD fragment of a discovered CFD

@@ -354,9 +354,14 @@ pub fn workers(threads: usize) -> usize {
 
 /// Runs `work` over `runs` on up to [`workers`]`(threads)` scoped
 /// workers with a deterministic merge — the one sharding harness every
-/// level-wise miner (CTANE/TANE expansion, the item-set miner's
-/// extension passes) and the validation kernel use.
+/// parallel phase but ingest's pipelined block reader runs on: the
+/// level-wise miners (CTANE/TANE expansion, the item-set miner's
+/// extension passes), FastCFD's per-RHS `FindCover`, the validation
+/// kernel and the streaming engine.
 ///
+/// `runs` is any exact-size sequence: a slice's items by reference, a
+/// range, or `chunks_mut()`/`iter_mut()` when each run mutates the
+/// state it names.
 /// Worker `w` owns runs `w, w + workers, …`; each run's outputs are
 /// collected into a private batch and the batches are concatenated in
 /// *run order*, so the result is byte-identical to the serial loop for
@@ -364,8 +369,8 @@ pub fn workers(threads: usize) -> usize {
 /// keeps working mid-phase), build worker-local state via `scratch`,
 /// and fill a private [`SearchStats`] that is merged into `stats` at
 /// the end.
-pub fn shard_runs<R, S, T, G, F>(
-    runs: &[R],
+pub fn shard_runs<I, S, T, G, F>(
+    runs: I,
     threads: usize,
     ctrl: &Control<'_>,
     stats: &mut SearchStats,
@@ -373,11 +378,14 @@ pub fn shard_runs<R, S, T, G, F>(
     work: F,
 ) -> Result<Vec<T>, Cancelled>
 where
-    R: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
     T: Send,
     G: Fn() -> S + Sync,
-    F: Fn(&R, &mut S, &mut SearchStats, &mut Vec<T>) + Sync,
+    F: Fn(I::Item, &mut S, &mut SearchStats, &mut Vec<T>) + Sync,
 {
+    let runs = runs.into_iter();
     let workers = workers(threads).min(runs.len().max(1));
     if workers <= 1 {
         let mut out = Vec::new();
@@ -390,19 +398,24 @@ where
         stats.merge(&local);
         return Ok(out);
     }
+    let mut owned: Vec<Vec<(usize, I::Item)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (ri, run) in runs.enumerate() {
+        owned[ri % workers].push((ri, run));
+    }
     let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = owned
+            .into_iter()
+            .map(|mine| {
                 let (work, scratch) = (&work, &scratch);
                 let ctrl = *ctrl;
                 scope.spawn(move || {
                     let mut s = scratch();
-                    let mut produced: Vec<(usize, Vec<T>)> = Vec::new();
+                    let mut produced: Vec<(usize, Vec<T>)> = Vec::with_capacity(mine.len());
                     let mut local = SearchStats::default();
-                    for ri in (w..runs.len()).step_by(workers) {
+                    for (ri, run) in mine {
                         ctrl.check()?;
                         let mut batch = Vec::new();
-                        work(&runs[ri], &mut s, &mut local, &mut batch);
+                        work(run, &mut s, &mut local, &mut batch);
                         produced.push((ri, batch));
                     }
                     Ok((produced, local))
@@ -427,12 +440,18 @@ where
 /// Maps `f` over `items` on up to [`workers`]`(threads)` scoped
 /// workers, each owning one `scratch`, results in input order —
 /// [`shard_runs`] with one item per run and no cancellation.
-pub fn par_map<T: Sync, S, R: Send>(
-    items: &[T],
+pub fn par_map<I, S, R>(
+    items: I,
     threads: usize,
     scratch: impl Fn() -> S + Sync,
-    f: impl Fn(&T, &mut S) -> R + Sync,
-) -> Vec<R> {
+    f: impl Fn(I::Item, &mut S) -> R + Sync,
+) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    R: Send,
+{
     shard_runs(
         items,
         threads,

@@ -17,10 +17,10 @@ use cfd_model::relation::{Relation, TupleId};
 const UNIQUE: u32 = u32::MAX;
 
 /// Computes the distinct agree sets of all tuple pairs of `rel` drawn
-/// from `rows` (pairs agreeing on *no* attribute are not represented —
-/// their agree set is empty and their difference set is the full schema,
-/// which callers handle separately; see
-/// [`cfd_model::attrset::AttrSet::EMPTY`]).
+/// from `rows`. Pairs agreeing on *no* attribute are not represented:
+/// their agree set is empty, and the difference-set rule of
+/// `cfd_fd::fastfd::min_diff_sets` falls back to the full schema minus
+/// the RHS when no listed agree set misses the RHS.
 pub fn agree_sets_of_rows(rel: &Relation, rows: &[TupleId]) -> Vec<AttrSet> {
     let arity = rel.arity();
     // per-attribute class signature of every row (positionally indexed by
@@ -82,34 +82,6 @@ pub fn agree_sets_of_rows(rel: &Relation, rows: &[TupleId]) -> Vec<AttrSet> {
 pub fn agree_sets(rel: &Relation) -> Vec<AttrSet> {
     let rows: Vec<TupleId> = rel.tuples().collect();
     agree_sets_of_rows(rel, &rows)
-}
-
-/// True iff some pair of `rows` agrees on no attribute at all (its agree
-/// set is empty). Needed to decide whether the full difference set
-/// `attr(R)` is realized; checked exactly on small inputs and implied
-/// false whenever a nonempty constant pattern restricts the rows (all
-/// pairs then agree on the pattern attributes).
-pub fn has_fully_disagreeing_pair(rel: &Relation, rows: &[TupleId]) -> bool {
-    if rows.len() < 2 {
-        return false;
-    }
-    // count pairs co-occurring in ≥1 stripped class; compare with C(n,2)
-    let mut seen: FxHashSet<(TupleId, TupleId)> = FxHashSet::default();
-    for a in 0..rel.arity() {
-        let mut groups: FxHashMap<u32, Vec<TupleId>> = FxHashMap::default();
-        for &t in rows {
-            groups.entry(rel.code(t, a)).or_default().push(t);
-        }
-        for g in groups.values().filter(|g| g.len() >= 2) {
-            for (i, &t1) in g.iter().enumerate() {
-                for &t2 in &g[i + 1..] {
-                    seen.insert((t1.min(t2), t1.max(t2)));
-                }
-            }
-        }
-    }
-    let n = rows.len();
-    seen.len() < n * (n - 1) / 2
 }
 
 #[cfg(test)]
@@ -186,20 +158,5 @@ mod tests {
             }
         }
         assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn fully_disagreeing_pair_detection() {
-        let r = rel();
-        // t2 and t3 agree nowhere
-        assert!(has_fully_disagreeing_pair(&r, &[2, 3]));
-        assert!(has_fully_disagreeing_pair(
-            &r,
-            &r.tuples().collect::<Vec<_>>()
-        ));
-        // t0 and t1 agree on A and B
-        assert!(!has_fully_disagreeing_pair(&r, &[0, 1]));
-        assert!(!has_fully_disagreeing_pair(&r, &[0]));
-        assert!(!has_fully_disagreeing_pair(&r, &[]));
     }
 }

@@ -115,10 +115,10 @@ pub fn event(kind: &str, job: u64, fields: Vec<(String, Json)>) -> Json {
 }
 
 /// Discover-job knobs carried by a `discover` request. Mirrors the
-/// `cfd discover` flags (same defaults), minus `--project` — a
-/// projected run cannot reuse the dataset's shared column index, which
-/// is the point of registering it (run `cfd discover` one-shot for
-/// that).
+/// `cfd discover` flags (same defaults), minus `--project`: the options
+/// codec ([`DiscoverOptions::from_json`]) does not read it, since
+/// resolving attribute names needs the dataset's schema (run
+/// `cfd discover --project` one-shot, or register the projected CSV).
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiscoverRequest {
     /// Target dataset (registry name).
@@ -198,7 +198,8 @@ pub enum Request {
         expand: usize,
         /// Support threshold for re-discovered rules.
         k: usize,
-        /// Worker threads (mining and the post-apply validation pass).
+        /// Worker threads (the engine's warm and cover swap, mining and
+        /// the post-apply validation pass), at most one per core.
         threads: usize,
         /// Reply with the cover delta instead of a job ticket.
         sync: bool,

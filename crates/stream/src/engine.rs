@@ -1,15 +1,15 @@
 //! The streaming engine: dictionary encoding, the live row store, and
-//! sharded batch application.
+//! batch application sharded by rule.
 
-use crate::delta::{coalesce, BatchDelta, Event, RuleId};
+use crate::delta::{coalesce, BatchDelta, RuleId};
 use crate::rule::{RuleState, RuleStats};
 use crate::RowId;
-use cfd_model::progress::MetricsSink;
+use cfd_model::progress::{shard_runs, workers, Control, MetricsSink, SearchStats};
 use cfd_model::relation::{Dict, RelationBuilder};
 use cfd_model::{Cfd, Error, Relation, Result, Schema, Violation};
 use std::sync::Arc;
 
-/// One encoded operation of a batch, broadcast to every shard.
+/// One encoded operation of a batch, applied to every rule.
 struct Op {
     id: RowId,
     codes: Vec<u32>,
@@ -40,8 +40,9 @@ struct Op {
 /// (append-only) code store, which trades memory for O(1) delete — the
 /// right call for a monitoring window that is periodically recompiled.
 ///
-/// Rules are partitioned round-robin across `shards` worker threads;
-/// every batch is encoded once and applied to all shards in parallel.
+/// Every batch is encoded once and applied to the rules' indexes on up
+/// to `threads` workers (the [`shard_runs`] harness, no more workers
+/// than cores), each owning a contiguous chunk of the rules.
 pub struct StreamEngine {
     schema: Schema,
     dicts: Vec<Dict>,
@@ -50,7 +51,10 @@ pub struct StreamEngine {
     /// relation (the engine's own dictionaries only grow, so codes in
     /// `rules` stay decodable — but caching avoids re-resolving).
     rule_texts: Vec<String>,
-    shards: Vec<Vec<RuleState>>,
+    /// One incremental index per rule, in rule-id order.
+    states: Vec<RuleState>,
+    /// Requested workers per batch, warm and cover swap.
+    threads: usize,
     /// Append-only column-major code store for every row ever inserted.
     cols: Vec<Vec<u32>>,
     live: Vec<bool>,
@@ -65,7 +69,9 @@ impl StreamEngine {
     /// Compiles `rules` against the dictionaries of `rel` and warms the
     /// indexes with every tuple of `rel`. The violations present in the
     /// warm data are reported as the `raised` half of the returned
-    /// [`BatchDelta`]; warm rows get row ids `0..rel.n_rows()`.
+    /// [`BatchDelta`]; warm rows get row ids `0..rel.n_rows()`. The
+    /// warm, every batch and every cover swap run on up to `threads`
+    /// workers, and never on more than the process has cores.
     ///
     /// The warm start goes through the shared validation kernel: the
     /// cover is compiled into a [`cfd_validate::CoverPlan`] (one
@@ -73,29 +79,25 @@ impl StreamEngine {
     /// index is bulk-built from its family's flat group ids, instead of
     /// replaying the warm data tuple by tuple through the incremental
     /// path with a hashed `Vec<u32>` key per row and rule.
-    pub fn warm(rel: &Relation, rules: Vec<Cfd>, shards: usize) -> (StreamEngine, BatchDelta) {
-        let mut engine = StreamEngine::compile(rel, rules, shards);
+    pub fn warm(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> (StreamEngine, BatchDelta) {
+        let mut engine = StreamEngine::compile(rel, rules, threads);
         let plan = cfd_validate::CoverPlan::compile(rel, &engine.rules);
         for (col, a) in engine.cols.iter_mut().zip(0..rel.arity()) {
             *col = rel.column(a).codes().to_vec();
         }
         engine.live = vec![true; rel.n_rows()];
         engine.n_live = rel.n_rows();
-        let work = rel.n_rows() * engine.rules.len();
-        let shards = &mut engine.shards;
-        if shards.len() <= 1 || work < Self::MIN_PARALLEL_WORK {
-            // same threshold as apply(): a tiny warm window is cheaper
-            // to build sequentially than to spawn threads for
-            for shard in shards.iter_mut() {
-                warm_shard(shard, rel, &plan);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for shard in shards.iter_mut() {
-                    scope.spawn(|| warm_shard(shard, rel, &plan));
+        per_chunk(
+            &mut engine.states,
+            engine.threads,
+            rel.n_rows(),
+            |rules, _: &mut Vec<()>| {
+                for rule in rules {
+                    let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
+                    rule.warm_from(rel, gids);
                 }
-            });
-        }
+            },
+        );
         let delta = BatchDelta {
             raised: engine.live_violations(),
             cleared: Vec::new(),
@@ -107,19 +109,20 @@ impl StreamEngine {
     /// inserting any tuple — the empty-window form of [`warm`].
     ///
     /// [`warm`]: StreamEngine::warm
-    pub fn compile(rel: &Relation, rules: Vec<Cfd>, shards: usize) -> StreamEngine {
-        let n_shards = shards.max(1).min(rules.len().max(1));
-        let mut shard_rules: Vec<Vec<RuleState>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (i, cfd) in rules.iter().enumerate() {
-            shard_rules[i % n_shards].push(RuleState::compile(i, cfd));
-        }
+    pub fn compile(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> StreamEngine {
+        let states = rules
+            .iter()
+            .enumerate()
+            .map(|(i, cfd)| RuleState::compile(i, cfd))
+            .collect();
         let rule_texts = rules.iter().map(|c| c.display(rel)).collect();
         StreamEngine {
             schema: rel.schema().clone(),
             dicts: rel.dicts(),
             rules,
             rule_texts,
-            shards: shard_rules,
+            states,
+            threads,
             cols: vec![Vec::new(); rel.arity()],
             live: Vec::new(),
             n_live: 0,
@@ -147,11 +150,6 @@ impl StreamEngine {
     /// The display form of rule `r` (the paper's syntax).
     pub fn rule_text(&self, r: RuleId) -> &str {
         &self.rule_texts[r]
-    }
-
-    /// Number of rule shards (worker threads per batch).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of live tuples.
@@ -280,45 +278,31 @@ impl StreamEngine {
         Ok(self.apply(&ops))
     }
 
-    /// Below this many `op × rule` applications a batch is applied
-    /// sequentially even when sharded: per-rule work is sub-microsecond
-    /// hash updates, so spawning OS threads for a tiny batch costs more
-    /// than it saves. (A persistent worker pool would lower the
-    /// crossover; this keeps the engine dependency-free for now.)
+    /// Below this many `row × rule` applications a batch, warm or cover
+    /// swap runs on one worker whatever `threads` asks: per-rule work is
+    /// sub-microsecond hash updates, so spawning OS threads for a tiny
+    /// batch costs more than it saves.
     const MIN_PARALLEL_WORK: usize = 2048;
 
-    /// Applies encoded ops to every shard (in parallel when more than
-    /// one and the batch is big enough to amortize thread spawns) and
-    /// coalesces the transitions into the batch's net delta.
+    /// Applies encoded ops to every rule's index (in parallel when the
+    /// batch is big enough to amortize thread spawns) and coalesces the
+    /// transitions into the batch's net delta.
     fn apply(&mut self, ops: &[Op]) -> BatchDelta {
         if ops.is_empty() {
             return BatchDelta::default();
         }
         let _sp = cfd_obs::span!("stream.apply_batch");
-        let work = ops.len() * self.rules.len();
-        let events: Vec<Event> = if self.shards.len() <= 1 || work < Self::MIN_PARALLEL_WORK {
-            let mut out = Vec::new();
-            for shard in &mut self.shards {
-                apply_shard(shard, ops, &mut out);
+        let events = per_chunk(&mut self.states, self.threads, ops.len(), |rules, out| {
+            for op in ops {
+                for rule in rules.iter_mut() {
+                    if op.insert {
+                        rule.insert(op.id, &op.codes, out);
+                    } else {
+                        rule.delete(op.id, &op.codes, out);
+                    }
+                }
             }
-            out
-        } else {
-            let chunks: Vec<Vec<Event>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            apply_shard(shard, ops, &mut out);
-                            out
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            chunks.into_iter().flatten().collect()
-        };
+        });
         let delta = coalesce(events);
         if let Some(m) = &self.metrics {
             m.add("stream.batches", 1);
@@ -345,10 +329,8 @@ impl StreamEngine {
     /// [`materialize`]: StreamEngine::materialize
     pub fn live_violations(&self) -> Vec<(RuleId, Violation)> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            for rule in shard {
-                rule.live_violations(&mut out);
-            }
+        for rule in &self.states {
+            rule.live_violations(&mut out);
         }
         out.sort_unstable();
         out
@@ -356,9 +338,7 @@ impl StreamEngine {
 
     /// Current per-rule counters, in rule-id order.
     pub fn stats(&self) -> Vec<RuleStats> {
-        let mut out: Vec<RuleStats> = self.shards.iter().flatten().map(|r| r.stats()).collect();
-        out.sort_unstable_by_key(|s| s.rule);
-        out
+        self.states.iter().map(RuleState::stats).collect()
     }
 
     /// The attached metrics sink, if any — shared with
@@ -403,28 +383,30 @@ impl StreamEngine {
 
         let live = self.materialize();
         let live_ids = self.live_ids();
-        let n_shards = self.shards.len().max(1).min(new_rules.len().max(1));
-        let mut shards: Vec<Vec<RuleState>> = (0..n_shards).map(|_| Vec::new()).collect();
-        for (i, cfd) in new_rules.iter().enumerate() {
-            shards[i % n_shards].push(RuleState::compile(i, cfd));
-        }
+        let mut states: Vec<RuleState> = new_rules
+            .iter()
+            .enumerate()
+            .map(|(i, cfd)| RuleState::compile(i, cfd))
+            .collect();
         let plan = cfd_validate::CoverPlan::compile(&live, &new_rules);
-        let work = live.n_rows() * new_rules.len();
-        if shards.len() <= 1 || work < Self::MIN_PARALLEL_WORK {
-            for shard in shards.iter_mut() {
-                rebuild_shard(shard, &live, &plan, &live_ids);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for shard in shards.iter_mut() {
-                    scope.spawn(|| rebuild_shard(shard, &live, &plan, &live_ids));
+        // bulk-build against the dense live instance, then map dense row
+        // ids back to engine row ids
+        per_chunk(
+            &mut states,
+            self.threads,
+            live.n_rows(),
+            |rules, _: &mut Vec<()>| {
+                for rule in rules {
+                    let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
+                    rule.warm_from(&live, gids);
+                    rule.remap_ids(&live_ids);
                 }
-            });
-        }
+            },
+        );
         // install: three plain moves, nothing can fail past this point
         self.rule_texts = new_rules.iter().map(|c| c.display(&live)).collect();
         self.rules = new_rules;
-        self.shards = shards;
+        self.states = states;
 
         let raised: Vec<(RuleId, Violation)> = self
             .live_violations()
@@ -461,39 +443,31 @@ impl StreamEngine {
     }
 }
 
-/// Bulk-builds one shard's rule indexes from the compiled plan's family
-/// group ids.
-fn warm_shard(shard: &mut [RuleState], rel: &Relation, plan: &cfd_validate::CoverPlan) {
-    for rule in shard.iter_mut() {
-        let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
-        rule.warm_from(rel, gids);
-    }
-}
-
-/// Bulk-builds one shard's rule indexes against the dense materialized
-/// live instance, then remaps dense row ids back to engine row ids —
-/// the cover-swap counterpart of [`warm_shard`].
-fn rebuild_shard(
-    shard: &mut [RuleState],
-    live: &Relation,
-    plan: &cfd_validate::CoverPlan,
-    live_ids: &[RowId],
-) {
-    for rule in shard.iter_mut() {
-        let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
-        rule.warm_from(live, gids);
-        rule.remap_ids(live_ids);
-    }
-}
-
-fn apply_shard(shard: &mut [RuleState], ops: &[Op], out: &mut Vec<Event>) {
-    for op in ops {
-        for rule in shard.iter_mut() {
-            if op.insert {
-                rule.insert(op.id, &op.codes, out);
-            } else {
-                rule.delete(op.id, &op.codes, out);
-            }
-        }
-    }
+/// Runs `f` for `rows` rows over the rules' indexes on the
+/// [`shard_runs`] workers (`threads`, capped by the cores and the rule
+/// count; one below [`StreamEngine::MIN_PARALLEL_WORK`] row × rule
+/// applications), one contiguous chunk of rules per worker, and returns
+/// the outputs in rule order. At one worker the one chunk holds every
+/// rule.
+fn per_chunk<T: Send>(
+    states: &mut [RuleState],
+    threads: usize,
+    rows: usize,
+    f: impl Fn(&mut [RuleState], &mut Vec<T>) + Sync,
+) -> Vec<T> {
+    let threads = if rows * states.len() < StreamEngine::MIN_PARALLEL_WORK {
+        1
+    } else {
+        threads
+    };
+    let chunk = states.len().div_ceil(workers(threads)).max(1);
+    shard_runs(
+        states.chunks_mut(chunk),
+        threads,
+        &Control::default(),
+        &mut SearchStats::default(),
+        || (),
+        |rules, (), _, out| f(rules, out),
+    )
+    .expect("default Control is never cancelled")
 }

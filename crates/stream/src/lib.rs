@@ -11,8 +11,9 @@
 //! * a **per-LHS-pattern group index** (key = codes on the wildcard
 //!   attributes → ordered members) catches pair violations of the
 //!   embedded FD and re-anchors groups when their witness is deleted,
-//! * rules are **sharded across worker threads**, so a batch is encoded
-//!   once and applied to all rule indexes in parallel,
+//! * rules are **sharded across worker threads** (at most one per
+//!   core), so a batch is encoded once and applied to all rule indexes
+//!   in parallel,
 //! * per-rule **support / violation / confidence counters** are
 //!   queryable at any point, in O(#rules).
 //!
@@ -235,8 +236,8 @@ mod tests {
             vec!["44", "131", "9", "Kim", "High St.", "UN", "EH4 1DT"],
         ];
         let mut all: Vec<Vec<(usize, Violation)>> = Vec::new();
-        for shards in [1usize, 2, 3, 8] {
-            let (mut engine, warm_delta) = StreamEngine::warm(&rel, rules(&rel), shards);
+        for threads in [1usize, 2, 3, 8] {
+            let (mut engine, warm_delta) = StreamEngine::warm(&rel, rules(&rel), threads);
             assert!(warm_delta.is_empty());
             let (_, d1) = engine.insert_batch(&dirty).unwrap();
             assert!(!d1.is_empty());
@@ -244,9 +245,52 @@ mod tests {
             reconcile(&engine);
         }
         assert!(all.windows(2).all(|w| w[0] == w[1]));
-        // shard count is capped by the rule count
-        let (engine, _) = StreamEngine::warm(&rel, rules(&rel), 8);
-        assert_eq!(engine.n_shards(), 3);
+
+        // 8 rules over 400 warm rows and 300-row batches: the warm, both
+        // batches and the cover swap cross `MIN_PARALLEL_WORK`, so they
+        // fan out, and a request for `usize::MAX` workers runs on the
+        // cores the process has
+        let rows = |ids: std::ops::Range<usize>| -> Vec<Vec<String>> {
+            ids.map(|i| {
+                [("a", 7), ("b", 5), ("c", 3), ("d", 11)]
+                    .iter()
+                    .map(|&(name, m)| format!("{name}{}", i % m))
+                    .collect()
+            })
+            .collect()
+        };
+        let schema = Schema::new(["A", "B", "C", "D"]).unwrap();
+        let warm = relation_from_rows(schema, &rows(0..400)).unwrap();
+        let cover: Vec<cfd_model::Cfd> = [
+            "(A -> B, (_ || _))",
+            "(B -> C, (_ || _))",
+            "([A, C] -> D, (_, _ || _))",
+            "(D -> A, (_ || _))",
+            "(C -> B, (c1 || _))",
+            "(A -> D, (a1 || d1))",
+            "([B, D] -> A, (b2, _ || _))",
+            "(C -> A, (_ || a3))",
+        ]
+        .iter()
+        .map(|r| parse_cfd(&warm, r).unwrap())
+        .collect();
+        let run = |threads: usize| {
+            let (mut engine, warmed) = StreamEngine::warm(&warm, cover.clone(), threads);
+            let (_, inserted) = engine.insert_batch(&rows(1000..1300)).unwrap();
+            let deleted = engine.delete_batch(&(0..300).collect::<Vec<_>>()).unwrap();
+            let swapped = engine.apply_cover_delta(&[0, 3], vec![cover[1].clone()]);
+            reconcile(&engine);
+            (
+                [warmed, inserted, deleted, swapped],
+                engine.live_violations(),
+                engine.stats(),
+            )
+        };
+        let serial = run(1);
+        assert!(serial.0.iter().all(|d| !d.is_empty()));
+        for threads in [2, usize::MAX] {
+            assert_eq!(run(threads), serial, "threads {threads}");
+        }
     }
 
     /// Asserts the engine's live violation set equals a batch scan of

@@ -140,12 +140,12 @@ impl CoverDelta {
     }
 }
 
-/// Rules whose live confidence has drifted below `theta`. Vacuous
-/// rules (zero matching live support) are not drifted: their
-/// confidence is 1.0 by convention and there is no data to re-mine.
-pub fn drifted_rules(engine: &StreamEngine, theta: f64) -> Vec<RuleId> {
-    engine
-        .stats()
+/// The rules whose live confidence has drifted below `theta`, in
+/// rule-id order. Vacuous rules (zero matching live support) are not
+/// drifted: their confidence is 1.0 by convention and there is no data
+/// to re-mine.
+fn drifted_rules(stats: &[crate::RuleStats], theta: f64) -> Vec<RuleId> {
+    stats
         .iter()
         .filter(|s| s.matched() > 0 && s.confidence() < theta)
         .map(|s| s.rule)
@@ -171,11 +171,7 @@ pub fn remine(
         let _sp = cfd_obs::span!("remine.trigger");
         engine.stats()
     };
-    let drifted: Vec<RuleId> = stats
-        .iter()
-        .filter(|s| s.matched() > 0 && s.confidence() < opts.theta)
-        .map(|s| s.rule)
-        .collect();
+    let drifted = drifted_rules(&stats, opts.theta);
     if drifted.is_empty() {
         return Ok(None);
     }
@@ -277,7 +273,7 @@ pub fn remine(
 /// to the drifted area — and falls back to the remaining schema
 /// attributes, so a replacement rule can pick up a determinant the old
 /// cover never mentioned. Smallest attribute ids win within each tier —
-/// deterministic regardless of rule or shard order.
+/// deterministic regardless of rule order or thread count.
 fn neighborhood(engine: &StreamEngine, drifted: &[RuleId], expand: usize) -> AttrSet {
     let attrs_of = |c: &Cfd| c.lhs_attrs().with(c.rhs_attr());
     let mut core = AttrSet::EMPTY;
@@ -341,10 +337,10 @@ mod tests {
     const FD: &str = "(A -> B, (_ || _))";
     const CONDITIONAL: &str = "([A] -> B, (a1 || _))";
 
-    fn drift_engine(rule: &str, shards: usize) -> StreamEngine {
+    fn drift_engine(rule: &str, threads: usize) -> StreamEngine {
         let rel = warm_rel();
         let rules = vec![parse_cfd(&rel, rule).unwrap()];
-        let (mut engine, delta) = StreamEngine::warm(&rel, rules, shards);
+        let (mut engine, delta) = StreamEngine::warm(&rel, rules, threads);
         assert!(delta.is_empty());
         // drift: within A = a1, B now splits by C — A → B collapses
         // to 4/8 confidence, while [A, C] → B holds exactly
@@ -395,7 +391,7 @@ mod tests {
     #[test]
     fn drift_retires_and_replaces_the_rule() {
         let mut engine = drift_engine(FD, 1);
-        assert_eq!(drifted_rules(&engine, 0.95), vec![0]);
+        assert_eq!(drifted_rules(&engine.stats(), 0.95), vec![0]);
         let opts = RemineOptions {
             theta: 0.95,
             expand: 1,
@@ -432,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn remine_is_thread_and_shard_invariant() {
+    fn remine_is_thread_invariant() {
         let opts1 = RemineOptions {
             threads: 1,
             ..RemineOptions::default()
@@ -445,8 +441,8 @@ mod tests {
         let d1 = remine(&mut base, &opts1, &Control::default())
             .unwrap()
             .unwrap();
-        for (shards, opts) in [(1, opts4), (2, opts1), (4, opts4)] {
-            let mut engine = drift_engine(FD, shards);
+        for (engine_threads, opts) in [(1, opts4), (2, opts1), (4, opts4)] {
+            let mut engine = drift_engine(FD, engine_threads);
             let d = remine(&mut engine, &opts, &Control::default())
                 .unwrap()
                 .unwrap();

@@ -3,8 +3,7 @@
 //! domain, so colliding LHS groups push rules below θ — one re-mining
 //! cycle leaves a cover whose *every* rule kernel-validates at
 //! confidence ≥ θ, a second cycle finds nothing left to heal, and the
-//! entire run is byte-identical at 1 shard × 1 thread and 4 shards × 4
-//! threads.
+//! entire run is byte-identical at 1 and 4 threads.
 
 use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_model::relation::{Relation, RelationBuilder};
@@ -45,14 +44,13 @@ fn run_scenario(
     warm: &Relation,
     ops: &[(u8, Vec<u32>)],
     theta: f64,
-    shards: usize,
     threads: usize,
 ) -> (Vec<String>, Vec<RuleMeasure>, bool) {
     let rules: Vec<_> = FastCfd::default()
         .discover(warm, &DiscoverOptions::new(1))
         .into_iter()
         .collect();
-    let (mut engine, _) = StreamEngine::warm(warm, rules, shards);
+    let (mut engine, _) = StreamEngine::warm(warm, rules, threads);
     for (action, row) in ops {
         if *action % 2 == 0 || engine.n_live() == 0 {
             let arity = engine.schema().arity();
@@ -98,7 +96,7 @@ proptest! {
         ops in arb_ops(),
         theta in (0usize..3).prop_map(|i| [0.75, 0.9, 0.95][i]),
     ) {
-        let (texts, measures, triggered) = run_scenario(&warm, &ops, theta, 1, 1);
+        let (texts, measures, triggered) = run_scenario(&warm, &ops, theta, 1);
 
         // every surviving rule meets θ on the live instance, whether
         // the cycle triggered (healed cover) or not (nothing drifted)
@@ -109,8 +107,8 @@ proptest! {
             );
         }
 
-        // byte-identical outcome at 4 shards × 4 threads
-        let (texts4, measures4, triggered4) = run_scenario(&warm, &ops, theta, 4, 4);
+        // byte-identical outcome at 4 threads
+        let (texts4, measures4, triggered4) = run_scenario(&warm, &ops, theta, 4);
         prop_assert_eq!(texts, texts4);
         prop_assert_eq!(measures, measures4);
         prop_assert_eq!(triggered, triggered4);

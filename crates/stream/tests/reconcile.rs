@@ -53,11 +53,11 @@ proptest! {
     fn deltas_reconcile_with_batch_detection(
         warm in arb_warm(),
         ops in arb_ops(),
-        shards in 1usize..=3,
+        threads in 1usize..=3,
     ) {
         // a real discovered cover: minimal 1-frequent constant+variable CFDs
         let rules: Vec<_> = FastCfd::default().discover(&warm, &DiscoverOptions::new(1)).into_iter().collect();
-        let (mut engine, warm_delta) = StreamEngine::warm(&warm, rules, shards);
+        let (mut engine, warm_delta) = StreamEngine::warm(&warm, rules, threads);
         // rules discovered on the warm data hold on the warm data
         prop_assert!(warm_delta.is_empty(), "{warm_delta:?}");
 

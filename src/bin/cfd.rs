@@ -8,7 +8,7 @@
 //!              [--format text|json]
 //! cfd repair   <data.csv> <rules.txt> <out.csv> [--lenient]
 //! cfd stats    <data.csv>
-//! cfd watch    <initial.csv> <rules.txt> [--shards N] [--lenient]
+//! cfd watch    <initial.csv> <rules.txt> [--threads N] [--lenient]
 //! cfd serve    [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!              [--registry-budget-mb N] [--max-line-kb N] [--job-timeout-ms N]
 //!              [--io-timeout-ms N] [--idle-ms N] [--faults]
@@ -55,7 +55,7 @@
 //!
 //! ```sh
 //! cfd discover clean.csv --k 20 > rules.txt
-//! tail -f updates.log | cfd watch clean.csv rules.txt --shards 4
+//! tail -f updates.log | cfd watch clean.csv rules.txt --threads 4
 //! ```
 //!
 //! `serve` keeps datasets resident and answers many clients over one
@@ -91,8 +91,8 @@ fn usage() -> ExitCode {
          \x20           [--trace] [--metrics-out FILE]\n  \
          cfd repair <data.csv> <rules.txt> <out.csv> [--lenient]\n  \
          cfd stats <data.csv>\n  \
-         cfd watch <initial.csv> <rules.txt> [--shards N] [--lenient] [--trace] [--metrics-out FILE]\n\
-         \x20          [--remine] [--remine-theta F] [--remine-expand N] [--remine-timeout-ms N] [--threads N]\n  \
+         cfd watch <initial.csv> <rules.txt> [--threads N] [--lenient] [--trace] [--metrics-out FILE]\n\
+         \x20          [--remine] [--remine-theta F] [--remine-expand N] [--remine-timeout-ms N]\n  \
          cfd serve [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
          \x20          [--registry-budget-mb N] [--max-line-kb N] [--job-timeout-ms N]\n\
          \x20          [--io-timeout-ms N] [--idle-ms N] [--faults] [--trace] [--metrics-out FILE]\n  \
@@ -102,8 +102,8 @@ fn usage() -> ExitCode {
          algorithms (cfd algos): {}\n\
          (--threads parallelizes discovery with every algorithm — fastcfd/naive shard\n\
          \x20 FindCover, ctane/tane shard level expansion, cfdminer its mining pass —\n\
-         \x20 and check, on at most as many workers as there are cores; output is\n\
-         \x20 identical at any thread count;\n\
+         \x20 check, and watch's batches and re-mining, on at most as many workers as\n\
+         \x20 there are cores; output is identical at any thread count;\n\
          \x20 --min-confidence mines approximate covers with ctane/tane/cfdminer;\n\
          \x20 rule files are strict — --lenient skips unparseable lines instead;\n\
          \x20 watch --remine re-mines drifted rules in place: when a rule's live\n\
@@ -145,13 +145,12 @@ fn obs_session(a: &Args) -> ObsSession {
 struct Args {
     positional: Vec<String>,
     algo: Algo,
-    /// The discover flags; `--threads` also sizes ingest, `check` and
-    /// re-mining.
+    /// The discover flags; `--threads` also sizes ingest, `check`,
+    /// `watch` and re-mining.
     opts: DiscoverOptions,
     project: Option<String>,
     tableau: bool,
     limit: usize,
-    shards: usize,
     lenient: bool,
     format: Format,
     remine: bool,
@@ -183,7 +182,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, String> {
         project: None,
         tableau: false,
         limit: 20,
-        shards: 1,
         lenient: false,
         format: Format::Text,
         remine: false,
@@ -227,7 +225,6 @@ fn parse_args(argv: &[String]) -> std::result::Result<Args, String> {
             }
             "--top-k" => a.opts.top_k = Some(number("--top-k", value("--top-k")?)?),
             "--limit" => a.limit = number("--limit", value("--limit")?)?,
-            "--shards" => a.shards = number("--shards", value("--shards")?)?,
             "--project" => a.project = Some(value("--project")?.clone()),
             "--format" => {
                 a.format = match value("--format")?.as_str() {
@@ -573,14 +570,13 @@ fn watch(a: &Args) -> Result<ExitCode> {
         parse_cfd_interning(&mut rel, line)
     })?;
     let cfds: Vec<Cfd> = loaded.into_iter().map(|(_, c)| c).collect();
-    let (engine, warm) = StreamEngine::warm(&rel, cfds, a.shards);
+    let (engine, warm) = StreamEngine::warm(&rel, cfds, a.opts.threads);
     let mut engine = engine.metrics_with(obs.registry().clone());
     eprintln!(
-        "# watching {} rules over {} ({} tuples, {} shards)",
+        "# watching {} rules over {} ({} tuples)",
         engine.rules().len(),
         a.positional[0],
         engine.n_live(),
-        engine.n_shards(),
     );
 
     // rule texts come from the engine (not the rules file): a --remine

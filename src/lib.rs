@@ -25,9 +25,9 @@
 //!   streaming tuple batches (`cfd watch`), warm-started through the
 //!   kernel;
 //! * [`serve`] — the resident multi-client service (`cfd serve`):
-//!   dataset registry with shared column indexes, bounded job queue
-//!   with cancellation, and newline-delimited JSON streaming of
-//!   progress and results over TCP.
+//!   byte-budgeted dataset registry, bounded job queue with
+//!   cancellation, and newline-delimited JSON streaming of progress and
+//!   results over TCP.
 //!
 //! ## Quickstart
 //!

@@ -611,7 +611,7 @@ fn watch_streams_violation_deltas() {
             "watch",
             clean.to_str().unwrap(),
             rules.to_str().unwrap(),
-            "--shards",
+            "--threads",
             "2",
         ])
         .stdin(Stdio::piped())
