@@ -29,7 +29,6 @@ use cfd_itemset::mine::{mine_free_closed, MineOptions, Mined};
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
-use cfd_model::fxhash::FxHashMap;
 use cfd_model::measure::RuleMeasure;
 use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::{PVal, Pattern};
@@ -37,7 +36,6 @@ use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::agree::agree_sets_of_rows;
-use std::rc::Rc;
 
 /// How difference sets are computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,18 +47,8 @@ pub enum DiffSetMode {
     StrippedPartitions,
 }
 
-/// Computes and caches minimal difference sets `Dᵐ_A(r_tp)` per
-/// `(free pattern, A)`.
-struct DiffSetEngine<'a> {
-    rel: &'a Relation,
-    mode: DiffSetMode,
-    index: Option<&'a ClosedSetIndex>,
-    agree_cache: FxHashMap<Pattern, Rc<Vec<AttrSet>>>,
-    dm_cache: FxHashMap<(Pattern, AttrId), Rc<Vec<AttrSet>>>,
-}
-
-/// Builds the Closed₂(r) index once (shared by every engine/thread),
-/// mining on `threads` workers.
+/// Builds the Closed₂(r) index once (shared by every thread), mining
+/// on `threads` workers.
 fn build_closed2_index(
     rel: &Relation,
     mode: DiffSetMode,
@@ -72,62 +60,38 @@ fn build_closed2_index(
     }
 }
 
-impl<'a> DiffSetEngine<'a> {
-    fn new(
-        rel: &'a Relation,
-        mode: DiffSetMode,
-        index: Option<&'a ClosedSetIndex>,
-    ) -> DiffSetEngine<'a> {
-        debug_assert_eq!(index.is_some(), mode == DiffSetMode::ClosedSets);
-        DiffSetEngine {
-            rel,
-            mode,
-            index,
-            agree_cache: FxHashMap::default(),
-            dm_cache: FxHashMap::default(),
-        }
-    }
-
-    /// The agree-set family of `r_tp` for a mined free set.
-    fn agree_family(&mut self, mined: &Mined, free_idx: usize) -> Rc<Vec<AttrSet>> {
-        let pattern = &mined.free[free_idx].pattern;
-        if let Some(f) = self.agree_cache.get(pattern) {
-            return Rc::clone(f);
-        }
-        let family = match self.mode {
-            DiffSetMode::ClosedSets => self
-                .index
-                .expect("closed-set mode builds an index")
-                .agree_attr_sets(pattern),
-            DiffSetMode::StrippedPartitions => {
-                agree_sets_of_rows(self.rel, mined.free[free_idx].tids())
-            }
-        };
-        let rc = Rc::new(family);
-        self.agree_cache.insert(pattern.clone(), Rc::clone(&rc));
-        rc
-    }
-
-    /// `Dᵐ_A(r_tp)` for a mined free set. Empty result means `A` is
-    /// constant on `r_tp` (the constant-CFD case of Lemma 4).
-    fn min_diff_sets(&mut self, mined: &Mined, free_idx: usize, rhs: AttrId) -> Rc<Vec<AttrSet>> {
-        let free = &mined.free[free_idx];
-        let key = (free.pattern.clone(), rhs);
-        if let Some(dm) = self.dm_cache.get(&key) {
-            return Rc::clone(dm);
-        }
-        let dm = if mined.closure_of(free_idx).pattern.attrs().contains(rhs) {
-            Vec::new()
-        } else {
-            // its `attr(R) \ {A}` fallback (pairs agreeing nowhere) can
-            // apply only to the empty pattern: any constant pattern
-            // forces agreement on its own attributes
-            min_diff_sets(&self.agree_family(mined, free_idx), rhs, self.rel.arity())
-        };
-        let rc = Rc::new(dm);
-        self.dm_cache.insert(key, Rc::clone(&rc));
-        rc
-    }
+/// The agree-set family of `r_tp` for every mined free set whose
+/// closure misses some attribute — the free sets some RHS derives
+/// `Dᵐ_A(r_tp)` from — and an empty family for the others. Each family
+/// is computed once, on `threads` workers, from the Closed₂ index when
+/// there is one (FastCFD) and from the free set's tuples otherwise
+/// (NaiveFast); every RHS's `FindCover` reads them.
+fn agree_families(
+    rel: &Relation,
+    mined: &Mined,
+    index: Option<&ClosedSetIndex>,
+    threads: usize,
+    ctrl: &Control<'_>,
+    stats: &mut SearchStats,
+) -> Result<Vec<Vec<AttrSet>>, Cancelled> {
+    let full = AttrSet::full(rel.arity());
+    shard_runs(
+        0..mined.free.len(),
+        threads,
+        ctrl,
+        stats,
+        || (),
+        |fi, _, _, out| {
+            let free = &mined.free[fi];
+            out.push(if mined.closure_of(fi).pattern.attrs() == full {
+                Vec::new()
+            } else if let Some(index) = index {
+                index.agree_attr_sets(&free.pattern)
+            } else {
+                agree_sets_of_rows(rel, free.tids())
+            })
+        },
+    )
 }
 
 /// Depth-first CFD discovery (Section 5). It reads `k` and `threads`
@@ -136,13 +100,13 @@ impl<'a> DiffSetEngine<'a> {
 /// sets, dynamic attribute reordering, constant CFDs via CFDMiner;
 /// [`FastCfd::naive`] is NaiveFast.
 ///
-/// `threads` runs `FindCover` for different RHS attributes on the
-/// [`shard_runs`] workers (FindCover is embarrassingly parallel across
-/// RHS attributes; the Closed₂ index is shared read-only) and shards
-/// both item-set mining passes (the k-frequent free sets and the
-/// Closed₂ index) over the same workers, at most one per core. `1`
-/// keeps the paper's single-threaded execution model. Output is
-/// byte-identical for every thread count.
+/// `threads` shards both item-set mining passes (the k-frequent free
+/// sets and the Closed₂ index), then each free set's agree-set family
+/// (computed once per run), then `FindCover` for the different RHS
+/// attributes (embarrassingly parallel across RHS attributes; the
+/// families are shared read-only) over the [`shard_runs`] workers, at
+/// most one per core. `1` keeps the paper's single-threaded execution
+/// model. Output is byte-identical for every thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct FastCfd {
     mode: DiffSetMode,
@@ -202,21 +166,26 @@ impl FastCfd {
         self
     }
 
-    /// `FindCover(A, r, k)`: all minimal k-frequent CFDs with RHS `A`.
+    /// `FindCover(A, r, k)`: all minimal k-frequent CFDs with RHS `A`,
+    /// from the free sets' agree-set `families`.
     fn find_cover(
         &self,
         rel: &Relation,
         mined: &Mined,
-        engine: &mut DiffSetEngine<'_>,
+        families: &[Vec<AttrSet>],
         rhs: AttrId,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<Vec<(Cfd, RuleMeasure)>, Cancelled> {
         let full = AttrSet::full(rel.arity());
         let mut out = Vec::new();
+        // Dᵐ_A(r_tp) by free-set id, empty where A is constant on r_tp.
+        // Free sets ascend by size, so the sub-patterns check (b2) reads
+        // are filled before the patterns that read them.
+        let mut dms: Vec<Vec<AttrSet>> = vec![Vec::new(); mined.free.len()];
         for fi in 0..mined.free.len() {
             ctrl.check()?;
-            let pattern = mined.free[fi].pattern.clone();
+            let pattern = &mined.free[fi].pattern;
             if pattern.attrs().contains(rhs) {
                 continue;
             }
@@ -250,7 +219,11 @@ impl FastCfd {
                 }
                 continue;
             }
-            let dm = engine.min_diff_sets(mined, fi, rhs);
+            // its `attr(R) \ {A}` fallback (pairs agreeing nowhere) can
+            // apply only to the empty pattern: any constant pattern
+            // forces agreement on its own attributes
+            dms[fi] = min_diff_sets(&families[fi], rhs, rel.arity());
+            let dm = &dms[fi];
             stats.diff_set_families += 1;
             if dm.iter().any(|d| d.is_empty()) {
                 // some pair differs on A and nothing else: no CFD with RHS
@@ -258,15 +231,15 @@ impl FastCfd {
                 continue;
             }
             // difference sets of the immediate sub-patterns, for (b2)
-            let sub_dms: Vec<(AttrId, Rc<Vec<AttrSet>>)> = pattern
+            let sub_dms: Vec<(AttrId, &[AttrSet])> = pattern
                 .attrs()
                 .iter()
                 .map(|b| {
-                    let sub = pattern.without(b);
                     let si = mined
-                        .free_index(&sub)
+                        .free_index(&pattern.without(b))
                         .expect("sub-patterns of free sets are mined");
-                    (b, engine.min_diff_sets(mined, si, rhs))
+                    debug_assert!(si < fi, "sub-patterns come first");
+                    (b, &dms[si][..])
                 })
                 .collect();
             stats.diff_set_families += sub_dms.len() as u64;
@@ -276,7 +249,7 @@ impl FastCfd {
                 .iter()
                 .collect();
             // (b1) Y is a minimal cover of Dᵐ_A(r_tp): checked by the search
-            minimal_covers(&dm, &candidates, self.dynamic_reorder, stats, |y, stats| {
+            minimal_covers(dm, &candidates, self.dynamic_reorder, stats, |y, stats| {
                 // (b2) upgrading any LHS constant B to `_` must not yield a
                 // valid CFD: Y ∪ {B} may not cover Dᵐ_A(r_{tp[X\B]})
                 for (b, sub_dm) in &sub_dms {
@@ -306,8 +279,8 @@ impl Discoverer for FastCfd {
     }
 
     /// Discovers the canonical cover of minimal k-frequent CFDs: polls
-    /// `ctrl` per free pattern inside `FindCover` (also from worker
-    /// threads), reports `rhs` progress, times the `mine` / `index` /
+    /// `ctrl` per free pattern, for its agree-set family and inside
+    /// `FindCover` (also from worker threads), reports `rhs` progress, times the `mine` / `index` /
     /// `findcover` phases, and counts mined free/closed sets,
     /// difference-set families (`diff_set_families`), cover candidates
     /// tested (`candidates`) and covers failing the left-reduction
@@ -352,17 +325,18 @@ impl Discoverer for FastCfd {
             stats.closed_sets += mined.closed.len() as u64;
         }
         let t1 = std::time::Instant::now();
-        // one run per RHS attribute; each worker owns a difference-set
-        // engine (its pattern caches), the index and mining result are
-        // shared read-only
+        let families = agree_families(rel, &mined, index.as_ref(), opts.threads, ctrl, stats)?;
+        drop(index);
+        // one run per RHS attribute; the agree-set families and the
+        // mining result are shared read-only
         let per_rhs = shard_runs(
             0..rel.arity(),
             opts.threads,
             ctrl,
             stats,
-            || DiffSetEngine::new(rel, self.mode, index.as_ref()),
-            |rhs, engine, stats, found| {
-                let rules = self.find_cover(rel, &mined, engine, rhs, ctrl, stats);
+            || (),
+            |rhs, _, stats, found| {
+                let rules = self.find_cover(rel, &mined, &families, rhs, ctrl, stats);
                 if rules.is_ok() {
                     ctrl.report("rhs", rhs + 1, rel.arity());
                 }
@@ -388,6 +362,12 @@ mod tests {
     use cfd_datagen::random::RandomRelation;
     use cfd_model::cfd::parse_cfd;
 
+    /// The agree-set families `FindCover` reads, computed serially.
+    fn families(r: &Relation, mined: &Mined, index: Option<&ClosedSetIndex>) -> Vec<Vec<AttrSet>> {
+        let (ctrl, mut stats) = (Control::default(), SearchStats::default());
+        agree_families(r, mined, index, 1, &ctrl, &mut stats).unwrap()
+    }
+
     #[test]
     fn example9_difference_sets() {
         // D^m_STR(r_{CC=01}) = {[PN],[AC,CT]} and D^m_STR(r_{CC=44}) =
@@ -406,18 +386,17 @@ mod tests {
             .collect();
         for mode in [DiffSetMode::ClosedSets, DiffSetMode::StrippedPartitions] {
             let index = build_closed2_index(&r, mode, 1);
-            let mut engine = DiffSetEngine::new(&r, mode, index.as_ref());
+            let families = families(&r, &mined, index.as_ref());
             let cc01 = Pattern::from_pairs([(
                 ids["CC"],
                 PVal::Const(r.column(ids["CC"]).dict().code("01").unwrap()),
             )]);
             let fi = mined.free_index(&cc01).unwrap();
-            let dm = engine.min_diff_sets(&mined, fi, str_id);
             let want = vec![
                 AttrSet::singleton(ids["PN"]),
                 AttrSet::from_iter([ids["AC"], ids["CT"]]),
             ];
-            let mut got = dm.as_ref().clone();
+            let mut got = min_diff_sets(&families[fi], str_id, r.arity());
             got.sort_unstable();
             let mut want_sorted = want.clone();
             want_sorted.sort_unstable();
@@ -428,10 +407,9 @@ mod tests {
                 PVal::Const(r.column(ids["CC"]).dict().code("44").unwrap()),
             )]);
             let fi = mined.free_index(&cc44).unwrap();
-            let dm = engine.min_diff_sets(&mined, fi, str_id);
             assert_eq!(
-                dm.as_ref(),
-                &vec![AttrSet::from_iter([ids["AC"], ids["CT"], ids["ZIP"]])],
+                min_diff_sets(&families[fi], str_id, r.arity()),
+                vec![AttrSet::from_iter([ids["AC"], ids["CT"], ids["ZIP"]])],
                 "mode {mode:?}"
             );
         }
@@ -461,13 +439,15 @@ mod tests {
         let xa = Pattern::from_pairs([(0, PVal::Const(r.column(0).dict().code("a").unwrap()))]);
         assert!(index.agree_attr_sets(&xa).contains(&AttrSet::singleton(0)));
         let mined = mine_free_closed(&r, 2, MineOptions::default());
-        let mut closed = DiffSetEngine::new(&r, DiffSetMode::ClosedSets, Some(&index));
-        let mut pairs = DiffSetEngine::new(&r, DiffSetMode::StrippedPartitions, None);
+        let closed = families(&r, &mined, Some(&index));
+        let pairs = families(&r, &mined, None);
         for fi in 0..mined.free.len() {
-            for rhs in 0..r.arity() {
+            // FindCover derives Dᵐ_A only where A is not constant on r_tp
+            let clo = mined.closure_of(fi).pattern.attrs();
+            for rhs in (0..r.arity()).filter(|&a| !clo.contains(a)) {
                 assert_eq!(
-                    closed.min_diff_sets(&mined, fi, rhs),
-                    pairs.min_diff_sets(&mined, fi, rhs),
+                    min_diff_sets(&closed[fi], rhs, r.arity()),
+                    min_diff_sets(&pairs[fi], rhs, r.arity()),
                     "pattern {:?} rhs {rhs}",
                     mined.free[fi].pattern
                 );

@@ -52,19 +52,6 @@ impl RandomRelation {
     }
 }
 
-/// Generates a batch of differently-seeded random relations.
-pub fn random_relations(count: usize, base: RandomRelation) -> Vec<Relation> {
-    (0..count as u64)
-        .map(|i| {
-            RandomRelation {
-                seed: base.seed.wrapping_add(i),
-                ..base
-            }
-            .generate()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,16 +81,5 @@ mod tests {
             assert_eq!(a.tuple_values(t), b.tuple_values(t));
         }
         assert!(a.tuples().any(|t| a.tuple_values(t) != c.tuple_values(t)));
-    }
-
-    #[test]
-    fn batch_seeds_advance() {
-        let batch = random_relations(3, RandomRelation::small(10));
-        assert_eq!(batch.len(), 3);
-        assert!(
-            batch[0].tuple_values(0) != batch[1].tuple_values(0)
-                || batch[0].tuple_values(1) != batch[1].tuple_values(1)
-                || batch[0].tuple_values(2) != batch[1].tuple_values(2)
-        );
     }
 }

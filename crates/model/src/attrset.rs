@@ -20,12 +20,6 @@ impl AttrSet {
     /// The empty attribute set.
     pub const EMPTY: AttrSet = AttrSet(0);
 
-    /// Creates a set from a raw bitmask.
-    #[inline]
-    pub const fn from_bits(bits: u64) -> Self {
-        AttrSet(bits)
-    }
-
     /// Returns the raw bitmask.
     #[inline]
     pub const fn bits(self) -> u64 {
@@ -117,24 +111,6 @@ impl AttrSet {
         self.0 & !other.0 == 0
     }
 
-    /// True iff `self ⊇ other`.
-    #[inline]
-    pub const fn is_superset(self, other: Self) -> bool {
-        other.0 & !self.0 == 0
-    }
-
-    /// True iff `self ⊂ other` (strict).
-    #[inline]
-    pub const fn is_strict_subset(self, other: Self) -> bool {
-        self.0 != other.0 && self.is_subset(other)
-    }
-
-    /// True iff the two sets share no attribute.
-    #[inline]
-    pub const fn is_disjoint(self, other: Self) -> bool {
-        self.0 & other.0 == 0
-    }
-
     /// True iff the two sets intersect.
     #[inline]
     pub const fn intersects(self, other: Self) -> bool {
@@ -186,12 +162,6 @@ impl AttrSet {
             current: 0,
             done: false,
         }
-    }
-
-    /// Iterates over the immediate subsets (each obtained by removing a
-    /// single attribute), ascending in the removed attribute.
-    pub fn immediate_subsets(self) -> impl Iterator<Item = (AttrId, AttrSet)> {
-        self.iter().map(move |a| (a, self.without(a)))
     }
 }
 
@@ -304,11 +274,7 @@ mod tests {
         assert_eq!(a.intersection(b), AttrSet::from_iter([1, 2]));
         assert_eq!(a.difference(b), AttrSet::singleton(0));
         assert!(AttrSet::from_iter([1, 2]).is_subset(a));
-        assert!(a.is_superset(AttrSet::from_iter([1, 2])));
-        assert!(AttrSet::from_iter([1, 2]).is_strict_subset(a));
-        assert!(!a.is_strict_subset(a));
         assert!(a.intersects(b));
-        assert!(a.is_disjoint(AttrSet::from_iter([4, 5])));
     }
 
     #[test]
@@ -350,16 +316,6 @@ mod tests {
     fn subsets_of_empty() {
         let subs: Vec<_> = AttrSet::EMPTY.subsets().collect();
         assert_eq!(subs, vec![AttrSet::EMPTY]);
-    }
-
-    #[test]
-    fn immediate_subsets() {
-        let s = AttrSet::from_iter([2, 4]);
-        let imm: Vec<_> = s.immediate_subsets().collect();
-        assert_eq!(
-            imm,
-            vec![(2, AttrSet::singleton(4)), (4, AttrSet::singleton(2)),]
-        );
     }
 
     #[test]

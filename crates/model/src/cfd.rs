@@ -133,21 +133,9 @@ impl Cfd {
         self.class() == CfdClass::Constant
     }
 
-    /// True iff the CFD is a variable CFD.
-    pub fn is_variable(&self) -> bool {
-        self.class() == CfdClass::Variable
-    }
-
     /// True iff the CFD is a plain FD (all pattern values are `_`).
     pub fn is_plain_fd(&self) -> bool {
         self.rhs_val == PVal::Var && self.lhs.is_all_wildcard()
-    }
-
-    /// The full pattern over `X ∪ {A}` (LHS plus RHS slot), used when a
-    /// CFD has to be treated as one pattern tuple (e.g. support counting).
-    pub fn full_pattern(&self) -> Pattern {
-        debug_assert!(!self.is_trivial());
-        self.lhs.with(self.rhs_attr, self.rhs_val)
     }
 
     /// Renders the CFD in the wire-format (the paper's syntax with
@@ -255,35 +243,6 @@ fn push_value(out: &mut String, v: &str) {
         }
     }
     out.push('"');
-}
-
-/// Re-resolves a CFD's dictionary codes from one relation to another with
-/// the same schema (matching attribute names). Returns `None` when some
-/// constant value does not occur in the target relation at all — such a
-/// rule cannot be represented in the target's code space (its LHS matches
-/// nothing, or its RHS can never be met); callers decide how to treat it.
-///
-/// Only needed across *independently built* relations; copies produced by
-/// [`crate::relation::Relation::restrict`], `project`,
-/// `with_replaced_codes` or `with_replaced_values` share dictionaries and
-/// take CFDs as-is.
-pub fn transfer_cfd(src: &Relation, dst: &Relation, cfd: &Cfd) -> Option<Cfd> {
-    debug_assert!(src.schema().same_as(dst.schema()));
-    let map_val = |a: AttrId, v: PVal| -> Option<PVal> {
-        match v {
-            PVal::Var => Some(PVal::Var),
-            PVal::Const(c) => {
-                let s = src.column(a).dict().value(c);
-                dst.column(a).dict().code(s).map(PVal::Const)
-            }
-        }
-    };
-    let mut pairs = Vec::with_capacity(cfd.lhs().len());
-    for (a, v) in cfd.lhs().iter() {
-        pairs.push((a, map_val(a, v)?));
-    }
-    let rhs = map_val(cfd.rhs_attr(), cfd.rhs_val())?;
-    Some(Cfd::new(Pattern::from_pairs(pairs), cfd.rhs_attr(), rhs))
 }
 
 /// A pattern-value token: its (unescaped) text plus whether it was
@@ -542,7 +501,7 @@ mod tests {
 
         let constant = Cfd::constant(Pattern::from_pairs([(0, PVal::Const(c01))]), 2, mh);
         assert_eq!(constant.class(), CfdClass::Constant);
-        assert!(constant.is_constant() && !constant.is_variable());
+        assert!(constant.is_constant());
 
         let variable = Cfd::variable(
             Pattern::from_pairs([(0, PVal::Const(c01)), (1, PVal::Var)]),
@@ -682,14 +641,5 @@ mod tests {
         }
         // a quoted "_" is a constant, not the wildcard: CT has no "_"
         assert!(parse_cfd(&r, "([CC] -> CT, (01 || \"_\"))").is_err());
-    }
-
-    #[test]
-    fn full_pattern_includes_rhs() {
-        let r = rel();
-        let cfd = parse_cfd(&r, "([CC] -> CT, (01 || MH))").unwrap();
-        let fp = cfd.full_pattern();
-        assert_eq!(fp.attrs(), AttrSet::from_iter([0, 2]));
-        assert!(fp.is_all_const());
     }
 }

@@ -116,13 +116,6 @@ impl CanonicalCover {
         }
     }
 
-    /// Restricts the cover to its variable CFDs.
-    pub fn variable_cover(&self) -> CanonicalCover {
-        CanonicalCover {
-            cfds: self.variables().cloned().collect(),
-        }
-    }
-
     /// Restricts the cover to plain FDs (all-wildcard variable CFDs) —
     /// the fragment a classical FD-discovery algorithm would produce.
     pub fn plain_fd_cover(&self) -> CanonicalCover {
@@ -317,7 +310,6 @@ mod tests {
         ]);
         assert_eq!(cover.counts(), (1, 2));
         assert_eq!(cover.constant_cover().len(), 1);
-        assert_eq!(cover.variable_cover().len(), 2);
         assert_eq!(cover.plain_fd_cover().len(), 1);
     }
 

@@ -12,7 +12,7 @@
 //! text into string records on the same grammar; it is the reference
 //! the pipeline is tested against.
 //!
-//! Record parsing itself is zero-copy: `parse_record_spans` (crate
+//! Record parsing itself is zero-copy: `parse_record_fields` (crate
 //! private) emits byte ranges into the block, unescaping into a shared
 //! scratch buffer only for fields that used quotes. The invariants of
 //! the boundary scan are spelled out in DESIGN.md §11.
@@ -41,7 +41,7 @@ struct FieldSpan {
     scratch: bool,
 }
 
-/// Reusable span/scratch buffers filled by [`parse_record_spans`].
+/// Reusable span/scratch buffers filled by [`parse_record_fields`].
 /// Fields that needed no unescaping are byte ranges into the parsed
 /// block; quoted fields are unescaped once into `scratch` and the span
 /// points there instead.
@@ -84,7 +84,7 @@ impl RecordFields {
 /// in the field; `""` inside quotes is an escaped quote; after a
 /// closing quote the field continues unquoted (so `"x"y` is `xy`); a
 /// lone `\r` not followed by `\n` is an ordinary character.
-pub(crate) fn parse_record_spans(block: &str, at: usize, out: &mut RecordFields) -> Result<usize> {
+pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields) -> Result<usize> {
     let bytes = block.as_bytes();
     let mut i = at;
     let mut field_begin = i;
@@ -198,7 +198,7 @@ impl BlockRecords {
         let mut at = 0;
         while at < block.len() {
             let start = self.fields.spans.len();
-            at = parse_record_spans(block, at, &mut self.fields)?;
+            at = parse_record_fields(block, at, &mut self.fields)?;
             // skip blank lines: a single empty field
             if self.fields.spans.len() == start + 1 && self.fields.get(block, start).is_empty() {
                 self.fields.spans.truncate(start);
@@ -422,7 +422,7 @@ impl<R: Read> BlockReader<R> {
 /// number of bytes consumed.
 fn parse_record(input: &str) -> Result<(Vec<String>, usize)> {
     let mut rf = RecordFields::default();
-    let used = parse_record_spans(input, 0, &mut rf)?;
+    let used = parse_record_fields(input, 0, &mut rf)?;
     let fields = (0..rf.len()).map(|i| rf.get(input, i).to_owned()).collect();
     Ok((fields, used))
 }

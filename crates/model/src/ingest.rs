@@ -24,12 +24,12 @@
 //!    ([`crate::relation::Column::value_counts`]), warm for downstream
 //!    grouping.
 //!
-//! Observability flows through the [`Control`] handle: `ingest.read` /
-//! `ingest.parse` / `ingest.encode` spans, plus `ingest.merge` on the
-//! parallel path (forwarded to `cfd-obs` when tracing is on),
-//! `ingest.rows` and `ingest.chunk_bytes` counters, and the
+//! Observability: `ingest.read` / `ingest.parse` / `ingest.encode`
+//! spans, plus `ingest.merge` on the parallel path, open through the
+//! same [`span!`](crate::span) guard as every other layer's; the
+//! `ingest.rows` and `ingest.chunk_bytes` counters and the
 //! `ingest.relation_bytes` / `ingest.max_block_bytes` gauges (the RSS
-//! proxies). See DESIGN.md §11.
+//! proxies) flow through the [`Control`] handle. See DESIGN.md §11.
 //!
 //! ```
 //! use cfd_model::ingest::{ingest_csv_reader, IngestOptions};
@@ -43,7 +43,7 @@
 //! ```
 
 use crate::csv::{
-    block_str, parse_record_spans, BlockReader, BlockRecords, RecordFields, BOM,
+    block_str, parse_record_fields, BlockReader, BlockRecords, RecordFields, BOM,
     DEFAULT_CHUNK_BYTES,
 };
 use crate::error::{Error, Result};
@@ -178,7 +178,7 @@ fn read_header<R: Read>(blocks: &mut BlockReader<R>) -> Result<(Schema, Vec<u8>)
         at_input_start = false;
         while at < s.len() {
             rf.clear();
-            let next = parse_record_spans(s, at, &mut rf)?;
+            let next = parse_record_fields(s, at, &mut rf)?;
             if !(rf.len() == 1 && rf.get(s, 0).is_empty()) {
                 let names: Vec<&str> = (0..rf.len()).map(|i| rf.get(s, i)).collect();
                 let schema = Schema::new(names)?;
@@ -192,18 +192,13 @@ fn read_header<R: Read>(blocks: &mut BlockReader<R>) -> Result<(Schema, Vec<u8>)
 
 /// Parses one raw block and encodes it into `cols` (the per-block
 /// step of both paths); returns its record count.
-fn encode_one(
-    block: &[u8],
-    recs: &mut BlockRecords,
-    cols: &mut [LocalCol],
-    ctrl: &Control<'_>,
-) -> Result<usize> {
+fn encode_one(block: &[u8], recs: &mut BlockRecords, cols: &mut [LocalCol]) -> Result<usize> {
     let s = block_str(block)?;
     {
-        let _sp = ctrl.span("ingest.parse");
+        let _sp = crate::span!("ingest.parse");
         recs.parse_into(s)?;
     }
-    let _sp = ctrl.span("ingest.encode");
+    let _sp = crate::span!("ingest.encode");
     encode_block(s, recs, cols)?;
     Ok(recs.n_records())
 }
@@ -222,7 +217,7 @@ fn ingest_serial<R: Read>(
         let block = match pending.take() {
             Some(b) => b,
             None => {
-                let _sp = ctrl.span("ingest.read");
+                let _sp = crate::span!("ingest.read");
                 match blocks.next_block()? {
                     Some(b) => b,
                     None => return Ok(()),
@@ -230,7 +225,7 @@ fn ingest_serial<R: Read>(
             }
         };
         ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
-        let rows = encode_one(&block, &mut recs, global, ctrl)?;
+        let rows = encode_one(&block, &mut recs, global)?;
         ctrl.metric_add("ingest.rows", rows as u64);
     }
 }
@@ -266,7 +261,7 @@ fn worker<R: Read>(
             let taken = match s.pending.take() {
                 Some(b) => Ok(Some(b)),
                 None => {
-                    let _sp = ctrl.span("ingest.read");
+                    let _sp = crate::span!("ingest.read");
                     s.blocks.next_block()
                 }
             };
@@ -288,7 +283,7 @@ fn worker<R: Read>(
         };
         ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
         let mut cols = new_cols(arity);
-        let res = encode_one(&block, &mut recs, &mut cols, &ctrl).map(|rows| (rows, cols));
+        let res = encode_one(&block, &mut recs, &mut cols).map(|rows| (rows, cols));
         // send fails only when the merger bailed on an earlier error
         if tx.send((idx, res)).is_err() {
             return;
@@ -332,7 +327,7 @@ fn ingest_parallel<R: Read + Send>(
                 next += 1;
                 let (rows, cols) = res?;
                 ctrl.metric_add("ingest.rows", rows as u64);
-                let _sp = ctrl.span("ingest.merge");
+                let _sp = crate::span!("ingest.merge");
                 merge_block(global, cols, &mut remap);
             }
         }
@@ -379,7 +374,7 @@ pub(crate) fn ingest_csv_reader_serial<R: Read>(
 ) -> Result<Relation> {
     let mut blocks = BlockReader::new(reader, opts.chunk_bytes);
     let (schema, first) = {
-        let _sp = ctrl.span("ingest.read");
+        let _sp = crate::span!("ingest.read");
         read_header(&mut blocks)?
     };
     let mut global = new_cols(schema.arity());
@@ -409,7 +404,7 @@ pub fn ingest_csv_reader<R: Read + Send>(
     }
     let mut blocks = BlockReader::new(reader, opts.chunk_bytes);
     let (schema, first) = {
-        let _sp = ctrl.span("ingest.read");
+        let _sp = crate::span!("ingest.read");
         read_header(&mut blocks)?
     };
     let arity = schema.arity();
@@ -433,10 +428,22 @@ pub fn ingest_csv_path<P: AsRef<Path>>(
 mod tests {
     use super::*;
     use crate::csv::{parse_csv, relation_from_csv_str};
-    use crate::progress::MetricsSink;
+    use crate::progress::{install_tracing, shutdown_tracing, span_totals, MetricsSink};
     use crate::relation::RelationBuilder;
     use std::collections::HashMap;
-    use std::time::{Duration, Instant};
+    use std::sync::{PoisonError, RwLock};
+
+    /// Tests that load on the parallel path hold this shared; the span
+    /// test holds it alone, so no other test's `ingest.merge` lands in
+    /// the global span totals it reads.
+    static PARALLEL: RwLock<()> = RwLock::new(());
+
+    /// [`ingest_csv_reader`] over `text` with no metrics sink, holding
+    /// [`PARALLEL`] shared.
+    fn ingest(text: &str, opts: &IngestOptions) -> Result<Relation> {
+        let _shared = PARALLEL.read().unwrap_or_else(PoisonError::into_inner);
+        ingest_csv_reader(text.as_bytes(), opts, &Control::default())
+    }
 
     /// The reference reader the pipeline is held to: whole-text records
     /// pushed row by row through [`RelationBuilder`].
@@ -481,7 +488,7 @@ mod tests {
         for chunk in [1, 2, 3, 5, 7, 16, 64, 4096] {
             for threads in [1, 4, usize::MAX] {
                 let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
-                let got = ingest_csv_reader(TRICKY.as_bytes(), &opts, &Control::default()).unwrap();
+                let got = ingest(TRICKY, &opts).unwrap();
                 assert_rel_identical(&expected, &got);
             }
         }
@@ -505,8 +512,7 @@ mod tests {
             for chunk in 1..=4 {
                 for threads in [1, 4] {
                     let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
-                    let got =
-                        ingest_csv_reader(text.as_bytes(), &opts, &Control::default()).unwrap();
+                    let got = ingest(text, &opts).unwrap();
                     assert_rel_identical(&want, &got);
                 }
             }
@@ -534,7 +540,7 @@ mod tests {
         assert!(widest > Some(10_000), "widest domain {widest:?}");
         for threads in [1, 2, 4] {
             let opts = IngestOptions::default().chunk_bytes(4096).threads(threads);
-            let got = ingest_csv_reader(text.as_bytes(), &opts, &Control::default()).unwrap();
+            let got = ingest(&text, &opts).unwrap();
             assert_rel_identical(&want, &got);
         }
     }
@@ -544,15 +550,13 @@ mod tests {
         let opts = IngestOptions::default().chunk_bytes(4);
         for threads in [1, 4] {
             let opts = opts.clone().threads(threads);
-            let e = ingest_csv_reader("".as_bytes(), &opts, &Control::default()).unwrap_err();
+            let e = ingest("", &opts).unwrap_err();
             assert!(e.to_string().contains("empty CSV input"), "{e}");
-            let e = ingest_csv_reader("\n\n\n".as_bytes(), &opts, &Control::default()).unwrap_err();
+            let e = ingest("\n\n\n", &opts).unwrap_err();
             assert!(e.to_string().contains("empty CSV input"), "{e}");
-            let e =
-                ingest_csv_reader("a,b\n1\n".as_bytes(), &opts, &Control::default()).unwrap_err();
+            let e = ingest("a,b\n1\n", &opts).unwrap_err();
             assert!(e.to_string().contains("schema has arity 2"), "{e}");
-            let e = ingest_csv_reader("a,b\n\"oops\n".as_bytes(), &opts, &Control::default())
-                .unwrap_err();
+            let e = ingest("a,b\n\"oops\n", &opts).unwrap_err();
             assert!(e.to_string().contains("unterminated quoted field"), "{e}");
         }
     }
@@ -561,7 +565,6 @@ mod tests {
     struct TestSink {
         counters: Mutex<HashMap<&'static str, u64>>,
         gauges: Mutex<HashMap<&'static str, u64>>,
-        spans: Mutex<Vec<&'static str>>,
     }
 
     impl MetricsSink for TestSink {
@@ -572,22 +575,21 @@ mod tests {
             self.gauges.lock().unwrap().insert(name, value);
         }
         fn observe(&self, _name: &'static str, _value: u64) {}
-        fn spans_enabled(&self) -> bool {
-            true
-        }
-        fn record_span(&self, name: &'static str, _start: Instant, _dur: Duration) {
-            self.spans.lock().unwrap().push(name);
-        }
     }
 
+    /// Metrics flow through the control handle; spans through the
+    /// global guard into the span totals.
     #[test]
     fn metrics_and_spans_flow_through_the_control_handle() {
+        let _alone = PARALLEL.write().unwrap_or_else(PoisonError::into_inner);
         for threads in [1, 2] {
             let sink = TestSink::default();
             let ctrl = Control::default().metrics_with(&sink);
             let csv = "A,B\n1,2\n3,4\n5,6\n";
             let opts = IngestOptions::default().chunk_bytes(6).threads(threads);
+            install_tracing();
             let rel = ingest_csv_reader(csv.as_bytes(), &opts, &ctrl).unwrap();
+            shutdown_tracing();
             assert_eq!(rel.n_rows(), 3);
 
             let counters = sink.counters.lock().unwrap();
@@ -599,7 +601,7 @@ mod tests {
             // chunk-bounded: no record here is longer than 6 bytes + carry
             assert!(gauges["ingest.max_block_bytes"] <= 6 + 6);
 
-            let spans = sink.spans.lock().unwrap();
+            let spans: Vec<&str> = span_totals().iter().map(|t| t.name).collect();
             for name in ["ingest.read", "ingest.parse", "ingest.encode"] {
                 assert!(spans.contains(&name), "missing span {name}: {spans:?}");
             }
@@ -616,7 +618,7 @@ mod tests {
     fn header_larger_than_chunk_and_values_interned_once() {
         let csv = "LongHeaderA,LongHeaderB\nsame,same\nsame,other\n";
         let opts = IngestOptions::default().chunk_bytes(3).threads(4);
-        let rel = ingest_csv_reader(csv.as_bytes(), &opts, &Control::default()).unwrap();
+        let rel = ingest(csv, &opts).unwrap();
         assert_eq!(rel.schema().name(0), "LongHeaderA");
         assert_eq!(rel.n_rows(), 2);
         assert_eq!(rel.column(0).domain_size(), 1);

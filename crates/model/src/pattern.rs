@@ -230,13 +230,6 @@ impl Pattern {
         self.attrs == other.attrs && self.vals.iter().zip(&other.vals).all(|(&a, &b)| a.leq(b))
     }
 
-    /// The *lattice* generality order of Section 4: `(Y, sp) = other` is
-    /// more general than (or equal to) `(X, tp) = self` iff `Y ⊆ X` and
-    /// `tp[Y] ⪯ sp`.
-    pub fn more_general_eq(&self, other: &Pattern) -> bool {
-        other.attrs.is_subset(self.attrs) && self.project(other.attrs).leq(other)
-    }
-
     /// The *item set* containment of Section 3.1 (constant patterns):
     /// `(X,tp) ⊑ (Y,sp)`, i.e. `other = (Y,sp)` is contained in
     /// `self = (X,tp)`: `Y ⊆ X` and `tp[Y] = sp`.
@@ -367,11 +360,6 @@ mod tests {
         assert!(tp.leq(&sp));
         assert!(!sp.leq(&tp));
         assert!(tp.leq(&tp));
-        // lattice order: smaller attr set + pointwise more general
-        let gen = Pattern::from_pairs([(0, PVal::Var)]);
-        assert!(tp.more_general_eq(&gen));
-        assert!(sp.more_general_eq(&gen));
-        assert!(!gen.more_general_eq(&tp));
         // itemset containment requires equal constants
         let sub = Pattern::from_pairs([(0, PVal::Const(1))]);
         assert!(tp.contains_pattern(&sub));

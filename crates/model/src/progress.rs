@@ -15,9 +15,14 @@
 //! without depending on `cfd-core`. Likewise the
 //! [`MetricsSink`] *trait* lives here so every layer (kernel, stream,
 //! miners) can emit named metrics without depending on the `cfd-obs`
-//! registry that implements it.
+//! registry that implements it, and the span guard ([`span!`](crate::span),
+//! [`SpanGuard`]) lives here so every layer, this crate's ingestion
+//! pipeline included, times its work through the one global switch and
+//! the one set of exact per-name [`SpanTotal`]s. `cfd-obs` re-exports
+//! both.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A named-metrics consumer: counters accumulate, gauges hold the last
@@ -36,20 +41,6 @@ pub trait MetricsSink: Send + Sync {
     fn set_gauge(&self, name: &'static str, value: u64);
     /// Records `value` into the histogram `name`.
     fn observe(&self, name: &'static str, value: u64);
-
-    /// True iff spans forwarded through [`MetricsSink::record_span`]
-    /// are kept. Layers below `cfd-obs` in the crate graph (the
-    /// ingestion pipeline lives in this crate and cannot call the
-    /// `cfd_obs::span!` macro) gate their clock reads on this, so an
-    /// untraced run never reads the clock. Defaults to `false`.
-    fn spans_enabled(&self) -> bool {
-        false
-    }
-
-    /// Records a completed span (`start` + `dur` measured by the
-    /// caller). The `cfd-obs` registry forwards these into the same
-    /// ring buffers as `span!` guards; the default drops them.
-    fn record_span(&self, _name: &'static str, _start: Instant, _dur: Duration) {}
 }
 
 /// A coarse progress event reported by an algorithm mid-run.
@@ -200,47 +191,6 @@ impl<'a> Control<'a> {
             m.set_gauge(name, value);
         }
     }
-
-    /// Records into a histogram on the attached metrics sink (no-op
-    /// without one).
-    pub fn metric_observe(&self, name: &'static str, value: u64) {
-        if let Some(m) = self.metrics {
-            m.observe(name, value);
-        }
-    }
-
-    /// Opens a named span that records itself into the metrics sink
-    /// when dropped — the span hook for layers below `cfd-obs` in the
-    /// crate graph (e.g. the ingestion pipeline in this crate). When no
-    /// sink is attached, or the sink reports spans disabled, this costs
-    /// one virtual call and no clock read.
-    pub fn span(&self, name: &'static str) -> ControlSpan<'a> {
-        let sink = self.metrics.filter(|m| m.spans_enabled());
-        ControlSpan {
-            sink,
-            name,
-            start: sink.map(|_| Instant::now()),
-        }
-    }
-}
-
-/// An open span handed out by [`Control::span`]; records itself into
-/// the metrics sink on drop. Bind it — `let _s = ctrl.span(..)` — or
-/// the span closes on the same line it opened.
-#[must_use = "a span measures until it is dropped; bind it with `let`"]
-pub struct ControlSpan<'a> {
-    sink: Option<&'a dyn MetricsSink>,
-    name: &'static str,
-    /// `None` when spans were disabled at entry — drop is then a no-op.
-    start: Option<Instant>,
-}
-
-impl Drop for ControlSpan<'_> {
-    fn drop(&mut self) {
-        if let (Some(sink), Some(start)) = (self.sink, self.start) {
-            sink.record_span(self.name, start, start.elapsed());
-        }
-    }
 }
 
 impl std::fmt::Debug for Control<'_> {
@@ -252,6 +202,154 @@ impl std::fmt::Debug for Control<'_> {
             .field("deadline", &self.deadline)
             .finish()
     }
+}
+
+/// The global span switch: the only thing a disabled [`SpanGuard`]
+/// reads.
+static TRACING: AtomicBool = AtomicBool::new(false);
+
+/// Shards of the per-name span totals. A thread adds into the shard of
+/// its dense id, so up to this many threads record without contending
+/// on one lock.
+const SPAN_SHARDS: usize = 8;
+
+static SPAN_TOTALS: [Mutex<Vec<SpanTotal>>; SPAN_SHARDS] =
+    [const { Mutex::new(Vec::new()) }; SPAN_SHARDS];
+
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SPAN_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SPAN_SHARDS;
+}
+
+/// Every closed span of one name since [`install_tracing`]: exact, as
+/// each span adds itself when it closes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanTotal {
+    /// Span name (a static site-owned string, e.g. `"validate.family_scan"`).
+    pub name: &'static str,
+    /// Spans closed.
+    pub count: u64,
+    /// Sum of their durations.
+    pub total: Duration,
+    /// Longest single span.
+    pub max: Duration,
+}
+
+/// Turns span recording on and clears the totals of any earlier
+/// session. A span records only if the switch was on when it opened.
+pub fn install_tracing() {
+    for shard in &SPAN_TOTALS {
+        lock(shard).clear();
+    }
+    TRACING.store(true, Ordering::Release);
+}
+
+/// Turns span recording off; the totals stay for [`span_totals`].
+/// Spans open at this point still add themselves when they close.
+pub fn shutdown_tracing() {
+    TRACING.store(false, Ordering::Release);
+}
+
+/// True iff spans are recording.
+pub fn tracing_enabled() -> bool {
+    TRACING.load(Ordering::Relaxed)
+}
+
+/// The totals of every span name recorded since [`install_tracing`],
+/// heaviest first (descending `total`, then name, so the order is
+/// deterministic).
+pub fn span_totals() -> Vec<SpanTotal> {
+    let mut all: Vec<SpanTotal> = Vec::new();
+    for shard in &SPAN_TOTALS {
+        for &t in lock(shard).iter() {
+            add_into(&mut all, t);
+        }
+    }
+    all.sort_by(|a, b| b.total.cmp(&a.total).then(a.name.cmp(b.name)));
+    all
+}
+
+/// An open span; adds its duration to its name's [`SpanTotal`] when
+/// dropped. Bind it — `let _g = span!(..)` — or the span closes on the
+/// same line it opened.
+#[must_use = "a span guard measures until it is dropped; bind it with `let`"]
+pub struct SpanGuard {
+    name: &'static str,
+    /// `None` when tracing was off at entry — drop is then a no-op.
+    start: Option<Instant>,
+}
+
+impl SpanGuard {
+    /// Opens a span. When tracing is disabled this is one relaxed
+    /// atomic load: no clock read, no allocation, and its drop does
+    /// nothing.
+    #[inline]
+    pub fn enter(name: &'static str) -> SpanGuard {
+        let start = TRACING.load(Ordering::Relaxed).then(Instant::now);
+        SpanGuard { name, start }
+    }
+}
+
+impl Drop for SpanGuard {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            add_span(self.name, start.elapsed());
+        }
+    }
+}
+
+/// Adds one closed span to its name's total in this thread's shard.
+fn add_span(name: &'static str, took: Duration) {
+    let shard = SPAN_SHARD.with(|s| *s);
+    let one = SpanTotal {
+        name,
+        count: 1,
+        total: took,
+        max: took,
+    };
+    add_into(&mut lock(&SPAN_TOTALS[shard]), one);
+}
+
+/// Locks one shard of the totals. Every update leaves a shard's list
+/// whole, so a shard a panicking thread poisoned is still used, and a
+/// guard dropped while unwinding does not panic again.
+fn lock(shard: &Mutex<Vec<SpanTotal>>) -> MutexGuard<'_, Vec<SpanTotal>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Adds `t` into the entry of its name in `totals`, or appends it.
+fn add_into(totals: &mut Vec<SpanTotal>, t: SpanTotal) {
+    match totals.iter_mut().find(|a| a.name == t.name) {
+        Some(a) => {
+            a.count += t.count;
+            a.total += t.total;
+            a.max = a.max.max(t.max);
+        }
+        None => totals.push(t),
+    }
+}
+
+/// Opens a named span for the enclosing scope (`cfd_obs::span!` is
+/// this macro).
+///
+/// ```
+/// use cfd_model::progress::{install_tracing, shutdown_tracing, span_totals};
+/// install_tracing();
+/// for _ in 0..3 {
+///     let _span = cfd_model::span!("validate.family_scan");
+///     // ... measured work ...
+/// }
+/// shutdown_tracing();
+/// let scan = span_totals()[0];
+/// assert_eq!((scan.name, scan.count), ("validate.family_scan", 3));
+/// ```
+#[macro_export]
+macro_rules! span {
+    ($name:expr) => {
+        $crate::progress::SpanGuard::enter($name)
+    };
 }
 
 /// One named phase of a run with its wall-clock duration.

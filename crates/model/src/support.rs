@@ -27,11 +27,6 @@ pub fn support(rel: &Relation, cfd: &Cfd) -> usize {
         .count()
 }
 
-/// True iff `φ` is `k`-frequent in `r`.
-pub fn is_k_frequent(rel: &Relation, cfd: &Cfd, k: usize) -> bool {
-    support(rel, cfd) >= k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,8 +66,6 @@ mod tests {
         assert_eq!(support(&r, &phi2), 2);
         assert_eq!(support(&r, &f1), 8);
         assert_eq!(support(&r, &f2), 8);
-        assert!(is_k_frequent(&r, &phi1, 3));
-        assert!(!is_k_frequent(&r, &phi1, 4));
         // Example 7: (AC -> CT, (908 || MH)) is 4-frequent
         let red = parse_cfd(&r, "(AC -> CT, (908 || MH))").unwrap();
         assert_eq!(support(&r, &red), 4);

@@ -9,12 +9,13 @@
 //!
 //! Three pieces:
 //!
-//! * **Span tracing** ([`trace`]): [`span!`]-style RAII guards record
-//!   wall time and thread id into a lock-sharded ring buffer. With no
-//!   subscriber installed a guard is one relaxed atomic load — no
-//!   clock read, no allocation (a tested property) — so instrumented
-//!   hot paths cost nothing in production. `cfd … --trace` installs
-//!   the subscriber and prints a per-span summary.
+//! * **Span tracing** ([`trace`]): [`span!`]-style RAII guards add each
+//!   closed span's duration to its name's exact count / total / max,
+//!   lock-sharded by thread. With tracing off a guard is one relaxed
+//!   atomic load — no clock read, no allocation (a tested property) —
+//!   so instrumented hot paths cost nothing in production. The guard
+//!   lives in `cfd_model::progress`, so ingestion times itself through
+//!   the same switch; `cfd … --trace` turns it on and prints the totals.
 //! * **Metrics** ([`metrics`]): a [`Registry`] of named counters,
 //!   gauges and power-of-two-bucketed histograms, lock-sharded by
 //!   name. It implements `cfd_model::progress::MetricsSink`, the
@@ -22,11 +23,10 @@
 //!   — so the
 //!   kernel, the stream engine and the miners need no dependency on
 //!   this crate to be countable.
-//! * **JSON export**: [`MetricsSnapshot`] and span lists serialize
-//!   through `cfd_model::json` — the same writer behind
-//!   `--format json` — and parse back ([`MetricsSnapshot::from_json`]),
-//!   so `cfd … --metrics-out <path>` emits machine-checkable
-//!   documents.
+//! * **JSON export**: [`MetricsSnapshot`] serializes through
+//!   `cfd_model::json` — the same writer behind `--format json` — and
+//!   parses back ([`MetricsSnapshot::from_json`]), so
+//!   `cfd … --metrics-out <path>` emits machine-checkable documents.
 //!
 //! ```
 //! use cfd_model::progress::{Control, MetricsSink};
@@ -36,7 +36,7 @@
 //! let ctrl = Control::default().metrics_with(&reg);
 //! // an instrumented layer emits through the Control handle …
 //! ctrl.metric_add("validate.rows_scanned", 100_000);
-//! ctrl.metric_observe("stream.batch_rows", 512);
+//! reg.observe("stream.batch_rows", 512);
 //! // … and the registry snapshot round-trips through JSON
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("validate.rows_scanned"), Some(100_000));
@@ -50,8 +50,8 @@
 pub mod metrics;
 pub mod trace;
 
+pub use cfd_model::span;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot, Registry};
 pub use trace::{
-    drain_spans, install_tracing, record_span, shutdown_tracing, summarize, tracing_enabled,
-    SpanGuard, SpanRecord, SpanSummary,
+    install_tracing, shutdown_tracing, span_totals, tracing_enabled, SpanGuard, SpanTotal,
 };

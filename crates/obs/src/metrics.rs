@@ -182,14 +182,6 @@ impl MetricsSink for Registry {
         let mut s = self.shards[shard_of(name)].lock().unwrap();
         slot(&mut s.histograms, name, Histogram::new()).observe(value);
     }
-
-    fn spans_enabled(&self) -> bool {
-        crate::trace::tracing_enabled()
-    }
-
-    fn record_span(&self, name: &'static str, start: std::time::Instant, dur: std::time::Duration) {
-        crate::trace::record_span(name, start, dur);
-    }
 }
 
 /// Frozen state of one histogram.
@@ -245,53 +237,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Accumulates `other`: counters add, gauges take `other`'s value,
-    /// histograms merge counts/sums/extrema/buckets. Used to combine
-    /// per-worker registries when a caller runs one per thread.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (n, v) in &other.counters {
-            match self.counters.iter().position(|(sn, _)| sn == n) {
-                Some(i) => self.counters[i].1 += v,
-                None => self.counters.push((n.clone(), *v)),
-            }
-        }
-        for (n, v) in &other.gauges {
-            match self.gauges.iter().position(|(sn, _)| sn == n) {
-                Some(i) => self.gauges[i].1 = *v,
-                None => self.gauges.push((n.clone(), *v)),
-            }
-        }
-        for (n, h) in &other.histograms {
-            match self.histograms.iter().position(|(sn, _)| sn == n) {
-                Some(i) => {
-                    let mine = &mut self.histograms[i].1;
-                    let merged_min = if mine.count == 0 {
-                        h.min
-                    } else if h.count == 0 {
-                        mine.min
-                    } else {
-                        mine.min.min(h.min)
-                    };
-                    mine.count += h.count;
-                    mine.sum += h.sum;
-                    mine.min = merged_min;
-                    mine.max = mine.max.max(h.max);
-                    for &(b, c) in &h.buckets {
-                        match mine.buckets.iter().position(|&(mb, _)| mb == b) {
-                            Some(j) => mine.buckets[j].1 += c,
-                            None => mine.buckets.push((b, c)),
-                        }
-                    }
-                    mine.buckets.sort_unstable_by_key(|&(b, _)| b);
-                }
-                None => self.histograms.push((n.clone(), h.clone())),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     }
 
     /// Serializes through `cfd_model::json`. Shape:
@@ -459,26 +404,6 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_combines_histograms() {
-        let a_reg = Registry::new();
-        a_reg.add("c", 1);
-        a_reg.observe("h", 4);
-        let b_reg = Registry::new();
-        b_reg.add("c", 2);
-        b_reg.add("only_b", 7);
-        b_reg.set_gauge("g", 9);
-        b_reg.observe("h", 1);
-        let mut a = a_reg.snapshot();
-        a.merge(&b_reg.snapshot());
-        assert_eq!(a.counter("c"), Some(3));
-        assert_eq!(a.counter("only_b"), Some(7));
-        assert_eq!(a.gauge("g"), Some(9));
-        let h = a.histogram("h").unwrap();
-        assert_eq!((h.count, h.sum, h.min, h.max), (2, 5, 1, 4));
-        assert_eq!(h.buckets, vec![(1, 1), (3, 1)]);
     }
 
     #[test]

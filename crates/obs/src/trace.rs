@@ -1,364 +1,90 @@
-//! Lightweight span tracing: RAII guards over a lock-sharded ring.
+//! Span tracing: exact per-name totals behind one global switch.
 //!
 //! A span is entered with the [`span!`](crate::span) macro and closed
-//! when the returned [`SpanGuard`] drops; the record (name, start,
-//! duration, thread) lands in one of a fixed set of mutex-guarded ring
-//! buffers, sharded by thread so parallel scans don't contend on one
-//! lock. The rings are bounded: a long run keeps the most recent
-//! ~4096 spans per shard rather than growing without limit.
+//! when the returned [`SpanGuard`] drops; closing adds its duration to
+//! its name's [`SpanTotal`] (count, total, max). The totals are kept in
+//! a fixed set of mutex-guarded shards, one per thread id modulo the
+//! shard count, so parallel scans rarely contend on one lock; a run
+//! records any number of spans in a few dozen entries per shard.
 //!
-//! The whole module is gated on one global flag. Until
-//! [`install_tracing`] runs, [`SpanGuard::enter`] is a single relaxed
-//! atomic load — no clock read, no thread-id lookup, no allocation —
-//! which is what lets the hot layers keep their `span!` calls compiled
-//! in permanently (the disabled-cost budget is tested; see DESIGN.md
-//! §10).
+//! The guard, the switch and the totals live in
+//! `cfd_model::progress`, below every instrumented layer, ingestion
+//! included; this module re-exports them. Until [`install_tracing`]
+//! runs, [`SpanGuard::enter`] is a single relaxed atomic load — no
+//! clock read, no thread-id lookup, no allocation — which is what lets
+//! the hot layers keep their `span!` calls compiled in permanently (the
+//! disabled-cost budget is tested; see DESIGN.md §10).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Number of ring shards. Spans hash to a shard by thread id, so up to
-/// this many threads record without lock contention.
-const SHARDS: usize = 8;
-
-/// Ring capacity per shard; the newest records win once a shard fills.
-const SHARD_CAP: usize = 4096;
-
-/// Global enable flag — the only thing a disabled span ever reads.
-static TRACING: AtomicBool = AtomicBool::new(false);
-
-/// Origin instant for `start_us`; pinned by the first [`install_tracing`].
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Dense process-local thread ids (the OS id is opaque and wide).
-static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
-
-thread_local! {
-    static THREAD_ID: u32 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-}
-
-/// One completed span.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Span name (a static site-owned string, e.g. `"validate.family_scan"`).
-    pub name: &'static str,
-    /// Microseconds from the tracing epoch to span entry.
-    pub start_us: u64,
-    /// Span duration in microseconds.
-    pub dur_us: u64,
-    /// Dense process-local id of the recording thread.
-    pub thread: u32,
-}
-
-struct Ring {
-    records: Vec<SpanRecord>,
-    /// Next overwrite position once `records` is full.
-    head: usize,
-    /// Records dropped because the ring was full (they overwrote the oldest).
-    overwritten: u64,
-}
-
-impl Ring {
-    fn push(&mut self, rec: SpanRecord) {
-        if self.records.len() < SHARD_CAP {
-            self.records.push(rec);
-        } else {
-            self.records[self.head] = rec;
-            self.head = (self.head + 1) % SHARD_CAP;
-            self.overwritten += 1;
-        }
-    }
-}
-
-static RINGS: [Mutex<Option<Ring>>; SHARDS] = [const { Mutex::new(None) }; SHARDS];
-
-/// Turns tracing on: pins the epoch, (re)allocates the ring shards and
-/// clears any records from a previous session. Idempotent; safe to call
-/// from any thread, but spans already open when the flag flips record
-/// only if the flag was on when they were *entered*.
-pub fn install_tracing() {
-    EPOCH.get_or_init(Instant::now);
-    for shard in &RINGS {
-        *shard.lock().unwrap() = Some(Ring {
-            records: Vec::with_capacity(SHARD_CAP),
-            head: 0,
-            overwritten: 0,
-        });
-    }
-    TRACING.store(true, Ordering::Release);
-}
-
-/// Turns tracing off. Rings keep their contents for a final
-/// [`drain_spans`]; spans entered after this record nothing.
-pub fn shutdown_tracing() {
-    TRACING.store(false, Ordering::Release);
-}
-
-/// True iff a subscriber is installed (spans are recording).
-pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
-}
-
-/// Removes and returns every buffered span, ordered by start time. The
-/// second field counts records lost to ring overflow (0 for short runs).
-pub fn drain_spans() -> (Vec<SpanRecord>, u64) {
-    let mut all = Vec::new();
-    let mut lost = 0;
-    for shard in &RINGS {
-        if let Some(ring) = shard.lock().unwrap().as_mut() {
-            all.append(&mut ring.records);
-            ring.head = 0;
-            lost += std::mem::take(&mut ring.overwritten);
-        }
-    }
-    all.sort_by_key(|r| (r.start_us, r.thread));
-    (all, lost)
-}
-
-/// An open span; records itself on drop. Bind it — `let _g = span!(..)`
-/// — or the span closes on the same line it opened.
-#[must_use = "a span guard measures until it is dropped; bind it with `let`"]
-pub struct SpanGuard {
-    name: &'static str,
-    /// `None` when tracing was off at entry — drop is then a no-op.
-    start: Option<Instant>,
-}
-
-impl SpanGuard {
-    /// Opens a span. When tracing is disabled this is one relaxed
-    /// atomic load; the guard carries no clock reading and its drop
-    /// does nothing.
-    #[inline]
-    pub fn enter(name: &'static str) -> SpanGuard {
-        let start = if TRACING.load(Ordering::Relaxed) {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        SpanGuard { name, start }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        // Flag may have flipped off mid-span; still record — the ring
-        // survives shutdown so a final drain sees complete data.
-        record_span(self.name, start, start.elapsed());
-    }
-}
-
-/// Records an externally timed span into the rings, as if a
-/// [`SpanGuard`] named `name` had been entered at `start` and dropped
-/// `dur` later. This is the entry point for layers *below* `cfd-obs`
-/// in the crate graph: the [`Registry`](crate::Registry) forwards
-/// spans emitted through `cfd_model::progress::Control::span` (e.g.
-/// the `ingest.*` spans of the chunked CSV pipeline) into here, so
-/// they show up in the same `--trace` summary as `span!` guards.
-/// No-op until [`install_tracing`] has pinned the epoch.
-pub fn record_span(name: &'static str, start: Instant, dur: Duration) {
-    let Some(epoch) = EPOCH.get() else { return };
-    // `start` can predate the epoch when tracing was installed after
-    // the span opened; saturate rather than panic.
-    let start_us = start
-        .checked_duration_since(*epoch)
-        .unwrap_or_default()
-        .as_micros() as u64;
-    let rec = SpanRecord {
-        name,
-        start_us,
-        dur_us: dur.as_micros() as u64,
-        thread: THREAD_ID.with(|id| *id),
-    };
-    if let Some(ring) = RINGS[rec.thread as usize % SHARDS].lock().unwrap().as_mut() {
-        ring.push(rec);
-    }
-}
-
-/// Opens a named span for the enclosing scope.
-///
-/// ```
-/// # cfd_obs::install_tracing();
-/// {
-///     let _span = cfd_obs::span!("validate.family_scan");
-///     // ... measured work ...
-/// }
-/// let (spans, _lost) = cfd_obs::drain_spans();
-/// assert!(spans.iter().any(|s| s.name == "validate.family_scan"));
-/// # cfd_obs::shutdown_tracing();
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::SpanGuard::enter($name)
-    };
-}
-
-/// Aggregate of all records sharing a span name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// Span name.
-    pub name: &'static str,
-    /// Number of records.
-    pub count: u64,
-    /// Sum of durations, microseconds.
-    pub total_us: u64,
-    /// Longest single record, microseconds.
-    pub max_us: u64,
-    /// Distinct threads that recorded this span.
-    pub threads: u32,
-}
-
-impl SpanSummary {
-    /// JSON shape: `{"name":…,"count":…,"total_us":…,"max_us":…,"threads":…}`.
-    pub fn to_json(&self) -> cfd_model::json::Json {
-        use cfd_model::json::Json;
-        Json::obj([
-            ("name", Json::from(self.name)),
-            ("count", Json::from(self.count)),
-            ("total_us", Json::from(self.total_us)),
-            ("max_us", Json::from(self.max_us)),
-            ("threads", Json::from(self.threads)),
-        ])
-    }
-}
-
-/// Folds drained records into per-name summaries, heaviest first
-/// (descending `total_us`, name as tiebreak so output is deterministic).
-pub fn summarize(spans: &[SpanRecord]) -> Vec<SpanSummary> {
-    let mut names: Vec<&'static str> = spans.iter().map(|s| s.name).collect();
-    names.sort_unstable();
-    names.dedup();
-    let mut out: Vec<SpanSummary> = names
-        .into_iter()
-        .map(|name| {
-            let mut sum = SpanSummary {
-                name,
-                count: 0,
-                total_us: 0,
-                max_us: 0,
-                threads: 0,
-            };
-            let mut threads: Vec<u32> = Vec::new();
-            for s in spans.iter().filter(|s| s.name == name) {
-                sum.count += 1;
-                sum.total_us += s.dur_us;
-                sum.max_us = sum.max_us.max(s.dur_us);
-                if !threads.contains(&s.thread) {
-                    threads.push(s.thread);
-                }
-            }
-            sum.threads = threads.len() as u32;
-            sum
-        })
-        .collect();
-    out.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.name.cmp(b.name)));
-    out
-}
+pub use cfd_model::progress::{
+    install_tracing, shutdown_tracing, span_totals, tracing_enabled, SpanGuard, SpanTotal,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn total(name: &str) -> Option<SpanTotal> {
+        span_totals().into_iter().find(|t| t.name == name)
+    }
 
     /// Global tracing state is shared by the whole test binary, so the
     /// lifecycle checks run as one sequential test.
     #[test]
-    fn tracing_lifecycle_records_drains_and_disables() {
-        // Disabled: guards are inert and drain finds nothing.
+    fn span_totals_are_exact_and_reset_on_install() {
+        // Disabled: guards are inert and nothing is recorded.
         assert!(!tracing_enabled());
         {
             let _g = crate::span!("off");
         }
-        assert_eq!(drain_spans().0.len(), 0);
+        assert!(span_totals().is_empty());
 
         install_tracing();
         assert!(tracing_enabled());
-        {
-            let _a = crate::span!("alpha");
-            let _b = crate::span!("beta");
-        }
-        {
-            let _a = crate::span!("alpha");
-        }
-        // Spans recorded from a worker thread land in some shard too.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _w = crate::span!("worker");
-            });
-        });
-
-        let (spans, lost) = drain_spans();
-        assert_eq!(lost, 0);
-        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
-        assert_eq!(
-            names.iter().filter(|n| **n == "alpha").count(),
-            2,
-            "{names:?}"
-        );
-        assert!(names.contains(&"beta") && names.contains(&"worker"));
-        // Drained means gone.
-        assert_eq!(drain_spans().0.len(), 0);
-
-        let summaries = summarize(&spans);
-        let alpha = summaries.iter().find(|s| s.name == "alpha").unwrap();
-        assert_eq!(alpha.count, 2);
-        assert!(alpha.total_us >= alpha.max_us);
-        let worker = summaries.iter().find(|s| s.name == "worker").unwrap();
-        assert_eq!(worker.threads, 1);
-
-        // Ring overflow keeps the newest records and counts the loss.
-        for _ in 0..(SHARD_CAP + 10) {
+        // More spans of one name on one thread than a 4,096-record
+        // sample would keep: every one is counted.
+        for _ in 0..5_000 {
             let _g = crate::span!("spin");
         }
-        let (spans, lost) = drain_spans();
-        let mine = THREAD_ID.with(|id| *id);
-        let on_my_shard = spans
-            .iter()
-            .filter(|s| s.thread as usize % SHARDS == mine as usize % SHARDS)
-            .count();
-        assert!(on_my_shard <= SHARD_CAP);
-        assert!(lost >= 10, "lost={lost}");
+        // Spans from two threads land in their own shards and add up.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..3 {
+                        let _w = crate::span!("worker");
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                });
+            }
+        });
+        assert_eq!(total("spin").unwrap().count, 5_000);
+        let worker = total("worker").unwrap();
+        assert_eq!(worker.count, 6);
+        assert!(worker.total >= 6 * Duration::from_millis(2), "{worker:?}");
+        assert!(worker.max >= Duration::from_millis(2) && worker.max <= worker.total);
+        // Heaviest first.
+        let totals = span_totals();
+        assert!(totals.windows(2).all(|w| w[0].total >= w[1].total));
+        assert_eq!(totals[0].name, "worker", "{totals:?}");
 
         shutdown_tracing();
         assert!(!tracing_enabled());
         {
             let _g = crate::span!("late");
         }
-        assert_eq!(drain_spans().0.len(), 0);
-    }
-
-    #[test]
-    fn summaries_order_heaviest_first_and_serialize() {
-        let spans = [
-            SpanRecord {
-                name: "b",
-                start_us: 0,
-                dur_us: 5,
-                thread: 0,
-            },
-            SpanRecord {
-                name: "a",
-                start_us: 1,
-                dur_us: 2,
-                thread: 0,
-            },
-            SpanRecord {
-                name: "a",
-                start_us: 2,
-                dur_us: 9,
-                thread: 1,
-            },
-        ];
-        let sums = summarize(&spans);
-        assert_eq!(sums[0].name, "a"); // 11us beats 5us
-        assert_eq!(sums[0].count, 2);
-        assert_eq!(sums[0].max_us, 9);
-        assert_eq!(sums[0].threads, 2);
-        let json = sums[0].to_json().to_string();
         assert_eq!(
-            json,
-            r#"{"name":"a","count":2,"total_us":11,"max_us":9,"threads":2}"#
+            span_totals(),
+            totals,
+            "spans opened after shutdown record nothing"
         );
+
+        // Installing again starts from zero.
+        install_tracing();
+        assert!(span_totals().is_empty());
+        {
+            let _g = crate::span!("spin");
+        }
+        assert_eq!(total("spin").unwrap().count, 1);
+        shutdown_tracing();
     }
 }

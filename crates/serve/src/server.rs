@@ -239,9 +239,9 @@ impl Server {
 /// itself survives *anything* a job does: panics become structured
 /// `internal_panic` failures, and a run stopped by its deadline rather
 /// than its cancel flag becomes `deadline_exceeded`. A panic leaves
-/// nothing half-updated for later jobs: the dataset's index builds
-/// each column once behind a `OnceLock`, and every job builds its own
-/// partitions.
+/// nothing half-updated for later jobs: each column of a dataset
+/// builds its own value regions once, behind a `OnceLock`, and every
+/// job builds its own partitions.
 fn worker_loop(state: &Arc<State>) {
     while let Some((job, spec)) = state.queue.pop() {
         if job.cancel.load(Ordering::Relaxed) {

@@ -5,7 +5,7 @@
 //! metrics [`Registry`](cfd_obs::Registry), load the CSV through the chunked ingestion
 //! pipeline with that registry attached, parse a rule file under the
 //! strict/lenient policy, decorate report JSON with rule texts, and
-//! flush the span summary / metrics snapshot at the end. This module
+//! flush the span totals / metrics snapshot at the end. This module
 //! hosts that bookkeeping once — the CLI drives one [`ObsSession`] per
 //! invocation, `cfd serve` drives one for the whole server lifetime
 //! and shares its registry across every connection and job.
@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// The observability side of one run: owns the metrics
 /// [`Registry`](cfd_obs::Registry) work emits into (attach it via
 /// [`ObsSession::control`]) and, on [`ObsSession::finish`], prints the
-/// span summary to stderr and writes the metrics snapshot JSON.
+/// span totals to stderr and writes the metrics snapshot JSON.
 /// Start it *before* loading data so `ingest.*` spans and counters
 /// land in the same session as the algorithm's own.
 pub struct ObsSession {
@@ -69,21 +69,20 @@ impl ObsSession {
         cfd_model::ingest_csv_path(path, &opts, &self.control())
     }
 
-    /// Prints the span summary (stderr, `# trace …` lines, heaviest
-    /// first) and writes the metrics snapshot to the `metrics_out`
-    /// path, when either was requested.
+    /// Prints the exact span totals (stderr, `# trace …` lines,
+    /// heaviest first) and writes the metrics snapshot to the
+    /// `metrics_out` path, when either was requested.
     pub fn finish(&self) -> Result<()> {
         if self.trace {
             cfd_obs::shutdown_tracing();
-            let (spans, lost) = cfd_obs::drain_spans();
-            for s in cfd_obs::summarize(&spans) {
+            for t in cfd_obs::span_totals() {
                 eprintln!(
-                    "# trace {}: count={} total={}us max={}us threads={}",
-                    s.name, s.count, s.total_us, s.max_us, s.threads
+                    "# trace {}: count={} total={}us max={}us",
+                    t.name,
+                    t.count,
+                    t.total.as_micros(),
+                    t.max.as_micros()
                 );
-            }
-            if lost > 0 {
-                eprintln!("# trace: {lost} older span records overwritten (ring full)");
             }
         }
         if let Some(path) = &self.metrics_out {

@@ -74,10 +74,8 @@ where
 /// pass, now kernel-backed.
 ///
 /// The rules' dictionary codes must refer to `rel`'s dictionaries: use
-/// the same relation they were discovered on, a dictionary-sharing copy
-/// (`restrict`/`project`/`with_replaced_codes`/`with_replaced_values`),
-/// or re-resolve foreign rules with [`cfd_model::cfd::transfer_cfd`]
-/// first.
+/// the same relation they were discovered on or a dictionary-sharing
+/// copy (`restrict`/`project`/`with_replaced_codes`/`with_replaced_values`).
 pub fn detect_violations<'a, I>(rel: &Relation, cfds: I) -> Vec<(usize, Violation)>
 where
     I: IntoIterator<Item = &'a Cfd>,

@@ -707,10 +707,53 @@ fn discover_json_exposes_store_stats_and_metrics_out() {
     assert!(store.get("entries").unwrap().as_f64().unwrap() > 0.0);
     assert!(store.get("bytes").unwrap().as_f64().unwrap() > 0.0);
 
-    // --trace prints a span summary to stderr (stdout JSON stays clean)
+    // --trace prints the span totals to stderr (stdout JSON stays clean)
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("# trace ctane.level"), "{stderr}");
     assert!(stderr.contains("# trace partition.refine"), "{stderr}");
+
+    // the totals are exact: a CTANE run with more refinements than a
+    // 4,096-record sample keeps shows its ingestion, drops nothing, and
+    // counts the same lattice at one and two threads
+    let tax = dir.join("tax.csv");
+    cfd_suite::datagen::tax::TaxGenerator::new(1000)
+        .seed(1)
+        .write_csv(&mut std::fs::File::create(&tax).unwrap())
+        .unwrap();
+    let span_counts = |threads: &str| -> Vec<(String, u64)> {
+        let out = bin()
+            .args(["discover", tax.to_str().unwrap(), "--k", "20"])
+            .args(["--algo", "ctane", "--trace", "--threads", threads])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(!stderr.contains("overwritten"), "{stderr}");
+        for name in ["ingest.read", "ingest.parse", "ingest.encode"] {
+            assert!(stderr.contains(&format!("# trace {name}: ")), "{stderr}");
+        }
+        stderr
+            .lines()
+            .filter_map(|l| {
+                let (name, rest) = l.strip_prefix("# trace ")?.split_once(": ")?;
+                let count = rest.strip_prefix("count=")?.split(' ').next()?;
+                Some((name.to_string(), count.parse().unwrap()))
+            })
+            .collect()
+    };
+    let (one, two) = (span_counts("1"), span_counts("2"));
+    let count = |spans: &[(String, u64)], name: &str| {
+        spans.iter().find(|(n, _)| n == name).map(|&(_, c)| c)
+    };
+    assert!(count(&one, "partition.refine") > Some(4096), "{one:?}");
+    for name in [
+        "discover.run",
+        "ctane.level",
+        "partition.refine",
+        "partition.refine_counts",
+    ] {
+        assert_eq!(count(&one, name), count(&two, name), "{name}");
+    }
 
     // --metrics-out is a parseable snapshot mirroring the same run
     let snap_text = std::fs::read_to_string(&metrics).unwrap();
