@@ -4,11 +4,10 @@
 //! FD baselines (TANE vs FastFD), and the partition-layer constant
 //! lookups (full-relation scans vs cached counting-sort value regions).
 
-use cfd_core::{DiffSetMode, DiscoverOptions, Discoverer, FastCfd};
+use cfd_core::{DiffSetMode, DiscoverOptions, Discoverer, FastCfd, Tane};
 use cfd_datagen::tax::TaxGenerator;
-use cfd_fd::{FastFd, Tane};
+use cfd_fd::FastFd;
 use cfd_model::pattern::PVal;
-use cfd_model::progress::{Control, SearchStats};
 use cfd_partition::{RefineScratch, StrippedPartition};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -55,14 +54,13 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // the FD baselines through their own `run`: the trait's shorthand
-    // would add the kernel measuring pass FastFD's cover needs
+    // the FD baselines
     let opts = DiscoverOptions::default();
     group.bench_with_input(BenchmarkId::new("fd", "tane"), &rel, |b, rel| {
-        b.iter(|| Tane.run(rel, &opts, &Control::default(), &mut SearchStats::default()))
+        b.iter(|| Tane.discover(rel, &opts))
     });
     group.bench_with_input(BenchmarkId::new("fd", "fastfd"), &rel, |b, rel| {
-        b.iter(|| FastFd.run(rel, &Control::default(), &mut SearchStats::default()))
+        b.iter(|| FastFd.discover(rel, &opts))
     });
 
     // partition-layer constant lookups: the CTANE-shaped workload of

@@ -40,9 +40,9 @@
 
 use crate::bruteforce::BruteForce;
 use crate::cfdminer::CfdMiner;
-use crate::ctane::Ctane;
+use crate::ctane::{Ctane, Tane};
 use crate::fastcfd::FastCfd;
-use cfd_fd::{FastFd, Tane};
+use cfd_fd::FastFd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::json::Json;
 pub use cfd_model::measure::RuleMeasure;
@@ -276,10 +276,10 @@ pub struct Discovery {
     /// The canonical cover (after `constants_only` filtering and
     /// `top_k` truncation).
     pub cover: CanonicalCover,
-    /// Kernel-measured support/confidence of every rule, aligned with
-    /// [`CanonicalCover::cfds`] order — the scores `top_k` ranked by
-    /// and the numbers the `[support=N conf=F]` wire annotations and
-    /// the JSON document carry.
+    /// The support/confidence of every rule, measured at emission and
+    /// aligned with [`CanonicalCover::cfds`] order — the scores `top_k`
+    /// ranked by and the numbers the `[support=N conf=F]` wire
+    /// annotations and the JSON document carry.
     pub measures: Vec<RuleMeasure>,
     /// Search counters (candidates tested/pruned, partitions computed,
     /// …) with the algorithm's per-phase timings in
@@ -334,19 +334,15 @@ impl Discovery {
         // alongside the wire text and structure; the removal count uses
         // the same key as `cfd check`'s per-rule report ("violations"
         // there means violation *records*, a different number)
-        let rules = if self.measures.len() == self.cover.len() {
-            Json::arr(self.cover.iter().zip(&self.measures).map(|(c, m)| {
-                let mut doc = c.to_json(rel);
-                if let Json::Obj(fields) = &mut doc {
-                    fields.push(("support".into(), Json::from(m.support)));
-                    fields.push(("removals".into(), Json::from(m.violations)));
-                    fields.push(("confidence".into(), Json::from(m.confidence())));
-                }
-                doc
-            }))
-        } else {
-            self.cover.to_json(rel)
-        };
+        let rules = Json::arr(self.cover.iter().zip(&self.measures).map(|(c, m)| {
+            let mut doc = c.to_json(rel);
+            if let Json::Obj(fields) = &mut doc {
+                fields.push(("support".into(), Json::from(m.support)));
+                fields.push(("removals".into(), Json::from(m.violations)));
+                fields.push(("confidence".into(), Json::from(m.confidence())));
+            }
+            doc
+        }));
         Json::obj([
             ("algorithm", Json::from(self.algo.name())),
             ("options", self.options.to_json(input)),
@@ -428,22 +424,21 @@ pub trait Discoverer {
 
     /// The instrumented core: discover on `rel` as configured by
     /// `opts`, polling `ctrl` at coarse checkpoints and filling
-    /// `stats`. Algorithms that already hold the groupings behind each
-    /// emitted rule (the level-wise miners' partitions, the free-set
-    /// supports of CFDMiner and FastCFD) also return `Some(measures)`,
-    /// aligned with the cover's canonical order, and
-    /// [`Discoverer::discover_with`] skips its kernel measuring pass;
-    /// `None` has the kernel measure the cover in one sharded scan.
-    /// `run` does not validate `opts` ([`DiscoverOptions::validate`] is
-    /// the one check); prefer [`Discoverer::discover_with`], which adds
-    /// validation, projection, filtering and note synthesis.
+    /// `stats`. Every miner measures its rules at emission, from what
+    /// it already holds (the level-wise walk's partitions, the free-set
+    /// supports of CFDMiner and FastCFD; a plain FD holds exactly on
+    /// every tuple), and returns the measures aligned with the cover's
+    /// canonical order. `run` does not validate `opts`
+    /// ([`DiscoverOptions::validate`] is the one check); prefer
+    /// [`Discoverer::discover_with`], which adds validation,
+    /// projection, filtering and note synthesis.
     fn run(
         &self,
         rel: &Relation,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError>;
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError>;
 
     /// Full-service discovery: validates `opts`, projects, runs,
     /// filters, and returns the structured [`Discovery`].
@@ -499,50 +494,25 @@ pub trait Discoverer {
         };
         let work = projected.as_ref().unwrap_or(rel);
         let mut stats = SearchStats::default();
-        let (mut cover, mut self_measures) = {
+        let (mut cover, mut measures) = {
             let _sp = cfd_obs::span!("discover.run");
             self.run(work, opts, ctrl, &mut stats)?
         };
         if opts.constants_only && !algo.constants_native() {
-            // post-filter to the constant fragment, keeping any
-            // self-reported measures aligned (the fragment of a sorted
-            // cover is still sorted, so order survives)
-            match self_measures.take() {
-                Some(ms) => {
-                    let mut kept_cfds = Vec::new();
-                    let mut kept_ms = Vec::new();
-                    for (c, m) in cover.cfds().iter().zip(ms) {
-                        if c.is_constant() {
-                            kept_cfds.push(c.clone());
-                            kept_ms.push(m);
-                        }
-                    }
-                    cover = CanonicalCover::from_cfds(kept_cfds);
-                    self_measures = Some(kept_ms);
+            // post-filter to the constant fragment, keeping the measures
+            // aligned (the fragment of a sorted cover is still sorted, so
+            // order survives)
+            let mut kept_cfds = Vec::new();
+            let mut kept_ms = Vec::new();
+            for (c, m) in cover.cfds().iter().zip(measures) {
+                if c.is_constant() {
+                    kept_cfds.push(c.clone());
+                    kept_ms.push(m);
                 }
-                None => cover = cover.constant_cover(),
             }
+            cover = CanonicalCover::from_cfds(kept_cfds);
+            measures = kept_ms;
         }
-        // annotate every rule with its measured support and confidence.
-        // The level-wise and free-set miners measure at emission from the
-        // partitions or supports they already hold (`run`);
-        // FastFD and BruteForce get one kernel CoverPlan pass (sharded like `cfd check`), aligned
-        // with the cover's canonical order.
-        let t_measure = std::time::Instant::now();
-        let mut measures: Vec<RuleMeasure> = match self_measures {
-            Some(ms) => ms,
-            None if cover.is_empty() => Vec::new(),
-            None => {
-                let _sp = cfd_obs::span!("discover.measure");
-                let vopts = cfd_validate::ValidateOptions {
-                    threads: opts.threads,
-                    limit: 0,
-                };
-                let report = cfd_validate::validate_with(work, cover.iter(), &vopts, ctrl);
-                report.rules.into_iter().map(|r| r.measure).collect()
-            }
-        };
-        stats.phase("measure", t_measure.elapsed());
         // top-k: rank by confidence, then support, then canonical rule
         // order, and truncate — the surviving rules keep cover order
         let cover = match opts.top_k {
@@ -627,36 +597,23 @@ pub trait Discoverer {
     }
 }
 
-impl Discoverer for Tane {
-    fn algo(&self) -> Algo {
-        Algo::Tane
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = Tane::run(self, rel, opts, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
 impl Discoverer for FastFd {
     fn algo(&self) -> Algo {
         Algo::FastFd
     }
 
+    /// A plain FD matches every tuple and holds exactly, so each rule
+    /// is measured `RuleMeasure::exact(|r|)`.
     fn run(
         &self,
         rel: &Relation,
         _opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        Ok((FastFd::run(self, rel, ctrl, stats)?, None))
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
+        let cover = FastFd::run(self, rel, ctrl, stats)?;
+        let measures = vec![RuleMeasure::exact(rel.n_rows()); cover.len()];
+        Ok((cover, measures))
     }
 }
 
@@ -671,7 +628,7 @@ impl Discoverer for Algo {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
         self.discoverer().run(rel, opts, ctrl, stats)
     }
 }
@@ -984,10 +941,6 @@ mod tests {
                 assert_eq!(m.violations, 0, "{algo}: {}", cfd.display(&rel));
                 assert!(m.support >= 2, "{algo}: k-frequency");
             }
-            assert!(
-                d.stats.phases.iter().any(|p| p.name == "measure"),
-                "{algo} must time the measuring pass"
-            );
         }
     }
 

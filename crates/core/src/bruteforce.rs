@@ -11,7 +11,7 @@ use crate::minimality::is_minimal;
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
-use cfd_model::measure::RuleMeasure;
+use cfd_model::measure::{measure, RuleMeasure};
 use cfd_model::options::{DiscoverError, DiscoverOptions};
 use cfd_model::pattern::{PVal, Pattern};
 use cfd_model::progress::{Control, SearchStats};
@@ -33,14 +33,15 @@ impl Discoverer for BruteForce {
     /// refused as [`DiscoverError::Unsupported`]. Polls `ctrl` per LHS
     /// attribute set, reports `rhs` progress, and counts candidate CFDs
     /// tested (`candidates`) against those surviving the minimality
-    /// referee (`emitted`).
+    /// referee (`emitted`). Each rule is measured by the reference
+    /// [`measure`].
     fn run(
         &self,
         rel: &Relation,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
         let arity = rel.arity();
         if arity > 10 {
             return Err(DiscoverError::Unsupported(format!(
@@ -58,7 +59,11 @@ impl Discoverer for BruteForce {
             }
             ctrl.report("rhs", rhs + 1, arity);
         }
-        Ok((CanonicalCover::from_cfds(out), None))
+        let measured = out.into_iter().map(|c| {
+            let m = measure(rel, &c);
+            (c, m)
+        });
+        Ok(CanonicalCover::from_measured(measured.collect()))
     }
 }
 

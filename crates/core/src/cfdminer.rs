@@ -59,7 +59,7 @@ impl Discoverer for CfdMiner {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
         let t0 = std::time::Instant::now();
         // the approximate pass needs each free set's supporting tuples
         // to take per-attribute majorities; the exact pass does not
@@ -83,8 +83,7 @@ impl Discoverer for CfdMiner {
             exact_rules(&mined, stats)
         };
         stats.phase("rhs-items", t1.elapsed());
-        let (cover, measures) = CanonicalCover::from_measured(rules);
-        Ok((cover, Some(measures)))
+        Ok(CanonicalCover::from_measured(rules))
     }
 }
 

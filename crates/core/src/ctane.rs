@@ -18,6 +18,13 @@
 //! compare **row** counts instead — the paper's class-count test misses
 //! single-tuple violations of constant RHS patterns (see DESIGN.md §2).
 //!
+//! The walk takes its candidate universe `C⁺(∅)` from its caller:
+//! [`Ctane`] passes every `(A, _)` plus every k-frequent `(A, a)`, and
+//! [`Tane`] passes every `(A, _)` alone, which makes the walk TANE's
+//! level-wise FD discovery. TANE's classic key pruning is left out: it
+//! holds only for exact FDs and loses minimal approximate ones
+//! (DESIGN.md §8).
+//!
 //! ## The level in item order
 //!
 //! The walk handles no [`Pattern`]s. Every item of `C⁺(∅)` — each
@@ -401,49 +408,93 @@ impl Discoverer for Ctane {
         Algo::Ctane
     }
 
-    /// Discovers the canonical cover of minimal k-frequent CFDs: polls
-    /// `ctrl` once per lattice level (and per prefix run inside the
-    /// expansion workers), reports `level` progress, and counts
-    /// validity tests (`candidates`), retired lattice elements
-    /// (`pruned`), materialized partitions (`partitions`) and the
-    /// partition traffic of [`StoreCounters`] (`store`). Each rule's
-    /// [`RuleMeasure`] is computed at emission from the partitions the
-    /// walk already holds.
+    /// Discovers the canonical cover of minimal k-frequent CFDs: the
+    /// level walk (module docs) over every `(A, _)` plus every
+    /// k-frequent `(A, a)`, read off the columns' value regions.
     fn run(
         &self,
         rel: &Relation,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
+        let mut items: Vec<(AttrId, PVal)> = Vec::new();
+        for a in 0..rel.arity() {
+            let vidx = rel.column(a).regions();
+            for c in 0..vidx.n_codes() as u32 {
+                if vidx.region(c).len() >= opts.k {
+                    items.push((a, PVal::Const(c)));
+                }
+            }
+            items.push((a, PVal::Var));
+        }
+        self.walk(rel, opts, opts.k, items, ctrl, stats)
+    }
+}
+
+/// Level-wise minimal-FD discovery (Huhtala, Kärkkäinen, Porkka &
+/// Toivonen, *The Computer Journal* 42(2), 1999): CTANE's level walk
+/// over the wildcard items `(A, _)` alone, which is TANE — `C⁺` pruning
+/// included, and at `θ < 1` the g1-style approximate test (DESIGN.md
+/// §8). It reads `max_lhs`, `min_confidence` and `threads` from
+/// [`DiscoverOptions`] and has no knob of its own; `k` does not apply
+/// to FDs, so the walk runs at `k = 1`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tane;
+
+impl Discoverer for Tane {
+    fn algo(&self) -> Algo {
+        Algo::Tane
+    }
+
+    /// Discovers all minimal FDs `X → A` with `X ≠ ∅`, as all-wildcard
+    /// variable CFDs (`∅ → A` is left out, as in every canonical
+    /// cover).
+    fn run(
+        &self,
+        rel: &Relation,
+        opts: &DiscoverOptions,
+        ctrl: &Control<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
+        let items = (0..rel.arity()).map(|a| (a, PVal::Var)).collect();
+        Ctane::default().walk(rel, opts, 1, items, ctrl, stats)
+    }
+}
+
+impl Ctane {
+    /// The level walk of Section 4 over the candidate universe `C⁺(∅) =
+    /// items`, at support `k` (module docs). Polls `ctrl` once per
+    /// lattice level (and per prefix run inside the expansion workers),
+    /// reports `level` progress, and counts validity tests
+    /// (`candidates`), retired lattice elements (`pruned`),
+    /// materialized partitions (`partitions`) and the partition traffic
+    /// of [`StoreCounters`] (`store`). Each rule's [`RuleMeasure`] is
+    /// computed at emission from the partitions the walk already holds.
+    fn walk(
+        &self,
+        rel: &Relation,
+        opts: &DiscoverOptions,
+        k: usize,
+        mut items: Vec<(AttrId, PVal)>,
+        ctrl: &Control<'_>,
+        stats: &mut SearchStats,
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
         let n = rel.n_rows();
         let arity = rel.arity();
-        let (k, theta) = (opts.k, opts.min_confidence);
+        let theta = opts.min_confidence;
         // approximate mode keeps the level below's partitions, so
         // wildcard-RHS candidates can be error-counted
         let approx = theta < 1.0;
         let mut out: Vec<Cfd> = Vec::new();
         let mut meas: Vec<RuleMeasure> = Vec::new();
         if n == 0 || n < k {
-            return Ok((CanonicalCover::from_cfds(out), Some(Vec::new())));
+            return Ok((CanonicalCover::default(), Vec::new()));
         }
         let mut scratch = RefineScratch::for_relation(rel);
         let mut store = StoreCounters::default();
-
-        // C⁺(∅) = L1: every (A, _) plus every k-frequent (A, a), read
-        // off the columns' value regions
-        let mut init_candidates: Vec<(AttrId, PVal)> = Vec::new();
-        for a in 0..arity {
-            let vidx = rel.column(a).regions();
-            for c in 0..vidx.n_codes() as u32 {
-                if vidx.region(c).len() >= k {
-                    init_candidates.push((a, PVal::Const(c)));
-                }
-            }
-            init_candidates.push((a, PVal::Var));
-        }
-        init_candidates.sort_unstable();
-        let uni = Universe::new(init_candidates, arity);
+        items.sort_unstable();
+        let uni = Universe::new(items, arity);
         let words = uni.words;
 
         // level 0: the ∅ element, whose partition (one class of every
@@ -661,8 +712,8 @@ impl Discoverer for Ctane {
                 last_level,
                 free: !approx,
             };
-            // worker w owns runs w, w+T, …; batches merge in run
-            // order, so the level comes out byte-identical to the
+            // each worker takes the next unclaimed run; batches merge in
+            // run order, so the level comes out byte-identical to the
             // serial walk (the shared shard_runs harness)
             let produced: Vec<Level> = shard_runs(
                 &runs,
@@ -707,8 +758,9 @@ impl Discoverer for Ctane {
         }
         stats.store = store;
 
-        let (cover, measures) = CanonicalCover::from_measured(out.into_iter().zip(meas).collect());
-        Ok((cover, Some(measures)))
+        Ok(CanonicalCover::from_measured(
+            out.into_iter().zip(meas).collect(),
+        ))
     }
 }
 
@@ -1182,7 +1234,6 @@ mod engine_tests {
                     &mut SearchStats::default(),
                 )
                 .unwrap();
-            let measures = measures.expect("CTANE measures at emission");
             assert_eq!(cover.len(), measures.len());
             for (cfd, m) in cover.iter().zip(&measures) {
                 assert_eq!(*m, measure(&r, cfd), "θ={theta}: {}", cfd.display(&r));
@@ -1249,5 +1300,248 @@ mod completeness_probe {
             "rule missing from θ=0.7 cover:\n{}",
             cover.display(&r)
         );
+    }
+}
+
+#[cfg(test)]
+mod tane_tests {
+    use super::*;
+    use cfd_datagen::cust::cust_relation;
+    use cfd_datagen::random::RandomRelation;
+    use cfd_fd::FastFd;
+    use cfd_model::cfd::parse_cfd;
+    use cfd_model::measure::measure;
+    use cfd_model::relation::relation_from_rows;
+    use cfd_model::satisfy::satisfies;
+    use cfd_model::schema::Schema;
+
+    #[test]
+    fn finds_paper_fds_on_cust() {
+        let r = cust_relation();
+        let cover = Tane.discover(&r, &DiscoverOptions::default());
+        for txt in [
+            "([CC, AC] -> CT, (_, _ || _))",         // f1
+            "([CC, AC, PN] -> STR, (_, _, _ || _))", // f2
+        ] {
+            let c = parse_cfd(&r, txt).unwrap();
+            assert!(cover.contains(&c), "{txt} missing:\n{}", cover.display(&r));
+        }
+        // every output holds and is attribute-minimal
+        for c in cover.iter() {
+            assert!(c.is_plain_fd());
+            assert!(satisfies(&r, c), "{}", c.display(&r));
+            for b in c.lhs_attrs().iter() {
+                let red = Cfd::fd(c.lhs_attrs().without(b), c.rhs_attr());
+                assert!(!satisfies(&r, &red), "reducible: {}", c.display(&r));
+            }
+        }
+    }
+
+    #[test]
+    fn unique_columns_determine_every_attribute() {
+        let schema = Schema::new(["id", "x", "y"]).unwrap();
+        let r = relation_from_rows(
+            schema,
+            &[
+                vec!["1", "a", "p"],
+                vec!["2", "a", "q"],
+                vec!["3", "b", "p"],
+                vec!["4", "b", "q"],
+            ],
+        )
+        .unwrap();
+        let cover = Tane.discover(&r, &DiscoverOptions::default());
+        // id is a key: id → x and id → y are minimal
+        assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
+        assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 2)));
+        // [x,y] is also a key: [x,y] → id
+        assert!(cover.contains(&Cfd::fd(AttrSet::from_iter([1, 2]), 0)));
+        assert_eq!(cover.len(), 3, "{}", cover.display(&r));
+    }
+
+    #[test]
+    fn constant_columns_do_not_emit_empty_lhs_fds() {
+        let schema = Schema::new(["A", "B"]).unwrap();
+        let r =
+            relation_from_rows(schema, &[vec!["x", "k"], vec!["y", "k"], vec!["z", "k"]]).unwrap();
+        let cover = Tane.discover(&r, &DiscoverOptions::default());
+        // B is constant: A → B would not be minimal (∅ → B holds), and
+        // ∅ → B is excluded by convention
+        assert!(cover.is_empty(), "{}", cover.display(&r));
+    }
+
+    #[test]
+    fn max_lhs_caps() {
+        let r = cust_relation();
+        let capped = Tane.discover(&r, &DiscoverOptions::default().max_lhs(1));
+        assert!(capped.iter().all(|c| c.lhs_attrs().len() <= 1));
+    }
+
+    #[test]
+    fn approximate_discovery_admits_noisy_fds() {
+        let r = cust_relation();
+        let tane =
+            |theta: f64| Tane.discover(&r, &DiscoverOptions::default().min_confidence(theta));
+        // AC → CT is spoiled only by the 131 → {EDI, EDI, UN} class:
+        // keep 7 of 8 tuples, confidence 0.875
+        let fd = parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap();
+        let exact = Tane.discover(&r, &DiscoverOptions::default());
+        assert!(!exact.contains(&fd));
+        let approx = tane(0.875);
+        assert!(approx.contains(&fd), "cover:\n{}", approx.display(&r));
+        assert!(!tane(0.9).contains(&fd));
+        // soundness: every emitted FD clears the threshold, and is
+        // minimal — no immediate subset clears it too
+        for theta in [0.8, 0.875, 0.95] {
+            for c in tane(theta).iter() {
+                let m = measure(&r, c);
+                assert!(m.meets(theta), "{} at θ={theta}", c.display(&r));
+                for b in c.lhs_attrs().iter() {
+                    let sub = Cfd::fd(c.lhs_attrs().without(b), c.rhs_attr());
+                    assert!(
+                        !measure(&r, &sub).meets(theta),
+                        "{} is reducible at θ={theta}",
+                        c.display(&r)
+                    );
+                }
+            }
+        }
+        // θ = 1.0 is bit-for-bit the exact cover
+        assert_eq!(tane(1.0).cfds(), exact.cfds());
+    }
+
+    #[test]
+    fn approximate_fds_above_a_key_are_found() {
+        // [AC, PN] → NM, [CC, PN] → NM and [CC, AC] → NM each keep 5 of
+        // 8 tuples; [CC, AC, PN] → NM keeps 7 (confidence 0.875). {AC,
+        // PN, NM} is a key of cust, and pruning it stops the lattice
+        // short of {CC, AC, PN, NM}, which only an exact FD justifies
+        let r = cust_relation();
+        let d = Tane
+            .discover_with(
+                &r,
+                &DiscoverOptions::default().min_confidence(0.8),
+                &Control::default(),
+            )
+            .unwrap();
+        let fd = parse_cfd(&r, "([CC, AC, PN] -> NM, (_, _, _ || _))").unwrap();
+        let i = d.cover.cfds().iter().position(|c| *c == fd);
+        let i = i.unwrap_or_else(|| panic!("missing:\n{}", d.cover.display(&r)));
+        assert_eq!((d.measures[i].support, d.measures[i].violations), (8, 1));
+        for sub in ["[AC, PN]", "[CC, PN]", "[CC, AC]"] {
+            let text = format!("({sub} -> NM, (_, _ || _))");
+            let m = measure(&r, &parse_cfd(&r, &text).unwrap());
+            assert_eq!((m.support, m.violations), (8, 3), "{text}");
+        }
+    }
+
+    #[test]
+    fn approx_completeness_probe() {
+        // A: 9×x, 1×y (∅→A meets θ=0.9); B: x-rows 8×p 1×q, y-row q.
+        // A→B keep = 8+1 = 9 ≥ 0.9·10 → meets θ; ∅→B keep = 8 < 9 → fails.
+        // So (A -> B) is a minimal approximate FD at θ=0.9.
+        let schema = Schema::new(["A", "B"]).unwrap();
+        let mut rows: Vec<Vec<&str>> = vec![];
+        for i in 0..9 {
+            rows.push(vec!["x", if i < 8 { "p" } else { "q" }]);
+        }
+        rows.push(vec!["y", "q"]);
+        let r = relation_from_rows(schema, &rows).unwrap();
+        let fd = parse_cfd(&r, "(A -> B, (_ || _))").unwrap();
+        let m = measure(&r, &fd);
+        assert!(m.meets(0.9), "premise: A->B meets 0.9 ({m:?})");
+        let cover = Tane.discover(&r, &DiscoverOptions::default().min_confidence(0.9));
+        assert!(
+            cover.contains(&fd),
+            "A->B missing from θ=0.9 cover:\n{}",
+            cover.display(&r)
+        );
+    }
+
+    #[test]
+    fn threads_do_not_change_the_cover() {
+        let r = cust_relation();
+        for theta in [0.8, 0.875, 1.0] {
+            let opts = DiscoverOptions::default().min_confidence(theta);
+            let serial = Tane.discover(&r, &opts);
+            for t in [2, 4] {
+                let sharded = Tane.discover(&r, &opts.clone().threads(t));
+                assert_eq!(serial.cfds(), sharded.cfds(), "θ={theta} t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn emission_measures_match_the_reference() {
+        let r = cust_relation();
+        for theta in [0.8, 0.875, 1.0] {
+            let (cover, measures) = Tane
+                .run(
+                    &r,
+                    &DiscoverOptions::default().min_confidence(theta),
+                    &Control::default(),
+                    &mut SearchStats::default(),
+                )
+                .unwrap();
+            assert_eq!(cover.len(), measures.len());
+            for (cfd, m) in cover.iter().zip(&measures) {
+                assert_eq!(*m, measure(&r, cfd), "θ={theta}: {}", cfd.display(&r));
+            }
+        }
+    }
+
+    /// FastFD's cover of `rel`, and TANE's, which it must equal.
+    fn fastfd_and_tane(rel: &Relation) -> (CanonicalCover, CanonicalCover) {
+        let opts = DiscoverOptions::default();
+        (FastFd.discover(rel, &opts), Tane.discover(rel, &opts))
+    }
+
+    #[test]
+    fn agrees_with_tane_on_cust() {
+        let r = cust_relation();
+        let (fast, tane) = fastfd_and_tane(&r);
+        assert_eq!(
+            tane.cfds(),
+            fast.cfds(),
+            "tane:\n{}\nfastfd:\n{}",
+            tane.display(&r),
+            fast.display(&r)
+        );
+        let f2 = parse_cfd(&r, "([CC, AC, PN] -> STR, (_, _, _ || _))").unwrap();
+        assert!(fast.contains(&f2));
+    }
+
+    #[test]
+    fn agrees_with_tane_on_random_relations() {
+        for seed in 0..20 {
+            let r = RandomRelation {
+                rows: 25,
+                arity: 5,
+                domain: 3,
+                seed,
+            }
+            .generate();
+            let (fast, tane) = fastfd_and_tane(&r);
+            assert_eq!(
+                tane.cfds(),
+                fast.cfds(),
+                "seed {seed}\ntane:\n{}\nfastfd:\n{}",
+                tane.display(&r),
+                fast.display(&r)
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_uniqueness_edge_case() {
+        // all tuples pairwise fully disagree: every single attribute is a
+        // key, so A → B for all pairs
+        let schema = Schema::new(["A", "B"]).unwrap();
+        let r = relation_from_rows(schema, &[vec!["1", "x"], vec!["2", "y"]]).unwrap();
+        let (cover, tane) = fastfd_and_tane(&r);
+        assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
+        assert!(cover.contains(&Cfd::fd(AttrSet::singleton(1), 0)));
+        assert_eq!(cover.len(), 2);
+        assert_eq!(tane.cfds(), cover.cfds());
     }
 }

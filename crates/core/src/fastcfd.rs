@@ -36,6 +36,7 @@ use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::agree::agree_sets_of_rows;
+use std::sync::Mutex;
 
 /// How difference sets are computed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -280,7 +281,8 @@ impl Discoverer for FastCfd {
 
     /// Discovers the canonical cover of minimal k-frequent CFDs: polls
     /// `ctrl` per free pattern, for its agree-set family and inside
-    /// `FindCover` (also from worker threads), reports `rhs` progress, times the `mine` / `index` /
+    /// `FindCover` (also from worker threads), reports `rhs` progress
+    /// as the number of finished RHS runs, times the `mine` / `index` /
     /// `findcover` phases, and counts mined free/closed sets,
     /// difference-set families (`diff_set_families`), cover candidates
     /// tested (`candidates`) and covers failing the left-reduction
@@ -293,7 +295,7 @@ impl Discoverer for FastCfd {
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
+    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
         let t0 = std::time::Instant::now();
         let mined = mine_free_closed(
             rel,
@@ -303,14 +305,13 @@ impl Discoverer for FastCfd {
                 keep_tids: self.mode == DiffSetMode::StrippedPartitions,
                 free_only: self.free_set_pruning,
                 threads: opts.threads,
-                ..MineOptions::default()
             },
         );
         stats.phase("mine", t0.elapsed());
         ctrl.check()?;
         let mut out: Vec<(Cfd, RuleMeasure)> = Vec::new();
         if mined.free.is_empty() {
-            return Ok((CanonicalCover::default(), Some(Vec::new())));
+            return Ok((CanonicalCover::default(), Vec::new()));
         }
         let t0 = std::time::Instant::now();
         let index = build_closed2_index(rel, self.mode, opts.threads);
@@ -328,7 +329,9 @@ impl Discoverer for FastCfd {
         let families = agree_families(rel, &mined, index.as_ref(), opts.threads, ctrl, stats)?;
         drop(index);
         // one run per RHS attribute; the agree-set families and the
-        // mining result are shared read-only
+        // mining result are shared read-only. `done` counts finished
+        // runs and is reported under its lock, so it ascends
+        let done = Mutex::new(0);
         let per_rhs = shard_runs(
             0..rel.arity(),
             opts.threads,
@@ -338,7 +341,9 @@ impl Discoverer for FastCfd {
             |rhs, _, stats, found| {
                 let rules = self.find_cover(rel, &mined, &families, rhs, ctrl, stats);
                 if rules.is_ok() {
-                    ctrl.report("rhs", rhs + 1, rel.arity());
+                    let mut done = done.lock().expect("no worker panics holding the count");
+                    *done += 1;
+                    ctrl.report("rhs", *done, rel.arity());
                 }
                 found.push(rules);
             },
@@ -347,8 +352,7 @@ impl Discoverer for FastCfd {
             out.extend(rules?);
         }
         stats.phase("findcover", t1.elapsed());
-        let (cover, measures) = CanonicalCover::from_measured(out);
-        Ok((cover, Some(measures)))
+        Ok(CanonicalCover::from_measured(out))
     }
 }
 
@@ -603,6 +607,24 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rhs_progress_counts_finished_runs_in_order() {
+        let r = cust_relation();
+        let opts = DiscoverOptions::new(2).threads(2);
+        for _ in 0..20 {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let sink = |p: cfd_model::progress::Progress| {
+                if p.phase == "rhs" {
+                    seen.lock().unwrap().push((p.done, p.total));
+                }
+            };
+            let ctrl = Control::default().progress_with(&sink);
+            FastCfd::default().discover_with(&r, &opts, &ctrl).unwrap();
+            let want: Vec<(usize, usize)> = (1..=7).map(|d| (d, 7)).collect();
+            assert_eq!(seen.into_inner().unwrap(), want);
         }
     }
 

@@ -5,6 +5,8 @@
 //!
 //! * [`CfdMiner`] — constant CFDs via free/closed item sets (Section 3);
 //! * [`Ctane`] — general CFDs, level-wise with `C⁺` pruning (Section 4);
+//! * [`Tane`] — the classical minimal FDs: the same level walk over the
+//!   wildcard items `(A, _)` alone;
 //! * [`FastCfd`] — general CFDs, depth-first over difference sets
 //!   (Section 5), in both the closed-set (`FastCFD`) and
 //!   stripped-partition (`NaiveFast`) configurations;
@@ -45,6 +47,6 @@ pub mod minimality;
 pub use api::{Algo, DiscoverError, DiscoverOptions, Discoverer, Discovery, Note, UnknownAlgo};
 pub use bruteforce::BruteForce;
 pub use cfdminer::CfdMiner;
-pub use ctane::Ctane;
+pub use ctane::{Ctane, Tane};
 pub use fastcfd::{DiffSetMode, FastCfd};
 pub use minimality::{audit_cover, holds_and_frequent, is_minimal};

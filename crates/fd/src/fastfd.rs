@@ -177,25 +177,6 @@ fn covers(y: AttrSet, dm: &[AttrSet]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tane::Tane;
-    use cfd_datagen::cust::cust_relation;
-    use cfd_datagen::random::RandomRelation;
-    use cfd_model::cfd::parse_cfd;
-    use cfd_model::options::DiscoverOptions;
-
-    /// FastFD's cover of `rel`, and TANE's, which it must equal.
-    fn fastfd_and_tane(rel: &Relation) -> (CanonicalCover, CanonicalCover) {
-        let ctrl = Control::default();
-        let fast = FastFd.run(rel, &ctrl, &mut SearchStats::default());
-        let tane = Tane.run(
-            rel,
-            &DiscoverOptions::default(),
-            &ctrl,
-            &mut SearchStats::default(),
-        );
-        let never = "default Control is never cancelled";
-        (fast.expect(never), tane.expect(never).0)
-    }
 
     #[test]
     fn minimize_keeps_minimal_sets() {
@@ -211,56 +192,5 @@ mod tests {
             sets,
             vec![AttrSet::from_iter([1]), AttrSet::from_iter([0, 2])]
         );
-    }
-
-    #[test]
-    fn agrees_with_tane_on_cust() {
-        let r = cust_relation();
-        let (fast, tane) = fastfd_and_tane(&r);
-        assert_eq!(
-            tane.cfds(),
-            fast.cfds(),
-            "tane:\n{}\nfastfd:\n{}",
-            tane.display(&r),
-            fast.display(&r)
-        );
-        let f2 = parse_cfd(&r, "([CC, AC, PN] -> STR, (_, _, _ || _))").unwrap();
-        assert!(fast.contains(&f2));
-    }
-
-    #[test]
-    fn agrees_with_tane_on_random_relations() {
-        for seed in 0..20 {
-            let r = RandomRelation {
-                rows: 25,
-                arity: 5,
-                domain: 3,
-                seed,
-            }
-            .generate();
-            let (fast, tane) = fastfd_and_tane(&r);
-            assert_eq!(
-                tane.cfds(),
-                fast.cfds(),
-                "seed {seed}\ntane:\n{}\nfastfd:\n{}",
-                tane.display(&r),
-                fast.display(&r)
-            );
-        }
-    }
-
-    #[test]
-    fn uniform_uniqueness_edge_case() {
-        // all tuples pairwise fully disagree: every single attribute is a
-        // key, so A → B for all pairs
-        use cfd_model::relation::relation_from_rows;
-        use cfd_model::schema::Schema;
-        let schema = Schema::new(["A", "B"]).unwrap();
-        let r = relation_from_rows(schema, &[vec!["1", "x"], vec!["2", "y"]]).unwrap();
-        let (cover, tane) = fastfd_and_tane(&r);
-        assert!(cover.contains(&Cfd::fd(AttrSet::singleton(0), 1)));
-        assert!(cover.contains(&Cfd::fd(AttrSet::singleton(1), 0)));
-        assert_eq!(cover.len(), 2);
-        assert_eq!(tane.cfds(), cover.cfds());
     }
 }

@@ -52,8 +52,6 @@ pub struct MineOptions {
     /// agree sets and CFDMiner's approximate pass; exact CFDMiner and
     /// FastCFD's closed-set engine do not need them).
     pub keep_tids: bool,
-    /// Optional cap on the size of mined free sets (`None` = unbounded).
-    pub max_len: Option<usize>,
     /// When `true` (default), mine only *free* sets — the Lemma 5 pruning.
     /// When `false`, every k-frequent pattern is kept (closures included);
     /// this exists solely for the ablation that quantifies the paper's
@@ -70,15 +68,15 @@ impl Default for MineOptions {
     fn default() -> Self {
         MineOptions {
             keep_tids: true,
-            max_len: None,
             free_only: true,
             threads: 1,
         }
     }
 }
 
-/// The result of mining: k-frequent free sets, their closures, and the
-/// closed→free (`C2F`) mapping of GCGrowth.
+/// The result of mining: k-frequent free sets and their closures. Each
+/// free set names its closure ([`FreeSet::closure`]), which is the
+/// closed→free (`C2F`) mapping of GCGrowth read backwards.
 #[derive(Clone, Debug, Default)]
 pub struct Mined {
     /// Free sets, ascending by pattern size then pattern (the ordered
@@ -86,14 +84,12 @@ pub struct Mined {
     pub free: Vec<FreeSet>,
     /// Closed sets (deduplicated).
     pub closed: Vec<ClosedSet>,
-    /// `c2f[c]` = indices into `free` of the free sets whose closure is
-    /// closed set `c`.
-    pub c2f: Vec<Vec<u32>>,
     free_by_pattern: FxHashMap<Pattern, u32>,
 }
 
 impl Mined {
-    /// Looks up a free set by its pattern.
+    /// Looks up a free set by its pattern: `None` unless `p` is one of
+    /// the mined (k-frequent) free patterns.
     pub fn free_index(&self, p: &Pattern) -> Option<usize> {
         self.free_by_pattern.get(p).map(|&i| i as usize)
     }
@@ -101,11 +97,6 @@ impl Mined {
     /// The closure pattern of free set `i`.
     pub fn closure_of(&self, free_idx: usize) -> &ClosedSet {
         &self.closed[self.free[free_idx].closure as usize]
-    }
-
-    /// True iff `p` is one of the mined (k-frequent) free patterns.
-    pub fn is_free(&self, p: &Pattern) -> bool {
-        self.free_by_pattern.contains_key(p)
     }
 }
 
@@ -318,18 +309,12 @@ fn walk(rel: &Relation, k: usize, opts: MineOptions, mut register: impl FnMut(No
         items: Vec::new(),
         tids: (0..n as TupleId).collect(),
     }];
-    let mut level_no = 0usize;
     while !level.is_empty() {
-        let last = opts.max_len == Some(level_no);
         let expanded: Vec<(Closure, Vec<Node>)> = {
-            let supp: FxHashMap<&[(usize, u32)], usize> = if last {
-                FxHashMap::default()
-            } else {
-                level
-                    .iter()
-                    .map(|node| (&node.items[..], node.tids.len()))
-                    .collect()
-            };
+            let supp: FxHashMap<&[(usize, u32)], usize> = level
+                .iter()
+                .map(|node| (&node.items[..], node.tids.len()))
+                .collect();
             par_map(
                 &level,
                 opts.threads,
@@ -339,11 +324,7 @@ fn walk(rel: &Relation, k: usize, opts: MineOptions, mut register: impl FnMut(No
                 },
                 |node, s| {
                     let closure = closure_of_tids(rel, &node.tids);
-                    let kids = if last {
-                        Vec::new()
-                    } else {
-                        children(rel, node, closure.attrs, &supp, k, opts.free_only, s)
-                    };
+                    let kids = children(rel, node, closure.attrs, &supp, k, opts.free_only, s);
                     (closure, kids)
                 },
             )
@@ -356,14 +337,13 @@ fn walk(rel: &Relation, k: usize, opts: MineOptions, mut register: impl FnMut(No
         // the children of ascending nodes, in node order, ascend too
         debug_assert!(next.windows(2).all(|w| w[0].items < w[1].items));
         level = next;
-        level_no += 1;
     }
 }
 
-/// Mines the k-frequent free item sets of `rel`, their closures, and the
-/// C2F mapping. `k ≥ 1` is required; the empty pattern is included as a
-/// free set whenever `|r| ≥ k` (its closure collects the constant
-/// columns of `rel`).
+/// Mines the k-frequent free item sets of `rel` and their closures.
+/// `k ≥ 1` is required; the empty pattern is included as a free set
+/// whenever `|r| ≥ k` (its closure collects the constant columns of
+/// `rel`).
 pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
     let mut out = Mined::default();
     let mut closures = Closures::default();
@@ -375,14 +355,12 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
                 pattern: pattern_of(closure.attrs, closure.items(rel).map(|(_, c)| c)),
                 support,
             });
-            out.c2f.push(Vec::new());
         }
         let pattern = pattern_of(
             node.items.iter().map(|&(a, _)| a).collect(),
             node.items.iter().map(|&(_, c)| c),
         );
         let fidx = out.free.len() as u32;
-        out.c2f[cidx as usize].push(fidx);
         out.free_by_pattern.insert(pattern.clone(), fidx);
         out.free.push(FreeSet {
             pattern,
@@ -396,8 +374,8 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
 
 /// The 2-frequent closed sets — those of `mine_free_closed(rel, 2, _)`,
 /// in the same order — and nothing else: the walk registers each free
-/// set's closure once, building no free set, pattern or C2F list. Mines
-/// on `threads` workers; the result is the same at every thread count.
+/// set's closure once, building no free set or pattern. Mines on
+/// `threads` workers; the result is the same at every thread count.
 pub(crate) fn closed2(rel: &Relation, threads: usize) -> Vec<Closure> {
     let mut closures = Closures::default();
     let opts = MineOptions {
@@ -511,9 +489,15 @@ mod tests {
             assert_eq!(clo.support, f.support);
             assert!(clo.pattern.contains_pattern(&f.pattern));
         }
-        // C2F partitions the free sets
-        let total: usize = mined.c2f.iter().map(|v| v.len()).sum();
-        assert_eq!(total, mined.free.len());
+        // C2F: every closed set has a free generator
+        let mut generated = vec![false; mined.closed.len()];
+        for f in &mined.free {
+            generated[f.closure as usize] = true;
+        }
+        assert!(
+            generated.iter().all(|&g| g),
+            "a closed set has no generator"
+        );
     }
 
     #[test]
@@ -529,6 +513,17 @@ mod tests {
     #[test]
     fn cust_matches_brute_force_at_k1() {
         check_against_brute_force(&cust(), 1);
+    }
+
+    /// The free generators of closed set `c`: the free sets whose
+    /// closure it is.
+    fn generators(mined: &Mined, c: usize) -> Vec<&Pattern> {
+        mined
+            .free
+            .iter()
+            .filter(|f| f.closure as usize == c)
+            .map(|f| &f.pattern)
+            .collect()
     }
 
     #[test]
@@ -550,10 +545,7 @@ mod tests {
             .position(|c| c.pattern == big)
             .expect("closed set of Fig. 2 must be mined");
         assert_eq!(mined.closed[cidx].support, 3);
-        let gens: Vec<&Pattern> = mined.c2f[cidx]
-            .iter()
-            .map(|&f| &mined.free[f as usize].pattern)
-            .collect();
+        let gens = generators(&mined, cidx);
         let g1 = pat(&r, &[("CC", "01"), ("AC", "908")]);
         let g2 = pat(&r, &[("ZIP", "07974")]);
         assert!(gens.contains(&&g1), "free generators: {gens:?}");
@@ -574,10 +566,7 @@ mod tests {
             .position(|c| c.pattern == acct)
             .expect("([AC,CT],(908,MH)) must be closed");
         assert_eq!(mined.closed[cidx2].support, 4);
-        let gens2: Vec<&Pattern> = mined.c2f[cidx2]
-            .iter()
-            .map(|&f| &mined.free[f as usize].pattern)
-            .collect();
+        let gens2 = generators(&mined, cidx2);
         assert!(gens2.contains(&&pat(&r, &[("AC", "908")])));
         assert!(gens2.contains(&&pat(&r, &[("CT", "MH")])));
     }
@@ -605,7 +594,7 @@ mod tests {
         let clo0 = &mined.closed[mined.free[0].closure as usize];
         let bk = pat(&r, &[("B", "k")]);
         assert!(clo0.pattern.contains_pattern(&bk));
-        assert!(!mined.is_free(&bk));
+        assert_eq!(mined.free_index(&bk), None);
         // (A,x) is free with support 2
         let ax = pat(&r, &[("A", "x")]);
         let i = mined.free_index(&ax).unwrap();
@@ -630,22 +619,6 @@ mod tests {
             },
         );
         assert!(lean.free[0].tids.is_none());
-    }
-
-    #[test]
-    fn max_len_caps_depth() {
-        let r = cust();
-        let capped = mine_free_closed(
-            &r,
-            1,
-            MineOptions {
-                max_len: Some(1),
-                ..MineOptions::default()
-            },
-        );
-        assert!(capped.free.iter().all(|f| f.pattern.len() <= 1));
-        let full = mine_free_closed(&r, 1, MineOptions::default());
-        assert!(full.free.iter().any(|f| f.pattern.len() >= 2));
     }
 
     #[test]

@@ -47,23 +47,22 @@ impl CanonicalCover {
 
     /// Builds a cover from emitted `(rule, measure)` pairs, returning
     /// the measures realigned with the cover's canonical (sorted,
-    /// deduplicated, normalized) order — the epilogue every miner that
-    /// measures at emission shares.
+    /// deduplicated, normalized) order — the epilogue every miner
+    /// shares, since every miner measures at emission.
     ///
     /// Duplicate emissions of one normalized rule are fine: the measure
     /// is a function of the normalized rule and the instance, so they
     /// carry equal measures and the first one wins.
     pub fn from_measured(pairs: Vec<(Cfd, RuleMeasure)>) -> (CanonicalCover, Vec<RuleMeasure>) {
-        let mut by_rule: crate::fxhash::FxHashMap<Cfd, RuleMeasure> = Default::default();
-        let mut cfds = Vec::with_capacity(pairs.len());
-        for (cfd, m) in pairs {
-            let n = normalize_cfd(&cfd);
-            by_rule.entry(n.clone()).or_insert(m);
-            cfds.push(n);
-        }
-        let cover = CanonicalCover::from_cfds(cfds);
-        let measures = cover.cfds.iter().map(|c| by_rule[c]).collect();
-        (cover, measures)
+        let mut pairs: Vec<(Cfd, RuleMeasure)> = pairs
+            .into_iter()
+            .map(|(cfd, m)| (normalize_cfd(&cfd), m))
+            .collect();
+        // stable: the first emission of a rule stays first among equals
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|later, first| later.0 == first.0);
+        let (cfds, measures) = pairs.into_iter().unzip();
+        (CanonicalCover { cfds }, measures)
     }
 
     /// The CFDs, sorted.
@@ -237,11 +236,6 @@ impl CanonicalCover {
         let (cfds, measures) = pairs.into_iter().unzip();
         Ok((CanonicalCover { cfds }, measures))
     }
-
-    /// Serializes the cover as a JSON array of [`Cfd::to_json`] objects.
-    pub fn to_json(&self, rel: &Relation) -> crate::json::Json {
-        crate::json::Json::arr(self.cfds.iter().map(|c| c.to_json(rel)))
-    }
 }
 
 impl IntoIterator for CanonicalCover {
@@ -298,6 +292,38 @@ mod tests {
         assert_eq!(cover.len(), 1);
         assert!(cover.contains(&con));
         assert_eq!(cover.counts(), (1, 0));
+    }
+
+    #[test]
+    fn from_measured_realigns_and_keeps_the_first_of_equal_rules() {
+        let r = rel();
+        let m = |support| RuleMeasure {
+            support,
+            violations: 0,
+        };
+        let (cover, measures) = CanonicalCover::from_measured(vec![
+            (parse_cfd(&r, "(B -> A, (_ || _))").unwrap(), m(3)),
+            (parse_cfd(&r, "([A, B] -> C, (x, _ || p))").unwrap(), m(2)),
+            (parse_cfd(&r, "(A -> B, (_ || _))").unwrap(), m(1)),
+            // the normal form of the second rule: its first measure stays
+            (parse_cfd(&r, "(A -> C, (x || p))").unwrap(), m(9)),
+        ]);
+        let want = CanonicalCover::from_cfds(
+            [
+                "(B -> A, (_ || _))",
+                "(A -> C, (x || p))",
+                "(A -> B, (_ || _))",
+            ]
+            .map(|t| parse_cfd(&r, t).unwrap()),
+        );
+        assert_eq!(cover, want);
+        let by_rule = |t: &str| {
+            let i = cover.cfds().binary_search(&parse_cfd(&r, t).unwrap());
+            measures[i.unwrap()].support
+        };
+        assert_eq!(by_rule("(B -> A, (_ || _))"), 3);
+        assert_eq!(by_rule("(A -> C, (x || p))"), 2);
+        assert_eq!(by_rule("(A -> B, (_ || _))"), 1);
     }
 
     #[test]

@@ -361,23 +361,22 @@ pub struct PhaseTiming {
     pub duration: Duration,
 }
 
-/// Partition traffic of the level-wise miners: CTANE counts its own,
-/// TANE's `cfd_partition::PartitionStore` keeps one (the type lives
-/// here so `SearchStats` stays below `cfd-partition` in the crate
+/// Partition traffic of the level walk CTANE and TANE run (the type
+/// lives here so `SearchStats` stays below `cfd-partition` in the crate
 /// graph). All-zero for the other algorithms.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Parent-partition lookups served from a held partition (CTANE:
-    /// the approximate error counts).
+    /// Parent-partition lookups served from a held partition (the
+    /// approximate error counts).
     pub hits: u64,
     /// Parent-partition lookups rebuilt from the relation, the partition
     /// not being held.
     pub misses: u64,
     /// Partitions dropped to fit the cache budget (CTANE's approximate
-    /// retention; TANE's store has no budget and never evicts).
+    /// retention; TANE's budget is unbounded, so it never evicts).
     pub evictions: u64,
     /// The most partitions held at once during the run: its high-water
-    /// mark (CTANE samples what it holds as each level completes).
+    /// mark (the walk samples what it holds as each level completes).
     pub entries: u64,
     /// The most approximate partition bytes held at once during the
     /// run, sampled like `entries`.
@@ -460,13 +459,14 @@ pub fn workers(threads: usize) -> usize {
 /// `runs` is any exact-size sequence: a slice's items by reference, a
 /// range, or `chunks_mut()`/`iter_mut()` when each run mutates the
 /// state it names.
-/// Worker `w` owns runs `w, w + workers, …`; each run's outputs are
-/// collected into a private batch and the batches are concatenated in
-/// *run order*, so the result is byte-identical to the serial loop for
-/// every thread count. Workers poll `ctrl` once per run (cancellation
-/// keeps working mid-phase), build worker-local state via `scratch`,
-/// and fill a private [`SearchStats`] that is merged into `stats` at
-/// the end.
+/// Each worker takes the next unclaimed run from one shared queue, so a
+/// heavy run holds up only the worker that took it; each run's outputs
+/// are collected into a private batch and the batches are concatenated
+/// in *run order*, so the result is byte-identical to the serial loop
+/// for every thread count. Workers poll `ctrl` once per run
+/// (cancellation keeps working mid-phase), build worker-local state via
+/// `scratch`, and fill a private [`SearchStats`] that is merged into
+/// `stats` at the end.
 pub fn shard_runs<I, S, T, G, F>(
     runs: I,
     threads: usize,
@@ -496,21 +496,24 @@ where
         stats.merge(&local);
         return Ok(out);
     }
-    let mut owned: Vec<Vec<(usize, I::Item)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (ri, run) in runs.enumerate() {
-        owned[ri % workers].push((ri, run));
-    }
+    // the runs in order, numbered: a worker's next run is the queue's
+    // next entry
+    let queue = std::sync::Mutex::new(runs.enumerate().collect::<Vec<_>>().into_iter());
     let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = owned
-            .into_iter()
-            .map(|mine| {
-                let (work, scratch) = (&work, &scratch);
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (work, scratch, queue) = (&work, &scratch, &queue);
                 let ctrl = *ctrl;
                 scope.spawn(move || {
                     let mut s = scratch();
-                    let mut produced: Vec<(usize, Vec<T>)> = Vec::with_capacity(mine.len());
+                    let mut produced: Vec<(usize, Vec<T>)> = Vec::new();
                     let mut local = SearchStats::default();
-                    for (ri, run) in mine {
+                    loop {
+                        let next = queue
+                            .lock()
+                            .expect("no worker panics holding the queue")
+                            .next();
+                        let Some((ri, run)) = next else { break };
                         ctrl.check()?;
                         let mut batch = Vec::new();
                         work(run, &mut s, &mut local, &mut batch);
@@ -640,6 +643,37 @@ mod tests {
         let none: Vec<usize> = Vec::new();
         let got = shard_runs(&none, 4, &Control::default(), &mut stats, || 0usize, work).unwrap();
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn shard_runs_hands_each_free_worker_the_next_run() {
+        if workers(2) < 2 {
+            return; // one core: the runs go serially
+        }
+        // run 0 waits until every other run is done, so it completes
+        // only if the worker holding it is handed none of them
+        let runs: Vec<usize> = (0..9).collect();
+        let done = std::sync::Mutex::new(0usize);
+        let woke = std::sync::Condvar::new();
+        let work = |&r: &usize, _: &mut (), _: &mut SearchStats, out: &mut Vec<(usize, bool)>| {
+            let mut others = done.lock().unwrap();
+            if r == 0 {
+                let wait = Duration::from_secs(10);
+                let (others, waited) = woke
+                    .wait_timeout_while(others, wait, |d| *d < runs.len() - 1)
+                    .unwrap();
+                drop(others);
+                out.push((r, !waited.timed_out()));
+            } else {
+                *others += 1;
+                woke.notify_all();
+                out.push((r, true));
+            }
+        };
+        let mut stats = SearchStats::default();
+        let got = shard_runs(&runs, 2, &Control::default(), &mut stats, || (), work).unwrap();
+        let want: Vec<(usize, bool)> = runs.iter().map(|&r| (r, true)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

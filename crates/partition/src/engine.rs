@@ -139,9 +139,8 @@ impl StrippedPartition {
 
     /// The partition of the tuples matching every `(attr, val)` item of
     /// `pattern`, grouped by their values on the pattern's attributes —
-    /// built from scratch (the rebuild path behind a cache miss: an
-    /// entry TANE's [`PartitionStore`](crate::PartitionStore) has
-    /// retired, or a parent CTANE did not keep for its approximate error
+    /// built from scratch (the rebuild path behind a cache miss: a
+    /// parent the level walk did not keep for its approximate error
     /// counts).
     pub fn of_pattern<I: IntoIterator<Item = (AttrId, PVal)>>(
         rel: &Relation,
@@ -212,9 +211,9 @@ impl StrippedPartition {
         self.tuples.is_empty()
     }
 
-    /// Approximate heap footprint in bytes — what CTANE's approximate
-    /// retention charges against its cache budget, and what
-    /// [`PartitionStore`](crate::PartitionStore) reports as bytes held.
+    /// Approximate heap footprint in bytes — what the level walk's
+    /// approximate retention charges against its cache budget and
+    /// reports as bytes held.
     pub fn approx_bytes(&self) -> usize {
         (self.tuples.len() + self.offsets.len() + self.singles.len()) * std::mem::size_of::<u32>()
     }

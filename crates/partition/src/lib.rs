@@ -10,11 +10,11 @@
 //! the partition of `(X ∪ {B}, (sp, c_B))` from the partition of
 //! `(X, sp)` — the product construction CTANE inherits from TANE.
 //!
-//! The level-wise miners run on this allocation-free refinement engine
+//! The level-wise walk of CTANE (and of TANE, the same walk over the
+//! wildcard items) runs on this allocation-free refinement engine
 //! ([`engine`]): partitions refined into caller-owned buffers through a
-//! reusable [`RefineScratch`]. TANE interns and caches them in a
-//! [`PartitionStore`]; CTANE holds them in its own flat lattice levels,
-//! reads them by position and frees them run by run (see DESIGN.md §9).
+//! reusable [`RefineScratch`], held in the walk's flat lattice levels,
+//! read by position and freed run by run (see DESIGN.md §9).
 //!
 //! The module also provides tuple-pair *agree sets* ([`agree`]), the
 //! ingredients of FastFD-style difference-set computation used by the
@@ -49,9 +49,7 @@
 pub mod agree;
 pub mod engine;
 pub mod group;
-pub mod store;
 
 pub use agree::{agree_sets, agree_sets_of_rows};
 pub use engine::{RefineScratch, StrippedPartition};
 pub use group::GroupIds;
-pub use store::PartitionStore;

@@ -12,11 +12,12 @@
 //!   registry behind `cfd … --trace` / `--metrics-out`, with JSON
 //!   export through `model::json`;
 //! * [`core`] — the discovery algorithms (CFDMiner, CTANE,
-//!   FastCFD/NaiveFast) and the unified [`core::api`] they all
-//!   implement: the `Discoverer` trait, `DiscoverOptions` (re-exported
-//!   from `model::options`), structured `Discovery` outcomes, and the
-//!   `Algo` registry;
-//! * [`fd`] — the classical FD baselines TANE and FastFD;
+//!   FastCFD/NaiveFast, and TANE as CTANE's walk over plain FDs) and
+//!   the unified [`core::api`] they all implement: the `Discoverer`
+//!   trait, `DiscoverOptions` (re-exported from `model::options`),
+//!   structured `Discovery` outcomes, and the `Algo` registry;
+//! * [`fd`] — the classical FD baseline FastFD and its minimal-cover
+//!   search;
 //! * [`datagen`] — synthetic datasets used by the paper's evaluation;
 //! * [`validate`] — the shared validation kernel: compile a cover once,
 //!   validate whole relations in one (parallel) pass (`cfd check`,
@@ -70,8 +71,8 @@ pub mod prelude {
         Algo, Cancelled, Control, DiscoverError, DiscoverOptions, Discoverer, Discovery, Note,
         Progress, SearchStats, UnknownAlgo,
     };
-    pub use cfd_core::{BruteForce, CfdMiner, Ctane, DiffSetMode, FastCfd};
-    pub use cfd_fd::{FastFd, Tane};
+    pub use cfd_core::{BruteForce, CfdMiner, Ctane, DiffSetMode, FastCfd, Tane};
+    pub use cfd_fd::FastFd;
     pub use cfd_model::cfd::parse_cfd;
     pub use cfd_model::csv::{relation_from_csv_path, relation_from_csv_str};
     pub use cfd_model::violation::Violation;

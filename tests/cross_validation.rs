@@ -5,7 +5,6 @@
 use cfd_suite::core::audit_cover;
 use cfd_suite::datagen::random::RandomRelation;
 use cfd_suite::datagen::tax::TaxGenerator;
-use cfd_suite::fd::{FastFd, Tane};
 use cfd_suite::prelude::*;
 
 fn assert_same_cover(rel: &Relation, a: &CanonicalCover, b: &CanonicalCover, what: &str) {

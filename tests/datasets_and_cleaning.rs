@@ -7,7 +7,6 @@ use cfd_suite::datagen::cust::{cust_relation, dirty_cust_relation};
 use cfd_suite::datagen::noise::inject_noise;
 use cfd_suite::datagen::tax::TaxGenerator;
 use cfd_suite::datagen::wbc::{wbc_relation, WBC_ARITY, WBC_ROWS};
-use cfd_suite::fd::Tane;
 use cfd_suite::model::csv::{relation_from_csv_str, relation_to_csv_string};
 use cfd_suite::prelude::*;
 

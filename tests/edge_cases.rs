@@ -2,7 +2,6 @@
 //! stay sound on the boundaries of the input space.
 
 use cfd_suite::core::audit_cover;
-use cfd_suite::fd::{FastFd, Tane};
 use cfd_suite::prelude::*;
 
 fn rel_of(rows: &[Vec<&str>], names: &[&str]) -> Relation {

@@ -160,6 +160,35 @@ proptest! {
         }
     }
 
+    /// TANE is CTANE's level walk over the wildcard items alone: its
+    /// cover and measures are the plain-FD rules of CTANE at k 1, exact
+    /// and approximate, with or without an LHS bound.
+    #[test]
+    fn tane_is_the_plain_fd_fragment_of_ctane(
+        rel in arb_relation(),
+        wide in arb_wide_relation(),
+        theta_pct in 50u32..=100,
+        capped in 0u32..2,
+    ) {
+        let mut opts = DiscoverOptions::new(1).min_confidence(theta_pct as f64 / 100.0);
+        opts.max_lhs = (capped == 1).then_some(2);
+        let ctrl = Control::default();
+        for r in [&rel, &wide] {
+            let tane = Algo::Tane.discover_with(r, &opts, &ctrl).unwrap();
+            let ctane = Algo::Ctane.discover_with(r, &opts, &ctrl).unwrap();
+            let fds = ctane.cover.plain_fd_cover();
+            let measures: Vec<RuleMeasure> = ctane
+                .cover
+                .iter()
+                .zip(&ctane.measures)
+                .filter(|(c, _)| c.is_plain_fd())
+                .map(|(_, m)| *m)
+                .collect();
+            prop_assert_eq!(tane.cover.cfds(), fds.cfds(), "{:?}", opts);
+            prop_assert_eq!(&tane.measures, &measures, "{:?}", opts);
+        }
+    }
+
     /// θ < 1.0 soundness: every rule an approximate run emits carries a
     /// kernel-validated confidence of at least θ, the attached measures
     /// agree with the per-rule reference measure, and the emitted
@@ -323,13 +352,7 @@ mod engine_parity {
             // emission must be exactly what a fresh per-rule scan
             // reports — for exact and θ < 1 runs
             for theta in [0.8, 1.0] {
-                for algo in [
-                    Algo::Ctane,
-                    Algo::Tane,
-                    Algo::CfdMiner,
-                    Algo::FastCfd,
-                    Algo::Naive,
-                ] {
+                for algo in Algo::all() {
                     let opts = DiscoverOptions::new(k).min_confidence(theta);
                     let d = algo.discover_with(&rel, &opts, &Control::default()).unwrap();
                     prop_assert_eq!(d.measures.len(), d.cover.len());
