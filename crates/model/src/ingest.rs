@@ -8,11 +8,11 @@
 //!    so a quoted newline spanning chunks parses the same as in one
 //!    piece). Peak buffered input is O(chunk + longest record).
 //! 2. **Parse + encode** — each block is parsed zero-copy (field spans
-//!    into the block) and dictionary-encoded. The serial path
-//!    (`threads <= 1`) encodes straight into the relation's columns,
-//!    so each value is interned once. With `threads > 1`, workers pull
-//!    blocks from a shared reader and encode each against *block-local*
-//!    dictionaries in parallel.
+//!    into the block) and dictionary-encoded one column at a time.
+//!    The serial path (`threads <= 1`) encodes straight into the
+//!    relation's columns, so each value is interned once. With
+//!    `threads > 1`, workers pull blocks from a shared reader and
+//!    encode each against *block-local* dictionaries in parallel.
 //! 3. **Merge** (parallel path only) — blocks merge into the global
 //!    columns strictly in input order: each block's local values are
 //!    interned into the global dictionary in local-code order, which
@@ -112,16 +112,22 @@ fn new_cols(arity: usize) -> Vec<LocalCol> {
 /// Dictionary-encodes every record of a parsed block into `cols`
 /// (new values take the next codes of `cols`' dictionaries, in
 /// first-seen order).
+///
+/// Every record's width is checked before anything is interned; the
+/// block is then encoded one column at a time, so one dictionary's
+/// table and arena stay hot for a whole column. Each dictionary sees
+/// its column's values in row order either way, so codes, dictionary
+/// order and histograms are those of a row-by-row scan (DESIGN.md §11).
 fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [LocalCol]) -> Result<()> {
     let arity = cols.len();
-    for r in 0..recs.n_records() {
-        let w = recs.record_len(r);
-        if w != arity {
-            return Err(Error::Relation(format!(
-                "row has {w} values, schema has arity {arity}"
-            )));
-        }
-        for (a, col) in cols.iter_mut().enumerate() {
+    let n = recs.n_records();
+    if let Some(w) = (0..n).map(|r| recs.record_len(r)).find(|&w| w != arity) {
+        return Err(Error::Relation(format!(
+            "row has {w} values, schema has arity {arity}"
+        )));
+    }
+    for (a, col) in cols.iter_mut().enumerate() {
+        for r in 0..n {
             let c = col.dict.intern(recs.field(block, r, a));
             if c as usize == col.counts.len() {
                 col.counts.push(0);
@@ -558,6 +564,22 @@ mod tests {
             assert!(e.to_string().contains("schema has arity 2"), "{e}");
             let e = ingest("a,b\n\"oops\n", &opts).unwrap_err();
             assert!(e.to_string().contains("unterminated quoted field"), "{e}");
+        }
+        // a short row after good rows, then a long one: the first bad
+        // row is reported whether it sits in a later block (chunk 4) or
+        // in the good rows' block (4096)
+        let short = "a,b\n1,2\n3,4\n5\n6,7,8\n";
+        let want = relation_from_csv_str(short).unwrap_err().to_string();
+        assert!(
+            want.contains("row has 1 values, schema has arity 2"),
+            "{want}"
+        );
+        for chunk in [4, 4096] {
+            for threads in [1, 4] {
+                let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
+                let e = ingest(short, &opts).unwrap_err();
+                assert_eq!(e.to_string(), want, "chunk {chunk}, threads {threads}");
+            }
         }
     }
 

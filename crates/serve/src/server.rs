@@ -248,8 +248,7 @@ fn worker_loop(state: &Arc<State>) {
             // cancelled while queued but popped before the cancel
             // handler could remove it
             state.metrics.add("serve.jobs_cancelled", 1);
-            job.finish(JobOutcome::Cancelled);
-            state.queue.done();
+            end_job(state, &job, JobOutcome::Cancelled);
             continue;
         }
         job.set_running();
@@ -332,6 +331,20 @@ fn worker_loop(state: &Arc<State>) {
             JobOutcome::Cancelled => "serve.jobs_cancelled",
         };
         state.metrics.add(counter, 1);
+        end_job(state, &job, outcome);
+    }
+}
+
+/// Finishes a popped job and stops the queue counting it, in the order
+/// that keeps the shutdown reply's `jobs_drained` exact. A sync job's
+/// outcome is its reply, so the queue lets go of it first: a job whose
+/// reply is out is never drained. An async job's terminal event goes
+/// to its writer first, so the drain cannot end ahead of it.
+fn end_job(state: &State, job: &Job, outcome: JobOutcome) {
+    if job.sync {
+        state.queue.done();
+        job.finish(outcome);
+    } else {
         job.finish(outcome);
         state.queue.done();
     }

@@ -696,6 +696,38 @@ fn shutdown_under_load_drains_running_and_flushes_queued() {
     let _ = std::fs::remove_file(&tax_path);
 }
 
+/// A sync job whose reply is out is not drained: the queue stops
+/// counting it before its waiter sees the outcome. Over many fresh
+/// servers, a session of sync jobs alone always shuts down with
+/// nothing running and nothing queued.
+#[test]
+fn sync_jobs_answered_before_shutdown_are_never_drained() {
+    let check = Json::obj([
+        ("op", Json::from("check")),
+        ("dataset", Json::from("cust")),
+        (
+            "rules",
+            Json::arr([Json::from("([CC, AC] -> CT, (_, _ || _))")]),
+        ),
+        ("sync", Json::from(true)),
+    ]);
+    for server in 0..30 {
+        let (addr, handle) = spawn_server(ServeOptions::default());
+        let mut w = Conn::connect(addr);
+        w.send(&Json::obj([
+            ("op", Json::from("register")),
+            ("name", Json::from("cust")),
+            ("csv", Json::from(CUST_CSV)),
+        ]));
+        assert_ok(&w.reply());
+        for _ in 0..2 {
+            w.send(&check);
+            assert_ok(&w.reply());
+        }
+        assert_eq!(shutdown(&mut w, handle), (0, 0), "server {server}");
+    }
+}
+
 /// The registry byte budget rejects registrations instead of growing
 /// without bound.
 #[test]
