@@ -6,10 +6,11 @@ use crate::rule::{RuleState, RuleStats};
 use crate::RowId;
 use cfd_model::progress::{shard_runs, workers, Control, MetricsSink, SearchStats};
 use cfd_model::relation::{Dict, RelationBuilder};
-use cfd_model::{Cfd, Error, Relation, Result, Schema, Violation};
+use cfd_model::schema::AttrId;
+use cfd_model::{Cfd, Error, FxHashMap, Relation, Result, Schema, Violation};
 use std::sync::Arc;
 
-/// One encoded operation of a batch, applied to every rule.
+/// One encoded operation of a batch, applied to every rule it can match.
 struct Op {
     id: RowId,
     codes: Vec<u32>,
@@ -42,7 +43,9 @@ struct Op {
 ///
 /// Every batch is encoded once and applied to the rules' indexes on up
 /// to `threads` workers (the [`shard_runs`] harness, no more workers
-/// than cores), each owning a contiguous chunk of the rules.
+/// than cores), each owning a contiguous chunk of the rules. A worker
+/// gives each tuple only to the rules of its chunk whose first LHS
+/// constant the tuple carries, and to the rules without a constant.
 pub struct StreamEngine {
     schema: Schema,
     dicts: Vec<Dict>,
@@ -284,23 +287,26 @@ impl StreamEngine {
     /// batch costs more than it saves.
     const MIN_PARALLEL_WORK: usize = 2048;
 
-    /// Applies encoded ops to every rule's index (in parallel when the
-    /// batch is big enough to amortize thread spawns) and coalesces the
-    /// transitions into the batch's net delta.
+    /// Applies encoded ops to the indexes of the rules each can match
+    /// (in parallel when the batch is big enough to amortize thread
+    /// spawns) and coalesces the transitions into the batch's net delta.
+    /// Every rule sees its ops in op order, so the states and the delta
+    /// are those of giving every op to every rule.
     fn apply(&mut self, ops: &[Op]) -> BatchDelta {
         if ops.is_empty() {
             return BatchDelta::default();
         }
         let _sp = cfd_obs::span!("stream.apply_batch");
         let events = per_chunk(&mut self.states, self.threads, ops.len(), |rules, out| {
+            let dispatch = Dispatch::new(rules);
             for op in ops {
-                for rule in rules.iter_mut() {
+                dispatch.for_each_rule(&op.codes, |r| {
                     if op.insert {
-                        rule.insert(op.id, &op.codes, out);
+                        rules[r].insert(op.id, &op.codes, out);
                     } else {
-                        rule.delete(op.id, &op.codes, out);
+                        rules[r].delete(op.id, &op.codes, out);
                     }
-                }
+                });
             }
         });
         let delta = coalesce(events);
@@ -334,6 +340,13 @@ impl StreamEngine {
         }
         out.sort_unstable();
         out
+    }
+
+    /// The number of live violation records, summed from every rule's
+    /// maintained count in O(rules): `live_violations().len()` without
+    /// walking a group or sorting.
+    pub fn n_violations(&self) -> usize {
+        self.states.iter().map(RuleState::n_violations).sum()
     }
 
     /// Current per-rule counters, in rule-id order.
@@ -440,6 +453,52 @@ impl StreamEngine {
             b.push_coded_row(&row).expect("row width is the arity");
         }
         b.finish()
+    }
+}
+
+/// The rules of one worker chunk keyed by their first LHS constant for
+/// one batch: a tuple can match only the rules whose first constant
+/// `(A, a)` it carries, and the rules without a constant.
+struct Dispatch {
+    /// Chunk positions of the rules with no LHS constant.
+    free: Vec<usize>,
+    /// Per first-constant attribute `A`: each constant `a` → the chunk
+    /// positions of its rules.
+    keyed: Vec<(AttrId, FxHashMap<u32, Vec<usize>>)>,
+}
+
+impl Dispatch {
+    fn new(rules: &[RuleState]) -> Dispatch {
+        let mut d = Dispatch {
+            free: Vec::new(),
+            keyed: Vec::new(),
+        };
+        for (r, rule) in rules.iter().enumerate() {
+            let Some((a, c)) = rule.first_const() else {
+                d.free.push(r);
+                continue;
+            };
+            let i = d
+                .keyed
+                .iter()
+                .position(|&(b, _)| b == a)
+                .unwrap_or_else(|| {
+                    d.keyed.push((a, FxHashMap::default()));
+                    d.keyed.len() - 1
+                });
+            d.keyed[i].1.entry(c).or_default().push(r);
+        }
+        d
+    }
+
+    /// Calls `f` with the chunk position of every rule `codes` can match.
+    fn for_each_rule(&self, codes: &[u32], mut f: impl FnMut(usize)) {
+        self.free.iter().for_each(|&r| f(r));
+        for (a, by_code) in &self.keyed {
+            if let Some(rules) = by_code.get(&codes[*a]) {
+                rules.iter().for_each(|&r| f(r));
+            }
+        }
     }
 }
 

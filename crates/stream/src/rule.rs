@@ -122,6 +122,22 @@ impl RuleState {
         self.consts.iter().all(|&(a, c)| codes[a] == c)
     }
 
+    /// The first LHS constant `(A, a)`: a tuple whose code on `A` is not
+    /// `a` cannot match the rule. `None` when every LHS value is `_`.
+    pub(crate) fn first_const(&self) -> Option<(AttrId, u32)> {
+        self.consts.first().copied()
+    }
+
+    /// The rule's live violation records, counted in O(1): the
+    /// dissenters of a constant rule, the maintained pair count of a
+    /// variable one.
+    pub(crate) fn n_violations(&self) -> usize {
+        match &self.index {
+            Index::ConstRhs { dissenters, .. } => dissenters.len(),
+            Index::VarRhs { violating, .. } => *violating,
+        }
+    }
+
     /// Bulk-builds the index from a warm relation in one pass — the
     /// kernel-backed warm start. `gids` is the shared `tuple → group id`
     /// mapping of the rule's family from the compiled
@@ -330,12 +346,10 @@ impl RuleState {
     /// dissenting witness counts one removal, not one per pair it
     /// anchors).
     pub(crate) fn stats(&self) -> RuleStats {
-        let (violations, removals) = match &self.index {
+        let removals = match &self.index {
             // every dissenter must go: the two counts coincide
-            Index::ConstRhs { dissenters, .. } => (dissenters.len(), dissenters.len()),
-            Index::VarRhs {
-                groups, violating, ..
-            } => {
+            Index::ConstRhs { dissenters, .. } => dissenters.len(),
+            Index::VarRhs { groups, .. } => {
                 let mut removals = 0usize;
                 let mut freq: FxHashMap<u32, u32> = FxHashMap::default();
                 for group in groups.values() {
@@ -351,12 +365,12 @@ impl RuleState {
                     }
                     removals += group.len() - best as usize;
                 }
-                (*violating, removals)
+                removals
             }
         };
         RuleStats {
             rule: self.rule,
-            violations,
+            violations: self.n_violations(),
             measure: RuleMeasure {
                 support: self.matched,
                 violations: removals,

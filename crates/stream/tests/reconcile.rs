@@ -38,12 +38,34 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, Vec<u32>)>> {
     proptest::collection::vec((0u8..4, proptest::collection::vec(0u32..4, 4)), 0usize..=24)
 }
 
+/// A batched stream script: batches of the ops of [`arb_ops`], applied
+/// as `cfd watch` applies a batch, deletes first, then inserts.
+fn arb_batches() -> impl Strategy<Value = Vec<Vec<(u8, Vec<u32>)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u8..4, proptest::collection::vec(0u32..4, 4)), 1usize..=8),
+        0usize..=6,
+    )
+}
+
 /// Maps a batch-scan violation (dense row ids) back to engine row ids.
 fn to_engine_ids(ids: &[RowId], v: Violation) -> Violation {
     match v {
         Violation::Single(t) => Violation::Single(ids[t as usize]),
         Violation::Pair(a, b) => Violation::Pair(ids[a as usize], ids[b as usize]),
     }
+}
+
+/// A batch `detect_violations` scan of the materialized live instance,
+/// in engine row ids and sorted: what `live_violations` must equal.
+fn rescan(engine: &StreamEngine) -> Vec<(usize, Violation)> {
+    let ids = engine.live_ids();
+    let mut want: Vec<(usize, Violation)> =
+        detect_violations(&engine.materialize(), engine.rules())
+            .into_iter()
+            .map(|(r, v)| (r, to_engine_ids(&ids, v)))
+            .collect();
+    want.sort_unstable();
+    want
 }
 
 proptest! {
@@ -90,14 +112,9 @@ proptest! {
 
             // … and the live set must equal a full batch rescan of the
             // materialized live instance
+            prop_assert_eq!(&rescan(&engine), &engine.live_violations(), "op {}", i);
+            prop_assert_eq!(engine.n_violations(), live_set.len(), "op {}", i);
             let mat = engine.materialize();
-            let ids = engine.live_ids();
-            let mut want: Vec<(usize, Violation)> = detect_violations(&mat, engine.rules())
-                .into_iter()
-                .map(|(r, v)| (r, to_engine_ids(&ids, v)))
-                .collect();
-            want.sort_unstable();
-            prop_assert_eq!(&want, &engine.live_violations(), "op {}", i);
 
             // counters stay coherent with the violation set
             let stats = engine.stats();
@@ -116,6 +133,38 @@ proptest! {
                 let want = cfd_model::measure::measure(&mat, &engine.rules()[s.rule]);
                 prop_assert_eq!(s.measure, want, "op {} rule {}", i, s.rule);
             }
+        }
+    }
+
+    #[test]
+    fn mixed_batches_reconcile(
+        warm in arb_warm(),
+        batches in arb_batches(),
+        threads in 1usize..=3,
+    ) {
+        let rules: Vec<_> = FastCfd::default().discover(&warm, &DiscoverOptions::new(1)).into_iter().collect();
+        let (mut engine, _) = StreamEngine::warm(&warm, rules, threads);
+        let arity = engine.schema().arity();
+        for (i, batch) in batches.iter().enumerate() {
+            let mut live = engine.live_ids();
+            let mut deletes = Vec::new();
+            let mut inserts: Vec<Vec<String>> = Vec::new();
+            for (action, row) in batch {
+                if action % 2 == 1 && !live.is_empty() {
+                    deletes.push(live.remove(row[0] as usize % live.len()));
+                } else {
+                    inserts.push(row.iter().take(arity).map(|c| format!("v{c}")).collect());
+                }
+            }
+            if !deletes.is_empty() {
+                engine.delete_batch(&deletes).unwrap();
+            }
+            if !inserts.is_empty() {
+                engine.insert_batch(&inserts).unwrap();
+            }
+            let live_set = engine.live_violations();
+            prop_assert_eq!(engine.n_violations(), live_set.len(), "batch {}", i);
+            prop_assert_eq!(&rescan(&engine), &live_set, "batch {}", i);
         }
     }
 
@@ -149,5 +198,99 @@ proptest! {
         }
         prop_assert_eq!(e1.live_violations(), e4.live_violations());
         prop_assert_eq!(e1.stats(), e4.stats());
+    }
+}
+
+/// A xorshift generator for the fixed data below.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn below(&mut self, m: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % m
+    }
+
+    /// `v`, or one time in ten a value drawn below `m`.
+    fn noisy(&mut self, v: u64, m: u64) -> u64 {
+        if self.below(10) == 0 {
+            self.below(m)
+        } else {
+            v
+        }
+    }
+}
+
+/// A tax-like row: CT follows AC, ZIP follows CT, and STR follows NM
+/// where CC is `c1`, each with one value in ten noise.
+fn tax_row(rng: &mut Xorshift) -> Vec<String> {
+    let (cc, ac, nm) = (rng.below(2), rng.below(12), rng.below(40));
+    let ct = rng.noisy(ac % 5, 5);
+    let zip = rng.noisy(ct, 5);
+    let street = if cc == 1 {
+        rng.noisy(nm % 7, 7)
+    } else {
+        rng.below(7)
+    };
+    vec![
+        format!("c{cc}"),
+        format!("a{ac}"),
+        format!("ct{ct}"),
+        format!("z{zip}"),
+        format!("n{nm}"),
+        format!("s{street}"),
+    ]
+}
+
+/// A fixed cover shaped like the `watch` benchmark's, where a tuple's
+/// first LHS constant picks the rules it can match: one conditional
+/// variable rule, 24 constant rules whose first constant is on AC, a
+/// rule with two constants (first on CC) and a variable rule with no
+/// constant. Sliding-window batches of 150 deletes and 150 inserts cross
+/// the engine's parallel threshold (150 rows × 27 rules), so at 2 and 3
+/// threads each worker keys its own chunk of the rules. After every
+/// batch the live set must equal a batch scan, the O(rules) count its
+/// length, and every delta that of one thread.
+#[test]
+fn benchmark_shaped_cover_reconciles() {
+    let mut rng = Xorshift(0x2545_f491_4f6c_dd1d);
+    let schema = Schema::new(["CC", "AC", "CT", "ZIP", "NM", "STR"]).unwrap();
+    let rows: Vec<Vec<String>> = (0..1500).map(|_| tax_row(&mut rng)).collect();
+    let (warm_rows, stream) = rows.split_at(600);
+    let mut warm = cfd_model::relation::relation_from_rows(schema, warm_rows).unwrap();
+    let mut texts = vec!["([CC, NM] -> STR, (c1, _ || _))".to_string()];
+    for a in 0..12 {
+        texts.push(format!("([AC] -> CT, (a{a} || ct{}))", a % 5));
+        texts.push(format!("([AC] -> ZIP, (a{a} || z{}))", a % 5));
+    }
+    texts.push("([CC, AC] -> CT, (c0, a3 || ct3))".into());
+    texts.push("([CT] -> ZIP, (_ || _))".into());
+    let cover: Vec<_> = texts
+        .iter()
+        .map(|t| cfd_model::cfd::parse_cfd_interning(&mut warm, t).unwrap())
+        .collect();
+
+    let run = |threads: usize| {
+        let (mut engine, warm_delta) = StreamEngine::warm(&warm, cover.clone(), threads);
+        let mut deltas = vec![warm_delta];
+        for (i, batch) in stream.chunks(150).enumerate() {
+            let ids: Vec<RowId> = (i as RowId * 150..(i as RowId + 1) * 150).collect();
+            deltas.push(engine.delete_batch(&ids).unwrap());
+            deltas.push(engine.insert_batch(batch).unwrap().1);
+            let live = engine.live_violations();
+            assert_eq!(
+                engine.n_violations(),
+                live.len(),
+                "threads {threads} batch {i}"
+            );
+            assert_eq!(rescan(&engine), live, "threads {threads} batch {i}");
+        }
+        (deltas, engine.live_violations())
+    };
+    let serial = run(1);
+    assert!(serial.0.iter().all(|d| !d.is_empty()), "{:?}", serial.0);
+    for threads in [2, 3] {
+        assert_eq!(run(threads), serial, "threads {threads}");
     }
 }

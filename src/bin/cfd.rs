@@ -78,6 +78,7 @@ use cfd_suite::model::tableau::group_into_tableaux;
 use cfd_suite::prelude::*;
 use cfd_suite::serve::session::{attach_rule_texts, load_rules_file_with, ObsSession};
 use cfd_suite::serve::{ServeOptions, Server};
+use std::io::{BufRead, BufWriter, ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -128,6 +129,27 @@ fn arg_error(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!("(run `cfd` without arguments for usage)");
     ExitCode::from(2)
+}
+
+/// Stdout for one command: locked once and buffered, so output reaches
+/// the reader at each flush and in 8 KiB writes, not one write per line.
+fn stdout() -> BufWriter<StdoutLock<'static>> {
+    BufWriter::new(std::io::stdout().lock())
+}
+
+/// Flushes `out` after a command's writes (`written`) and ends the
+/// command with `code`. A reader that closed stdout early (`cfd
+/// discover … | head`) is no error: the command ends quietly, with the
+/// exit code of its result.
+fn finish_output(
+    out: &mut impl Write,
+    written: std::io::Result<()>,
+    code: ExitCode,
+) -> Result<ExitCode> {
+    match written.and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(Error::from(e)),
+        _ => Ok(code),
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -333,29 +355,28 @@ fn discover(a: &Args) -> Result<ExitCode> {
         discovery.cover.len(),
         discovery.total_time(),
     );
-    match a.format {
+    let mut out = stdout();
+    let written = match a.format {
         Format::Json => {
             let mut doc = discovery.to_json(&rel);
             if let Json::Obj(pairs) = &mut doc {
                 pairs.insert(0, ("command".into(), Json::from("discover")));
                 pairs.insert(1, ("dataset".into(), Json::from(a.positional[0].as_str())));
             }
-            println!("{doc}");
+            writeln!(out, "{doc}")
         }
-        Format::Text if a.tableau => {
-            for t in group_into_tableaux(&discovery.cover) {
-                print!("{}", t.display(out_rel));
-            }
-        }
+        Format::Text if a.tableau => group_into_tableaux(&discovery.cover)
+            .iter()
+            .try_for_each(|t| write!(out, "{}", t.display(out_rel))),
         // approximate and top-k runs print each rule with its measured
         // [support=N conf=F] suffix (check/repair/watch parse past it);
         // exact full covers keep the bare wire format
         Format::Text if opts.min_confidence < 1.0 || opts.top_k.is_some() => {
-            print!("{}", discovery.to_annotated_text(&rel))
+            write!(out, "{}", discovery.to_annotated_text(&rel))
         }
-        Format::Text => print!("{}", discovery.cover.to_text(out_rel)),
-    }
-    Ok(ExitCode::SUCCESS)
+        Format::Text => write!(out, "{}", discovery.cover.to_text(out_rel)),
+    };
+    finish_output(&mut out, written, ExitCode::SUCCESS)
 }
 
 /// Rule loading for `check`/`repair`: constants must occur in `rel`.
@@ -388,7 +409,13 @@ fn check(a: &Args) -> Result<ExitCode> {
         &obs.control(),
     );
     obs.finish()?;
-    if a.format == Format::Json {
+    let code = if report.satisfied() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
+    let mut out = stdout();
+    let written = if a.format == Format::Json {
         let mut doc = report.to_json();
         if let Json::Obj(pairs) = &mut doc {
             pairs.insert(0, ("command".into(), Json::from("check")));
@@ -401,46 +428,54 @@ fn check(a: &Args) -> Result<ExitCode> {
         // attach each rule's wire text to its report object (shared
         // with the server's check results)
         attach_rule_texts(&mut doc, &rules);
-        println!("{doc}");
-        return Ok(if report.satisfied() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
-    }
+        writeln!(out, "{doc}")
+    } else {
+        print_report(&mut out, &report, &rules, &rel)
+    };
+    finish_output(&mut out, written, code)
+}
+
+/// `check`'s text report: each violated rule with its sampled
+/// violations, or `OK` when every rule holds.
+fn print_report(
+    out: &mut impl Write,
+    report: &ValidationReport,
+    rules: &[(String, Cfd)],
+    rel: &Relation,
+) -> std::io::Result<()> {
     for r in &report.rules {
         if r.satisfied() {
             continue;
         }
         let (text, _) = &rules[r.rule];
-        println!("VIOLATED {text}");
+        writeln!(out, "VIOLATED {text}")?;
         for v in &r.sample {
             match v {
                 Violation::Single(t) => {
-                    println!("  tuple {}: {:?}", t + 1, rel.tuple_values(*t))
+                    writeln!(out, "  tuple {}: {:?}", t + 1, rel.tuple_values(*t))?
                 }
-                Violation::Pair(t1, t2) => println!(
+                Violation::Pair(t1, t2) => writeln!(
+                    out,
                     "  tuples {} and {}: {:?} vs {:?}",
                     t1 + 1,
                     t2 + 1,
                     rel.tuple_values(*t1),
                     rel.tuple_values(*t2)
-                ),
+                )?,
             }
         }
         if r.violations > r.sample.len() {
-            println!(
+            writeln!(
+                out,
                 "  ... {} more violations (raise --limit)",
                 r.violations - r.sample.len()
-            );
+            )?;
         }
     }
     if report.satisfied() {
-        println!("OK: all rules hold");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
+        writeln!(out, "OK: all rules hold")?;
     }
+    Ok(())
 }
 
 fn repair(a: &Args) -> Result<ExitCode> {
@@ -456,7 +491,6 @@ fn repair(a: &Args) -> Result<ExitCode> {
     let after = detect_violations(&fixed, &rules).len();
     let mut out = std::io::BufWriter::new(std::fs::File::create(&a.positional[2])?);
     cfd_suite::model::csv::relation_to_csv(&fixed, &mut out)?;
-    use std::io::Write as _;
     out.flush().map_err(cfd_suite::prelude::Error::from)?;
     eprintln!(
         "# {} cell edits applied; violations {before} -> {after}; wrote {}",
@@ -473,6 +507,71 @@ fn repair(a: &Args) -> Result<ExitCode> {
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Runs one `--remine` cycle after an applied batch: trigger on any
+/// rule whose live confidence fell below `--remine-theta`, re-discover
+/// its attribute neighborhood, swap the cover atomically, and narrate
+/// the delta as `REMINE` lines (`REMINE-` retired, `REMINE+` added,
+/// then the kernel-validated post-state).
+fn remine_cycle(out: &mut impl Write, engine: &mut StreamEngine, a: &Args) -> std::io::Result<()> {
+    use cfd_suite::model::progress::Control;
+    let ropts = RemineOptions {
+        threads: a.opts.threads,
+        ..a.remine_opts
+    };
+    let mut ctrl = Control::default();
+    let deadline = (a.remine_timeout_ms > 0)
+        .then(|| std::time::Instant::now() + std::time::Duration::from_millis(a.remine_timeout_ms));
+    if let Some(d) = deadline {
+        ctrl = ctrl.deadline_with(d);
+    }
+    let Ok(outcome) = remine(engine, &ropts, &ctrl) else {
+        // the deadline tripped mid-mine; the cover swap is atomic, so
+        // the engine still runs the pre-remine rules — keep watching
+        return writeln!(
+            out,
+            "REMINE timeout after {} ms (cover unchanged, rules={})",
+            a.remine_timeout_ms,
+            engine.rules().len()
+        );
+    };
+    let Some(delta) = outcome else { return Ok(()) };
+    let names: Vec<&str> = delta
+        .neighborhood
+        .iter()
+        .map(|&at| engine.schema().name(at))
+        .collect();
+    writeln!(
+        out,
+        "REMINE retired={} added={} theta={} neighborhood=[{}]",
+        delta.retired.len(),
+        delta.replacement.len(),
+        ropts.theta,
+        names.join(", "),
+    )?;
+    for r in &delta.retired {
+        writeln!(
+            out,
+            "REMINE- {} confidence={:.4}",
+            r.text,
+            r.measure.confidence()
+        )?;
+    }
+    for (text, m) in delta
+        .replacement_texts
+        .iter()
+        .zip(&delta.replacement_measures)
+    {
+        writeln!(out, "REMINE+ {text} confidence={:.4}", m.confidence())?;
+    }
+    writeln!(
+        out,
+        "REMINE verified rules={} min_confidence={:.4} live_violations={}",
+        engine.rules().len(),
+        delta.min_confidence(),
+        engine.n_violations()
+    )
 }
 
 /// Streaming watch loop: warm the incremental engine on the initial
@@ -495,74 +594,12 @@ fn repair(a: &Args) -> Result<ExitCode> {
 /// rule can precede the first tuple it matches. Rule files follow the
 /// same strictness policy as `check`: unparseable lines abort unless
 /// `--lenient`. EOF applies any staged batch and prints final
-/// statistics. Exit code 0 when the final live instance satisfies
-/// every rule, 1 otherwise.
-/// Runs one `--remine` cycle after an applied batch: trigger on any
-/// rule whose live confidence fell below `--remine-theta`, re-discover
-/// its attribute neighborhood, swap the cover atomically, and narrate
-/// the delta as `REMINE` lines (`REMINE-` retired, `REMINE+` added,
-/// then the kernel-validated post-state).
-fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args) {
-    use cfd_suite::model::progress::Control;
-    let ropts = RemineOptions {
-        threads: a.opts.threads,
-        ..a.remine_opts
-    };
-    let mut ctrl = Control::default();
-    let deadline = (a.remine_timeout_ms > 0)
-        .then(|| std::time::Instant::now() + std::time::Duration::from_millis(a.remine_timeout_ms));
-    if let Some(d) = deadline {
-        ctrl = ctrl.deadline_with(d);
-    }
-    let Ok(outcome) = remine(engine, &ropts, &ctrl) else {
-        // the deadline tripped mid-mine; the cover swap is atomic, so
-        // the engine still runs the pre-remine rules — keep watching
-        println!(
-            "REMINE timeout after {} ms (cover unchanged, rules={})",
-            a.remine_timeout_ms,
-            engine.rules().len()
-        );
-        return;
-    };
-    let Some(delta) = outcome else { return };
-    let names: Vec<&str> = delta
-        .neighborhood
-        .iter()
-        .map(|&at| engine.schema().name(at))
-        .collect();
-    println!(
-        "REMINE retired={} added={} theta={} neighborhood=[{}]",
-        delta.retired.len(),
-        delta.replacement.len(),
-        ropts.theta,
-        names.join(", "),
-    );
-    for r in &delta.retired {
-        println!(
-            "REMINE- {} confidence={:.4}",
-            r.text,
-            r.measure.confidence()
-        );
-    }
-    for (text, m) in delta
-        .replacement_texts
-        .iter()
-        .zip(&delta.replacement_measures)
-    {
-        println!("REMINE+ {text} confidence={:.4}", m.confidence());
-    }
-    println!(
-        "REMINE verified rules={} min_confidence={:.4} live_violations={}",
-        engine.rules().len(),
-        delta.min_confidence(),
-        engine.live_violations().len()
-    );
-}
-
+/// statistics. Stdout is flushed after the warm window's violations,
+/// after each applied batch (its `BATCH` and `REMINE` lines included),
+/// after each `?` answer and at EOF. Exit code 0 when the final live
+/// instance satisfies every rule, 1 otherwise.
 fn watch(a: &Args) -> Result<ExitCode> {
     use cfd_suite::model::cfd::parse_cfd_interning;
-    use cfd_suite::prelude::StreamEngine;
-    use std::io::BufRead;
 
     let obs = obs_session(a);
     let mut rel = obs.load_csv(&a.positional[0], 1)?;
@@ -578,157 +615,194 @@ fn watch(a: &Args) -> Result<ExitCode> {
         a.positional[0],
         engine.n_live(),
     );
-
-    // rule texts come from the engine (not the rules file): a --remine
-    // swap retires and adds rules mid-session, and the engine's cached
-    // display strings are the only ones that stay in sync
-    let print_delta = |engine: &StreamEngine, delta: &cfd_suite::prelude::BatchDelta| {
-        for &(r, v) in &delta.raised {
-            match v {
-                Violation::Single(t) => {
-                    let vals = engine.row_values(t).unwrap_or_default();
-                    println!("RAISED {} tuple {t}: {vals:?}", engine.rule_text(r));
-                }
-                Violation::Pair(t1, t2) => {
-                    let v2 = engine.row_values(t2).unwrap_or_default();
-                    println!(
-                        "RAISED {} tuples {t1} and {t2}: {v2:?}",
-                        engine.rule_text(r)
-                    );
-                }
-            }
-        }
-        for &(r, v) in &delta.cleared {
-            match v {
-                Violation::Single(t) => println!("CLEARED {} tuple {t}", engine.rule_text(r)),
-                Violation::Pair(t1, t2) => {
-                    println!("CLEARED {} tuples {t1} and {t2}", engine.rule_text(r))
-                }
-            }
-        }
-    };
-    let print_stats = |engine: &StreamEngine| {
-        for s in engine.stats() {
-            println!(
-                "STATS rule {} matched={} violations={} confidence={:.4}  {}",
-                s.rule,
-                s.matched(),
-                s.violations,
-                s.confidence(),
-                engine.rule_text(s.rule)
-            );
-        }
-        println!(
-            "STATS live={} violations={}",
-            engine.n_live(),
-            engine.live_violations().len()
-        );
-    };
-    print_delta(&engine, &warm);
-
-    let mut inserts: Vec<Vec<String>> = Vec::new();
-    let mut deletes: Vec<u32> = Vec::new();
-    let stdin = std::io::stdin();
-    // The flush is all-or-nothing at the operator level: both halves
-    // are validated before either is applied, so one bad line cannot
-    // leave the stream half-applied and silently diverged.
-    let apply = |engine: &mut StreamEngine,
-                 inserts: &mut Vec<Vec<String>>,
-                 deletes: &mut Vec<u32>| {
-        let arity = engine.schema().arity();
-        let mut seen = std::collections::HashSet::new();
-        let bad_delete = deletes
-            .iter()
-            .find(|&&id| !engine.is_live(id) || !seen.insert(id));
-        if let Some(&id) = bad_delete {
-            eprintln!(
-                "# batch rejected (both halves discarded): row {id} is not live or staged twice"
-            );
-        } else if let Some(row) = inserts.iter().find(|r| r.len() != arity) {
-            eprintln!(
-                    "# batch rejected (both halves discarded): row has {} values, schema has arity {arity}",
-                    row.len()
-                );
-        } else {
-            let (n_del, n_ins) = (deletes.len(), inserts.len());
-            let mut raised = 0usize;
-            let mut cleared = 0usize;
-            if !deletes.is_empty() {
-                match engine.delete_batch(deletes) {
-                    Ok(delta) => {
-                        raised += delta.raised.len();
-                        cleared += delta.cleared.len();
-                        print_delta(engine, &delta);
-                    }
-                    Err(e) => eprintln!("# delete batch rejected: {e}"),
-                }
-            }
-            if !inserts.is_empty() {
-                match engine.insert_batch(inserts) {
-                    Ok((ids, delta)) => {
-                        println!(
-                            "APPLIED +{} rows {}..={}",
-                            ids.len(),
-                            ids[0],
-                            ids[ids.len() - 1]
-                        );
-                        raised += delta.raised.len();
-                        cleared += delta.cleared.len();
-                        print_delta(engine, &delta);
-                    }
-                    Err(e) => eprintln!("# insert batch rejected: {e}"),
-                }
-            }
-            // per-batch summary: what this flush changed and where the
-            // live window stands now
-            if n_del + n_ins > 0 {
-                println!(
-                    "BATCH +{n_ins} -{n_del} raised={raised} cleared={cleared} live={} violations={}",
-                    engine.n_live(),
-                    engine.live_violations().len(),
-                );
-            }
-            if a.remine {
-                remine_cycle(engine, a);
-            }
-        }
-        deletes.clear();
-        inserts.clear();
-    };
-    for line in stdin.lock().lines() {
-        let line = line.map_err(Error::from)?;
-        let line = line.trim();
-        match line {
-            "" | "." => apply(&mut engine, &mut inserts, &mut deletes),
-            "?" => print_stats(&engine),
-            _ if line.starts_with('#') => {}
-            _ => {
-                if let Some(id) = line.strip_prefix('-') {
-                    match id.trim().parse::<u32>() {
-                        Ok(id) => deletes.push(id),
-                        Err(_) => eprintln!("# bad delete (want -<row id>): {line:?}"),
-                    }
-                } else {
-                    let row = line.strip_prefix('+').unwrap_or(line);
-                    inserts.push(row.split(',').map(|v| v.trim().to_string()).collect());
-                }
-            }
-        }
-    }
-    // EOF: apply whatever is staged (a piped session need not end with
-    // an explicit flush line), emit the final per-rule stats, and flush
-    // stdout explicitly — when stdout is a pipe the BufWriter would
-    // otherwise be dropped without a guaranteed flush on some exits.
-    apply(&mut engine, &mut inserts, &mut deletes);
-    print_stats(&engine);
+    let mut out = stdout();
+    let streamed = stream_ops(&mut out, &mut engine, a, &warm);
     obs.finish()?;
-    use std::io::Write as _;
-    std::io::stdout().flush().map_err(Error::from)?;
-    if engine.live_violations().is_empty() {
-        Ok(ExitCode::SUCCESS)
+    let code = if engine.n_violations() == 0 {
+        ExitCode::SUCCESS
     } else {
-        Ok(ExitCode::FAILURE)
+        ExitCode::FAILURE
+    };
+    finish_output(&mut out, streamed, code)
+}
+
+/// `watch`'s session on `out`: the warm window's violations, then the
+/// stdin operations until EOF, which applies whatever is staged (a
+/// piped session need not end with a flush line) and prints the final
+/// statistics.
+fn stream_ops(
+    out: &mut impl Write,
+    engine: &mut StreamEngine,
+    a: &Args,
+    warm: &BatchDelta,
+) -> std::io::Result<()> {
+    print_delta(out, engine, warm)?;
+    out.flush()?;
+    let mut stdin = std::io::stdin().lock();
+    let mut line = String::new();
+    // the staged insert rows, one line each, split into fields when the
+    // batch is applied
+    let mut inserts = String::new();
+    let mut deletes: Vec<u32> = Vec::new();
+    loop {
+        line.clear();
+        if stdin.read_line(&mut line)? == 0 {
+            break;
+        }
+        match line.trim() {
+            "" | "." => {
+                apply_batch(out, engine, a, &inserts, &deletes)?;
+                inserts.clear();
+                deletes.clear();
+            }
+            "?" => {
+                print_stats(out, engine)?;
+                out.flush()?;
+            }
+            op if op.starts_with('#') => {}
+            op => match op.strip_prefix('-') {
+                Some(id) => match id.trim().parse::<u32>() {
+                    Ok(id) => deletes.push(id),
+                    Err(_) => eprintln!("# bad delete (want -<row id>): {op:?}"),
+                },
+                None => {
+                    inserts.push_str(op.strip_prefix('+').unwrap_or(op));
+                    inserts.push('\n');
+                }
+            },
+        }
     }
+    apply_batch(out, engine, a, &inserts, &deletes)?;
+    print_stats(out, engine)?;
+    out.flush()
+}
+
+/// Applies one staged batch, deletes first, then inserts, and prints
+/// its delta, its `BATCH` summary and any `--remine` cycle, then
+/// flushes. The batch is all or nothing: a row of the wrong width, or a
+/// dead or repeated id, rejects both halves before either is applied.
+fn apply_batch(
+    out: &mut impl Write,
+    engine: &mut StreamEngine,
+    a: &Args,
+    inserts: &str,
+    deletes: &[u32],
+) -> std::io::Result<()> {
+    let rejected = |why: &dyn std::fmt::Display| {
+        eprintln!("# batch rejected (both halves discarded): {why}");
+        Ok(())
+    };
+    let rows: Vec<Vec<&str>> = inserts
+        .split_terminator('\n')
+        .map(|row| row.split(',').map(str::trim).collect())
+        .collect();
+    let arity = engine.schema().arity();
+    if let Some(row) = rows.iter().find(|r| r.len() != arity) {
+        return rejected(&format_args!(
+            "row has {} values, schema has arity {arity}",
+            row.len()
+        ));
+    }
+    let (mut raised, mut cleared) = (0, 0);
+    if !deletes.is_empty() {
+        // `delete_batch` rejects a dead or repeated id before it
+        // touches any row
+        let delta = match engine.delete_batch(deletes) {
+            Ok(delta) => delta,
+            Err(e) => return rejected(&e),
+        };
+        raised += delta.raised.len();
+        cleared += delta.cleared.len();
+        print_delta(out, engine, &delta)?;
+    }
+    if !rows.is_empty() {
+        let (ids, delta) = engine
+            .insert_batch(&rows)
+            .expect("row widths are checked above");
+        writeln!(
+            out,
+            "APPLIED +{} rows {}..={}",
+            ids.len(),
+            ids[0],
+            ids[ids.len() - 1]
+        )?;
+        raised += delta.raised.len();
+        cleared += delta.cleared.len();
+        print_delta(out, engine, &delta)?;
+    }
+    // per-batch summary: what this flush changed and where the live
+    // window stands now
+    if !deletes.is_empty() || !rows.is_empty() {
+        writeln!(
+            out,
+            "BATCH +{} -{} raised={raised} cleared={cleared} live={} violations={}",
+            rows.len(),
+            deletes.len(),
+            engine.n_live(),
+            engine.n_violations(),
+        )?;
+    }
+    if a.remine {
+        remine_cycle(out, engine, a)?;
+    }
+    out.flush()
+}
+
+/// Prints a delta as `RAISED` / `CLEARED` lines. Rule texts come from
+/// the engine (not the rules file): a `--remine` swap retires and adds
+/// rules mid-session, and the engine's cached display strings are the
+/// only ones that stay in sync.
+fn print_delta(
+    out: &mut impl Write,
+    engine: &StreamEngine,
+    delta: &BatchDelta,
+) -> std::io::Result<()> {
+    for &(r, v) in &delta.raised {
+        match v {
+            Violation::Single(t) => {
+                let vals = engine.row_values(t).unwrap_or_default();
+                writeln!(out, "RAISED {} tuple {t}: {vals:?}", engine.rule_text(r))?;
+            }
+            Violation::Pair(t1, t2) => {
+                let v2 = engine.row_values(t2).unwrap_or_default();
+                writeln!(
+                    out,
+                    "RAISED {} tuples {t1} and {t2}: {v2:?}",
+                    engine.rule_text(r)
+                )?;
+            }
+        }
+    }
+    for &(r, v) in &delta.cleared {
+        match v {
+            Violation::Single(t) => writeln!(out, "CLEARED {} tuple {t}", engine.rule_text(r))?,
+            Violation::Pair(t1, t2) => {
+                writeln!(out, "CLEARED {} tuples {t1} and {t2}", engine.rule_text(r))?
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Prints the per-rule `STATS` lines and the live totals.
+fn print_stats(out: &mut impl Write, engine: &StreamEngine) -> std::io::Result<()> {
+    for s in engine.stats() {
+        writeln!(
+            out,
+            "STATS rule {} matched={} violations={} confidence={:.4}  {}",
+            s.rule,
+            s.matched(),
+            s.violations,
+            s.confidence(),
+            engine.rule_text(s.rule)
+        )?;
+    }
+    writeln!(
+        out,
+        "STATS live={} violations={}",
+        engine.n_live(),
+        engine.n_violations()
+    )
 }
 
 /// Binds and runs the resident service. The first stdout line is
@@ -764,7 +838,6 @@ fn serve(a: &Args) -> Result<ExitCode> {
     let obs = ObsSession::with_registry(server.metrics(), a.trace, a.metrics_out.clone());
     let addr = server.local_addr();
     println!("SERVE {addr}");
-    use std::io::Write as _;
     std::io::stdout().flush().map_err(Error::from)?;
     eprintln!(
         "# cfd serve: listening on {addr} ({} workers, queue depth {}, registry {} MiB, \
@@ -794,7 +867,6 @@ fn client(a: &Args) -> Result<ExitCode> {
     use cfd_suite::serve::client::{Client, ClientRead};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::io::{BufRead, Write};
     use std::time::Duration;
 
     let io_timeout = (a.io_timeout_ms > 0).then(|| Duration::from_millis(a.io_timeout_ms));
@@ -914,29 +986,35 @@ fn client(a: &Args) -> Result<ExitCode> {
 
 fn stats(a: &Args) -> Result<ExitCode> {
     let rel = relation_from_csv_path(&a.positional[0])?;
-    println!("file:    {}", a.positional[0]);
-    println!("tuples:  {}", rel.n_rows());
-    println!("arity:   {}", rel.arity());
-    println!("CF:      {:.4}", rel.correlation_factor());
-    println!("columns:");
-    for at in 0..rel.arity() {
-        println!(
-            "  {:<20} |dom| = {}",
-            rel.schema().name(at),
-            rel.column(at).domain_size()
-        );
-    }
-    Ok(ExitCode::SUCCESS)
+    let mut out = stdout();
+    let written = (|| -> std::io::Result<()> {
+        writeln!(out, "file:    {}", a.positional[0])?;
+        writeln!(out, "tuples:  {}", rel.n_rows())?;
+        writeln!(out, "arity:   {}", rel.arity())?;
+        writeln!(out, "CF:      {:.4}", rel.correlation_factor())?;
+        writeln!(out, "columns:")?;
+        for at in 0..rel.arity() {
+            writeln!(
+                out,
+                "  {:<20} |dom| = {}",
+                rel.schema().name(at),
+                rel.column(at).domain_size()
+            )?;
+        }
+        Ok(())
+    })();
+    finish_output(&mut out, written, ExitCode::SUCCESS)
 }
 
 /// Lists the registered algorithm names, one per line — `Algo::all()`
 /// drives this, the `--algo` table, and the CI algorithm matrix, so
 /// the three can never drift apart.
-fn algos() -> ExitCode {
-    for a in Algo::all() {
-        println!("{}", a.name());
-    }
-    ExitCode::SUCCESS
+fn algos() -> Result<ExitCode> {
+    let mut out = stdout();
+    let written = Algo::all()
+        .iter()
+        .try_for_each(|a| writeln!(out, "{}", a.name()));
+    finish_output(&mut out, written, ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
@@ -970,7 +1048,7 @@ fn main() -> ExitCode {
         "watch" => watch(&args),
         "serve" => serve(&args),
         "client" => client(&args),
-        "algos" => return algos(),
+        "algos" => algos(),
         _ => unreachable!(),
     };
     match run {

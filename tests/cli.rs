@@ -664,6 +664,235 @@ fn watch_streams_violation_deltas() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Discovers the cust rules (k 2) on `clean` into `rules`.
+fn discover_rules(clean: &std::path::Path, rules: &std::path::Path) {
+    let out = bin()
+        .args(["discover", clean.to_str().unwrap(), "--k", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    std::fs::write(rules, out.stdout).unwrap();
+}
+
+/// Spawns `cfd watch` with piped stdin, stdout and stderr.
+fn spawn_watch(args: &[&str]) -> std::process::Child {
+    use std::process::Stdio;
+    bin()
+        .arg("watch")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cfd watch starts")
+}
+
+#[test]
+fn watch_rejects_bad_batches_whole() {
+    let dir = std::env::temp_dir().join(format!("cfd-cli13-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.csv");
+    let rules = dir.join("rules.txt");
+    write_csv(&clean, false);
+    discover_rules(&clean, &rules);
+
+    // each batch pairs one bad half with a good one: a dead id, a
+    // repeated id and a short row must each discard the whole batch
+    let script = "?\n\
+                  -99\n44,131,9999999,Eve,High St.,UN,EH4 1DT\n.\n?\n\
+                  -2\n-2\n44,131,9999999,Eve,High St.,UN,EH4 1DT\n.\n?\n\
+                  01,908\n-3\n.\n?\n";
+    let mut child = spawn_watch(&[clean.to_str().unwrap(), rules.to_str().unwrap()]);
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "{stdout}\n{stderr}");
+    assert_eq!(
+        stderr
+            .matches("# batch rejected (both halves discarded): ")
+            .count(),
+        3,
+        "{stderr}"
+    );
+    assert!(stderr.contains("row 99 is not live"), "{stderr}");
+    assert!(stderr.contains("row 2 deleted twice in batch"), "{stderr}");
+    assert!(
+        stderr.contains("row has 2 values, schema has arity 7"),
+        "{stderr}"
+    );
+    // nothing was applied: every line is a STATS line, and the four `?`
+    // answers and the final statistics at EOF are one block repeated
+    assert!(stdout.lines().all(|l| l.starts_with("STATS ")), "{stdout}");
+    let blocks: Vec<&str> = stdout
+        .split_inclusive("STATS live=8 violations=0\n")
+        .collect();
+    assert_eq!(blocks.len(), 5, "{stdout}");
+    assert!(blocks.iter().all(|b| *b == blocks[0]), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn watch_flushes_each_batch_while_stdin_stays_open() {
+    use std::sync::mpsc::{channel, Receiver};
+    use std::time::{Duration, Instant};
+
+    /// Forwards the child's stdout lines to a channel, so every read
+    /// below can give up at a deadline instead of hanging.
+    fn lines_of(child: &mut std::process::Child) -> Receiver<String> {
+        use std::io::BufRead;
+        let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            for line in stdout.lines() {
+                if tx.send(line.unwrap()).is_err() {
+                    break;
+                }
+            }
+        });
+        rx
+    }
+    /// Reads lines up to and including the first that starts with
+    /// `prefix`. A missed flush leaves it waiting: that fails the test
+    /// after 30 seconds.
+    fn read_until(lines: &Receiver<String>, prefix: &str) -> Vec<String> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut seen = Vec::new();
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match lines.recv_timeout(left) {
+                Ok(line) => {
+                    let done = line.starts_with(prefix);
+                    seen.push(line);
+                    if done {
+                        return seen;
+                    }
+                }
+                Err(e) => panic!("no {prefix:?} line ({e}); read so far: {seen:?}"),
+            }
+        }
+    }
+
+    let dir = std::env::temp_dir().join(format!("cfd-cli14-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.csv");
+    let rules = dir.join("rules.txt");
+    write_csv(&clean, false);
+    discover_rules(&clean, &rules);
+
+    // one batch, then a `?`, each answered while stdin is still open
+    let mut child = spawn_watch(&[clean.to_str().unwrap(), rules.to_str().unwrap()]);
+    let mut stdin = child.stdin.take().unwrap();
+    let lines = lines_of(&mut child);
+    stdin
+        .write_all(b"44,131,9999999,Eve,High St.,UN,EH4 1DT\n.\n")
+        .unwrap();
+    let batch = read_until(&lines, "BATCH ");
+    assert_eq!(batch[0], "APPLIED +1 rows 8..=8", "{batch:?}");
+    assert!(batch.iter().any(|l| l.starts_with("RAISED ")), "{batch:?}");
+    stdin.write_all(b"?\n").unwrap();
+    let stats = read_until(&lines, "STATS live=");
+    let violations = batch.last().unwrap().rsplit(' ').next().unwrap();
+    assert_eq!(
+        *stats.last().unwrap(),
+        format!("STATS live=9 {violations}"),
+        "{batch:?}"
+    );
+    drop(stdin);
+    assert_eq!(child.wait().unwrap().code(), Some(1));
+
+    // with --remine, the REMINE lines arrive with their batch
+    let stream = dir.join("tax-stream.csv");
+    let stream_rules = dir.join("tax-stream-rules.txt");
+    std::fs::write(
+        &stream,
+        "AC,CT,ZIP\n908,MH,07974\n908,MH,07974\n131,EDI,EH4\n131,EDI,EH4\n",
+    )
+    .unwrap();
+    std::fs::write(&stream_rules, "([AC] -> CT, (_ || _))\n").unwrap();
+    let mut child = spawn_watch(&[
+        stream.to_str().unwrap(),
+        stream_rules.to_str().unwrap(),
+        "--remine",
+        "--remine-theta",
+        "0.95",
+    ]);
+    let mut stdin = child.stdin.take().unwrap();
+    let lines = lines_of(&mut child);
+    stdin
+        .write_all(b"908,NYC,10001\n908,NYC,10001\n131,GLA,G1\n131,GLA,G1\n.\n")
+        .unwrap();
+    let batch = read_until(&lines, "REMINE verified ");
+    let at = |prefix: &str| batch.iter().position(|l| l.starts_with(prefix));
+    assert!(at("BATCH +4 -0 ") < at("REMINE retired="), "{batch:?}");
+    assert!(at("REMINE- ([AC] -> CT").is_some(), "{batch:?}");
+    assert!(at("REMINE+ ").is_some(), "{batch:?}");
+    drop(stdin);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn closed_stdout_ends_commands_quietly() {
+    let dir = std::env::temp_dir().join(format!("cfd-cli15-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.csv");
+    let dirty = dir.join("dirty.csv");
+    let rules = dir.join("rules.txt");
+    write_csv(&clean, false);
+    write_csv(&dirty, true);
+    discover_rules(&clean, &rules);
+    let (clean, dirty, rules) = (
+        clean.to_str().unwrap(),
+        dirty.to_str().unwrap(),
+        rules.to_str().unwrap(),
+    );
+
+    // stdout is a pipe whose read end is closed before the command
+    // starts, so its first write fails with a broken pipe; each command
+    // must end with the exit code of its result, without a panic
+    let cases: [(&[&str], i32); 7] = [
+        (&["discover", clean, "--k", "2"], 0),
+        (&["discover", clean, "--k", "2", "--format", "json"], 0),
+        (&["check", dirty, rules], 1),
+        (&["check", clean, rules, "--format", "json"], 0),
+        (&["stats", clean], 0),
+        (&["algos"], 0),
+        (&["watch", clean, rules], 1),
+    ];
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let mut child = bin()
+            .args(args)
+            .stdin(std::process::Stdio::piped())
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // a violating insert for `watch`; the others never read stdin
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(b"44,131,9999999,Eve,High St.,UN,EH4 1DT\n.\n")
+            .ok();
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn discover_json_exposes_store_stats_and_metrics_out() {
     let dir = std::env::temp_dir().join(format!("cfd-cli11-{}", std::process::id()));
