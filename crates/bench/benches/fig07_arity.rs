@@ -20,7 +20,7 @@ fn bench(c: &mut Criterion) {
         let rel = TaxGenerator::new(dbsize).arity(arity).generate();
         if arity <= 9 {
             group.bench_with_input(BenchmarkId::new("CTANE", arity), &rel, |b, rel| {
-                b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
+                b.iter(|| Ctane.discover(rel, &DiscoverOptions::new(k)))
             });
         }
         group.bench_with_input(BenchmarkId::new("NaiveFast", arity), &rel, |b, rel| {

@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
     let rel = TaxGenerator::new(2_000).generate();
     for k in [2usize, 3, 4, 6] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
+            b.iter(|| Ctane.discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("NaiveFast", k), &rel, |b, rel| {
             b.iter(|| FastCfd::naive().discover(rel, &DiscoverOptions::new(k)))

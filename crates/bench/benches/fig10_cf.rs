@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
             .cf(cf as f64 / 10.0)
             .generate();
         group.bench_with_input(BenchmarkId::new("CTANE", cf), &rel, |b, rel| {
-            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
+            b.iter(|| Ctane.discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("NaiveFast", cf), &rel, |b, rel| {
             b.iter(|| FastCfd::naive().discover(rel, &DiscoverOptions::new(k)))

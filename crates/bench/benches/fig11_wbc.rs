@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
     let rel = wbc_relation();
     for k in [60usize, 100, 140] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k).max_lhs(3)))
+            b.iter(|| Ctane.discover(rel, &DiscoverOptions::new(k).max_lhs(3)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", k), &rel, |b, rel| {
             b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))

@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
     let rel = full.restrict(&rows);
     for k in [32usize, 64, 128] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
+            b.iter(|| Ctane.discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", k), &rel, |b, rel| {
             b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
     let rel = TaxGenerator::new(2_000).arity(9).generate();
     for k in [4usize, 8, 16] {
         group.bench_with_input(BenchmarkId::new("CTANE", k), &rel, |b, rel| {
-            b.iter(|| Ctane::default().discover(rel, &DiscoverOptions::new(k)))
+            b.iter(|| Ctane.discover(rel, &DiscoverOptions::new(k)))
         });
         group.bench_with_input(BenchmarkId::new("FastCFD", k), &rel, |b, rel| {
             b.iter(|| FastCfd::default().discover(rel, &DiscoverOptions::new(k)))

@@ -171,7 +171,7 @@ impl Algo {
     pub fn discoverer(self) -> Box<dyn Discoverer> {
         match self {
             Algo::CfdMiner => Box::new(CfdMiner),
-            Algo::Ctane => Box::new(Ctane::default()),
+            Algo::Ctane => Box::new(Ctane),
             Algo::FastCfd => Box::new(FastCfd::default()),
             Algo::Naive => Box::new(FastCfd::naive()),
             Algo::Tane => Box::new(Tane),
@@ -406,7 +406,7 @@ impl Discovery {
 /// Shared knobs (`k`, `max_lhs`, `min_confidence`, `threads`) are
 /// read from [`DiscoverOptions`] and nowhere else: a miner struct holds
 /// only ablation knobs that some caller sets (e.g.
-/// [`FastCfd::dynamic_reorder`], [`Ctane::cache_budget`]).
+/// [`FastCfd::dynamic_reorder`]).
 ///
 /// ```
 /// use cfd_core::api::{Control, DiscoverOptions, Discoverer};

@@ -60,11 +60,10 @@
 //! Partitions are read by position. In exact mode each prefix run of
 //! the join takes its elements' partitions and frees them when the run
 //! ends, on whichever worker owns it. In approximate mode the level's
-//! partitions stay for the next step 2's error counts: in position
-//! order, each is kept if it fits what is left of
-//! [`Ctane::cache_budget`], a miss rebuilds the parent from the
-//! relation for that one count, and all are dropped as soon as that
-//! step 2 is done. Refinement runs through a reusable [`RefineScratch`]
+//! partitions stay for the next step 2's error counts and are dropped
+//! as soon as that step 2 is done: every parent of a generated element
+//! was alive at the join, so each count finds its parent's partition
+//! held. Refinement runs through a reusable [`RefineScratch`]
 //! into a reused buffer, so candidates that fail k-frequency allocate
 //! nothing; elements of the final lattice level skip materialization
 //! entirely ([`StrippedPartition::refine_counts`] — their partitions
@@ -250,8 +249,8 @@ struct Level {
     /// Each element's `(classes, rows)`.
     counts: Vec<(usize, usize)>,
     /// Each element's partition while the level holds it: `None` when
-    /// retired, count-only or dropped to fit the cache budget; empty
-    /// once an exact join has freed the level's partitions.
+    /// retired or count-only; empty once an exact join has freed the
+    /// level's partitions.
     parts: Vec<Option<StrippedPartition>>,
     /// False once step 3 retired the element.
     alive: Vec<bool>,
@@ -322,23 +321,6 @@ fn sample(store: &mut StoreCounters, levels: [&Level; 2]) {
     store.bytes = store.bytes.max(a.1 + b.1);
 }
 
-/// Approximate mode's retention: keeps each of `parts`, in position
-/// order, that fits what is left of `budget`, and drops the rest,
-/// counting them as evictions.
-fn retain_within(parts: &mut [Option<StrippedPartition>], budget: usize, evictions: &mut u64) {
-    let mut left = budget;
-    for slot in parts {
-        if let Some(bytes) = slot.as_ref().map(StrippedPartition::approx_bytes) {
-            if bytes <= left {
-                left -= bytes;
-            } else {
-                *slot = None;
-                *evictions += 1;
-            }
-        }
-    }
-}
-
 /// The alive level-2 pairs as compressed sparse rows: item `a`'s
 /// partners, each above `a`, ascend in
 /// `partners[starts[a]..starts[a + 1]]`. Memory is O(universe + pairs).
@@ -374,34 +356,10 @@ impl Pairs {
 }
 
 /// Level-wise CFD discovery (Section 4). It reads `k`, `max_lhs`,
-/// `min_confidence` and `threads` from [`DiscoverOptions`]; its one
-/// knob is [`Ctane::cache_budget`].
-#[derive(Clone, Copy, Debug)]
-pub struct Ctane {
-    cache_budget: usize,
-}
-
-impl Default for Ctane {
-    /// An unbounded cache budget.
-    fn default() -> Ctane {
-        Ctane {
-            cache_budget: usize::MAX,
-        }
-    }
-}
-
-impl Ctane {
-    /// Byte budget for the partitions an approximate run keeps of the
-    /// level below for its error counts (the level being expanded is
-    /// always held). `usize::MAX` (the default) keeps them all; `0`
-    /// keeps none, so every wildcard error count rebuilds its parent
-    /// partition from the relation. Covers are identical either way —
-    /// the budget trades memory for recomputation only.
-    pub fn cache_budget(mut self, bytes: usize) -> Ctane {
-        self.cache_budget = bytes;
-        self
-    }
-}
+/// `min_confidence` and `threads` from [`DiscoverOptions`] and has no
+/// knob of its own.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Ctane;
 
 impl Discoverer for Ctane {
     fn algo(&self) -> Algo {
@@ -428,7 +386,7 @@ impl Discoverer for Ctane {
             }
             items.push((a, PVal::Var));
         }
-        self.walk(rel, opts, opts.k, items, ctrl, stats)
+        Ctane::walk(rel, opts, opts.k, items, ctrl, stats)
     }
 }
 
@@ -458,7 +416,7 @@ impl Discoverer for Tane {
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
         let items = (0..rel.arity()).map(|a| (a, PVal::Var)).collect();
-        Ctane::default().walk(rel, opts, 1, items, ctrl, stats)
+        Ctane::walk(rel, opts, 1, items, ctrl, stats)
     }
 }
 
@@ -472,7 +430,6 @@ impl Ctane {
     /// of [`StoreCounters`] (`store`). Each rule's [`RuleMeasure`] is
     /// computed at emission from the partitions the walk already holds.
     fn walk(
-        &self,
         rel: &Relation,
         opts: &DiscoverOptions,
         k: usize,
@@ -501,7 +458,6 @@ impl Ctane {
         // row) level 1's approximate error counts read
         let mut below = Level::new(0, 0);
         below.push(&[], &[], (1, n), approx.then(|| StrippedPartition::full(n)));
-        retain_within(&mut below.parts, self.cache_budget, &mut store.evictions);
 
         // level 1: one element per item of C⁺(∅), in the universe's
         // order, its partition built from the same regions
@@ -602,24 +558,14 @@ impl Ctane {
                         _ if !approx => (false, 0),
                         PVal::Const(_) => (keep_meets(n_rows, p_rows, theta), p_rows - n_rows),
                         PVal::Var => {
-                            // the parent's keep count: from its held
-                            // partition, or rebuilt from the relation
-                            // on a miss — the budget only ever trades
-                            // recomputation, never correctness
-                            let keep = match &below.parts[p] {
-                                Some(part) => {
-                                    store.hits += 1;
-                                    part.keep_count(rel, a, &mut scratch)
-                                }
-                                None => {
-                                    store.misses += 1;
-                                    let pairs = parent.iter().map(|&j| uni.items[j as usize]);
-                                    let rebuilt =
-                                        StrippedPartition::of_pattern(rel, pairs, &mut scratch);
-                                    stats.partitions += 1;
-                                    rebuilt.keep_count(rel, a, &mut scratch)
-                                }
-                            };
+                            // the parent's keep count, from its
+                            // partition: the parent was alive at the
+                            // join, so approximate mode holds it
+                            let part = below.parts[p]
+                                .as_ref()
+                                .expect("approximate mode holds every parent's partition");
+                            store.hits += 1;
+                            let keep = part.keep_count(rel, a, &mut scratch);
                             (keep_meets(keep, p_rows, theta), p_rows - keep)
                         }
                     };
@@ -734,7 +680,7 @@ impl Ctane {
                 next.append(chunk);
             }
             // the level becomes the level below: step 2 reads its
-            // counts, and in approximate mode the partitions that fit
+            // counts, and in approximate mode its partitions
             level.cplus = Bits::new();
             if approx {
                 level.parts = runs
@@ -745,7 +691,6 @@ impl Ctane {
                             .expect("no worker panicked holding a run")
                     })
                     .collect();
-                retain_within(&mut level.parts, self.cache_budget, &mut store.evictions);
             }
             sample(&mut store, [&level, &next]);
 
@@ -947,7 +892,7 @@ mod tests {
     #[test]
     fn finds_paper_rules_on_cust() {
         let r = cust_relation();
-        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(2));
+        let cover = Ctane.discover(&r, &DiscoverOptions::new(2));
         for txt in [
             "([CC, AC] -> CT, (_, _ || _))",      // f1
             "([CC, ZIP] -> STR, (44, _ || _))",   // φ0
@@ -965,7 +910,7 @@ mod tests {
     fn example8_k3_rules() {
         // the valid CFDs highlighted at point (C) of Example 8, k = 3
         let r = cust_relation();
-        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(3));
+        let cover = Ctane.discover(&r, &DiscoverOptions::new(3));
         for txt in [
             "(ZIP -> CC, (07974 || 01))",
             "(ZIP -> AC, (07974 || 908))",
@@ -984,7 +929,7 @@ mod tests {
     fn matches_brute_force_on_cust() {
         let r = cust_relation();
         for k in [1, 2, 3] {
-            let got = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let got = Ctane.discover(&r, &DiscoverOptions::new(k));
             let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
             let (only_g, only_w) = got.diff(&want);
             assert!(
@@ -1001,7 +946,7 @@ mod tests {
         for seed in 0..10 {
             let r = RandomRelation::small(seed).generate();
             for k in [1, 2] {
-                let got = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+                let got = Ctane.discover(&r, &DiscoverOptions::new(k));
                 let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
                 assert_eq!(
                     got.cfds(),
@@ -1017,7 +962,7 @@ mod tests {
     #[test]
     fn outputs_audit_clean() {
         let r = cust_relation();
-        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(2));
+        let cover = Ctane.discover(&r, &DiscoverOptions::new(2));
         let problems = audit_cover(&r, cover.iter(), 2);
         assert!(problems.is_empty(), "{problems:?}");
     }
@@ -1025,9 +970,9 @@ mod tests {
     #[test]
     fn max_lhs_caps_output() {
         let r = cust_relation();
-        let capped = Ctane::default().discover(&r, &DiscoverOptions::new(1).max_lhs(1));
+        let capped = Ctane.discover(&r, &DiscoverOptions::new(1).max_lhs(1));
         assert!(capped.iter().all(|c| c.lhs_attrs().len() <= 1));
-        let full = Ctane::default().discover(&r, &DiscoverOptions::new(1));
+        let full = Ctane.discover(&r, &DiscoverOptions::new(1));
         assert!(full.iter().any(|c| c.lhs_attrs().len() >= 2));
     }
 
@@ -1038,9 +983,9 @@ mod tests {
         // (AC → CT, (131 ‖ EDI)) is violated by t8 (AC=131, CT=UN):
         // confidence 2/3 — invisible to exact discovery, found at θ=0.6
         let noisy = parse_cfd(&r, "(AC -> CT, (131 || EDI))").unwrap();
-        let exact = Ctane::default().discover(&r, &DiscoverOptions::new(2));
+        let exact = Ctane.discover(&r, &DiscoverOptions::new(2));
         assert!(!exact.contains(&noisy));
-        let approx = Ctane::default().discover(&r, &DiscoverOptions::new(2).min_confidence(0.6));
+        let approx = Ctane.discover(&r, &DiscoverOptions::new(2).min_confidence(0.6));
         assert!(
             approx.contains(&noisy),
             "θ=0.6 cover:\n{}",
@@ -1060,13 +1005,13 @@ mod tests {
         // 131-class (confidence 7/8 = 0.875)
         let fd = parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap();
         assert!(!exact.contains(&fd));
-        let approx = Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.875));
+        let approx = Ctane.discover(&r, &DiscoverOptions::new(1).min_confidence(0.875));
         assert!(
             approx.contains(&fd),
             "θ=0.875 cover:\n{}",
             approx.display(&r)
         );
-        assert!(!Ctane::default()
+        assert!(!Ctane
             .discover(&r, &DiscoverOptions::new(1).min_confidence(0.9))
             .contains(&fd));
     }
@@ -1076,9 +1021,8 @@ mod tests {
         for seed in 0..6 {
             let r = RandomRelation::small(seed).generate();
             for k in [1, 2] {
-                let exact = Ctane::default().discover(&r, &DiscoverOptions::new(k));
-                let via_theta =
-                    Ctane::default().discover(&r, &DiscoverOptions::new(k).min_confidence(1.0));
+                let exact = Ctane.discover(&r, &DiscoverOptions::new(k));
+                let via_theta = Ctane.discover(&r, &DiscoverOptions::new(k).min_confidence(1.0));
                 assert_eq!(exact.cfds(), via_theta.cfds(), "seed {seed} k {k}");
             }
         }
@@ -1090,15 +1034,13 @@ mod tests {
         use cfd_model::schema::Schema;
         let schema = Schema::new(["A", "B"]).unwrap();
         let one = relation_from_rows(schema.clone(), &[vec!["x", "y"]]).unwrap();
-        let cover = Ctane::default().discover(&one, &DiscoverOptions::new(1));
+        let cover = Ctane.discover(&one, &DiscoverOptions::new(1));
         // single tuple: constant CFDs (∅ → A, (‖x)) and (∅ → B, (‖y))
         let ca = parse_cfd(&one, "([] -> A, ( || x))").unwrap();
         let cb = parse_cfd(&one, "([] -> B, ( || y))").unwrap();
         assert!(cover.contains(&ca) && cover.contains(&cb));
         // k larger than |r| ⇒ empty cover
-        assert!(Ctane::default()
-            .discover(&one, &DiscoverOptions::new(2))
-            .is_empty());
+        assert!(Ctane.discover(&one, &DiscoverOptions::new(2)).is_empty());
     }
 }
 
@@ -1112,62 +1054,18 @@ mod engine_tests {
     fn threads_do_not_change_the_cover() {
         let r = cust_relation();
         for k in [1, 2, 3] {
-            let serial = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let serial = Ctane.discover(&r, &DiscoverOptions::new(k));
             for t in [2, 4, 7] {
-                let sharded = Ctane::default().discover(&r, &DiscoverOptions::new(k).threads(t));
+                let sharded = Ctane.discover(&r, &DiscoverOptions::new(k).threads(t));
                 assert_eq!(serial.cfds(), sharded.cfds(), "k={k} t={t}");
             }
         }
         for seed in 0..4 {
             let r = RandomRelation::small(seed).generate();
-            let serial =
-                Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.8));
-            let sharded = Ctane::default()
-                .discover(&r, &DiscoverOptions::new(1).min_confidence(0.8).threads(4));
+            let serial = Ctane.discover(&r, &DiscoverOptions::new(1).min_confidence(0.8));
+            let sharded =
+                Ctane.discover(&r, &DiscoverOptions::new(1).min_confidence(0.8).threads(4));
             assert_eq!(serial.cfds(), sharded.cfds(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn cache_budget_does_not_change_the_cover() {
-        let r = cust_relation();
-        for theta in [0.6, 0.875, 1.0] {
-            let cached =
-                Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(theta));
-            let uncached = Ctane::default()
-                .cache_budget(0)
-                .discover(&r, &DiscoverOptions::new(1).min_confidence(theta));
-            assert_eq!(cached.cfds(), uncached.cfds(), "θ={theta}");
-        }
-    }
-
-    #[test]
-    fn retention_stays_within_the_budget_and_drops_only_what_cannot_fit() {
-        // large and small partitions alternate: a budget just below the
-        // large one's size drops it and must still keep the small ones
-        let parts: Vec<_> = [64, 2, 64, 2, 16]
-            .into_iter()
-            .map(|rows| Some(StrippedPartition::full(rows)))
-            .collect();
-        let bytes = |p: &Option<StrippedPartition>| p.as_ref().map_or(0, |p| p.approx_bytes());
-        let total: usize = parts.iter().map(bytes).sum();
-        for budget in [0, bytes(&parts[0]) - 1, total / 2, total - 1, total] {
-            let mut held = parts.clone();
-            let mut evictions = 0;
-            retain_within(&mut held, budget, &mut evictions);
-            let kept: usize = held.iter().map(bytes).sum();
-            assert!(kept <= budget, "budget {budget}: {kept} bytes kept");
-            // first fit: a dropped partition does not fit even the room
-            // left once the pass is done
-            let dropped: Vec<_> = (0..parts.len()).filter(|&i| held[i].is_none()).collect();
-            for &i in &dropped {
-                let room = budget - kept;
-                assert!(
-                    bytes(&parts[i]) > room,
-                    "budget {budget}: dropped {i} would fit"
-                );
-            }
-            assert_eq!(evictions, dropped.len() as u64, "budget {budget}");
         }
     }
 
@@ -1226,7 +1124,7 @@ mod engine_tests {
         use cfd_model::measure::measure;
         let r = cust_relation();
         for theta in [0.6, 1.0] {
-            let (cover, measures) = Ctane::default()
+            let (cover, measures) = Ctane
                 .run(
                     &r,
                     &DiscoverOptions::new(2).min_confidence(theta),
@@ -1263,7 +1161,7 @@ mod completeness_probe {
         let r = relation_from_rows(schema, &rows).unwrap();
         let fd = parse_cfd(&r, "(A -> B, (_ || _))").unwrap();
         assert!(cfd_model::measure::measure(&r, &fd).meets(0.9), "premise");
-        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.9));
+        let cover = Ctane.discover(&r, &DiscoverOptions::new(1).min_confidence(0.9));
         assert!(
             cover.contains(&fd),
             "A->B missing from θ=0.9 cover:\n{}",
@@ -1294,7 +1192,7 @@ mod completeness_probe {
         let rule = parse_cfd(&r, "([A1, A2] -> A0, (v1, _ || _))").unwrap();
         let m = cfd_model::measure::measure(&r, &rule);
         assert_eq!((m.support, m.violations), (3, 0), "premise");
-        let cover = Ctane::default().discover(&r, &DiscoverOptions::new(1).min_confidence(0.7));
+        let cover = Ctane.discover(&r, &DiscoverOptions::new(1).min_confidence(0.7));
         assert!(
             cover.contains(&rule),
             "rule missing from θ=0.7 cover:\n{}",

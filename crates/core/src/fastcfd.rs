@@ -9,10 +9,15 @@
 //! covers `Y` depth-first (`FindMin`), with dynamic attribute
 //! reordering and the minimality check (b1). A cover that also passes
 //! the left-reduction check (b2) yields the variable CFD
-//! `([X, Y] → A, (tp, _, …, _ ‖ _))`; an empty `Dᵐ_A` means `A` is
-//! constant on `r_tp` and yields a constant CFD (step 3.a) — by
-//! default these are delegated to CFDMiner over the shared mining
-//! result, as the paper recommends (Section 5.5).
+//! `([X, Y] → A, (tp, _, …, _ ‖ _))`. An empty `Dᵐ_A` means `A` is
+//! constant on `r_tp`, a constant CFD (step 3.a): every configuration
+//! takes those from CFDMiner over the shared mining result, as the
+//! paper recommends (Section 5.5). On a free pattern CFDMiner's pass
+//! rejects `A` exactly when some immediate sub-pattern's closure holds
+//! it, which is step 3.a's left-reduction test; on a non-free pattern
+//! (mined only without free-set pruning) some immediate sub-pattern has
+//! the same support, hence the same closure, so the pass emits nothing
+//! for it.
 //!
 //! Two difference-set engines are provided (Section 5.4/5.5):
 //!
@@ -98,8 +103,8 @@ fn agree_families(
 /// Depth-first CFD discovery (Section 5). It reads `k` and `threads`
 /// from [`DiscoverOptions`]; its own knobs are the ablations below.
 /// `FastCfd::default()` is the paper's FastCFD: closed-set difference
-/// sets, dynamic attribute reordering, constant CFDs via CFDMiner;
-/// [`FastCfd::naive`] is NaiveFast.
+/// sets and dynamic attribute reordering; [`FastCfd::naive`] is
+/// NaiveFast. Both take their constant CFDs from CFDMiner.
 ///
 /// `threads` shards both item-set mining passes (the k-frequent free
 /// sets and the Closed₂ index), then each free set's agree-set family
@@ -112,10 +117,6 @@ fn agree_families(
 pub struct FastCfd {
     mode: DiffSetMode,
     dynamic_reorder: bool,
-    /// Constant CFDs from CFDMiner (true) or inline from FindCover's
-    /// step 3.a (false); [`FastCfd::naive`] and
-    /// `free_set_pruning(false)` clear it.
-    constants_via_cfdminer: bool,
     free_set_pruning: bool,
 }
 
@@ -124,19 +125,16 @@ impl Default for FastCfd {
         FastCfd {
             mode: DiffSetMode::ClosedSets,
             dynamic_reorder: true,
-            constants_via_cfdminer: true,
             free_set_pruning: true,
         }
     }
 }
 
 impl FastCfd {
-    /// The paper's NaiveFast: stripped-partition difference sets, constant
-    /// CFDs found inline by FindCover's step 3.a.
+    /// The paper's NaiveFast: stripped-partition difference sets.
     pub fn naive() -> FastCfd {
         FastCfd {
             mode: DiffSetMode::StrippedPartitions,
-            constants_via_cfdminer: false,
             ..FastCfd::default()
         }
     }
@@ -155,15 +153,12 @@ impl FastCfd {
     }
 
     /// Enables/disables the Lemma 5 free-set pruning (ablation knob).
-    /// When disabled, FindCover walks *every* k-frequent constant pattern;
-    /// the rejected candidates are filtered by the left-reduction checks,
-    /// so the cover is unchanged — only slower to produce. Constant CFDs
-    /// fall back to FindCover's step 3.a (CFDMiner requires free sets).
+    /// When disabled, FindCover and CFDMiner's pass walk *every*
+    /// k-frequent constant pattern; the rejected candidates are filtered
+    /// by the left-reduction checks, so the cover is unchanged — only
+    /// slower to produce.
     pub fn free_set_pruning(mut self, on: bool) -> FastCfd {
         self.free_set_pruning = on;
-        if !on {
-            self.constants_via_cfdminer = false;
-        }
         self
     }
 
@@ -187,39 +182,14 @@ impl FastCfd {
         for fi in 0..mined.free.len() {
             ctrl.check()?;
             let pattern = &mined.free[fi].pattern;
-            if pattern.attrs().contains(rhs) {
+            // A is constant on r_tp (the closure holds the pattern's own
+            // attributes too): Dᵐ_A(r_tp) = ∅, step 3.a, whose constant
+            // CFDs come from CFDMiner
+            if mined.closure_of(fi).pattern.attrs().contains(rhs) {
                 continue;
             }
             // every emitted rule holds exactly on the pattern's tuples
             let measure = RuleMeasure::exact(mined.free[fi].support as usize);
-            let clo = mined.closure_of(fi);
-            if clo.pattern.attrs().contains(rhs) {
-                // Dᵐ_A(r_tp) = ∅: A is constant on r_tp — step 3.a
-                if !self.constants_via_cfdminer {
-                    // left-reduced iff A is not constant on any immediate
-                    // sub-pattern's matching set
-                    stats.candidates += 1;
-                    let minimal = pattern.attrs().iter().all(|b| {
-                        let sub = pattern.without(b);
-                        let si = mined
-                            .free_index(&sub)
-                            .expect("sub-patterns of free sets are mined");
-                        !mined.closure_of(si).pattern.attrs().contains(rhs)
-                    });
-                    if minimal {
-                        let a_code = clo
-                            .pattern
-                            .get(rhs)
-                            .and_then(PVal::as_const)
-                            .expect("closures are all-constant");
-                        stats.emitted += 1;
-                        out.push((Cfd::new(pattern.clone(), rhs, PVal::Const(a_code)), measure));
-                    } else {
-                        stats.pruned += 1;
-                    }
-                }
-                continue;
-            }
             // its `attr(R) \ {A}` fallback (pairs agreeing nowhere) can
             // apply only to the empty pattern: any constant pattern
             // forces agreement on its own attributes
@@ -318,13 +288,8 @@ impl Discoverer for FastCfd {
         if self.mode == DiffSetMode::ClosedSets {
             stats.phase("index", t0.elapsed());
         }
-        if self.constants_via_cfdminer {
-            // exact_rules counts free/closed sets itself
-            out.extend(exact_rules(&mined, stats));
-        } else {
-            stats.free_sets += mined.free.len() as u64;
-            stats.closed_sets += mined.closed.len() as u64;
-        }
+        // step 3.a's constant CFDs; exact_rules counts free/closed sets
+        out.extend(exact_rules(&mined, stats));
         let t1 = std::time::Instant::now();
         let families = agree_families(rel, &mined, index.as_ref(), opts.threads, ctrl, stats)?;
         drop(index);
@@ -529,7 +494,7 @@ mod tests {
             .generate();
             for k in [1, 2, 3] {
                 let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
-                let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+                let ctane = Ctane.discover(&r, &DiscoverOptions::new(k));
                 let (only_f, only_c) = fast.diff(&ctane);
                 assert!(
                     only_f.is_empty() && only_c.is_empty(),

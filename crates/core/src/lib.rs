@@ -28,7 +28,7 @@
 //! let rel = cust_relation();
 //! let opts = DiscoverOptions::new(2);
 //! let fast = FastCfd::default().discover(&rel, &opts);
-//! let ctane = Ctane::default().discover(&rel, &opts);
+//! let ctane = Ctane.discover(&rel, &opts);
 //! assert_eq!(fast.cfds(), ctane.cfds());
 //! let constants = CfdMiner.discover(&rel, &opts);
 //! assert_eq!(constants.cfds(), fast.constant_cover().cfds());

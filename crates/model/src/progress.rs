@@ -369,11 +369,10 @@ pub struct StoreCounters {
     /// Parent-partition lookups served from a held partition (the
     /// approximate error counts).
     pub hits: u64,
-    /// Parent-partition lookups rebuilt from the relation, the partition
-    /// not being held.
+    /// Always 0: the walk holds every parent partition it looks up, so
+    /// none is rebuilt.
     pub misses: u64,
-    /// Partitions dropped to fit the cache budget (CTANE's approximate
-    /// retention; TANE's budget is unbounded, so it never evicts).
+    /// Always 0: the walk drops no partition to fit a budget.
     pub evictions: u64,
     /// The most partitions held at once during the run: its high-water
     /// mark (the walk samples what it holds as each level completes).

@@ -137,25 +137,6 @@ impl StrippedPartition {
         out
     }
 
-    /// The partition of the tuples matching every `(attr, val)` item of
-    /// `pattern`, grouped by their values on the pattern's attributes —
-    /// built from scratch (the rebuild path behind a cache miss: a
-    /// parent the level walk did not keep for its approximate error
-    /// counts).
-    pub fn of_pattern<I: IntoIterator<Item = (AttrId, PVal)>>(
-        rel: &Relation,
-        pattern: I,
-        scratch: &mut RefineScratch,
-    ) -> StrippedPartition {
-        let mut cur = StrippedPartition::full(rel.n_rows());
-        let mut buf = StrippedPartition::default();
-        for (a, v) in pattern {
-            cur.refine_into(rel, a, v, scratch, &mut buf);
-            std::mem::swap(&mut cur, &mut buf);
-        }
-        cur
-    }
-
     /// Appends one class, stripping it to `singles` when it has a
     /// single member. `class` must be disjoint from existing members.
     pub fn push_class(&mut self, class: &[TupleId]) {
@@ -211,8 +192,7 @@ impl StrippedPartition {
         self.tuples.is_empty()
     }
 
-    /// Approximate heap footprint in bytes — what the level walk's
-    /// approximate retention charges against its cache budget and
+    /// Approximate heap footprint in bytes — what the level walk
     /// reports as bytes held.
     pub fn approx_bytes(&self) -> usize {
         (self.tuples.len() + self.offsets.len() + self.singles.len()) * std::mem::size_of::<u32>()

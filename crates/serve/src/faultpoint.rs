@@ -14,11 +14,11 @@
 //! The module is compiled unconditionally (same spirit as the
 //! `cfd-obs` spans): when nothing is armed, [`hit`] is one relaxed
 //! atomic load — no lock, no clock, no allocation — so production
-//! binaries carry the harness for free. Faults are armed either
-//! through the test-only `inject` op (a server started with fault
-//! injection enabled) or the `CFD_FAULTS` environment variable read at
-//! server start, and each armed fault is a finite schedule: *skip* the
-//! first S matching hits, then *fire* the next T, then disarm.
+//! binaries carry the harness for free. Faults are armed through the
+//! test-only `inject` op of a server started with fault injection
+//! enabled (`cfd serve --faults`), or by [`arm`] in-process, and each
+//! armed fault is a finite schedule: *skip* the first S matching hits,
+//! then *fire* the next T, then disarm.
 //!
 //! Actions model the four failure shapes the chaos suite needs:
 //! [`FaultAction::IoError`] (the stream dies), [`FaultAction::ShortRead`]
@@ -54,7 +54,7 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    /// Wire/env name of the action (without the delay parameter).
+    /// Wire name of the action (without the delay parameter).
     pub fn name(self) -> &'static str {
         match self {
             FaultAction::IoError => "io_error",
@@ -176,8 +176,8 @@ pub fn hit(point: &'static str, session: u64) -> Option<FaultAction> {
     fired
 }
 
-/// Parses one action spec: `io_error`, `short_read`, `panic`, or
-/// `delay=MS`.
+/// Parses one action name: `io_error`, `short_read`, `panic`, or
+/// `delay` (for `delay_ms`, 10 ms when unset).
 pub fn parse_action(spec: &str, delay_ms: Option<u64>) -> Result<FaultAction, String> {
     match spec {
         "io_error" => Ok(FaultAction::IoError),
@@ -188,52 +188,6 @@ pub fn parse_action(spec: &str, delay_ms: Option<u64>) -> Result<FaultAction, St
             "unknown fault action {other:?} (valid: io_error, short_read, delay, panic)"
         )),
     }
-}
-
-/// Arms a comma-separated schedule from an environment-variable value:
-/// each entry is `point:action[=delay_ms][@skip][xN]`, e.g.
-/// `job_run:panic@1` (skip one job, panic the next) or
-/// `read_line:delay=50x3` (delay three reads by 50 ms). Returns the
-/// number of faults armed.
-pub fn arm_from_env(value: &str) -> Result<usize, String> {
-    let mut count = 0;
-    for entry in value.split(',').map(str::trim).filter(|e| !e.is_empty()) {
-        let (point, rest) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("fault spec {entry:?} must look like point:action"))?;
-        let mut rest = rest.to_string();
-        let times = match rest.rfind('x') {
-            Some(i) if rest[i + 1..].chars().all(|c| c.is_ascii_digit()) && i + 1 < rest.len() => {
-                let n = rest[i + 1..].parse::<u64>().map_err(|e| e.to_string())?;
-                rest.truncate(i);
-                n
-            }
-            _ => 1,
-        };
-        let skip = match rest.rfind('@') {
-            Some(i) => {
-                let n = rest[i + 1..]
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad skip count in fault spec {entry:?}"))?;
-                rest.truncate(i);
-                n
-            }
-            None => 0,
-        };
-        let (action, delay) = match rest.split_once('=') {
-            Some((a, ms)) => (
-                a.to_string(),
-                Some(
-                    ms.parse::<u64>()
-                        .map_err(|_| format!("bad delay in fault spec {entry:?}"))?,
-                ),
-            ),
-            None => (rest, None),
-        };
-        arm(point, None, parse_action(&action, delay)?, skip, times)?;
-        count += 1;
-    }
-    Ok(count)
 }
 
 #[cfg(test)]
@@ -260,22 +214,6 @@ mod tests {
         assert_eq!(hit("job_run", 7), Some(FaultAction::Panic));
         assert_eq!(hit("job_run", 7), None, "schedule exhausted");
         assert_eq!(injected(), before + 2);
-
-        // env grammar: point:action[=ms][@skip][xN]
-        clear();
-        assert_eq!(
-            arm_from_env("read_line:delay=50@2x3, ingest:io_error").unwrap(),
-            2
-        );
-        assert_eq!(hit("ingest", 3), Some(FaultAction::IoError));
-        assert_eq!(hit("read_line", 0), None);
-        assert_eq!(hit("read_line", 0), None);
-        assert_eq!(hit("read_line", 0), Some(FaultAction::Delay(50)));
-        assert_eq!(hit("read_line", 1), Some(FaultAction::Delay(50)));
-        assert_eq!(hit("read_line", 2), Some(FaultAction::Delay(50)));
-        assert_eq!(hit("read_line", 3), None);
-        assert!(arm_from_env("garbage").is_err());
-        assert!(arm_from_env("read_line:warp_core_breach").is_err());
         clear();
     }
 }

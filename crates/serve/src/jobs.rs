@@ -21,7 +21,6 @@ use crate::protocol::{error_json, event, ServeError};
 use crate::registry::{lock_unpoisoned, Dataset};
 use crate::session::attach_rule_texts;
 use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer, Note};
-use cfd_core::Ctane;
 use cfd_model::{Cfd, Control, Json, RuleMeasure};
 use cfd_stream::{CoverDelta, RemineOptions, StreamEngine};
 use cfd_validate::ValidateOptions;
@@ -253,8 +252,8 @@ pub enum JobSpec {
         algo: Algo,
         /// Validated options.
         opts: DiscoverOptions,
-        /// Byte budget for the level-below partitions this job's
-        /// approximate CTANE run keeps for its error counts.
+        /// The request's `cache_budget_mb`, in bytes. No algorithm
+        /// keeps partitions under a budget, so the result only notes it.
         cache_budget: Option<usize>,
     },
     /// Validation via [`cfd_validate::validate_with`], as `cfd check`
@@ -296,32 +295,21 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             algo,
             opts,
             cache_budget,
-        } => {
-            // `cache_budget_mb` is `Ctane::cache_budget`: it caps the
-            // level-below partitions an approximate CTANE run keeps for
-            // its error counts; every other run notes it as ignored
-            let disc: Box<dyn Discoverer> = match (algo, cache_budget) {
-                (Algo::Ctane, Some(bytes)) => Box::new(Ctane::default().cache_budget(*bytes)),
-                _ => algo.discoverer(),
-            };
-            match disc.discover_with(&ds.rel, opts, ctrl) {
-                Ok(mut d) => {
-                    let ignored = *algo != Algo::Ctane || opts.min_confidence >= 1.0;
-                    if let Some(bytes) = cache_budget.filter(|_| ignored) {
-                        d.notes.push(Note {
-                            algo: *algo,
-                            option: "cache-budget-mb",
-                            value: (bytes >> 20).to_string(),
-                            reason: "only an approximate ctane run (min-confidence below 1) \
-                                     keeps partitions under a budget",
-                        });
-                    }
-                    JobOutcome::Done(d.to_json(&ds.rel))
+        } => match algo.discover_with(&ds.rel, opts, ctrl) {
+            Ok(mut d) => {
+                if let Some(bytes) = cache_budget {
+                    d.notes.push(Note {
+                        algo: *algo,
+                        option: "cache-budget-mb",
+                        value: (bytes >> 20).to_string(),
+                        reason: "no algorithm keeps partitions under a budget",
+                    });
                 }
-                Err(DiscoverError::Cancelled) => JobOutcome::Cancelled,
-                Err(e) => JobOutcome::Failed(ServeError::new("bad_options", e.to_string())),
+                JobOutcome::Done(d.to_json(&ds.rel))
             }
-        }
+            Err(DiscoverError::Cancelled) => JobOutcome::Cancelled,
+            Err(e) => JobOutcome::Failed(ServeError::new("bad_options", e.to_string())),
+        },
         JobSpec::Check { ds, rules, opts } => {
             if ctrl.check().is_err() {
                 return JobOutcome::Cancelled;
@@ -575,51 +563,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn discover_specs_fail_bad_options_and_pass_the_cache_budget() {
+    /// A discover spec over eight rows whose `AC → CT` has one
+    /// dissenter, so CTANE below θ 1 error-counts from held partitions.
+    fn discover_spec(algo: Algo, opts: DiscoverOptions, cache_budget: Option<usize>) -> JobSpec {
         use cfd_model::csv::relation_from_csv_str;
         let rel = relation_from_csv_str(
             "AC,CT,ZIP\n908,MH,07974\n908,MH,07974\n908,MH,07974\n131,EDI,EH4\n\
              131,EDI,EH4\n131,UN,EH4\n212,NYC,01202\n212,NYC,01202\n",
         )
         .unwrap();
-        let ds = Arc::new(Dataset::new("t", rel));
-        let spec = |opts: DiscoverOptions, cache_budget| JobSpec::Discover {
-            ds: Arc::clone(&ds),
-            algo: Algo::Ctane,
+        JobSpec::Discover {
+            ds: Arc::new(Dataset::new("t", rel)),
+            algo,
             opts,
             cache_budget,
-        };
-        let run = |spec: JobSpec| run_spec(&spec, &Control::default());
-        // invalid options fail as a structured error, with or without a
-        // cache budget: the miner is built before the options are checked
-        for cache_budget in [None, Some(1 << 20)] {
-            match run(spec(DiscoverOptions::new(0), cache_budget)) {
-                JobOutcome::Failed(e) => assert_eq!(e.code, "bad_options", "{cache_budget:?}"),
-                other => panic!("{cache_budget:?}: {other:?}"),
-            }
         }
-        // a zero budget reaches CTANE: every approximate error count
-        // misses and rebuilds, and the rules stay those of the
-        // unbounded run
-        let opts = DiscoverOptions::new(1).min_confidence(0.8);
-        let doc = |outcome| match outcome {
-            JobOutcome::Done(doc) => doc,
-            other => panic!("{other:?}"),
-        };
-        let unbounded = doc(run(spec(opts.clone(), None)));
-        let starved = doc(run(spec(opts, Some(0))));
-        assert_eq!(unbounded.get("rules"), starved.get("rules"));
-        let misses = |d: &Json| {
-            d.get("stats")
-                .and_then(|s| s.get("store"))
-                .and_then(|s| s.get("misses"))
-                .and_then(Json::as_f64)
-                .unwrap()
-        };
-        assert_eq!(misses(&unbounded), 0.0);
-        assert!(misses(&starved) > 0.0, "{starved}");
-        assert!(notes(&starved).is_empty(), "{starved}");
     }
 
     /// The option names a discover result notes as ignored.
@@ -633,31 +591,40 @@ mod tests {
     }
 
     #[test]
-    fn a_cache_budget_without_effect_is_noted() {
-        use cfd_model::csv::relation_from_csv_str;
-        let rel = relation_from_csv_str("A,B\nx,1\nx,1\ny,2\n").unwrap();
-        let ds = Arc::new(Dataset::new("t", rel));
-        let run = |algo, min_confidence| {
-            let spec = JobSpec::Discover {
-                ds: Arc::clone(&ds),
-                algo,
-                opts: DiscoverOptions::new(1).min_confidence(min_confidence),
-                cache_budget: Some(0),
-            };
+    fn discover_specs_fail_bad_options() {
+        for cache_budget in [None, Some(1 << 20)] {
+            let spec = discover_spec(Algo::Ctane, DiscoverOptions::new(0), cache_budget);
             match run_spec(&spec, &Control::default()) {
+                JobOutcome::Failed(e) => assert_eq!(e.code, "bad_options", "{cache_budget:?}"),
+                other => panic!("{cache_budget:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_cache_budget_changes_nothing_but_a_note() {
+        let run = |algo, theta, cache_budget| {
+            let opts = DiscoverOptions::new(1).min_confidence(theta);
+            match run_spec(
+                &discover_spec(algo, opts, cache_budget),
+                &Control::default(),
+            ) {
                 JobOutcome::Done(doc) => doc,
                 other => panic!("{other:?}"),
             }
         };
-        // only approximate CTANE keeps partitions under the budget
-        for (algo, theta) in [(Algo::Tane, 0.9), (Algo::FastCfd, 1.0), (Algo::Ctane, 1.0)] {
-            let doc = run(algo, theta);
+        for (algo, theta) in [(Algo::Tane, 0.9), (Algo::FastCfd, 1.0), (Algo::Ctane, 0.9)] {
+            let free = run(algo, theta, None);
+            let budgeted = run(algo, theta, Some(0));
+            for key in ["rules", "stats"] {
+                assert_eq!(free.get(key), budgeted.get(key), "{algo} θ {theta}: {key}");
+            }
+            assert!(!notes(&free).contains(&"cache-budget-mb"), "{free}");
             assert!(
-                notes(&doc).contains(&"cache-budget-mb"),
-                "{algo} θ {theta}: {doc}"
+                notes(&budgeted).contains(&"cache-budget-mb"),
+                "{algo} θ {theta}: {budgeted}"
             );
         }
-        assert!(!notes(&run(Algo::Ctane, 0.9)).contains(&"cache-budget-mb"));
     }
 
     #[test]

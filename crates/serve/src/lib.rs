@@ -26,17 +26,18 @@
 //!
 //! [`faultpoint`] is the chaos-testing harness: named
 //! fault-injection points threaded through the stack (free when
-//! disarmed) that the `inject` op and the `CFD_FAULTS` environment
-//! variable can arm to simulate dead sockets, torn frames, stalls, and
-//! panics. The failure-mode contract — which error code a client sees
-//! for each trigger, and which are retryable — is DESIGN.md §14.
+//! disarmed) that the `inject` op of a `--faults` server arms to
+//! simulate dead sockets, torn frames, stalls, and panics. The
+//! failure-mode contract — which error code a client sees for each
+//! trigger, and which are retryable — is DESIGN.md §14.
 //!
 //! Results are *identical to the one-shot CLI*: jobs make the calls
 //! `cfd discover` and `cfd check` make (`discover_with`,
 //! `validate_with`), and discovery output is independent of thread
-//! count and cache budget by the determinism contract, so a server
-//! answer can be diffed byte-for-byte against `cfd discover` /
-//! `cfd check` (the integration tests do exactly that).
+//! count by the determinism contract, so a server answer can be diffed
+//! byte-for-byte against `cfd discover` / `cfd check` (the integration
+//! tests do exactly that). A discover request's `cache_budget_mb` only
+//! adds a note: no algorithm keeps partitions under a budget.
 //!
 //! ```
 //! use cfd_serve::client::{Client, ClientRead};

@@ -128,9 +128,9 @@ pub struct DiscoverRequest {
     /// Discovery options (`k`, `max_lhs`, `threads`, `constants_only`,
     /// `min_confidence`, `top_k`).
     pub opts: DiscoverOptions,
-    /// Byte budget for the level-below partitions an approximate CTANE
-    /// run keeps for its error counts (`cache_budget_mb`); any other
-    /// run notes it as ignored (`cache-budget-mb`).
+    /// `cache_budget_mb`, in bytes. No algorithm keeps partitions
+    /// under a budget, so every run notes it as ignored
+    /// (`cache-budget-mb`).
     pub cache_budget: Option<usize>,
     /// Block the connection until the job finishes and carry the
     /// result in the reply (progress events still stream).

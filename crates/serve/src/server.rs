@@ -69,8 +69,7 @@ pub struct ServeOptions {
     /// for this long is reaped. `None`: idle sessions live forever.
     pub idle_timeout: Option<Duration>,
     /// Test-only: accept the `inject` op (fault-injection arming over
-    /// the wire). Also enabled when the `CFD_FAULTS` environment
-    /// variable arms a schedule at bind time.
+    /// the wire).
     pub fault_injection: bool,
 }
 
@@ -152,15 +151,6 @@ impl Server {
     pub fn bind(opts: &ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
-        // CFD_FAULTS arms a schedule at bind time (chaos smoke tests);
-        // doing so also unlocks the `inject` op for the process
-        let mut faults = opts.fault_injection;
-        if let Ok(spec) = std::env::var("CFD_FAULTS") {
-            if !spec.trim().is_empty() {
-                faultpoint::arm_from_env(&spec).map_err(std::io::Error::other)?;
-                faults = true;
-            }
-        }
         let state = Arc::new(State {
             registry: DatasetRegistry::new(opts.registry_budget),
             queue: JobQueue::new(opts.queue_depth.max(1)),
@@ -176,7 +166,7 @@ impl Server {
             job_timeout: opts.job_timeout,
             io_timeout: opts.io_timeout,
             idle_timeout: opts.idle_timeout,
-            faults,
+            faults: opts.fault_injection,
             job_ewma_ms: AtomicU64::new(0),
         });
         Ok(Server { listener, state })

@@ -856,7 +856,9 @@ fn serve(a: &Args) -> Result<ExitCode> {
 /// server *in lockstep* — each request waits for its reply (event lines
 /// stream through as they arrive) before the next is sent. Exits 0 when
 /// every reply was `"ok": true`, 1 otherwise — so a scripted session
-/// doubles as a smoke test.
+/// doubles as a smoke test. A reader that closes stdout early (`cfd
+/// client … | head`) ends the script quietly: no further request is
+/// sent, and the exit code is that of the replies received.
 ///
 /// Transient overload replies (`queue_full`, `registry_budget`) are
 /// retried up to `--retries` times with exponential backoff and jitter,
@@ -896,6 +898,10 @@ fn client(a: &Args) -> Result<ExitCode> {
     let mut rng = StdRng::seed_from_u64(0xcfd_c11e47);
     let mut failed = false;
     let mut server_gone = false;
+    // each line flushes as it ends, so scripts can drive the session in
+    // lockstep; `open` turns false once the reader of stdout went away
+    let mut out = std::io::stdout().lock();
+    let mut open = true;
     let stdin = std::io::stdin();
     'script: for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
@@ -912,7 +918,7 @@ fn client(a: &Args) -> Result<ExitCode> {
             }
             // stream events through until this request's reply arrives
             let text = match conn
-                .reply(|event| println!("{event}"))
+                .reply(|event| open = open && writeln!(out, "{event}").is_ok())
                 .map_err(Error::from)?
             {
                 ClientRead::Line(l) => l,
@@ -953,7 +959,10 @@ fn client(a: &Args) -> Result<ExitCode> {
             if ok == Some(false) {
                 failed = true;
             }
-            println!("{text}");
+            open = open && writeln!(out, "{text}").is_ok();
+            break;
+        }
+        if !open {
             break;
         }
     }
@@ -970,11 +979,10 @@ fn client(a: &Args) -> Result<ExitCode> {
                         failed = true;
                     }
                 }
-                println!("{l}");
+                open = open && writeln!(out, "{l}").is_ok();
             }
         }
     }
-    std::io::stdout().flush().map_err(Error::from)?;
     // a server that vanished mid-script (crash, injected disconnect)
     // is a failure even if every completed reply was ok
     Ok(if failed || server_gone {

@@ -28,7 +28,7 @@ fn all_algorithms_agree_on_random_relations() {
         }
         .generate();
         for k in [1, 2, 3] {
-            let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let ctane = Ctane.discover(&r, &DiscoverOptions::new(k));
             let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
             let naive = FastCfd::naive().discover(&r, &DiscoverOptions::new(k));
             assert_same_cover(&r, &ctane, &fast, &format!("ctane vs fastcfd s{seed} k{k}"));
@@ -82,7 +82,7 @@ fn oracle_agreement_on_larger_domains() {
         .generate();
         for k in [1, 2] {
             let want = BruteForce.discover(&r, &DiscoverOptions::new(k));
-            let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+            let ctane = Ctane.discover(&r, &DiscoverOptions::new(k));
             let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
             assert_same_cover(&r, &ctane, &want, &format!("ctane vs oracle s{seed} k{k}"));
             assert_same_cover(&r, &fast, &want, &format!("fastcfd vs oracle s{seed} k{k}"));
@@ -96,7 +96,7 @@ fn agreement_on_tax_sample() {
     // agree on synthetic tax data
     let r = TaxGenerator::new(300).generate();
     let k = 3;
-    let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k));
+    let ctane = Ctane.discover(&r, &DiscoverOptions::new(k));
     let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
     let naive = FastCfd::naive().discover(&r, &DiscoverOptions::new(k));
     assert!(!fast.is_empty(), "tax data must contain CFDs");

@@ -122,7 +122,7 @@ fn wbc_discovery_is_consistent() {
     let r = wbc_relation();
     let k = 60;
     let fast = FastCfd::default().discover(&r, &DiscoverOptions::new(k));
-    let ctane = Ctane::default().discover(&r, &DiscoverOptions::new(k).max_lhs(3));
+    let ctane = Ctane.discover(&r, &DiscoverOptions::new(k).max_lhs(3));
     // every CTANE rule (LHS ≤ 3) is in the FastCFD cover and vice versa
     // for rules with small LHS
     for c in ctane.iter() {

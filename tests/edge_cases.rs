@@ -10,7 +10,7 @@ fn rel_of(rows: &[Vec<&str>], names: &[&str]) -> Relation {
 }
 
 fn assert_all_agree(r: &Relation, k: usize) {
-    let ctane = Ctane::default().discover(r, &DiscoverOptions::new(k));
+    let ctane = Ctane.discover(r, &DiscoverOptions::new(k));
     let fast = FastCfd::default().discover(r, &DiscoverOptions::new(k));
     let naive = FastCfd::naive().discover(r, &DiscoverOptions::new(k));
     assert_eq!(ctane.cfds(), fast.cfds(), "ctane vs fastcfd");
@@ -121,7 +121,7 @@ fn k_equal_to_relation_size() {
     // k beyond |r| ⇒ nothing
     let beyond = DiscoverOptions::new(4);
     assert!(FastCfd::default().discover(&r, &beyond).is_empty());
-    assert!(Ctane::default().discover(&r, &beyond).is_empty());
+    assert!(Ctane.discover(&r, &beyond).is_empty());
 }
 
 #[test]
@@ -168,8 +168,8 @@ fn free_set_pruning_ablation_is_pure_optimization() {
 #[test]
 fn max_lhs_is_a_prefix_of_the_cover() {
     let r = cfd_suite::datagen::cust::cust_relation();
-    let full = Ctane::default().discover(&r, &DiscoverOptions::new(2));
-    let capped = Ctane::default().discover(&r, &DiscoverOptions::new(2).max_lhs(2));
+    let full = Ctane.discover(&r, &DiscoverOptions::new(2));
+    let capped = Ctane.discover(&r, &DiscoverOptions::new(2).max_lhs(2));
     // capped = exactly the full-cover rules with LHS ≤ 2
     let expect: Vec<_> = full
         .iter()

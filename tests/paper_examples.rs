@@ -125,7 +125,7 @@ fn example7_cfdminer() {
 #[test]
 fn example8_ctane_run() {
     let r = cust_relation();
-    let cover = Ctane::default().discover(&r, &DiscoverOptions::new(3));
+    let cover = Ctane.discover(&r, &DiscoverOptions::new(3));
     for txt in [
         "(ZIP -> CC, (07974 || 01))",
         "(ZIP -> AC, (07974 || 908))",

@@ -253,6 +253,38 @@ fn client_subcommand_scripts_a_session_and_reports_failures() {
 }
 
 #[test]
+fn client_ends_quietly_when_its_stdout_closes() {
+    // stdout is a pipe whose read end is closed before the client
+    // starts, so its first write fails with a broken pipe: the client
+    // stops the script and exits with the status of the replies it got
+    let (mut server, addr) = start_server();
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let mut client = bin()
+        .args(["client", &addr])
+        .stdin(Stdio::piped())
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cfd client");
+    client
+        .stdin
+        .take()
+        .expect("client stdin")
+        .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n")
+        .ok();
+    let out = client.wait_with_output().expect("client exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+
+    let mut w = Client::connect(addr.as_str(), None).expect("connect");
+    w.send("{\"op\":\"shutdown\"}").expect("send shutdown");
+    assert_ok(&reply(&mut w));
+    assert!(server.wait().expect("serve exit").success());
+}
+
+#[test]
 fn client_io_timeout_turns_silence_into_a_clean_failure() {
     // a fake server that accepts, reads the request, and never replies
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake server");
