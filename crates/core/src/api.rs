@@ -164,21 +164,6 @@ impl Algo {
     pub const fn approximates(self) -> bool {
         matches!(self, Algo::Ctane | Algo::Tane | Algo::CfdMiner)
     }
-
-    /// A default-configured instance of the algorithm (shared knobs
-    /// come from [`DiscoverOptions`] at `discover_with` time;
-    /// algorithm-specific ablation knobs keep their paper defaults).
-    pub fn discoverer(self) -> Box<dyn Discoverer> {
-        match self {
-            Algo::CfdMiner => Box::new(CfdMiner),
-            Algo::Ctane => Box::new(Ctane),
-            Algo::FastCfd => Box::new(FastCfd::default()),
-            Algo::Naive => Box::new(FastCfd::naive()),
-            Algo::Tane => Box::new(Tane),
-            Algo::FastFd => Box::new(FastFd),
-            Algo::BruteForce => Box::new(BruteForce),
-        }
-    }
 }
 
 impl std::fmt::Display for Algo {
@@ -629,7 +614,15 @@ impl Discoverer for Algo {
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), DiscoverError> {
-        self.discoverer().run(rel, opts, ctrl, stats)
+        match self {
+            Algo::CfdMiner => CfdMiner.run(rel, opts, ctrl, stats),
+            Algo::Ctane => Ctane.run(rel, opts, ctrl, stats),
+            Algo::FastCfd => FastCfd::default().run(rel, opts, ctrl, stats),
+            Algo::Naive => FastCfd::naive().run(rel, opts, ctrl, stats),
+            Algo::Tane => Tane.run(rel, opts, ctrl, stats),
+            Algo::FastFd => Discoverer::run(&FastFd, rel, opts, ctrl, stats),
+            Algo::BruteForce => BruteForce.run(rel, opts, ctrl, stats),
+        }
     }
 }
 

@@ -15,6 +15,9 @@
 //!   highest-frequency RHS value must go
 //!   (`Σ_groups (|group| − maxfreq_A(group))`).
 //!
+//! [`measure`] reads those groups off the one grouping scan behind
+//! every per-rule reference (see [`mod@crate::support`]).
+//!
 //! The rule's **confidence** is `1 − violations / support` (`1.0` when
 //! nothing matches). This is the partition-error measure the
 //! approximate-FD literature calls `g₃` (Kivinen & Mannila) and what
@@ -46,6 +49,7 @@ use crate::error::{Error, Result};
 use crate::fxhash::FxHashMap;
 use crate::pattern::PVal;
 use crate::relation::Relation;
+use crate::support::lhs_groups;
 
 /// Measured support and violation count of one rule on one instance —
 /// the rule-level stats type shared by discovery outcomes
@@ -101,16 +105,6 @@ impl RuleMeasure {
     /// rounding.
     pub fn meets(&self, theta: f64) -> bool {
         keep_meets(self.support - self.violations, self.support, theta)
-    }
-
-    /// Serializes the measure (support, violations, derived confidence).
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj([
-            ("support", Json::from(self.support)),
-            ("violations", Json::from(self.violations)),
-            ("confidence", Json::from(self.confidence())),
-        ])
     }
 
     /// The wire-format suffix, e.g. `[support=8 conf=0.875]`. The
@@ -203,9 +197,10 @@ pub fn display_annotated(rel: &Relation, cfd: &Cfd, m: &RuleMeasure) -> String {
 }
 
 /// Measures one rule against an instance — the per-rule reference
-/// implementation of the module's error measure (a full scan with
-/// heap-allocated group keys; `cfd-validate` computes the identical
-/// numbers for whole covers in one kernel pass).
+/// implementation of the module's error measure, over the one grouping
+/// scan behind every per-rule reference (see [`mod@crate::support`];
+/// `cfd-validate` computes the identical numbers for whole covers in
+/// one kernel pass).
 ///
 /// ```
 /// use cfd_model::cfd::parse_cfd;
@@ -219,54 +214,33 @@ pub fn display_annotated(rel: &Relation, cfd: &Cfd, m: &RuleMeasure) -> String {
 /// assert_eq!(m.confidence(), 0.75);
 /// ```
 pub fn measure(rel: &Relation, cfd: &Cfd) -> RuleMeasure {
-    let lhs = cfd.lhs();
-    let rhs_attr = cfd.rhs_attr();
-    match cfd.rhs_val() {
-        PVal::Const(expect) => {
-            let mut support = 0usize;
-            let mut violations = 0usize;
-            for t in rel.tuples() {
-                if lhs.matches_row(rel, t) {
-                    support += 1;
-                    if rel.code(t, rhs_attr) != expect {
-                        violations += 1;
-                    }
+    let rhs = cfd.rhs_attr();
+    let (mut support, mut kept) = (0, 0);
+    // per (group, RHS code) the tuple count, per group the largest one
+    let mut freq: FxHashMap<(usize, u32), usize> = FxHashMap::default();
+    let mut best: Vec<usize> = Vec::new();
+    for (t, g) in lhs_groups(rel, cfd) {
+        support += 1;
+        let code = rel.code(t, rhs);
+        match cfd.rhs_val() {
+            PVal::Const(a) => kept += usize::from(code == a),
+            PVal::Var => {
+                if g == best.len() {
+                    best.push(0);
+                }
+                let n = freq.entry((g, code)).or_default();
+                *n += 1;
+                // a group's largest count grows by one at a time
+                if *n > best[g] {
+                    best[g] = *n;
+                    kept += 1;
                 }
             }
-            RuleMeasure {
-                support,
-                violations,
-            }
         }
-        PVal::Var => {
-            let wild: Vec<_> = lhs.wildcard_attrs().iter().collect();
-            let mut groups: FxHashMap<Vec<u32>, FxHashMap<u32, u32>> = FxHashMap::default();
-            let mut support = 0usize;
-            for t in rel.tuples() {
-                if !lhs.matches_row(rel, t) {
-                    continue;
-                }
-                support += 1;
-                let key: Vec<u32> = wild.iter().map(|&a| rel.code(t, a)).collect();
-                *groups
-                    .entry(key)
-                    .or_default()
-                    .entry(rel.code(t, rhs_attr))
-                    .or_insert(0) += 1;
-            }
-            let violations = groups
-                .values()
-                .map(|freq| {
-                    let total: u32 = freq.values().sum();
-                    let max = freq.values().copied().max().unwrap_or(0);
-                    (total - max) as usize
-                })
-                .sum();
-            RuleMeasure {
-                support,
-                violations,
-            }
-        }
+    }
+    RuleMeasure {
+        support,
+        violations: support - kept,
     }
 }
 

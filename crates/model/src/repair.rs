@@ -16,17 +16,20 @@
 //! violations of other rules (full constraint-repair is its own research
 //! area, e.g. ref \[27\] of the paper).
 //!
-//! [`suggest_repairs`] is the per-rule reference; repairing against a
-//! whole cover (with per-cell deduplication) goes through the shared
-//! validation kernel (`cfd-validate::suggest_repairs_for_cover`), which
-//! reproduces the same suggestions from one grouping pass per LHS
-//! wildcard set.
+//! [`suggest_repairs`] is the per-rule reference, a few lines over the
+//! one grouping scan behind every per-rule reference (the tuples
+//! matching the LHS constants, grouped by their LHS wildcard values; see
+//! [`mod@crate::support`]). Repairing against a whole cover (with per-cell
+//! deduplication) goes through the shared validation kernel
+//! (`cfd-validate::suggest_repairs_for_cover`), which reproduces the
+//! same suggestions from one grouping pass per LHS wildcard set.
 
 use crate::cfd::Cfd;
 use crate::fxhash::FxHashMap;
 use crate::pattern::PVal;
 use crate::relation::{Relation, TupleId};
 use crate::schema::AttrId;
+use crate::support::lhs_groups;
 
 /// One suggested cell edit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,84 +45,54 @@ pub struct Repair {
 }
 
 /// Suggests repairs for every violation of `cfd` in `rel`. Returns an
-/// empty vector when the rule holds.
+/// empty vector when the rule holds. A constant RHS yields its repairs
+/// in row order; a variable RHS group by group, in the order of the
+/// groups' LHS wildcard values, each group in row order.
 pub fn suggest_repairs(rel: &Relation, cfd: &Cfd) -> Vec<Repair> {
-    let lhs = cfd.lhs();
-    let rhs_attr = cfd.rhs_attr();
-    let consts: Vec<(usize, u32)> = lhs
-        .iter()
-        .filter_map(|(a, v)| v.as_const().map(|c| (a, c)))
-        .collect();
-    let wild: Vec<usize> = lhs.wildcard_attrs().iter().collect();
-    let mut out = Vec::new();
-
+    let attr = cfd.rhs_attr();
+    let edit = |tuple: TupleId, suggested: u32| {
+        let current = rel.code(tuple, attr);
+        (current != suggested).then_some(Repair {
+            tuple,
+            attr,
+            current,
+            suggested,
+        })
+    };
     match cfd.rhs_val() {
-        PVal::Const(expect) => {
-            'rows: for t in rel.tuples() {
-                for &(a, c) in &consts {
-                    if rel.code(t, a) != c {
-                        continue 'rows;
-                    }
-                }
-                let cur = rel.code(t, rhs_attr);
-                if cur != expect {
-                    out.push(Repair {
-                        tuple: t,
-                        attr: rhs_attr,
-                        current: cur,
-                        suggested: expect,
-                    });
-                }
-            }
-        }
+        PVal::Const(expect) => lhs_groups(rel, cfd)
+            .filter_map(|(t, _)| edit(t, expect))
+            .collect(),
         PVal::Var => {
-            // group matching tuples by their LHS wildcard values
-            let mut groups: FxHashMap<Vec<u32>, Vec<TupleId>> = FxHashMap::default();
-            'rows: for t in rel.tuples() {
-                for &(a, c) in &consts {
-                    if rel.code(t, a) != c {
-                        continue 'rows;
-                    }
+            let mut groups: Vec<Vec<TupleId>> = Vec::new();
+            for (t, g) in lhs_groups(rel, cfd) {
+                if g == groups.len() {
+                    groups.push(Vec::new());
                 }
-                let key: Vec<u32> = wild.iter().map(|&a| rel.code(t, a)).collect();
-                groups.entry(key).or_default().push(t);
+                groups[g].push(t);
             }
-            let mut keys: Vec<&Vec<u32>> = groups.keys().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let members = &groups[key];
-                if members.len() < 2 {
-                    continue;
-                }
-                // majority RHS value; ties break toward the earliest tuple
-                let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
-                for &t in members {
-                    *counts.entry(rel.code(t, rhs_attr)).or_default() += 1;
-                }
-                if counts.len() < 2 {
-                    continue;
-                }
-                let earliest = rel.code(members[0], rhs_attr);
-                let majority = counts
-                    .iter()
-                    .max_by_key(|&(&code, &n)| (n, code == earliest, std::cmp::Reverse(code)))
-                    .map(|(&code, _)| code)
-                    .unwrap_or(earliest);
-                for &t in members {
-                    let cur = rel.code(t, rhs_attr);
-                    if cur != majority {
-                        out.push(Repair {
-                            tuple: t,
-                            attr: rhs_attr,
-                            current: cur,
-                            suggested: majority,
-                        });
+            let wild: Vec<AttrId> = cfd.lhs().wildcard_attrs().iter().collect();
+            groups.sort_by_cached_key(|m| {
+                wild.iter().map(|&a| rel.code(m[0], a)).collect::<Vec<_>>()
+            });
+            groups
+                .iter()
+                .flat_map(|members| {
+                    // majority RHS value; ties break toward the earliest tuple
+                    let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
+                    for &t in members {
+                        *counts.entry(rel.code(t, attr)).or_default() += 1;
                     }
-                }
-            }
+                    let earliest = rel.code(members[0], attr);
+                    let (&majority, _) = counts
+                        .iter()
+                        .max_by_key(|&(&code, &n)| (n, code == earliest, std::cmp::Reverse(code)))
+                        .expect("a group has a member");
+                    members.iter().filter_map(move |&t| edit(t, majority))
+                })
+                .collect()
         }
     }
-    out
 }
 
 /// Applies repairs, producing a new relation that shares the original's

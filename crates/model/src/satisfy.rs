@@ -4,75 +4,29 @@
 //! if `t1[X] = t2[X] ⪯ tp[X]` then `t1[A] = t2[A] ⪯ tp[A]`.
 //!
 //! Taking `t1 = t2` shows a *single* tuple can violate a CFD whose RHS
-//! pattern is a constant (Example 3), which is why the constant-RHS check
-//! below is a per-tuple test rather than a per-class test.
+//! pattern is a constant (Example 3), which is why a constant RHS is
+//! checked tuple by tuple rather than class by class.
 //!
-//! [`satisfies`] checks one rule in one scan and serves as the semantic
-//! reference. Checking a whole cover (`r ⊨ Σ`) goes through the shared
-//! validation kernel (`cfd-validate::satisfies_cover`), which shares
-//! one grouping pass across all rules with the same LHS wildcard set.
+//! [`satisfies`] is the semantic reference: a rule holds iff the shared
+//! scan behind every per-rule reference (the tuples matching the LHS
+//! constants, grouped by their LHS wildcard values; see
+//! [`mod@crate::support`]) meets no violation. Checking a whole cover
+//! (`r ⊨ Σ`) goes through the shared validation kernel
+//! (`cfd-validate::satisfies_cover`), which shares one grouping pass
+//! across all rules with the same LHS wildcard set.
 
 use crate::cfd::Cfd;
-use crate::fxhash::FxHashMap;
-use crate::pattern::PVal;
 use crate::relation::Relation;
+use crate::violation::violations;
 
-/// Checks `r ⊨ φ` in a single scan of the relation.
+/// Checks `r ⊨ φ`: true iff the instance holds no violation of `φ`.
 ///
 /// Tuples matching the LHS pattern constants are grouped by their values
 /// on the LHS wildcard attributes; the embedded FD requires each group to
 /// agree on the RHS attribute, and the RHS pattern value additionally
 /// binds the agreed value when it is a constant.
 pub fn satisfies(rel: &Relation, cfd: &Cfd) -> bool {
-    let lhs = cfd.lhs();
-    let rhs_attr = cfd.rhs_attr();
-    let rhs_val = cfd.rhs_val();
-    let wild: Vec<_> = lhs.wildcard_attrs().iter().collect();
-    let consts: Vec<(usize, u32)> = lhs
-        .iter()
-        .filter_map(|(a, v)| v.as_const().map(|c| (a, c)))
-        .collect();
-
-    match rhs_val {
-        PVal::Const(a_code) => {
-            // every matching tuple must carry the RHS constant
-            'rows: for t in rel.tuples() {
-                for &(a, c) in &consts {
-                    if rel.code(t, a) != c {
-                        continue 'rows;
-                    }
-                }
-                if rel.code(t, rhs_attr) != a_code {
-                    return false;
-                }
-            }
-            true
-        }
-        PVal::Var => {
-            // group by wildcard-attribute codes; each group must agree on A
-            let mut groups: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
-            'rows: for t in rel.tuples() {
-                for &(a, c) in &consts {
-                    if rel.code(t, a) != c {
-                        continue 'rows;
-                    }
-                }
-                let key: Vec<u32> = wild.iter().map(|&a| rel.code(t, a)).collect();
-                let a_code = rel.code(t, rhs_attr);
-                match groups.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if *e.get() != a_code {
-                            return false;
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(a_code);
-                    }
-                }
-            }
-            true
-        }
-    }
+    violations(rel, cfd).is_empty()
 }
 
 #[cfg(test)]

@@ -1,12 +1,25 @@
-//! Support counting (Section 2.2.2).
+//! Support counting (Section 2.2.2), and the one grouping scan behind
+//! every per-rule reference.
 //!
 //! The support of a CFD `φ = (X → A, tp)` in `r` is the set of tuples that
 //! match the *whole* pattern tuple, LHS and RHS alike: `t[X] ⪯ tp[X]` and
 //! `t[A] ⪯ tp[A]`. `φ` is `k`-frequent when `|sup(φ, r)| ≥ k`.
+//!
+//! Every per-rule question about an instance is a function of one
+//! grouping: the tuples matching the LHS constants, grouped by their
+//! values on the LHS wildcard attributes. The crate-private scan
+//! `lhs_groups` yields exactly that, and [`support()`](support()),
+//! [`satisfies`](crate::satisfy::satisfies),
+//! [`violations`](crate::violation::violations),
+//! [`measure`](crate::measure::measure) and
+//! [`suggest_repairs`](crate::repair::suggest_repairs) are each a few
+//! lines over it.
 
 use crate::cfd::Cfd;
+use crate::fxhash::FxHashMap;
 use crate::pattern::Pattern;
-use crate::relation::Relation;
+use crate::relation::{Relation, TupleId};
+use crate::schema::AttrId;
 
 /// Number of tuples matching a bare pattern (`supp(X, tp, r)` of
 /// Section 3.1 for item sets; wildcards do not constrain).
@@ -19,12 +32,28 @@ pub fn pattern_support(rel: &Relation, pattern: &Pattern) -> usize {
 /// `|sup(φ, r)|`: the number of tuples matching both the LHS pattern and
 /// the RHS pattern value of `φ`.
 pub fn support(rel: &Relation, cfd: &Cfd) -> usize {
-    let lhs = cfd.lhs();
-    let rhs_attr = cfd.rhs_attr();
-    let rhs_val = cfd.rhs_val();
-    rel.tuples()
-        .filter(|&t| lhs.matches_row(rel, t) && rhs_val.matches(rel.code(t, rhs_attr)))
+    lhs_groups(rel, cfd)
+        .filter(|&(t, _)| cfd.rhs_val().matches(rel.code(t, cfd.rhs_attr())))
         .count()
+}
+
+/// The tuples of `rel` matching the LHS constants of `cfd`, in row
+/// order, each with its group: tuples that agree on the LHS wildcard
+/// attributes share a group, and groups are numbered 0, 1, … by first
+/// appearance (so a new group's id is the number of groups seen).
+pub(crate) fn lhs_groups<'a>(
+    rel: &'a Relation,
+    cfd: &'a Cfd,
+) -> impl Iterator<Item = (TupleId, usize)> + 'a {
+    let wild: Vec<AttrId> = cfd.lhs().wildcard_attrs().iter().collect();
+    let mut ids: FxHashMap<Vec<u32>, usize> = FxHashMap::default();
+    rel.tuples()
+        .filter(move |&t| cfd.lhs().matches_row(rel, t))
+        .map(move |t| {
+            let next = ids.len();
+            let key = wild.iter().map(|&a| rel.code(t, a)).collect();
+            (t, *ids.entry(key).or_insert(next))
+        })
 }
 
 #[cfg(test)]

@@ -5,16 +5,19 @@
 //! the paper notes, a CFD with a constant RHS pattern can be violated by a
 //! single tuple, while the embedded FD needs a pair of tuples.
 //!
-//! The functions here scan the relation once per *rule* and are the
-//! semantic reference the rest of the system is checked against.
-//! Applying a whole cover goes through the shared validation kernel
-//! (`cfd-validate`), which groups rules sharing an LHS wildcard set
-//! into one pass and reproduces these results exactly.
+//! The functions here are a few lines over the one grouping scan
+//! behind every per-rule reference (the tuples matching the LHS
+//! constants, grouped by their LHS wildcard values; see
+//! [`mod@crate::support`]) and are the semantic reference the rest of the
+//! system is checked against. Applying a whole cover goes through the
+//! shared validation kernel (`cfd-validate`), which groups rules sharing
+//! an LHS wildcard set into one pass and reproduces these results
+//! exactly.
 
 use crate::cfd::Cfd;
-use crate::fxhash::FxHashMap;
 use crate::pattern::PVal;
 use crate::relation::{Relation, TupleId};
+use crate::support::lhs_groups;
 
 /// One violation of a CFD in an instance.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -31,62 +34,24 @@ pub enum Violation {
 /// all). Pair violations are reported as (first tuple of the group,
 /// offending tuple); each offending tuple is reported once.
 pub fn violations_limited(rel: &Relation, cfd: &Cfd, limit: usize) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if limit == 0 {
-        return out;
-    }
-    let lhs = cfd.lhs();
-    let rhs_attr = cfd.rhs_attr();
-    let wild: Vec<_> = lhs.wildcard_attrs().iter().collect();
-    let consts: Vec<(usize, u32)> = lhs
-        .iter()
-        .filter_map(|(a, v)| v.as_const().map(|c| (a, c)))
-        .collect();
-
-    match cfd.rhs_val() {
-        PVal::Const(a_code) => {
-            'rows: for t in rel.tuples() {
-                for &(a, c) in &consts {
-                    if rel.code(t, a) != c {
-                        continue 'rows;
-                    }
-                }
-                if rel.code(t, rhs_attr) != a_code {
-                    out.push(Violation::Single(t));
-                    if out.len() >= limit {
-                        return out;
-                    }
+    let rhs = cfd.rhs_attr();
+    // the first tuple of each group, its witness
+    let mut first: Vec<TupleId> = Vec::new();
+    lhs_groups(rel, cfd)
+        .filter_map(|(t, g)| {
+            if g == first.len() {
+                first.push(t);
+            }
+            let w = first[g];
+            match cfd.rhs_val() {
+                PVal::Const(a) => (rel.code(t, rhs) != a).then_some(Violation::Single(t)),
+                PVal::Var => {
+                    (rel.code(t, rhs) != rel.code(w, rhs)).then_some(Violation::Pair(w, t))
                 }
             }
-        }
-        PVal::Var => {
-            let mut groups: FxHashMap<Vec<u32>, (TupleId, u32)> = FxHashMap::default();
-            'rows: for t in rel.tuples() {
-                for &(a, c) in &consts {
-                    if rel.code(t, a) != c {
-                        continue 'rows;
-                    }
-                }
-                let key: Vec<u32> = wild.iter().map(|&a| rel.code(t, a)).collect();
-                let a_code = rel.code(t, rhs_attr);
-                match groups.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let &(first, first_code) = e.get();
-                        if first_code != a_code {
-                            out.push(Violation::Pair(first, t));
-                            if out.len() >= limit {
-                                return out;
-                            }
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((t, a_code));
-                    }
-                }
-            }
-        }
-    }
-    out
+        })
+        .take(limit)
+        .collect()
 }
 
 /// All violations of `cfd` in `rel`.

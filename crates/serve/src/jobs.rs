@@ -325,10 +325,16 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
                 return JobOutcome::Cancelled;
             }
             let cfds: Vec<&Cfd> = rules.iter().map(|(_, c)| c).collect();
-            let before = cfd_validate::detect_violations(&ds.rel, cfds.iter().copied()).len();
+            let opts = ValidateOptions {
+                limit: 0,
+                ..Default::default()
+            };
+            let count =
+                |rel| cfd_validate::validate(rel, cfds.iter().copied(), &opts).total_violations();
+            let before = count(&ds.rel);
             let edits = cfd_validate::suggest_repairs_for_cover(&ds.rel, cfds.iter().copied());
             let fixed = cfd_model::apply_repairs(&ds.rel, &edits);
-            let after = cfd_validate::detect_violations(&fixed, cfds.iter().copied()).len();
+            let after = count(&fixed);
             let edit_docs = Json::arr(edits.iter().map(|r| {
                 let dict = ds.rel.column(r.attr).dict();
                 Json::obj([
@@ -624,6 +630,50 @@ mod tests {
                 notes(&budgeted).contains(&"cache-budget-mb"),
                 "{algo} θ {theta}: {budgeted}"
             );
+        }
+    }
+
+    #[test]
+    fn repair_reports_the_kernel_edits_and_violation_counts() {
+        use cfd_model::cfd::parse_cfd;
+        use cfd_model::csv::relation_from_csv_str;
+        let rel =
+            relation_from_csv_str("AC,CT\n908,MH\n908,MH\n908,XX\n131,EDI\n131,EDI\n131,UN\n")
+                .unwrap();
+        let rules: Vec<(String, Cfd)> = ["(AC -> CT, (_ || _))", "(AC -> CT, (131 || EDI))"]
+            .iter()
+            .map(|t| (t.to_string(), parse_cfd(&rel, t).unwrap()))
+            .collect();
+        let cfds = || rules.iter().map(|(_, c)| c);
+        let want = cfd_validate::suggest_repairs_for_cover(&rel, cfds());
+        let before = cfd_validate::detect_violations(&rel, cfds()).len();
+        let fixed = cfd_model::apply_repairs(&rel, &want);
+        let after = cfd_validate::detect_violations(&fixed, cfds()).len();
+        // (t0, t2) and (t3, t5) break the FD, t5 the constant rule; the
+        // two edits repair all three
+        assert_eq!((before, after, want.len()), (3, 0, 2));
+        let spec = JobSpec::Repair {
+            ds: Arc::new(Dataset::new("t", rel.clone())),
+            rules: rules.clone(),
+        };
+        let JobOutcome::Done(doc) = run_spec(&spec, &Control::default()) else {
+            panic!("repair job failed");
+        };
+        let count = |key| doc.get(key).and_then(Json::as_f64);
+        assert_eq!(count("violations_before"), Some(before as f64));
+        assert_eq!(count("violations_after"), Some(after as f64));
+        let edits = doc.get("edits").and_then(Json::as_array).unwrap();
+        assert_eq!(edits.len(), want.len());
+        for (got, r) in edits.iter().zip(&want) {
+            let dict = rel.column(r.attr).dict();
+            let field = |key| got.get(key).and_then(Json::as_str);
+            assert_eq!(
+                got.get("tuple").and_then(Json::as_f64),
+                Some(r.tuple as f64)
+            );
+            assert_eq!(field("attr"), Some("CT"));
+            assert_eq!(field("current"), Some(dict.value(r.current)));
+            assert_eq!(field("suggested"), Some(dict.value(r.suggested)));
         }
     }
 

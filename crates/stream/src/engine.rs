@@ -109,10 +109,10 @@ impl StreamEngine {
     }
 
     /// Compiles `rules` against the dictionaries of `rel` without
-    /// inserting any tuple — the empty-window form of [`warm`].
+    /// inserting any tuple — the empty engine [`warm`] fills.
     ///
     /// [`warm`]: StreamEngine::warm
-    pub fn compile(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> StreamEngine {
+    fn compile(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> StreamEngine {
         let states = rules
             .iter()
             .enumerate()
@@ -225,8 +225,9 @@ impl StreamEngine {
     }
 
     /// Inserts pre-encoded rows (codes must be valid for the engine's
-    /// dictionaries). Used by [`warm`](StreamEngine::warm) and the
-    /// generators in benches.
+    /// dictionaries). [`insert_batch`](StreamEngine::insert_batch)
+    /// encodes its rows and calls it; the benches feed it generated
+    /// codes.
     pub fn insert_coded(&mut self, rows: Vec<Vec<u32>>) -> BatchDelta {
         let ops: Vec<Op> = rows
             .into_iter()

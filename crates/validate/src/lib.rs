@@ -59,14 +59,20 @@ use cfd_model::{Cfd, Violation};
 
 /// Checks `r ⊨ Σ` for a whole rule set through the kernel — one
 /// grouping pass per distinct LHS wildcard set instead of one scan per
-/// rule, and an early exit at the first violation met (a dirty
-/// instance answers without finishing the scan, like the per-rule
-/// reference would).
+/// rule, and no violation sample collected.
 pub fn satisfies_cover<'a, I>(rel: &Relation, cfds: I) -> bool
 where
     I: IntoIterator<Item = &'a Cfd>,
 {
-    CoverPlan::compile(rel, cfds).holds(rel)
+    validate(
+        rel,
+        cfds,
+        &ValidateOptions {
+            threads: 1,
+            limit: 0,
+        },
+    )
+    .satisfied()
 }
 
 /// Scans a rule set against an instance, returning `(rule index,

@@ -19,7 +19,8 @@
 //! the group universe). Rules are sharded across worker threads — the
 //! architecture `cfd-stream` uses for batches — and results are merged
 //! in rule order, so the report is byte-for-byte identical at any
-//! thread count.
+//! thread count. Every scan runs to its end and counts every violation:
+//! the run's `limit` only caps the sample it keeps.
 //!
 //! [`Column::regions`]: cfd_model::relation::Column::regions
 
@@ -214,47 +215,6 @@ impl CoverPlan {
         }
     }
 
-    /// Checks `r ⊨ Σ` for the compiled cover, stopping at the **first**
-    /// violation — the boolean form of [`validate`](CoverPlan::validate)
-    /// for callers that don't need counters (a dirty instance answers
-    /// as soon as one dissenting tuple is met, like the per-rule
-    /// reference's early exit, but still sharing one grouping pass per
-    /// family). Runs the same scanners as `validate`, with a sink that
-    /// aborts on the first violation.
-    pub fn holds(&self, rel: &Relation) -> bool {
-        for &r in &self.const_rules {
-            let mut dirty = false;
-            scan_const_rule(rel, &self.rules[r], &mut |_, _| {
-                dirty = true;
-                false
-            });
-            if dirty {
-                return false;
-            }
-        }
-        for (f, rules) in self.family_rules.iter().enumerate() {
-            let mut witness: Option<Vec<u32>> = None;
-            for &r in rules {
-                let rule = &self.rules[r];
-                let mut dirty = false;
-                let mut abort = |_, _| {
-                    dirty = true;
-                    false
-                };
-                if rule.consts.is_empty() {
-                    let wit = witness.get_or_insert_with(|| self.families[f].gids.witnesses());
-                    scan_plain_var_rule(rel, rule, &self.families[f].gids, wit, &mut abort);
-                } else {
-                    scan_var_rule(rel, rule, &self.families[f].gids, &mut abort, None);
-                }
-                if dirty {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Evaluates every rule of one family: the family's grouping was
     /// computed at compile time, its witness array is computed here at
     /// most once (only if some member rule has no LHS constants), and
@@ -287,7 +247,6 @@ impl CoverPlan {
                         if sample.len() < limit {
                             sample.push(Violation::Pair(w, t));
                         }
-                        true
                     };
                     let rhs_codes = rel.column(rule.rhs_attr).codes();
                     if rule.consts.is_empty() {
@@ -298,8 +257,7 @@ impl CoverPlan {
                         removals = scratch.removals_ordered(ord, gids.gids(), rhs_codes);
                     } else {
                         scratch.pairs.clear();
-                        support =
-                            scan_var_rule(rel, rule, gids, &mut count, Some(&mut scratch.pairs));
+                        support = scan_var_rule(rel, rule, gids, &mut count, &mut scratch.pairs);
                         let _m = cfd_obs::span!("validate.measure");
                         removals = removals_from_pairs(&mut scratch.pairs);
                     }
@@ -408,79 +366,55 @@ impl Slots {
     }
 }
 
-/// The scan driver: all rows, or the smallest LHS-constant value region
-/// (always ascending, so scan order — and therefore witness choice and
-/// violation order — is identical either way).
-enum Driver<'a> {
-    Full(u32),
-    Region(&'a [TupleId]),
+/// A scan over the tuples matching a rule's LHS constants: it walks
+/// every row when the rule has no LHS constant, else the smallest value
+/// region among its constants (the filter pushed into the scan), and
+/// tests each row against the residual constants. Rows come in
+/// ascending order either way, so the witness choice and the violation
+/// order do not depend on the region walked — the shared scan shape of
+/// validation and repair.
+pub(crate) struct Scan<'a> {
+    /// The region walked; `None` walks all `n_rows` rows.
+    region: Option<&'a [TupleId]>,
+    n_rows: u32,
+    /// The residual constants, as (column codes, constant).
+    filters: Vec<(&'a [u32], u32)>,
 }
 
-impl Driver<'_> {
+impl<'a> Scan<'a> {
+    /// The scan over the tuples of `rel` matching `consts`.
+    pub(crate) fn of(rel: &'a Relation, consts: &[(AttrId, u32)]) -> Scan<'a> {
+        let region = |(a, c): (AttrId, u32)| rel.column(a).regions().region(c);
+        let best = (0..consts.len()).min_by_key(|&i| region(consts[i]).len());
+        Scan {
+            region: best.map(|i| region(consts[i])),
+            n_rows: rel.n_rows() as u32,
+            filters: (0..consts.len())
+                .filter(|&j| Some(j) != best)
+                .map(|j| (rel.column(consts[j].0).codes(), consts[j].1))
+                .collect(),
+        }
+    }
+
+    /// Rows walked before the residual filters.
     fn rows(&self) -> usize {
-        match self {
-            Driver::Full(n) => *n as usize,
-            Driver::Region(r) => r.len(),
-        }
+        self.region.map_or(self.n_rows as usize, <[TupleId]>::len)
     }
 
-    fn for_each(&self, mut f: impl FnMut(TupleId)) {
-        match self {
-            Driver::Full(n) => (0..*n).for_each(&mut f),
-            Driver::Region(r) => r.iter().copied().for_each(&mut f),
-        }
-    }
-
-    /// [`for_each`](Driver::for_each) with early exit: stops as soon as
-    /// `f` returns `false`.
-    fn all(&self, mut f: impl FnMut(TupleId) -> bool) -> bool {
-        match self {
-            Driver::Full(n) => (0..*n).all(&mut f),
-            Driver::Region(r) => r.iter().all(|&t| f(t)),
-        }
-    }
-}
-
-/// Runs `f` over the tuples matching `consts`, in ascending row order,
-/// driven by the smallest constant value region — the shared scan shape
-/// of validation and repair.
-pub(crate) fn scan_matching(rel: &Relation, consts: &[(AttrId, u32)], mut f: impl FnMut(TupleId)) {
-    let (driver, residual) = pick_driver(rel, consts);
-    let filters: Vec<(&[u32], u32)> = residual
-        .iter()
-        .map(|&(a, c)| (rel.column(a).codes(), c))
-        .collect();
-    driver.for_each(|t| {
-        if filters.iter().all(|&(codes, c)| codes[t as usize] == c) {
-            f(t);
-        }
-    });
-}
-
-/// Picks the scan driver for a rule: the smallest value region among
-/// its LHS constants (the filter pushed into the scan), or the full
-/// relation when the rule has none. Returns the driver and the
-/// *residual* constant filters the scan still has to test.
-fn pick_driver<'a>(
-    rel: &'a Relation,
-    consts: &[(AttrId, u32)],
-) -> (Driver<'a>, Vec<(AttrId, u32)>) {
-    let best = consts
-        .iter()
-        .enumerate()
-        .map(|(i, &(a, c))| (rel.column(a).regions().region(c).len(), i))
-        .min();
-    match best {
-        None => (Driver::Full(rel.n_rows() as u32), consts.to_vec()),
-        Some((_, i)) => {
-            let (a, c) = consts[i];
-            let residual = consts
+    /// Runs `f` over the matching tuples, in ascending row order.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(TupleId)) {
+        let mut visit = |t: TupleId| {
+            if self
+                .filters
                 .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &p)| p)
-                .collect();
-            (Driver::Region(rel.column(a).regions().region(c)), residual)
+                .all(|&(codes, c)| codes[t as usize] == c)
+            {
+                f(t);
+            }
+        };
+        match self.region {
+            None => (0..self.n_rows).for_each(visit),
+            Some(r) => r.iter().for_each(|&t| visit(t)),
         }
     }
 }
@@ -583,14 +517,19 @@ fn removals_from_pairs(pairs: &mut [u64]) -> usize {
 /// dissenting tuple must go), so the measure needs no extra state.
 fn eval_const_rule(rel: &Relation, rule: &CompiledRule, limit: usize) -> RuleReport {
     let _sp = cfd_obs::span!("validate.const_scan");
-    let mut violations = 0usize;
-    let mut sample = Vec::new();
-    let support = scan_const_rule(rel, rule, &mut |_, t| {
-        violations += 1;
-        if sample.len() < limit {
-            sample.push(Violation::Single(t));
+    let RuleRhs::Const(expect) = rule.rhs else {
+        unreachable!("eval_const_rule takes a const-RHS rule");
+    };
+    let rhs_codes = rel.column(rule.rhs_attr).codes();
+    let (mut support, mut violations, mut sample) = (0, 0, Vec::new());
+    Scan::of(rel, &rule.consts).for_each(|t| {
+        support += 1;
+        if rhs_codes[t as usize] != expect {
+            violations += 1;
+            if sample.len() < limit {
+                sample.push(Violation::Single(t));
+            }
         }
-        true
     });
     RuleReport {
         rule: rule.rule,
@@ -603,88 +542,47 @@ fn eval_const_rule(rel: &Relation, rule: &CompiledRule, limit: usize) -> RuleRep
     }
 }
 
-/// The violation sink of a rule scan: called as `(witness, tuple)` per
-/// violation (for a constant-RHS rule both are the dissenting tuple);
-/// returning `false` aborts the scan. Every evaluation mode — counting
-/// (`validate`) and early-exit (`holds`) — runs through the same three
-/// scanners below, so the two paths cannot drift apart.
-type Sink<'s> = &'s mut dyn FnMut(TupleId, TupleId) -> bool;
-
-/// Scans one constant-RHS rule, feeding dissenting tuples to `sink`.
-/// Returns the support counted up to the stop point.
-fn scan_const_rule(rel: &Relation, rule: &CompiledRule, sink: Sink) -> usize {
-    let RuleRhs::Const(expect) = rule.rhs else {
-        unreachable!("scan_const_rule takes a const-RHS rule");
-    };
-    let (driver, residual) = pick_driver(rel, &rule.consts);
-    let filters: Vec<(&[u32], u32)> = residual
-        .iter()
-        .map(|&(a, c)| (rel.column(a).codes(), c))
-        .collect();
-    let rhs_codes = rel.column(rule.rhs_attr).codes();
-    let mut support = 0usize;
-    driver.all(|t| {
-        if !filters.iter().all(|&(codes, c)| codes[t as usize] == c) {
-            return true;
-        }
-        support += 1;
-        rhs_codes[t as usize] == expect || sink(t, t)
-    });
-    support
-}
+/// The violation sink of a variable rule's scan, called as
+/// `(witness, tuple)` per violation.
+type Sink<'s> = &'s mut dyn FnMut(TupleId, TupleId);
 
 /// Scans one variable rule that carries LHS constants: the scan is
 /// driven by the smallest constant region and per-group witnesses are
 /// tracked per rule (the rule's witness is the first tuple matching
 /// *its* constants, not the family's global first). Feeds
-/// `(witness, dissenter)` pairs to `sink`; returns the support counted
-/// up to the stop point. When `pairs` is given, each matching row
-/// appends its `(group id << 32) | RHS code` key — the raw material of
-/// [`removals_from_pairs`] (counting mode only — the early-exit path
-/// passes `None`).
+/// `(witness, dissenter)` pairs to `sink` and returns the rule's
+/// support. Each matching row appends its `(group id << 32) | RHS code`
+/// key to `pairs` — the raw material of [`removals_from_pairs`].
 fn scan_var_rule(
     rel: &Relation,
     rule: &CompiledRule,
     gids: &GroupIds,
     sink: Sink,
-    pairs: Option<&mut Vec<u64>>,
+    pairs: &mut Vec<u64>,
 ) -> usize {
-    let (driver, residual) = pick_driver(rel, &rule.consts);
-    let filters: Vec<(&[u32], u32)> = residual
-        .iter()
-        .map(|&(a, c)| (rel.column(a).codes(), c))
-        .collect();
+    let scan = Scan::of(rel, &rule.consts);
     let rhs_codes = rel.column(rule.rhs_attr).codes();
     let n_groups = gids.n_groups();
     let gids = gids.gids();
     let mut support = 0usize;
     // a driving region much smaller than the group universe cannot
     // touch most groups — use a map instead of a flat array there
-    let mut slots = if n_groups <= 4 * driver.rows() {
+    let mut slots = if n_groups <= 4 * scan.rows() {
         Slots::Dense(vec![EMPTY; n_groups])
     } else {
         Slots::Sparse(FxHashMap::default())
     };
-    let mut pairs = pairs;
-    driver.all(|t| {
-        if !filters.iter().all(|&(codes, c)| codes[t as usize] == c) {
-            return true;
-        }
+    scan.for_each(|t| {
         support += 1;
         let gid = gids[t as usize];
         let rhs = rhs_codes[t as usize];
-        if let Some(pairs) = pairs.as_deref_mut() {
-            pairs.push(((gid as u64) << 32) | rhs as u64);
-        }
+        pairs.push(((gid as u64) << 32) | rhs as u64);
         let slot = slots.get(gid);
         if slot == EMPTY {
             debug_assert_ne!(((t as u64) << 32) | rhs as u64, EMPTY);
             slots.set(gid, ((t as u64) << 32) | rhs as u64);
-            true
         } else if (slot & 0xFFFF_FFFF) as u32 != rhs {
-            sink((slot >> 32) as TupleId, t)
-        } else {
-            true
+            sink((slot >> 32) as TupleId, t);
         }
     });
     support
@@ -708,8 +606,8 @@ fn scan_plain_var_rule(
     let rhs_codes = rel.column(rule.rhs_attr).codes();
     for (t, &g) in gids.gids().iter().enumerate() {
         let w = witness[g as usize];
-        if rhs_codes[t] != rhs_codes[w as usize] && !sink(w as TupleId, t as TupleId) {
-            break;
+        if rhs_codes[t] != rhs_codes[w as usize] {
+            sink(w as TupleId, t as TupleId);
         }
     }
     rel.n_rows()

@@ -8,7 +8,7 @@
 //! passes instead of a per-rule re-scan with `Vec<u32>` keys, and only
 //! the *violating* groups are ever materialized.
 
-use crate::plan::{scan_matching, CoverPlan};
+use crate::plan::{CoverPlan, Scan};
 use cfd_model::fxhash::{FxHashMap, FxHashSet};
 use cfd_model::relation::{Relation, TupleId};
 use cfd_model::repair::Repair;
@@ -54,7 +54,7 @@ fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize, cfd: &Cfd) -> Vec
         // constant RHS: every mismatching matching tuple gets the
         // rule's constant
         let expect = cfd.rhs_val().as_const().expect("const-RHS rule");
-        scan_matching(rel, &consts, |t| {
+        Scan::of(rel, &consts).for_each(|t| {
             let cur = rhs_codes[t as usize];
             if cur != expect {
                 out.push(Repair {
@@ -72,7 +72,7 @@ fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize, cfd: &Cfd) -> Vec
     let gids = plan.group_ids(family).gids();
     let mut first_rhs: FxHashMap<u32, u32> = FxHashMap::default();
     let mut mixed: FxHashSet<u32> = FxHashSet::default();
-    scan_matching(rel, &consts, |t| {
+    Scan::of(rel, &consts).for_each(|t| {
         let gid = gids[t as usize];
         let rhs = rhs_codes[t as usize];
         match first_rhs.entry(gid) {
@@ -90,7 +90,7 @@ fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize, cfd: &Cfd) -> Vec
         return out;
     }
     let mut members: FxHashMap<u32, Vec<TupleId>> = FxHashMap::default();
-    scan_matching(rel, &consts, |t| {
+    Scan::of(rel, &consts).for_each(|t| {
         let gid = gids[t as usize];
         if mixed.contains(&gid) {
             members.entry(gid).or_default().push(t);

@@ -485,10 +485,15 @@ fn repair(a: &Args) -> Result<ExitCode> {
         .map(|(_, cfd)| cfd)
         .collect();
     use cfd_suite::model::repair::apply_repairs;
-    let before = detect_violations(&rel, &rules).len();
+    let opts = ValidateOptions {
+        limit: 0,
+        ..Default::default()
+    };
+    let count = |rel: &Relation| validate(rel, &rules, &opts).total_violations();
+    let before = count(&rel);
     let repairs = suggest_repairs_for_cover(&rel, &rules);
     let fixed = apply_repairs(&rel, &repairs);
-    let after = detect_violations(&fixed, &rules).len();
+    let after = count(&fixed);
     let mut out = std::io::BufWriter::new(std::fs::File::create(&a.positional[2])?);
     cfd_suite::model::csv::relation_to_csv(&fixed, &mut out)?;
     out.flush().map_err(cfd_suite::prelude::Error::from)?;

@@ -1124,6 +1124,12 @@ fn repair_command_round_trip() {
     );
     let log = String::from_utf8_lossy(&rep.stderr).to_string();
     assert!(log.contains("cell edits applied"), "{log}");
+    // the one corrupted street breaks nine rule records, and its one
+    // edit clears them all
+    assert!(
+        log.contains("# 1 cell edits applied; violations 9 -> 0;"),
+        "{log}"
+    );
 
     // the repaired file restores the corrupted street and passes check
     let fixed_text = std::fs::read_to_string(&fixed).unwrap();
