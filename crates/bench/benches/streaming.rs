@@ -2,11 +2,12 @@
 //! throughput (inserts + deletes per second) of `StreamEngine` batch
 //! application at 1/2/4 threads, on the tax workload.
 //!
-//! Each iteration inserts one batch of fresh tuples and deletes it
-//! again, so the engine's live state is identical across samples and
-//! the number reported is steady-state update throughput under a rule
-//! cover actually discovered on the warm data. Future PRs track this
-//! line to keep the serving path's perf trajectory visible.
+//! Each iteration inserts one batch of fresh string tuples (interned as
+//! `cfd watch` interns them) and deletes it again, so the engine's live
+//! state is identical across samples and the number reported is
+//! steady-state update throughput under a rule cover actually
+//! discovered on the warm data. Future PRs track this line to keep the
+//! serving path's perf trajectory visible.
 
 use cfd_core::{DiscoverOptions, Discoverer, FastCfd};
 use cfd_datagen::tax::TaxGenerator;
@@ -18,8 +19,7 @@ fn bench(c: &mut Criterion) {
     const WARM: usize = 2_000;
     const BATCH: usize = 256;
 
-    // one relation; the warm prefix shares dictionaries with the tail,
-    // so tail rows stream in as pre-encoded batches
+    // one relation: the warm prefix, and the tail as string rows
     let rel = TaxGenerator::new(WARM + BATCH).generate();
     let warm_rows: Vec<u32> = (0..WARM as u32).collect();
     let warm = rel.restrict(&warm_rows);
@@ -27,8 +27,8 @@ fn bench(c: &mut Criterion) {
         .discover(&warm, &DiscoverOptions::new((WARM / 100).max(2)))
         .into_iter()
         .collect();
-    let batch: Vec<Vec<u32>> = (WARM as u32..(WARM + BATCH) as u32)
-        .map(|t| (0..rel.arity()).map(|a| rel.code(t, a)).collect())
+    let batch: Vec<Vec<&str>> = (WARM as u32..(WARM + BATCH) as u32)
+        .map(|t| rel.tuple_values(t))
         .collect();
 
     let mut group = c.benchmark_group("streaming");
@@ -45,9 +45,9 @@ fn bench(c: &mut Criterion) {
             &batch,
             |b, batch| {
                 b.iter(|| {
-                    let first = engine.n_total() as u32;
-                    engine.insert_coded(batch.clone());
-                    let ids: Vec<u32> = (first..first + BATCH as u32).collect();
+                    let (ids, _) = engine
+                        .insert_batch(batch)
+                        .expect("batch rows have the schema's width");
                     engine.delete_batch(&ids).expect("batch rows are live");
                 })
             },

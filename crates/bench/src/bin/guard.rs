@@ -30,7 +30,8 @@
 //!   Only the index pass is timed, so a return of the quadratic level
 //!   join (DESIGN.md §2.3) is not diluted by FastCFD's other phases.
 //! * `stream_batch` — the `cfd watch` path: steady-state insert+delete
-//!   batches through a warm `StreamEngine`.
+//!   batches of string rows through a warm `StreamEngine`, interning
+//!   included.
 //! * `remine_drift` — the `cfd watch --remine` path: a drift batch
 //!   pushes a planted FD under θ and one full self-healing cycle
 //!   (trigger, projection, mine, atomic apply, kernel re-measure)
@@ -138,10 +139,11 @@ fn run_closed2(rel: &Relation) -> u64 {
     ClosedSetIndex::mine(rel, 1).len() as u64
 }
 
-/// The `cfd watch` workload: each round inserts a pre-encoded batch
-/// and deletes it again, so live state is identical across rounds and
-/// the number is steady-state update cost.
-fn stream_workload() -> (StreamEngine, Vec<Vec<u32>>) {
+/// The `cfd watch` workload: each round inserts a batch of string rows
+/// (interned as `cfd watch` interns them) and deletes it again, so live
+/// state is identical across rounds and the number is steady-state
+/// update cost.
+fn stream_workload() -> (StreamEngine, Vec<Vec<String>>) {
     const WARM: usize = 2_000;
     const BATCH: usize = 256;
     let rel = TaxGenerator::new(WARM + BATCH).generate();
@@ -151,19 +153,19 @@ fn stream_workload() -> (StreamEngine, Vec<Vec<u32>>) {
         .discover(&warm, &DiscoverOptions::new((WARM / 100).max(2)))
         .into_iter()
         .collect();
-    let batch: Vec<Vec<u32>> = (WARM as u32..(WARM + BATCH) as u32)
-        .map(|t| (0..rel.arity()).map(|a| rel.code(t, a)).collect())
+    let batch: Vec<Vec<String>> = (WARM as u32..(WARM + BATCH) as u32)
+        .map(|t| rel.tuple_values(t).into_iter().map(String::from).collect())
         .collect();
     let (engine, _) = StreamEngine::warm(&warm, rules, 1);
     (engine, batch)
 }
 
-fn run_stream(engine: &mut StreamEngine, batch: &[Vec<u32>]) -> u64 {
+fn run_stream(engine: &mut StreamEngine, batch: &[Vec<String>]) -> u64 {
     let mut n = 0u64;
     for _ in 0..8 {
-        let first = engine.n_total() as u32;
-        engine.insert_coded(batch.to_vec());
-        let ids: Vec<u32> = (first..first + batch.len() as u32).collect();
+        let (ids, _) = engine
+            .insert_batch(batch)
+            .expect("batch rows have the schema's width");
         let delta = engine.delete_batch(&ids).expect("batch rows are live");
         n += (delta.raised.len() + delta.cleared.len()) as u64;
     }
@@ -176,7 +178,7 @@ fn run_stream(engine: &mut StreamEngine, batch: &[Vec<u32>]) -> u64 {
 /// full re-mining cycle. Each round pays the whole self-healing path —
 /// engine warm, drift batch, trigger, neighborhood projection, mine,
 /// atomic apply, kernel re-measure.
-fn remine_workload() -> (Relation, Vec<Cfd>, Vec<Vec<u32>>) {
+fn remine_workload() -> (Relation, Vec<Cfd>, Vec<Vec<String>>) {
     const WARM: usize = 3_000;
     const DRIFT: usize = 600;
     let rel = TaxGenerator::new(WARM + DRIFT).seed(13).generate();
@@ -187,15 +189,12 @@ fn remine_workload() -> (Relation, Vec<Cfd>, Vec<Vec<u32>>) {
     let rules = vec![Cfd::fd(AttrSet::singleton(ac), ct)];
     // conflicting inserts: each drift row keeps its AC but takes the
     // CT of a row half the window away, so matching groups disagree
-    let batch: Vec<Vec<u32>> = (WARM as u32..(WARM + DRIFT) as u32)
+    let batch: Vec<Vec<String>> = (WARM as u32..(WARM + DRIFT) as u32)
         .map(|t| {
             (0..rel.arity())
                 .map(|a| {
-                    if a == ct {
-                        rel.code(t - WARM as u32 / 2, a)
-                    } else {
-                        rel.code(t, a)
-                    }
+                    let src = if a == ct { t - WARM as u32 / 2 } else { t };
+                    rel.value(src, a).to_string()
                 })
                 .collect()
         })
@@ -203,10 +202,12 @@ fn remine_workload() -> (Relation, Vec<Cfd>, Vec<Vec<u32>>) {
     (warm, rules, batch)
 }
 
-fn run_remine(warm: &Relation, rules: &[Cfd], batch: &[Vec<u32>]) -> u64 {
+fn run_remine(warm: &Relation, rules: &[Cfd], batch: &[Vec<String>]) -> u64 {
     use cfd_stream::{remine, RemineOptions};
     let (mut engine, _) = StreamEngine::warm(warm, rules.to_vec(), 1);
-    engine.insert_coded(batch.to_vec());
+    engine
+        .insert_batch(batch)
+        .expect("drift rows have the schema's width");
     let delta = remine(&mut engine, &RemineOptions::default(), &Control::default())
         .expect("default Control is never cancelled")
         .expect("the drift batch must trigger re-mining");

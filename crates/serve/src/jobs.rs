@@ -23,7 +23,7 @@ use crate::session::attach_rule_texts;
 use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer, Note};
 use cfd_model::{Cfd, Control, Json, RuleMeasure};
 use cfd_stream::{CoverDelta, RemineOptions, StreamEngine};
-use cfd_validate::ValidateOptions;
+use cfd_validate::{CoverPlan, ValidateOptions};
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
@@ -329,12 +329,14 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
                 limit: 0,
                 ..Default::default()
             };
-            let count =
-                |rel| cfd_validate::validate(rel, cfds.iter().copied(), &opts).total_violations();
-            let before = count(&ds.rel);
-            let edits = cfd_validate::suggest_repairs_for_cover(&ds.rel, cfds.iter().copied());
+            // one plan serves the before-count and the repair; only the
+            // repaired relation needs a plan of its own
+            let plan = CoverPlan::compile(&ds.rel, cfds.iter().copied());
+            let before = plan.validate(&ds.rel, &opts).total_violations();
+            let edits = cfd_validate::suggest_repairs_for_cover(&ds.rel, &plan);
             let fixed = cfd_model::apply_repairs(&ds.rel, &edits);
-            let after = count(&fixed);
+            let after =
+                cfd_validate::validate(&fixed, cfds.iter().copied(), &opts).total_violations();
             let edit_docs = Json::arr(edits.iter().map(|r| {
                 let dict = ds.rel.column(r.attr).dict();
                 Json::obj([
@@ -645,7 +647,8 @@ mod tests {
             .map(|t| (t.to_string(), parse_cfd(&rel, t).unwrap()))
             .collect();
         let cfds = || rules.iter().map(|(_, c)| c);
-        let want = cfd_validate::suggest_repairs_for_cover(&rel, cfds());
+        let plan = cfd_validate::CoverPlan::compile(&rel, cfds());
+        let want = cfd_validate::suggest_repairs_for_cover(&rel, &plan);
         let before = cfd_validate::detect_violations(&rel, cfds()).len();
         let fixed = cfd_model::apply_repairs(&rel, &want);
         let after = cfd_validate::detect_violations(&fixed, cfds()).len();

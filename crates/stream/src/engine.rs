@@ -10,13 +10,6 @@ use cfd_model::schema::AttrId;
 use cfd_model::{Cfd, Error, FxHashMap, Relation, Result, Schema, Violation};
 use std::sync::Arc;
 
-/// One encoded operation of a batch, applied to every rule it can match.
-struct Op {
-    id: RowId,
-    codes: Vec<u32>,
-    insert: bool,
-}
-
 /// An incremental violation-detection engine over streaming tuples.
 ///
 /// Compile it from a warm [`Relation`] and a rule set (a canonical cover
@@ -37,15 +30,22 @@ struct Op {
 /// Unseen attribute values arriving mid-stream are interned with fresh
 /// dictionary codes (the [`RelationBuilder::from_dicts`] hook), so the
 /// engine accepts open-domain traffic. Row ids are assigned
-/// monotonically and never reused; deleted rows keep their slot in the
-/// (append-only) code store, which trades memory for O(1) delete — the
-/// right call for a monitoring window that is periodically recompiled.
+/// monotonically and never reused. The column-major code store holds
+/// the rows from a base id on: a delete only clears the row's live flag
+/// (O(1)), and once the dead rows at the front of the store are at
+/// least half of it they are dropped and the base moves past them,
+/// amortized O(1) per row. A window whose deletes remove its oldest
+/// rows, as `cfd watch`'s sliding windows do, therefore keeps at most
+/// about twice its live rows stored. Only that dead *prefix* is
+/// reclaimed: a stream that keeps its oldest row live keeps every row
+/// inserted after it.
 ///
-/// Every batch is encoded once and applied to the rules' indexes on up
-/// to `threads` workers (the [`shard_runs`] harness, no more workers
-/// than cores), each owning a contiguous chunk of the rules. A worker
-/// gives each tuple only to the rules of its chunk whose first LHS
-/// constant the tuple carries, and to the rules without a constant.
+/// Every batch is encoded once, one column at a time straight into the
+/// store, and applied to the rules' indexes on up to `threads` workers
+/// (the [`shard_runs`] harness, no more workers than cores), each
+/// owning a contiguous chunk of the rules. A worker gives each tuple
+/// only to the rules of its chunk whose first LHS constant the tuple
+/// carries, and to the rules without a constant.
 pub struct StreamEngine {
     schema: Schema,
     dicts: Vec<Dict>,
@@ -58,9 +58,15 @@ pub struct StreamEngine {
     states: Vec<RuleState>,
     /// Requested workers per batch, warm and cover swap.
     threads: usize,
-    /// Append-only column-major code store for every row ever inserted.
+    /// Column-major codes of the stored rows: slot `s` holds row id
+    /// `base + s`.
     cols: Vec<Vec<u32>>,
+    /// Live flag per stored row.
     live: Vec<bool>,
+    /// Row id of slot 0; every row below it was deleted and reclaimed.
+    base: usize,
+    /// Leading slots known dead (the prefix `reclaim` drops).
+    dead_prefix: usize,
     n_live: usize,
     /// Optional metrics sink: batch counters (`stream.*`) are emitted
     /// per applied batch. `Arc` rather than a borrow because the engine
@@ -128,6 +134,8 @@ impl StreamEngine {
             threads,
             cols: vec![Vec::new(); rel.arity()],
             live: Vec::new(),
+            base: 0,
+            dead_prefix: 0,
             n_live: 0,
             metrics: None,
         }
@@ -163,123 +171,131 @@ impl StreamEngine {
     /// Number of rows ever inserted (the next insert takes id
     /// `n_total`).
     pub fn n_total(&self) -> usize {
-        self.live.len()
+        self.base + self.live.len()
+    }
+
+    /// The store slot of row `id`, if the row is still stored.
+    fn slot(&self, id: RowId) -> Option<usize> {
+        (id as usize)
+            .checked_sub(self.base)
+            .filter(|&s| s < self.live.len())
     }
 
     /// True iff row `id` exists and has not been deleted.
     pub fn is_live(&self, id: RowId) -> bool {
-        self.live.get(id as usize).copied().unwrap_or(false)
+        self.slot(id).is_some_and(|s| self.live[s])
     }
 
     /// The live row ids, ascending (= insertion order).
     pub fn live_ids(&self) -> Vec<RowId> {
-        (0..self.live.len() as RowId)
-            .filter(|&t| self.live[t as usize])
+        (0..self.live.len())
+            .filter(|&s| self.live[s])
+            .map(|s| (self.base + s) as RowId)
             .collect()
     }
 
     /// The string values of row `id`, if it is live.
     pub fn row_values(&self, id: RowId) -> Option<Vec<&str>> {
-        if !self.is_live(id) {
-            return None;
-        }
+        let s = self.slot(id).filter(|&s| self.live[s])?;
         Some(
             self.cols
                 .iter()
                 .zip(&self.dicts)
-                .map(|(col, dict)| dict.value(col[id as usize]))
+                .map(|(col, dict)| dict.value(col[s]))
                 .collect(),
         )
     }
 
     /// Encodes and inserts a batch of string tuples, returning their new
-    /// row ids and the violation delta. Unseen values are interned with
-    /// fresh codes; a row of the wrong width fails the whole batch
-    /// before any tuple is applied.
-    pub fn insert_batch<S: AsRef<str>>(
-        &mut self,
-        rows: &[Vec<S>],
-    ) -> Result<(Vec<RowId>, BatchDelta)> {
+    /// row ids and the violation delta. A row is anything that slices
+    /// as strings (`Vec<&str>`, `&[String]`, a `chunks_exact` of one
+    /// flat field list). Every width is checked before anything is
+    /// interned, so a row of the wrong width fails the whole batch
+    /// unchanged. Then each column is interned on its own, in row
+    /// order, straight into the store: a column's dictionary stays in
+    /// cache for the whole batch, and the codes are those of interning
+    /// row by row, since every column has its own dictionary. Unseen
+    /// values get fresh codes.
+    pub fn insert_batch<R, S>(&mut self, rows: &[R]) -> Result<(Vec<RowId>, BatchDelta)>
+    where
+        R: AsRef<[S]>,
+        S: AsRef<str>,
+    {
         let arity = self.schema.arity();
-        for row in rows {
-            if row.len() != arity {
-                return Err(Error::Relation(format!(
-                    "streamed row has {} values, schema has arity {arity}",
-                    row.len()
-                )));
+        if let Some(row) = rows.iter().find(|row| row.as_ref().len() != arity) {
+            return Err(Error::Relation(format!(
+                "streamed row has {} values, schema has arity {arity}",
+                row.as_ref().len()
+            )));
+        }
+        let first = self.n_total() as RowId;
+        // the rule indexes read each row's codes from one row-major
+        // buffer, filled as the columns are interned
+        let mut codes = vec![0u32; rows.len() * arity];
+        for (a, (col, dict)) in self.cols.iter_mut().zip(&mut self.dicts).enumerate() {
+            col.reserve(rows.len());
+            for (row, code) in rows.iter().zip(codes.iter_mut().skip(a).step_by(arity)) {
+                *code = dict.intern(row.as_ref()[a].as_ref());
+                col.push(*code);
             }
         }
-        let coded: Vec<Vec<u32>> = rows
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .zip(&mut self.dicts)
-                    .map(|(v, dict)| dict.intern(v.as_ref()))
-                    .collect()
-            })
-            .collect();
-        let first = self.live.len() as RowId;
-        let ids = (first..first + rows.len() as RowId).collect();
-        let delta = self.insert_coded(coded);
+        self.live.resize(self.live.len() + rows.len(), true);
+        self.n_live += rows.len();
+        let ids: Vec<RowId> = (first..first + rows.len() as RowId).collect();
+        let delta = self.apply(&ids, &codes, true);
         Ok((ids, delta))
-    }
-
-    /// Inserts pre-encoded rows (codes must be valid for the engine's
-    /// dictionaries). [`insert_batch`](StreamEngine::insert_batch)
-    /// encodes its rows and calls it; the benches feed it generated
-    /// codes.
-    pub fn insert_coded(&mut self, rows: Vec<Vec<u32>>) -> BatchDelta {
-        let ops: Vec<Op> = rows
-            .into_iter()
-            .map(|codes| {
-                debug_assert_eq!(codes.len(), self.schema.arity());
-                debug_assert!(codes
-                    .iter()
-                    .zip(&self.dicts)
-                    .all(|(&c, d)| (c as usize) < d.len()));
-                let id = self.live.len() as RowId;
-                for (col, &c) in self.cols.iter_mut().zip(&codes) {
-                    col.push(c);
-                }
-                self.live.push(true);
-                self.n_live += 1;
-                Op {
-                    id,
-                    codes,
-                    insert: true,
-                }
-            })
-            .collect();
-        self.apply(&ops)
     }
 
     /// Deletes a batch of live rows by id, returning the violation
     /// delta. Unknown or already-deleted ids fail the whole batch before
     /// any tuple is applied; a duplicate id within the batch is likewise
-    /// rejected.
+    /// rejected. The check clears each id's live flag as it goes (a
+    /// repeated id finds its flag already cleared) and sets them back
+    /// if the batch fails.
     pub fn delete_batch(&mut self, ids: &[RowId]) -> Result<BatchDelta> {
-        let mut seen = cfd_model::FxHashSet::default();
-        for &id in ids {
-            if !self.is_live(id) {
-                return Err(Error::Relation(format!("row {id} is not live")));
-            }
-            if !seen.insert(id) {
-                return Err(Error::Relation(format!("row {id} deleted twice in batch")));
-            }
-        }
-        let ops: Vec<Op> = ids
-            .iter()
-            .map(|&id| {
-                self.live[id as usize] = false;
-                self.n_live -= 1;
-                Op {
-                    id,
-                    codes: self.cols.iter().map(|col| col[id as usize]).collect(),
-                    insert: false,
+        for (i, &id) in ids.iter().enumerate() {
+            let Some(s) = self.slot(id).filter(|&s| self.live[s]) else {
+                let why = if ids[..i].contains(&id) {
+                    format!("row {id} deleted twice in batch")
+                } else {
+                    format!("row {id} is not live")
+                };
+                for &done in &ids[..i] {
+                    self.live[done as usize - self.base] = true;
                 }
-            })
-            .collect();
-        Ok(self.apply(&ops))
+                return Err(Error::Relation(why));
+            };
+            self.live[s] = false;
+        }
+        self.n_live -= ids.len();
+        let mut codes = Vec::with_capacity(ids.len() * self.cols.len());
+        for &id in ids {
+            let s = id as usize - self.base;
+            codes.extend(self.cols.iter().map(|col| col[s]));
+        }
+        self.reclaim();
+        Ok(self.apply(ids, &codes, false))
+    }
+
+    /// Drops the store's dead prefix once it is at least half the
+    /// store, moving `base` past it. The prefix cursor only advances
+    /// between drops and a drop moves at most as many live slots as it
+    /// frees, so the cost is amortized O(1) per row.
+    fn reclaim(&mut self) {
+        self.dead_prefix += self.live[self.dead_prefix..]
+            .iter()
+            .take_while(|&&live| !live)
+            .count();
+        let dead = self.dead_prefix;
+        if dead == 0 || dead * 2 < self.live.len() {
+            return;
+        }
+        for col in &mut self.cols {
+            col.drain(..dead);
+        }
+        self.live.drain(..dead);
+        self.base += dead;
+        self.dead_prefix = 0;
     }
 
     /// Below this many `row × rule` applications a batch, warm or cover
@@ -288,43 +304,42 @@ impl StreamEngine {
     /// batch costs more than it saves.
     const MIN_PARALLEL_WORK: usize = 2048;
 
-    /// Applies encoded ops to the indexes of the rules each can match
-    /// (in parallel when the batch is big enough to amortize thread
-    /// spawns) and coalesces the transitions into the batch's net delta.
-    /// Every rule sees its ops in op order, so the states and the delta
-    /// are those of giving every op to every rule.
-    fn apply(&mut self, ops: &[Op]) -> BatchDelta {
-        if ops.is_empty() {
+    /// Applies one batch of encoded rows (`codes` row-major, one row
+    /// per id, all inserts or all deletes) to the indexes of the rules
+    /// each can match (in parallel when the batch is big enough to
+    /// amortize thread spawns) and coalesces the transitions into the
+    /// batch's net delta. Every rule sees its rows in batch order, so
+    /// the states and the delta are those of giving every row to every
+    /// rule.
+    fn apply(&mut self, ids: &[RowId], codes: &[u32], insert: bool) -> BatchDelta {
+        if ids.is_empty() {
             return BatchDelta::default();
         }
         let _sp = cfd_obs::span!("stream.apply_batch");
-        let events = per_chunk(&mut self.states, self.threads, ops.len(), |rules, out| {
+        let arity = self.cols.len();
+        let events = per_chunk(&mut self.states, self.threads, ids.len(), |rules, out| {
             let dispatch = Dispatch::new(rules);
-            for op in ops {
-                dispatch.for_each_rule(&op.codes, |r| {
-                    if op.insert {
-                        rules[r].insert(op.id, &op.codes, out);
+            for (&id, codes) in ids.iter().zip(codes.chunks_exact(arity)) {
+                dispatch.for_each_rule(codes, |r| {
+                    if insert {
+                        rules[r].insert(id, codes, out);
                     } else {
-                        rules[r].delete(op.id, &op.codes, out);
+                        rules[r].delete(id, codes, out);
                     }
                 });
             }
         });
         let delta = coalesce(events);
         if let Some(m) = &self.metrics {
+            let rows = ids.len() as u64;
             m.add("stream.batches", 1);
-            m.add(
-                "stream.inserts",
-                ops.iter().filter(|o| o.insert).count() as u64,
-            );
-            m.add(
-                "stream.deletes",
-                ops.iter().filter(|o| !o.insert).count() as u64,
-            );
+            m.add("stream.inserts", if insert { rows } else { 0 });
+            m.add("stream.deletes", if insert { 0 } else { rows });
             m.add("stream.raised", delta.raised.len() as u64);
             m.add("stream.cleared", delta.cleared.len() as u64);
-            m.observe("stream.batch_rows", ops.len() as u64);
+            m.observe("stream.batch_rows", rows);
             m.set_gauge("stream.live_rows", self.n_live as u64);
+            m.set_gauge("stream.stored_rows", self.live.len() as u64);
         }
         delta
     }
@@ -444,12 +459,9 @@ impl StreamEngine {
         let mut b = RelationBuilder::from_dicts(self.schema.clone(), self.dicts.clone())
             .expect("engine dictionaries match its schema");
         let mut row = vec![0u32; self.schema.arity()];
-        for id in 0..self.live.len() {
-            if !self.live[id] {
-                continue;
-            }
+        for s in (0..self.live.len()).filter(|&s| self.live[s]) {
             for (v, col) in row.iter_mut().zip(&self.cols) {
-                *v = col[id];
+                *v = col[s];
             }
             b.push_coded_row(&row).expect("row width is the arity");
         }

@@ -226,6 +226,146 @@ mod tests {
         // wrong-width insert is rejected before any mutation
         assert!(engine.insert_batch(&[vec!["just", "two"]]).is_err());
         assert_eq!(engine.n_total(), 5);
+
+        // a rejected batch leaves every live flag as it was, whether a
+        // dead id follows live ones or a live id repeats
+        let err = |r: cfd_model::Result<BatchDelta>| r.unwrap_err().to_string();
+        let ids = engine.live_ids();
+        assert_eq!(ids, vec![1, 2, 3, 4]);
+        let dead_last = err(engine.delete_batch(&[2, 3, 0]));
+        assert!(dead_last.contains("row 0 is not live"), "{dead_last}");
+        let repeated = err(engine.delete_batch(&[1, 4, 2, 4]));
+        assert!(
+            repeated.contains("row 4 deleted twice in batch"),
+            "{repeated}"
+        );
+        let unknown = err(engine.delete_batch(&[3, 1, 99]));
+        assert!(unknown.contains("row 99 is not live"), "{unknown}");
+        assert_eq!(engine.live_ids(), ids);
+        assert!(ids.iter().all(|&t| engine.is_live(t)));
+        assert_eq!(engine.n_live(), 4);
+        reconcile(&engine);
+        // and the rows can still be deleted, each exactly once
+        engine.delete_batch(&[2, 3]).unwrap();
+        assert_eq!(engine.live_ids(), vec![1, 4]);
+        reconcile(&engine);
+    }
+
+    #[test]
+    fn width_rejected_insert_interns_nothing() {
+        let rel = cust();
+        let (mut engine, _) = StreamEngine::warm(&rel, rules(&rel), 1);
+        let domains = |e: &StreamEngine| -> Vec<usize> {
+            let mat = e.materialize();
+            (0..mat.arity())
+                .map(|a| mat.column(a).dict().len())
+                .collect()
+        };
+        let before = domains(&engine);
+        // a full row of unseen values ahead of a short one
+        let fresh = vec!["49", "308", "7", "Uwe", "Bahnstr.", "B", "10115"];
+        assert!(engine
+            .insert_batch(&[fresh.clone(), vec!["49", "308"]])
+            .is_err());
+        assert_eq!(domains(&engine), before);
+        assert_eq!((engine.n_total(), engine.n_live()), (5, 5));
+        // the same row alone then takes the next code of every column
+        let (ids, _) = engine.insert_batch(&[fresh]).unwrap();
+        let mat = engine.materialize();
+        for (a, &n) in before.iter().enumerate() {
+            assert_eq!(mat.code(ids[0], a), n as u32, "column {a}");
+        }
+    }
+
+    #[test]
+    fn column_at_a_time_codes_equal_row_order_ones() {
+        let schema = Schema::new(["A", "B", "C"]).unwrap();
+        let warm_rows = vec![vec!["x", "y", "z"], vec!["y", "x", "z"]];
+        // values shared across columns and repeated within a batch, in
+        // an order that differs from column to column
+        let batches = vec![
+            vec![
+                vec!["z", "x", "q"],
+                vec!["q", "q", "x"],
+                vec!["z", "w", "y"],
+            ],
+            vec![vec!["w", "z", "w"]],
+            vec![
+                vec!["v", "v", "v"],
+                vec!["x", "v", "u"],
+                vec!["u", "u", "q"],
+            ],
+        ];
+        let warm = relation_from_rows(schema.clone(), &warm_rows).unwrap();
+        let (mut engine, _) = StreamEngine::warm(&warm, Vec::new(), 1);
+        let mut all = warm_rows.clone();
+        for batch in &batches {
+            engine.insert_batch(batch).unwrap();
+            all.extend(batch.iter().cloned());
+        }
+        let want = relation_from_rows(schema, &all).unwrap();
+        let got = engine.materialize();
+        assert_eq!(got.n_rows(), want.n_rows());
+        for a in 0..want.arity() {
+            let (g, w) = (got.column(a), want.column(a));
+            assert_eq!(g.codes(), w.codes(), "codes of column {a}");
+            let values = |d: &cfd_model::relation::Dict| -> Vec<String> {
+                (0..d.len() as u32)
+                    .map(|c| d.value(c).to_string())
+                    .collect()
+            };
+            assert_eq!(
+                values(g.dict()),
+                values(w.dict()),
+                "dictionary of column {a}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sliding_window_keeps_a_bounded_store() {
+        let rel = cust();
+        let (engine, _) = StreamEngine::warm(&rel, rules(&rel), 1);
+        let sink = std::sync::Arc::new(cfd_obs::Registry::new());
+        let mut engine = engine.metrics_with(sink.clone());
+        let gauge = |name| sink.snapshot().gauge(name).unwrap() as usize;
+        // each batch deletes the 3 oldest live rows and inserts 3 more,
+        // drawn round the cust rows with a dissenting street now and
+        // then, so witnesses leave and violations come and go
+        const BATCH: usize = 3;
+        for i in 0..120 {
+            let oldest: Vec<RowId> = engine.live_ids()[..BATCH].to_vec();
+            engine.delete_batch(&oldest).unwrap();
+            let rows: Vec<Vec<String>> = (0..BATCH)
+                .map(|j| {
+                    let mut row: Vec<String> = rel
+                        .tuple_values(((i * BATCH + j) % rel.n_rows()) as u32)
+                        .into_iter()
+                        .map(String::from)
+                        .collect();
+                    if (i + j) % 7 == 0 {
+                        row[4] = format!("Side St. {}", i % 3);
+                    }
+                    row
+                })
+                .collect();
+            engine.insert_batch(&rows).unwrap();
+            let (live, stored) = (gauge("stream.live_rows"), gauge("stream.stored_rows"));
+            assert_eq!(live, engine.n_live());
+            assert!(stored <= 2 * live + BATCH, "batch {i}: {stored} stored");
+            if i % 10 == 9 {
+                reconcile(&engine);
+            }
+        }
+        assert_eq!(engine.n_total(), 5 + 120 * BATCH);
+        assert!(gauge("stream.stored_rows") < 2 * 5 + BATCH);
+        // ids below the reclaimed base read as dead, ids above as before
+        assert!(!engine.is_live(0) && engine.row_values(0).is_none());
+        let last = engine.n_total() as RowId - 1;
+        assert!(engine.is_live(last) && engine.row_values(last).is_some());
+        assert!(!engine.is_live(last + 1));
+        assert!(engine.delete_batch(&[0]).is_err());
+        reconcile(&engine);
     }
 
     #[test]

@@ -263,7 +263,7 @@ mod tests {
             parse_cfd(&r, "(AC -> CT, (908 || MH))").unwrap(),
             parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap(),
         ];
-        let kernel = suggest_repairs_for_cover(&r, &rules);
+        let kernel = suggest_repairs_for_cover(&r, &CoverPlan::compile(&r, &rules));
         // reference: per-rule repairs, first rule wins per cell
         let mut seen = cfd_model::FxHashSet::default();
         let mut want = Vec::new();

@@ -55,7 +55,7 @@ impl Default for ValidateOptions {
 }
 
 /// The RHS-kind-specific part of a compiled rule.
-enum RuleRhs {
+pub(crate) enum RuleRhs {
     /// Constant RHS: matching tuples must carry this code.
     Const(u32),
     /// Variable RHS: groups of the family must agree on the RHS.
@@ -67,15 +67,16 @@ enum RuleRhs {
 
 /// One rule, compiled: the LHS constant filter, the RHS attribute, and
 /// how to judge the RHS.
-struct CompiledRule {
+pub(crate) struct CompiledRule {
     rule: usize,
-    consts: Vec<(AttrId, u32)>,
-    rhs_attr: AttrId,
-    rhs: RuleRhs,
+    pub(crate) consts: Vec<(AttrId, u32)>,
+    pub(crate) rhs_attr: AttrId,
+    pub(crate) rhs: RuleRhs,
 }
 
 /// One LHS wildcard attribute set and its shared grouping.
 struct Family {
+    wild: Vec<AttrId>,
     gids: GroupIds,
 }
 
@@ -155,6 +156,7 @@ impl CoverPlan {
             |wild, _| {
                 let _sp = cfd_obs::span!("validate.group_build");
                 Family {
+                    wild: wild.clone(),
                     gids: GroupIds::build(rel, wild),
                 }
             },
@@ -185,6 +187,16 @@ impl CoverPlan {
     /// streaming engine bulk-builds its warm indexes from.
     pub fn group_ids(&self, f: usize) -> &GroupIds {
         &self.families[f].gids
+    }
+
+    /// Compiled rule `r`.
+    pub(crate) fn rule(&self, r: usize) -> &CompiledRule {
+        &self.rules[r]
+    }
+
+    /// The LHS wildcard attributes family `f` groups by, in LHS order.
+    pub(crate) fn wild(&self, f: usize) -> &[AttrId] {
+        &self.families[f].wild
     }
 
     /// Validates the compiled cover against `rel`, sharded across

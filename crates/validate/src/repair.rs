@@ -8,29 +8,25 @@
 //! passes instead of a per-rule re-scan with `Vec<u32>` keys, and only
 //! the *violating* groups are ever materialized.
 
-use crate::plan::{CoverPlan, Scan};
+use crate::plan::{CoverPlan, RuleRhs, Scan};
 use cfd_model::fxhash::{FxHashMap, FxHashSet};
 use cfd_model::relation::{Relation, TupleId};
 use cfd_model::repair::Repair;
-use cfd_model::Cfd;
 
-/// Suggests repairs for a whole rule set, deduplicated per cell: when
-/// several rules implicate the same `(tuple, attribute)` cell, the
-/// first rule's suggestion wins (rule order = caller's priority order).
+/// Suggests repairs for every rule of a compiled cover, deduplicated
+/// per cell: when several rules implicate the same `(tuple, attribute)`
+/// cell, the first rule's suggestion wins (rule order = caller's
+/// priority order). `plan` must be compiled for `rel`, so one plan
+/// serves both a validation of `rel` and its repair.
 ///
 /// Produces exactly what folding the per-rule reference
 /// [`cfd_model::repair::suggest_repairs`] over the rules would, via the
 /// kernel's shared grouping instead of per-rule scans.
-pub fn suggest_repairs_for_cover<'a, I>(rel: &Relation, cfds: I) -> Vec<Repair>
-where
-    I: IntoIterator<Item = &'a Cfd>,
-{
-    let cfds: Vec<&Cfd> = cfds.into_iter().collect();
-    let plan = CoverPlan::compile(rel, cfds.iter().copied());
+pub fn suggest_repairs_for_cover(rel: &Relation, plan: &CoverPlan) -> Vec<Repair> {
     let mut seen: FxHashSet<(TupleId, usize)> = FxHashSet::default();
     let mut out = Vec::new();
-    for (i, cfd) in cfds.iter().enumerate() {
-        for r in rule_repairs(rel, &plan, i, cfd) {
+    for rule in 0..plan.n_rules() {
+        for r in rule_repairs(rel, plan, rule) {
             if seen.insert((r.tuple, r.attr)) {
                 out.push(r);
             }
@@ -40,39 +36,37 @@ where
 }
 
 /// Repairs for one rule of the plan, in the reference order.
-fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize, cfd: &Cfd) -> Vec<Repair> {
-    let rhs_attr = cfd.rhs_attr();
+fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize) -> Vec<Repair> {
+    let compiled = plan.rule(rule);
+    let (rhs_attr, consts) = (compiled.rhs_attr, &compiled.consts);
     let rhs_codes = rel.column(rhs_attr).codes();
-    let consts: Vec<(usize, u32)> = cfd
-        .lhs()
-        .iter()
-        .filter_map(|(a, v)| v.as_const().map(|c| (a, c)))
-        .collect();
     let mut out = Vec::new();
 
-    let Some(family) = plan.family_of(rule) else {
-        // constant RHS: every mismatching matching tuple gets the
-        // rule's constant
-        let expect = cfd.rhs_val().as_const().expect("const-RHS rule");
-        Scan::of(rel, &consts).for_each(|t| {
-            let cur = rhs_codes[t as usize];
-            if cur != expect {
-                out.push(Repair {
-                    tuple: t,
-                    attr: rhs_attr,
-                    current: cur,
-                    suggested: expect,
-                });
-            }
-        });
-        return out;
+    let family = match compiled.rhs {
+        RuleRhs::Var { family } => family,
+        RuleRhs::Const(expect) => {
+            // constant RHS: every mismatching matching tuple gets the
+            // rule's constant
+            Scan::of(rel, consts).for_each(|t| {
+                let cur = rhs_codes[t as usize];
+                if cur != expect {
+                    out.push(Repair {
+                        tuple: t,
+                        attr: rhs_attr,
+                        current: cur,
+                        suggested: expect,
+                    });
+                }
+            });
+            return out;
+        }
     };
 
     // variable RHS: find the mixed groups, then materialize only them
     let gids = plan.group_ids(family).gids();
     let mut first_rhs: FxHashMap<u32, u32> = FxHashMap::default();
     let mut mixed: FxHashSet<u32> = FxHashSet::default();
-    Scan::of(rel, &consts).for_each(|t| {
+    Scan::of(rel, consts).for_each(|t| {
         let gid = gids[t as usize];
         let rhs = rhs_codes[t as usize];
         match first_rhs.entry(gid) {
@@ -90,14 +84,14 @@ fn rule_repairs(rel: &Relation, plan: &CoverPlan, rule: usize, cfd: &Cfd) -> Vec
         return out;
     }
     let mut members: FxHashMap<u32, Vec<TupleId>> = FxHashMap::default();
-    Scan::of(rel, &consts).for_each(|t| {
+    Scan::of(rel, consts).for_each(|t| {
         let gid = gids[t as usize];
         if mixed.contains(&gid) {
             members.entry(gid).or_default().push(t);
         }
     });
     // reference order: groups by their wildcard-value key, ascending
-    let wild: Vec<usize> = cfd.lhs().wildcard_attrs().iter().collect();
+    let wild = plan.wild(family);
     let mut groups: Vec<(Vec<u32>, &Vec<TupleId>)> = members
         .values()
         .map(|m| {

@@ -10,7 +10,9 @@ use cfd_model::repair::suggest_repairs;
 use cfd_model::satisfy::satisfies;
 use cfd_model::violation::{violations, violations_limited};
 use cfd_model::{Cfd, FxHashSet, PVal, Schema};
-use cfd_validate::{suggest_repairs_for_cover, validate, ValidateOptions, ValidationReport};
+use cfd_validate::{
+    suggest_repairs_for_cover, validate, CoverPlan, ValidateOptions, ValidationReport,
+};
 use proptest::prelude::*;
 
 /// An arbitrary instance: 1–14 rows, 2–4 attributes, domain ≤ 4 (tiny,
@@ -133,7 +135,7 @@ proptest! {
         let rules: Vec<Cfd> = FastCfd::default().discover(&clean, &DiscoverOptions::new(1)).into_iter().collect();
         let dirty = dirty_copy(&clean, &extra);
         for rel in [&clean, &dirty] {
-            let kernel = suggest_repairs_for_cover(rel, &rules);
+            let kernel = suggest_repairs_for_cover(rel, &CoverPlan::compile(rel, &rules));
             let mut seen = FxHashSet::default();
             let mut want = Vec::new();
             for cfd in &rules {

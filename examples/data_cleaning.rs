@@ -81,7 +81,8 @@ fn main() {
     // suggest and apply repairs, then re-check (cover-level repair and
     // detection both run through the shared validation kernel)
     use cfd_suite::model::repair::apply_repairs;
-    let repairs = suggest_repairs_for_cover(&dirty, rules.cfds());
+    let plan = CoverPlan::compile(&dirty, rules.cfds());
+    let repairs = suggest_repairs_for_cover(&dirty, &plan);
     let fixed = apply_repairs(&dirty, &repairs);
     let correct = repairs
         .iter()

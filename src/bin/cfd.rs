@@ -489,11 +489,13 @@ fn repair(a: &Args) -> Result<ExitCode> {
         limit: 0,
         ..Default::default()
     };
-    let count = |rel: &Relation| validate(rel, &rules, &opts).total_violations();
-    let before = count(&rel);
-    let repairs = suggest_repairs_for_cover(&rel, &rules);
+    // one plan serves the before-count and the repair; only the
+    // repaired relation needs a plan of its own
+    let plan = CoverPlan::compile(&rel, &rules);
+    let before = plan.validate(&rel, &opts).total_violations();
+    let repairs = suggest_repairs_for_cover(&rel, &plan);
     let fixed = apply_repairs(&rel, &repairs);
-    let after = count(&fixed);
+    let after = validate(&fixed, &rules, &opts).total_violations();
     let mut out = std::io::BufWriter::new(std::fs::File::create(&a.positional[2])?);
     cfd_suite::model::csv::relation_to_csv(&fixed, &mut out)?;
     out.flush().map_err(cfd_suite::prelude::Error::from)?;
@@ -697,17 +699,21 @@ fn apply_batch(
         eprintln!("# batch rejected (both halves discarded): {why}");
         Ok(())
     };
-    let rows: Vec<Vec<&str>> = inserts
-        .split_terminator('\n')
-        .map(|row| row.split(',').map(str::trim).collect())
-        .collect();
+    // the staged rows split into one flat field list, each row
+    // width-checked as it is split, then taken `arity` fields at a time
     let arity = engine.schema().arity();
-    if let Some(row) = rows.iter().find(|r| r.len() != arity) {
-        return rejected(&format_args!(
-            "row has {} values, schema has arity {arity}",
-            row.len()
-        ));
+    let mut fields: Vec<&str> = Vec::new();
+    for row in inserts.split_terminator('\n') {
+        let start = fields.len();
+        fields.extend(row.split(',').map(str::trim));
+        let width = fields.len() - start;
+        if width != arity {
+            return rejected(&format_args!(
+                "row has {width} values, schema has arity {arity}"
+            ));
+        }
     }
+    let rows: Vec<&[&str]> = fields.chunks_exact(arity).collect();
     let (mut raised, mut cleared) = (0, 0);
     if !deletes.is_empty() {
         // `delete_batch` rejects a dead or repeated id before it

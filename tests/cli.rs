@@ -739,6 +739,46 @@ fn watch_rejects_bad_batches_whole() {
 }
 
 #[test]
+fn watch_trims_a_padded_plus_row_to_its_twin() {
+    let dir = std::env::temp_dir().join(format!("cfd-cli16-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.csv");
+    let rules = dir.join("rules.txt");
+    write_csv(&clean, false);
+    discover_rules(&clean, &rules);
+
+    // the same violating tuple, once plain and once `+`-prefixed with
+    // every field padded with spaces or a tab (inner spaces are part of
+    // the value)
+    let run = |row: &str| {
+        let mut child = spawn_watch(&[clean.to_str().unwrap(), rules.to_str().unwrap()]);
+        let script = format!("{row}\n.\n");
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(script.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        let raised: Vec<String> = stdout
+            .lines()
+            .filter(|l| l.starts_with("RAISED "))
+            .map(String::from)
+            .collect();
+        (raised, stdout, out.status.code())
+    };
+    let (trimmed, stdout, code) = run("44,131,9999999,Eve,High St.,UN,EH4 1DT");
+    assert!(!trimmed.is_empty(), "{stdout}");
+    let values = r#": ["44", "131", "9999999", "Eve", "High St.", "UN", "EH4 1DT"]"#;
+    assert!(trimmed.iter().all(|l| l.ends_with(values)), "{stdout}");
+    let padded = run("+ 44 ,131,  9999999,Eve ,\tHigh St. ,UN,  EH4 1DT  ");
+    assert_eq!(padded, (trimmed, stdout, code));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn watch_flushes_each_batch_while_stdin_stays_open() {
     use std::sync::mpsc::{channel, Receiver};
     use std::time::{Duration, Instant};

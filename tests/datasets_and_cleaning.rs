@@ -141,7 +141,7 @@ fn repair_suggestions_reduce_violations() {
     let (dirty, cells) = inject_noise(&clean, 0.005, 17);
     assert!(!cells.is_empty());
     let before = cfd_suite::validate::detect_violations(&dirty, rules.cfds()).len();
-    let repairs = suggest_repairs_for_cover(&dirty, rules.cfds());
+    let repairs = suggest_repairs_for_cover(&dirty, &CoverPlan::compile(&dirty, rules.cfds()));
     let fixed = apply_repairs(&dirty, &repairs);
     let after = cfd_suite::validate::detect_violations(&fixed, rules.cfds()).len();
     assert!(
@@ -186,7 +186,7 @@ fn repair_precision_recall_against_noise_ground_truth() {
     let truth: BTreeSet<(u32, usize)> = cells.iter().copied().collect();
     let dirty_tuples: BTreeSet<u32> = cells.iter().map(|&(t, _)| t).collect();
 
-    let repairs = suggest_repairs_for_cover(&dirty, rules.cfds());
+    let repairs = suggest_repairs_for_cover(&dirty, &CoverPlan::compile(&dirty, rules.cfds()));
     assert!(!repairs.is_empty(), "noise must implicate some repairs");
     let suggested: BTreeSet<(u32, usize)> = repairs.iter().map(|r| (r.tuple, r.attr)).collect();
     let suggested_tuples: BTreeSet<u32> = repairs.iter().map(|r| r.tuple).collect();
