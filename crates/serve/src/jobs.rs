@@ -21,9 +21,9 @@ use crate::protocol::{error_json, event, ServeError};
 use crate::registry::{lock_unpoisoned, Dataset};
 use crate::session::attach_rule_texts;
 use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer, Note};
-use cfd_model::{Cfd, Control, Json, RuleMeasure};
-use cfd_stream::{CoverDelta, RemineOptions, StreamEngine};
-use cfd_validate::{CoverPlan, ValidateOptions};
+use cfd_model::{Cfd, Control, Json, RuleMeasure, Schema};
+use cfd_stream::{CoverDelta, RemineOptions};
+use cfd_validate::ValidateOptions;
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
@@ -273,8 +273,8 @@ pub enum JobSpec {
         /// Parsed rules with their wire texts.
         rules: Vec<(String, Cfd)>,
     },
-    /// One [`cfd_stream::remine()`] cycle: warm a streaming engine over
-    /// the dataset with the cover, then re-mine whatever drifted.
+    /// One [`cfd_stream::remine_cover`] cycle on the dataset, triggered
+    /// by the cover's kernel measures on it.
     Remine {
         /// Target dataset.
         ds: Arc<Dataset>,
@@ -324,20 +324,8 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             if ctrl.check().is_err() {
                 return JobOutcome::Cancelled;
             }
-            let cfds: Vec<&Cfd> = rules.iter().map(|(_, c)| c).collect();
-            let opts = ValidateOptions {
-                limit: 0,
-                ..Default::default()
-            };
-            // one plan serves the before-count and the repair; only the
-            // repaired relation needs a plan of its own
-            let plan = CoverPlan::compile(&ds.rel, cfds.iter().copied());
-            let before = plan.validate(&ds.rel, &opts).total_violations();
-            let edits = cfd_validate::suggest_repairs_for_cover(&ds.rel, &plan);
-            let fixed = cfd_model::apply_repairs(&ds.rel, &edits);
-            let after =
-                cfd_validate::validate(&fixed, cfds.iter().copied(), &opts).total_violations();
-            let edit_docs = Json::arr(edits.iter().map(|r| {
+            let repair = cfd_validate::repair_cover(&ds.rel, rules.iter().map(|(_, c)| c));
+            let edit_docs = Json::arr(repair.edits.iter().map(|r| {
                 let dict = ds.rel.column(r.attr).dict();
                 Json::obj([
                     ("tuple", Json::from(r.tuple)),
@@ -348,23 +336,26 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             }));
             JobOutcome::Done(Json::obj([
                 ("edits", edit_docs),
-                ("violations_before", Json::from(before)),
-                ("violations_after", Json::from(after)),
+                ("violations_before", Json::from(repair.violations_before)),
+                ("violations_after", Json::from(repair.violations_after)),
             ]))
         }
         JobSpec::Remine { ds, rules, opts } => {
             if ctrl.check().is_err() {
                 return JobOutcome::Cancelled;
             }
-            let cfds: Vec<Cfd> = rules.iter().map(|(_, c)| c.clone()).collect();
-            let (mut engine, _) = StreamEngine::warm(&ds.rel, cfds, opts.threads.max(1));
-            match cfd_stream::remine(&mut engine, opts, ctrl) {
+            let cover: Vec<Cfd> = rules.iter().map(|(_, c)| c.clone()).collect();
+            let measures = {
+                let _sp = cfd_obs::span!("remine.trigger");
+                cfd_validate::measure_cover(&ds.rel, &cover, opts.threads)
+            };
+            match cfd_stream::remine_cover(&ds.rel, &cover, &measures, opts, ctrl) {
                 Err(_) => JobOutcome::Cancelled,
                 Ok(None) => JobOutcome::Done(Json::obj([
                     ("triggered", Json::from(false)),
-                    ("rules", Json::from(engine.rules().len())),
+                    ("rules", Json::from(cover.len())),
                 ])),
-                Ok(Some(delta)) => JobOutcome::Done(remine_result(&engine, &delta)),
+                Ok(Some(delta)) => JobOutcome::Done(remine_result(ds.rel.schema(), &delta)),
             }
         }
     }
@@ -373,8 +364,7 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
 /// Serializes one [`CoverDelta`] as the `remine` job's result
 /// document: neighborhood (attribute names), retired and added rules
 /// with their measures, and the kernel-validated post-state.
-fn remine_result(engine: &StreamEngine, delta: &CoverDelta) -> Json {
-    let schema = engine.schema();
+fn remine_result(schema: &Schema, delta: &CoverDelta) -> Json {
     let neighborhood = Json::arr(
         delta
             .neighborhood
@@ -402,7 +392,7 @@ fn remine_result(engine: &StreamEngine, delta: &CoverDelta) -> Json {
         ("neighborhood", neighborhood),
         ("retired", retired),
         ("added", added),
-        ("rules", Json::from(engine.rules().len())),
+        ("rules", Json::from(delta.post_measures.len())),
         ("min_confidence", Json::from(delta.min_confidence())),
     ])
 }

@@ -181,9 +181,9 @@ pub enum Request {
         /// Per-job deadline in milliseconds.
         timeout_ms: Option<u64>,
     },
-    /// Submit a re-mining job: warm a streaming engine over the
-    /// dataset with the given cover, run one drift-triggered
-    /// [`cfd_stream::remine()`] cycle, and return the cover delta
+    /// Submit a re-mining job: run one drift-triggered
+    /// [`cfd_stream::remine_cover`] cycle on the dataset, triggered by
+    /// the cover's kernel measures on it, and return the cover delta
     /// (retired/replacement rules with measures). A cover with no
     /// drifted rule answers `{"triggered": false}`.
     Remine {

@@ -2,6 +2,7 @@
 //! batch application sharded by rule.
 
 use crate::delta::{coalesce, BatchDelta, RuleId};
+use crate::remine::CoverDelta;
 use crate::rule::{RuleState, RuleStats};
 use crate::RowId;
 use cfd_model::progress::{shard_runs, workers, Control, MetricsSink, SearchStats};
@@ -50,9 +51,10 @@ pub struct StreamEngine {
     schema: Schema,
     dicts: Vec<Dict>,
     rules: Vec<Cfd>,
-    /// Rule display strings, resolved at compile time against the warm
-    /// relation (the engine's own dictionaries only grow, so codes in
-    /// `rules` stay decodable — but caching avoids re-resolving).
+    /// Rule display strings, resolved against the warm relation and
+    /// at each cover swap (the engine's own dictionaries only grow, so
+    /// codes in `rules` stay decodable — but caching avoids
+    /// re-resolving).
     rule_texts: Vec<String>,
     /// One incremental index per rule, in rule-id order.
     states: Vec<RuleState>,
@@ -89,56 +91,27 @@ impl StreamEngine {
     /// replaying the warm data tuple by tuple through the incremental
     /// path with a hashed `Vec<u32>` key per row and rule.
     pub fn warm(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> (StreamEngine, BatchDelta) {
-        let mut engine = StreamEngine::compile(rel, rules, threads);
-        let plan = cfd_validate::CoverPlan::compile(rel, &engine.rules);
-        for (col, a) in engine.cols.iter_mut().zip(0..rel.arity()) {
-            *col = rel.column(a).codes().to_vec();
-        }
-        engine.live = vec![true; rel.n_rows()];
-        engine.n_live = rel.n_rows();
-        per_chunk(
-            &mut engine.states,
-            engine.threads,
-            rel.n_rows(),
-            |rules, _: &mut Vec<()>| {
-                for rule in rules {
-                    let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
-                    rule.warm_from(rel, gids);
-                }
-            },
-        );
+        let engine = StreamEngine {
+            schema: rel.schema().clone(),
+            dicts: rel.dicts(),
+            rule_texts: rules.iter().map(|c| c.display(rel)).collect(),
+            states: index(rel, &rules, threads, None),
+            rules,
+            threads,
+            cols: (0..rel.arity())
+                .map(|a| rel.column(a).codes().to_vec())
+                .collect(),
+            live: vec![true; rel.n_rows()],
+            base: 0,
+            dead_prefix: 0,
+            n_live: rel.n_rows(),
+            metrics: None,
+        };
         let delta = BatchDelta {
             raised: engine.live_violations(),
             cleared: Vec::new(),
         };
         (engine, delta)
-    }
-
-    /// Compiles `rules` against the dictionaries of `rel` without
-    /// inserting any tuple — the empty engine [`warm`] fills.
-    ///
-    /// [`warm`]: StreamEngine::warm
-    fn compile(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> StreamEngine {
-        let states = rules
-            .iter()
-            .enumerate()
-            .map(|(i, cfd)| RuleState::compile(i, cfd))
-            .collect();
-        let rule_texts = rules.iter().map(|c| c.display(rel)).collect();
-        StreamEngine {
-            schema: rel.schema().clone(),
-            dicts: rel.dicts(),
-            rules,
-            rule_texts,
-            states,
-            threads,
-            cols: vec![Vec::new(); rel.arity()],
-            live: Vec::new(),
-            base: 0,
-            dead_prefix: 0,
-            n_live: 0,
-            metrics: None,
-        }
     }
 
     /// Attaches a metrics sink; every applied batch emits `stream.*`
@@ -377,76 +350,31 @@ impl StreamEngine {
         self.metrics.as_ref()
     }
 
-    /// Atomically swaps part of the cover: rules named in `retired`
-    /// are dropped, `replacement` rules (codes referring to the
-    /// engine's dictionaries) are appended, and every surviving rule is
-    /// recompiled into fresh per-rule indexes via the same
-    /// [`cfd_validate::CoverPlan`] bulk warm path
-    /// [`warm`](StreamEngine::warm) uses — no per-tuple replay. The new
+    /// Atomically swaps the cover to `delta`'s: its retired rules go,
+    /// kept rules keep their order and take ids `0..kept`, its
+    /// replacements follow, and every rule gets a fresh index bulk-built
+    /// from `live`, this engine's materialized live instance. The new
     /// state is fully built before anything is installed, so a panic
-    /// mid-build leaves no half-swapped cover, and no batch can observe
-    /// a partial rule set.
-    ///
-    /// Rule ids are reassigned: kept rules keep their relative order
-    /// and take ids `0..kept`, replacements follow. The returned delta
-    /// reports `cleared` as the retired rules' live violations (under
-    /// their *old* ids) and `raised` as the replacements' live
-    /// violations (under their *new* ids); kept rules' violations
-    /// persist verbatim, only renumbered.
-    pub fn apply_cover_delta(&mut self, retired: &[RuleId], replacement: Vec<Cfd>) -> BatchDelta {
-        let retired_set: cfd_model::FxHashSet<RuleId> = retired.iter().copied().collect();
-        let cleared: Vec<(RuleId, Violation)> = self
-            .live_violations()
-            .into_iter()
-            .filter(|(r, _)| retired_set.contains(r))
-            .collect();
-        let mut new_rules: Vec<Cfd> = self
+    /// mid-build leaves no half-swapped cover.
+    pub(crate) fn apply_cover_delta(&mut self, live: &Relation, delta: &CoverDelta) {
+        debug_assert_eq!(live.n_rows(), self.n_live, "a snapshot of this engine");
+        let rules: Vec<Cfd> = self
             .rules
             .iter()
             .enumerate()
-            .filter(|(i, _)| !retired_set.contains(i))
+            .filter(|(i, _)| delta.retired.binary_search_by_key(i, |r| r.rule).is_err())
             .map(|(_, c)| c.clone())
+            .chain(delta.replacement.iter().cloned())
             .collect();
-        let n_kept = new_rules.len();
-        new_rules.extend(replacement);
-
-        let live = self.materialize();
-        let live_ids = self.live_ids();
-        let mut states: Vec<RuleState> = new_rules
-            .iter()
-            .enumerate()
-            .map(|(i, cfd)| RuleState::compile(i, cfd))
-            .collect();
-        let plan = cfd_validate::CoverPlan::compile(&live, &new_rules);
-        // bulk-build against the dense live instance, then map dense row
-        // ids back to engine row ids
-        per_chunk(
-            &mut states,
-            self.threads,
-            live.n_rows(),
-            |rules, _: &mut Vec<()>| {
-                for rule in rules {
-                    let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
-                    rule.warm_from(&live, gids);
-                    rule.remap_ids(&live_ids);
-                }
-            },
-        );
+        let states = index(live, &rules, self.threads, Some(&self.live_ids()));
         // install: three plain moves, nothing can fail past this point
-        self.rule_texts = new_rules.iter().map(|c| c.display(&live)).collect();
-        self.rules = new_rules;
+        self.rule_texts = rules.iter().map(|c| c.display(live)).collect();
+        self.rules = rules;
         self.states = states;
-
-        let raised: Vec<(RuleId, Violation)> = self
-            .live_violations()
-            .into_iter()
-            .filter(|&(r, _)| r >= n_kept)
-            .collect();
         if let Some(m) = &self.metrics {
             m.add("stream.recompiles", 1);
             m.set_gauge("stream.rules", self.rules.len() as u64);
         }
-        BatchDelta { raised, cleared }
     }
 
     /// Materializes the live tuples as a [`Relation`] (insertion order,
@@ -456,6 +384,7 @@ impl StreamEngine {
     /// [`live_violations`](StreamEngine::live_violations) exactly — the
     /// reconciliation the test suite performs.
     pub fn materialize(&self) -> Relation {
+        let _sp = cfd_obs::span!("stream.materialize");
         let mut b = RelationBuilder::from_dicts(self.schema.clone(), self.dicts.clone())
             .expect("engine dictionaries match its schema");
         let mut row = vec![0u32; self.schema.arity()];
@@ -513,6 +442,33 @@ impl Dispatch {
             }
         }
     }
+}
+
+/// Fresh indexes of `rules` over `rel`, bulk-built on up to `threads`
+/// workers as [`StreamEngine::warm`] describes. Row `t` of `rel` takes
+/// row id `ids[t]`, or `t` without `ids`.
+fn index(rel: &Relation, rules: &[Cfd], threads: usize, ids: Option<&[RowId]>) -> Vec<RuleState> {
+    let mut states: Vec<RuleState> = rules
+        .iter()
+        .enumerate()
+        .map(|(i, cfd)| RuleState::compile(i, cfd))
+        .collect();
+    let plan = cfd_validate::CoverPlan::compile(rel, rules);
+    per_chunk(
+        &mut states,
+        threads,
+        rel.n_rows(),
+        |chunk, _: &mut Vec<()>| {
+            for rule in chunk {
+                let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
+                rule.warm_from(rel, gids);
+                if let Some(ids) = ids {
+                    rule.remap_ids(ids);
+                }
+            }
+        },
+    );
+    states
 }
 
 /// Runs `f` for `rows` rows over the rules' indexes on the

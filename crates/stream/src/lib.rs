@@ -53,7 +53,7 @@ mod rule;
 
 pub use delta::{BatchDelta, RuleId};
 pub use engine::StreamEngine;
-pub use remine::{remine, CoverDelta, RemineOptions};
+pub use remine::{remine, remine_cover, CoverDelta, RemineOptions};
 pub use rule::RuleStats;
 
 /// Engine-assigned tuple identifier: monotone per insert, never reused,
@@ -418,10 +418,24 @@ mod tests {
             let (mut engine, warmed) = StreamEngine::warm(&warm, cover.clone(), threads);
             let (_, inserted) = engine.insert_batch(&rows(1000..1300)).unwrap();
             let deleted = engine.delete_batch(&(0..300).collect::<Vec<_>>()).unwrap();
-            let swapped = engine.apply_cover_delta(&[0, 3], vec![cover[1].clone()]);
+            let swap = CoverDelta {
+                neighborhood: Vec::new(),
+                retired: [0, 3]
+                    .map(|rule| remine::RetiredRule {
+                        rule,
+                        text: String::new(),
+                        measure: cfd_model::RuleMeasure::exact(0),
+                    })
+                    .to_vec(),
+                replacement: vec![cover[1].clone()],
+                replacement_texts: Vec::new(),
+                replacement_measures: Vec::new(),
+                post_measures: Vec::new(),
+            };
+            engine.apply_cover_delta(&engine.materialize(), &swap);
             reconcile(&engine);
             (
-                [warmed, inserted, deleted, swapped],
+                [warmed, inserted, deleted],
                 engine.live_violations(),
                 engine.stats(),
             )

@@ -1,57 +1,51 @@
-//! Scoped re-discovery under streaming drift — the self-healing loop
-//! that closes `cfd watch`'s detect-only gap (DESIGN.md §13).
+//! Scoped re-discovery under drift — the self-healing loop that closes
+//! `cfd watch`'s detect-only gap (DESIGN.md §13).
 //!
-//! A [`StreamEngine`] keeps per-rule g1 confidence current at all
-//! times; when a rule's live confidence falls below the watch θ the
-//! rule has *drifted* — the data changed under it and the cover no
-//! longer describes the stream. [`remine`] repairs the cover in place:
+//! A rule has *drifted* when its confidence on the instance falls below
+//! the watch θ: the data changed under it and the cover no longer
+//! describes it. One cycle is a function of a relation, a cover whose
+//! codes refer to it, and that cover's per-rule measures on it.
+//! [`remine_cover`] runs it:
 //!
-//! 1. **Trigger** (`remine.trigger`): collect the rules whose live
-//!    [`RuleStats`](crate::RuleStats) confidence is below θ (vacuous
-//!    rules with zero matching support are skipped — nothing matches,
-//!    so nothing drifted).
-//! 2. **Project** (`remine.project`): take the drifted rules'
-//!    attribute *neighborhood* — the union of their LHS∪RHS attributes
-//!    plus up to `expand` co-occurring attributes from rules sharing
-//!    an attribute with that core — and project the materialized live
-//!    instance onto it. The projection shares the engine's
-//!    dictionaries, so codes carry over; only attribute ids are
-//!    renumbered.
+//! 1. **Trigger**: collect the rules whose confidence is below θ
+//!    (vacuous rules with zero matching support are skipped — nothing
+//!    matches, so nothing drifted).
+//! 2. **Project** (`remine.project`): take the drifted rules' attribute
+//!    *neighborhood* — the union of their LHS∪RHS attributes plus up
+//!    to `expand` co-occurring attributes from rules sharing an
+//!    attribute with that core — and project the relation onto it. The
+//!    projection shares the relation's dictionaries, so codes carry
+//!    over; only attribute ids are renumbered.
 //! 3. **Mine** (`remine.mine`): run a level-wise approximate miner
 //!    (CTANE, or TANE when the retired rules are all plain FDs) on the
 //!    projection under the watch θ, through the same
 //!    [`Discoverer::discover_with`] door as every other consumer. The
 //!    run builds its own partitions, so the cover is byte-identical at
 //!    any thread count.
-//! 4. **Apply** (`remine.apply`): retire every rule whose attributes
-//!    fall inside the neighborhood (the scoped mine re-derives that
-//!    area's cover wholesale) and install the re-mined rules through
-//!    [`StreamEngine::apply_cover_delta`] — the atomic cover swap that
-//!    rebuilds per-rule indexes via the shared
-//!    [`cfd_validate::CoverPlan`] warm path.
+//! 4. **Verify**: retire every rule whose attributes fall inside the
+//!    neighborhood (the scoped mine re-derives that area's cover
+//!    wholesale), append the re-mined rules, and measure the swapped
+//!    cover with [`cfd_validate::measure_cover`].
 //!
-//! The returned [`CoverDelta`] carries the retired and replacement
-//! rules plus `post_measures`: the *kernel-validated* measure of every
-//! rule in the live cover after the swap, recomputed by
-//! [`cfd_validate::measure_cover`] — every entry meets θ, because
-//! kept rules were not drifted and replacements carry the miner's θ
-//! guarantee (measures on the projection equal measures on the live
-//! instance: same rows, same codes).
+//! [`remine`] runs the cycle on a [`StreamEngine`]: the trigger reads
+//! its live per-rule stats (`remine.trigger`), and a cycle that
+//! triggers materializes the live instance once, for both the cycle and
+//! the atomic cover swap (`remine.apply`).
 
-use crate::delta::{BatchDelta, RuleId};
+use crate::delta::RuleId;
 use crate::engine::StreamEngine;
 use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer};
 use cfd_model::attrset::AttrSet;
 use cfd_model::pattern::Pattern;
 use cfd_model::progress::{Cancelled, Control};
 use cfd_model::schema::AttrId;
-use cfd_model::{Cfd, RuleMeasure};
+use cfd_model::{Cfd, Relation, RuleMeasure};
 
 /// Knobs of one re-mining cycle.
 #[derive(Clone, Copy, Debug)]
 pub struct RemineOptions {
     /// Drift threshold *and* re-discovery confidence floor: a rule
-    /// whose live g1 confidence drops below θ triggers the cycle, and
+    /// whose g1 confidence drops below θ triggers the cycle, and
     /// replacement rules are mined with `min_confidence = θ`.
     pub theta: f64,
     /// Maximum number of attributes added to the drifted rules' own
@@ -62,7 +56,7 @@ pub struct RemineOptions {
     pub k: usize,
     /// Optional LHS size cap for re-discovery.
     pub max_lhs: Option<usize>,
-    /// Worker threads for mining and the post-apply validation pass.
+    /// Worker threads for mining and the verifying validation pass.
     /// The outcome is byte-identical at any thread count.
     pub threads: usize,
 }
@@ -81,7 +75,7 @@ impl Default for RemineOptions {
 
 impl RemineOptions {
     /// Checks that θ lies in (0, 1] — the one range check behind
-    /// `cfd watch --remine-theta`, the serve `remine` op and [`remine`].
+    /// `cfd watch --remine-theta`, the serve `remine` op and the cycle.
     pub fn check_theta(theta: f64) -> Result<(), String> {
         if theta > 0.0 && theta <= 1.0 {
             Ok(())
@@ -94,38 +88,35 @@ impl RemineOptions {
 /// A retired rule, as the cover held it before the swap.
 #[derive(Clone, Debug)]
 pub struct RetiredRule {
-    /// The rule's id before the swap.
+    /// The rule's index in the cover before the swap.
     pub rule: RuleId,
     /// Display form (the paper's syntax).
     pub text: String,
-    /// Live measure at trigger time.
+    /// Measure at trigger time.
     pub measure: RuleMeasure,
 }
 
 /// The outcome of one re-mining cycle: what was retired, what replaced
-/// it, and the kernel-validated state of the cover afterwards.
+/// it, and the kernel-validated state of the swapped cover.
 #[derive(Clone, Debug)]
 pub struct CoverDelta {
     /// The projected attribute neighborhood, ascending.
     pub neighborhood: Vec<AttrId>,
-    /// Rules retired by the swap (every rule whose LHS∪RHS fell inside
-    /// the neighborhood, drifted or not — the scoped mine re-derives
-    /// that area's cover wholesale).
+    /// Rules retired by the swap, in rule-id order (every rule whose
+    /// LHS∪RHS fell inside the neighborhood, drifted or not — the
+    /// scoped mine re-derives that area's cover wholesale).
     pub retired: Vec<RetiredRule>,
-    /// Replacement rules, codes referring to the engine's dictionaries.
+    /// Replacement rules, codes referring to the cycle's relation.
     pub replacement: Vec<Cfd>,
     /// Display forms of `replacement`, aligned.
     pub replacement_texts: Vec<String>,
     /// Miner-reported measures of `replacement`, aligned (computed on
-    /// the projection; equal to live-instance measures by construction).
+    /// the projection; equal to the relation's measures by construction).
     pub replacement_measures: Vec<RuleMeasure>,
     /// Kernel-validated ([`cfd_validate::measure_cover`]) measure of
-    /// every rule in the live cover *after* the swap, in rule-id order.
-    /// Every entry's confidence meets θ.
+    /// every rule of the swapped cover — the kept rules in their order,
+    /// then the replacements. Every entry's confidence meets θ.
     pub post_measures: Vec<RuleMeasure>,
-    /// Violation transitions of the swap (see
-    /// [`StreamEngine::apply_cover_delta`] for the id convention).
-    pub batch: BatchDelta,
 }
 
 impl CoverDelta {
@@ -140,71 +131,62 @@ impl CoverDelta {
     }
 }
 
-/// The rules whose live confidence has drifted below `theta`, in
-/// rule-id order. Vacuous rules (zero matching live support) are not
-/// drifted: their confidence is 1.0 by convention and there is no data
-/// to re-mine.
-fn drifted_rules(stats: &[crate::RuleStats], theta: f64) -> Vec<RuleId> {
-    stats
-        .iter()
-        .filter(|s| s.matched() > 0 && s.confidence() < theta)
-        .map(|s| s.rule)
+/// The rules whose confidence has drifted below `theta`, in rule-id
+/// order; panics when θ lies outside (0, 1]. Vacuous rules (zero
+/// matching support) are not drifted: their confidence is 1.0 by
+/// convention and there is no data to re-mine.
+fn drifted_rules(measures: &[RuleMeasure], theta: f64) -> Vec<RuleId> {
+    RemineOptions::check_theta(theta).unwrap_or_else(|e| panic!("{e}"));
+    (0..measures.len())
+        .filter(|&r| measures[r].support > 0 && measures[r].confidence() < theta)
         .collect()
 }
 
-/// Runs one re-mining cycle: trigger → project → mine → apply.
-/// Returns `Ok(None)` when no rule has drifted (the engine is left
-/// untouched). Cancellation via `ctrl` aborts during the mining phase
-/// with the engine still untouched — the apply step itself is atomic
-/// and uncancellable.
+/// Runs one re-mining cycle on `rel`: trigger → project → mine →
+/// verify. `cover`'s codes refer to `rel`, and `measures` are its
+/// per-rule measures on `rel`, aligned. Returns `Ok(None)` when no rule
+/// has drifted; cancellation via `ctrl` aborts during the mining phase.
 ///
 /// # Panics
 ///
 /// When θ lies outside (0, 1] or `k` is 0: callers validate both.
-pub fn remine(
-    engine: &mut StreamEngine,
+pub fn remine_cover(
+    rel: &Relation,
+    cover: &[Cfd],
+    measures: &[RuleMeasure],
     opts: &RemineOptions,
     ctrl: &Control<'_>,
 ) -> Result<Option<CoverDelta>, Cancelled> {
-    RemineOptions::check_theta(opts.theta).unwrap_or_else(|e| panic!("{e}"));
-    let stats = {
-        let _sp = cfd_obs::span!("remine.trigger");
-        engine.stats()
-    };
-    let drifted = drifted_rules(&stats, opts.theta);
+    let drifted = drifted_rules(measures, opts.theta);
     if drifted.is_empty() {
         return Ok(None);
     }
-    if let Some(m) = engine.metrics_sink() {
-        m.add("remine.triggered", 1);
-    }
-
-    let nb_set = neighborhood(engine, &drifted, opts.expand);
+    let nb_set = neighborhood(cover, rel.arity(), &drifted, opts.expand);
     // retire every rule fully inside the neighborhood: the scoped mine
     // re-derives that area's cover, so keeping old rules there would
     // duplicate or contradict it
-    let retired_ids: Vec<RuleId> = engine
-        .rules()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.lhs_attrs().with(c.rhs_attr()).is_subset(nb_set))
-        .map(|(i, _)| i)
+    let inside = |c: &Cfd| attrs_of(c).is_subset(nb_set);
+    debug_assert!(drifted.iter().all(|&r| inside(&cover[r])));
+    let retired: Vec<RetiredRule> = (0..cover.len())
+        .filter(|&r| inside(&cover[r]))
+        .map(|rule| RetiredRule {
+            rule,
+            text: cover[rule].display(rel),
+            measure: measures[rule],
+        })
         .collect();
-    debug_assert!(drifted.iter().all(|r| retired_ids.contains(r)));
 
-    // project the live instance onto the neighborhood (shared
-    // dictionaries: codes carry over, only attribute ids renumber)
+    // project onto the neighborhood (shared dictionaries: codes carry
+    // over, only attribute ids renumber)
     let proj = {
         let _sp = cfd_obs::span!("remine.project");
-        engine
-            .materialize()
-            .project(nb_set)
-            .expect("neighborhood attrs come from the engine's own schema")
+        rel.project(nb_set)
+            .expect("neighborhood attrs come from the relation's own schema")
     };
     let nb: Vec<AttrId> = nb_set.iter().collect();
 
     // mine the neighborhood under θ
-    let fd_only = retired_ids.iter().all(|&r| engine.rules()[r].is_plain_fd());
+    let fd_only = retired.iter().all(|r| cover[r.rule].is_plain_fd());
     let mined = {
         let _sp = cfd_obs::span!("remine.mine");
         let algo = if fd_only { Algo::Tane } else { Algo::Ctane };
@@ -221,68 +203,95 @@ pub fn remine(
         }
     };
 
-    // map the mined cover back to engine attribute ids (codes are
-    // already the engine's — the projection shares its dictionaries)
-    let mut replacement: Vec<Cfd> = Vec::with_capacity(mined.cover.len());
-    for cfd in mined.cover.iter() {
-        let lhs = Pattern::from_pairs(cfd.lhs().iter().map(|(a, v)| (nb[a], v)));
-        replacement.push(Cfd::new(lhs, nb[cfd.rhs_attr()], cfd.rhs_val()));
-    }
-
-    let retired: Vec<RetiredRule> = retired_ids
+    // map the mined cover back to the relation's attribute ids (codes
+    // are already its own — the projection shares its dictionaries)
+    let replacement: Vec<Cfd> = mined
+        .cover
         .iter()
-        .map(|&r| RetiredRule {
-            rule: r,
-            text: engine.rule_text(r).to_string(),
-            measure: stats[r].measure,
+        .map(|cfd| {
+            let lhs = Pattern::from_pairs(cfd.lhs().iter().map(|(a, v)| (nb[a], v)));
+            Cfd::new(lhs, nb[cfd.rhs_attr()], cfd.rhs_val())
         })
         .collect();
 
-    let batch = {
-        let _sp = cfd_obs::span!("remine.apply");
-        engine.apply_cover_delta(&retired_ids, replacement.clone())
-    };
-    if let Some(m) = engine.metrics_sink() {
-        m.add("remine.rules_retired", retired.len() as u64);
-        m.add("remine.rules_added", replacement.len() as u64);
-    }
-
-    // kernel-validated acceptance: every surviving rule meets θ
-    let live = engine.materialize();
-    let post_measures = cfd_validate::measure_cover(&live, engine.rules(), opts.threads);
+    // kernel-validated acceptance: every rule of the swapped cover
+    // meets θ
+    let kept = cover.iter().filter(|c| !inside(c));
+    let post_measures = cfd_validate::measure_cover(rel, kept.chain(&replacement), opts.threads);
     debug_assert!(post_measures
         .iter()
         .all(|m| m.support == 0 || m.confidence() >= opts.theta));
-    let replacement_texts = replacement.iter().map(|c| c.display(&live)).collect();
 
     Ok(Some(CoverDelta {
         neighborhood: nb,
         retired,
+        replacement_texts: replacement.iter().map(|c| c.display(rel)).collect(),
         replacement,
-        replacement_texts,
         replacement_measures: mined.measures,
         post_measures,
-        batch,
     }))
+}
+
+/// Runs [`remine_cover`] on the engine's live instance, triggered by
+/// its live per-rule stats, and swaps the engine's cover to the
+/// result: kept rules keep their order and take ids `0..kept`,
+/// replacements follow. Returns `Ok(None)`, with nothing materialized,
+/// when no rule has drifted. A cancelled cycle leaves the engine
+/// untouched; the swap itself is atomic and uncancellable.
+///
+/// # Panics
+///
+/// When θ lies outside (0, 1] or `k` is 0: callers validate both.
+pub fn remine(
+    engine: &mut StreamEngine,
+    opts: &RemineOptions,
+    ctrl: &Control<'_>,
+) -> Result<Option<CoverDelta>, Cancelled> {
+    let measures: Vec<RuleMeasure> = {
+        let _sp = cfd_obs::span!("remine.trigger");
+        engine.stats().iter().map(|s| s.measure).collect()
+    };
+    if drifted_rules(&measures, opts.theta).is_empty() {
+        return Ok(None);
+    }
+    if let Some(m) = engine.metrics_sink() {
+        m.add("remine.triggered", 1);
+    }
+    let live = engine.materialize();
+    let delta = remine_cover(&live, engine.rules(), &measures, opts, ctrl)?
+        .expect("the trigger saw the same measures");
+    {
+        let _sp = cfd_obs::span!("remine.apply");
+        engine.apply_cover_delta(&live, &delta);
+    }
+    if let Some(m) = engine.metrics_sink() {
+        m.add("remine.rules_retired", delta.retired.len() as u64);
+        m.add("remine.rules_added", delta.replacement.len() as u64);
+    }
+    Ok(Some(delta))
+}
+
+/// The attributes a rule mentions: its LHS and its RHS.
+fn attrs_of(c: &Cfd) -> AttrSet {
+    c.lhs_attrs().with(c.rhs_attr())
 }
 
 /// The drifted rules' attribute neighborhood: the union of their
 /// LHS∪RHS attributes, expanded by up to `expand` more. Expansion
 /// prefers attributes that co-occur (in any rule of the cover) with an
 /// attribute of that core — they are the ones the cover already links
-/// to the drifted area — and falls back to the remaining schema
-/// attributes, so a replacement rule can pick up a determinant the old
-/// cover never mentioned. Smallest attribute ids win within each tier —
-/// deterministic regardless of rule order or thread count.
-fn neighborhood(engine: &StreamEngine, drifted: &[RuleId], expand: usize) -> AttrSet {
-    let attrs_of = |c: &Cfd| c.lhs_attrs().with(c.rhs_attr());
+/// to the drifted area — and falls back to the remaining attributes of
+/// the `arity`-wide schema, so a replacement rule can pick up a
+/// determinant the old cover never mentioned. Smallest attribute ids
+/// win within each tier — deterministic regardless of rule order or
+/// thread count.
+fn neighborhood(cover: &[Cfd], arity: usize, drifted: &[RuleId], expand: usize) -> AttrSet {
     let mut core = AttrSet::EMPTY;
     for &r in drifted {
-        core = core.union(attrs_of(&engine.rules()[r]));
+        core = core.union(attrs_of(&cover[r]));
     }
     let mut candidates = AttrSet::EMPTY;
-    for c in engine.rules() {
-        let a = attrs_of(c);
+    for a in cover.iter().map(attrs_of) {
         if a.intersects(core) {
             candidates = candidates.union(a);
         }
@@ -296,8 +305,7 @@ fn neighborhood(engine: &StreamEngine, drifted: &[RuleId], expand: usize) -> Att
         nb.insert(a);
         budget -= 1;
     }
-    let all = AttrSet::full(engine.schema().arity());
-    for a in all.difference(nb).iter() {
+    for a in AttrSet::full(arity).difference(nb).iter() {
         if budget == 0 {
             break;
         }
@@ -391,7 +399,8 @@ mod tests {
     #[test]
     fn drift_retires_and_replaces_the_rule() {
         let mut engine = drift_engine(FD, 1);
-        assert_eq!(drifted_rules(&engine.stats(), 0.95), vec![0]);
+        let measures: Vec<RuleMeasure> = engine.stats().iter().map(|s| s.measure).collect();
+        assert_eq!(drifted_rules(&measures, 0.95), vec![0]);
         let opts = RemineOptions {
             theta: 0.95,
             expand: 1,

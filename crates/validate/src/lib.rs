@@ -51,7 +51,7 @@ pub mod repair;
 pub mod report;
 
 pub use plan::{measure_cover, validate, validate_with, CoverPlan, ValidateOptions};
-pub use repair::suggest_repairs_for_cover;
+pub use repair::{repair_cover, suggest_repairs_for_cover, CoverRepair};
 pub use report::{RuleReport, ValidationReport};
 
 use cfd_model::relation::Relation;
@@ -277,6 +277,18 @@ mod tests {
         assert_eq!(kernel, want);
         let fixed = cfd_model::repair::apply_repairs(&r, &kernel);
         assert!(satisfies_cover(&fixed, &rules));
+        // the one repair path: the same edits, applied, counted both ways
+        let repair = repair_cover(&r, &rules);
+        assert_eq!(repair.edits, kernel);
+        assert!(r
+            .tuples()
+            .all(|t| repair.repaired.tuple_values(t) == fixed.tuple_values(t)));
+        let before = detect_violations(&r, &rules).len();
+        assert_eq!(
+            (repair.violations_before, repair.violations_after),
+            (before, 0)
+        );
+        assert!(before > 0);
     }
 
     #[test]

@@ -8,10 +8,51 @@
 //! passes instead of a per-rule re-scan with `Vec<u32>` keys, and only
 //! the *violating* groups are ever materialized.
 
-use crate::plan::{CoverPlan, RuleRhs, Scan};
+use crate::plan::{validate, CoverPlan, RuleRhs, Scan, ValidateOptions};
 use cfd_model::fxhash::{FxHashMap, FxHashSet};
 use cfd_model::relation::{Relation, TupleId};
-use cfd_model::repair::Repair;
+use cfd_model::repair::{apply_repairs, Repair};
+use cfd_model::Cfd;
+
+/// A cover's repair of a relation: the suggested edits, the relation
+/// with them applied, and the cover's violation count on each.
+#[derive(Clone, Debug)]
+pub struct CoverRepair {
+    /// The edits, as [`suggest_repairs_for_cover`] orders them.
+    pub edits: Vec<Repair>,
+    /// The relation with every edit applied.
+    pub repaired: Relation,
+    /// The cover's violation records on the input relation.
+    pub violations_before: usize,
+    /// The cover's violation records on the repaired relation.
+    pub violations_after: usize,
+}
+
+/// Repairs `rel` against a cover: compiles one plan for `rel`, counts
+/// the violations with it, suggests edits from the same plan, applies
+/// them, and counts again on the repaired relation (whose changed codes
+/// need a plan of their own). `cfd repair` and the server's `repair`
+/// job both run this.
+pub fn repair_cover<'a, I>(rel: &Relation, cfds: I) -> CoverRepair
+where
+    I: IntoIterator<Item = &'a Cfd> + Clone,
+{
+    let opts = ValidateOptions {
+        limit: 0,
+        ..Default::default()
+    };
+    let plan = CoverPlan::compile(rel, cfds.clone());
+    let violations_before = plan.validate(rel, &opts).total_violations();
+    let edits = suggest_repairs_for_cover(rel, &plan);
+    let repaired = apply_repairs(rel, &edits);
+    let violations_after = validate(&repaired, cfds, &opts).total_violations();
+    CoverRepair {
+        edits,
+        repaired,
+        violations_before,
+        violations_after,
+    }
+}
 
 /// Suggests repairs for every rule of a compiled cover, deduplicated
 /// per cell: when several rules implicate the same `(tuple, attribute)`

@@ -484,27 +484,18 @@ fn repair(a: &Args) -> Result<ExitCode> {
         .into_iter()
         .map(|(_, cfd)| cfd)
         .collect();
-    use cfd_suite::model::repair::apply_repairs;
-    let opts = ValidateOptions {
-        limit: 0,
-        ..Default::default()
-    };
-    // one plan serves the before-count and the repair; only the
-    // repaired relation needs a plan of its own
-    let plan = CoverPlan::compile(&rel, &rules);
-    let before = plan.validate(&rel, &opts).total_violations();
-    let repairs = suggest_repairs_for_cover(&rel, &plan);
-    let fixed = apply_repairs(&rel, &repairs);
-    let after = validate(&fixed, &rules, &opts).total_violations();
+    let repair = repair_cover(&rel, &rules);
     let mut out = std::io::BufWriter::new(std::fs::File::create(&a.positional[2])?);
-    cfd_suite::model::csv::relation_to_csv(&fixed, &mut out)?;
+    cfd_suite::model::csv::relation_to_csv(&repair.repaired, &mut out)?;
     out.flush().map_err(cfd_suite::prelude::Error::from)?;
     eprintln!(
-        "# {} cell edits applied; violations {before} -> {after}; wrote {}",
-        repairs.len(),
+        "# {} cell edits applied; violations {} -> {}; wrote {}",
+        repair.edits.len(),
+        repair.violations_before,
+        repair.violations_after,
         a.positional[2]
     );
-    for r in repairs.iter().take(10) {
+    for r in repair.edits.iter().take(10) {
         eprintln!(
             "#   tuple {} {}: {:?} -> {:?}",
             r.tuple + 1,

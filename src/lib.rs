@@ -84,7 +84,7 @@ pub mod prelude {
     pub use cfd_serve::{ServeOptions, Server};
     pub use cfd_stream::{remine, BatchDelta, CoverDelta, RemineOptions, RuleStats, StreamEngine};
     pub use cfd_validate::{
-        detect_violations, satisfies_cover, suggest_repairs_for_cover, validate, validate_with,
-        CoverPlan, RuleReport, ValidateOptions, ValidationReport,
+        detect_violations, repair_cover, satisfies_cover, suggest_repairs_for_cover, validate,
+        validate_with, CoverPlan, RuleReport, ValidateOptions, ValidationReport,
     };
 }
