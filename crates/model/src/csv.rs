@@ -5,17 +5,25 @@
 //!
 //! Every relation is read by the chunked scanner ([`BlockReader`]):
 //! it reads fixed-size buffers from any [`Read`], carries partial
-//! records across chunk boundaries **quote-aware** (a quoted newline
-//! spanning two chunks parses the same as in one piece), and hands out
-//! blocks of whole records for the pipeline in [`crate::ingest`] —
-//! [`relation_from_csv_str`] included. [`parse_csv`] parses a whole
-//! text into string records on the same grammar; it is the reference
-//! the pipeline is tested against.
+//! records across chunk boundaries and hands out blocks of whole
+//! records for the pipeline in [`crate::ingest`] —
+//! [`relation_from_csv_str`] included. While the buffered bytes hold no
+//! `"`, a block ends just past their last `\n`; once a quote appears, a
+//! quote state machine decides which newlines end records, so a quoted
+//! newline spanning two chunks parses the same as in one piece. A
+//! consumed block's buffer can be handed back ([`BlockReader::recycle`])
+//! and is refilled by the next read. [`parse_csv`] parses a whole text
+//! into string records on the same grammar; it is the reference the
+//! pipeline is tested against.
 //!
-//! Record parsing itself is zero-copy: `parse_record_fields` (crate
-//! private) emits byte ranges into the block, unescaping into a shared
-//! scratch buffer only for fields that used quotes. The invariants of
-//! the boundary scan are spelled out in DESIGN.md §11.
+//! Record parsing itself is zero-copy and runs on one state machine,
+//! `parse_record_fields` (crate private), which emits byte ranges into
+//! the block and unescapes into a shared scratch buffer only for fields
+//! that used quotes. Where the ranges go is the caller's choice: the
+//! header and [`parse_csv`] keep them row-major, a block of data
+//! records sends each field to its column's vector of 8-byte spans and
+//! checks record widths as it goes. The invariants of the boundary scan
+//! and of the spans are spelled out in DESIGN.md §11.
 
 use crate::error::{Error, Result};
 use crate::ingest::{ingest_csv_reader_serial, IngestOptions};
@@ -32,8 +40,19 @@ pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 /// is data anywhere else.
 pub(crate) const BOM: char = '\u{feff}';
 
-/// One parsed field: a byte range into either the block being parsed
-/// (`scratch == false`) or the unescape scratch buffer.
+/// Where [`parse_record_fields`] puts the fields it splits off. A field
+/// is a byte range of the parsed text, or of the sink's scratch buffer
+/// when it used quotes.
+pub(crate) trait FieldSink {
+    /// The buffer quoted fields are unescaped into.
+    fn scratch(&mut self) -> &mut String;
+    /// Takes the record's next field: `start..end` of the parsed text,
+    /// or of [`FieldSink::scratch`] when `in_scratch`.
+    fn field(&mut self, start: usize, end: usize, in_scratch: bool);
+}
+
+/// One field of [`RecordFields`]: a byte range into either the parsed
+/// text (`scratch == false`) or the unescape scratch buffer.
 #[derive(Clone, Copy)]
 struct FieldSpan {
     start: usize,
@@ -41,14 +60,26 @@ struct FieldSpan {
     scratch: bool,
 }
 
-/// Reusable span/scratch buffers filled by [`parse_record_fields`].
-/// Fields that needed no unescaping are byte ranges into the parsed
-/// block; quoted fields are unescaped once into `scratch` and the span
-/// points there instead.
+/// Reusable row-major span/scratch buffers filled by
+/// [`parse_record_fields`] — for the header and [`parse_csv`].
 #[derive(Default)]
 pub(crate) struct RecordFields {
     spans: Vec<FieldSpan>,
     scratch: String,
+}
+
+impl FieldSink for RecordFields {
+    fn scratch(&mut self) -> &mut String {
+        &mut self.scratch
+    }
+
+    fn field(&mut self, start: usize, end: usize, scratch: bool) {
+        self.spans.push(FieldSpan {
+            start,
+            end,
+            scratch,
+        });
+    }
 }
 
 impl RecordFields {
@@ -74,9 +105,9 @@ impl RecordFields {
     }
 }
 
-/// Parses one record of `block` starting at byte `at`, appending one
-/// span per field to `out`; returns the offset just past the record's
-/// terminator (or `block.len()` for a final record without one).
+/// Parses one record of `block` starting at byte `at`, handing each
+/// field to `out`; returns the offset just past the record's terminator
+/// (or `block.len()` for a final record without one).
 ///
 /// This is the one CSV state machine in the crate — the string API and
 /// the chunked pipeline both run on it, so they cannot drift apart.
@@ -84,7 +115,11 @@ impl RecordFields {
 /// in the field; `""` inside quotes is an escaped quote; after a
 /// closing quote the field continues unquoted (so `"x"y` is `xy`); a
 /// lone `\r` not followed by `\n` is an ordinary character.
-pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields) -> Result<usize> {
+pub(crate) fn parse_record_fields<S: FieldSink>(
+    block: &str,
+    at: usize,
+    out: &mut S,
+) -> Result<usize> {
     let bytes = block.as_bytes();
     let mut i = at;
     let mut field_begin = i;
@@ -95,18 +130,13 @@ pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields
 
     macro_rules! flush {
         ($end:expr) => {
-            out.spans.push(match owned_begin {
-                Some(ob) => FieldSpan {
-                    start: ob,
-                    end: out.scratch.len(),
-                    scratch: true,
-                },
-                None => FieldSpan {
-                    start: field_begin,
-                    end: $end,
-                    scratch: false,
-                },
-            })
+            match owned_begin {
+                Some(ob) => {
+                    let end = out.scratch().len();
+                    out.field(ob, end, true)
+                }
+                None => out.field(field_begin, $end, false),
+            }
         };
     }
 
@@ -116,7 +146,7 @@ pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields
                 None => return Err(Error::Parse("unterminated quoted field".into())),
                 Some(b'"') => {
                     if bytes.get(i + 1) == Some(&b'"') {
-                        out.scratch.push('"');
+                        out.scratch().push('"');
                         i += 2;
                     } else {
                         in_quotes = false;
@@ -129,7 +159,7 @@ pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields
                     while j < bytes.len() && bytes[j] != b'"' {
                         j += 1;
                     }
-                    out.scratch.push_str(&block[i..j]);
+                    out.scratch().push_str(&block[i..j]);
                     i = j;
                 }
             }
@@ -159,7 +189,7 @@ pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields
                     // re-entered: the byte after a closing quote is
                     // never itself a quote — that parses as `""`)
                     in_quotes = true;
-                    owned_begin = Some(out.scratch.len());
+                    owned_begin = Some(out.scratch().len());
                     i += 1;
                 }
                 Some(_) => {
@@ -171,7 +201,7 @@ pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields
                         j += 1;
                     }
                     if owned_begin.is_some() {
-                        out.scratch.push_str(&block[i..j]);
+                        out.scratch().push_str(&block[i..j]);
                     }
                     i = j;
                 }
@@ -180,55 +210,138 @@ pub(crate) fn parse_record_fields(block: &str, at: usize, out: &mut RecordFields
     }
 }
 
-/// All records of one block, parsed into reusable span buffers (blank
-/// lines already dropped, matching [`parse_csv`]). One instance is
-/// reused block after block so steady-state parsing allocates nothing.
-#[derive(Default)]
+/// Set in a [`Span`]'s start when the span points into the scratch
+/// buffer, not the block.
+const SCRATCH_BIT: u32 = 1 << 31;
+
+/// The longest block [`BlockRecords`] parses. Every offset into it, and
+/// into its scratch buffer (unescaping never lengthens a field), then
+/// stays below [`SCRATCH_BIT`].
+const MAX_BLOCK_BYTES: usize = SCRATCH_BIT as usize - 1;
+
+/// Fails a block too long for [`Span`]'s offsets.
+fn check_block_len(len: usize) -> Result<()> {
+    if len > MAX_BLOCK_BYTES {
+        return Err(Error::Parse(format!(
+            "a block of {len} bytes is longer than the {MAX_BLOCK_BYTES} bytes one parse can address"
+        )));
+    }
+    Ok(())
+}
+
+/// One field of [`BlockRecords`] in 8 bytes: a byte range of the block,
+/// or of the scratch buffer when `start` carries [`SCRATCH_BIT`].
+#[derive(Clone, Copy)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn is_empty(self) -> bool {
+        self.start & !SCRATCH_BIT == self.end
+    }
+
+    /// The field's text, resolved against the block it was parsed from
+    /// and that block's scratch buffer.
+    #[inline]
+    pub(crate) fn get<'a>(self, block: &'a str, scratch: &'a str) -> &'a str {
+        let range = (self.start & !SCRATCH_BIT) as usize..self.end as usize;
+        if self.start & SCRATCH_BIT == 0 {
+            &block[range]
+        } else {
+            &scratch[range]
+        }
+    }
+}
+
+/// All records of one block, parsed column-major: field `a` of every
+/// record goes to column `a`'s span vector, so a column's fields sit
+/// contiguously for the encoder. Blank lines are dropped, matching
+/// [`parse_csv`]. One instance is reused block after block, so
+/// steady-state parsing allocates nothing.
 pub(crate) struct BlockRecords {
-    fields: RecordFields,
-    /// Exclusive end, per record, of its field run in `fields`.
-    rows: Vec<usize>,
+    cols: Vec<Vec<Span>>,
+    scratch: String,
+    /// Fields seen so far in the record being parsed.
+    width: usize,
+}
+
+impl FieldSink for BlockRecords {
+    fn scratch(&mut self) -> &mut String {
+        &mut self.scratch
+    }
+
+    #[inline]
+    fn field(&mut self, start: usize, end: usize, in_scratch: bool) {
+        // a field past the arity has no column; `parse_into` reports
+        // the record's width once it ends
+        if let Some(col) = self.cols.get_mut(self.width) {
+            // `parse_into` bounds every offset below SCRATCH_BIT
+            let flag = if in_scratch { SCRATCH_BIT } else { 0 };
+            col.push(Span {
+                start: start as u32 | flag,
+                end: end as u32,
+            });
+        }
+        self.width += 1;
+    }
 }
 
 impl BlockRecords {
+    /// Buffers for records of `arity` fields (a header has at least
+    /// one).
+    pub(crate) fn new(arity: usize) -> BlockRecords {
+        BlockRecords {
+            cols: vec![Vec::new(); arity],
+            scratch: String::new(),
+            width: 0,
+        }
+    }
+
     /// Parses every record of `block`, replacing previous contents.
+    ///
+    /// Fails with the block's first parse error, or, when it has none,
+    /// with the width of its first record that does not have one field
+    /// per column (the error `RelationBuilder::push_row` gives). So a
+    /// parse error anywhere in a block wins over a width error in it. A
+    /// block longer than [`MAX_BLOCK_BYTES`] is a parse error.
     pub(crate) fn parse_into(&mut self, block: &str) -> Result<()> {
-        self.fields.clear();
-        self.rows.clear();
+        check_block_len(block.len())?;
+        for col in &mut self.cols {
+            col.clear();
+        }
+        self.scratch.clear();
+        let arity = self.cols.len();
+        let mut bad_width = None;
         let mut at = 0;
         while at < block.len() {
-            let start = self.fields.spans.len();
-            at = parse_record_fields(block, at, &mut self.fields)?;
-            // skip blank lines: a single empty field
-            if self.fields.spans.len() == start + 1 && self.fields.get(block, start).is_empty() {
-                self.fields.spans.truncate(start);
-                continue;
+            self.width = 0;
+            at = parse_record_fields(block, at, self)?;
+            if self.width == 1 && self.cols[0].last().is_some_and(|s| s.is_empty()) {
+                // a blank line: one empty field
+                self.cols[0].pop();
+            } else if self.width != arity && bad_width.is_none() {
+                bad_width = Some(self.width);
             }
-            self.rows.push(self.fields.spans.len());
         }
-        Ok(())
+        match bad_width {
+            Some(w) => Err(Error::Relation(format!(
+                "row has {w} values, schema has arity {arity}"
+            ))),
+            None => Ok(()),
+        }
     }
 
+    /// Number of records of the last block parsed without error.
     pub(crate) fn n_records(&self) -> usize {
-        self.rows.len()
+        self.cols[0].len()
     }
 
-    fn record_start(&self, r: usize) -> usize {
-        if r == 0 {
-            0
-        } else {
-            self.rows[r - 1]
-        }
-    }
-
-    /// Number of fields in record `r`.
-    pub(crate) fn record_len(&self, r: usize) -> usize {
-        self.rows[r] - self.record_start(r)
-    }
-
-    /// Field `f` of record `r`, resolved against `block`.
-    pub(crate) fn field<'a>(&'a self, block: &'a str, r: usize, f: usize) -> &'a str {
-        self.fields.get(block, self.record_start(r) + f)
+    /// Every column's spans, in column order, with the scratch buffer
+    /// they resolve against.
+    pub(crate) fn columns(&self) -> (&[Vec<Span>], &str) {
+        (&self.cols, &self.scratch)
     }
 }
 
@@ -243,13 +356,18 @@ pub(crate) fn block_str(block: &[u8]) -> Result<&str> {
     })
 }
 
-/// Resumable quote-aware scan for record boundaries in a byte buffer.
-/// Tracks just enough state (`in_quotes` + are-we-at-field-start) to
-/// know whether a newline terminates a record, without parsing fields.
+/// Resumable search for record boundaries in a byte buffer that starts
+/// at one. While the bytes seen hold no `"`, no quote is open, so every
+/// `\n` ends a record and the last one is the boundary. From the first
+/// `"` on, a quote state machine tracks just enough (`in_quotes` +
+/// are-we-at-field-start) to know whether a newline terminates a
+/// record, without parsing fields.
 #[derive(Clone, Copy)]
 struct BoundaryScan {
     /// Resume position: bytes before it have been classified.
     pos: usize,
+    /// A `"` was seen: the state machine classifies from `last_end` on.
+    quoted: bool,
     in_quotes: bool,
     /// True when nothing precedes `pos` in the current field (a quote
     /// here opens the field).
@@ -262,20 +380,36 @@ impl BoundaryScan {
     fn new() -> BoundaryScan {
         BoundaryScan {
             pos: 0,
+            quoted: false,
             in_quotes: false,
             field_start: true,
             last_end: 0,
         }
     }
 
-    /// Advances over `buf[self.pos..]`. Stops early at a final byte
-    /// whose meaning needs lookahead — a `"` inside quotes (closing
-    /// quote vs first half of an escape) or a `\r` outside (possible
-    /// split `\r\n`) — leaving `pos` on it so the scan resumes after
-    /// the buffer grows. Multi-byte UTF-8 continuation bytes are all
-    /// ≥ 0x80 and never match a structural byte, so scanning bytes is
-    /// safe.
+    /// Advances over `buf[self.pos..]`.
+    ///
+    /// Quote-free bytes cost one search for a `"` and one backward
+    /// search for the last `\n`. The state machine starts at the last
+    /// boundary found so far, where no field has begun, and stops early at a final byte whose meaning needs lookahead — a
+    /// `"` inside quotes (closing quote vs first half of an escape) or
+    /// a `\r` outside (possible split `\r\n`) — leaving `pos` on it so
+    /// the scan resumes after the buffer grows. Multi-byte UTF-8
+    /// continuation bytes are all ≥ 0x80 and never match a structural
+    /// byte, so scanning bytes is safe.
     fn advance(&mut self, buf: &[u8]) {
+        if !self.quoted {
+            let fresh = &buf[self.pos..];
+            if !fresh.contains(&b'"') {
+                if let Some(i) = fresh.iter().rposition(|&b| b == b'\n') {
+                    self.last_end = self.pos + i + 1;
+                }
+                self.pos = buf.len();
+                return;
+            }
+            self.quoted = true;
+            self.pos = self.last_end;
+        }
         while self.pos < buf.len() {
             let b = buf[self.pos];
             if self.in_quotes {
@@ -343,6 +477,9 @@ pub struct BlockReader<R> {
     /// Bytes read but not yet emitted; always starts at a record
     /// boundary.
     carry: Vec<u8>,
+    /// A consumed block handed back by [`BlockReader::recycle`]; the
+    /// next emitted block's leftover bytes move into it.
+    spare: Vec<u8>,
     /// Scan state over `carry`, resumable across chunk growth.
     scan: BoundaryScan,
     eof: bool,
@@ -356,6 +493,7 @@ impl<R: Read> BlockReader<R> {
             reader,
             chunk: chunk_bytes.max(1),
             carry: Vec::new(),
+            spare: Vec::new(),
             scan: BoundaryScan::new(),
             eof: false,
             max_block: 0,
@@ -401,13 +539,23 @@ impl<R: Read> BlockReader<R> {
             if end == 0 {
                 continue; // no complete record yet: grow further
             }
-            let mut block = std::mem::take(&mut self.carry);
-            self.carry = block[end..].to_vec();
+            // the bytes past the last record move into the spare buffer,
+            // which becomes the carry
+            let mut rest = std::mem::take(&mut self.spare);
+            rest.clear();
+            rest.extend_from_slice(&self.carry[end..]);
+            let mut block = std::mem::replace(&mut self.carry, rest);
             block.truncate(end);
             // the carry starts at a record boundary: fresh scan state
             self.scan = BoundaryScan::new();
             return Ok(Some(block));
         }
+    }
+
+    /// Hands a consumed block back, so a later read refills its buffer
+    /// instead of allocating a fresh one.
+    pub fn recycle(&mut self, block: Vec<u8>) {
+        self.spare = block;
     }
 
     /// Largest buffer this reader ever held — the peak-memory witness
@@ -614,6 +762,64 @@ mod tests {
         // record much longer than any small chunk
         let long = format!("A,B\n{},{}\n", "x".repeat(100), "y".repeat(100));
         assert_blocks_clean(&long);
+    }
+
+    #[test]
+    fn quote_free_stretches_around_a_quoted_one_keep_their_records() {
+        // `\n` and `\r\n` terminators and blank lines, no quote
+        let plain: String = (0..40)
+            .map(|i| match i % 5 {
+                0 => format!("r{i},v{i}\r\n"),
+                1 => "\n".to_string(),
+                2 => "\r\n".to_string(),
+                _ => format!("r{i},v{i}\n"),
+            })
+            .collect();
+        let text = format!("A,B\n{plain}");
+        assert_blocks_clean(&text);
+        // a quoted newline, an escaped quote and a quoted CRLF after a
+        // long quote-free stretch, then quote-free bytes again
+        let mixed = format!("A,B\n{plain}\"q\nq\",\"x\"\"\r\n\"\r\n{plain}");
+        assert_blocks_clean(&mixed);
+    }
+
+    /// However the bytes arrive, the quote-free shortcut finds the
+    /// record boundary that the state machine finds from the start.
+    #[test]
+    fn quote_free_shortcut_agrees_with_the_state_machine() {
+        const ALPHABET: [u8; 5] = [b'a', b',', b'"', b'\r', b'\n'];
+        for len in 0..=6u32 {
+            for n in 0..ALPHABET.len().pow(len) {
+                let buf: Vec<u8> = (0..len)
+                    .map(|i| ALPHABET[n / ALPHABET.len().pow(i) % ALPHABET.len()])
+                    .collect();
+                let mut machine = BoundaryScan::new();
+                machine.quoted = true;
+                machine.advance(&buf);
+                for split in 0..=buf.len() {
+                    let mut scan = BoundaryScan::new();
+                    scan.advance(&buf[..split]);
+                    scan.advance(&buf);
+                    assert_eq!(scan.last_end, machine.last_end, "{buf:?} split at {split}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_past_the_span_range_fail_with_a_parse_error() {
+        assert!(check_block_len(MAX_BLOCK_BYTES).is_ok());
+        for len in [MAX_BLOCK_BYTES + 1, u32::MAX as usize + 1, usize::MAX] {
+            let e = check_block_len(len).unwrap_err().to_string();
+            assert!(e.starts_with("parse error: a block of "), "{e}");
+        }
+        // the largest offset keeps its value beside the scratch flag
+        let at_limit = MAX_BLOCK_BYTES as u32;
+        let span = Span {
+            start: at_limit | SCRATCH_BIT,
+            end: at_limit,
+        };
+        assert!(span.is_empty());
     }
 
     #[test]

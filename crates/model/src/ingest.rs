@@ -4,11 +4,16 @@
 //! string, reader and path alike:
 //!
 //! 1. **Read** — a [`BlockReader`] pulls fixed-size chunks from any
-//!    [`Read`] and emits blocks of *whole records* (quote-aware carry,
-//!    so a quoted newline spanning chunks parses the same as in one
-//!    piece). Peak buffered input is O(chunk + longest record).
-//! 2. **Parse + encode** — each block is parsed zero-copy (field spans
-//!    into the block) and dictionary-encoded one column at a time.
+//!    [`Read`] and emits blocks of *whole records*. A quote-free stretch
+//!    ends just past its last `\n`; a stretch with a quote runs the
+//!    quote-aware scan, so a quoted newline spanning chunks parses the
+//!    same as in one piece. Peak buffered input is O(chunk + longest
+//!    record); the serial path hands each consumed block's buffer back
+//!    to the reader for the next read.
+//! 2. **Parse + encode** — each block is parsed zero-copy, column-major:
+//!    every field becomes an 8-byte span into the block in its column's
+//!    span vector, and record widths are checked on the way. Each
+//!    column is then dictionary-encoded from its contiguous spans.
 //!    The serial path (`threads <= 1`) encodes straight into the
 //!    relation's columns, so each value is interned once. With
 //!    `threads > 1`, workers pull blocks from a shared reader and
@@ -22,7 +27,9 @@
 //!    `tests/ingest_equiv.rs`). The per-code histograms counted here
 //!    become each column's first-level partition
 //!    ([`crate::relation::Column::value_counts`]), warm for downstream
-//!    grouping.
+//!    grouping. A finished relation holds its codes and histograms at
+//!    their length, so its memory figure does not depend on how the
+//!    input was cut.
 //!
 //! Observability: `ingest.read` / `ingest.parse` / `ingest.encode`
 //! spans, plus `ingest.merge` on the parallel path, open through the
@@ -113,22 +120,17 @@ fn new_cols(arity: usize) -> Vec<LocalCol> {
 /// (new values take the next codes of `cols`' dictionaries, in
 /// first-seen order).
 ///
-/// Every record's width is checked before anything is interned; the
-/// block is then encoded one column at a time, so one dictionary's
-/// table and arena stay hot for a whole column. Each dictionary sees
-/// its column's values in row order either way, so codes, dictionary
-/// order and histograms are those of a row-by-row scan (DESIGN.md §11).
-fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [LocalCol]) -> Result<()> {
-    let arity = cols.len();
-    let n = recs.n_records();
-    if let Some(w) = (0..n).map(|r| recs.record_len(r)).find(|&w| w != arity) {
-        return Err(Error::Relation(format!(
-            "row has {w} values, schema has arity {arity}"
-        )));
-    }
-    for (a, col) in cols.iter_mut().enumerate() {
-        for r in 0..n {
-            let c = col.dict.intern(recs.field(block, r, a));
+/// The block is encoded one column at a time, from that column's
+/// contiguous spans, so one dictionary's table and arena stay hot for
+/// a whole column. Each dictionary sees its column's values in row
+/// order either way, so codes, dictionary order and histograms are
+/// those of a row-by-row scan (DESIGN.md §11).
+fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [LocalCol]) {
+    let (spans, scratch) = recs.columns();
+    for (col, spans) in cols.iter_mut().zip(spans) {
+        col.codes.reserve(spans.len());
+        for &span in spans {
+            let c = col.dict.intern(span.get(block, scratch));
             if c as usize == col.counts.len() {
                 col.counts.push(0);
             }
@@ -136,7 +138,6 @@ fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [LocalCol]) -> Resu
             col.codes.push(c);
         }
     }
-    Ok(())
 }
 
 /// Merges one block's local columns into the global ones, remapping
@@ -205,19 +206,20 @@ fn encode_one(block: &[u8], recs: &mut BlockRecords, cols: &mut [LocalCol]) -> R
         recs.parse_into(s)?;
     }
     let _sp = crate::span!("ingest.encode");
-    encode_block(s, recs, cols)?;
+    encode_block(s, recs, cols);
     Ok(recs.n_records())
 }
 
 /// The serial path: every block encodes in place into the global
-/// columns, so each value is interned once and nothing is merged.
+/// columns, so each value is interned once and nothing is merged. Each
+/// consumed block goes back to the reader, whose next read refills it.
 fn ingest_serial<R: Read>(
     blocks: &mut BlockReader<R>,
     first: Option<Vec<u8>>,
     global: &mut [LocalCol],
     ctrl: &Control<'_>,
 ) -> Result<()> {
-    let mut recs = BlockRecords::default();
+    let mut recs = BlockRecords::new(global.len());
     let mut pending = first;
     loop {
         let block = match pending.take() {
@@ -233,6 +235,7 @@ fn ingest_serial<R: Read>(
         ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
         let rows = encode_one(&block, &mut recs, global)?;
         ctrl.metric_add("ingest.rows", rows as u64);
+        blocks.recycle(block);
     }
 }
 
@@ -257,7 +260,7 @@ fn worker<R: Read>(
     arity: usize,
     ctrl: Control<'_>,
 ) {
-    let mut recs = BlockRecords::default();
+    let mut recs = BlockRecords::new(arity);
     loop {
         let (idx, block) = {
             let mut s = source.lock().unwrap();
@@ -359,9 +362,10 @@ fn finish_relation(
     let n_rows = global.first().map_or(0, |c| c.codes.len());
     let cols = global
         .into_iter()
-        .map(|mut c| {
-            c.dict.shrink_to_fit();
-            Column::from_parts(c.codes, c.dict, c.counts)
+        .map(|c| {
+            let mut col = Column::from_parts(c.codes, c.dict, c.counts);
+            col.shrink_to_fit();
+            col
         })
         .collect();
     let rel = Relation::from_parts(schema, cols, n_rows);
@@ -579,6 +583,60 @@ mod tests {
                 let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
                 let e = ingest(short, &opts).unwrap_err();
                 assert_eq!(e.to_string(), want, "chunk {chunk}, threads {threads}");
+            }
+        }
+    }
+
+    /// Within one block a parse error wins over a width error, in
+    /// either order; a width error in an earlier block wins over a
+    /// parse error in a later one. An unterminated quote runs to the
+    /// end of the input, so it is always in the last block.
+    #[test]
+    fn a_parse_error_wins_within_its_block_and_an_earlier_block_wins_across() {
+        let short_then_quote = "a,b\n1,2\n3\n4,\"oops\n5,6\n";
+        let long_then_quote = "a,b\n1,2,3\n4,\"oops\n";
+        let quote_then_short = "a,b\n1,\"oops\n3\n4,5\n";
+        let quote = "parse error: unterminated quoted field";
+        let short = "relation error: row has 1 values, schema has arity 2";
+        let long = "relation error: row has 3 values, schema has arity 2";
+        // one 4 KiB chunk holds each input whole; in 4-byte chunks the
+        // bad row's block ends before the quote's
+        for (text, whole, cut) in [
+            (short_then_quote, quote, short),
+            (long_then_quote, quote, long),
+            (quote_then_short, quote, quote),
+        ] {
+            for (chunk, want) in [(4096, whole), (4, cut)] {
+                for threads in [1, 2] {
+                    let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
+                    let e = ingest(text, &opts).unwrap_err();
+                    assert_eq!(
+                        e.to_string(),
+                        want,
+                        "{text:?}, chunk {chunk}, threads {threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Codes and histograms are held at their length, so the memory
+    /// figure is the same whatever the chunk size and thread count,
+    /// and the same as the row-by-row builder's.
+    #[test]
+    fn memory_figures_do_not_depend_on_how_the_input_was_cut() {
+        let mut csv = Vec::new();
+        cfd_datagen::tax::TaxGenerator::new(3_000)
+            .seed(5)
+            .write_csv(&mut csv)
+            .unwrap();
+        let text = String::from_utf8(csv).unwrap();
+        let want = oracle(&text).memory_bytes();
+        for chunk in [7, 4096, DEFAULT_CHUNK_BYTES] {
+            for threads in [1, 2] {
+                let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
+                let got = ingest(&text, &opts).unwrap().memory_bytes();
+                assert_eq!(got, want, "chunk {chunk}, threads {threads}");
             }
         }
     }

@@ -274,6 +274,15 @@ impl Column {
         self.regions.get_or_init(|| ValueIndex::build(self))
     }
 
+    /// Releases the spare capacity of the codes, the histogram and the
+    /// dictionary — for a column that is done growing, so that
+    /// [`Column::memory_bytes`] does not depend on how it grew.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.codes.shrink_to_fit();
+        self.counts.shrink_to_fit();
+        self.dict.shrink_to_fit();
+    }
+
     /// Approximate heap bytes held by this column: codes, histogram,
     /// and dictionary.
     pub fn memory_bytes(&self) -> usize {
@@ -672,7 +681,7 @@ impl RelationBuilder {
     /// Finalizes the relation.
     pub fn finish(mut self) -> Relation {
         for c in &mut self.cols {
-            c.dict.shrink_to_fit();
+            c.shrink_to_fit();
         }
         Relation {
             schema: self.schema,

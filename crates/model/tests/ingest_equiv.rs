@@ -5,7 +5,9 @@
 //! which force every quoted comma, escaped quote and quoted CRLF to
 //! straddle a block boundary — and at every thread count, which
 //! exercises the local-dictionary merge's determinism argument
-//! (DESIGN.md §11).
+//! (DESIGN.md §11). Long quote-free stretches around a quoted one
+//! drive the scanner's switch between its quote-free shortcut and its
+//! quote state machine.
 
 use cfd_model::csv::{parse_csv, relation_from_csv_str};
 use cfd_model::progress::Control;
@@ -54,34 +56,81 @@ const FIELDS: &[&str] = &[
     "长字段",
 ];
 
-/// Renders `rows` as CSV with a fixed header, quoting exactly like the
-/// writer in `cfd_model::csv` (quote when a field contains `,`, `"`,
-/// `\n` or `\r`).
-fn to_csv(rows: &[Vec<&str>], arity: usize) -> String {
-    let mut out = String::new();
-    for a in 0..arity {
+/// Values with no `,`, `"`, `\n` or `\r`: written bare, so rows of
+/// them hold no quote.
+const PLAIN: &[&str] = &[
+    "v1",
+    "v22",
+    "plain",
+    "",
+    " ",
+    "  pad  ",
+    "ünïcode ✓",
+    "长字段",
+];
+
+/// The header `H0,…` of `arity` columns, with its terminator.
+fn header(arity: usize) -> String {
+    let names: Vec<String> = (0..arity).map(|a| format!("H{a}")).collect();
+    names.join(",") + "\n"
+}
+
+/// Appends `row` without a terminator, quoting exactly like the writer
+/// in `cfd_model::csv` (quote when a field contains `,`, `"`, `\n` or
+/// `\r`).
+fn push_record(out: &mut String, row: &[&str]) {
+    for (a, f) in row.iter().enumerate() {
         if a > 0 {
             out.push(',');
         }
-        out.push_str(&format!("H{a}"));
-    }
-    out.push('\n');
-    for row in rows {
-        for (a, f) in row.iter().enumerate() {
-            if a > 0 {
-                out.push(',');
-            }
-            if f.contains(['"', ',', '\n', '\r']) {
-                out.push('"');
-                out.push_str(&f.replace('"', "\"\""));
-                out.push('"');
-            } else {
-                out.push_str(f);
-            }
+        if f.contains(['"', ',', '\n', '\r']) {
+            out.push('"');
+            out.push_str(&f.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(f);
         }
+    }
+}
+
+/// Renders `rows` as CSV with a fixed header.
+fn to_csv(rows: &[Vec<&str>], arity: usize) -> String {
+    let mut out = header(arity);
+    for row in rows {
+        push_record(&mut out, row);
         out.push('\n');
     }
     out
+}
+
+/// One quote-free row: indices into [`PLAIN`], and a style. Odd styles
+/// end the row in `\r\n`, even ones in `\n`; styles 2 and 3 add a
+/// blank line with the same terminator.
+type PlainRow = (Vec<usize>, usize);
+
+/// Appends a quote-free stretch.
+fn push_plain(out: &mut String, rows: &[PlainRow]) {
+    for (row, style) in rows {
+        let values: Vec<&str> = row.iter().map(|&i| PLAIN[i]).collect();
+        push_record(out, &values);
+        let end = if style % 2 == 1 { "\r\n" } else { "\n" };
+        out.push_str(end);
+        if *style >= 2 {
+            out.push_str(end);
+        }
+    }
+}
+
+/// Chunk sizes from 1 to past `len`: every size up to 32, then steps
+/// of about a quarter.
+fn chunk_sweep(len: usize) -> Vec<usize> {
+    let mut sizes: Vec<usize> = (1..=32).collect();
+    let mut c = 32;
+    while c <= len {
+        c += c / 4;
+        sizes.push(c);
+    }
+    sizes
 }
 
 /// Full structural equality: schema names, row count, per-column codes,
@@ -123,6 +172,26 @@ fn rows_strategy() -> impl Strategy<Value = (usize, Vec<Vec<&'static str>>)> {
             0..12,
         )
         .prop_map(move |rows| (arity, rows))
+    })
+}
+
+/// A short stretch of rows over the adversarial alphabet, between two
+/// quote-free stretches of up to 40 rows each.
+#[allow(clippy::type_complexity)]
+fn mixed_strategy(
+) -> impl Strategy<Value = (usize, Vec<PlainRow>, Vec<Vec<&'static str>>, Vec<PlainRow>)> {
+    (2usize..=4).prop_flat_map(|arity| {
+        let plain = move || {
+            prop_collection::vec(
+                (prop_collection::vec(0..PLAIN.len(), arity), 0usize..4),
+                0..=40,
+            )
+        };
+        let quoted = prop_collection::vec(
+            prop_collection::vec((0..FIELDS.len()).prop_map(|i| FIELDS[i]), arity),
+            1..=3,
+        );
+        (Just(arity), plain(), quoted, plain())
     })
 }
 
@@ -170,5 +239,37 @@ proptest! {
         )
         .expect("parallel ingest parses");
         assert_identical(&serial, &parallel, &format!("chunk={chunk}"));
+    }
+
+    /// Quote-free stretches (`\n` and `\r\n` terminators, blank lines)
+    /// around a short quoted one load the same relation at every chunk
+    /// size from 1 to past the input, at one and two threads, as the
+    /// reference reader and the string API.
+    #[test]
+    fn quote_free_stretches_around_a_quoted_one_match_the_oracle(
+        input in mixed_strategy(),
+    ) {
+        let (arity, before, quoted, after) = input;
+        let mut csv = header(arity);
+        push_plain(&mut csv, &before);
+        for row in &quoted {
+            push_record(&mut csv, row);
+            csv.push('\n');
+        }
+        push_plain(&mut csv, &after);
+        let want = oracle(&csv);
+        assert_identical(
+            &want,
+            &relation_from_csv_str(&csv).expect("string API parses"),
+            "relation_from_csv_str",
+        );
+        for chunk in chunk_sweep(csv.len()) {
+            for threads in [1, 2] {
+                let opts = IngestOptions::default().chunk_bytes(chunk).threads(threads);
+                let got = ingest_csv_reader(csv.as_bytes(), &opts, &Control::default())
+                    .expect("chunked ingest parses");
+                assert_identical(&want, &got, &format!("chunk={chunk} threads={threads}"));
+            }
+        }
     }
 }
