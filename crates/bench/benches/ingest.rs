@@ -2,8 +2,8 @@
 //! serial and parallel.
 //!
 //! What this measures: `ingest_csv_reader` streaming a tax CSV file
-//! through 1 MiB chunks at 1/2/4/8 encode workers (one encodes in
-//! place; more encode blocks in parallel and merge them). Throughput
+//! through 1 MiB chunks at 1/2/4/8 encode workers (more than one share
+//! each block's columns out, one column to a worker). Throughput
 //! is reported in input bytes; an `# ingest:` line on stderr records
 //! the relation-side memory (`Relation::memory_bytes`) and the peak
 //! scanner buffer (chunk + longest-record bound), the numbers

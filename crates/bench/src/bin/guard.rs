@@ -136,7 +136,7 @@ fn run_ctane(rel: &Relation) -> u64 {
 /// The `fastcfd_closed2` workload: the pass that mines FastCFD's
 /// Closed₂ index, on one thread.
 fn run_closed2(rel: &Relation) -> u64 {
-    ClosedSetIndex::mine(rel, 1).len() as u64
+    ClosedSetIndex::mine(rel).len() as u64
 }
 
 /// The `cfd watch` workload: each round inserts a batch of string rows

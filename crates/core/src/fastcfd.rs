@@ -53,15 +53,10 @@ pub enum DiffSetMode {
     StrippedPartitions,
 }
 
-/// Builds the Closed₂(r) index once (shared by every thread), mining
-/// on `threads` workers.
-fn build_closed2_index(
-    rel: &Relation,
-    mode: DiffSetMode,
-    threads: usize,
-) -> Option<ClosedSetIndex> {
+/// Builds the Closed₂(r) index once, shared by every thread.
+fn build_closed2_index(rel: &Relation, mode: DiffSetMode) -> Option<ClosedSetIndex> {
     match mode {
-        DiffSetMode::ClosedSets => Some(ClosedSetIndex::mine(rel, threads)),
+        DiffSetMode::ClosedSets => Some(ClosedSetIndex::mine(rel)),
         DiffSetMode::StrippedPartitions => None,
     }
 }
@@ -106,12 +101,13 @@ fn agree_families(
 /// sets and dynamic attribute reordering; [`FastCfd::naive`] is
 /// NaiveFast. Both take their constant CFDs from CFDMiner.
 ///
-/// `threads` shards both item-set mining passes (the k-frequent free
-/// sets and the Closed₂ index), then each free set's agree-set family
-/// (computed once per run), then `FindCover` for the different RHS
-/// attributes (embarrassingly parallel across RHS attributes; the
-/// families are shared read-only) over the [`shard_runs`] workers, at
-/// most one per core. `1` keeps the paper's single-threaded execution
+/// `threads` shards the free-set mining pass, then each free set's
+/// agree-set family (computed once per run), then `FindCover` for the
+/// different RHS attributes (embarrassingly parallel across RHS
+/// attributes; the families are shared read-only) over the
+/// [`shard_runs`] workers, at most one per core. The Closed₂ index is
+/// mined on one thread, which was faster than sharding it at two
+/// (DESIGN.md §9). `1` keeps the paper's single-threaded execution
 /// model. Output is byte-identical for every thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct FastCfd {
@@ -284,7 +280,7 @@ impl Discoverer for FastCfd {
             return Ok((CanonicalCover::default(), Vec::new()));
         }
         let t0 = std::time::Instant::now();
-        let index = build_closed2_index(rel, self.mode, opts.threads);
+        let index = build_closed2_index(rel, self.mode);
         if self.mode == DiffSetMode::ClosedSets {
             stats.phase("index", t0.elapsed());
         }
@@ -354,7 +350,7 @@ mod tests {
             .map(|&n| (n, r.schema().attr_id(n).unwrap()))
             .collect();
         for mode in [DiffSetMode::ClosedSets, DiffSetMode::StrippedPartitions] {
-            let index = build_closed2_index(&r, mode, 1);
+            let index = build_closed2_index(&r, mode);
             let families = families(&r, &mined, index.as_ref());
             let cc01 = Pattern::from_pairs([(
                 ids["CC"],
@@ -404,7 +400,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let index = ClosedSetIndex::mine(&r, 1);
+        let index = ClosedSetIndex::mine(&r);
         let xa = Pattern::from_pairs([(0, PVal::Const(r.column(0).dict().code("a").unwrap()))]);
         assert!(index.agree_attr_sets(&xa).contains(&AttrSet::singleton(0)));
         let mined = mine_free_closed(&r, 2, MineOptions::default());

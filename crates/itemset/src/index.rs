@@ -31,13 +31,12 @@ pub struct ClosedSetIndex {
 }
 
 impl ClosedSetIndex {
-    /// Mines Closed₂(`rel`) on `threads` workers and indexes it: the
-    /// closures of the 2-frequent free sets, each once, in the order
-    /// `mine_free_closed(rel, 2, _)` lists its closed sets — the same at
-    /// every thread count. Only the closures are kept, as attribute sets
-    /// and postings.
-    pub fn mine(rel: &Relation, threads: usize) -> ClosedSetIndex {
-        let closures = closed2(rel, threads);
+    /// Mines Closed₂(`rel`) and indexes it: the closures of the
+    /// 2-frequent free sets, each once, in the order
+    /// `mine_free_closed(rel, 2, _)` lists its closed sets. Only the
+    /// closures are kept, as attribute sets and postings.
+    pub fn mine(rel: &Relation) -> ClosedSetIndex {
+        let closures = closed2(rel);
         let mut item_base = Vec::with_capacity(rel.arity() + 1);
         item_base.push(0);
         for a in 0..rel.arity() {
@@ -179,7 +178,7 @@ mod tests {
     fn containing_matches_linear_scan() {
         let r = cust();
         let mined = mine_free_closed(&r, 2, MineOptions::default());
-        let idx = ClosedSetIndex::mine(&r, 1);
+        let idx = ClosedSetIndex::mine(&r);
         assert_eq!(idx.len(), mined.closed.len());
 
         let queries = [
@@ -205,7 +204,7 @@ mod tests {
     #[test]
     fn unknown_item_yields_nothing() {
         let r = cust();
-        let idx = ClosedSetIndex::mine(&r, 1);
+        let idx = ClosedSetIndex::mine(&r);
         // AC=212 has support 1, so no 2-frequent closed set contains it
         let q = pat(&r, &[("AC", "212")]);
         assert!(idx.containing(&q).is_empty());
@@ -214,7 +213,7 @@ mod tests {
     #[test]
     fn agree_attr_sets_are_attr_projections() {
         let r = cust();
-        let idx = ClosedSetIndex::mine(&r, 1);
+        let idx = ClosedSetIndex::mine(&r);
         let q = pat(&r, &[("CC", "44")]);
         let agree = idx.agree_attr_sets(&q);
         assert!(!agree.is_empty());

@@ -42,7 +42,7 @@
 //! assert!(clo.pattern.len() >= mined.free[i].pattern.len());
 //! assert_eq!(clo.support, 2);
 //! // at k 2 the Closed₂ index holds the same closed sets
-//! let index = cfd_itemset::ClosedSetIndex::mine(&rel, 1);
+//! let index = cfd_itemset::ClosedSetIndex::mine(&rel);
 //! assert_eq!(index.len(), mined.closed.len());
 //! ```
 

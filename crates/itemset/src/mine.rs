@@ -374,13 +374,13 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
 
 /// The 2-frequent closed sets — those of `mine_free_closed(rel, 2, _)`,
 /// in the same order — and nothing else: the walk registers each free
-/// set's closure once, building no free set or pattern. Mines on
-/// `threads` workers; the result is the same at every thread count.
-pub(crate) fn closed2(rel: &Relation, threads: usize) -> Vec<Closure> {
+/// set's closure once, building no free set or pattern. Mines on one
+/// thread: sharding this pass lost at two threads on every input
+/// measured (DESIGN.md §9).
+pub(crate) fn closed2(rel: &Relation) -> Vec<Closure> {
     let mut closures = Closures::default();
     let opts = MineOptions {
         keep_tids: false,
-        threads,
         ..MineOptions::default()
     };
     walk(rel, 2, opts, |_, closure| {

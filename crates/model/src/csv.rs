@@ -26,7 +26,7 @@
 //! and of the spans are spelled out in DESIGN.md §11.
 
 use crate::error::{Error, Result};
-use crate::ingest::{ingest_csv_reader_serial, IngestOptions};
+use crate::ingest::{ingest_csv_reader, ingest_csv_str, IngestOptions};
 use crate::progress::Control;
 use crate::relation::Relation;
 use std::io::{Read, Write};
@@ -553,7 +553,8 @@ impl<R: Read> BlockReader<R> {
     }
 
     /// Hands a consumed block back, so a later read refills its buffer
-    /// instead of allocating a fresh one.
+    /// instead of allocating a fresh one. The ingest loop hands back
+    /// every block at every thread count, so a load cycles two buffers.
     pub fn recycle(&mut self, block: Vec<u8>) {
         self.spare = block;
     }
@@ -591,11 +592,11 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>> {
 }
 
 /// Reads a relation from CSV text. The first record is the header and
-/// becomes the schema. Runs the serial pipeline over the text's bytes,
-/// in chunks no larger than the text.
+/// becomes the schema. Runs the pipeline over the text's bytes through
+/// [`ingest_csv_str`], so a text under [`DEFAULT_CHUNK_BYTES`] is one
+/// block.
 pub fn relation_from_csv_str(text: &str) -> Result<Relation> {
-    let opts = IngestOptions::default().chunk_bytes(text.len().min(DEFAULT_CHUNK_BYTES));
-    ingest_csv_reader_serial(text.as_bytes(), &opts, &Control::default())
+    ingest_csv_str(text, &Control::default())
 }
 
 /// Reads a relation from any reader producing CSV with a header row.
@@ -605,7 +606,7 @@ pub fn relation_from_csv_str(text: &str) -> Result<Relation> {
 /// resulting relation and every error are identical to feeding the
 /// same bytes to [`relation_from_csv_str`].
 pub fn relation_from_csv_reader<R: Read>(reader: R) -> Result<Relation> {
-    ingest_csv_reader_serial(reader, &IngestOptions::default(), &Control::default())
+    ingest_csv_reader(reader, &IngestOptions::default(), &Control::default())
 }
 
 /// Reads a relation from a CSV file with a header row.

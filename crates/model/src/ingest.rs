@@ -1,42 +1,39 @@
-//! Streaming, chunked, parallel CSV → [`Relation`] ingestion.
+//! Streaming, chunked CSV → [`Relation`] ingestion.
 //!
 //! This module is the engine behind every CSV load in the workspace,
-//! string, reader and path alike:
+//! string, reader and path alike. It runs one loop over blocks:
 //!
 //! 1. **Read** — a [`BlockReader`] pulls fixed-size chunks from any
 //!    [`Read`] and emits blocks of *whole records*. A quote-free stretch
 //!    ends just past its last `\n`; a stretch with a quote runs the
 //!    quote-aware scan, so a quoted newline spanning chunks parses the
 //!    same as in one piece. Peak buffered input is O(chunk + longest
-//!    record); the serial path hands each consumed block's buffer back
-//!    to the reader for the next read.
-//! 2. **Parse + encode** — each block is parsed zero-copy, column-major:
-//!    every field becomes an 8-byte span into the block in its column's
-//!    span vector, and record widths are checked on the way. Each
-//!    column is then dictionary-encoded from its contiguous spans.
-//!    The serial path (`threads <= 1`) encodes straight into the
-//!    relation's columns, so each value is interned once. With
-//!    `threads > 1`, workers pull blocks from a shared reader and
-//!    encode each against *block-local* dictionaries in parallel.
-//! 3. **Merge** (parallel path only) — blocks merge into the global
-//!    columns strictly in input order: each block's local values are
-//!    interned into the global dictionary in local-code order, which
-//!    reproduces exactly the first-seen code assignment of the serial
-//!    row scan. Final codes are therefore **independent of thread
-//!    count and chunk size** (property-tested in
-//!    `tests/ingest_equiv.rs`). The per-code histograms counted here
-//!    become each column's first-level partition
+//!    record); each consumed block's buffer goes back to the reader for
+//!    the next read.
+//! 2. **Parse** — each block is parsed zero-copy, column-major: every
+//!    field becomes an 8-byte span into the block in its column's span
+//!    vector, and record widths are checked on the way.
+//! 3. **Encode** — each column is dictionary-encoded from its
+//!    contiguous spans straight into the relation's column, so each
+//!    value is interned once. With `threads > 1` a large block's
+//!    columns are shared out among workers, each column to exactly one
+//!    worker. A column's codes depend only on the order in which its
+//!    own dictionary sees its own values, and that is row order at any
+//!    thread count, so final codes are **independent of thread count
+//!    and chunk size** (property-tested in `tests/ingest_equiv.rs`).
+//!    The per-code histograms counted here become each column's
+//!    first-level partition
 //!    ([`crate::relation::Column::value_counts`]), warm for downstream
 //!    grouping. A finished relation holds its codes and histograms at
 //!    their length, so its memory figure does not depend on how the
 //!    input was cut.
 //!
 //! Observability: `ingest.read` / `ingest.parse` / `ingest.encode`
-//! spans, plus `ingest.merge` on the parallel path, open through the
-//! same [`span!`](crate::span) guard as every other layer's; the
-//! `ingest.rows` and `ingest.chunk_bytes` counters and the
-//! `ingest.relation_bytes` / `ingest.max_block_bytes` gauges (the RSS
-//! proxies) flow through the [`Control`] handle. See DESIGN.md §11.
+//! spans open one after another on the loading thread, through the same
+//! [`span!`](crate::span) guard as every other layer's, so they add up
+//! to the load; the `ingest.rows` and `ingest.chunk_bytes` counters and
+//! the `ingest.relation_bytes` / `ingest.max_block_bytes` gauges (the
+//! RSS proxies) flow through the [`Control`] handle. See DESIGN.md §11.
 //!
 //! ```
 //! use cfd_model::ingest::{ingest_csv_reader, IngestOptions};
@@ -50,27 +47,25 @@
 //! ```
 
 use crate::csv::{
-    block_str, parse_record_fields, BlockReader, BlockRecords, RecordFields, BOM,
+    block_str, parse_record_fields, BlockReader, BlockRecords, RecordFields, Span, BOM,
     DEFAULT_CHUNK_BYTES,
 };
 use crate::error::{Error, Result};
-use crate::progress::{workers, Control};
+use crate::progress::{par_map, Control};
 use crate::relation::{Column, Dict, Relation};
 use crate::schema::Schema;
-use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::Path;
-use std::sync::mpsc::{self, SyncSender};
-use std::sync::Mutex;
 
 /// Options of the chunked ingestion pipeline.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
     /// Bytes per read chunk (min 1). Default [`DEFAULT_CHUNK_BYTES`].
     pub chunk_bytes: usize,
-    /// Worker threads dictionary-encoding blocks (at most one per
-    /// core); `<= 1` runs the serial path. The resulting relation is
-    /// identical either way.
+    /// Workers that share out a block's columns for encoding (at most
+    /// one per core, and one per column); `<= 1` encodes every column
+    /// on the loading thread, as does any block of fewer than 4,096
+    /// records. The resulting relation is identical either way.
     pub threads: usize,
 }
 
@@ -97,70 +92,65 @@ impl IngestOptions {
     }
 }
 
-/// One column under construction: codes over a dictionary, plus the
-/// per-code histogram. The serial path encodes straight into the
-/// global columns; each parallel block gets fresh block-local ones.
-struct LocalCol {
+/// The fewest records for which a block's columns are shared out among
+/// workers; a smaller block encodes on the loading thread. Each shared
+/// block starts its workers afresh, which a small block does not repay.
+/// With no minimum, 200k tax rows on a 2-core box loaded at two threads
+/// against one in 113–123 against 98–102 ms in blocks of ~1,024
+/// records, broke even at ~4,096, and won at the default 1 MiB block
+/// (~28,000 records), 84–115 against 97–130 ms. In a debug build the
+/// property tests of `tests/ingest_equiv.rs` (thousands of inputs in
+/// chunks of a few bytes, at up to four threads) took 11.9–14.3 s with
+/// no minimum and 0.6–0.8 s with this one.
+pub(crate) const PAR_MIN_RECORDS: usize = 4096;
+
+/// One column under construction: codes over its dictionary, plus the
+/// per-code histogram.
+#[derive(Default)]
+struct ColumnBuilder {
     codes: Vec<u32>,
     dict: Dict,
     counts: Vec<u32>,
 }
 
-fn new_cols(arity: usize) -> Vec<LocalCol> {
-    (0..arity)
-        .map(|_| LocalCol {
-            codes: Vec::new(),
-            dict: Dict::default(),
-            counts: Vec::new(),
-        })
-        .collect()
-}
-
-/// Dictionary-encodes every record of a parsed block into `cols`
-/// (new values take the next codes of `cols`' dictionaries, in
-/// first-seen order).
-///
-/// The block is encoded one column at a time, from that column's
-/// contiguous spans, so one dictionary's table and arena stay hot for
-/// a whole column. Each dictionary sees its column's values in row
-/// order either way, so codes, dictionary order and histograms are
-/// those of a row-by-row scan (DESIGN.md §11).
-fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [LocalCol]) {
-    let (spans, scratch) = recs.columns();
-    for (col, spans) in cols.iter_mut().zip(spans) {
-        col.codes.reserve(spans.len());
+impl ColumnBuilder {
+    /// Appends the values of `spans`, in order: a new value takes the
+    /// dictionary's next code.
+    fn encode(&mut self, spans: &[Span], block: &str, scratch: &str) {
+        self.codes.reserve(spans.len());
         for &span in spans {
-            let c = col.dict.intern(span.get(block, scratch));
-            if c as usize == col.counts.len() {
-                col.counts.push(0);
+            let c = self.dict.intern(span.get(block, scratch));
+            if c as usize == self.counts.len() {
+                self.counts.push(0);
             }
-            col.counts[c as usize] += 1;
-            col.codes.push(c);
+            self.counts[c as usize] += 1;
+            self.codes.push(c);
         }
     }
 }
 
-/// Merges one block's local columns into the global ones, remapping
-/// block-local codes through the global dictionaries.
-///
-/// Blocks must be merged in input order. Interning each block's local
-/// values in local-code order then reproduces exactly the first-seen
-/// global code assignment of a serial row scan: a value's first global
-/// appearance is in its earliest containing block, at its first local
-/// occurrence. This is the determinism argument of DESIGN.md §11.
-fn merge_block(global: &mut [LocalCol], block: Vec<LocalCol>, remap: &mut Vec<u32>) {
-    for (g, l) in global.iter_mut().zip(block) {
-        remap.clear();
-        for lc in 0..l.dict.len() as u32 {
-            let gc = g.dict.intern(l.dict.value(lc));
-            if gc as usize == g.counts.len() {
-                g.counts.push(0);
-            }
-            g.counts[gc as usize] += l.counts[lc as usize];
-            remap.push(gc);
-        }
-        g.codes.extend(l.codes.iter().map(|&c| remap[c as usize]));
-    }
+/// Dictionary-encodes every record of a parsed block into `cols`, one
+/// column at a time, each from its contiguous spans, so one
+/// dictionary's table and arena stay hot for a whole column. A block of
+/// at least [`PAR_MIN_RECORDS`] records shares its columns out among
+/// up to `threads` workers, each column to exactly one of them. Either
+/// way each dictionary sees its own column's values in row order on one
+/// thread, and no dictionary is shared between columns, so codes,
+/// dictionary order and histograms are those of a serial row-by-row
+/// scan (DESIGN.md §11).
+fn encode_block(block: &str, recs: &BlockRecords, cols: &mut [ColumnBuilder], threads: usize) {
+    let (spans, scratch) = recs.columns();
+    let threads = if recs.n_records() < PAR_MIN_RECORDS {
+        1
+    } else {
+        threads
+    };
+    par_map(
+        cols.iter_mut().zip(spans),
+        threads,
+        || (),
+        |(col, spans), _| col.encode(spans, block, scratch),
+    );
 }
 
 /// Reads blocks until the first non-blank record appears; returns the
@@ -197,30 +187,29 @@ fn read_header<R: Read>(blocks: &mut BlockReader<R>) -> Result<(Schema, Vec<u8>)
     }
 }
 
-/// Parses one raw block and encodes it into `cols` (the per-block
-/// step of both paths); returns its record count.
-fn encode_one(block: &[u8], recs: &mut BlockRecords, cols: &mut [LocalCol]) -> Result<usize> {
-    let s = block_str(block)?;
-    {
-        let _sp = crate::span!("ingest.parse");
-        recs.parse_into(s)?;
-    }
-    let _sp = crate::span!("ingest.encode");
-    encode_block(s, recs, cols);
-    Ok(recs.n_records())
-}
-
-/// The serial path: every block encodes in place into the global
-/// columns, so each value is interned once and nothing is merged. Each
-/// consumed block goes back to the reader, whose next read refills it.
-fn ingest_serial<R: Read>(
-    blocks: &mut BlockReader<R>,
-    first: Option<Vec<u8>>,
-    global: &mut [LocalCol],
+/// Streams CSV with a header row into a [`Relation`] through the
+/// chunked pipeline. The relation — codes, dictionary order and
+/// histograms — is the same for every chunk size and thread count, and
+/// the same as [`relation_from_csv_str`](crate::csv::relation_from_csv_str)
+/// builds from the same bytes. Peak input-side memory is
+/// O(`chunk_bytes`), not O(file).
+///
+/// Each block is read, parsed and encoded before the next is read, and
+/// the first failing block in input order gives the error. Within a
+/// block a parse error wins over a width error (DESIGN.md §11).
+pub fn ingest_csv_reader<R: Read>(
+    reader: R,
+    opts: &IngestOptions,
     ctrl: &Control<'_>,
-) -> Result<()> {
-    let mut recs = BlockRecords::new(global.len());
-    let mut pending = first;
+) -> Result<Relation> {
+    let mut blocks = BlockReader::new(reader, opts.chunk_bytes);
+    let (schema, first) = {
+        let _sp = crate::span!("ingest.read");
+        read_header(&mut blocks)?
+    };
+    let mut cols: Vec<ColumnBuilder> = (0..schema.arity()).map(|_| Default::default()).collect();
+    let mut recs = BlockRecords::new(schema.arity());
+    let mut pending = (!first.is_empty()).then_some(first);
     loop {
         let block = match pending.take() {
             Some(b) => b,
@@ -228,139 +217,25 @@ fn ingest_serial<R: Read>(
                 let _sp = crate::span!("ingest.read");
                 match blocks.next_block()? {
                     Some(b) => b,
-                    None => return Ok(()),
+                    None => break,
                 }
             }
         };
         ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
-        let rows = encode_one(&block, &mut recs, global)?;
-        ctrl.metric_add("ingest.rows", rows as u64);
+        let s = block_str(&block)?;
+        {
+            let _sp = crate::span!("ingest.parse");
+            recs.parse_into(s)?;
+        }
+        {
+            let _sp = crate::span!("ingest.encode");
+            encode_block(s, &recs, &mut cols, opts.threads);
+        }
+        ctrl.metric_add("ingest.rows", recs.n_records() as u64);
         blocks.recycle(block);
     }
-}
-
-/// The shared block source workers pull from: the reader, the
-/// remainder of the header block, and the index of the next block
-/// (indices keep the merge in input order).
-struct Source<R> {
-    blocks: BlockReader<R>,
-    pending: Option<Vec<u8>>,
-    next_index: u64,
-    /// Set on the first source error so other workers stop pulling.
-    failed: bool,
-}
-
-type BlockResult = (u64, Result<(usize, Vec<LocalCol>)>);
-
-/// A parallel encode worker: pulls blocks and encodes each into fresh
-/// block-local columns for the in-order merge.
-fn worker<R: Read>(
-    source: &Mutex<Source<R>>,
-    tx: SyncSender<BlockResult>,
-    arity: usize,
-    ctrl: Control<'_>,
-) {
-    let mut recs = BlockRecords::new(arity);
-    loop {
-        let (idx, block) = {
-            let mut s = source.lock().unwrap();
-            if s.failed {
-                return;
-            }
-            let taken = match s.pending.take() {
-                Some(b) => Ok(Some(b)),
-                None => {
-                    let _sp = crate::span!("ingest.read");
-                    s.blocks.next_block()
-                }
-            };
-            let idx = s.next_index;
-            match taken {
-                Ok(Some(b)) => {
-                    s.next_index += 1;
-                    (idx, b)
-                }
-                Ok(None) => return,
-                Err(e) => {
-                    s.failed = true;
-                    s.next_index += 1;
-                    drop(s);
-                    let _ = tx.send((idx, Err(e)));
-                    return;
-                }
-            }
-        };
-        ctrl.metric_add("ingest.chunk_bytes", block.len() as u64);
-        let mut cols = new_cols(arity);
-        let res = encode_one(&block, &mut recs, &mut cols).map(|rows| (rows, cols));
-        // send fails only when the merger bailed on an earlier error
-        if tx.send((idx, res)).is_err() {
-            return;
-        }
-    }
-}
-
-fn ingest_parallel<R: Read + Send>(
-    blocks: BlockReader<R>,
-    first: Option<Vec<u8>>,
-    global: &mut [LocalCol],
-    arity: usize,
-    threads: usize,
-    ctrl: &Control<'_>,
-) -> Result<usize> {
-    let threads = workers(threads);
-    let source = Mutex::new(Source {
-        blocks,
-        pending: first,
-        next_index: 0,
-        failed: false,
-    });
-    // bounded channel: backpressure keeps at most ~2 encoded blocks
-    // per worker in flight, so memory stays O(threads × chunk)
-    let (tx, rx) = mpsc::sync_channel::<BlockResult>(threads * 2);
-    let merged = std::thread::scope(|scope| -> Result<()> {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let source = &source;
-            let ctrl = *ctrl;
-            scope.spawn(move || worker(source, tx, arity, ctrl));
-        }
-        drop(tx);
-        // merge strictly in block order; out-of-order arrivals wait
-        let mut held: BTreeMap<u64, Result<(usize, Vec<LocalCol>)>> = BTreeMap::new();
-        let mut next = 0u64;
-        let mut remap: Vec<u32> = Vec::new();
-        for (idx, res) in rx {
-            held.insert(idx, res);
-            while let Some(res) = held.remove(&next) {
-                next += 1;
-                let (rows, cols) = res?;
-                ctrl.metric_add("ingest.rows", rows as u64);
-                let _sp = crate::span!("ingest.merge");
-                merge_block(global, cols, &mut remap);
-            }
-        }
-        // a worker that died without sending leaves a hole; surface
-        // the earliest leftover result rather than dropping rows
-        if let Some((_, res)) = held.into_iter().next() {
-            res?;
-        }
-        Ok(())
-    });
-    merged?;
-    Ok(source.into_inner().unwrap().blocks.max_block_bytes())
-}
-
-/// Assembles the merged global columns into a relation and reports the
-/// memory gauges.
-fn finish_relation(
-    schema: Schema,
-    global: Vec<LocalCol>,
-    max_block: usize,
-    ctrl: &Control<'_>,
-) -> Relation {
-    let n_rows = global.first().map_or(0, |c| c.codes.len());
-    let cols = global
+    let n_rows = cols.first().map_or(0, |c| c.codes.len());
+    let cols = cols
         .into_iter()
         .map(|c| {
             let mut col = Column::from_parts(c.codes, c.dict, c.counts);
@@ -369,59 +244,22 @@ fn finish_relation(
         })
         .collect();
     let rel = Relation::from_parts(schema, cols, n_rows);
-    ctrl.metric_gauge("ingest.max_block_bytes", max_block as u64);
+    ctrl.metric_gauge("ingest.max_block_bytes", blocks.max_block_bytes() as u64);
     ctrl.metric_gauge("ingest.relation_bytes", rel.memory_bytes() as u64);
-    rel
+    Ok(rel)
 }
 
-/// The serial pipeline over any [`Read`] — no `Send` bound, so
-/// `relation_from_csv_reader` can keep its original signature.
-/// `opts.threads` is ignored.
-pub(crate) fn ingest_csv_reader_serial<R: Read>(
-    reader: R,
-    opts: &IngestOptions,
-    ctrl: &Control<'_>,
-) -> Result<Relation> {
-    let mut blocks = BlockReader::new(reader, opts.chunk_bytes);
-    let (schema, first) = {
-        let _sp = crate::span!("ingest.read");
-        read_header(&mut blocks)?
-    };
-    let mut global = new_cols(schema.arity());
-    let first = (!first.is_empty()).then_some(first);
-    ingest_serial(&mut blocks, first, &mut global, ctrl)?;
-    Ok(finish_relation(
-        schema,
-        global,
-        blocks.max_block_bytes(),
-        ctrl,
-    ))
-}
-
-/// Streams CSV with a header row into a [`Relation`] through the
-/// chunked pipeline. The relation — codes, dictionary order and
-/// histograms — is the same for every chunk size and thread count, and
-/// the same as [`relation_from_csv_str`](crate::csv::relation_from_csv_str)
-/// builds from the same bytes. Peak input-side memory is
-/// O(`chunk_bytes` × threads), not O(file).
-pub fn ingest_csv_reader<R: Read + Send>(
-    reader: R,
-    opts: &IngestOptions,
-    ctrl: &Control<'_>,
-) -> Result<Relation> {
-    if opts.threads <= 1 {
-        return ingest_csv_reader_serial(reader, opts, ctrl);
-    }
-    let mut blocks = BlockReader::new(reader, opts.chunk_bytes);
-    let (schema, first) = {
-        let _sp = crate::span!("ingest.read");
-        read_header(&mut blocks)?
-    };
-    let arity = schema.arity();
-    let mut global = new_cols(arity);
-    let first = (!first.is_empty()).then_some(first);
-    let max_block = ingest_parallel(blocks, first, &mut global, arity, opts.threads, ctrl)?;
-    Ok(finish_relation(schema, global, max_block, ctrl))
+/// Loads an in-memory CSV text through [`ingest_csv_reader`] in one
+/// chunk one byte longer than the text, capped at
+/// [`DEFAULT_CHUNK_BYTES`]. The first read then reaches the end of the
+/// input, so a text under the cap is one block, as for
+/// [`relation_from_csv_reader`](crate::csv::relation_from_csv_reader),
+/// and both report the same error on the same bytes. A chunk exactly
+/// the text's length would end its first block at the last complete
+/// record and read the rest as a second block.
+pub fn ingest_csv_str(text: &str, ctrl: &Control<'_>) -> Result<Relation> {
+    let opts = IngestOptions::default().chunk_bytes((text.len() + 1).min(DEFAULT_CHUNK_BYTES));
+    ingest_csv_reader(text.as_bytes(), &opts, ctrl)
 }
 
 /// Opens `path` and streams it through [`ingest_csv_reader`].
@@ -437,21 +275,14 @@ pub fn ingest_csv_path<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::{parse_csv, relation_from_csv_str};
+    use crate::csv::{parse_csv, relation_from_csv_reader, relation_from_csv_str};
     use crate::progress::{install_tracing, shutdown_tracing, span_totals, MetricsSink};
     use crate::relation::RelationBuilder;
     use std::collections::HashMap;
-    use std::sync::{PoisonError, RwLock};
+    use std::sync::Mutex;
 
-    /// Tests that load on the parallel path hold this shared; the span
-    /// test holds it alone, so no other test's `ingest.merge` lands in
-    /// the global span totals it reads.
-    static PARALLEL: RwLock<()> = RwLock::new(());
-
-    /// [`ingest_csv_reader`] over `text` with no metrics sink, holding
-    /// [`PARALLEL`] shared.
+    /// [`ingest_csv_reader`] over `text` with no metrics sink.
     fn ingest(text: &str, opts: &IngestOptions) -> Result<Relation> {
-        let _shared = PARALLEL.read().unwrap_or_else(PoisonError::into_inner);
         ingest_csv_reader(text.as_bytes(), opts, &Control::default())
     }
 
@@ -555,6 +386,35 @@ mod tests {
         }
     }
 
+    /// Blocks at and above the fan-out minimum share their columns out
+    /// among workers; the last block, one record short of it, encodes
+    /// on the loading thread. The header and every row are 21 bytes and
+    /// a chunk holds `PAR_MIN_RECORDS + 1` of them, so each quote-free
+    /// chunk ends at a row boundary: the blocks hold `PAR_MIN_RECORDS`
+    /// rows (after the header), `PAR_MIN_RECORDS + 1` twice, and
+    /// `PAR_MIN_RECORDS - 1`.
+    #[test]
+    fn blocks_above_and_below_the_fan_out_minimum_match_the_oracle() {
+        let m = PAR_MIN_RECORDS + 1;
+        let n = (m - 1) + 2 * m + (PAR_MIN_RECORDS - 1);
+        let mut text = String::from("H00000,H00001,H00002\n");
+        for i in 0..n {
+            // a small domain, a wide one, and one whose values first
+            // appear in later blocks
+            let wide = i * 7919 % 100_003;
+            text += &format!("{:06},{wide:06},{:06}\n", i % 7, (i / 3) % 6000);
+        }
+        assert_eq!(text.len(), 21 * (n + 1));
+        let want = oracle(&text);
+        for threads in [1, 2, 4] {
+            let opts = IngestOptions::default()
+                .chunk_bytes(21 * m)
+                .threads(threads);
+            let got = ingest(&text, &opts).unwrap();
+            assert_rel_identical(&want, &got);
+        }
+    }
+
     #[test]
     fn errors_match_the_string_api() {
         let opts = IngestOptions::default().chunk_bytes(4);
@@ -584,6 +444,25 @@ mod tests {
                 let e = ingest(short, &opts).unwrap_err();
                 assert_eq!(e.to_string(), want, "chunk {chunk}, threads {threads}");
             }
+        }
+    }
+
+    /// An in-memory text is one block, as the reader's default chunk
+    /// makes it, so a parse error near its end wins over a width error
+    /// before it under both APIs.
+    #[test]
+    fn the_string_api_reports_the_readers_error() {
+        for text in [
+            "a,b\n1,2\n3\n4,\"oops\n5,6\n",
+            "a,b\n1,2\n3,4,5\n\"x\n",
+            "a,b\n1\n\"\n",
+        ] {
+            let from_str = relation_from_csv_str(text).unwrap_err().to_string();
+            let from_reader = relation_from_csv_reader(text.as_bytes())
+                .unwrap_err()
+                .to_string();
+            assert_eq!(from_str, from_reader, "{text:?}");
+            assert!(from_str.contains("unterminated quoted field"), "{text:?}");
         }
     }
 
@@ -661,7 +540,6 @@ mod tests {
     /// global guard into the span totals.
     #[test]
     fn metrics_and_spans_flow_through_the_control_handle() {
-        let _alone = PARALLEL.write().unwrap_or_else(PoisonError::into_inner);
         for threads in [1, 2] {
             let sink = TestSink::default();
             let ctrl = Control::default().metrics_with(&sink);
@@ -685,10 +563,9 @@ mod tests {
             for name in ["ingest.read", "ingest.parse", "ingest.encode"] {
                 assert!(spans.contains(&name), "missing span {name}: {spans:?}");
             }
-            // the serial path encodes in place: nothing to merge
-            assert_eq!(
-                spans.contains(&"ingest.merge"),
-                threads > 1,
+            // every thread count encodes in place: nothing to merge
+            assert!(
+                !spans.contains(&"ingest.merge"),
                 "threads={threads}: {spans:?}"
             );
         }

@@ -64,7 +64,7 @@ pub use cfd::{Cfd, CfdClass};
 pub use cover::{normalize_cfd, CanonicalCover};
 pub use error::{Error, Result};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use ingest::{ingest_csv_path, ingest_csv_reader, IngestOptions};
+pub use ingest::{ingest_csv_path, ingest_csv_reader, ingest_csv_str, IngestOptions};
 pub use json::Json;
 pub use measure::{measure, RuleMeasure};
 pub use pattern::{PVal, Pattern};

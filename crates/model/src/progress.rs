@@ -450,10 +450,10 @@ pub fn workers(threads: usize) -> usize {
 
 /// Runs `work` over `runs` on up to [`workers`]`(threads)` scoped
 /// workers with a deterministic merge — the one sharding harness every
-/// parallel phase but ingest's pipelined block reader runs on: the
-/// level-wise miners (CTANE/TANE expansion, the item-set miner's
-/// extension passes), FastCFD's per-RHS `FindCover`, the validation
-/// kernel and the streaming engine.
+/// parallel phase runs on: ingest's per-column encoding, the level-wise
+/// miners (CTANE/TANE expansion, the item-set miner's free-set pass),
+/// FastCFD's per-RHS `FindCover`, the validation kernel and the
+/// streaming engine.
 ///
 /// `runs` is any exact-size sequence: a slice's items by reference, a
 /// range, or `chunks_mut()`/`iter_mut()` when each run mutates the

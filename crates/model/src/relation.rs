@@ -189,8 +189,8 @@ pub struct Column {
     dict: Dict,
     /// `counts[c]` = number of rows whose code is `c`. Always exactly
     /// `dict.len()` long (dictionary-only values count 0). This is the
-    /// column's first-level partition histogram: built shard-wise
-    /// during ingestion and kept correct by every constructor in this
+    /// column's first-level partition histogram: counted during
+    /// ingestion and kept correct by every constructor in this
     /// module, so downstream grouping ([`ValueIndex`], `GroupIds`)
     /// skips its first counting pass (DESIGN.md §11).
     counts: Vec<u32>,

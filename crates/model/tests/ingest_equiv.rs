@@ -3,11 +3,10 @@
 //! *same relation* (schema, codes, dictionary order, histograms) as
 //! the reference reader at every chunk size — including 1-byte chunks,
 //! which force every quoted comma, escaped quote and quoted CRLF to
-//! straddle a block boundary — and at every thread count, which
-//! exercises the local-dictionary merge's determinism argument
-//! (DESIGN.md §11). Long quote-free stretches around a quoted one
-//! drive the scanner's switch between its quote-free shortcut and its
-//! quote state machine.
+//! straddle a block boundary — and at every thread count (DESIGN.md
+//! §11). Long quote-free stretches around a quoted one drive the
+//! scanner's switch between its quote-free shortcut and its quote state
+//! machine.
 
 use cfd_model::csv::{parse_csv, relation_from_csv_str};
 use cfd_model::progress::Control;
@@ -216,9 +215,10 @@ proptest! {
         assert_identical(&want, &from_str, "relation_from_csv_str");
     }
 
-    /// 1 thread ≡ 4 threads, byte-identical relations: the per-block
-    /// local dictionaries merged in block order must reproduce the
-    /// serial first-seen global code assignment at any chunk size.
+    /// 1 thread ≡ 4 threads, byte-identical relations at any chunk
+    /// size. These blocks are below the fan-out minimum; the unit test
+    /// `blocks_above_and_below_the_fan_out_minimum_match_the_oracle`
+    /// covers blocks that share their columns out.
     #[test]
     fn thread_count_never_changes_the_relation(
         input in rows_strategy(),
@@ -237,7 +237,7 @@ proptest! {
             &IngestOptions::default().chunk_bytes(chunk).threads(4),
             &Control::default(),
         )
-        .expect("parallel ingest parses");
+        .expect("four-thread ingest parses");
         assert_identical(&serial, &parallel, &format!("chunk={chunk}"));
     }
 

@@ -25,7 +25,6 @@ use crate::protocol::{
 use crate::registry::{lock_unpoisoned, Dataset, DatasetRegistry};
 use crate::session::parse_rules_with;
 use cfd_model::cfd::parse_cfd;
-use cfd_model::csv::DEFAULT_CHUNK_BYTES;
 use cfd_model::progress::MetricsSink;
 use cfd_model::{Control, IngestOptions, Json, Progress};
 use cfd_validate::ValidateOptions;
@@ -792,12 +791,8 @@ fn register(
     let ctrl = Control::default().metrics_with(&*state.metrics);
     let rel = match (path, csv) {
         (Some(p), None) => ingest_path(&p, &ctrl)?,
-        (None, Some(body)) => {
-            // chunks no larger than the body, as `relation_from_csv_str`
-            let opts = IngestOptions::default().chunk_bytes(body.len().min(DEFAULT_CHUNK_BYTES));
-            cfd_model::ingest_csv_reader(body.as_bytes(), &opts, &ctrl)
-                .map_err(|e| ServeError::new("io", format!("inline csv: {e}")))?
-        }
+        (None, Some(body)) => cfd_model::ingest_csv_str(&body, &ctrl)
+            .map_err(|e| ServeError::new("io", format!("inline csv: {e}")))?,
         _ => unreachable!("protocol parser enforces path xor csv"),
     };
     let mut ds = Dataset::new(name, rel);

@@ -60,10 +60,10 @@ impl ObsSession {
         Control::default().metrics_with(&*self.registry)
     }
 
-    /// Loads a CSV through the chunked (and, with `threads > 1`,
-    /// parallel) ingestion pipeline, spans/metrics flowing into this
-    /// session. Memory stays O(chunk + longest record) on the reader
-    /// side regardless of file size.
+    /// Loads a CSV through the chunked ingestion pipeline (with
+    /// `threads > 1`, a large block's columns encode in parallel),
+    /// spans/metrics flowing into this session. Memory stays O(chunk +
+    /// longest record) on the reader side regardless of file size.
     pub fn load_csv(&self, path: &str, threads: usize) -> Result<Relation> {
         let opts = IngestOptions::default().threads(threads);
         cfd_model::ingest_csv_path(path, &opts, &self.control())
