@@ -26,6 +26,7 @@ use crate::table::{Cell, Table};
 use cfd_core::api::{Algo, DiscoverOptions, Discoverer};
 use cfd_core::FastCfd;
 use cfd_model::relation::Relation;
+use cfd_model::CanonicalCover;
 use std::path::Path;
 use std::time::Instant;
 
@@ -389,6 +390,31 @@ fn fig13(scale: Scale) -> Vec<(String, Table)> {
 
 // -------------------------------------------------------------- ablations
 
+/// Times `a`, then `b`, two configurations that must mine the same
+/// cover: `(seconds of a, seconds of b, the cover)`.
+fn paired(
+    a: impl FnOnce() -> CanonicalCover,
+    b: impl FnOnce() -> CanonicalCover,
+) -> (f64, f64, CanonicalCover) {
+    let t0 = Instant::now();
+    let cover = a();
+    let secs_a = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let other = b();
+    let secs_b = t1.elapsed().as_secs_f64();
+    assert_eq!(
+        cover.cfds(),
+        other.cfds(),
+        "both configurations mine one cover"
+    );
+    (secs_a, secs_b, cover)
+}
+
+/// How many times faster `fast` ran than `slow`.
+fn speedup(slow: f64, fast: f64) -> Cell {
+    Cell::Text(format!("{:.1}x", slow / fast.max(1e-9)))
+}
+
 fn abl_freeset(scale: Scale) -> Vec<(String, Table)> {
     let sizes = scale.pick(&[1_000, 2_000, 4_000], &[10_000, 20_000, 50_000]);
     let mut t = Table::new(
@@ -398,28 +424,21 @@ fn abl_freeset(scale: Scale) -> Vec<(String, Table)> {
     );
     for dbsize in sizes {
         let rel = tax(dbsize, 7, 0.7);
-        let k = k_of(dbsize);
-        let t0 = Instant::now();
-        let with = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
-        let secs_with = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let without = FastCfd::default()
-            .free_set_pruning(false)
-            .discover(&rel, &DiscoverOptions::new(k));
-        let secs_without = t1.elapsed().as_secs_f64();
-        assert_eq!(
-            with.cfds(),
-            without.cfds(),
-            "pruning must not change the cover"
+        let opts = DiscoverOptions::new(k_of(dbsize));
+        let (with, without, _) = paired(
+            || FastCfd::default().discover(&rel, &opts),
+            || {
+                FastCfd::default()
+                    .free_set_pruning(false)
+                    .discover(&rel, &opts)
+            },
         );
-        t.push_row(
-            dbsize,
-            vec![
-                Cell::Secs(secs_with),
-                Cell::Secs(secs_without),
-                Cell::Text(format!("{:.1}x", secs_without / secs_with.max(1e-9))),
-            ],
-        );
+        let row = vec![
+            Cell::Secs(with),
+            Cell::Secs(without),
+            speedup(without, with),
+        ];
+        t.push_row(dbsize, row);
     }
     vec![("abl-freeset".into(), t)]
 }
@@ -427,7 +446,8 @@ fn abl_freeset(scale: Scale) -> Vec<(String, Table)> {
 fn abl_engine(scale: Scale) -> Vec<(String, Table)> {
     let arities = scale.pick(&[7, 11, 15, 19], &[7, 15, 23, 31]);
     let dbsize = if scale.full { 20_000 } else { 2_000 };
-    let k = k_of(dbsize);
+    let opts = DiscoverOptions::new(k_of(dbsize));
+    let stripped = FastCfd::default().mode(cfd_core::DiffSetMode::StrippedPartitions);
     let mut t = Table::new(
         &format!("Ablation: difference-set engine (DBSIZE={dbsize}, SUP%=0.1%)"),
         "ARITY",
@@ -435,15 +455,10 @@ fn abl_engine(scale: Scale) -> Vec<(String, Table)> {
     );
     for arity in arities {
         let rel = tax(dbsize, arity, 0.7);
-        let t0 = Instant::now();
-        let closed = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
-        let s_closed = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let stripped = FastCfd::default()
-            .mode(cfd_core::DiffSetMode::StrippedPartitions)
-            .discover(&rel, &DiscoverOptions::new(k));
-        let s_stripped = t1.elapsed().as_secs_f64();
-        assert_eq!(closed.cfds(), stripped.cfds());
+        let (s_closed, s_stripped, _) = paired(
+            || FastCfd::default().discover(&rel, &opts),
+            || stripped.discover(&rel, &opts),
+        );
         t.push_row(arity, vec![Cell::Secs(s_closed), Cell::Secs(s_stripped)]);
     }
     vec![("abl-engine".into(), t)]
@@ -452,7 +467,7 @@ fn abl_engine(scale: Scale) -> Vec<(String, Table)> {
 fn abl_reorder(scale: Scale) -> Vec<(String, Table)> {
     let arities = scale.pick(&[7, 11, 15, 19, 23], &[7, 15, 23, 31]);
     let dbsize = if scale.full { 20_000 } else { 2_000 };
-    let k = k_of(dbsize);
+    let opts = DiscoverOptions::new(k_of(dbsize));
     let mut t = Table::new(
         &format!("Ablation: FindMin dynamic attribute reordering (DBSIZE={dbsize})"),
         "ARITY",
@@ -460,15 +475,14 @@ fn abl_reorder(scale: Scale) -> Vec<(String, Table)> {
     );
     for arity in arities {
         let rel = tax(dbsize, arity, 0.7);
-        let t0 = Instant::now();
-        let on = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
-        let s_on = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let off = FastCfd::default()
-            .dynamic_reorder(false)
-            .discover(&rel, &DiscoverOptions::new(k));
-        let s_off = t1.elapsed().as_secs_f64();
-        assert_eq!(on.cfds(), off.cfds());
+        let (s_on, s_off, _) = paired(
+            || FastCfd::default().discover(&rel, &opts),
+            || {
+                FastCfd::default()
+                    .dynamic_reorder(false)
+                    .discover(&rel, &opts)
+            },
+        );
         t.push_row(arity, vec![Cell::Secs(s_on), Cell::Secs(s_off)]);
     }
     vec![("abl-reorder".into(), t)]
@@ -487,22 +501,17 @@ fn abl_parallel(scale: Scale) -> Vec<(String, Table)> {
     );
     for dbsize in sizes {
         let rel = tax(dbsize, 9, 0.7);
-        let k = k_of(dbsize);
-        let t0 = Instant::now();
-        let serial = FastCfd::default().discover(&rel, &DiscoverOptions::new(k));
-        let s_serial = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let parallel = FastCfd::default().discover(&rel, &DiscoverOptions::new(k).threads(threads));
-        let s_parallel = t1.elapsed().as_secs_f64();
-        assert_eq!(serial.cfds(), parallel.cfds());
-        t.push_row(
-            dbsize,
-            vec![
-                Cell::Secs(s_serial),
-                Cell::Secs(s_parallel),
-                Cell::Text(format!("{:.1}x", s_serial / s_parallel.max(1e-9))),
-            ],
+        let opts = DiscoverOptions::new(k_of(dbsize));
+        let (serial, parallel, _) = paired(
+            || FastCfd::default().discover(&rel, &opts),
+            || FastCfd::default().discover(&rel, &opts.clone().threads(threads)),
         );
+        let row = vec![
+            Cell::Secs(serial),
+            Cell::Secs(parallel),
+            speedup(serial, parallel),
+        ];
+        t.push_row(dbsize, row);
     }
     vec![("abl-parallel".into(), t)]
 }
@@ -511,7 +520,6 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
     let dbsize = if scale.full { 100_000 } else { 10_000 };
     let rel = tax(dbsize, 9, 0.7);
     let k_full = k_of(dbsize);
-    let full_cover = FastCfd::default().discover(&rel, &DiscoverOptions::new(k_full));
     let cc = 0; // stratify on the country-code-like attribute
     let mut t = Table::new(
         &format!(
@@ -521,7 +529,7 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
         &["time", "#rules", "precision", "full-data time"],
     );
     let t0 = Instant::now();
-    let _ = FastCfd::default().discover(&rel, &DiscoverOptions::new(k_full));
+    FastCfd::default().discover(&rel, &DiscoverOptions::new(k_full));
     let full_time = t0.elapsed().as_secs_f64();
     for fraction in [0.05f64, 0.1, 0.2, 0.4] {
         let s = cfd_datagen::sample::stratified_sample(&rel, cc, fraction, 0xab);
@@ -533,7 +541,6 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
             .iter()
             .filter(|c| cfd_model::satisfy::satisfies(&rel, c))
             .count();
-        let _ = &full_cover;
         t.push_row(
             format!("{fraction:.2}"),
             vec![
@@ -560,23 +567,19 @@ fn fd_baseline(scale: Scale) -> Vec<(String, Table)> {
         "DBSIZE",
         &["TANE", "FastFD", "#FDs"],
     );
+    let opts = DiscoverOptions::new(1);
     for dbsize in sizes {
         let rel = tax(dbsize, 7, 0.7);
-        let t0 = Instant::now();
-        let tane = Algo::Tane.discover(&rel, &DiscoverOptions::new(1));
-        let s_tane = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let fastfd = Algo::FastFd.discover(&rel, &DiscoverOptions::new(1));
-        let s_fastfd = t1.elapsed().as_secs_f64();
-        assert_eq!(tane.cfds(), fastfd.cfds());
-        t.push_row(
-            dbsize,
-            vec![
-                Cell::Secs(s_tane),
-                Cell::Secs(s_fastfd),
-                Cell::Count(tane.len()),
-            ],
+        let (s_tane, s_fastfd, fds) = paired(
+            || Algo::Tane.discover(&rel, &opts),
+            || Algo::FastFd.discover(&rel, &opts),
         );
+        let row = vec![
+            Cell::Secs(s_tane),
+            Cell::Secs(s_fastfd),
+            Cell::Count(fds.len()),
+        ];
+        t.push_row(dbsize, row);
     }
     vec![("fd-baseline".into(), t)]
 }

@@ -121,7 +121,6 @@ use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::{RefineScratch, StrippedPartition};
 use std::cmp::Ordering;
-use std::sync::Mutex;
 
 /// A `C⁺` set: one bit per item of the candidate [`Universe`].
 type Bits = Vec<u64>;
@@ -639,7 +638,7 @@ impl Ctane {
                     runs.push(Run {
                         start,
                         end: e,
-                        parts: Mutex::new(parts.by_ref().take(e - start).collect()),
+                        parts: parts.by_ref().take(e - start).collect(),
                     });
                     start = e;
                 }
@@ -662,7 +661,7 @@ impl Ctane {
             // run order, so the level comes out byte-identical to the
             // serial walk (the shared shard_runs harness)
             let produced: Vec<Level> = shard_runs(
-                &runs,
+                runs.iter_mut(),
                 opts.threads,
                 ctrl,
                 stats,
@@ -683,14 +682,7 @@ impl Ctane {
             // counts, and in approximate mode its partitions
             level.cplus = Bits::new();
             if approx {
-                level.parts = runs
-                    .into_iter()
-                    .flat_map(|r| {
-                        r.parts
-                            .into_inner()
-                            .expect("no worker panicked holding a run")
-                    })
-                    .collect();
+                level.parts = runs.into_iter().flat_map(|r| r.parts).collect();
             }
             sample(&mut store, [&level, &next]);
 
@@ -714,7 +706,7 @@ impl Ctane {
 struct Run {
     start: usize,
     end: usize,
-    parts: Mutex<Vec<Option<StrippedPartition>>>,
+    parts: Vec<Option<StrippedPartition>>,
 }
 
 /// What a join worker reuses from run to run.
@@ -787,9 +779,14 @@ impl ExpandCtx<'_> {
     /// attribute — which would give the child two items on one
     /// attribute — form one block, and each `x` pairs only with the
     /// elements past its own block.
-    fn run_pairs(&self, run: &Run, s: &mut JoinScratch, stats: &mut SearchStats, out: &mut Level) {
+    fn run_pairs(
+        &self,
+        run: &mut Run,
+        s: &mut JoinScratch,
+        stats: &mut SearchStats,
+        out: &mut Level,
+    ) {
         let lv = self.level;
-        let mut parts = run.parts.lock().expect("no worker panicked holding a run");
         let last = |x: usize| lv.items[(x + 1) * lv.ell - 1];
         let mut block_end = run.start;
         for x in run.start..run.end {
@@ -842,7 +839,7 @@ impl ExpandCtx<'_> {
                 } else {
                     (y, a1, v1)
                 };
-                let base_part = parts[base - run.start]
+                let base_part = run.parts[base - run.start]
                     .as_ref()
                     .expect("an alive element holds its partition through its run");
                 if self.last_level {
@@ -875,7 +872,7 @@ impl ExpandCtx<'_> {
         }
         if self.free {
             // exact mode: no later step reads these partitions
-            *parts = Vec::new();
+            run.parts = Vec::new();
         }
     }
 }

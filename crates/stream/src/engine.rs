@@ -271,10 +271,11 @@ impl StreamEngine {
         self.dead_prefix = 0;
     }
 
-    /// Below this many `row × rule` applications a batch, warm or cover
-    /// swap runs on one worker whatever `threads` asks: per-rule work is
-    /// sub-microsecond hash updates, so spawning OS threads for a tiny
-    /// batch costs more than it saves.
+    /// Below this many row × rule applications that split across
+    /// workers a batch, warm or cover swap runs on one worker whatever
+    /// `threads` asks: starting the workers would cost more than they
+    /// save. A batch counts its [`Dispatch::split_work`], a warm or
+    /// cover swap rows × rules (DESIGN.md §9).
     const MIN_PARALLEL_WORK: usize = 2048;
 
     /// Applies one batch of encoded rows (`codes` row-major, one row
@@ -290,7 +291,8 @@ impl StreamEngine {
         }
         let _sp = cfd_obs::span!("stream.apply_batch");
         let arity = self.cols.len();
-        let events = per_chunk(&mut self.states, self.threads, ids.len(), |rules, out| {
+        let work = Dispatch::split_work(&self.states, ids.len());
+        let events = per_chunk(&mut self.states, self.threads, work, |rules, out| {
             let dispatch = Dispatch::new(rules);
             for (&id, codes) in ids.iter().zip(codes.chunks_exact(arity)) {
                 dispatch.for_each_rule(codes, |r| {
@@ -433,6 +435,16 @@ impl Dispatch {
         d
     }
 
+    /// The rule applications of a batch of `rows` rows that split
+    /// across workers: every row goes to each rule with no LHS constant,
+    /// the rules [`new`](Dispatch::new) lists as `free`. A keyed lookup
+    /// is repeated by every worker that holds rules keyed on its
+    /// attribute, and which keyed rules it finds depends on the row, so
+    /// neither counts.
+    fn split_work(rules: &[RuleState], rows: usize) -> usize {
+        rows * rules.iter().filter(|r| r.first_const().is_none()).count()
+    }
+
     /// Calls `f` with the chunk position of every rule `codes` can match.
     fn for_each_rule(&self, codes: &[u32], mut f: impl FnMut(usize)) {
         self.free.iter().for_each(|&r| f(r));
@@ -457,7 +469,7 @@ fn index(rel: &Relation, rules: &[Cfd], threads: usize, ids: Option<&[RowId]>) -
     per_chunk(
         &mut states,
         threads,
-        rel.n_rows(),
+        rel.n_rows() * rules.len(),
         |chunk, _: &mut Vec<()>| {
             for rule in chunk {
                 let gids = plan.family_of(rule.rule).map(|f| plan.group_ids(f).gids());
@@ -471,19 +483,18 @@ fn index(rel: &Relation, rules: &[Cfd], threads: usize, ids: Option<&[RowId]>) -
     states
 }
 
-/// Runs `f` for `rows` rows over the rules' indexes on the
-/// [`shard_runs`] workers (`threads`, capped by the cores and the rule
-/// count; one below [`StreamEngine::MIN_PARALLEL_WORK`] row × rule
-/// applications), one contiguous chunk of rules per worker, and returns
-/// the outputs in rule order. At one worker the one chunk holds every
-/// rule.
+/// Runs `f` over the rules' indexes on the [`shard_runs`] workers
+/// (`threads`, capped by the cores and the rule count; one below
+/// [`StreamEngine::MIN_PARALLEL_WORK`] of `work`), one contiguous chunk
+/// of rules per worker, and returns the outputs in rule order. At one
+/// worker the one chunk holds every rule.
 fn per_chunk<T: Send>(
     states: &mut [RuleState],
     threads: usize,
-    rows: usize,
+    work: usize,
     f: impl Fn(&mut [RuleState], &mut Vec<T>) + Sync,
 ) -> Vec<T> {
-    let threads = if rows * states.len() < StreamEngine::MIN_PARALLEL_WORK {
+    let threads = if work < StreamEngine::MIN_PARALLEL_WORK {
         1
     } else {
         threads
@@ -498,4 +509,41 @@ fn per_chunk<T: Send>(
         |rules, (), _, out| f(rules, out),
     )
     .expect("default Control is never cancelled")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfd_model::{PVal, Pattern};
+
+    /// The gate on the make-up of two covers it was measured on, over
+    /// tax rows (DESIGN.md §9). The `watch` benchmark's 49 rules are one
+    /// rule keyed on CC and 48 keyed on AC: no batch fans out, a warm of
+    /// 2,500 rows does. Of the 153 rules `cfd discover --k 100` mines on
+    /// 2,000 tax rows, 34 have no LHS constant: a batch fans out from 61
+    /// rows on.
+    #[test]
+    fn a_batch_fans_out_only_when_its_split_work_repays_it() {
+        let rule = |i: usize, lhs: &[(AttrId, PVal)]| {
+            RuleState::compile(i, &Cfd::variable(Pattern::from_pairs(lhs.to_vec()), 4))
+        };
+        let light: Vec<RuleState> = (0..49)
+            .map(|i| match i {
+                0 => rule(i, &[(0, PVal::Const(0)), (3, PVal::Var)]),
+                _ => rule(i, &[(1, PVal::Const(i as u32))]),
+            })
+            .collect();
+        let heavy: Vec<RuleState> = (0..153)
+            .map(|i| match i {
+                i if i < 34 => rule(i, &[(i % 4, PVal::Var)]),
+                _ => rule(i, &[([0, 1, 5, 6][i % 4], PVal::Const(i as u32))]),
+            })
+            .collect();
+        let min = StreamEngine::MIN_PARALLEL_WORK;
+        assert_eq!(Dispatch::split_work(&light, 100_000), 0);
+        assert!(2_500 * light.len() >= min, "a light warm fans out");
+        assert_eq!(Dispatch::split_work(&heavy, 100), 3_400);
+        assert!(Dispatch::split_work(&heavy, 60) < min);
+        assert!(Dispatch::split_work(&heavy, 61) >= min);
+    }
 }

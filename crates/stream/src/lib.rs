@@ -12,8 +12,8 @@
 //!   attributes → ordered members) catches pair violations of the
 //!   embedded FD and re-anchors groups when their witness is deleted,
 //! * rules are **sharded across worker threads** (at most one per
-//!   core), so a batch is encoded once and applied to all rule indexes
-//!   in parallel,
+//!   core), so a batch is encoded once and, when its work repays the
+//!   workers, applied to all rule indexes in parallel,
 //! * per-rule **support / violation / confidence counters** are
 //!   queryable at any point, in O(#rules).
 //!
@@ -386,10 +386,11 @@ mod tests {
         }
         assert!(all.windows(2).all(|w| w[0] == w[1]));
 
-        // 8 rules over 400 warm rows and 300-row batches: the warm, both
-        // batches and the cover swap cross `MIN_PARALLEL_WORK`, so they
-        // fan out, and a request for `usize::MAX` workers runs on the
-        // cores the process has
+        // 8 rules over 500 warm rows and 500-row batches: the warm
+        // (rows × rules), both batches (rows × the five rules with no
+        // LHS constant) and the cover swap (rows × 7 rules) cross
+        // `MIN_PARALLEL_WORK`, so they fan out, and a request for
+        // `usize::MAX` workers runs on the cores the process has
         let rows = |ids: std::ops::Range<usize>| -> Vec<Vec<String>> {
             ids.map(|i| {
                 [("a", 7), ("b", 5), ("c", 3), ("d", 11)]
@@ -400,7 +401,7 @@ mod tests {
             .collect()
         };
         let schema = Schema::new(["A", "B", "C", "D"]).unwrap();
-        let warm = relation_from_rows(schema, &rows(0..400)).unwrap();
+        let warm = relation_from_rows(schema, &rows(0..500)).unwrap();
         let cover: Vec<cfd_model::Cfd> = [
             "(A -> B, (_ || _))",
             "(B -> C, (_ || _))",
@@ -416,8 +417,8 @@ mod tests {
         .collect();
         let run = |threads: usize| {
             let (mut engine, warmed) = StreamEngine::warm(&warm, cover.clone(), threads);
-            let (_, inserted) = engine.insert_batch(&rows(1000..1300)).unwrap();
-            let deleted = engine.delete_batch(&(0..300).collect::<Vec<_>>()).unwrap();
+            let (_, inserted) = engine.insert_batch(&rows(1000..1500)).unwrap();
+            let deleted = engine.delete_batch(&(0..500).collect::<Vec<_>>()).unwrap();
             let swap = CoverDelta {
                 neighborhood: Vec::new(),
                 retired: [0, 3]

@@ -247,17 +247,19 @@ fn tax_row(rng: &mut Xorshift) -> Vec<String> {
 /// first LHS constant picks the rules it can match: one conditional
 /// variable rule, 24 constant rules whose first constant is on AC, a
 /// rule with two constants (first on CC) and a variable rule with no
-/// constant. Sliding-window batches of 150 deletes and 150 inserts cross
-/// the engine's parallel threshold (150 rows × 27 rules), so at 2 and 3
-/// threads each worker keys its own chunk of the rules. After every
-/// batch the live set must equal a batch scan, the O(rules) count its
-/// length, and every delta that of one thread.
+/// constant. Sliding-window batches of 2,500 deletes and 2,500 inserts,
+/// the benchmark's batch size, cross the engine's parallel threshold
+/// (2,500 rows × the one rule with no constant), so at 2 and 3 threads
+/// each worker keys its own chunk of the rules, the AC rules split
+/// among them. After every batch the live set must equal a batch scan,
+/// the O(rules) count its length, and every delta that of one thread.
 #[test]
 fn benchmark_shaped_cover_reconciles() {
+    const BATCH: usize = 2_500;
     let mut rng = Xorshift(0x2545_f491_4f6c_dd1d);
     let schema = Schema::new(["CC", "AC", "CT", "ZIP", "NM", "STR"]).unwrap();
-    let rows: Vec<Vec<String>> = (0..1500).map(|_| tax_row(&mut rng)).collect();
-    let (warm_rows, stream) = rows.split_at(600);
+    let rows: Vec<Vec<String>> = (0..10_000).map(|_| tax_row(&mut rng)).collect();
+    let (warm_rows, stream) = rows.split_at(BATCH);
     let mut warm = cfd_model::relation::relation_from_rows(schema, warm_rows).unwrap();
     let mut texts = vec!["([CC, NM] -> STR, (c1, _ || _))".to_string()];
     for a in 0..12 {
@@ -274,8 +276,8 @@ fn benchmark_shaped_cover_reconciles() {
     let run = |threads: usize| {
         let (mut engine, warm_delta) = StreamEngine::warm(&warm, cover.clone(), threads);
         let mut deltas = vec![warm_delta];
-        for (i, batch) in stream.chunks(150).enumerate() {
-            let ids: Vec<RowId> = (i as RowId * 150..(i as RowId + 1) * 150).collect();
+        for (i, batch) in stream.chunks(BATCH).enumerate() {
+            let ids: Vec<RowId> = (i * BATCH..(i + 1) * BATCH).map(|id| id as RowId).collect();
             deltas.push(engine.delete_batch(&ids).unwrap());
             deltas.push(engine.insert_batch(batch).unwrap().1);
             let live = engine.live_violations();

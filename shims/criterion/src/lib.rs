@@ -2,10 +2,10 @@
 //!
 //! Provides the subset of the API the workspace's benches use —
 //! [`Criterion`], [`BenchmarkGroup`], [`BenchmarkId`], [`Bencher`],
-//! [`Throughput`], [`black_box`] and the [`criterion_group!`] /
-//! [`criterion_main!`] macros — with a simple warm-up + sampling timing
-//! loop instead of criterion's statistics machinery. Results are printed
-//! one line per benchmark:
+//! [`Throughput`] and the [`criterion_group!`] / [`criterion_main!`]
+//! macros — with a simple warm-up + sampling timing loop instead of
+//! criterion's statistics machinery. Results are printed one line per
+//! benchmark:
 //!
 //! ```text
 //! group/function/param  time: 1.2345 ms/iter  (12 samples)  8.1e4 elem/s
@@ -17,11 +17,6 @@
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
-
-/// Opaque sink preventing the optimizer from deleting a benchmark body.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
 
 /// Throughput annotation for a benchmark group.
 #[derive(Clone, Copy, Debug)]
@@ -44,25 +39,6 @@ impl BenchmarkId {
             id: format!("{}/{}", function_name.into(), parameter),
         }
     }
-
-    /// Builds an id from a parameter value alone.
-    pub fn from_parameter<P: Display>(parameter: P) -> BenchmarkId {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { id: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(id: String) -> Self {
-        BenchmarkId { id }
-    }
 }
 
 /// The timing loop handed to each benchmark closure.
@@ -81,7 +57,7 @@ impl Bencher<'_> {
         // warm-up: run until the warm-up budget is spent (at least once)
         let warm_start = Instant::now();
         loop {
-            black_box(f());
+            std::hint::black_box(f());
             if warm_start.elapsed() >= self.warm_up_time {
                 break;
             }
@@ -91,7 +67,7 @@ impl Bencher<'_> {
         let mut runs = 0usize;
         while runs < self.samples && (runs == 0 || total < self.measurement_time) {
             let t0 = Instant::now();
-            black_box(f());
+            std::hint::black_box(f());
             total += t0.elapsed();
             runs += 1;
         }
@@ -160,14 +136,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark without a separate input.
-    pub fn bench_function<F>(&mut self, id: BenchmarkId, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher<'_>),
-    {
-        self.bench_with_input(id, &(), |b, _: &()| f(b))
-    }
-
     fn report(&self, id: &str, ns: f64, sampled: usize) {
         let time = if ns >= 1e9 {
             format!("{:.4} s/iter", ns / 1e9)
@@ -202,12 +170,6 @@ impl BenchmarkGroup<'_> {
 pub struct Criterion {}
 
 impl Criterion {
-    /// Applies command-line configuration (a no-op in the stand-in; the
-    /// bench binary still accepts and ignores cargo's `--bench` flag).
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
-
     /// Starts a named benchmark group.
     pub fn benchmark_group<S: Into<String>>(&mut self, name: S) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -219,17 +181,6 @@ impl Criterion {
             _criterion: self,
         }
     }
-
-    /// Runs one free-standing benchmark.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher<'_>),
-    {
-        let mut g = self.benchmark_group(name.to_string());
-        g.bench_function(BenchmarkId::from("bench"), &mut f);
-        g.finish();
-        self
-    }
 }
 
 /// Declares a benchmark group function, mirroring criterion's macro.
@@ -237,7 +188,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default().configure_from_args();
+            let mut criterion = $crate::Criterion::default();
             $($target(&mut criterion);)+
         }
     };
