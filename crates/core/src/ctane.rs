@@ -68,7 +68,12 @@
 //! nothing; elements of the final lattice level skip materialization
 //! entirely ([`StrippedPartition::refine_counts`] — their partitions
 //! would never be refined again, and validity needs only the class/row
-//! counts).
+//! counts). Partitions strip their one-row classes, so a constant
+//! refinement takes the child's row count from the lattice: when the
+//! child has a wildcard item it is the least row count of the `ℓ+1`
+//! immediate subsets the join looks up (dropping a wildcard keeps the
+//! constants, dropping a constant can only add rows), and an
+//! all-constant child refines an all-constant base, which strips none.
 //! With [`DiscoverOptions::threads`] above 1 the expansion shards its
 //! prefix-join runs across worker threads and merges in run order, so
 //! the output is byte-identical to the serial run.
@@ -747,9 +752,10 @@ struct ExpandCtx<'a> {
 }
 
 impl ExpandCtx<'_> {
-    /// Sets `z` to the child `x ∪ {i2}` and reports whether its ℓ−1
-    /// subsets that drop a prefix item — the other two are `x` and `y`
-    /// — are all alive, ANDing each one's `C⁺` into `cplus`.
+    /// Sets `z` to the child `x ∪ {i2}` and looks up its ℓ−1 subsets
+    /// that drop a prefix item — the other two are `x` and `y` — ANDing
+    /// each one's `C⁺` into `cplus`. Returns their least row count, or
+    /// `None` when one of them is not alive.
     fn other_subsets(
         &self,
         x: usize,
@@ -757,20 +763,21 @@ impl ExpandCtx<'_> {
         z: &mut Vec<u32>,
         sub: &mut Vec<u32>,
         cplus: &mut [u64],
-    ) -> bool {
+    ) -> Option<usize> {
         let lv = self.level;
         z.clear();
         z.extend_from_slice(lv.items(x));
         z.push(i2);
-        (0..lv.ell - 1).all(|p| {
+        let mut rows = usize::MAX;
+        for p in 0..lv.ell - 1 {
             sub.clear();
             sub.extend_from_slice(&z[..p]);
             sub.extend_from_slice(&z[p + 1..]);
-            let found = lv.find(sub).filter(|&q| lv.alive[q]);
-            found
-                .inspect(|&q| bits_and_assign(cplus, lv.cplus(q)))
-                .is_some()
-        })
+            let q = lv.find(sub).filter(|&q| lv.alive[q])?;
+            bits_and_assign(cplus, lv.cplus(q));
+            rows = rows.min(lv.counts[q].1);
+        }
+        Some(rows)
     }
 
     /// Expands one prefix run: every join pair `(x, y)` of alive
@@ -786,14 +793,14 @@ impl ExpandCtx<'_> {
         stats: &mut SearchStats,
         out: &mut Level,
     ) {
-        let lv = self.level;
+        let (lv, uni) = (self.level, self.uni);
         let last = |x: usize| lv.items[(x + 1) * lv.ell - 1];
         let mut block_end = run.start;
         for x in run.start..run.end {
-            let (a1, v1) = self.uni.items[last(x) as usize];
+            let (a1, v1) = uni.items[last(x) as usize];
             if x == block_end {
                 block_end = (x + 1..run.end)
-                    .find(|&y| self.uni.attr(last(y)) != a1)
+                    .find(|&y| uni.attr(last(y)) != a1)
                     .unwrap_or(run.end);
             }
             if !lv.alive[x] {
@@ -811,7 +818,8 @@ impl ExpandCtx<'_> {
                     }
                     if partners.get(next_partner) != Some(&i2) {
                         debug_assert!(
-                            !self.other_subsets(x, i2, &mut s.z, &mut s.sub, &mut s.cplus),
+                            self.other_subsets(x, i2, &mut s.z, &mut s.sub, &mut s.cplus)
+                                .is_none(),
                             "the pair filter skipped a child whose subsets are alive"
                         );
                         continue;
@@ -826,15 +834,18 @@ impl ExpandCtx<'_> {
                 if bits_is_empty(&s.cplus) {
                     continue;
                 }
-                if !self.other_subsets(x, i2, &mut s.z, &mut s.sub, &mut s.cplus)
-                    || bits_is_empty(&s.cplus)
-                {
-                    continue;
-                }
+                let rows = match self.other_subsets(x, i2, &mut s.z, &mut s.sub, &mut s.cplus) {
+                    Some(rows) if !bits_is_empty(&s.cplus) => rows,
+                    _ => continue,
+                };
+                // the child's row count, if it has a wildcard item: the
+                // least of its ℓ+1 immediate subsets' (module docs)
+                let wild = s.z.iter().any(|&i| uni.items[i as usize].1 == PVal::Var);
+                let rows = wild.then(|| rows.min(lv.counts[x].1).min(lv.counts[y].1));
                 // refine the cheaper parent's partition and check
                 // k-frequency of the constant part
-                let (a2, v2) = self.uni.items[i2 as usize];
-                let (base, extra_attr, extra_val) = if lv.counts[x].1 <= lv.counts[y].1 {
+                let (a2, v2) = uni.items[i2 as usize];
+                let (base, b, v) = if lv.counts[x].1 <= lv.counts[y].1 {
                     (x, a2, v2)
                 } else {
                     (y, a1, v1)
@@ -845,21 +856,14 @@ impl ExpandCtx<'_> {
                 if self.last_level {
                     // counts suffice: this element's partition would
                     // never be refined or error-counted again
-                    let counts =
-                        base_part.refine_counts(self.rel, extra_attr, extra_val, &mut s.refine);
+                    let counts = base_part.refine_counts(self.rel, b, v, rows, &mut s.refine);
                     if counts.1 < self.k {
                         stats.pruned += 1;
                         continue;
                     }
                     out.push(&s.z, &s.cplus, counts, None);
                 } else {
-                    base_part.refine_into(
-                        self.rel,
-                        extra_attr,
-                        extra_val,
-                        &mut s.refine,
-                        &mut s.buf,
-                    );
+                    base_part.refine_into(self.rel, b, v, rows, &mut s.refine, &mut s.buf);
                     stats.partitions += 1;
                     if s.buf.n_rows() < self.k {
                         stats.pruned += 1;

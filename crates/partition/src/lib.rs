@@ -12,9 +12,12 @@
 //!
 //! The level-wise walk of CTANE (and of TANE, the same walk over the
 //! wildcard items) runs on this allocation-free refinement engine
-//! ([`engine`]): partitions refined into caller-owned buffers through a
-//! reusable [`RefineScratch`], held in the walk's flat lattice levels,
-//! read by position and freed run by run (see DESIGN.md §9).
+//! ([`engine`]): partitions that store only their classes of at least
+//! two rows and count the rest, refined into caller-owned buffers
+//! through a reusable [`RefineScratch`], held in the walk's flat lattice
+//! levels, read by position and freed run by run. A stripped partition
+//! refined by a constant takes the child's row count from the walk,
+//! which reads it off the lattice (see DESIGN.md §9).
 //!
 //! The module also provides tuple-pair *agree sets* ([`agree`]), the
 //! ingredients of FastFD-style difference-set computation used by the
@@ -37,10 +40,18 @@
 //! // refining by CT splits the dirty 131 class: AC ↛ CT exactly …
 //! let mut scratch = RefineScratch::for_relation(&rel);
 //! let mut by_ac_ct = StrippedPartition::empty();
-//! by_ac.refine_into(&rel, 1, PVal::Var, &mut scratch, &mut by_ac_ct);
+//! by_ac.refine_into(&rel, 1, PVal::Var, None, &mut scratch, &mut by_ac_ct);
 //! assert_eq!(by_ac_ct.n_classes(), 3);
-//! // … and the g1-style keep count says 3 of 4 tuples survive a repair
+//! // … whose one-row classes (EDI, UN) are stripped but counted
+//! assert_eq!(by_ac_ct.stored_classes().count(), 1);
+//! // the g1-style keep count says 3 of 4 tuples survive a repair
 //! assert_eq!(by_ac.keep_count(&rel, 1, &mut scratch), 3);
+//! // refining that stripped partition by the constant AC = 131 needs
+//! // the child's row count, which a level walk reads off the lattice
+//! let c131 = rel.column(0).dict().code("131").unwrap();
+//! let mut child = StrippedPartition::empty();
+//! by_ac_ct.refine_into(&rel, 0, PVal::Const(c131), Some(2), &mut scratch, &mut child);
+//! assert_eq!((child.n_classes(), child.n_rows()), (2, 2));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -65,7 +65,9 @@ fn direct_keep_count(rel: &Relation, classes: &[Vec<TupleId>], a: usize) -> usiz
 
 /// The partition of the tuples matching every `(attr, val)` item of
 /// `pattern`, grouped by their values on its attributes: the full
-/// partition refined by one item at a time.
+/// partition refined by one item at a time. Every constant comes before
+/// the first wildcard, so no stripped partition is refined by a
+/// constant and no row count is needed.
 fn of_pattern(
     rel: &Relation,
     pattern: &[(usize, PVal)],
@@ -74,10 +76,49 @@ fn of_pattern(
     let mut cur = StrippedPartition::full(rel.n_rows());
     let mut buf = StrippedPartition::empty();
     for &(a, v) in pattern {
-        cur.refine_into(rel, a, v, scratch, &mut buf);
+        cur.refine_into(rel, a, v, None, scratch, &mut buf);
         std::mem::swap(&mut cur, &mut buf);
     }
     cur
+}
+
+/// What a partition holds: its stored classes, each sorted, the whole
+/// collection sorted, and its `(n_classes, n_rows)`.
+type Held = (Vec<Vec<TupleId>>, (usize, usize));
+
+/// What `p` holds, read off the partition.
+fn held(p: &StrippedPartition) -> Held {
+    let mut stored: Vec<Vec<TupleId>> = p
+        .stored_classes()
+        .map(|c| {
+            let mut v = c.to_vec();
+            v.sort_unstable();
+            v
+        })
+        .collect();
+    stored.sort();
+    (stored, (p.n_classes(), p.n_rows()))
+}
+
+/// What a partition with the (sorted) classes `classes` must hold: all
+/// of them when none of its rows is `stripped`, else those of at least
+/// two rows; every class and row counted.
+fn stored_view(classes: &[Vec<TupleId>], stripped: bool) -> Held {
+    let min_len = if stripped { 2 } else { 1 };
+    let stored = classes
+        .iter()
+        .filter(|c| c.len() >= min_len)
+        .cloned()
+        .collect();
+    let rows = classes.iter().map(Vec::len).sum();
+    (stored, (classes.len(), rows))
+}
+
+/// True iff a partition with the classes `classes` strips a row: it has
+/// a one-row class and is not built from `full` or `from_single_class`
+/// by constants alone (`all_stored`).
+fn strips(classes: &[Vec<TupleId>], all_stored: bool) -> bool {
+    !all_stored && classes.iter().any(|c| c.len() == 1)
 }
 
 /// Every value a refinement by attribute `a` can take: each constant of
@@ -99,8 +140,9 @@ proptest! {
         let wild = |attrs: [usize; 3]| attrs.map(|a| (a, PVal::Var));
         let p1 = of_pattern(&rel, &wild([0, 1, 2]), &mut scratch);
         let p2 = of_pattern(&rel, &wild([2, 1, 0]), &mut scratch);
-        prop_assert_eq!(p1.sorted_classes(), p2.sorted_classes());
-        prop_assert_eq!(p1.sorted_classes(), direct_partition(&rel, &[0, 1, 2], &[]));
+        prop_assert_eq!(held(&p1), held(&p2));
+        let want = direct_partition(&rel, &[0, 1, 2], &[]);
+        prop_assert_eq!(held(&p1), stored_view(&want, true));
     }
 
     /// A pattern's partition, refined item by item from the full one,
@@ -111,13 +153,13 @@ proptest! {
         let code = rel.code(0, 0); // a value that certainly occurs
         let pattern = [(0, PVal::Const(code)), (1, PVal::Var)];
         let p = of_pattern(&rel, &pattern, &mut scratch);
-        prop_assert_eq!(p.sorted_classes(), direct_partition(&rel, &[1], &[(0, code)]));
+        prop_assert_eq!(held(&p), stored_view(&direct_partition(&rel, &[1], &[(0, code)]), true));
         // row count = support of the constant part
         let supp = rel.tuples().filter(|&t| rel.code(t, 0) == code).count();
         prop_assert_eq!(p.n_rows(), supp);
-        // the empty pattern is the full partition
+        // the empty pattern is the full partition, which strips nothing
         let full = of_pattern(&rel, &[], &mut scratch);
-        prop_assert_eq!(full.sorted_classes(), direct_partition(&rel, &[], &[]));
+        prop_assert_eq!(held(&full), stored_view(&direct_partition(&rel, &[], &[]), false));
     }
 
     #[test]
@@ -126,7 +168,7 @@ proptest! {
         let mut p = StrippedPartition::full(rel.n_rows());
         let mut buf = StrippedPartition::empty();
         for a in 0..rel.arity() {
-            p.refine_into(&rel, a, PVal::Var, &mut scratch, &mut buf);
+            p.refine_into(&rel, a, PVal::Var, None, &mut scratch, &mut buf);
             std::mem::swap(&mut p, &mut buf);
             prop_assert_eq!(p.n_rows(), rel.n_rows(), "wildcards never drop rows");
         }
@@ -138,17 +180,16 @@ proptest! {
         prop_assert_eq!(p.n_classes(), distinct.len());
     }
 
-    /// Singleton classes leave the class area for `singles` but still
-    /// count as classes and rows.
+    /// One-row classes are not stored but still count as classes and
+    /// rows.
     #[test]
     fn singletons_are_stripped_but_counted(rel in arb_relation()) {
         let p = StrippedPartition::by_attribute(&rel, 0);
         let want = direct_partition(&rel, &[0], &[]);
         let wide: Vec<Vec<TupleId>> = want.iter().filter(|c| c.len() >= 2).cloned().collect();
-        let mut got: Vec<Vec<TupleId>> = p.wide_classes().map(<[TupleId]>::to_vec).collect();
+        let mut got: Vec<Vec<TupleId>> = p.stored_classes().map(<[TupleId]>::to_vec).collect();
         got.sort();
-        prop_assert_eq!(got, wide.clone());
-        prop_assert_eq!(p.singles().len(), want.len() - wide.len());
+        prop_assert_eq!(got, wide);
         prop_assert_eq!((p.n_classes(), p.n_rows()), (want.len(), rel.n_rows()));
     }
 
@@ -156,25 +197,27 @@ proptest! {
     fn constant_refinement_is_the_class_filter(rel in arb_relation()) {
         // constant refine_into, whichever of scan and region probe it
         // picks per class, lays out exactly the class-by-class filter —
-        // classes in the same order with the same member order
+        // classes in the same order with the same member order, the
+        // filtered classes of one row stripped along with the base's
         let mut scratch = RefineScratch::for_relation(&rel);
         let mut got = StrippedPartition::empty();
         for base_attr in 0..rel.arity() {
             let base = StrippedPartition::by_attribute(&rel, base_attr);
+            let stripped = strips(&direct_partition(&rel, &[base_attr], &[]), false);
+            let min_len = if stripped { 2 } else { 1 };
             for a in 0..rel.arity() {
                 for c in 0..rel.column(a).domain_size() as u32 {
-                    let mut want = StrippedPartition::empty();
                     let matches = |t: &TupleId| rel.code(*t, a) == c;
-                    for class in base.wide_classes() {
-                        let kept: Vec<TupleId> = class.iter().copied().filter(matches).collect();
-                        want.push_class(&kept);
-                    }
-                    for t in base.singles().iter().filter(|t| matches(t)) {
-                        want.push_class(&[*t]);
-                    }
-                    base.refine_into(&rel, a, PVal::Const(c), &mut scratch, &mut got);
-                    prop_assert!(want.wide_classes().eq(got.wide_classes()));
-                    prop_assert_eq!(want.singles(), got.singles());
+                    let want: Vec<Vec<TupleId>> = base
+                        .stored_classes()
+                        .map(|class| class.iter().copied().filter(matches).collect::<Vec<_>>())
+                        .filter(|kept| kept.len() >= min_len)
+                        .collect();
+                    let support = rel.tuples().filter(matches).count();
+                    let rows = stripped.then_some(support);
+                    base.refine_into(&rel, a, PVal::Const(c), rows, &mut scratch, &mut got);
+                    prop_assert!(got.stored_classes().eq(want.iter().map(Vec::as_slice)));
+                    prop_assert_eq!(got.n_rows(), support);
                 }
             }
         }
@@ -258,16 +301,18 @@ mod engine_parity {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// `refine_into` produces exactly the classes of direct grouping
-        /// (singletons included — they are merely stored aside, never
-        /// dropped), and `refine_counts` reports the counts of the
-        /// partition it skipped materializing.
+        /// (one-row classes stripped, never miscounted), and
+        /// `refine_counts` reports the counts of the partition it
+        /// skipped materializing.
         #[test]
         fn refine_into_matches_the_oracle(rel in arb_relation()) {
             let mut scratch = RefineScratch::for_relation(&rel);
             let mut buf = StrippedPartition::empty();
             for base_attr in 0..rel.arity() {
                 let base = StrippedPartition::by_attribute(&rel, base_attr);
-                prop_assert_eq!(base.sorted_classes(), direct_partition(&rel, &[base_attr], &[]));
+                let classes = direct_partition(&rel, &[base_attr], &[]);
+                let stripped = strips(&classes, false);
+                prop_assert_eq!(held(&base), stored_view(&classes, stripped));
                 for a in 0..rel.arity() {
                     for v in values(&rel, a) {
                         let want = match v {
@@ -275,13 +320,68 @@ mod engine_parity {
                             PVal::Const(c) => direct_partition(&rel, &[base_attr], &[(a, c)]),
                         };
                         let counts = (want.len(), want.iter().map(Vec::len).sum::<usize>());
-                        base.refine_into(&rel, a, v, &mut scratch, &mut buf);
-                        prop_assert_eq!(buf.sorted_classes(), want);
-                        prop_assert_eq!((buf.n_classes(), buf.n_rows()), counts);
-                        let skipped = base.refine_counts(&rel, a, v, &mut scratch);
+                        // the row count, where the base strips a row
+                        let rows = (stripped && v.is_const()).then_some(counts.1);
+                        base.refine_into(&rel, a, v, rows, &mut scratch, &mut buf);
+                        prop_assert_eq!(held(&buf), stored_view(&want, strips(&want, !stripped && v.is_const())));
+                        let skipped = base.refine_counts(&rel, a, v, rows, &mut scratch);
                         prop_assert_eq!(skipped, counts);
                     }
                 }
+            }
+        }
+
+        /// Chains of constant and wildcard items refined from `full`,
+        /// `by_attribute` and `from_single_class` (a value region) equal
+        /// direct grouping at every step, one-row all-constant chains
+        /// included. The row count is passed only where a stripped
+        /// partition is refined by a constant.
+        #[test]
+        fn refinement_chains_match_the_oracle(
+            rel in arb_relation(),
+            start in (0u8..3, 0usize..8, 0usize..20),
+            chain in proptest::collection::vec((0usize..8, 0usize..20, 0u8..2), 0..=6)
+        ) {
+            let n = rel.n_rows();
+            // a code of attribute `a` that occurs: row `row`'s (mod n)
+            let code = |a: usize, row: usize| rel.code((row % n) as TupleId, a);
+            let (kind, a0, row0) = start;
+            let a0 = a0 % rel.arity();
+            let (mut wild, mut consts) = (Vec::new(), Vec::new());
+            let mut cur = match kind {
+                0 => StrippedPartition::full(n),
+                1 => {
+                    wild.push(a0);
+                    StrippedPartition::by_attribute(&rel, a0)
+                }
+                _ => {
+                    let c = code(a0, row0);
+                    consts.push((a0, c));
+                    StrippedPartition::from_single_class(rel.column(a0).regions().region(c))
+                }
+            };
+            // built from `full` or one class by constants alone
+            let mut all_stored = kind != 1;
+            let mut want = direct_partition(&rel, &wild, &consts);
+            prop_assert_eq!(held(&cur), stored_view(&want, strips(&want, all_stored)));
+            let mut scratch = RefineScratch::for_relation(&rel);
+            let mut buf = StrippedPartition::empty();
+            for (a, row, is_const) in chain {
+                let a = a % rel.arity();
+                let v = if is_const == 1 { PVal::Const(code(a, row)) } else { PVal::Var };
+                let stripped = strips(&want, all_stored);
+                match v {
+                    PVal::Const(c) => consts.push((a, c)),
+                    PVal::Var => wild.push(a),
+                }
+                want = direct_partition(&rel, &wild, &consts);
+                let counts = (want.len(), want.iter().map(Vec::len).sum::<usize>());
+                let rows = (stripped && v.is_const()).then_some(counts.1);
+                cur.refine_into(&rel, a, v, rows, &mut scratch, &mut buf);
+                prop_assert_eq!(cur.refine_counts(&rel, a, v, rows, &mut scratch), counts);
+                std::mem::swap(&mut cur, &mut buf);
+                all_stored = !stripped && v.is_const();
+                prop_assert_eq!(held(&cur), stored_view(&want, strips(&want, all_stored)));
             }
         }
 

@@ -91,6 +91,7 @@ impl StreamEngine {
     /// replaying the warm data tuple by tuple through the incremental
     /// path with a hashed `Vec<u32>` key per row and rule.
     pub fn warm(rel: &Relation, rules: Vec<Cfd>, threads: usize) -> (StreamEngine, BatchDelta) {
+        let _sp = cfd_obs::span!("stream.warm");
         let engine = StreamEngine {
             schema: rel.schema().clone(),
             dicts: rel.dicts(),
@@ -460,6 +461,7 @@ impl Dispatch {
 /// workers as [`StreamEngine::warm`] describes. Row `t` of `rel` takes
 /// row id `ids[t]`, or `t` without `ids`.
 fn index(rel: &Relation, rules: &[Cfd], threads: usize, ids: Option<&[RowId]>) -> Vec<RuleState> {
+    let _sp = cfd_obs::span!("stream.index");
     let mut states: Vec<RuleState> = rules
         .iter()
         .enumerate()

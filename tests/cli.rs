@@ -779,6 +779,35 @@ fn watch_trims_a_padded_plus_row_to_its_twin() {
 }
 
 #[test]
+fn watch_trace_covers_the_warm_and_its_index_build() {
+    let dir = std::env::temp_dir().join(format!("cfd-cli17-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.csv");
+    let rules = dir.join("rules.txt");
+    write_csv(&clean, false);
+    discover_rules(&clean, &rules);
+
+    // one warm, whose bulk index build is the only one: no cover swap
+    let mut child = spawn_watch(&[clean.to_str().unwrap(), rules.to_str().unwrap(), "--trace"]);
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"44,131,9999999,Eve,High St.,UN,EH4 1DT\n.\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    for name in ["stream.warm", "stream.index"] {
+        assert!(
+            stderr.contains(&format!("# trace {name}: count=1 ")),
+            "{stderr}"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn watch_flushes_each_batch_while_stdin_stays_open() {
     use std::sync::mpsc::{channel, Receiver};
     use std::time::{Duration, Instant};
